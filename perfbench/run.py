@@ -3,7 +3,7 @@
 
 Usage, from the repository root:
 
-    python3 perfbench/run.py --workload <steady_100k|figures_full|zap_event> \
+    python3 perfbench/run.py --workload <steady_100k|zap_event> \
         --seed <n> --seconds <n> --trace <0|1> [--scale full|toy]
 
 The binary is built in release mode into $CARGO_TARGET_DIR (default

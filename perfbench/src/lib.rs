@@ -1,10 +1,9 @@
-//! The repository benchmark: three workloads, each run in its own process,
+//! The repository benchmark: two workloads, each run in its own process,
 //! timed end to end with tracing off and layer by layer with tracing on.
 //!
 //! * [`workloads::steady`] — `steady_100k`: one 100,000-peer channel on a
-//!   16-shard store, lockstep period mode, `advance()` timed per period.
-//! * [`workloads::figures`] — `figures_full`: every paper figure at
-//!   `FigureScale::Paper`, one full regeneration per measured unit.
+//!   16-shard store, lockstep period mode, `advance()` timed per period,
+//!   then one source switch.
 //! * [`workloads::zap`] — `zap_event`: 8 channels × 1,000 viewers with
 //!   Zipf zapping, storms, rate-limited admission and a lossy event-mode
 //!   network, stepped pipelined in blocks of `run_ahead` periods.
@@ -19,18 +18,18 @@
 //! # What each layer metric should move
 //!
 //! * `trace.generate_ms`, `overlay.build_ms`, `gossip.warmup_ms` — `setup_s`
-//!   on `steady_100k` and `zap_event`, `run_s` on `figures_full`.
+//!   on `steady_100k` and `zap_event`.
 //! * `gossip.period_ms`, `gossip.serial_ms` (the period minus its
 //!   pool-dispatched wall time: churn, emission, transfer resolution, the
 //!   fused apply/playback walk, accounting), `core.*` —
-//!   `period_ms.p50` on `steady_100k`; `gossip.switch_*` and `core.*`
-//!   through the switch path — `run_s` on `figures_full`.
+//!   `period_ms.p50` on `steady_100k`.  `gossip.switch_*` and
+//!   `core.switch_share` come from the source switch after the measured
+//!   periods of `steady_100k`, which no end-to-end metric includes.
 //! * `runtime.*` — `period_ms.p50` on `steady_100k` and `zap_event`.
 //! * `net.*` — `period_ms.p50` on `zap_event` only; `directory.*` —
 //!   `period_ms.p90` on `zap_event`, whose tail the storm boundaries set.
-//! * `metrics.*`, `experiments.*` — `run_s` on `figures_full`; the
-//!   8,000-node runs bound each sweep, so a speed-up confined to small
-//!   sizes should not move it.
+//! * `metrics.*` — time `report()` and `memory_usage()`, which no measured
+//!   unit includes.
 //!
 //! Bounds on later claims, from a 100k period split of about 60–70 %
 //! gather+schedule, 12–16 % transfer resolution and 18–24 % fused walk: a
@@ -75,25 +74,18 @@ pub struct RunConfig {
 pub enum Workload {
     /// One 100k-peer channel in steady state.
     Steady100k,
-    /// Regeneration of every paper figure.
-    FiguresFull,
     /// Multi-channel zapping over the event-mode network.
     ZapEvent,
 }
 
 impl Workload {
     /// Every workload, in `BENCHMARK.json` order.
-    pub const ALL: [Workload; 3] = [
-        Workload::Steady100k,
-        Workload::FiguresFull,
-        Workload::ZapEvent,
-    ];
+    pub const ALL: [Workload; 2] = [Workload::Steady100k, Workload::ZapEvent];
 
     /// The workload's name on the command line.
     pub fn name(self) -> &'static str {
         match self {
             Workload::Steady100k => "steady_100k",
-            Workload::FiguresFull => "figures_full",
             Workload::ZapEvent => "zap_event",
         }
     }
@@ -107,7 +99,6 @@ impl Workload {
     pub fn run(self, config: &RunConfig) -> metrics::Outcome {
         match self {
             Workload::Steady100k => workloads::steady::run(config),
-            Workload::FiguresFull => workloads::figures::run(config),
             Workload::ZapEvent => workloads::zap::run(config),
         }
     }

@@ -1,7 +1,7 @@
 //! Command line of the benchmark.
 //!
 //! ```text
-//! perfbench --workload <steady_100k|figures_full|zap_event> --seed <n>
+//! perfbench --workload <steady_100k|zap_event> --seed <n>
 //!           --seconds <n> --trace <0|1> [--scale full|toy] [--rev <id>]
 //! ```
 //!

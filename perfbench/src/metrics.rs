@@ -71,9 +71,6 @@ pub const PER_LAYER: &[Metric] = &[
     m("directory.max_queue_depth", "count"),
     m("metrics.report_ms", "ms"),
     m("metrics.mem_meter_ms", "ms"),
-    m("experiments.scenario_ms.p50", "ms"),
-    m("experiments.scenario_ms.max", "ms"),
-    m("experiments.pool_idle", "ratio"),
 ];
 
 /// The metrics a run of the given kind must print.

@@ -1,6 +1,5 @@
-//! The three workloads and what they share.
+//! The two workloads and what they share.
 
-pub mod figures;
 pub mod steady;
 pub mod zap;
 
@@ -129,11 +128,4 @@ pub const DIRECTORY_METRICS: &[&str] = &[
     "directory.admitted",
     "directory.deferred",
     "directory.max_queue_depth",
-];
-
-/// The `experiments.*` metric names.
-pub const EXPERIMENT_METRICS: &[&str] = &[
-    "experiments.scenario_ms.p50",
-    "experiments.scenario_ms.max",
-    "experiments.pool_idle",
 ];

@@ -1,19 +1,26 @@
 //! `steady_100k`: one channel of 100,000 peers with the fast-switch
-//! scheduler in lockstep period mode — no churn, no switch, no network
-//! model.  The peers live in 16 store shards and the 2-worker pool is
-//! installed with `set_executor`, so the per-shard scheduling pass fans out
-//! over the pool.  The channel is streamed to steady playback (every peer
-//! started, none stalled), then `advance()` is timed once per period.  The
-//! measured periods include the 60 over which the 600-segment buffers fill
-//! up, the same periods on every run.
+//! scheduler in lockstep period mode — no churn, no network model.  The
+//! peers live in 16 store shards and the 2-worker pool is installed with
+//! `set_executor`, so the per-shard scheduling pass fans out over the pool.
+//! The channel is streamed to steady playback (every peer started, none
+//! stalled), then `advance()` is timed once per period.  The measured
+//! periods include the 60 over which the 600-segment buffers fill up, the
+//! same periods on every run.
+//!
+//! After the measured periods the stream is handed to a new source and run
+//! until every peer has switched (`switch_source`, `run_until_switched`):
+//! the paper's source switch at 100k peers.  No end-to-end metric includes
+//! it; the traced run times it for `gossip.switch_*` and
+//! `core.switch_share`.
 //!
 //! An operation is one measured period.  It fails if `periods()` did not
 //! advance by exactly 1, if the period delivered no data, or if the QoE
-//! row of the period records a stall beginning.
+//! row of the period records a stall beginning.  The run is incorrect if
+//! the switch does not complete within `max_switch_periods`.
 
 use super::{
     derive_seed, maybe_span, ms, record_bypassed, record_core, record_periods, record_runtime,
-    timed, units_for, DIRECTORY_METRICS, EXPERIMENT_METRICS, NET_METRICS, POOL_WORKERS,
+    timed, units_for, DIRECTORY_METRICS, NET_METRICS, POOL_WORKERS,
 };
 use crate::host;
 use crate::metrics::Outcome;
@@ -39,10 +46,13 @@ struct Shape {
     warmup: u64,
     /// Full set-ups per untraced run; `setup_s` is their median.
     setups: usize,
-    /// Measured periods per second of `--seconds` (reference host).
+    /// Measured periods per second of `--seconds`: 150 periods, 30–40 s on
+    /// the reference host, in a 30-second run.
     periods_per_second: f64,
     /// Measured periods at least.
     min_periods: u64,
+    /// Periods the source switch may take at most.
+    max_switch_periods: u64,
 }
 
 impl Shape {
@@ -54,8 +64,9 @@ impl Shape {
                 shards: 16,
                 warmup: 8,
                 setups: 3,
-                periods_per_second: 5.8,
+                periods_per_second: 5.0,
                 min_periods: 20,
+                max_switch_periods: 60,
             },
             Scale::Toy => Shape {
                 peers: 1_500,
@@ -64,6 +75,7 @@ impl Shape {
                 setups: 2,
                 periods_per_second: 1.0,
                 min_periods: 4,
+                max_switch_periods: 60,
             },
         }
     }
@@ -114,6 +126,19 @@ fn step_checked(system: &mut StreamingSystem) -> (f64, bool) {
     (ms(took), ok)
 }
 
+/// Hands the stream to the peer in the middle of the active list and runs
+/// until every peer has switched.  Returns the periods it took.
+fn switch_tail(system: &mut StreamingSystem, max_periods: u64) -> u64 {
+    let middle = system.overlay().active_count() / 2;
+    let new_source = system
+        .overlay()
+        .active_peers()
+        .nth(middle)
+        .expect("non-empty overlay");
+    system.switch_source(new_source);
+    system.run_until_switched(max_periods)
+}
+
 /// Runs the workload.
 pub fn run(config: &RunConfig) -> Outcome {
     let shape = Shape::at(config.scale);
@@ -122,10 +147,11 @@ pub fn run(config: &RunConfig) -> Outcome {
     let mut outcome = Outcome::default();
     outcome.note(format!(
         "shape: peers={} shards={} warmup_periods={} measured_periods={periods} \
-         pool_workers={POOL_WORKERS} mode=lockstep scheduler=fast churn=off switch=off",
+         pool_workers={POOL_WORKERS} mode=lockstep scheduler=fast churn=off \
+         switch=after_measured_periods",
         shape.peers, shape.shards, shape.warmup
     ));
-    let system = if config.trace {
+    let (system, switch_periods) = if config.trace {
         run_traced(&shape, config.seed, periods, &pool, &mut outcome)
     } else {
         run_plain(&shape, config.seed, periods, &pool, &mut outcome)
@@ -133,7 +159,11 @@ pub fn run(config: &RunConfig) -> Outcome {
 
     let report = system.report();
     let mem = report.mem;
-    outcome.correct &= report.periods == shape.warmup + periods;
+    let switched = report.switch_completed_secs.is_some();
+    outcome.correct &= switched && report.periods == shape.warmup + periods + switch_periods;
+    outcome.note(format!(
+        "switch: completed={switched} after {switch_periods} periods"
+    ));
     outcome.note(format!(
         "working_set: {:.1} MB of peer state ({:.0} B/peer) vs LLC {:.1} MiB",
         mem.peer_bytes as f64 / 1e6,
@@ -158,7 +188,7 @@ fn run_plain(
     periods: u64,
     pool: &Arc<WorkerPool>,
     outcome: &mut Outcome,
-) -> StreamingSystem {
+) -> (StreamingSystem, u64) {
     let mut setup_s = Vec::new();
     let mut kept = None;
     for _ in 0..shape.setups {
@@ -186,6 +216,8 @@ fn run_plain(
             failed += u64::from(!ok);
         }
     });
+    // Untimed, so that the report (and its digest) matches the traced run's.
+    let switch_periods = switch_tail(&mut system, shape.max_switch_periods);
 
     outcome.attempted = periods;
     outcome.failed = failed;
@@ -202,7 +234,7 @@ fn run_plain(
         shape.peers as f64 * periods as f64 / run.as_secs_f64(),
     );
     record_periods(outcome, "one advance() each", &samples);
-    system
+    (system, switch_periods)
 }
 
 fn run_traced(
@@ -211,7 +243,7 @@ fn run_traced(
     periods: u64,
     pool: &Arc<WorkerPool>,
     outcome: &mut Outcome,
-) -> StreamingSystem {
+) -> (StreamingSystem, u64) {
     let spans = Spans::new();
     let core = CoreStats::new();
     let executor = TimedExecutor::new(Arc::clone(pool), Some(spans.clone()));
@@ -267,6 +299,14 @@ fn run_traced(
     let rt_delta = executor.stats().since(&rt_before);
     let traced_periods = traced_ms.len() as f64;
 
+    // The source switch, traced as a whole on the plain pool executor.
+    system.set_executor(pool.as_executor());
+    let switch_before = core.snapshot();
+    let switch_periods = spans.time("gossip.switch", || {
+        switch_tail(&mut system, shape.max_switch_periods)
+    });
+    let switch_core = core.snapshot().since(&switch_before);
+
     let active = system.overlay().active_count() as f64;
     let report = spans.time("metrics.report", || system.report());
     let _ = spans.time("metrics.mem_meter", || system.memory_usage());
@@ -295,22 +335,29 @@ fn run_traced(
         "gossip.control_bits_per_peer",
         control_bits / traced_periods / active,
     );
-    record_bypassed(outcome, &["gossip.switch_ms", "gossip.switch_periods"]);
+    outcome.set("gossip.switch_ms", spans.total_ms("gossip.switch"));
+    outcome.set("gossip.switch_periods", switch_periods as f64);
     record_core(outcome, &core_delta, traced_periods);
+    // Steady periods never know two sessions; the switch's periods do.
+    outcome.set(
+        "core.switch_share",
+        ratio(switch_core.switch_calls as f64, switch_core.calls as f64),
+    );
     record_runtime(outcome, &rt_delta, traced_periods, executor.workers());
     record_bypassed(outcome, NET_METRICS);
     record_bypassed(outcome, DIRECTORY_METRICS);
     outcome.set("metrics.report_ms", spans.total_ms("metrics.report"));
     outcome.set("metrics.mem_meter_ms", spans.total_ms("metrics.mem_meter"));
-    record_bypassed(outcome, EXPERIMENT_METRICS);
     outcome.note(format!(
-        "traced: {} traced and {} plain periods alternating; trace.overhead = \
-         median traced / median plain − 1 ({:.4} / {:.4} ms)",
+        "traced: {} traced and {} plain periods alternating, then the source switch; \
+         core.switch_share is over the switch's periods, every other core.* metric over \
+         the traced periods; trace.overhead = median traced / median plain − 1 \
+         ({:.4} / {:.4} ms)",
         traced_ms.len(),
         plain_ms.len(),
         median(&traced_ms),
         median(&plain_ms)
     ));
     outcome.notes.extend(spans.summary_lines());
-    system
+    (system, switch_periods)
 }
