@@ -23,11 +23,9 @@
 //! * `qoe_overhead/*` — one steady period with QoE event recording on
 //!   (the default) versus off: the cost of the streaming telemetry layer
 //!   on the playback pass;
-//! * `locality/*` — the shard-major fused period pipeline (the default)
-//!   against the phase-major ordering it replaced
-//!   (`set_phase_major(true)`), unsharded and on an 8-shard store: the
-//!   cache-locality dividend of running every per-peer phase while the
-//!   shard's columns are hot, with a gated million-peer before/after lane;
+//! * `locality/*` — the fused period pipeline, unsharded and on an
+//!   8-shard store (grants made in the scheduling chunks, the walk run per
+//!   chunk);
 //! * `net/*` — the event-driven network core against plain period
 //!   stepping: `period_mode_1k` is the lockstep baseline, `event_ideal_1k`
 //!   routes the same period through `advance()` with the ideal (zero
@@ -171,18 +169,6 @@ fn bench_million_peers(c: &mut Criterion) {
     group.bench_function("optimized_period_1m_sharded", |b| b.iter(|| sys.step()));
     group.finish();
 
-    // The million-peer before/after for the fused pipeline: the same warm
-    // system stepped phase-major.  The working set dwarfs every cache
-    // level, so this lane is where the locality restructuring pays most.
-    let mut group = c.benchmark_group("locality");
-    group.sample_size(10);
-    sys.set_phase_major(true);
-    group.bench_function("phase_major_period_1m_sharded", |b| {
-        b.iter(|| sys.advance())
-    });
-    sys.set_phase_major(false);
-    group.finish();
-
     let mut group = c.benchmark_group("mem");
     group.sample_size(10);
     group.bench_function("usage_sweep_1m", |b| {
@@ -191,19 +177,11 @@ fn bench_million_peers(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `locality/*` lane: the cache-locality dividend of the shard-major
-/// fused period pipeline.
-///
-/// * `fused_period_1k` / `fused_period_1k_sharded8` — the default `step()`:
-///   per shard run, deliveries are applied and playback advanced while the
-///   shard's hot columns are resident;
-/// * `phase_major_period_1k` / `phase_major_period_1k_sharded8` — the
-///   phase-major ordering the fusion replaced (every phase sweeps all
-///   shards before the next starts), kept for one release as the
-///   equivalence oracle.
-///
-/// Both orderings produce byte-identical reports (pinned by
-/// `fused_equivalence.rs`); the delta here is pure memory locality.
+/// The `locality/*` lane: the fused period pipeline — grants made in the
+/// scheduling chunks, then per chunk the grants applied and playback
+/// advanced while the chunk's hot columns are resident — unsharded
+/// (`fused_period_1k`) and over an 8-shard store
+/// (`fused_period_1k_sharded8`, one chunk per shard run).
 fn bench_locality(c: &mut Criterion) {
     let mut group = c.benchmark_group("locality");
     group.sample_size(10);
@@ -211,18 +189,8 @@ fn bench_locality(c: &mut Criterion) {
     let mut sys = steady_system(1);
     group.bench_function("fused_period_1k", |b| b.iter(|| sys.step()));
 
-    let mut sys = steady_system(1);
-    sys.set_phase_major(true);
-    group.bench_function("phase_major_period_1k", |b| b.iter(|| sys.advance()));
-
     let mut sys = sharded_steady_system(1, 8);
     group.bench_function("fused_period_1k_sharded8", |b| b.iter(|| sys.step()));
-
-    let mut sys = sharded_steady_system(1, 8);
-    sys.set_phase_major(true);
-    group.bench_function("phase_major_period_1k_sharded8", |b| {
-        b.iter(|| sys.advance())
-    });
 
     group.finish();
 }

@@ -2,25 +2,47 @@
 //! loop performs **zero heap allocations** — every buffer lives in the
 //! reused scratch arena.
 //!
-//! A counting wrapper around the system allocator tallies every allocation
-//! on this test binary; the test warms a 300-node system until all scratch
+//! A counting wrapper around the system allocator tallies the allocations
+//! of *armed* threads; each test warms its system until all scratch
 //! buffers, pools and hash maps have reached their high-water marks, then
-//! runs further periods with the counter armed.
+//! runs further work inside [`counted`], which arms the calling thread (and,
+//! through [`counted_on_pool`], every thread of a worker pool).
+//!
+//! The tests of this file run concurrently under libtest, so the counted
+//! windows are serialised by one static mutex: at most one test has armed
+//! threads at a time, and allocations of the harness's own threads (result
+//! reporting, spawning the next test) are never armed.  The suite is exact
+//! at any `--test-threads`.
 
 use fss_core::FastSwitchScheduler;
 use fss_gossip::{GossipConfig, StreamingSystem};
 use fss_overlay::OverlayBuilder;
+use fss_runtime::WorkerPool;
 use fss_trace::{GeneratorConfig, TraceGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Barrier, Mutex, MutexGuard};
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted.  Const-initialised
+    /// and drop-free, so reading it never allocates and never fails.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn note_allocation() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -37,8 +59,48 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Serialises the counted windows of the tests in this file.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the counter itself stays sound.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Runs `f` with the calling thread armed and returns how many allocations
+/// the armed threads made meanwhile.
+fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let _serial = serial();
+    ARMED.set(true);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let result = f();
+    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    ARMED.set(false);
+    (during, result)
+}
+
+/// Arms (or disarms) every thread of `pool`: one chunk per pool thread,
+/// each parked on a barrier until all threads hold a chunk, so no thread
+/// can take two.
+fn arm_pool(pool: &WorkerPool, barrier: &Barrier, on: bool) {
+    pool.execute(pool.workers(), &|_| {
+        ARMED.set(on);
+        barrier.wait();
+    });
+}
+
+/// [`counted`] with every thread of `pool` armed too.
+fn counted_on_pool<R>(pool: &WorkerPool, f: impl FnOnce() -> R) -> (u64, R) {
+    let barrier = Barrier::new(pool.workers());
+    let _serial = serial();
+    arm_pool(pool, &barrier, true);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let result = f();
+    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    arm_pool(pool, &barrier, false);
+    (during, result)
 }
 
 #[test]
@@ -61,9 +123,7 @@ fn steady_state_period_loop_does_not_allocate() {
     // scratch arenas, pools and hash maps reach their steady capacities.
     sys.run_periods(80);
 
-    let before = allocations();
-    sys.run_periods(20);
-    let during = allocations() - before;
+    let (during, ()) = counted(|| sys.run_periods(20));
     assert_eq!(
         during, 0,
         "steady-state periods allocated {during} times; the scratch arena must absorb all working memory"
@@ -76,10 +136,9 @@ fn steady_state_period_loop_does_not_allocate() {
 
     // The reference implementation allocates heavily — confirming the
     // counter actually observes the loop.
-    let before = allocations();
-    sys.run_periods_reference(1);
+    let (reference, ()) = counted(|| sys.run_periods_reference(1));
     assert!(
-        allocations() - before > 100,
+        reference > 100,
         "reference path should allocate (counter sanity check)"
     );
 }
@@ -155,11 +214,11 @@ fn steady_state_zap_batch_resolution_does_not_allocate() {
         produced += resolve_batch(&mut scratch, &mut rng);
     }
 
-    let before = allocations();
-    for _ in 0..50 {
-        produced += resolve_batch(&mut scratch, &mut rng);
-    }
-    let during = allocations() - before;
+    let (during, ()) = counted(|| {
+        for _ in 0..50 {
+            produced += resolve_batch(&mut scratch, &mut rng);
+        }
+    });
     assert_eq!(
         during, 0,
         "steady-state zap-batch resolution allocated {during} times; \
@@ -190,9 +249,7 @@ fn sharded_steady_state_period_loop_does_not_allocate() {
 
     sys.run_periods(80);
 
-    let before = allocations();
-    sys.run_periods(20);
-    let during = allocations() - before;
+    let (during, ()) = counted(|| sys.run_periods(20));
     assert_eq!(
         during, 0,
         "sharded steady-state periods allocated {during} times; \
@@ -247,9 +304,7 @@ fn steady_state_event_mode_stepping_does_not_allocate() {
 
     sys.run_periods(80);
 
-    let before = allocations();
-    sys.run_periods(20);
-    let during = allocations() - before;
+    let (during, ()) = counted(|| sys.run_periods(20));
     assert_eq!(
         during, 0,
         "event-mode steady-state periods allocated {during} times; \
@@ -278,15 +333,14 @@ fn sketch_record_merge_and_fold_do_not_allocate() {
     let mut local = QuantileSketch::new(1.0);
     let mut merged = QuantileSketch::new(1.0);
 
-    let before = allocations();
-    for i in 0..10_000u64 {
-        local.record((i % 97) as f64);
-    }
-    merged.merge_from(&local);
-    merged.merge_from(&local);
-    let summary = ZapSummary::from_sketch(&merged, 7);
-    let p50 = merged.quantile(0.5);
-    let during = allocations() - before;
+    let (during, (summary, p50)) = counted(|| {
+        for i in 0..10_000u64 {
+            local.record((i % 97) as f64);
+        }
+        merged.merge_from(&local);
+        merged.merge_from(&local);
+        (ZapSummary::from_sketch(&merged, 7), merged.quantile(0.5))
+    });
     assert_eq!(
         during, 0,
         "sketch record/merge/fold allocated {during} times; \
@@ -326,19 +380,19 @@ fn telemetry_enabled_stepping_and_harvest_do_not_allocate() {
     let mut startup = QuantileSketch::new(1.0);
     let mut stall = QuantileSketch::new(1.0);
 
-    let before = allocations();
-    for _ in 0..24 {
-        sys.step();
-        let sample = *sys.qoe().latest().unwrap();
-        timeline.push(QoeWindow::from_sample(&sample));
-        for &delay in sys.qoe().startup_delays_periods() {
-            startup.record(delay as f64);
+    let (during, ()) = counted(|| {
+        for _ in 0..24 {
+            sys.step();
+            let sample = *sys.qoe().latest().unwrap();
+            timeline.push(QoeWindow::from_sample(&sample));
+            for &delay in sys.qoe().startup_delays_periods() {
+                startup.record(delay as f64);
+            }
+            for &duration in sys.qoe().stall_durations_periods() {
+                stall.record(duration as f64);
+            }
         }
-        for &duration in sys.qoe().stall_durations_periods() {
-            stall.record(duration as f64);
-        }
-    }
-    let during = allocations() - before;
+    });
     assert_eq!(
         during, 0,
         "telemetry-enabled stepping + harvest allocated {during} times; \
@@ -364,13 +418,14 @@ fn sorted_sample_quantile_does_not_allocate_per_call() {
     let values: Vec<f64> = (0..5_000).rev().map(|v| (v % 311) as f64).collect();
     let sorted = SortedSample::from_values(&values);
 
-    let before = allocations();
-    let mut acc = 0.0;
-    for i in 0..1_000 {
-        acc += sorted.quantile(i as f64 / 1_000.0);
-        acc += Summary::of(&values).mean;
-    }
-    let during = allocations() - before;
+    let (during, acc) = counted(|| {
+        let mut acc = 0.0;
+        for i in 0..1_000 {
+            acc += sorted.quantile(i as f64 / 1_000.0);
+            acc += Summary::of(&values).mean;
+        }
+        acc
+    });
     assert_eq!(
         during, 0,
         "quantile/summary queries allocated {during} times; \
@@ -379,19 +434,15 @@ fn sorted_sample_quantile_does_not_allocate_per_call() {
     assert!(acc > 0.0);
 }
 
-/// The same guarantee for the pool-backed parallel path: dispatching the
-/// scheduling sweep onto the persistent `fss-runtime` worker pool (raw
-/// job pointer under a mutex, chunk-stealing cursor, condvar parking) must
-/// not allocate either — the pool exists precisely to amortise all per-
-/// period costs away.
-///
-/// Only the main thread's allocations are deterministic to count (worker
-/// threads park/unpark on futexes, no heap), so the counting allocator
-/// tallies every thread — a worker-side allocation would fail the test too.
-#[cfg(feature = "parallel")]
+/// The same guarantee for the pool-backed parallel path: both dispatches
+/// of a period — the scheduling pass with its in-chunk grants, and the
+/// fused walk with its per-chunk QoE lanes and ratio terms — fan out over
+/// the persistent `fss-runtime` worker pool (raw job pointer under a mutex,
+/// chunk-stealing cursor, condvar parking) and must not allocate either, on
+/// any thread: every pool thread is armed.  The store has at least 4
+/// shards, so the chunk plan has several chunks, and QoE recording is on.
 #[test]
 fn steady_state_pool_parallel_period_loop_does_not_allocate() {
-    use fss_runtime::WorkerPool;
     use std::sync::Arc;
 
     let trace = TraceGenerator::new(GeneratorConfig::sized(300, 22)).generate("zero-alloc-pool");
@@ -404,23 +455,31 @@ fn steady_state_pool_parallel_period_loop_does_not_allocate() {
         GossipConfig::paper_default(),
         Box::new(FastSwitchScheduler::new()),
     );
-    sys.set_parallelism(4);
+    sys.set_shards(8);
+    assert!(
+        sys.shard_count() >= 4,
+        "the chunk plan needs several shards"
+    );
     sys.set_executor(pool.as_executor());
+    assert!(sys.qoe().is_enabled());
     sys.start_initial_source(source);
 
-    // Warm-up: scratch arenas and per-chunk worker slots reach their
-    // high-water marks; the pool's threads are long since spawned.
+    // Warm-up: scratch arenas and per-chunk slots reach their high-water
+    // marks; the pool's threads are long since spawned.
     sys.run_periods(80);
 
-    let before = allocations();
-    sys.run_periods(20);
-    let during = allocations() - before;
+    let dispatches = pool.dispatches();
+    let (during, ()) = counted_on_pool(&pool, || sys.run_periods(20));
     assert_eq!(
         during, 0,
-        "pool-backed steady-state periods allocated {during} times; job dispatch must be allocation-free"
+        "pool-backed steady-state periods allocated {during} times; \
+         the per-chunk grant, QoE and ratio buffers and job dispatch must be allocation-free"
     );
+    // Two dispatches per period (plus the two arming jobs).
+    assert_eq!(pool.dispatches() - dispatches, 2 * 20 + 2);
 
     let report = sys.report();
     assert_eq!(report.periods, 100);
     assert!(report.traffic_total.data_bits > 0);
+    assert!(sys.qoe().totals().played > 0);
 }

@@ -36,8 +36,11 @@ use serde::{Deserialize, Serialize};
 
 /// Per-peer QoE observation state, indexed by `PeerId` like the switch
 /// records (one entry per ever-allocated peer slot; ids are never reused).
+/// Opaque: the fused period walk borrows disjoint id ranges of these slots
+/// per chunk (see [`QoeRecorder::peer_states_mut`]) and only ever touches
+/// them through [`QoeLane::observe`].
 #[derive(Debug, Clone, Copy, Default)]
-struct PeerQoe {
+pub struct PeerQoe {
     /// Period at which the peer joined (0 for the initial population).
     birth_period: u64,
     /// `PlaybackState::stalls()` at the last observation — the delta against
@@ -90,6 +93,97 @@ impl PeriodSample {
     }
 }
 
+/// One period's QoE accumulation over some set of peers: the row counters
+/// plus the startup-delay and stall-duration event buffers.
+///
+/// The recorder owns one lane for the period being recorded.  The fused
+/// period walk gives every chunk a lane of its own and folds them into the
+/// recorder with [`QoeRecorder::merge`] in chunk order: the counters are
+/// integers (order-free sums) and the event buffers concatenate in
+/// ascending peer order, so the merged row is byte-identical to one serial
+/// observation sweep.
+#[derive(Debug, Default)]
+pub struct QoeLane {
+    row: PeriodSample,
+    /// Startup delays (whole periods) of this period's startups.
+    startup_delays: Vec<u64>,
+    /// Durations (whole periods) of stall episodes ended this period.
+    stall_durations: Vec<u64>,
+}
+
+impl QoeLane {
+    /// Opens the lane for `period`, clearing counters and event buffers.
+    pub fn begin(&mut self, period: u64) {
+        self.row = PeriodSample {
+            period,
+            ..PeriodSample::default()
+        };
+        self.startup_delays.clear();
+        self.stall_durations.clear();
+    }
+
+    /// Sizes the event buffers for `peers` observations (at most one event
+    /// of each kind per peer and period), so observing never allocates.
+    pub fn reserve(&mut self, peers: usize) {
+        for events in [&mut self.startup_delays, &mut self.stall_durations] {
+            if events.capacity() < peers {
+                events.reserve(peers - events.len());
+            }
+        }
+    }
+
+    /// Observes one peer after its playback advanced this period.
+    ///
+    /// `state` is the peer's observation slot; `started` / `stalls` are its
+    /// post-advance `PlaybackState::has_started()` / `stalls()`; `played` is
+    /// the number of segments it played this period.  Reads and writes only
+    /// that slot and this lane — never another peer's state.
+    #[inline]
+    pub fn observe(&mut self, state: &mut PeerQoe, started: bool, stalls: u64, played: u64) {
+        let period = self.row.period;
+        let row = &mut self.row;
+        row.viewers += 1;
+        row.played += played;
+
+        if started && !state.started {
+            state.started = true;
+            row.startups += 1;
+            self.startup_delays
+                .push(period.saturating_sub(state.birth_period));
+        }
+        if started {
+            row.started += 1;
+        }
+
+        let missed = stalls.saturating_sub(state.last_stalls);
+        state.last_stalls = stalls;
+        row.stalled_segments += missed;
+        if missed > 0 {
+            if !state.stalled {
+                state.stalled = true;
+                state.stall_from = period;
+                row.stall_begins += 1;
+            }
+        } else if played > 0 && state.stalled {
+            // A period that plays without missing ends the episode; a period
+            // with nothing to do (no play budget) leaves it open.
+            state.stalled = false;
+            row.stall_ends += 1;
+            self.stall_durations
+                .push(period.saturating_sub(state.stall_from));
+        }
+        if state.stalled {
+            row.stalled += 1;
+        }
+    }
+}
+
+impl MemoryFootprint for QoeLane {
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.startup_delays) + vec_bytes(&self.stall_durations)
+    }
+}
+
 /// Cumulative QoE counters over a whole run — the O(1)-size aggregate
 /// surfaced in `SystemReport`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -137,16 +231,12 @@ impl QoeTotals {
 pub struct QoeRecorder {
     enabled: bool,
     peers: Vec<PeerQoe>,
-    /// The row being accumulated during the current playback pass.
-    current: PeriodSample,
+    /// The row (and event buffers) being accumulated during the current
+    /// playback pass.
+    current: QoeLane,
     /// The last completed row (`current` of the previous period).
     latest: Option<PeriodSample>,
     totals: QoeTotals,
-    /// Startup delays (whole periods) of startups in the current period.
-    startup_delays: Vec<u64>,
-    /// Durations (whole periods) of stall episodes ended in the current
-    /// period.
-    stall_durations: Vec<u64>,
 }
 
 impl QoeRecorder {
@@ -154,14 +244,14 @@ impl QoeRecorder {
     /// Event buffers are pre-reserved to the same capacity so the steady
     /// state never allocates.
     pub fn with_capacity(capacity: usize) -> Self {
+        let mut current = QoeLane::default();
+        current.reserve(capacity);
         QoeRecorder {
             enabled: true,
             peers: vec![PeerQoe::default(); capacity],
-            current: PeriodSample::default(),
+            current,
             latest: None,
             totals: QoeTotals::default(),
-            startup_delays: Vec::with_capacity(capacity),
-            stall_durations: Vec::with_capacity(capacity),
         }
     }
 
@@ -185,25 +275,12 @@ impl QoeRecorder {
             birth_period: period,
             ..PeerQoe::default()
         });
-        let need = self.peers.len();
-        if self.startup_delays.capacity() < need {
-            self.startup_delays
-                .reserve(need - self.startup_delays.len());
-        }
-        if self.stall_durations.capacity() < need {
-            self.stall_durations
-                .reserve(need - self.stall_durations.len());
-        }
+        self.current.reserve(self.peers.len());
     }
 
     /// Opens the row of `period`, clearing the per-period event buffers.
     pub fn begin_period(&mut self, period: u64) {
-        self.current = PeriodSample {
-            period,
-            ..PeriodSample::default()
-        };
-        self.startup_delays.clear();
-        self.stall_durations.clear();
+        self.current.begin(period);
     }
 
     /// Observes one peer after its playback advanced this period.
@@ -213,62 +290,55 @@ impl QoeRecorder {
     /// of segments it played this period.
     ///
     /// Callers must observe active peers in **ascending id order** exactly
-    /// once per period, between `begin_period` and `finish_period`.  The
-    /// fused shard-major walk preserves this by visiting shard runs of the
-    /// (ascending) active list in order, so its rows are byte-identical to
-    /// the phase-major sweep's.  Reads only the peer's own slot and the
-    /// current row — never another peer's state — which is what lets the
-    /// fused pipeline interleave it with delivery application.
+    /// once per period, between `begin_period` and `finish_period` — or
+    /// observe disjoint ascending runs into [`QoeLane`]s and
+    /// [`merge`](Self::merge) those in run order, which is what the fused
+    /// period walk does per chunk.
     #[inline]
     pub fn observe(&mut self, peer: usize, started: bool, stalls: u64, played: u64) {
-        let period = self.current.period;
-        let state = &mut self.peers[peer];
-        let row = &mut self.current;
-        row.viewers += 1;
-        row.played += played;
+        self.current
+            .observe(&mut self.peers[peer], started, stalls, played);
+    }
 
-        if started && !state.started {
-            state.started = true;
-            row.startups += 1;
-            self.startup_delays
-                .push(period.saturating_sub(state.birth_period));
-        }
-        if started {
-            row.started += 1;
-        }
+    /// Every peer's observation slot, indexed by `PeerId`: the fused walk
+    /// lends each chunk the id range of its own peers.
+    pub fn peer_states_mut(&mut self) -> &mut [PeerQoe] {
+        &mut self.peers
+    }
 
-        let missed = stalls.saturating_sub(state.last_stalls);
-        state.last_stalls = stalls;
-        row.stalled_segments += missed;
-        if missed > 0 {
-            if !state.stalled {
-                state.stalled = true;
-                state.stall_from = period;
-                row.stall_begins += 1;
-            }
-        } else if played > 0 && state.stalled {
-            // A period that plays without missing ends the episode; a period
-            // with nothing to do (no play budget) leaves it open.
-            state.stalled = false;
-            row.stall_ends += 1;
-            self.stall_durations
-                .push(period.saturating_sub(state.stall_from));
-        }
-        if state.stalled {
-            row.stalled += 1;
-        }
+    /// Folds one chunk's lane into the current row: counters add, event
+    /// buffers append.  Merging lanes of consecutive ascending peer runs in
+    /// run order reproduces a serial [`observe`](Self::observe) sweep
+    /// exactly.
+    pub fn merge(&mut self, lane: &QoeLane) {
+        let row = &mut self.current.row;
+        let part = &lane.row;
+        row.viewers += part.viewers;
+        row.started += part.started;
+        row.startups += part.startups;
+        row.stall_begins += part.stall_begins;
+        row.stall_ends += part.stall_ends;
+        row.stalled += part.stalled;
+        row.played += part.played;
+        row.stalled_segments += part.stalled_segments;
+        self.current
+            .startup_delays
+            .extend_from_slice(&lane.startup_delays);
+        self.current
+            .stall_durations
+            .extend_from_slice(&lane.stall_durations);
     }
 
     /// Closes the current row: stamps the switch-progress gauge, folds the
     /// row into the totals and publishes it as [`latest`](Self::latest).
     pub fn finish_period(&mut self, switch_waiting: u64) {
-        self.current.switch_waiting = switch_waiting;
-        let row = self.current;
+        self.current.row.switch_waiting = switch_waiting;
+        let row = self.current.row;
         self.totals.periods += 1;
         self.totals.startups += row.startups;
-        self.totals.startup_delay_periods += self.startup_delays.iter().sum::<u64>();
+        self.totals.startup_delay_periods += self.current.startup_delays.iter().sum::<u64>();
         self.totals.stall_events += row.stall_ends;
-        self.totals.stall_periods += self.stall_durations.iter().sum::<u64>();
+        self.totals.stall_periods += self.current.stall_durations.iter().sum::<u64>();
         self.totals.played += row.played;
         self.totals.stalled_segments += row.stalled_segments;
         self.totals.peak_stalled = self.totals.peak_stalled.max(row.stalled);
@@ -289,19 +359,19 @@ impl QoeRecorder {
     /// Startup delays (whole periods) of the startups in the last observed
     /// period.
     pub fn startup_delays_periods(&self) -> &[u64] {
-        &self.startup_delays
+        &self.current.startup_delays
     }
 
     /// Durations (whole periods) of the stall episodes that ended in the
     /// last observed period.
     pub fn stall_durations_periods(&self) -> &[u64] {
-        &self.stall_durations
+        &self.current.stall_durations
     }
 }
 
 impl MemoryFootprint for QoeRecorder {
     fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.peers) + vec_bytes(&self.startup_delays) + vec_bytes(&self.stall_durations)
+        vec_bytes(&self.peers) + self.current.heap_bytes()
     }
 }
 
@@ -390,6 +460,64 @@ mod tests {
         rec.set_enabled(false);
         assert!(!rec.is_enabled());
         assert_eq!(rec.totals(), before);
+    }
+
+    /// Lanes over consecutive ascending peer runs, merged in run order,
+    /// reproduce one serial observation sweep: same row, same event
+    /// buffers in the same order, same totals.
+    #[test]
+    fn merged_lanes_match_a_serial_sweep() {
+        let periods: [&[(usize, bool, u64, u64)]; 3] = [
+            &[
+                (0, true, 0, 2),
+                (1, false, 0, 0),
+                (2, true, 1, 1),
+                (3, true, 0, 2),
+            ],
+            &[
+                (0, true, 2, 0),
+                (1, true, 0, 2),
+                (2, true, 1, 2),
+                (3, true, 3, 0),
+            ],
+            &[
+                (0, true, 2, 2),
+                (1, true, 0, 2),
+                (2, true, 1, 2),
+                (3, true, 3, 1),
+            ],
+        ];
+        let mut serial = QoeRecorder::with_capacity(4);
+        let mut merged = QoeRecorder::with_capacity(4);
+        let mut lanes = [QoeLane::default(), QoeLane::default()];
+        for (i, obs) in periods.iter().enumerate() {
+            let period = i as u64 + 1;
+            let row = observe_period(&mut serial, period, obs);
+
+            merged.begin_period(period);
+            let (low, high) = merged.peer_states_mut().split_at_mut(2);
+            for (lane, states, run) in [(0, low, &obs[..2]), (1, high, &obs[2..])] {
+                lanes[lane].begin(period);
+                for (state, &(_, started, stalls, played)) in states.iter_mut().zip(run) {
+                    lanes[lane].observe(state, started, stalls, played);
+                }
+            }
+            for lane in &lanes {
+                merged.merge(lane);
+            }
+            merged.finish_period(0);
+            assert_eq!(merged.latest(), Some(&row), "period {period}");
+            assert_eq!(
+                merged.startup_delays_periods(),
+                serial.startup_delays_periods()
+            );
+            assert_eq!(
+                merged.stall_durations_periods(),
+                serial.stall_durations_periods()
+            );
+        }
+        assert_eq!(merged.totals(), serial.totals());
+        assert!(serial.totals().stall_events > 0 && serial.totals().startups > 0);
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //! **zero heap allocations**:
 //!
 //! * [`PeriodScratch`] — dense (indexed by [`PeerId`]) rate/budget tables,
-//!   the active list, the merged request batches and a pool of recycled
-//!   request vectors,
-//! * [`WorkerScratch`] — the per-worker state of the (optionally parallel)
-//!   scheduling pass: a reusable [`SchedulingContext`], supplier-vector and
-//!   request-vector pools, the need/availability bitset words and the
-//!   scheduler's own [`SchedulerScratch`].
+//!   the active list, the chunk plan and the ratio-track column,
+//! * [`WorkerScratch`] — the per-chunk state of the two pool dispatches of
+//!   a period: a reusable [`SchedulingContext`], the supplier-vector pool,
+//!   the need/availability bitset words, the scheduler's own
+//!   [`SchedulerScratch`], the chunk's grants and its QoE lane.
 //!
 //! Candidate segments are enumerated by word-level bitset intersection of
 //! the peers' availability windows, which every
@@ -32,13 +31,16 @@
 
 use crate::config::GossipConfig;
 use crate::mem::{vec_bytes, MemoryFootprint};
+use crate::qoe::QoeLane;
+use crate::scheduler::SegmentRequest;
 use crate::scheduler::{CandidateSegment, SchedulerScratch, SchedulingContext, SupplierInfo};
 use crate::segment::{SegmentId, SessionDirectory};
 use crate::store::{PeerRef, PeerStore};
-use crate::transfer::{DeliveredSegment, RequestBatch};
+use crate::transfer::{DeliveredSegment, GrantScratch};
 use fss_overlay::PeerId;
 
-/// Per-worker state of the scheduling pass.
+/// Per-chunk state of a period: everything one chunk of the scheduling
+/// pass and of the fused walk writes, so chunks never share a byte.
 #[derive(Debug, Default)]
 pub struct WorkerScratch {
     /// The reusable scheduling context handed to the scheduler.
@@ -51,12 +53,35 @@ pub struct WorkerScratch {
     avail_words: Vec<u64>,
     /// The scheduler's own reusable state.
     pub sched: SchedulerScratch,
-    /// Batches produced by this worker, in node order.
-    pub out: Vec<RequestBatch>,
-    /// Recycled request vectors for new batches.
-    pub request_pool: Vec<Vec<crate::scheduler::SegmentRequest>>,
-    /// Control traffic observed by this worker (summed after the pass).
+    /// One peer's scheduled requests (the scheduler's output buffer).
+    pub requests: Vec<SegmentRequest>,
+    /// Working memory of the per-link grant step.
+    pub grant: GrantScratch,
+    /// The chunk's grants, requester-ascending; within one requester in
+    /// resolver order (supplier, then submission order).
+    pub grants: Vec<DeliveredSegment>,
+    /// `Shared` capacity model only: the chunk's scheduled requests, flat,
+    /// for the global resolver.
+    pub shared_requests: Vec<SegmentRequest>,
+    /// `Shared` capacity model only: `(requester, inbound budget, start,
+    /// end)` — each requester's range of `shared_requests`.
+    pub shared_batches: Vec<(PeerId, usize, usize, usize)>,
+    /// Control traffic observed by this chunk.
     pub control_bits: u64,
+    /// Event mode: requests suppressed by a lost buffer-map advertisement.
+    pub requests_blinded: u64,
+    /// Event mode: requests lost on the request leg.
+    pub requests_lost: u64,
+    /// The chunk's QoE row and event buffers (fused walk).
+    pub qoe: QoeLane,
+    /// Switch-countable peers of the chunk that have not completed the
+    /// switch (fused walk).
+    pub waiting: u64,
+    /// Switch-countable peers of the chunk (fused walk).
+    pub counted: usize,
+    /// `(first peer, peer count)` of the chunk the buffers were last sized
+    /// for — see [`plan`](Self::plan).
+    planned: (PeerId, usize),
 }
 
 impl Default for SchedulingContext {
@@ -78,6 +103,27 @@ impl Default for SchedulingContext {
 }
 
 impl WorkerScratch {
+    /// Opens the slot for a scheduling chunk over `chunk`: clears the
+    /// per-period outputs and, when the chunk plan moved, sizes the grant
+    /// and QoE buffers for the chunk's peers so they never grow mid-run.
+    /// `inbound_budget(p)` is a peer's whole-segment inbound budget — the
+    /// most grants it can receive in a period.
+    pub fn plan<F: Fn(PeerId) -> usize>(&mut self, chunk: &[PeerId], inbound_budget: F) {
+        self.grants.clear();
+        self.shared_requests.clear();
+        self.shared_batches.clear();
+        self.control_bits = 0;
+        self.requests_blinded = 0;
+        self.requests_lost = 0;
+        let extent = (chunk.first().copied().unwrap_or(0), chunk.len());
+        if self.planned != extent {
+            self.planned = extent;
+            let grants: usize = chunk.iter().map(|&p| inbound_budget(p)).sum();
+            self.grants.reserve(grants);
+            self.qoe.reserve(chunk.len());
+        }
+    }
+
     /// Returns `ctx.candidates`' supplier vectors to the pool.
     fn clear_candidates(&mut self) {
         for mut candidate in self.ctx.candidates.drain(..) {
@@ -275,8 +321,8 @@ impl WorkerScratch {
 }
 
 impl MemoryFootprint for WorkerScratch {
-    /// Context candidates, the recycled supplier/request pools and the
-    /// bitset word buffers.  The type-erased scheduler scratch counts as
+    /// Context candidates, the recycled supplier pool, the bitset word
+    /// buffers, the grant and request buffers and the QoE lane.  The type-erased scheduler scratch counts as
     /// its slot only (its contents are policy-private).
     fn heap_bytes(&self) -> usize {
         let nested_suppliers: usize = self
@@ -286,33 +332,24 @@ impl MemoryFootprint for WorkerScratch {
             .map(|c| vec_bytes(&c.suppliers))
             .chain(self.supplier_pool.iter().map(vec_bytes))
             .sum();
-        let nested_requests: usize = self
-            .out
-            .iter()
-            .map(|b| vec_bytes(&b.requests))
-            .chain(self.request_pool.iter().map(vec_bytes))
-            .sum();
         vec_bytes(&self.ctx.candidates)
             + nested_suppliers
             + vec_bytes(&self.need_words)
             + vec_bytes(&self.avail_words)
-            + vec_bytes(&self.out)
-            + vec_bytes(&self.request_pool)
             + vec_bytes(&self.supplier_pool)
-            + nested_requests
+            + vec_bytes(&self.requests)
+            + self.grant.heap_bytes()
+            + vec_bytes(&self.grants)
+            + vec_bytes(&self.shared_requests)
+            + vec_bytes(&self.shared_batches)
+            + self.qoe.heap_bytes()
     }
 }
 
 impl MemoryFootprint for PeriodScratch {
-    /// The dense per-peer tables, the active/observed lists, the merged
-    /// batches, the recycled request vectors and every worker slot.
+    /// The dense per-peer tables, the active/observed lists, the ratio
+    /// column, the `Shared`-model deliveries and every worker slot.
     fn heap_bytes(&self) -> usize {
-        let nested_requests: usize = self
-            .batches
-            .iter()
-            .map(|b| vec_bytes(&b.requests))
-            .chain(self.request_pool.iter().map(vec_bytes))
-            .sum();
         let workers: usize =
             vec_bytes(&self.workers) + self.workers.iter().map(|w| w.heap_bytes()).sum::<usize>();
         vec_bytes(&self.active)
@@ -321,12 +358,8 @@ impl MemoryFootprint for PeriodScratch {
             + vec_bytes(&self.inbound_rate)
             + vec_bytes(&self.outbound_budget)
             + vec_bytes(&self.chunks)
-            + vec_bytes(&self.batches)
-            + vec_bytes(&self.request_pool)
             + vec_bytes(&self.deliveries)
-            + vec_bytes(&self.dest_counts)
-            + vec_bytes(&self.deliveries_dest)
-            + nested_requests
+            + vec_bytes(&self.ratio_terms)
             + workers
     }
 }
@@ -353,26 +386,21 @@ pub struct PeriodScratch {
     pub inbound_rate: Vec<f64>,
     /// Dense per-peer whole-segment outbound budget for the period.
     pub outbound_budget: Vec<usize>,
-    /// Chunk plan of the scheduling pass: `(start, end)` index ranges into
-    /// `active`, one per chunk.  With a sharded store the chunks follow the
-    /// shard boundaries; a single-shard store falls back to even slices.
+    /// Chunk plan of both pool dispatches of a period (scheduling pass and
+    /// fused walk): `(start, end)` index ranges into `active`, one per
+    /// chunk.  With a sharded store the chunks follow the shard boundaries;
+    /// a single-shard store falls back to even slices.
     pub chunks: Vec<(usize, usize)>,
-    /// The merged request batches, in node order.
-    pub batches: Vec<RequestBatch>,
-    /// Recycled request vectors (refilled from delivered batches).
-    pub request_pool: Vec<Vec<crate::scheduler::SegmentRequest>>,
-    /// Per-worker scheduling state (one entry when sequential).
+    /// Per-chunk state, one slot per chunk (one entry when sequential).
     pub workers: Vec<WorkerScratch>,
-    /// Deliveries of the current period, in resolver order
-    /// (supplier-major — see [`crate::transfer`]).
+    /// `Shared` capacity model only: the global resolver's deliveries, in
+    /// resolver (supplier-major) order, before they are handed to their
+    /// requesters' chunks.
     pub deliveries: Vec<DeliveredSegment>,
-    /// Counting-sort workspace of the fused delivery walk: per destination
-    /// shard, the offset of its run in `deliveries_dest` (length
-    /// `shard_count + 1` after the prefix sum).
-    pub dest_counts: Vec<usize>,
-    /// Deliveries regrouped by destination (requester) shard, stable within
-    /// each shard — the order the fused shard-major walk applies them in.
-    pub deliveries_dest: Vec<DeliveredSegment>,
+    /// Ratio-track terms `(undelivered S1, delivered S2)` aligned with
+    /// `active` — `(0.0, 0.0)` for peers that do not count — written by the
+    /// walk chunks and summed serially in ascending order.
+    pub ratio_terms: Vec<(f64, f64)>,
 }
 
 impl PeriodScratch {

@@ -33,6 +33,7 @@ use crate::playback::PlaybackState;
 use crate::scheduler::SchedulingContext;
 use crate::segment::{SegmentId, Session, SessionDirectory};
 use fss_overlay::PeerId;
+use std::marker::PhantomData;
 
 /// Default shard capacity: 64 Ki peers per shard keeps a million-peer store
 /// at 16 shards while leaving small systems in a single shard.
@@ -99,13 +100,6 @@ impl PeerShard {
         &self.headers
     }
 
-    /// Both columns, mutably and simultaneously — the fused period walk
-    /// applies deliveries to the buffer column and advances playback in the
-    /// header column within one shard-resident pass.
-    pub(crate) fn columns_mut(&mut self) -> (&mut [FifoBuffer], &mut [PeerHeader]) {
-        (&mut self.buffers, &mut self.headers)
-    }
-
     fn push_parts(&mut self, buffer: FifoBuffer, header: PeerHeader) {
         self.buffers.push(buffer);
         self.headers.push(header);
@@ -132,6 +126,9 @@ pub struct PeerStore {
     /// Total peers across all shards.
     len: usize,
     shards: Vec<PeerShard>,
+    /// Column base pointers captured by [`lend_columns`](Self::lend_columns)
+    /// (reused across periods; meaningless outside a live lender).
+    lent: Vec<ShardBase>,
 }
 
 impl PeerStore {
@@ -146,6 +143,7 @@ impl PeerStore {
             shift: shard_size.trailing_zeros(),
             len: 0,
             shards: Vec::new(),
+            lent: Vec::new(),
         }
     }
 
@@ -189,10 +187,25 @@ impl PeerStore {
         &self.shards
     }
 
-    /// Mutable access to one shard's columns (the fused period walk's
-    /// per-run handle).
-    pub(crate) fn shard_mut(&mut self, index: usize) -> &mut PeerShard {
-        &mut self.shards[index]
+    /// Lends the buffer and header columns out by disjoint peer runs, so
+    /// the chunks of a parallel pass can each mutate their own peers — even
+    /// when several chunks share one shard (see [`ColumnLender`]).  The
+    /// store stays exclusively borrowed while the lender lives.
+    pub(crate) fn lend_columns(&mut self) -> ColumnLender<'_> {
+        self.lent.clear();
+        for shard in &mut self.shards {
+            self.lent.push(ShardBase {
+                buffers: shard.buffers.as_mut_ptr(),
+                headers: shard.headers.as_mut_ptr(),
+                len: shard.len(),
+            });
+        }
+        ColumnLender {
+            bases: &self.lent,
+            shift: self.shift,
+            mask: self.shard_size - 1,
+            _store: PhantomData,
+        }
     }
 
     /// Re-partitions the store into (at least) `shards` shards by shrinking
@@ -351,7 +364,86 @@ impl PeerStore {
 
 impl MemoryFootprint for PeerStore {
     fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.shards) + self.shards.iter().map(|s| s.heap_bytes()).sum::<usize>()
+        vec_bytes(&self.shards)
+            + vec_bytes(&self.lent)
+            + self.shards.iter().map(|s| s.heap_bytes()).sum::<usize>()
+    }
+}
+
+/// One shard's column base pointers, captured by
+/// [`PeerStore::lend_columns`].
+#[derive(Debug, Clone, Copy)]
+struct ShardBase {
+    buffers: *mut FifoBuffer,
+    headers: *mut PeerHeader,
+    len: usize,
+}
+
+// SAFETY: the pointers are only dereferenced through a live
+// `ColumnLender`, which holds the store's exclusive borrow and hands out
+// disjoint runs under its documented contract — exactly as safe as sending
+// each sub-slice to one thread.
+unsafe impl Send for ShardBase {}
+// SAFETY: see `Send` above; a shared `ShardBase` is only ever read.
+unsafe impl Sync for ShardBase {}
+
+/// The peer columns lent out by disjoint id runs: the store-shaped twin of
+/// `fss_sim::exec::DisjointRanges`.  The fused period walk gives every
+/// chunk the buffer and header slots of its own peers; chunks partition
+/// the ascending active list, so their id runs never overlap.
+///
+/// # Safety contract
+///
+/// [`ColumnLender::run`] is `unsafe`: within one `execute` run, concurrently
+/// live runs must not share a peer.
+pub(crate) struct ColumnLender<'a> {
+    bases: &'a [ShardBase],
+    shift: u32,
+    mask: usize,
+    _store: PhantomData<&'a mut PeerStore>,
+}
+
+// SAFETY: the lender only hands out disjoint runs under its contract.
+unsafe impl Sync for ColumnLender<'_> {}
+
+impl ColumnLender<'_> {
+    /// Exclusive access to the buffer and header columns of peers
+    /// `first..=last`; index `i` of both slices is peer `first + i`.
+    ///
+    /// # Safety
+    /// Concurrently live runs must not overlap.
+    ///
+    /// # Panics
+    /// Panics if the run is empty, straddles a shard boundary or reaches
+    /// past the stored peers.
+    #[allow(clippy::mut_from_ref)] // the whole point; contract documented above
+    pub(crate) unsafe fn run(
+        &self,
+        first: PeerId,
+        last: PeerId,
+    ) -> (&mut [FifoBuffer], &mut [PeerHeader]) {
+        let shard = (first as usize) >> self.shift;
+        assert_eq!(
+            shard,
+            (last as usize) >> self.shift,
+            "a lent run must lie in one shard"
+        );
+        let base = self.bases[shard];
+        let start = first as usize & self.mask;
+        let end = (last as usize & self.mask) + 1;
+        assert!(
+            start < end && end <= base.len,
+            "run {first}..={last} outside its shard"
+        );
+        // SAFETY: bounds checked above; the pointers come from the columns
+        // of the exclusively borrowed store; disjointness is the caller's
+        // contract.
+        unsafe {
+            (
+                std::slice::from_raw_parts_mut(base.buffers.add(start), end - start),
+                std::slice::from_raw_parts_mut(base.headers.add(start), end - start),
+            )
+        }
     }
 }
 

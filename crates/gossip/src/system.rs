@@ -9,7 +9,7 @@
 //! 3. every node exchanges buffer maps with its neighbours (control traffic),
 //!    discovers new sessions, builds its scheduling context and asks its
 //!    scheduler which segments to request,
-//! 4. requests are resolved against inbound/outbound budgets and the granted
+//! 4. requests are granted against inbound/outbound budgets and the granted
 //!    segments are delivered (data traffic),
 //! 5. every node advances playback; switch milestones and the per-period
 //!    ratio tracks are recorded.
@@ -20,13 +20,14 @@
 //! working memory lives in a reusable [`PeriodScratch`] arena (zero
 //! steady-state heap allocation), candidate segments are discovered by
 //! word-level bitset intersection of per-peer availability maps, per-peer
-//! lookups use dense `Vec`s indexed by [`PeerId`], and — behind the
-//! `parallel` feature — the read-only scheduling pass fans out over an
-//! attached [`JobExecutor`] (the persistent `fss-runtime` worker pool in
-//! production; an in-line serial fallback otherwise) in deterministic node
-//! order.  Chunk outputs land in per-chunk scratch slots, so the report is
-//! byte-identical regardless of executor, worker count or scheduling
-//! interleaving.
+//! lookups use dense `Vec`s indexed by [`PeerId`], and a period is two
+//! dispatches of one chunk plan over an attached [`JobExecutor`] (the
+//! persistent `fss-runtime` worker pool in production; an in-line serial
+//! fallback otherwise): the scheduling pass, which also turns each
+//! requester's requests into grants, and the fused walk, which applies the
+//! grants and advances playback.  Chunk outputs land in per-chunk scratch
+//! slots and merge in chunk order, so the report is byte-identical
+//! regardless of executor, worker count or scheduling interleaving.
 //! [`step_reference`](StreamingSystem::step_reference) preserves the
 //! original straight-line implementation; the two are byte-equivalent (the
 //! test-suite asserts identical [`SystemReport`]s) and the reference serves
@@ -40,14 +41,14 @@ use crate::membership::MembershipMaintainer;
 use crate::net::{NetMessage, NetStats, NetworkModel};
 use crate::peer::{self, NeighborInfo, PeerNode};
 use crate::prefetch::{prefetch_read, DELIVERY_AHEAD, WALK_AHEAD};
-use crate::qoe::{QoeRecorder, QoeTotals};
+use crate::qoe::{PeerQoe, QoeRecorder, QoeTotals};
 use crate::scheduler::SegmentScheduler;
 use crate::scratch::{PeriodScratch, WorkerScratch};
-use crate::segment::{SegmentId, SessionDirectory, SourceId};
+use crate::segment::{SegmentId, Session, SessionDirectory, SourceId};
 use crate::stats::{RatioSample, SwitchRecord, SwitchStats, TrafficCounters};
-use crate::store::{PeerRef, PeerStore};
-use crate::transfer::{regroup_by_dest_shard, RequestBatch, TransferResolver};
-use fss_overlay::net::{MessageKind, NetworkConfig};
+use crate::store::{PeerHeader, PeerRef, PeerStore};
+use crate::transfer::{grant_per_link, CapacityModel, RequestBatch, TransferResolver};
+use fss_overlay::net::{LinkFaults, MessageKind, NetworkConfig};
 use fss_overlay::{ChurnModel, Overlay, OverlayError, PeerAttrs, PeerId};
 use fss_sim::exec::{DisjointRanges, DisjointSlots, JobExecutor, SerialExecutor};
 use fss_sim::{SimDuration, SimTime};
@@ -92,7 +93,7 @@ pub struct StreamingSystem {
     overlay: Overlay,
     /// Sharded struct-of-arrays peer storage: dense contiguous id shards,
     /// each owning its peers' buffer/playback/discovery/credit columns.
-    /// The shards are the chunk unit of the parallel scheduling pass.
+    /// The shards are the chunk unit of both pool dispatches of a period.
     peers: PeerStore,
     directory: SessionDirectory,
     scheduler: Box<dyn SegmentScheduler>,
@@ -136,10 +137,10 @@ pub struct StreamingSystem {
 
     /// Reusable period working memory.
     scratch: PeriodScratch,
-    /// Chunk count of the scheduling pass (effective only with the
+    /// Chunk count of an unsharded store's period (effective only with the
     /// `parallel` feature; results are identical either way).
     parallelism: usize,
-    /// Executor running the scheduling-pass chunks.  `None` degrades to the
+    /// Executor running the period's chunks.  `None` degrades to the
     /// in-line [`SerialExecutor`] — byte-identical results either way.
     executor: Option<Arc<dyn JobExecutor>>,
     /// The message-level network model.  `None` (the default) selects
@@ -147,11 +148,6 @@ pub struct StreamingSystem {
     /// to the event-driven mode, which carries granted transfers as
     /// scheduled messages with latency, loss and jitter (see [`crate::net`]).
     net: Option<NetworkModel>,
-    /// Selects the phase-major period pipeline (the pre-fusion ordering:
-    /// whole-population scheduling, then delivery, then playback) instead of
-    /// the default shard-major fused pipeline.  Results are byte-identical;
-    /// kept for one release as the fusion oracle.
-    phase_major: bool,
 }
 
 impl StreamingSystem {
@@ -208,7 +204,6 @@ impl StreamingSystem {
             parallelism: 1,
             executor: None,
             net: None,
-            phase_major: false,
         }
     }
 
@@ -268,7 +263,8 @@ impl StreamingSystem {
         self.net.as_ref().map(|n| n.stats()).unwrap_or_default()
     }
 
-    /// Sets the number of scheduling-pass chunks (the fan-out width).
+    /// Sets the number of period chunks of an unsharded store (the fan-out
+    /// width).
     ///
     /// Values above 1 take effect only when the `parallel` feature is
     /// enabled; the sweep is chunked deterministically so results are
@@ -277,14 +273,14 @@ impl StreamingSystem {
         self.parallelism = workers.max(1);
     }
 
-    /// The configured scheduling-pass chunk count.
+    /// The configured chunk count of an unsharded store.
     pub fn parallelism(&self) -> usize {
         self.parallelism
     }
 
     /// Re-partitions the peer store into (at least) `shards` shards.  With
     /// more than one shard, the shards — not [`set_parallelism`]'s even
-    /// slices — become the chunk unit of the scheduling pass, so the worker
+    /// slices — become the chunk unit of the period, so the worker
     /// pool steps shards independently.  Results are byte-identical across
     /// shard counts: chunk outputs concatenate in peer order either way.
     ///
@@ -303,12 +299,12 @@ impl StreamingSystem {
         &self.peers
     }
 
-    /// Attaches the executor that runs the scheduling-pass chunks — in
+    /// Attaches the executor that runs the period's chunks — in
     /// production the persistent `fss-runtime::WorkerPool`, which amortises
     /// thread spawn cost to zero per period.
     ///
-    /// Without an executor (or without the `parallel` feature) the chunks
-    /// run in-line; because every chunk writes only its own scratch slot,
+    /// Without an executor the chunks run in-line; because every chunk
+    /// writes only its own scratch slot and slots merge in chunk order,
     /// reports are byte-identical in all configurations.
     pub fn set_executor(&mut self, executor: Arc<dyn JobExecutor>) {
         self.executor = Some(executor);
@@ -397,15 +393,6 @@ impl StreamingSystem {
     /// percent of period throughput.
     pub fn set_qoe_enabled(&mut self, on: bool) {
         self.qoe.set_enabled(on);
-    }
-
-    /// Selects the phase-major period pipeline (whole-population phases in
-    /// sequence) instead of the default shard-major fused pipeline.  The two
-    /// orderings produce byte-identical reports — pinned by the fused
-    /// equivalence suite — so this knob exists only as the fusion oracle and
-    /// for locality benchmarking; it is kept for one release.
-    pub fn set_phase_major(&mut self, on: bool) {
-        self.phase_major = on;
     }
 
     /// Decimates the per-period ratio samples to every `keep_every`-th
@@ -732,8 +719,6 @@ impl StreamingSystem {
     pub fn advance(&mut self) {
         if self.net.is_some() {
             self.step_event();
-        } else if self.phase_major {
-            self.step_phase_major();
         } else {
             self.step();
         }
@@ -745,19 +730,23 @@ impl StreamingSystem {
         self.switch_completed_secs.is_some()
     }
 
-    /// Executes one scheduling period (optimized hot path): the shard-major
-    /// **fused** pipeline.
+    /// Executes one scheduling period (optimized hot path): two dispatches
+    /// of one chunk plan over the executor.
     ///
-    /// The per-peer phases that used to run as whole-population sweeps —
-    /// discovery write, delivery application, playback advance, QoE
-    /// observation and switch milestones — execute back to back per shard
-    /// chunk while that shard's columns are cache-resident.  Only transfer
-    /// resolution stays global (it must see every request batch), and the
-    /// counting-sort resolver's stable supplier grouping is re-grouped by
-    /// *destination* shard so the apply walk also runs shard-major.  The
-    /// resulting reports are byte-identical to the phase-major ordering
-    /// ([`step_phase_major`](Self::step_phase_major)) — pinned by the fused
-    /// equivalence suite.
+    /// 1. The **scheduling pass**: per chunk, gather, discovery, context
+    ///    building and scheduling, and — under the default
+    ///    [`CapacityModel::PerLink`] — the grant step: a per-link grant
+    ///    depends only on the requester's own requests and the read-only
+    ///    supplier budgets, so each chunk grants its own requesters (see
+    ///    [`grant_per_link`]).  Only the `Shared` ablation model still
+    ///    resolves globally between the dispatches.
+    /// 2. The **fused walk**: per chunk, grant application, discovery
+    ///    write, playback advance, QoE observation and switch milestones
+    ///    back to back, while the chunk's header and buffer columns are
+    ///    cache-resident.
+    ///
+    /// Reports are byte-identical to [`step_reference`](Self::step_reference)
+    /// for every executor, worker count and shard count.
     ///
     /// # Panics
     /// Panics if a network model is installed: stepping past in-flight
@@ -776,44 +765,17 @@ impl StreamingSystem {
         // 2. Source emission.
         self.emit_segments();
 
-        // 3. Buffer-map exchange, discovery and scheduling.  The fused
-        //    scheduling chunks compute post-discovery knowledge locally;
-        //    the store write lands in the per-shard walk below.
-        self.collect_requests_scratch(false);
+        // 3-4. Buffer-map exchange, discovery, scheduling and grants.  The
+        //      scheduling chunks compute post-discovery knowledge locally;
+        //      the store write lands in the walk below.
+        self.schedule_and_grant(false);
 
-        // 4. Global transfer resolution (no buffer mutation yet).
-        self.resolve_transfers();
-
-        // 5. Shard-major fused walk: delivery application, discovery write,
-        //    playback, QoE and milestones per shard run.
+        // 5. Fused walk: grant application, discovery write, playback, QoE
+        //    and milestones per chunk.
         self.period_index += 1;
         self.apply_and_play_fused();
 
         // 6. Switch-window traffic accounting.
-        self.account_switch_window(period_traffic_before);
-        self.update_switch_completion();
-    }
-
-    /// Executes one scheduling period through the phase-major pipeline the
-    /// fused [`step`](Self::step) replaced: each per-peer phase sweeps the
-    /// whole population before the next starts.  Byte-identical to the fused
-    /// ordering; kept for one release as the fusion oracle (reachable via
-    /// [`set_phase_major`](Self::set_phase_major)).
-    ///
-    /// # Panics
-    /// Panics if a network model is installed (see [`step`](Self::step)).
-    pub fn step_phase_major(&mut self) {
-        assert!(
-            self.net.is_none(),
-            "a network model is installed; use advance()/step_event()"
-        );
-        let period_traffic_before = self.traffic_total;
-        self.apply_churn();
-        self.emit_segments();
-        self.collect_requests_scratch(true);
-        self.deliver_scratch();
-        self.period_index += 1;
-        self.advance_playback_and_record();
         self.account_switch_window(period_traffic_before);
         self.update_switch_completion();
     }
@@ -865,14 +827,15 @@ impl StreamingSystem {
         //    period's buffer-map exchange and scheduling.
         self.drain_arrivals(now, true);
 
-        // 1-3. Identical to the period-lockstep step (discovery writes land
-        //      immediately: the arrival drain below reads them).
+        // 1-4. Identical to the period-lockstep step (discovery writes land
+        //      immediately: the arrival drain below reads them).  The
+        //      scheduling chunks also draw the buffer-map and request-leg
+        //      faults before granting.
         self.apply_churn();
         self.emit_segments();
-        self.collect_requests_scratch(true);
+        self.schedule_and_grant(true);
 
-        // 4. Transfer resolution at the boundary; grants become in-flight
-        //    messages instead of instant inserts.
+        // The grants become in-flight messages instead of instant inserts.
         self.dispatch_deliveries(now);
 
         // 5. Everything arriving strictly inside this period lands before
@@ -886,154 +849,91 @@ impl StreamingSystem {
         self.update_switch_completion();
     }
 
-    /// The event-mode delivery half: applies buffer-map and request-leg
-    /// loss to the collected batches, resolves the survivors against the
-    /// usual budgets, and schedules each grant's arrival (request leg +
-    /// data leg of scaled trace latency, plus jitter) unless the data leg
-    /// drops it.
+    /// The event-mode delivery half: schedules each grant's arrival
+    /// (request leg + data leg of scaled trace latency, plus jitter) unless
+    /// the data leg drops it.  Grants go out chunk by chunk, so requester
+    /// by requester, each requester's in resolver order.
     ///
     /// Loss semantics per leg:
     /// * a lost buffer-map advertisement blinds the requester to that
     ///   supplier for the whole period (all its requests there are
-    ///   suppressed before resolution),
+    ///   suppressed before granting),
     /// * a lost request never reaches the supplier, so it does not charge
     ///   the supplier's outbound budget (later requests may take the slot),
-    /// * a lost data message *does* consume the budget the resolver granted
-    ///   it — upstream bandwidth spent on a transfer that never lands.
+    /// * a lost data message *does* consume the budget the grant step
+    ///   charged it — upstream bandwidth spent on a transfer that never
+    ///   lands.
+    ///
+    /// The first two are stateless per-link draws made in the scheduling
+    /// chunks (their counts merge here); the data leg stays serial.  Fault
+    /// draws are keyed by link, period and segment, and arrivals tie-break
+    /// by send order only between messages due at the same instant, which
+    /// within one requester keeps its grant order — so every buffer sees
+    /// the insert sequence a global supplier-major dispatch gave it.
     fn dispatch_deliveries(&mut self, now: SimTime) {
-        let tau = self.config.tau_secs;
-        for budget in self.scratch.outbound_budget.iter_mut() {
-            *budget = 0;
-        }
-        for i in 0..self.scratch.active.len() {
-            let p = self.scratch.active[i] as usize;
-            self.scratch.outbound_budget[p] =
-                (self.scratch.outbound_rate[p] * tau).floor() as usize;
-        }
-
         let period = self.period_index;
-        {
-            let net = self.net.as_mut().expect("network model installed");
-            if net.config.loss_rate > 0.0 {
-                for batch in self.scratch.batches.iter_mut() {
-                    let requester = batch.requester;
-                    batch.requests.retain(|req| {
-                        if net.faults.lost(
-                            req.supplier,
-                            requester,
-                            MessageKind::BufferMap,
-                            period,
-                            0,
-                        ) {
-                            net.stats.requests_blinded += 1;
-                            return false;
-                        }
-                        if net.faults.lost(
-                            requester,
-                            req.supplier,
-                            MessageKind::Request,
-                            period,
-                            req.segment.value(),
-                        ) {
-                            net.stats.requests_lost += 1;
-                            return false;
-                        }
-                        true
-                    });
-                }
-            }
+        let segment_bits = self.config.segment_bits;
+        let net = self.net.as_mut().expect("network model installed");
+        let chunk_slots = &self.scratch.workers[..self.scratch.chunks.len()];
+        for worker in chunk_slots {
+            net.stats.requests_blinded += worker.requests_blinded;
+            net.stats.requests_lost += worker.requests_lost;
         }
+        let grants = chunk_slots.iter().flat_map(|w| w.grants.iter().copied());
 
-        {
-            let PeriodScratch {
-                batches,
-                outbound_budget,
-                deliveries,
-                ..
-            } = &mut self.scratch;
-            self.resolver.resolve_round_into(
-                batches,
-                |p| outbound_budget.get(p as usize).copied().unwrap_or(0),
-                self.period_index,
-                deliveries,
-            );
-        }
-
-        let ideal = {
-            let net = self.net.as_ref().expect("network model installed");
-            net.config.is_ideal()
-        };
-        if ideal {
+        if net.config.is_ideal() {
             // Zero latency: every grant arrives at this same boundary, in
-            // resolver order — the queue would round-trip each message
+            // grant order — the queue would round-trip each message
             // through the heap only to pop it straight back out in FIFO
             // order, so apply the arrivals inline (the `net/*` bench pins
             // the event-core overhead this short-circuit buys back).
-            for i in 0..self.scratch.deliveries.len() {
-                let d = self.scratch.deliveries[i];
-                let net = self.net.as_mut().expect("network model installed");
+            for d in grants {
                 net.stats.data_sent += 1;
+                self.traffic_total.add_data(segment_bits);
                 if self.overlay.graph().is_active(d.requester) {
                     self.peers.buffer_mut(d.requester).insert(d.segment);
-                    self.traffic_total.add_data(self.config.segment_bits);
                     net.stats.data_delivered += 1;
                 } else {
-                    self.traffic_total.add_data(self.config.segment_bits);
                     net.stats.data_stale += 1;
                 }
             }
-        } else {
-            let net = self.net.as_mut().expect("network model installed");
-            let latency = self.overlay.latency();
-            for i in 0..self.scratch.deliveries.len() {
-                let d = self.scratch.deliveries[i];
-                net.stats.data_sent += 1;
-                if net.config.loss_rate > 0.0
-                    && net.faults.lost(
-                        d.supplier,
-                        d.requester,
-                        MessageKind::Data,
-                        period,
-                        d.segment.value(),
-                    )
-                {
-                    net.stats.data_lost += 1;
-                    continue;
-                }
-                let rtt_ms =
-                    net.config.latency_scale * latency.round_trip_ms(d.requester, d.supplier);
-                let jitter = net.faults.jitter_ms(
+            return;
+        }
+        let latency = self.overlay.latency();
+        for d in grants {
+            net.stats.data_sent += 1;
+            if net.config.loss_rate > 0.0
+                && net.faults.lost(
                     d.supplier,
                     d.requester,
                     MessageKind::Data,
                     period,
                     d.segment.value(),
-                );
-                let arrival = now.saturating_add(SimDuration::from_millis(
-                    rtt_ms.round().max(0.0) as u64 + jitter,
-                ));
-                net.queue.push(
-                    arrival,
-                    NetMessage {
-                        requester: d.requester,
-                        supplier: d.supplier,
-                        segment: d.segment,
-                    },
-                );
-                net.stats.max_in_flight = net.stats.max_in_flight.max(net.queue.len() as u64);
+                )
+            {
+                net.stats.data_lost += 1;
+                continue;
             }
-        }
-
-        // Recycle the request vectors for the next period (as deliver_scratch).
-        let PeriodScratch {
-            batches,
-            request_pool,
-            ..
-        } = &mut self.scratch;
-        for batch in batches.drain(..) {
-            let mut requests = batch.requests;
-            requests.clear();
-            request_pool.push(requests);
+            let rtt_ms = net.config.latency_scale * latency.round_trip_ms(d.requester, d.supplier);
+            let jitter = net.faults.jitter_ms(
+                d.supplier,
+                d.requester,
+                MessageKind::Data,
+                period,
+                d.segment.value(),
+            );
+            let arrival = now.saturating_add(SimDuration::from_millis(
+                rtt_ms.round().max(0.0) as u64 + jitter,
+            ));
+            net.queue.push(
+                arrival,
+                NetMessage {
+                    requester: d.requester,
+                    supplier: d.supplier,
+                    segment: d.segment,
+                },
+            );
+            net.stats.max_in_flight = net.stats.max_in_flight.max(net.queue.len() as u64);
         }
     }
 
@@ -1356,9 +1256,9 @@ impl StreamingSystem {
         }
     }
 
-    /// Buffer-map gather + discovery + context building + scheduling,
-    /// entirely out of the scratch arena.  Fills `self.scratch.batches` in
-    /// node order.
+    /// Buffer-map gather + discovery + context building + scheduling +
+    /// grants, entirely out of the scratch arena: leaves each chunk's
+    /// grants in its [`WorkerScratch`] slot, requester-ascending.
     ///
     /// The discovery gather is fused into the scheduling chunks: each chunk
     /// walks its peers' neighbour buffers **once**, records the max observed
@@ -1369,12 +1269,11 @@ impl StreamingSystem {
     /// reads pre-discovery state exactly like the reference implementation.
     ///
     /// `write_known` selects when the discovery result lands in the store:
-    /// the phase-major and event paths write it here (`true`, before any
-    /// delivery), the fused step defers it to the shard-major playback walk
-    /// (`false`) where the header line is hot anyway.  Both orderings are
-    /// byte-identical because nothing between scheduling and the fused walk
-    /// reads session knowledge.
-    fn collect_requests_scratch(&mut self, write_known: bool) {
+    /// the event path writes it here (`true`, before any delivery), the
+    /// fused step defers it to the walk (`false`) where the header line is
+    /// hot anyway.  Both orderings are byte-identical because nothing
+    /// between scheduling and the walk reads session knowledge.
+    fn schedule_and_grant(&mut self, write_known: bool) {
         let capacity = self.overlay.graph().capacity();
         let workers = self.worker_count();
         self.scratch.ensure_capacity(capacity, workers);
@@ -1388,8 +1287,12 @@ impl StreamingSystem {
         self.scratch.observed_max.clear();
         self.scratch.observed_max.resize(active_len, SegmentId(0));
 
-        // Dense per-peer rate tables, refreshed once per period.
-        for i in 0..self.scratch.active.len() {
+        // Dense per-peer rate and budget tables, refreshed once per period.
+        // Only active peers get an outbound budget: a departed supplier
+        // grants nothing.
+        let tau = self.config.tau_secs;
+        self.scratch.outbound_budget.fill(0);
+        for i in 0..active_len {
             let p = self.scratch.active[i] as usize;
             let (inbound, outbound) = self
                 .overlay
@@ -1398,6 +1301,7 @@ impl StreamingSystem {
                 .unwrap_or((0.0, 0.0));
             self.scratch.inbound_rate[p] = inbound;
             self.scratch.outbound_rate[p] = outbound;
+            self.scratch.outbound_budget[p] = (outbound * tau).floor() as usize;
         }
 
         // Chunk plan: with a sharded store the shards are the chunk unit
@@ -1408,28 +1312,12 @@ impl StreamingSystem {
         let chunk_count = self.scratch.chunks.len();
         self.scratch.ensure_capacity(capacity, chunk_count);
 
-        // Hand the recycled request vectors to the workers that will
-        // actually run this period (there may be fewer chunks than worker
-        // slots; idle slots must not hoard vectors).
-        {
-            let PeriodScratch {
-                request_pool,
-                workers: worker_slots,
-                ..
-            } = &mut self.scratch;
-            let mut next = 0usize;
-            while let Some(requests) = request_pool.pop() {
-                worker_slots[next % chunk_count].request_pool.push(requests);
-                next += 1;
-            }
-        }
-
         // Scheduling pass (read-only over peers/overlay/directory; writes
         // only chunk-owned scratch ranges).
         self.run_scheduling_pass();
 
-        // Deferred discovery write for the paths that do not run the fused
-        // playback walk.
+        // Deferred discovery write for the path that does not run the
+        // fused walk.
         if write_known {
             for i in 0..active_len {
                 let p = self.scratch.active[i];
@@ -1440,30 +1328,19 @@ impl StreamingSystem {
             }
         }
 
-        // Merge worker outputs in node order and account control traffic.
-        debug_assert!(self.scratch.batches.is_empty());
-        let mut control_bits = 0u64;
-        {
-            let PeriodScratch {
-                batches,
-                request_pool,
-                workers: worker_slots,
-                ..
-            } = &mut self.scratch;
-            for worker in worker_slots.iter_mut() {
-                control_bits += worker.control_bits;
-                worker.control_bits = 0;
-                batches.append(&mut worker.out);
-                // Return leftovers so no worker strands vectors across
-                // periods (worker/chunk assignment can change every period).
-                request_pool.append(&mut worker.request_pool);
-            }
-        }
+        let control_bits = self.scratch.workers[..chunk_count]
+            .iter()
+            .map(|w| w.control_bits)
+            .sum();
         self.traffic_total.add_control(control_bits);
+
+        if self.resolver.model() == CapacityModel::Shared {
+            self.resolve_shared();
+        }
     }
 
     /// Fills `scratch.chunks` with the `(start, end)` index ranges of the
-    /// active list the scheduling pass fans out over.
+    /// active list both dispatches of the period fan out over.
     ///
     /// With a sharded store the shard-boundary runs are the chunk unit: the
     /// active list is ascending, so each shard's active peers form one
@@ -1519,14 +1396,13 @@ impl StreamingSystem {
         }
     }
 
-    /// Dispatches the per-node scheduling over the planned chunks.  Chunks
-    /// are contiguous slices of the active list, so concatenating worker
-    /// outputs reproduces the sequential node order exactly; each chunk
-    /// writes only its own [`WorkerScratch`] slot, so any [`JobExecutor`]
-    /// (the persistent pool, or the in-line serial fallback) yields
-    /// identical results.
+    /// Dispatches the per-node scheduling (and, per-link, granting) over
+    /// the planned chunks.  Chunks are contiguous slices of the active
+    /// list, so concatenating chunk outputs reproduces the sequential node
+    /// order exactly; each chunk writes only its own [`WorkerScratch`] slot,
+    /// so any [`JobExecutor`] (the persistent pool, or the in-line serial
+    /// fallback) yields identical results.
     fn run_scheduling_pass(&mut self) {
-        let executor = &self.executor;
         let PeriodScratch {
             active,
             observed_max,
@@ -1534,13 +1410,29 @@ impl StreamingSystem {
             workers: worker_slots,
             outbound_rate,
             inbound_rate,
+            outbound_budget,
             ..
         } = &mut self.scratch;
-        let peers = &self.peers;
-        let overlay = &self.overlay;
-        let directory = &self.directory;
-        let config = &self.config;
-        let scheduler: &dyn SegmentScheduler = &*self.scheduler;
+        // Buffer-map and request-leg loss of a lossy event-mode network are
+        // stateless per-link draws, so the chunks make them.
+        let faults = self
+            .net
+            .as_ref()
+            .filter(|net| net.config.loss_rate > 0.0)
+            .map(|net| &net.faults);
+        let inputs = ChunkInputs {
+            store: &self.peers,
+            overlay: &self.overlay,
+            directory: &self.directory,
+            config: &self.config,
+            scheduler: &*self.scheduler,
+            outbound_rate,
+            inbound_rate,
+            outbound_budget,
+            per_link: self.resolver.model() == CapacityModel::PerLink,
+            faults,
+            period: self.period_index,
+        };
 
         let used = chunks.len();
         if used <= 1 {
@@ -1549,21 +1441,14 @@ impl StreamingSystem {
                 &active[start..end],
                 &mut observed_max[start..end],
                 &mut worker_slots[0],
-                peers,
-                overlay,
-                directory,
-                config,
-                scheduler,
-                outbound_rate,
-                inbound_rate,
+                &inputs,
             );
             return;
         }
 
         let active = &active[..];
         let chunks = &chunks[..];
-        let outbound_rate = &outbound_rate[..];
-        let inbound_rate = &inbound_rate[..];
+        let inputs = &inputs;
         let slots = DisjointSlots::new(&mut worker_slots[..used]);
         let observed = DisjointRanges::new(&mut observed_max[..]);
         let job = move |chunk: usize| {
@@ -1574,114 +1459,72 @@ impl StreamingSystem {
             // disjoint.
             let worker = unsafe { slots.slot(chunk) };
             let observed_out = unsafe { observed.range(start, end) };
-            schedule_chunk(
-                &active[start..end],
-                observed_out,
-                worker,
-                peers,
-                overlay,
-                directory,
-                config,
-                scheduler,
-                outbound_rate,
-                inbound_rate,
-            );
+            schedule_chunk(&active[start..end], observed_out, worker, inputs);
         };
-        match executor {
-            Some(executor) => executor.execute(used, &job),
-            None => SerialExecutor.execute(used, &job),
-        }
+        self.executor
+            .as_deref()
+            .unwrap_or(&SerialExecutor)
+            .execute(used, &job);
     }
 
-    /// Global transfer resolution out of the scratch arena: dense outbound
-    /// budgets instead of a per-period `HashMap`, reusable entry / delivery
-    /// buffers inside the resolver, and request-vector recycling.  Fills
-    /// `scratch.deliveries` in resolver (supplier-major) order without
-    /// touching any peer state — application is the caller's half.
-    fn resolve_transfers(&mut self) {
-        let tau = self.config.tau_secs;
-        for budget in self.scratch.outbound_budget.iter_mut() {
-            *budget = 0;
-        }
-        for i in 0..self.scratch.active.len() {
-            let p = self.scratch.active[i] as usize;
-            self.scratch.outbound_budget[p] =
-                (self.scratch.outbound_rate[p] * tau).floor() as usize;
-        }
-
-        {
-            let PeriodScratch {
-                batches,
-                outbound_budget,
-                deliveries,
-                ..
-            } = &mut self.scratch;
-            self.resolver.resolve_round_into(
-                batches,
-                |p| outbound_budget.get(p as usize).copied().unwrap_or(0),
-                self.period_index,
-                deliveries,
-            );
-        }
-
-        // Recycle the request vectors for the next period.
+    /// The `Shared` capacity model's global resolution: the chunks stashed
+    /// their scheduled requests, the resolver arbitrates every supplier's
+    /// shared budget across requesters, and each delivery is handed to its
+    /// requester's chunk — per requester in resolver order, which is the
+    /// only order a buffer can observe.
+    fn resolve_shared(&mut self) {
         let PeriodScratch {
-            batches,
-            request_pool,
+            active,
+            chunks,
+            workers,
+            outbound_budget,
+            deliveries,
             ..
         } = &mut self.scratch;
-        for batch in batches.drain(..) {
-            let mut requests = batch.requests;
-            requests.clear();
-            request_pool.push(requests);
+        let used = chunks.len();
+        self.resolver.resolve_parts_into(
+            workers[..used].iter().flat_map(|w| {
+                w.shared_batches
+                    .iter()
+                    .map(move |&(p, budget, start, end)| {
+                        (p, budget, &w.shared_requests[start..end])
+                    })
+            }),
+            |p| outbound_budget.get(p as usize).copied().unwrap_or(0),
+            self.period_index,
+            deliveries,
+        );
+        for d in deliveries.iter() {
+            let chunk = chunks.partition_point(|&(start, _)| active[start] <= d.requester) - 1;
+            workers[chunk].grants.push(*d);
         }
     }
 
-    /// Transfer resolution plus delivery application in resolver order —
-    /// the phase-major pipeline's delivery phase.
-    fn deliver_scratch(&mut self) {
-        self.resolve_transfers();
-        for i in 0..self.scratch.deliveries.len() {
-            let d = self.scratch.deliveries[i];
-            self.peers.buffer_mut(d.requester).insert(d.segment);
-            self.traffic_total.add_data(self.config.segment_bits);
-        }
-    }
-
-    /// The shard-major fused back half of [`step`](Self::step): delivery
+    /// The fused back half of [`step`](Self::step), dispatched over the
+    /// same chunk plan as the scheduling pass: per chunk, grant
     /// application, discovery write, playback advance, QoE observation and
-    /// switch milestones run back to back per shard run of the active list,
-    /// while that shard's header and buffer columns are cache-resident.
+    /// switch milestones run back to back while the chunk's header and
+    /// buffer columns are cache-resident.
     ///
-    /// Byte-identical to the phase-major ordering because
-    /// * deliveries are regrouped **stably** by destination shard, so each
-    ///   buffer's insert sequence is unchanged (see
-    ///   [`regroup_by_dest_shard`]),
+    /// Byte-identical to a serial ascending sweep because
+    /// * a chunk's grants all go to its own peers, requester-ascending and
+    ///   per requester in resolver order, so each buffer's insert sequence
+    ///   is unchanged,
     /// * playback, discovery and milestones read only the peer's own
     ///   columns plus period-start scratch (`observed_max`), never another
-    ///   peer's state, and
-    /// * the walk is serial and ascending, so QoE observation order and the
-    ///   f64 milestone accumulation order are exactly the phase-major ones.
+    ///   peer's state,
+    /// * QoE rows, data bits and the `waiting` gauge are integers merged in
+    ///   chunk order (event buffers concatenate in ascending peer order),
+    ///   and
+    /// * the f64 ratio-track terms land in a column aligned with `active`
+    ///   and are summed serially in ascending order; peers that do not
+    ///   count contribute `+0.0`, which leaves a non-negative sum
+    ///   bit-for-bit unchanged.
     fn apply_and_play_fused(&mut self) {
         let qoe_on = self.qoe.is_enabled();
         if qoe_on {
             self.qoe.begin_period(self.period_index);
         }
-
-        let shard_count = self.peers.shard_count();
-        let shift = self.peers.shard_shift();
-        let mask = self.peers.shard_size() - 1;
-        if shard_count > 1 {
-            let PeriodScratch {
-                deliveries,
-                dest_counts,
-                deliveries_dest,
-                ..
-            } = &mut self.scratch;
-            regroup_by_dest_shard(deliveries, shift, shard_count, dest_counts, deliveries_dest);
-        }
-
-        // Switch-milestone inputs, resolved once for the whole walk.
         let since_switch = if self.switch_sessions.is_some() {
             self.secs_since_switch()
         } else {
@@ -1693,138 +1536,107 @@ impl StreamingSystem {
             let old_end = old.last_segment.expect("old session closed at switch");
             (old, new, old_end)
         });
-        let qs = self.config.new_source_qs;
-        let segment_bits = self.config.segment_bits;
-
-        let config = &self.config;
-        let directory = &self.directory;
-        let peers = &mut self.peers;
-        let qoe = &mut self.qoe;
-        let switch_records = &mut self.switch_records;
-        let traffic_total = &mut self.traffic_total;
-        let scratch = &self.scratch;
-        let active = &scratch.active[..];
-        let observed_max = &scratch.observed_max[..];
-        let (deliveries, dest_counts) = if shard_count > 1 {
-            (&scratch.deliveries_dest[..], &scratch.dest_counts[..])
-        } else {
-            (&scratch.deliveries[..], &[][..])
+        let active_len = self.scratch.active.len();
+        if switch.is_some() {
+            self.scratch.ratio_terms.resize(active_len, (0.0, 0.0));
+        }
+        let inputs = WalkInputs {
+            config: &self.config,
+            directory: &self.directory,
+            switch,
+            since_switch,
+            qoe_on,
+            period: self.period_index,
         };
 
-        let mut undelivered_sum = 0.0;
-        let mut delivered_sum = 0.0;
+        {
+            let PeriodScratch {
+                active,
+                observed_max,
+                chunks,
+                workers,
+                ratio_terms,
+                ..
+            } = &mut self.scratch;
+            let active = &active[..];
+            let observed_max = &observed_max[..];
+            let chunks = &chunks[..];
+            let used = chunks.len();
+            let columns = self.peers.lend_columns();
+            let qoe_states = DisjointRanges::new(self.qoe.peer_states_mut());
+            let records = DisjointRanges::new(&mut self.switch_records[..]);
+            let ratios = DisjointRanges::new(&mut ratio_terms[..]);
+            let slots = DisjointSlots::new(&mut workers[..used]);
+            let inputs = &inputs;
+            let job = |chunk: usize| {
+                let (start, end) = chunks[chunk];
+                // SAFETY: chunk indices are unique per execute() run, so
+                // each slot is borrowed by exactly one chunk.
+                let worker = unsafe { slots.slot(chunk) };
+                worker.waiting = 0;
+                worker.counted = 0;
+                worker.qoe.begin(inputs.period);
+                let ids = &active[start..end];
+                let (Some(&first), Some(&last)) = (ids.first(), ids.last()) else {
+                    return;
+                };
+                let (lo, hi) = (first as usize, last as usize + 1);
+                // SAFETY: the chunk plan partitions the ascending active
+                // list, so the chunks' id runs `first..=last` and index
+                // ranges `start..end` are pairwise disjoint.
+                let (buffers, headers) = unsafe { columns.run(first, last) };
+                let lanes = ChunkLanes {
+                    qoe: inputs.qoe_on.then(|| unsafe { qoe_states.range(lo, hi) }),
+                    records: unsafe { records.range(lo, hi) },
+                    ratios: if inputs.switch.is_some() {
+                        unsafe { ratios.range(start, end) }
+                    } else {
+                        &mut []
+                    },
+                };
+                walk_chunk(
+                    ids,
+                    &observed_max[start..end],
+                    buffers,
+                    headers,
+                    lanes,
+                    worker,
+                    inputs,
+                );
+            };
+            if used <= 1 {
+                job(0);
+            } else {
+                self.executor
+                    .as_deref()
+                    .unwrap_or(&SerialExecutor)
+                    .execute(used, &job);
+            }
+        }
+
+        let chunk_slots = &self.scratch.workers[..self.scratch.chunks.len()];
         let mut counted = 0usize;
         let mut waiting = 0u64;
-        let mut applied = 0usize;
-
-        // fss-lint: hot-path
-        let mut run_start = 0usize;
-        while run_start < active.len() {
-            let shard_idx = (active[run_start] as usize) >> shift;
-            let bound = ((shard_idx as u64) + 1) << shift;
-            let run_end = run_start + active[run_start..].partition_point(|&p| (p as u64) < bound);
-
-            let shard_deliveries = if shard_count > 1 {
-                let start = if shard_idx == 0 {
-                    0
-                } else {
-                    dest_counts[shard_idx - 1]
-                };
-                &deliveries[start..dest_counts[shard_idx]]
-            } else {
-                deliveries
-            };
-            let (buffers, headers) = peers.shard_mut(shard_idx).columns_mut();
-
-            // Delivery application, destination-shard-local (stable
-            // regrouping keeps each requester's insert order = resolver
-            // order).
-            for (i, d) in shard_deliveries.iter().enumerate() {
-                if let Some(ahead) = shard_deliveries.get(i + DELIVERY_AHEAD) {
-                    prefetch_read(&buffers[(ahead.requester as usize) & mask]);
-                }
-                buffers[(d.requester as usize) & mask].insert(d.segment);
-                traffic_total.add_data(segment_bits);
+        let mut applied = 0u64;
+        for worker in chunk_slots {
+            counted += worker.counted;
+            waiting += worker.waiting;
+            applied += worker.grants.len() as u64;
+            if qoe_on {
+                self.qoe.merge(&worker.qoe);
             }
-            applied += shard_deliveries.len();
-
-            // Discovery write, playback, QoE and milestones per peer while
-            // its header line and buffer struct are hot.
-            for i in run_start..run_end {
-                let p = active[i];
-                let slot = (p as usize) & mask;
-                if let Some(&ahead) = active.get(i + WALK_AHEAD) {
-                    if (ahead as usize) >> shift == shard_idx {
-                        let ahead_slot = (ahead as usize) & mask;
-                        prefetch_read(&headers[ahead_slot]);
-                        prefetch_read(&buffers[ahead_slot]);
-                    }
-                }
-                let header = &mut headers[slot];
-                peer::discover_sessions(&mut header.known_sessions, directory, observed_max[i]);
-                let known = peer::known_slice(header.known_sessions, directory);
-                let buffer = &buffers[slot];
-                let played = peer::advance_playback(
-                    buffer,
-                    &mut header.playback,
-                    &mut header.play_credit,
-                    known,
-                    config,
-                );
-                if qoe_on {
-                    let playback = &header.playback;
-                    qoe.observe(
-                        p as usize,
-                        playback.has_started(),
-                        playback.stalls(),
-                        played,
-                    );
-                }
-                let Some((old, new, old_end)) = &switch else {
-                    continue;
-                };
-                let record = &mut switch_records[p as usize];
-                if !record.countable() {
-                    continue;
-                }
-                let id_play = header.playback.next_play();
-                if record.s1_finished_secs.is_none() && id_play > *old_end {
-                    record.s1_finished_secs = Some(since_switch);
-                }
-                let q2 = peer::q2_for(buffer, new, qs);
-                if record.s2_prepared_secs.is_none() && q2 == 0 {
-                    record.s2_prepared_secs = Some(since_switch);
-                }
-                if record.s2_started_secs.is_none() && id_play > new.first_segment {
-                    record.s2_started_secs = Some(since_switch);
-                }
-                if !record.completed() {
-                    waiting += 1;
-                }
-
-                // Ratio tracks (Figures 5 and 9) — ascending-order f64
-                // accumulation, as in the phase-major milestone pass.
-                let q1 = peer::undelivered_in_session(buffer, id_play, old, *old_end);
-                let undelivered_ratio = if record.q0 == 0 {
-                    0.0
-                } else {
-                    q1 as f64 / record.q0 as f64
-                };
-                let delivered_ratio = (qs - q2) as f64 / qs as f64;
-                undelivered_sum += undelivered_ratio;
-                delivered_sum += delivered_ratio;
-                counted += 1;
-            }
-            run_start = run_end;
         }
-        // fss-lint: end
-        debug_assert_eq!(
-            applied,
-            deliveries.len(),
-            "every delivery's requester is active"
-        );
+        self.traffic_total
+            .add_data(self.config.segment_bits * applied);
 
         if counted > 0 {
+            // Ascending-order f64 accumulation, as in a serial sweep.
+            let mut undelivered_sum = 0.0;
+            let mut delivered_sum = 0.0;
+            for &(undelivered, delivered) in &self.scratch.ratio_terms[..active_len] {
+                undelivered_sum += undelivered;
+                delivered_sum += delivered;
+            }
             self.ratio_periods_seen += 1;
             if (self.ratio_periods_seen - 1).is_multiple_of(self.ratio_keep_every) {
                 self.ratio_samples.push(RatioSample {
@@ -2007,33 +1819,64 @@ fn chunk_layout(active_len: usize, workers: usize) -> (usize, usize) {
     (chunk_size, active_len.div_ceil(chunk_size))
 }
 
-/// Runs the fused gather + discovery + scheduling pass for one contiguous
-/// chunk of the active list.
+/// Read-only inputs of one scheduling chunk.
+struct ChunkInputs<'a> {
+    store: &'a PeerStore,
+    overlay: &'a Overlay,
+    directory: &'a SessionDirectory,
+    config: &'a GossipConfig,
+    scheduler: &'a dyn SegmentScheduler,
+    outbound_rate: &'a [f64],
+    inbound_rate: &'a [f64],
+    /// Whole-segment outbound budget per peer (0 for inactive peers).
+    outbound_budget: &'a [usize],
+    /// Grant in the chunk (`CapacityModel::PerLink`); otherwise stash the
+    /// requests for the global `Shared` resolver.
+    per_link: bool,
+    /// Buffer-map / request-leg fault draws of a lossy event-mode network.
+    faults: Option<&'a LinkFaults>,
+    /// The period being scheduled (keys the fault draws).
+    period: u64,
+}
+
+/// Runs the fused gather + discovery + scheduling + grant pass for one
+/// contiguous chunk of the active list.
 ///
 /// Per peer, the neighbour buffers are walked **once**: the walk yields the
 /// max advertised id (written to `observed_out`, the chunk's range of the
 /// discovery table, and folded with the peer's own buffer into its
 /// post-discovery session count) and feeds the same value into the
-/// scheduling context, which previously re-gathered it.  The store is never
-/// written — discovery results travel through `observed_out` — so the pass
-/// stays a pure function of the (immutable) system state plus the worker's
-/// own scratch, which is what makes the parallel fan-out trivially
+/// scheduling context.  The scheduled requests then become the peer's
+/// grants right away ([`grant_per_link`]), after the event-mode request-leg
+/// fault draws if any.  The store is never written — discovery results
+/// travel through `observed_out`, grants through the chunk's slot — so the
+/// pass stays a pure function of the (immutable) system state plus the
+/// chunk's own scratch, which is what makes the parallel fan-out trivially
 /// deterministic.
 // fss-lint: hot-path
-#[allow(clippy::too_many_arguments)]
 fn schedule_chunk(
     chunk: &[PeerId],
     observed_out: &mut [SegmentId],
     worker: &mut WorkerScratch,
-    store: &PeerStore,
-    overlay: &Overlay,
-    directory: &SessionDirectory,
-    config: &GossipConfig,
-    scheduler: &dyn SegmentScheduler,
-    outbound_rate: &[f64],
-    inbound_rate: &[f64],
+    inputs: &ChunkInputs<'_>,
 ) {
     debug_assert_eq!(chunk.len(), observed_out.len());
+    let ChunkInputs {
+        store,
+        overlay,
+        directory,
+        config,
+        scheduler,
+        outbound_rate,
+        inbound_rate,
+        outbound_budget,
+        per_link,
+        faults,
+        period,
+    } = *inputs;
+    worker.plan(chunk, |p| {
+        (inbound_rate[p as usize] * config.tau_secs).floor() as usize
+    });
     for (i, &p) in chunk.iter().enumerate() {
         if let Some(&ahead) = chunk.get(i + WALK_AHEAD) {
             store.prefetch_peer(ahead);
@@ -2085,18 +1928,172 @@ fn schedule_chunk(
         ) {
             continue;
         }
-        let mut requests = worker.request_pool.pop().unwrap_or_default();
-        scheduler.schedule_into(&worker.ctx, &mut worker.sched, &mut requests);
-        if requests.is_empty() {
-            worker.request_pool.push(requests);
+        worker.requests.clear();
+        scheduler.schedule_into(&worker.ctx, &mut worker.sched, &mut worker.requests);
+        if worker.requests.is_empty() {
             continue;
         }
+        if let Some(faults) = faults {
+            let (blinded, lost) = (&mut worker.requests_blinded, &mut worker.requests_lost);
+            worker.requests.retain(|req| {
+                if faults.lost(req.supplier, p, MessageKind::BufferMap, period, 0) {
+                    *blinded += 1;
+                    return false;
+                }
+                if faults.lost(
+                    p,
+                    req.supplier,
+                    MessageKind::Request,
+                    period,
+                    req.segment.value(),
+                ) {
+                    *lost += 1;
+                    return false;
+                }
+                true
+            });
+        }
         let inbound_budget = worker.ctx.inbound_budget();
-        worker.out.push(RequestBatch {
-            requester: p,
-            inbound_budget,
-            requests,
-        });
+        if per_link {
+            grant_per_link(
+                p,
+                inbound_budget,
+                &worker.requests,
+                |s| outbound_budget.get(s as usize).copied().unwrap_or(0),
+                &mut worker.grant,
+                &mut worker.grants,
+            );
+        } else {
+            let start = worker.shared_requests.len();
+            worker.shared_requests.extend_from_slice(&worker.requests);
+            let end = worker.shared_requests.len();
+            worker.shared_batches.push((p, inbound_budget, start, end));
+        }
+    }
+}
+// fss-lint: end
+
+/// Read-only inputs of one fused-walk chunk.
+struct WalkInputs<'a> {
+    config: &'a GossipConfig,
+    directory: &'a SessionDirectory,
+    /// `(old session, new session, old session's last segment)` during a
+    /// switch window.
+    switch: Option<(Session, Session, SegmentId)>,
+    since_switch: f64,
+    qoe_on: bool,
+    period: u64,
+}
+
+/// The id- and index-ranged tables one walk chunk writes: its peers' QoE
+/// slots (when recording) and switch records (both indexed from the
+/// chunk's first peer id), and its range of the ratio-term column (empty
+/// outside a switch window).
+struct ChunkLanes<'a> {
+    qoe: Option<&'a mut [PeerQoe]>,
+    records: &'a mut [SwitchRecord],
+    ratios: &'a mut [(f64, f64)],
+}
+
+/// The fused walk of one chunk: applies the chunk's grants, then runs the
+/// discovery write, playback advance, QoE observation and switch
+/// milestones per peer while its header line and buffer struct are hot.
+/// `buffers`/`headers` (and the id-ranged lanes) start at the chunk's first
+/// peer id.
+// fss-lint: hot-path
+fn walk_chunk(
+    chunk: &[PeerId],
+    observed_max: &[SegmentId],
+    buffers: &mut [FifoBuffer],
+    headers: &mut [PeerHeader],
+    lanes: ChunkLanes<'_>,
+    worker: &mut WorkerScratch,
+    inputs: &WalkInputs<'_>,
+) {
+    let base = chunk[0] as usize;
+    let ChunkLanes {
+        mut qoe,
+        records,
+        ratios,
+    } = lanes;
+    let qs = inputs.config.new_source_qs;
+
+    // Grant application: requester-ascending, per requester in resolver
+    // order.
+    let grants = &worker.grants;
+    for (i, g) in grants.iter().enumerate() {
+        if let Some(ahead) = grants.get(i + DELIVERY_AHEAD) {
+            prefetch_read(&buffers[ahead.requester as usize - base]);
+        }
+        buffers[g.requester as usize - base].insert(g.segment);
+    }
+
+    for (i, &p) in chunk.iter().enumerate() {
+        let slot = p as usize - base;
+        if let Some(&ahead) = chunk.get(i + WALK_AHEAD) {
+            let ahead_slot = ahead as usize - base;
+            prefetch_read(&headers[ahead_slot]);
+            prefetch_read(&buffers[ahead_slot]);
+        }
+        let header = &mut headers[slot];
+        peer::discover_sessions(
+            &mut header.known_sessions,
+            inputs.directory,
+            observed_max[i],
+        );
+        let known = peer::known_slice(header.known_sessions, inputs.directory);
+        let buffer = &buffers[slot];
+        let played = peer::advance_playback(
+            buffer,
+            &mut header.playback,
+            &mut header.play_credit,
+            known,
+            inputs.config,
+        );
+        if let Some(states) = qoe.as_deref_mut() {
+            let playback = &header.playback;
+            worker.qoe.observe(
+                &mut states[slot],
+                playback.has_started(),
+                playback.stalls(),
+                played,
+            );
+        }
+        let Some((old, new, old_end)) = &inputs.switch else {
+            continue;
+        };
+        let record = &mut records[slot];
+        if !record.countable() {
+            ratios[i] = (0.0, 0.0);
+            continue;
+        }
+        let since_switch = inputs.since_switch;
+        let id_play = header.playback.next_play();
+        if record.s1_finished_secs.is_none() && id_play > *old_end {
+            record.s1_finished_secs = Some(since_switch);
+        }
+        let q2 = peer::q2_for(buffer, new, qs);
+        if record.s2_prepared_secs.is_none() && q2 == 0 {
+            record.s2_prepared_secs = Some(since_switch);
+        }
+        if record.s2_started_secs.is_none() && id_play > new.first_segment {
+            record.s2_started_secs = Some(since_switch);
+        }
+        if !record.completed() {
+            worker.waiting += 1;
+        }
+
+        // Ratio tracks (Figures 5 and 9): this peer's terms, summed later
+        // in ascending order.
+        let q1 = peer::undelivered_in_session(buffer, id_play, old, *old_end);
+        let undelivered_ratio = if record.q0 == 0 {
+            0.0
+        } else {
+            q1 as f64 / record.q0 as f64
+        };
+        let delivered_ratio = (qs - q2) as f64 / qs as f64;
+        ratios[i] = (undelivered_ratio, delivered_ratio);
+        worker.counted += 1;
     }
 }
 // fss-lint: end
@@ -2340,37 +2337,6 @@ mod tests {
         assert_eq!(a.report(), b.report());
     }
 
-    /// Regression test: recycled request vectors must never strand in worker
-    /// slots that receive no chunk (more workers than chunks), and every
-    /// period must return all vectors to the global pool.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn request_pool_never_strands_in_idle_workers() {
-        let mut sys = build_system(20, 23);
-        sys.set_parallelism(8); // far more workers than 20 peers need
-        let (s1, _) = first_two(&sys);
-        sys.start_initial_source(s1);
-        let mut pool_high_water = 0usize;
-        for period in 0..60 {
-            sys.step();
-            for (w, worker) in sys.scratch.workers.iter().enumerate() {
-                assert!(
-                    worker.request_pool.is_empty(),
-                    "period {period}: worker {w} kept {} vectors",
-                    worker.request_pool.len()
-                );
-            }
-            pool_high_water = pool_high_water.max(sys.scratch.request_pool.len());
-        }
-        // The pool is bounded by the number of requesting nodes, not by the
-        // number of elapsed periods.
-        assert!(
-            pool_high_water <= sys.overlay().active_count(),
-            "pool grew to {pool_high_water} vectors for {} nodes",
-            sys.overlay().active_count()
-        );
-    }
-
     #[cfg(feature = "parallel")]
     #[test]
     fn parallel_sweep_is_byte_identical() {
@@ -2413,58 +2379,6 @@ mod tests {
         for shards in [2, 4, 8] {
             assert_eq!(run(shards), single, "shards = {shards}");
         }
-    }
-
-    /// The fusion oracle: the shard-major fused pipeline and the phase-major
-    /// ordering it replaced produce byte-identical reports across churn, a
-    /// source switch and every shard geometry.  Routed through `advance()`
-    /// so the `set_phase_major` dispatch is covered too.
-    #[test]
-    fn fused_step_matches_phase_major() {
-        let run = |fused: bool, shards: usize| {
-            let mut sys = build_system(80, 31);
-            sys.set_shards(shards);
-            sys.set_phase_major(!fused);
-            let (s1, s2) = first_two(&sys);
-            sys.start_initial_source(s1);
-            sys.run_periods(25);
-            sys.set_churn(ChurnModel::paper_default(5));
-            sys.switch_source(s2);
-            sys.run_periods(45);
-            sys.report()
-        };
-        for shards in [1, 2, 4, 8] {
-            assert_eq!(run(true, shards), run(false, shards), "shards = {shards}");
-        }
-    }
-
-    /// Interleaving fused and phase-major periods within one run must agree
-    /// as well: every period leaves identical state either way (the
-    /// deferred discovery write of the fused path is invisible between
-    /// periods).
-    #[test]
-    fn fused_and_phase_major_interleave() {
-        let mut a = build_system(50, 37);
-        let mut b = build_system(50, 37);
-        a.set_shards(4);
-        b.set_shards(4);
-        let (s1, s2) = first_two(&a);
-        a.start_initial_source(s1);
-        b.start_initial_source(s1);
-        for round in 0..30u64 {
-            if round % 2 == 0 {
-                a.step();
-                b.step_phase_major();
-            } else {
-                a.step_phase_major();
-                b.step();
-            }
-            if round == 20 {
-                a.switch_source(s2);
-                b.switch_source(s2);
-            }
-        }
-        assert_eq!(a.report(), b.report());
     }
 
     /// Satellite: cost-balanced chunk splitting.  A densely populated shard
@@ -2561,6 +2475,42 @@ mod tests {
             sys.report()
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// The `Shared` ablation model resolves globally between the two
+    /// passes and hands each delivery to its requester's chunk: still
+    /// byte-identical to the reference, on one chunk and on several,
+    /// through churn and a switch.
+    #[test]
+    fn shared_capacity_model_matches_reference_step() {
+        let run = |optimized: bool, shards: usize| {
+            let mut sys = build_system(90, 41);
+            sys.set_capacity_model(CapacityModel::Shared);
+            sys.set_shards(shards);
+            let (s1, s2) = first_two(&sys);
+            sys.start_initial_source(s1);
+            let step = |sys: &mut StreamingSystem| {
+                if optimized {
+                    sys.step();
+                } else {
+                    sys.step_reference();
+                }
+            };
+            for _ in 0..30 {
+                step(&mut sys);
+            }
+            sys.set_churn(ChurnModel::paper_default(11));
+            sys.switch_source(s2);
+            for _ in 0..40 {
+                step(&mut sys);
+            }
+            sys.report()
+        };
+        let reference = run(false, 1);
+        assert!(reference.traffic_total.data_bits > 0);
+        for shards in [1, 4] {
+            assert_eq!(run(true, shards), reference, "shards = {shards}");
+        }
     }
 
     #[test]

@@ -14,26 +14,37 @@
 //! produced.  Requests that do not fit are simply dropped; the requester will
 //! re-evaluate next period, as in the real pull protocol.
 //!
-//! # Hot-path representation
+//! # Per-link grants in the scheduling chunk
 //!
-//! The resolver used to build a `BTreeMap<supplier, BTreeMap<requester,
-//! VecDeque<segment>>>` every period.  The optimized path instead flattens
-//! all requests into one reusable entry vector and groups it by `(supplier,
-//! requester, submission order)` — which reproduces the `BTreeMap` iteration
-//! order exactly — then walks supplier/requester groups in place.  On the
-//! system hot path (one batch per node, in ascending node order) the
-//! entries arrive already `(requester, submission)`-sorted, so the grouping
-//! is a **stable counting sort bucketed by supplier** — `O(E + S)` instead
-//! of the previous `O(E log E)` comparison sort, the deliver-phase fix from
-//! the ROADMAP.  Out-of-order or duplicate-requester inputs (possible
-//! through the public API, never produced by the system) fall back to the
-//! comparison sort.  All buffers are retained across calls, so steady-state
-//! resolution performs no heap allocation.
+//! Under the default [`CapacityModel::PerLink`] a grant depends only on the
+//! requester's own (deduplicated, inbound-truncated) requests and the
+//! read-only supplier budgets — never on another requester.  The period
+//! loop therefore never resolves globally under that model: each
+//! scheduling chunk turns a requester's requests into grants right after
+//! scheduling it ([`grant_per_link`]), sorted by (supplier, submission
+//! order).  That is exactly the subsequence the global resolver emits for
+//! the requester, so every buffer sees the same insert sequence (pinned by
+//! a differential proptest against [`TransferResolver::resolve_round_into`]).
+//!
+//! # The global resolver
+//!
+//! [`TransferResolver`] remains the batch API and the `Shared` ablation
+//! model's path.  It flattens all requests into one reusable entry vector
+//! and groups it by `(supplier, requester, submission order)` — which
+//! reproduces the reference `BTreeMap` iteration order exactly — then walks
+//! supplier/requester groups in place.  When batches arrive one per node in
+//! ascending node order (as the period loop feeds them), the entries are
+//! already `(requester, submission)`-sorted, so the grouping is a **stable
+//! counting sort bucketed by supplier** — `O(E + S)`.  Out-of-order or
+//! duplicate-requester inputs (possible through the public API) fall back
+//! to the comparison sort.  All buffers are retained across calls, so
+//! steady-state resolution performs no heap allocation.
 //! [`TransferResolver::resolve_round_reference`] keeps the original
-//! map-based implementation; the test-suite asserts both produce identical
-//! deliveries.
+//! map-based implementation as the test oracle; the test-suite asserts both
+//! produce identical deliveries.
 
 use crate::hasher::FxHashSet;
+use crate::mem::{vec_bytes, MemoryFootprint};
 use crate::scheduler::SegmentRequest;
 use crate::segment::SegmentId;
 use fss_overlay::PeerId;
@@ -175,7 +186,6 @@ impl TransferResolver {
     /// across batches when a requester appears more than once (the system
     /// emits one batch per node, so the cross-batch pass is skipped on the
     /// hot path).
-    // fss-lint: hot-path
     pub fn resolve_round_into<F>(
         &mut self,
         batches: &[RequestBatch],
@@ -185,18 +195,43 @@ impl TransferResolver {
     ) where
         F: Fn(PeerId) -> usize,
     {
+        self.resolve_parts_into(
+            batches
+                .iter()
+                .map(|b| (b.requester, b.inbound_budget, &b.requests[..])),
+            outbound_budget,
+            round,
+            out,
+        );
+    }
+
+    /// [`resolve_round_into`](Self::resolve_round_into) over borrowed
+    /// batches: each item is `(requester, inbound_budget, requests)`.  The
+    /// period loop's `Shared`-model path feeds its per-chunk request slices
+    /// through here without packing them into owned [`RequestBatch`]es.
+    // fss-lint: hot-path
+    pub fn resolve_parts_into<'a, I, F>(
+        &mut self,
+        batches: I,
+        outbound_budget: F,
+        round: u64,
+        out: &mut Vec<DeliveredSegment>,
+    ) where
+        I: IntoIterator<Item = (PeerId, usize, &'a [SegmentRequest])>,
+        F: Fn(PeerId) -> usize,
+    {
         out.clear();
         self.entries.clear();
         self.requesters.clear();
         let mut seq = 0u32;
         let mut requesters_ascending = true;
-        for batch in batches {
+        for (requester, inbound_budget, requests) in batches {
             if let Some(&last) = self.requesters.last() {
-                requesters_ascending &= batch.requester > last;
+                requesters_ascending &= requester > last;
             }
-            self.requesters.push(batch.requester);
+            self.requesters.push(requester);
             let batch_start = self.entries.len();
-            for req in batch.requests.iter().take(batch.inbound_budget) {
+            for req in requests.iter().take(inbound_budget) {
                 // Collapse duplicate segments within the batch: the first
                 // listed supplier wins, matching the reference resolver.
                 if self.entries[batch_start..]
@@ -207,7 +242,7 @@ impl TransferResolver {
                 }
                 self.entries.push(Entry {
                     supplier: req.supplier,
-                    requester: batch.requester,
+                    requester,
                     seq,
                     segment: req.segment,
                 });
@@ -475,52 +510,68 @@ impl TransferResolver {
     }
 }
 
-/// Stable counting sort of `deliveries` into `out`, bucketed by destination
-/// (requester) shard: `shard = requester >> shard_shift`.
+/// Reusable working memory of [`grant_per_link`]: one requester's kept
+/// requests, grouped by supplier before granting.
+#[derive(Debug, Clone, Default)]
+pub struct GrantScratch {
+    entries: Vec<Entry>,
+}
+
+impl MemoryFootprint for GrantScratch {
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.entries)
+    }
+}
+
+/// Grants one requester's requests under [`CapacityModel::PerLink`] —
+/// the resolver restricted to a single batch, which is all the per-link
+/// model ever needs: a grant depends only on the requester's own requests
+/// and the (read-only) supplier budgets.
 ///
-/// The resolver emits deliveries supplier-major, so applying them directly
-/// scatters writes across every destination shard.  The fused period walk
-/// instead applies each shard's deliveries while that shard's columns are
-/// cache-resident, which requires regrouping by destination first.
-/// **Stability is the correctness keystone**: within one requester all
-/// deliveries keep their resolver order, so the per-buffer insert sequence —
-/// the only order the simulated state can observe — is unchanged.
+/// * the first `inbound_budget` requests are considered,
+/// * a repeated segment is dropped (the first listed supplier wins),
+/// * request *k* is granted iff fewer than `outbound_budget(supplier)`
+///   earlier kept requests went to the same supplier.
 ///
-/// `dest_counts` is caller-pooled workspace; on return, `dest_counts[s]` is
-/// the **end** offset of shard `s`'s run in `out` (so run `s` spans
-/// `dest_counts[s - 1]..dest_counts[s]`, with 0 for `s == 0`).
+/// Grants are **appended** to `out` sorted by (supplier, submission
+/// order) — exactly the subsequence [`TransferResolver::resolve_round_into`]
+/// emits for this requester, so every buffer sees the same insert
+/// sequence whether a period resolves globally or requester by requester.
+/// Allocation-free once `scratch` and `out` reached their high-water marks.
 // fss-lint: hot-path
-pub fn regroup_by_dest_shard(
-    deliveries: &[DeliveredSegment],
-    shard_shift: u32,
-    shard_count: usize,
-    dest_counts: &mut Vec<usize>,
+pub fn grant_per_link<F>(
+    requester: PeerId,
+    inbound_budget: usize,
+    requests: &[SegmentRequest],
+    outbound_budget: F,
+    scratch: &mut GrantScratch,
     out: &mut Vec<DeliveredSegment>,
-) {
-    dest_counts.clear();
-    dest_counts.resize(shard_count, 0);
-    for d in deliveries {
-        dest_counts[(d.requester as usize) >> shard_shift] += 1;
+) where
+    F: Fn(PeerId) -> usize,
+{
+    let entries = &mut scratch.entries;
+    entries.clear();
+    let mut seq = 0u32;
+    for req in requests.iter().take(inbound_budget) {
+        if entries.iter().any(|e| e.segment == req.segment) {
+            continue;
+        }
+        entries.push(Entry {
+            supplier: req.supplier,
+            requester,
+            seq,
+            segment: req.segment,
+        });
+        seq += 1;
     }
-    let mut offset = 0usize;
-    for count in dest_counts.iter_mut() {
-        let run = *count;
-        *count = offset;
-        offset += run;
-    }
-    out.clear();
-    out.resize(
-        deliveries.len(),
-        DeliveredSegment {
-            requester: 0,
-            supplier: 0,
-            segment: SegmentId(0),
-        },
-    );
-    for d in deliveries {
-        let cursor = &mut dest_counts[(d.requester as usize) >> shard_shift];
-        out[*cursor] = *d;
-        *cursor += 1;
+    // `seq` is unique, so the unstable (allocation-free) sort is total.
+    entries.sort_unstable_by_key(|e| (e.supplier, e.seq));
+    let mut start = 0;
+    while start < entries.len() {
+        let supplier = entries[start].supplier;
+        let end = start + entries[start..].partition_point(|e| e.supplier == supplier);
+        TransferResolver::serve_per_link(&entries[start..end], outbound_budget(supplier), out);
+        start = end;
     }
 }
 // fss-lint: end
@@ -828,59 +879,55 @@ mod tests {
                 proptest::prop_assert!(count <= outbound);
             }
         }
-    }
 
-    fn delivered(requester: PeerId, supplier: PeerId, segment: u64) -> DeliveredSegment {
-        DeliveredSegment {
-            requester,
-            supplier,
-            segment: SegmentId(segment),
+        /// The in-chunk grant rule is the per-link resolver restricted to
+        /// one requester: granting batch by batch and concatenating gives
+        /// exactly the global resolver's deliveries regrouped (stably) by
+        /// requester.  Batches come in ascending requester order, as the
+        /// period loop produces them, with repeated segments, inbound
+        /// truncation, zero budgets, inactive suppliers (budget 0 in the
+        /// table) and suppliers past the end of the budget table.
+        #[test]
+        fn prop_per_requester_grants_match_the_per_link_resolver(
+            raw in proptest::collection::vec(
+                (0usize..8, proptest::collection::vec((0u64..12, 0u32..12), 0..14)),
+                0..10,
+            ),
+            budgets in proptest::collection::vec(0usize..5, 10..11),
+            active in proptest::collection::vec(0u8..4, 10..11),
+        ) {
+            let batches: Vec<RequestBatch> = raw
+                .into_iter()
+                .enumerate()
+                .map(|(i, (inbound, reqs))| RequestBatch {
+                    requester: 3 * i as PeerId + 1,
+                    inbound_budget: inbound,
+                    requests: reqs.into_iter().map(|(seg, sup)| req(seg, sup)).collect(),
+                })
+                .collect();
+            // Suppliers 10 and 11 fall outside the table, like unknown ids.
+            let table: Vec<usize> = budgets
+                .iter()
+                .zip(&active)
+                .map(|(&budget, &a)| if a == 0 { 0 } else { budget })
+                .collect();
+            let budget = |p: PeerId| table.get(p as usize).copied().unwrap_or(0);
+
+            let mut global = Vec::new();
+            TransferResolver::with_model(CapacityModel::PerLink)
+                .resolve_round_into(&batches, budget, 0, &mut global);
+            let regrouped: Vec<DeliveredSegment> = batches
+                .iter()
+                .flat_map(|b| global.iter().filter(move |d| d.requester == b.requester))
+                .copied()
+                .collect();
+
+            let mut scratch = GrantScratch::default();
+            let mut local = Vec::new();
+            for b in &batches {
+                grant_per_link(b.requester, b.inbound_budget, &b.requests, budget, &mut scratch, &mut local);
+            }
+            proptest::prop_assert_eq!(local, regrouped);
         }
-    }
-
-    #[test]
-    fn regroup_by_dest_shard_is_stable_within_each_requester() {
-        // Shard shift 2 => shards of 4 ids.  Supplier-major input with the
-        // requesters' deliveries interleaved across shards.
-        let input = vec![
-            delivered(5, 0, 10), // shard 1
-            delivered(1, 0, 11), // shard 0
-            delivered(5, 2, 12), // shard 1 — must stay after (5, 10)
-            delivered(9, 2, 13), // shard 2
-            delivered(1, 3, 14), // shard 0 — must stay after (1, 11)
-            delivered(6, 3, 15), // shard 1
-        ];
-        let mut dest_counts = Vec::new();
-        let mut out = Vec::new();
-        regroup_by_dest_shard(&input, 2, 3, &mut dest_counts, &mut out);
-
-        assert_eq!(
-            out,
-            vec![
-                delivered(1, 0, 11),
-                delivered(1, 3, 14),
-                delivered(5, 0, 10),
-                delivered(5, 2, 12),
-                delivered(6, 3, 15),
-                delivered(9, 2, 13),
-            ]
-        );
-        // dest_counts[s] is the END offset of shard s's run.
-        assert_eq!(dest_counts, vec![2, 5, 6]);
-    }
-
-    #[test]
-    fn regroup_handles_empty_shards_and_empty_input() {
-        let mut dest_counts = Vec::new();
-        let mut out = Vec::new();
-        regroup_by_dest_shard(&[], 4, 4, &mut dest_counts, &mut out);
-        assert!(out.is_empty());
-        assert_eq!(dest_counts, vec![0, 0, 0, 0]);
-
-        // All deliveries land in one middle shard.
-        let input = vec![delivered(20, 0, 1), delivered(17, 1, 2)];
-        regroup_by_dest_shard(&input, 4, 4, &mut dest_counts, &mut out);
-        assert_eq!(out, vec![delivered(20, 0, 1), delivered(17, 1, 2)]);
-        assert_eq!(dest_counts, vec![0, 2, 2, 2]);
     }
 }

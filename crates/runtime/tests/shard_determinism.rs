@@ -8,9 +8,17 @@
 //! rate-limited admission queue and bounded candidate views — across shard
 //! counts {1, 2, 4, 8} × pool sizes {1, 2, 4, 7} × both stepping modes, and
 //! additionally pins the report digest so a shard-dependent result cannot
-//! sneak in together with a compensating test update.
+//! sneak in together with a compensating test update.  Since the period's
+//! grant step and fused walk both run per chunk on the pool, the same sweep
+//! pins them too.
+//!
+//! A second sweep pins the event-driven core against the lockstep fused
+//! walk: with the ideal network installed, event mode (which grants through
+//! the same scheduling chunks but applies the grants message by message)
+//! matches period mode byte for byte, across shard counts.
 
 use fss_core::FastSwitchScheduler;
+use fss_overlay::NetworkConfig;
 use fss_runtime::zap::{CrowdZap, Storm};
 use fss_runtime::{
     AdmissionControl, RuntimeReport, SessionConfig, SessionManager, SteppingMode, WorkerPool,
@@ -148,5 +156,39 @@ fn reports_are_byte_identical_across_shard_counts_and_pool_sizes() {
         let (report, timeline) = run(shards, 4, SteppingMode::Pipelined { run_ahead: 4 });
         assert_eq!(report, reference, "pipelined shards={shards}");
         assert_eq!(timeline, reference_timeline, "pipelined timeline");
+    }
+}
+
+/// Event-mode leg: the same churn + storm workload, optionally with a
+/// network model installed.
+fn run_event(shards: usize, network: Option<NetworkConfig>) -> RuntimeReport {
+    let config = SessionConfig {
+        seed: 13,
+        network,
+        ..SessionConfig::paper_default(4, 40)
+    };
+    let pool = Arc::new(WorkerPool::new(3));
+    let mut m = SessionManager::new(config, pool, || Box::new(FastSwitchScheduler::new()));
+    m.set_zap_schedule(Box::new(
+        CrowdZap::zipf(4, 40, config.zap_fraction, 1.2, 13).with_storms(vec![Storm {
+            at: 32,
+            target: 1,
+            size: 25,
+        }]),
+    ));
+    m.enable_channel_churn(5);
+    m.set_shards(shards);
+    m.warmup(25);
+    m.run_periods(30);
+    m.report()
+}
+
+#[test]
+fn ideal_event_mode_matches_the_fused_walk_across_shards() {
+    let fused = run_event(1, None);
+    for &shards in &[1usize, 2, 4, 8] {
+        let event = run_event(shards, Some(NetworkConfig::ideal()));
+        assert_eq!(event, fused, "event vs fused, shards={shards}");
+        assert_eq!(run_event(shards, None), fused, "fused, shards={shards}");
     }
 }

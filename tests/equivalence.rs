@@ -1,11 +1,11 @@
-//! Hot-path equivalence: the zero-allocation scratch-arena period loop (and,
-//! when enabled, its parallel scheduling sweep) must produce a `SystemReport`
-//! identical to the original straight-line reference implementation on a
-//! seeded churn scenario with the paper's schedulers.
+//! Hot-path equivalence: the zero-allocation scratch-arena period loop (and
+//! its pool-parallel dispatches) must produce a `SystemReport` identical to
+//! the original straight-line reference implementation on a seeded churn
+//! scenario with the paper's schedulers.
 
 use fast_source_switching::core::{FastSwitchScheduler, NormalSwitchScheduler};
 use fast_source_switching::gossip::{
-    GossipConfig, SegmentScheduler, StreamingSystem, SystemReport,
+    GossipConfig, SegmentScheduler, StreamingSystem, SwitchRecord, SystemReport,
 };
 use fast_source_switching::overlay::{ChurnModel, OverlayBuilder, PeerId};
 use fast_source_switching::trace::{GeneratorConfig, TraceGenerator};
@@ -23,11 +23,24 @@ enum Path {
         chunks: usize,
         workers: usize,
     },
+    /// A sharded store stepped on a persistent pool: the chunk plan
+    /// follows the shards, and both the scheduling pass (with its grants)
+    /// and the fused walk fan out over the pool.
+    Sharded {
+        shards: usize,
+        workers: usize,
+    },
 }
 
 /// Runs the 200-node churned switch scenario through the selected period
 /// implementation and returns its report.
 fn run_churn_scenario(scheduler: Box<dyn SegmentScheduler>, path: Path) -> SystemReport {
+    run_scenario(scheduler, path).report()
+}
+
+/// Runs the 200-node churned switch scenario through the selected period
+/// implementation and returns the system.
+fn run_scenario(scheduler: Box<dyn SegmentScheduler>, path: Path) -> StreamingSystem {
     let trace = TraceGenerator::new(GeneratorConfig::sized(200, 42)).generate("equivalence");
     let overlay = OverlayBuilder::paper_default().build(&trace).unwrap();
     let peers: Vec<PeerId> = overlay.active_peers().collect();
@@ -42,11 +55,19 @@ fn run_churn_scenario(scheduler: Box<dyn SegmentScheduler>, path: Path) -> Syste
                 std::sync::Arc::new(fast_source_switching::runtime::WorkerPool::new(workers));
             sys.set_executor(pool.as_executor());
         }
+        Path::Sharded { shards, workers } => {
+            sys.set_shards(shards);
+            let pool =
+                std::sync::Arc::new(fast_source_switching::runtime::WorkerPool::new(workers));
+            sys.set_executor(pool.as_executor());
+        }
         Path::Reference | Path::Optimized => {}
     }
     let step = |sys: &mut StreamingSystem| match path {
         Path::Reference => sys.step_reference(),
-        Path::Optimized | Path::Parallel(_) | Path::Pool { .. } => sys.step(),
+        Path::Optimized | Path::Parallel(_) | Path::Pool { .. } | Path::Sharded { .. } => {
+            sys.step()
+        }
     };
 
     sys.start_initial_source(s1);
@@ -58,7 +79,7 @@ fn run_churn_scenario(scheduler: Box<dyn SegmentScheduler>, path: Path) -> Syste
     for _ in 0..120 {
         step(&mut sys);
     }
-    sys.report()
+    sys
 }
 
 #[test]
@@ -78,6 +99,37 @@ fn normal_scheduler_optimized_matches_reference_under_churn() {
     let reference = run_churn_scenario(Box::new(NormalSwitchScheduler::new()), Path::Reference);
     let optimized = run_churn_scenario(Box::new(NormalSwitchScheduler::new()), Path::Optimized);
     assert_eq!(optimized, reference);
+}
+
+/// Sharded stepping on the pool — per-chunk grants and a per-chunk fused
+/// walk — against the reference, across shard counts and pool sizes.  The
+/// raw per-peer switch records are compared too, not just their report
+/// aggregate, and the ratio tracks ride in the report.
+#[test]
+fn sharded_pool_stepping_matches_reference_under_churn() {
+    let reference = run_scenario(Box::new(FastSwitchScheduler::new()), Path::Reference);
+    let reference_records: Vec<SwitchRecord> = reference.switch_records().to_vec();
+    let reference = reference.report();
+    assert!(!reference.ratio_samples.is_empty());
+    for shards in [2, 4, 8] {
+        for workers in [1, 2, 4] {
+            let sys = run_scenario(
+                Box::new(FastSwitchScheduler::new()),
+                Path::Sharded { shards, workers },
+            );
+            assert!(sys.shard_count() > 1, "shards = {shards}");
+            assert_eq!(
+                sys.report(),
+                reference,
+                "shards = {shards}, workers = {workers}"
+            );
+            assert_eq!(
+                sys.switch_records(),
+                &reference_records[..],
+                "switch records, shards = {shards}, workers = {workers}"
+            );
+        }
+    }
 }
 
 #[cfg(feature = "parallel")]
