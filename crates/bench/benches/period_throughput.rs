@@ -306,7 +306,8 @@ fn bench_qoe_overhead(c: &mut Criterion) {
 /// `event_ideal_1k` runs the identical workload as `period_mode_1k` —
 /// the ideal model skips every fault draw and delivers at the resolving
 /// boundary, so the reports stay byte-identical and the measured delta is
-/// the queue push/pop and boundary-drain bookkeeping alone.  The
+/// the event-step bookkeeping alone.  `event_faulty_1k` sends every grant
+/// through the arrival calendar and drains it before the next boundary.  The
 /// acceptance budget in `BENCH_period.json` is ≤ 10 % over period mode.
 fn bench_net_overhead(c: &mut Criterion) {
     use fss_overlay::NetworkConfig;

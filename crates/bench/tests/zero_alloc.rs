@@ -263,10 +263,10 @@ fn sharded_steady_state_period_loop_does_not_allocate() {
 
 /// The event-driven stepping mode keeps the guarantee: with a delayed,
 /// jittered network model installed, every in-flight message lives in the
-/// pre-reserved event queue (`NetMessage` is `Copy`, the heap was sized
-/// from the bandwidth budget and the latency horizon at `set_network`
-/// time) and the jitter draws are stateless hashes — so steady-state event
-/// periods still touch the heap zero times.
+/// arrival calendar (`NetMessage` is `Copy`; each per-period bucket was
+/// pre-reserved from the bandwidth budget at `set_network` time and keeps
+/// its capacity as the ring rotates) and the jitter draws are stateless
+/// hashes — so steady-state event periods still touch the heap zero times.
 ///
 /// Loss is deliberately outside the guarantee, mirroring the admission-
 /// mutation exclusion above: a lost segment is missing *protocol* state,
@@ -290,10 +290,10 @@ fn steady_state_event_mode_stepping_does_not_allocate() {
         Box::new(FastSwitchScheduler::new()),
     );
     // Trace latencies at full scale plus jitter: every message is deferred
-    // through the event queue and every data leg samples the jitter
-    // stream, but RTTs stay under the scheduling period, so the queue's
-    // high-water mark sits well inside the capacity reserved by
-    // `set_network`.
+    // through the arrival calendar and every data leg samples the jitter
+    // stream, but RTTs stay under the scheduling period, so each bucket's
+    // high-water mark sits inside the capacity reserved by `set_network`
+    // (or reached during warm-up and kept as the ring rotates).
     sys.set_network(NetworkConfig {
         latency_scale: 1.0,
         loss_rate: 0.0,

@@ -27,7 +27,7 @@
 //!   outbound and per-requester inbound budgets),
 //! * [`membership`] — neighbour-set repair under churn,
 //! * [`net`] — the message-level network model of the event-driven
-//!   stepping mode: granted transfers ride [`fss_sim::EventQueue`] as
+//!   stepping mode: granted transfers ride a per-period arrival calendar as
 //!   scheduled messages with per-link latency, Bernoulli loss and bounded
 //!   jitter from stateless fault streams (see `docs/network.md`),
 //! * [`directory`] — the cross-channel membership directory: per-channel

@@ -116,7 +116,8 @@ impl MemoryFootprint for PeerShard {
 
 /// Sharded struct-of-arrays storage for every peer the system has ever
 /// admitted (slots are never reused; departed peers keep their slot, as in
-/// the previous `Vec<PeerNode>` layout).
+/// the previous `Vec<PeerNode>` layout, but the system releases their
+/// buffer storage, so a departed slot costs only its inline stride).
 #[derive(Debug)]
 pub struct PeerStore {
     /// Power-of-two shard capacity.

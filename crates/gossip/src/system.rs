@@ -221,9 +221,9 @@ impl StreamingSystem {
     /// Installs a message-level network model and switches
     /// [`advance`](Self::advance) to the event-driven stepping mode.
     ///
-    /// The in-flight queue is pre-reserved for the steady-state message
-    /// volume (per-period grant count × the latency horizon in periods), so
-    /// event stepping allocates nothing once warm.  Installing the
+    /// The arrival calendar gets one bucket per period of the latency
+    /// horizon, each pre-reserved for one period's grant volume, so event
+    /// stepping allocates nothing once warm.  Installing the
     /// [`NetworkConfig::ideal`] model reproduces period-lockstep results
     /// byte-for-byte (pinned by the golden-digest suite).
     ///
@@ -234,7 +234,8 @@ impl StreamingSystem {
         let per_period = (self.config.play_rate * self.config.tau_secs).ceil() as usize + 1;
         // Horizon: how many periods a message can stay in flight under the
         // slowest link (request + data leg = 2 one-way = 4 access delays),
-        // clamped against pathological latency models.
+        // clamped against pathological latency models; later arrivals wait
+        // in the calendar's overflow list.
         let slowest_ms = config.latency_scale * 4.0 * self.overlay.latency().max_access_ms()
             + config.jitter_ms as f64;
         let horizon = if slowest_ms.is_finite() && tau_ms > 0 {
@@ -242,8 +243,8 @@ impl StreamingSystem {
         } else {
             2
         };
-        let hint = self.overlay.active_count() * per_period * horizon;
-        self.net = Some(NetworkModel::new(config, tau_ms, hint));
+        let hint = self.overlay.active_count() * per_period;
+        self.net = Some(NetworkModel::new(config, tau_ms, horizon, hint));
     }
 
     /// Uninstalls the network model, reverting [`advance`](Self::advance) to
@@ -519,9 +520,10 @@ impl StreamingSystem {
     /// e.g. a viewer zapping away to another channel in a multi-channel
     /// deployment.
     ///
-    /// The peer's protocol state stays allocated (ids are never reused) and
-    /// its switch record is marked departed so it stops counting towards
-    /// switch metrics.  Call [`repair_membership`](Self::repair_membership)
+    /// The peer's slot stays (ids are never reused) but its buffer storage
+    /// is released: nothing reads a departed peer's buffer again.  Its
+    /// switch record is marked departed so it stops counting towards switch
+    /// metrics.  Call [`repair_membership`](Self::repair_membership)
     /// after a batch of external membership changes.
     ///
     /// # Panics
@@ -536,9 +538,7 @@ impl StreamingSystem {
         );
         self.overlay.remove_peer(peer)?;
         self.view.on_depart(peer);
-        if let Some(record) = self.switch_records.get_mut(peer as usize) {
-            record.departed = true;
-        }
+        self.release_departed(peer);
         Ok(())
     }
 
@@ -815,17 +815,15 @@ impl StreamingSystem {
             "event-driven stepping requires set_network()"
         );
         let period_traffic_before = self.traffic_total;
-        let (now, next) = {
-            let net = self.net.as_ref().expect("network model installed");
-            (
-                net.boundary(self.period_index),
-                net.boundary(self.period_index + 1),
-            )
-        };
+        let now = self
+            .net
+            .as_ref()
+            .expect("network model installed")
+            .boundary(self.period_index);
 
         // 0. Stragglers due exactly at this boundary are visible to this
         //    period's buffer-map exchange and scheduling.
-        self.drain_arrivals(now, true);
+        self.drain_arrivals(self.period_index, true);
 
         // 1-4. Identical to the period-lockstep step (discovery writes land
         //      immediately: the arrival drain below reads them).  The
@@ -840,7 +838,7 @@ impl StreamingSystem {
 
         // 5. Everything arriving strictly inside this period lands before
         //    playback advances.
-        self.drain_arrivals(next, false);
+        self.drain_arrivals(self.period_index + 1, false);
 
         // 6. Playback, milestones and accounting, as in period mode.
         self.period_index += 1;
@@ -883,10 +881,10 @@ impl StreamingSystem {
 
         if net.config.is_ideal() {
             // Zero latency: every grant arrives at this same boundary, in
-            // grant order — the queue would round-trip each message
-            // through the heap only to pop it straight back out in FIFO
-            // order, so apply the arrivals inline (the `net/*` bench pins
-            // the event-core overhead this short-circuit buys back).
+            // grant order — the calendar would hand each message straight
+            // back out in send order, so apply the arrivals inline (the
+            // `net/*` bench pins the event-core overhead this short-circuit
+            // buys back).
             for d in grants {
                 net.stats.data_sent += 1;
                 self.traffic_total.add_data(segment_bits);
@@ -925,7 +923,7 @@ impl StreamingSystem {
             let arrival = now.saturating_add(SimDuration::from_millis(
                 rtt_ms.round().max(0.0) as u64 + jitter,
             ));
-            net.queue.push(
+            net.calendar.push(
                 arrival,
                 NetMessage {
                     requester: d.requester,
@@ -933,43 +931,34 @@ impl StreamingSystem {
                     segment: d.segment,
                 },
             );
-            net.stats.max_in_flight = net.stats.max_in_flight.max(net.queue.len() as u64);
+            net.stats.max_in_flight = net.stats.max_in_flight.max(net.calendar.len() as u64);
         }
     }
 
-    /// Applies every in-flight message with arrival time `<= bound`
-    /// (inclusive) or `< bound` (exclusive) to its requester's buffer, in
-    /// (arrival time, send sequence) order.  Arrivals for peers that have
+    /// Applies every in-flight message due before the boundary of `period`
+    /// (and, when `inclusive`, exactly at it) to its requester's buffer, in
+    /// (arrival time, send order) order.  Arrivals for peers that have
     /// since left the overlay are dropped and counted; duplicate arrivals
     /// are idempotent ([`crate::buffer::FifoBuffer::insert`]).  Data bits
     /// are accounted at arrival — the instant period mode accounts them at,
     /// once latency is zero.
-    fn drain_arrivals(&mut self, bound: SimTime, inclusive: bool) {
-        loop {
-            let popped = {
-                let net = self.net.as_mut().expect("network model installed");
-                if inclusive {
-                    net.queue.pop_at_or_before(bound)
-                } else {
-                    net.queue.pop_before(bound)
-                }
-            };
-            let Some(event) = popped else {
-                return;
-            };
-            let msg = event.payload;
-            let net = self.net.as_mut().expect("network model installed");
+    fn drain_arrivals(&mut self, period: u64, inclusive: bool) {
+        let net = self.net.as_mut().expect("network model installed");
+        let arrivals = net.calendar.drain(period, inclusive);
+        let mut delivered = 0;
+        for msg in arrivals {
             if self.overlay.graph().is_active(msg.requester) {
                 self.peers.buffer_mut(msg.requester).insert(msg.segment);
-                self.traffic_total.add_data(self.config.segment_bits);
-                net.stats.data_delivered += 1;
-            } else {
-                // The receiver zapped away or churned out mid-flight; the
-                // bits were still spent on the wire.
-                self.traffic_total.add_data(self.config.segment_bits);
-                net.stats.data_stale += 1;
+                delivered += 1;
             }
         }
+        // Stale arrivals — the receiver zapped away or churned out
+        // mid-flight — still spent their bits on the wire.
+        let landed = arrivals.len() as u64;
+        self.traffic_total
+            .add_data(landed * self.config.segment_bits);
+        net.stats.data_delivered += delivered;
+        net.stats.data_stale += landed - delivered;
     }
 
     /// Builds the run report.  The per-peer switch records fold into their
@@ -1104,10 +1093,9 @@ impl StreamingSystem {
             }
         }
 
-        for &left in &self.churn_scratch.left {
-            if (left as usize) < self.switch_records.len() {
-                self.switch_records[left as usize].departed = true;
-            }
+        for i in 0..self.churn_scratch.left.len() {
+            let left = self.churn_scratch.left[i];
+            self.release_departed(left);
         }
         // Joiners may neighbour each other within the same churn step, so
         // allocate all their protocol state first and only then compute join
@@ -1123,6 +1111,17 @@ impl StreamingSystem {
             self.rejoin_at_neighbours(joined);
         }
         self.repair_membership();
+    }
+
+    /// Marks a departed peer's switch record and releases its buffer
+    /// storage.  Gathers read only active neighbours, arrivals for inactive
+    /// requesters are counted as stale and the memory meter walks active
+    /// peers, so no report can observe the released buffer.
+    fn release_departed(&mut self, peer: PeerId) {
+        if let Some(record) = self.switch_records.get_mut(peer as usize) {
+            record.departed = true;
+        }
+        *self.peers.buffer_mut(peer) = FifoBuffer::default();
     }
 
     fn emit_segments(&mut self) {
@@ -1769,7 +1768,7 @@ impl StreamingSystem {
 
 impl MemoryFootprint for StreamingSystem {
     /// The whole simulated process: every peer slot (including departed
-    /// peers, whose state stays allocated), the scratch arena, the
+    /// peers, whose inline state stays), the scratch arena, the
     /// membership view, the switch records and ratio samples.  Unlike
     /// [`SystemReport::mem`] this depends on the configured parallelism
     /// (worker slots) and is *not* surfaced in reports.
@@ -2923,6 +2922,66 @@ mod tests {
             stats.data_sent,
             stats.data_delivered + stats.data_stale + sys.network().unwrap().in_flight() as u64
         );
+    }
+
+    /// Ids are never reused, so every departure leaves its slot behind.
+    /// Over a lossy, delayed event-mode run with churn and a zap batch
+    /// every period, the bytes the peer store holds beyond the active
+    /// peers' buffers may grow by at most the inline stride per departed
+    /// slot — a departed peer's ~4 KB of segment storage is released.
+    #[test]
+    fn departed_slots_keep_only_inline_state() {
+        let mut sys = build_system(80, 0xDE9A);
+        let source = sys.overlay().active_peers().next().unwrap();
+        sys.set_churn(ChurnModel::new(0.02, 0.02, 5, 0xD0D0));
+        sys.set_network(NetworkConfig {
+            latency_scale: 10.0,
+            loss_rate: 0.05,
+            jitter_ms: 20,
+            seed: 0x77,
+        });
+        sys.start_initial_source(source);
+        sys.run_periods(10);
+        let attrs = *sys.overlay().attrs(source).unwrap();
+        let stride = std::mem::size_of::<FifoBuffer>() + std::mem::size_of::<PeerHeader>();
+        let departed =
+            |sys: &StreamingSystem| sys.switch_records().iter().filter(|r| r.departed).count();
+        // Store bytes not owned by an active peer's buffer.
+        let retained = |sys: &StreamingSystem| {
+            let store = sys.peer_store();
+            let live: usize = sys
+                .overlay()
+                .active_peers()
+                .map(|p| store.buffer(p).heap_bytes())
+                .sum();
+            store.heap_bytes() - live
+        };
+        let (departed_before, retained_before) = (departed(&sys), retained(&sys));
+        for period in 0..300 {
+            // A zap batch: two viewers leave, two arrive.
+            let leavers: Vec<PeerId> = sys
+                .overlay()
+                .active_peers()
+                .filter(|&p| p != source)
+                .skip(period % 7)
+                .take(2)
+                .collect();
+            sys.depart_batch(&leavers).unwrap();
+            let hosts: Vec<PeerId> = sys.overlay().active_peers().take(4).collect();
+            sys.admit_batch(&[(attrs, hosts.clone()), (attrs, hosts)])
+                .unwrap();
+            sys.advance();
+
+            let growth = retained(&sys) - retained_before;
+            let bound = (departed(&sys) - departed_before) * stride;
+            assert!(
+                growth <= bound,
+                "period {period}: departed slots grew the store by {growth} B, \
+                 inline bound {bound} B"
+            );
+        }
+        assert!(departed(&sys) - departed_before >= 600);
+        assert!(sys.network_stats().data_stale > 0);
     }
 
     #[test]
