@@ -29,7 +29,9 @@
 //! * [`net`] — the message-level network model of the event-driven
 //!   stepping mode: granted transfers ride a per-period arrival calendar as
 //!   scheduled messages with per-link latency, Bernoulli loss and bounded
-//!   jitter from stateless fault streams (see `docs/network.md`),
+//!   jitter from stateless fault streams (see `docs/network.md`); the
+//!   calendar itself, the time-ordered queue of in-flight messages, lives
+//!   in the crate-private `queue` module,
 //! * [`directory`] — the cross-channel membership directory: per-channel
 //!   [`directory::MembershipView`]s maintained incrementally on every
 //!   join/depart (churn, zaps, storms), and the shared allocation-free
@@ -65,6 +67,7 @@ pub mod peer;
 pub mod playback;
 pub(crate) mod prefetch;
 pub mod qoe;
+pub(crate) mod queue;
 pub mod scheduler;
 pub mod scratch;
 pub mod segment;

@@ -1,11 +1,12 @@
 //! The message-level network model behind the event-driven stepping mode.
 //!
 //! [`NetworkModel`] carries granted segment transfers as scheduled messages
-//! in an `ArrivalCalendar` (one bucket per arrival period) instead of
-//! delivering them inside the period that resolved them.  Each message
-//! leaves its supplier at the period boundary, survives a Bernoulli
-//! data-leg loss draw, and arrives after the modeled request+data round
-//! trip (scaled trace latency) plus a bounded jitter.  Buffer-map and request legs are modeled at the boundary itself:
+//! in an arrival calendar (the crate's `queue` module: one bucket per
+//! arrival period) instead of delivering them inside the period that
+//! resolved them.  Each message leaves its supplier at the period boundary,
+//! survives a Bernoulli data-leg loss draw, and arrives after the modeled
+//! request+data round trip (scaled trace latency) plus a bounded jitter.
+//! Buffer-map and request legs are modeled at the boundary itself:
 //! a lost buffer map blinds a requester to that supplier for the period,
 //! and a lost request never reaches (or charges) the supplier.
 //!
@@ -26,12 +27,12 @@
 //! stored inline, and drained buckets keep their capacity, so steady-state
 //! event stepping stays allocation-free (enforced by `zero_alloc.rs`).
 
-use crate::mem::{vec_bytes, MemoryFootprint};
+use crate::mem::MemoryFootprint;
+use crate::queue::ArrivalCalendar;
 use crate::segment::SegmentId;
 use fss_overlay::net::{LinkFaults, NetworkConfig};
 use fss_overlay::PeerId;
 use fss_sim::SimTime;
-use std::collections::VecDeque;
 
 /// One in-flight message: a granted segment on its way to the requester.
 ///
@@ -126,7 +127,7 @@ impl NetworkModel {
 
     /// The virtual instant of period boundary `period_index`.
     pub fn boundary(&self, period_index: u64) -> SimTime {
-        SimTime::from_millis(period_index.saturating_mul(self.calendar.tau_ms))
+        SimTime::from_millis(period_index.saturating_mul(self.calendar.tau_ms()))
     }
 }
 
@@ -136,253 +137,15 @@ impl MemoryFootprint for NetworkModel {
     }
 }
 
-/// `τ` up to this many milliseconds orders a bucket by counting sort; a
-/// longer period sorts by comparison rather than keep a table that large.
-const COUNTING_SORT_MAX_TAU_MS: u64 = 1 << 16;
-
-/// The arrivals due inside one period, in send order.
-#[derive(Debug, Default)]
-struct Bucket {
-    /// Arrivals exactly at the period's boundary (offset 0).
-    at_boundary: Vec<NetMessage>,
-    /// Later arrivals as (millisecond offset inside the period, message).
-    inside: Vec<(u64, NetMessage)>,
-}
-
-impl Bucket {
-    fn add(&mut self, offset: u64, msg: NetMessage) {
-        if offset == 0 {
-            self.at_boundary.push(msg);
-        } else {
-            self.inside.push((offset, msg));
-        }
-    }
-}
-
-/// The in-flight messages of the event-mode network: a ring of buckets,
-/// one per arrival period, drained at period boundaries.
-///
-/// Every transfer is sent at a boundary, so arrivals only need ordering
-/// within the period they land in.  [`push`](Self::push) appends to that
-/// period's bucket in O(1); a drain takes whole buckets from the front,
-/// orders each with a stable counting sort on the offset — arrival time
-/// first, then send order, exactly a `(time, sequence)` min-heap's pop
-/// order — and hands them out as one slice.  Drained buckets rotate to the
-/// back of the ring with their capacity, so steady state reuses storage.
-/// Arrivals beyond the ring's horizon wait in send order in an overflow
-/// list and join their bucket once it enters the ring (which is before any
-/// later push can reach it, so send order still holds).
-#[derive(Debug)]
-pub(crate) struct ArrivalCalendar {
-    /// The scheduling period `τ` in millisecond ticks (≥ 1).
-    tau_ms: u64,
-    /// Period index of `ring[0]`; every earlier period is drained.
-    base: u64,
-    /// One bucket per period `base..base + ring.len()`.
-    ring: VecDeque<Bucket>,
-    /// Arrivals at or beyond period `base + ring.len()`, in send order.
-    beyond: Vec<(SimTime, NetMessage)>,
-    /// Messages in flight (ring and overflow).
-    len: usize,
-    /// The last drain's arrivals in arrival order (reused).
-    drained: Vec<NetMessage>,
-    /// Counting-sort table, one slot per millisecond of `τ` (empty when
-    /// `τ` exceeds [`COUNTING_SORT_MAX_TAU_MS`]).
-    counts: Vec<usize>,
-}
-
-impl ArrivalCalendar {
-    /// A calendar of `horizon` (at least one) period buckets, each
-    /// pre-reserved for `per_period` arrivals.
-    pub(crate) fn new(tau_ms: u64, horizon: usize, per_period: usize) -> Self {
-        let ring = (0..horizon.max(1))
-            .map(|_| Bucket {
-                at_boundary: Vec::new(),
-                inside: Vec::with_capacity(per_period),
-            })
-            .collect();
-        let counts = if tau_ms <= COUNTING_SORT_MAX_TAU_MS {
-            vec![0; tau_ms as usize]
-        } else {
-            Vec::new()
-        };
-        ArrivalCalendar {
-            tau_ms,
-            base: 0,
-            ring,
-            beyond: Vec::new(),
-            len: 0,
-            drained: Vec::with_capacity(per_period),
-            counts,
-        }
-    }
-
-    /// Messages in flight.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Schedules `msg` to arrive at `time`.
-    ///
-    /// # Panics
-    /// Panics if `time` lies in a period that was already drained.
-    pub(crate) fn push(&mut self, time: SimTime, msg: NetMessage) {
-        let period = time.as_millis() / self.tau_ms;
-        assert!(
-            period >= self.base,
-            "arrival at {time:?} precedes the drained horizon (period {})",
-            self.base
-        );
-        self.len += 1;
-        match self.ring.get_mut(bucket_index(period - self.base)) {
-            Some(bucket) => bucket.add(time.as_millis() % self.tau_ms, msg),
-            None => self.beyond.push((time, msg)),
-        }
-    }
-
-    /// Removes every message due before the boundary of `period` — and,
-    /// when `inclusive`, also those due exactly at it — and returns them in
-    /// (arrival time, send order) order.
-    pub(crate) fn drain(&mut self, period: u64, inclusive: bool) -> &[NetMessage] {
-        self.drained.clear();
-        while self.base < period {
-            if self.len == self.beyond.len() {
-                // The ring is empty: jump to the earliest overflow period,
-                // or straight to `period`.
-                let next = self
-                    .beyond
-                    .iter()
-                    .map(|&(t, _)| t.as_millis() / self.tau_ms)
-                    .min()
-                    .map_or(period, |p| p.min(period));
-                self.base = next;
-                self.admit_beyond();
-                continue;
-            }
-            let mut bucket = self.ring.pop_front().expect("the ring has a bucket");
-            self.drained.extend_from_slice(&bucket.at_boundary);
-            bucket.at_boundary.clear();
-            sort_into(&mut bucket.inside, &mut self.counts, &mut self.drained);
-            bucket.inside.clear();
-            self.ring.push_back(bucket);
-            self.base += 1;
-            self.admit_beyond();
-        }
-        if inclusive && self.base == period {
-            let front = &mut self.ring[0].at_boundary;
-            self.drained.extend_from_slice(front);
-            front.clear();
-        }
-        self.len -= self.drained.len();
-        &self.drained
-    }
-
-    /// Arrival time of the earliest in-flight message, if any.
-    pub(crate) fn next_arrival(&self) -> Option<SimTime> {
-        let in_ring = self.ring.iter().enumerate().find_map(|(i, b)| {
-            let first = if b.at_boundary.is_empty() {
-                b.inside.iter().map(|&(offset, _)| offset).min()?
-            } else {
-                0
-            };
-            Some((self.base + i as u64) * self.tau_ms + first)
-        });
-        in_ring
-            .or_else(|| self.beyond.iter().map(|&(t, _)| t.as_millis()).min())
-            .map(SimTime::from_millis)
-    }
-
-    /// Moves overflow arrivals whose period has entered the ring into their
-    /// buckets, keeping send order.
-    fn admit_beyond(&mut self) {
-        if self.beyond.is_empty() {
-            return;
-        }
-        let (tau_ms, base) = (self.tau_ms, self.base);
-        let ring = &mut self.ring;
-        self.beyond.retain(|&(time, msg)| {
-            let index = bucket_index(time.as_millis() / tau_ms - base);
-            match ring.get_mut(index) {
-                Some(bucket) => {
-                    bucket.add(time.as_millis() % tau_ms, msg);
-                    false
-                }
-                None => true,
-            }
-        });
-    }
-}
-
-/// A ring position for a period `ahead` periods past the front; saturates,
-/// so a period too far out for `usize` is simply off the ring.
-fn bucket_index(ahead: u64) -> usize {
-    usize::try_from(ahead).unwrap_or(usize::MAX)
-}
-
-/// Appends `inside`'s messages to `out` ordered by offset, ties in send
-/// order: a counting sort over `counts` (one slot per offset), or a stable
-/// comparison sort when `counts` is empty.
-fn sort_into(inside: &mut [(u64, NetMessage)], counts: &mut [usize], out: &mut Vec<NetMessage>) {
-    let Some(&(_, filler)) = inside.first() else {
-        return;
-    };
-    if counts.is_empty() {
-        inside.sort_by_key(|&(offset, _)| offset);
-        out.extend(inside.iter().map(|&(_, msg)| msg));
-        return;
-    }
-    counts.fill(0);
-    for &(offset, _) in inside.iter() {
-        counts[offset as usize] += 1;
-    }
-    let mut next = out.len();
-    for slot in counts.iter_mut() {
-        let n = *slot;
-        *slot = next;
-        next += n;
-    }
-    out.resize(next, filler);
-    for &(offset, msg) in inside.iter() {
-        let slot = &mut counts[offset as usize];
-        out[*slot] = msg;
-        *slot += 1;
-    }
-}
-
-impl MemoryFootprint for ArrivalCalendar {
-    fn heap_bytes(&self) -> usize {
-        let slot = std::mem::size_of::<Bucket>();
-        self.ring.capacity() * slot
-            + self
-                .ring
-                .iter()
-                .map(|b| vec_bytes(&b.at_boundary) + vec_bytes(&b.inside))
-                .sum::<usize>()
-            + vec_bytes(&self.beyond)
-            + vec_bytes(&self.drained)
-            + vec_bytes(&self.counts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    fn msg(i: u64) -> NetMessage {
-        NetMessage {
-            requester: 1,
-            supplier: 2,
-            segment: SegmentId(i),
-        }
-    }
 
     #[test]
     fn new_validates_and_presizes() {
         let m = NetworkModel::new(NetworkConfig::ideal(), 1_000, 3, 64);
-        assert_eq!(m.calendar.ring.len(), 3);
-        assert!(m.calendar.ring.iter().all(|b| b.inside.capacity() >= 64));
+        let per_bucket = 64 * std::mem::size_of::<(u64, NetMessage)>();
+        assert!(m.calendar.heap_bytes() >= 3 * per_bucket);
         assert_eq!(m.in_flight(), 0);
         assert_eq!(m.stats(), NetStats::default());
         assert_eq!(m.boundary(3), SimTime::from_millis(3_000));
@@ -408,151 +171,5 @@ mod tests {
         fn assert_copy<T: Copy>() {}
         assert_copy::<NetMessage>();
         assert!(std::mem::size_of::<NetMessage>() <= 24);
-    }
-
-    #[test]
-    fn drains_order_by_time_then_send_order() {
-        let mut c = ArrivalCalendar::new(1_000, 2, 0);
-        for (t, i) in [(1_500, 0), (1_200, 1), (1_000, 2), (1_500, 3), (2_000, 4)] {
-            c.push(SimTime::from_millis(t), msg(i));
-        }
-        c.push(SimTime::from_millis(9_999), msg(5));
-        assert_eq!(c.next_arrival(), Some(SimTime::from_millis(1_000)));
-        assert!(c.drain(1, false).is_empty());
-        let ids = |s: &[NetMessage]| s.iter().map(|m| m.segment.0).collect::<Vec<_>>();
-        assert_eq!(ids(c.drain(1, true)), [2]);
-        assert_eq!(ids(c.drain(2, true)), [1, 0, 3, 4]);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.next_arrival(), Some(SimTime::from_millis(9_999)));
-        assert_eq!(ids(c.drain(10, false)), [5]);
-        assert_eq!(c.len(), 0);
-    }
-
-    #[test]
-    fn long_tau_sorts_by_comparison() {
-        let tau_ms = COUNTING_SORT_MAX_TAU_MS + 1;
-        let mut c = ArrivalCalendar::new(tau_ms, 1, 0);
-        assert!(c.counts.is_empty());
-        for (t, i) in [(tau_ms - 1, 0), (5, 1), (tau_ms - 1, 2)] {
-            c.push(SimTime::from_millis(t), msg(i));
-        }
-        let ids: Vec<u64> = c.drain(1, false).iter().map(|m| m.segment.0).collect();
-        assert_eq!(ids, [1, 0, 2]);
-    }
-
-    #[test]
-    fn idle_periods_do_not_grow_the_ring() {
-        let mut c = ArrivalCalendar::new(1_000, 4, 8);
-        let before = c.heap_bytes();
-        for period in 0..1_000 {
-            assert!(c.drain(period, true).is_empty());
-            assert!(c.drain(period + 1, false).is_empty());
-        }
-        assert_eq!(c.ring.len(), 4);
-        assert_eq!(c.base, 1_000);
-        assert_eq!(c.heap_bytes(), before);
-    }
-
-    #[test]
-    #[should_panic(expected = "precedes the drained horizon")]
-    fn pushing_into_a_drained_period_panics() {
-        let mut c = ArrivalCalendar::new(1_000, 2, 0);
-        c.drain(3, false);
-        c.push(SimTime::from_millis(2_999), msg(0));
-    }
-
-    /// The calendar's spec: a `(time, sequence)` min-heap drained by bound.
-    #[derive(Default)]
-    struct HeapSpec {
-        heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
-        seq: u64,
-    }
-
-    impl HeapSpec {
-        fn push(&mut self, time: u64, id: u64) {
-            self.heap.push(Reverse((time, self.seq, id)));
-            self.seq += 1;
-        }
-
-        fn drain(&mut self, bound: u64, inclusive: bool) -> Vec<u64> {
-            let mut out = Vec::new();
-            while let Some(&Reverse((t, _, id))) = self.heap.peek() {
-                if t < bound || (inclusive && t == bound) {
-                    self.heap.pop();
-                    out.push(id);
-                } else {
-                    break;
-                }
-            }
-            out
-        }
-
-        fn next_arrival(&self) -> Option<SimTime> {
-            self.heap.peek().map(|r| SimTime::from_millis(r.0 .0))
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
-        /// Differential test against a binary heap: pushes at offset 0 of
-        /// the current boundary, latencies spanning several periods and
-        /// 50 τ (past the ring, into the overflow list), idle periods and
-        /// inclusive/exclusive drains interleaved with the pushes.  After
-        /// every step the drain order, `len` and `next_arrival` match.
-        #[test]
-        fn prop_calendar_matches_a_binary_heap(
-            tau_ms in 1u64..40,
-            horizon in 1usize..4,
-            ops in proptest::collection::vec((0u8..16, 0u64..1_000_000), 0..300),
-        ) {
-            let mut cal = ArrivalCalendar::new(tau_ms, horizon, 4);
-            let mut spec = HeapSpec::default();
-            let mut period = 0u64;
-            for (i, &(tag, value)) in ops.iter().enumerate() {
-                let now = period * tau_ms;
-                let id = i as u64;
-                let drained = match tag {
-                    // At the boundary itself.
-                    0..=1 => {
-                        cal.push(SimTime::from_millis(now), msg(id));
-                        spec.push(now, id);
-                        None
-                    }
-                    // Inside this period or the next few.
-                    2..=7 => {
-                        let t = now + value % (tau_ms * 4);
-                        cal.push(SimTime::from_millis(t), msg(id));
-                        spec.push(t, id);
-                        None
-                    }
-                    // Fifty periods out, give or take a period.
-                    8 => {
-                        let t = now + 50 * tau_ms + value % (2 * tau_ms);
-                        cal.push(SimTime::from_millis(t), msg(id));
-                        spec.push(t, id);
-                        None
-                    }
-                    9..=10 => Some((period, true)),
-                    // Close this period and open the next.
-                    11..=13 => {
-                        period += 1;
-                        Some((period, false))
-                    }
-                    // Idle periods: several boundaries with no pushes.
-                    _ => {
-                        period += 1 + value % 60;
-                        Some((period, value % 2 == 0))
-                    }
-                };
-                if let Some((p, inclusive)) = drained {
-                    let got: Vec<u64> =
-                        cal.drain(p, inclusive).iter().map(|m| m.segment.0).collect();
-                    proptest::prop_assert_eq!(got, spec.drain(p * tau_ms, inclusive));
-                }
-                proptest::prop_assert_eq!(cal.len(), spec.heap.len());
-                proptest::prop_assert_eq!(cal.next_arrival(), spec.next_arrival());
-                proptest::prop_assert_eq!(cal.ring.len(), horizon);
-            }
-        }
     }
 }

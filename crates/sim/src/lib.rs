@@ -18,7 +18,7 @@
 //!
 //! The substrate is intentionally free of any networking or streaming
 //! concepts; those live in `fss-gossip` (whose event-mode network keeps its
-//! in-flight messages in a per-period arrival calendar, `fss_gossip::net`).
+//! in-flight messages in a per-period arrival calendar, `fss_gossip::queue`).
 
 #![warn(missing_docs)]
 
