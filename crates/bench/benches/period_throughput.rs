@@ -7,11 +7,11 @@
 //! * `reference_period` — the original straight-line implementation
 //!   (`step_reference`): fresh allocations, per-id neighbour probing,
 //!   map-based transfer resolution;
-//! * `optimized_period` — the scratch-arena hot path (`step`): zero
+//! * `optimized_period` — the scratch-arena hot path (`advance`): zero
 //!   steady-state allocation, dense PeerId indexing, word-level bitset
 //!   candidate intersection;
-//! * `optimized_period_1k_pool*` (with `--features parallel`) — the same
-//!   hot path with the scheduling sweep dispatched onto the persistent
+//! * `optimized_period_1k_pool*` — the same hot path on a sharded store,
+//!   with both dispatches of the period fanned out over the persistent
 //!   `fss-runtime` worker pool (no thread spawns per period);
 //! * `mem/*` — the per-peer footprint meter on the same steady system:
 //!   prints steady-state bytes/peer (compact vs legacy layout) and times
@@ -83,25 +83,20 @@ fn bench_period_throughput(c: &mut Criterion) {
     group.bench_function("reference_period_1k", |b| b.iter(|| sys.step_reference()));
 
     let mut sys = steady_system(1);
-    group.bench_function("optimized_period_1k", |b| b.iter(|| sys.step()));
+    group.bench_function("optimized_period_1k", |b| b.iter(|| sys.advance()));
 
-    #[cfg(feature = "parallel")]
-    {
-        let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
-        let pool = std::sync::Arc::new(fss_runtime::WorkerPool::new(workers));
-        let mut sys = steady_system(1);
-        sys.set_parallelism(workers);
-        sys.set_executor(pool.as_executor());
-        group.bench_function("optimized_period_1k_pool", |b| b.iter(|| sys.step()));
+    let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let pool = std::sync::Arc::new(fss_runtime::WorkerPool::new(workers));
+    let mut sys = sharded_steady_system(1, workers);
+    sys.set_executor(pool.as_executor());
+    group.bench_function("optimized_period_1k_pool", |b| b.iter(|| sys.advance()));
 
-        // A deliberately oversubscribed pool (4 workers regardless of vCPUs)
-        // bounds the dispatch overhead the persistent pool adds per period.
-        let pool = std::sync::Arc::new(fss_runtime::WorkerPool::new(4));
-        let mut sys = steady_system(1);
-        sys.set_parallelism(4);
-        sys.set_executor(pool.as_executor());
-        group.bench_function("optimized_period_1k_pool4", |b| b.iter(|| sys.step()));
-    }
+    // A deliberately oversubscribed pool (4 workers regardless of vCPUs)
+    // bounds the dispatch overhead the persistent pool adds per period.
+    let pool = std::sync::Arc::new(fss_runtime::WorkerPool::new(4));
+    let mut sys = sharded_steady_system(1, 4);
+    sys.set_executor(pool.as_executor());
+    group.bench_function("optimized_period_1k_pool4", |b| b.iter(|| sys.advance()));
 
     group.finish();
 }
@@ -166,7 +161,7 @@ fn bench_million_peers(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("period");
     group.sample_size(10);
-    group.bench_function("optimized_period_1m_sharded", |b| b.iter(|| sys.step()));
+    group.bench_function("optimized_period_1m_sharded", |b| b.iter(|| sys.advance()));
     group.finish();
 
     let mut group = c.benchmark_group("mem");
@@ -187,10 +182,10 @@ fn bench_locality(c: &mut Criterion) {
     group.sample_size(10);
 
     let mut sys = steady_system(1);
-    group.bench_function("fused_period_1k", |b| b.iter(|| sys.step()));
+    group.bench_function("fused_period_1k", |b| b.iter(|| sys.advance()));
 
     let mut sys = sharded_steady_system(1, 8);
-    group.bench_function("fused_period_1k_sharded8", |b| b.iter(|| sys.step()));
+    group.bench_function("fused_period_1k_sharded8", |b| b.iter(|| sys.advance()));
 
     group.finish();
 }
@@ -288,7 +283,7 @@ fn bench_qoe_overhead(c: &mut Criterion) {
 
     let mut sys = steady_system(1);
     assert!(sys.qoe().is_enabled(), "QoE recording defaults to on");
-    group.bench_function("events_on_1k", |b| b.iter(|| sys.step()));
+    group.bench_function("events_on_1k", |b| b.iter(|| sys.advance()));
     assert!(
         sys.qoe().totals().startups > 0,
         "the instrumented steps must record startups"
@@ -296,7 +291,7 @@ fn bench_qoe_overhead(c: &mut Criterion) {
 
     let mut sys = steady_system(1);
     sys.set_qoe_enabled(false);
-    group.bench_function("events_off_1k", |b| b.iter(|| sys.step()));
+    group.bench_function("events_off_1k", |b| b.iter(|| sys.advance()));
 
     group.finish();
 }
@@ -316,7 +311,7 @@ fn bench_net_overhead(c: &mut Criterion) {
     group.sample_size(10);
 
     let mut sys = steady_system(1);
-    group.bench_function("period_mode_1k", |b| b.iter(|| sys.step()));
+    group.bench_function("period_mode_1k", |b| b.iter(|| sys.advance()));
 
     let mut sys = steady_system(1);
     sys.set_network(NetworkConfig::ideal());

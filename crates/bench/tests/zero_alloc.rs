@@ -228,8 +228,8 @@ fn steady_state_zap_batch_resolution_does_not_allocate() {
 }
 
 /// The sharded struct-of-arrays store keeps the guarantee: with the peer
-/// columns split over multiple shards the scheduling pass runs one chunk
-/// per shard (serially without the `parallel` feature), and the chunk plan
+/// columns split over multiple shards the period runs one chunk per shard
+/// (serially without an executor), and the chunk plan
 /// lives in the pooled `PeriodScratch` — steady-state periods still touch
 /// the heap zero times.
 #[test]
@@ -263,7 +263,7 @@ fn sharded_steady_state_period_loop_does_not_allocate() {
 
 /// The event-driven stepping mode keeps the guarantee: with a delayed,
 /// jittered network model installed, every in-flight message lives in the
-/// arrival calendar (`NetMessage` is `Copy`; each per-period bucket was
+/// arrival calendar (`DeliveredSegment` is `Copy`; each per-period bucket was
 /// pre-reserved from the bandwidth budget at `set_network` time and keeps
 /// its capacity as the ring rotates) and the jitter draws are stateless
 /// hashes — so steady-state event periods still touch the heap zero times.
@@ -382,7 +382,7 @@ fn telemetry_enabled_stepping_and_harvest_do_not_allocate() {
 
     let (during, ()) = counted(|| {
         for _ in 0..24 {
-            sys.step();
+            sys.advance();
             let sample = *sys.qoe().latest().unwrap();
             timeline.push(QoeWindow::from_sample(&sample));
             for &delay in sys.qoe().startup_delays_periods() {
@@ -441,45 +441,54 @@ fn sorted_sample_quantile_does_not_allocate_per_call() {
 /// chunk-stealing cursor, condvar parking) and must not allocate either, on
 /// any thread: every pool thread is armed.  The store has at least 4
 /// shards, so the chunk plan has several chunks, and QoE recording is on.
+/// Run in lockstep and in event mode under the ideal network, which takes
+/// the same two dispatches.
 #[test]
 fn steady_state_pool_parallel_period_loop_does_not_allocate() {
+    use fss_overlay::NetworkConfig;
     use std::sync::Arc;
 
-    let trace = TraceGenerator::new(GeneratorConfig::sized(300, 22)).generate("zero-alloc-pool");
-    let overlay = OverlayBuilder::paper_default().build(&trace).unwrap();
-    let source = overlay.active_peers().next().unwrap();
+    for network in [None, Some(NetworkConfig::ideal())] {
+        let trace =
+            TraceGenerator::new(GeneratorConfig::sized(300, 22)).generate("zero-alloc-pool");
+        let overlay = OverlayBuilder::paper_default().build(&trace).unwrap();
+        let source = overlay.active_peers().next().unwrap();
 
-    let pool = Arc::new(WorkerPool::new(4));
-    let mut sys = StreamingSystem::new(
-        overlay,
-        GossipConfig::paper_default(),
-        Box::new(FastSwitchScheduler::new()),
-    );
-    sys.set_shards(8);
-    assert!(
-        sys.shard_count() >= 4,
-        "the chunk plan needs several shards"
-    );
-    sys.set_executor(pool.as_executor());
-    assert!(sys.qoe().is_enabled());
-    sys.start_initial_source(source);
+        let pool = Arc::new(WorkerPool::new(4));
+        let mut sys = StreamingSystem::new(
+            overlay,
+            GossipConfig::paper_default(),
+            Box::new(FastSwitchScheduler::new()),
+        );
+        sys.set_shards(8);
+        assert!(
+            sys.shard_count() >= 4,
+            "the chunk plan needs several shards"
+        );
+        sys.set_executor(pool.as_executor());
+        if let Some(config) = network {
+            sys.set_network(config);
+        }
+        assert!(sys.qoe().is_enabled());
+        sys.start_initial_source(source);
 
-    // Warm-up: scratch arenas and per-chunk slots reach their high-water
-    // marks; the pool's threads are long since spawned.
-    sys.run_periods(80);
+        // Warm-up: scratch arenas and per-chunk slots reach their high-water
+        // marks; the pool's threads are long since spawned.
+        sys.run_periods(80);
 
-    let dispatches = pool.dispatches();
-    let (during, ()) = counted_on_pool(&pool, || sys.run_periods(20));
-    assert_eq!(
-        during, 0,
-        "pool-backed steady-state periods allocated {during} times; \
-         the per-chunk grant, QoE and ratio buffers and job dispatch must be allocation-free"
-    );
-    // Two dispatches per period (plus the two arming jobs).
-    assert_eq!(pool.dispatches() - dispatches, 2 * 20 + 2);
+        let dispatches = pool.dispatches();
+        let (during, ()) = counted_on_pool(&pool, || sys.run_periods(20));
+        assert_eq!(
+            during, 0,
+            "pool-backed steady-state periods allocated {during} times; \
+             the per-chunk grant, QoE and ratio buffers and job dispatch must be allocation-free"
+        );
+        // Two dispatches per period (plus the two arming jobs).
+        assert_eq!(pool.dispatches() - dispatches, 2 * 20 + 2);
 
-    let report = sys.report();
-    assert_eq!(report.periods, 100);
-    assert!(report.traffic_total.data_bits > 0);
-    assert!(sys.qoe().totals().played > 0);
+        let report = sys.report();
+        assert_eq!(report.periods, 100);
+        assert!(report.traffic_total.data_bits > 0);
+        assert!(sys.qoe().totals().played > 0);
+    }
 }

@@ -40,7 +40,7 @@
 //! * [`peer`] — per-node protocol state and context construction,
 //! * [`store`] — struct-of-arrays sharded peer storage: dense contiguous
 //!   peer-id shards owning their peers' state as parallel columns, the
-//!   chunk unit of the parallel scheduling pass (see `docs/performance.md`),
+//!   chunk unit of both dispatches of a period (see `docs/performance.md`),
 //! * [`stats`] — traffic counters, switch records and ratio samples,
 //! * [`qoe`] — counter-only QoE event recording on the playback path
 //!   (startups, stall episodes, continuity, switch progress), one
@@ -81,7 +81,7 @@ pub use buffermap::BufferMap;
 pub use config::GossipConfig;
 pub use directory::{AdmissionPipeline, AdmissionScratch, MembershipView, ViewConfig};
 pub use mem::{BufferMemBreakdown, MemUsage, MemoryFootprint};
-pub use net::{NetMessage, NetStats, NetworkModel};
+pub use net::{NetStats, NetworkModel};
 pub use peer::{NeighborInfo, PeerNode};
 pub use playback::{PlaybackPhase, PlaybackState};
 pub use qoe::{PeriodSample, QoeRecorder, QoeTotals};

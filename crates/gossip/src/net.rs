@@ -17,36 +17,21 @@
 //!   order cannot change an outcome;
 //! * the calendar orders arrivals by time and ties by send order, and sends
 //!   happen in the resolver's deterministic grant order;
-//! * the ideal configuration ([`fss_overlay::NetworkConfig::ideal`])
-//!   schedules every arrival at the boundary that resolved it, reproducing
-//!   period-lockstep stepping byte-for-byte (pinned by the golden-digest
-//!   suite).
+//! * the ideal configuration ([`fss_overlay::NetworkConfig::ideal`]) lands
+//!   every grant at the boundary that resolved it, so the fused walk
+//!   applies the period's grants directly — period-lockstep stepping,
+//!   byte-for-byte (pinned by the golden-digest suite).
 //!
 //! The model allocates only on installation and while the calendar's
-//! buckets warm up to their high-water marks: messages are `Copy` payloads
-//! stored inline, and drained buckets keep their capacity, so steady-state
-//! event stepping stays allocation-free (enforced by `zero_alloc.rs`).
+//! buckets warm up to their high-water marks: messages are `Copy`
+//! [`DeliveredSegment`](crate::transfer::DeliveredSegment)s stored inline,
+//! and drained buckets keep their capacity, so steady-state event stepping
+//! stays allocation-free (enforced by `zero_alloc.rs`).
 
 use crate::mem::MemoryFootprint;
 use crate::queue::ArrivalCalendar;
-use crate::segment::SegmentId;
 use fss_overlay::net::{LinkFaults, NetworkConfig};
-use fss_overlay::PeerId;
 use fss_sim::SimTime;
-
-/// One in-flight message: a granted segment on its way to the requester.
-///
-/// `Copy` and pointer-free by design — the queue stores payloads inline, so
-/// scheduling a message never touches the allocator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetMessage {
-    /// The node the segment is travelling to.
-    pub requester: PeerId,
-    /// The node that granted and sent it.
-    pub supplier: PeerId,
-    /// The segment being transferred.
-    pub segment: SegmentId,
-}
 
 /// Cumulative counters of the network model (diagnostics only — never part
 /// of [`crate::system::SystemReport`], so enabling them cannot perturb the
@@ -140,11 +125,12 @@ impl MemoryFootprint for NetworkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transfer::DeliveredSegment;
 
     #[test]
     fn new_validates_and_presizes() {
         let m = NetworkModel::new(NetworkConfig::ideal(), 1_000, 3, 64);
-        let per_bucket = 64 * std::mem::size_of::<(u64, NetMessage)>();
+        let per_bucket = 64 * std::mem::size_of::<(u64, DeliveredSegment)>();
         assert!(m.calendar.heap_bytes() >= 3 * per_bucket);
         assert_eq!(m.in_flight(), 0);
         assert_eq!(m.stats(), NetStats::default());
@@ -169,7 +155,7 @@ mod tests {
         // The zero-allocation guarantee rests on payloads living inline in
         // the calendar's buckets; keep the message small and Copy.
         fn assert_copy<T: Copy>() {}
-        assert_copy::<NetMessage>();
-        assert!(std::mem::size_of::<NetMessage>() <= 24);
+        assert_copy::<DeliveredSegment>();
+        assert!(std::mem::size_of::<DeliveredSegment>() <= 24);
     }
 }

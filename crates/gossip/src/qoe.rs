@@ -59,7 +59,7 @@ pub struct PeerQoe {
 /// (and max for the gauges) without floating-point order sensitivity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PeriodSample {
-    /// Period index this row describes (1-based: the first `step()` produces
+    /// Period index this row describes (1-based: the first `advance()` produces
     /// period 1).
     pub period: u64,
     /// Active peers observed this period (including sources).
@@ -220,7 +220,7 @@ impl QoeTotals {
 }
 
 /// Counter-only QoE event recorder driven from the playback pass of
-/// `StreamingSystem::step` (and, identically, `step_reference`).
+/// `StreamingSystem::advance` (and, identically, `step_reference`).
 ///
 /// The recorder owns no aggregation beyond the current period: callers read
 /// [`latest`](Self::latest) plus the per-period event buffers

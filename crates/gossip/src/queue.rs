@@ -7,7 +7,7 @@
 //! arrivals of one period at a time (see `docs/network.md`).
 
 use crate::mem::{vec_bytes, MemoryFootprint};
-use crate::net::NetMessage;
+use crate::transfer::DeliveredSegment;
 use fss_sim::SimTime;
 use std::collections::VecDeque;
 
@@ -19,13 +19,13 @@ const COUNTING_SORT_MAX_TAU_MS: u64 = 1 << 16;
 #[derive(Debug, Default)]
 struct Bucket {
     /// Arrivals exactly at the period's boundary (offset 0).
-    at_boundary: Vec<NetMessage>,
+    at_boundary: Vec<DeliveredSegment>,
     /// Later arrivals as (millisecond offset inside the period, message).
-    inside: Vec<(u64, NetMessage)>,
+    inside: Vec<(u64, DeliveredSegment)>,
 }
 
 impl Bucket {
-    fn add(&mut self, offset: u64, msg: NetMessage) {
+    fn add(&mut self, offset: u64, msg: DeliveredSegment) {
         if offset == 0 {
             self.at_boundary.push(msg);
         } else {
@@ -56,11 +56,11 @@ pub(crate) struct ArrivalCalendar {
     /// One bucket per period `base..base + ring.len()`.
     ring: VecDeque<Bucket>,
     /// Arrivals at or beyond period `base + ring.len()`, in send order.
-    beyond: Vec<(SimTime, NetMessage)>,
+    beyond: Vec<(SimTime, DeliveredSegment)>,
     /// Messages in flight (ring and overflow).
     len: usize,
     /// The last drain's arrivals in arrival order (reused).
-    drained: Vec<NetMessage>,
+    drained: Vec<DeliveredSegment>,
     /// Counting-sort table, one slot per millisecond of `τ` (empty when
     /// `τ` exceeds [`COUNTING_SORT_MAX_TAU_MS`]).
     counts: Vec<usize>,
@@ -106,7 +106,7 @@ impl ArrivalCalendar {
     ///
     /// # Panics
     /// Panics if `time` lies in a period that was already drained.
-    pub(crate) fn push(&mut self, time: SimTime, msg: NetMessage) {
+    pub(crate) fn push(&mut self, time: SimTime, msg: DeliveredSegment) {
         let period = time.as_millis() / self.tau_ms;
         assert!(
             period >= self.base,
@@ -123,7 +123,7 @@ impl ArrivalCalendar {
     /// Removes every message due before the boundary of `period` — and,
     /// when `inclusive`, also those due exactly at it — and returns them in
     /// (arrival time, send order) order.
-    pub(crate) fn drain(&mut self, period: u64, inclusive: bool) -> &[NetMessage] {
+    pub(crate) fn drain(&mut self, period: u64, inclusive: bool) -> &[DeliveredSegment] {
         self.drained.clear();
         while self.base < period {
             if self.len == self.beyond.len() {
@@ -202,7 +202,11 @@ fn bucket_index(ahead: u64) -> usize {
 /// Appends `inside`'s messages to `out` ordered by offset, ties in send
 /// order: a counting sort over `counts` (one slot per offset), or a stable
 /// comparison sort when `counts` is empty.
-fn sort_into(inside: &mut [(u64, NetMessage)], counts: &mut [usize], out: &mut Vec<NetMessage>) {
+fn sort_into(
+    inside: &mut [(u64, DeliveredSegment)],
+    counts: &mut [usize],
+    out: &mut Vec<DeliveredSegment>,
+) {
     let Some(&(_, filler)) = inside.first() else {
         return;
     };
@@ -251,15 +255,15 @@ mod tests {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    fn msg(i: u64) -> NetMessage {
-        NetMessage {
+    fn msg(i: u64) -> DeliveredSegment {
+        DeliveredSegment {
             requester: 1,
             supplier: 2,
             segment: SegmentId(i),
         }
     }
 
-    fn ids(drained: &[NetMessage]) -> Vec<u64> {
+    fn ids(drained: &[DeliveredSegment]) -> Vec<u64> {
         drained.iter().map(|m| m.segment.0).collect()
     }
 

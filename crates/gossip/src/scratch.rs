@@ -1,6 +1,6 @@
 //! Reusable per-period working memory (the "scratch arena").
 //!
-//! `StreamingSystem::step` used to re-allocate the world every scheduling
+//! The period loop used to re-allocate the world every scheduling
 //! period: the active-peer list, a `Vec<NeighborInfo>` per node, a
 //! `Vec<SupplierInfo>` per candidate segment, a `HashMap` of outbound
 //! budgets, and the per-node request vectors.  At production scale (the
@@ -57,8 +57,10 @@ pub struct WorkerScratch {
     pub requests: Vec<SegmentRequest>,
     /// Working memory of the per-link grant step.
     pub grant: GrantScratch,
-    /// The chunk's grants, requester-ascending; within one requester in
-    /// resolver order (supplier, then submission order).
+    /// The chunk's delivery slice, which the fused walk applies: its
+    /// grants, requester-ascending and within one requester in resolver
+    /// order (supplier, then submission order); in faulty event mode, the
+    /// arrivals that land inside the period, in arrival order.
     pub grants: Vec<DeliveredSegment>,
     /// `Shared` capacity model only: the chunk's scheduled requests, flat,
     /// for the global resolver.

@@ -16,7 +16,7 @@
 //!
 //! # Hot path
 //!
-//! [`step`](StreamingSystem::step) runs the optimized period loop: all
+//! [`advance`](StreamingSystem::advance) runs the optimized period loop: all
 //! working memory lives in a reusable [`PeriodScratch`] arena (zero
 //! steady-state heap allocation), candidate segments are discovered by
 //! word-level bitset intersection of per-peer availability maps, per-peer
@@ -24,8 +24,8 @@
 //! dispatches of one chunk plan over an attached [`JobExecutor`] (the
 //! persistent `fss-runtime` worker pool in production; an in-line serial
 //! fallback otherwise): the scheduling pass, which also turns each
-//! requester's requests into grants, and the fused walk, which applies the
-//! grants and advances playback.  Chunk outputs land in per-chunk scratch
+//! requester's requests into grants, and the fused walk, which delivers
+//! segments and advances playback.  Chunk outputs land in per-chunk scratch
 //! slots and merge in chunk order, so the report is byte-identical
 //! regardless of executor, worker count or scheduling interleaving.
 //! [`step_reference`](StreamingSystem::step_reference) preserves the
@@ -38,7 +38,7 @@ use crate::config::GossipConfig;
 use crate::directory::{sample_distinct, MembershipView, SampleScratch, ViewConfig};
 use crate::mem::{vec_bytes, MemUsage, MemoryFootprint};
 use crate::membership::MembershipMaintainer;
-use crate::net::{NetMessage, NetStats, NetworkModel};
+use crate::net::{NetStats, NetworkModel};
 use crate::peer::{self, NeighborInfo, PeerNode};
 use crate::prefetch::{prefetch_read, DELIVERY_AHEAD, WALK_AHEAD};
 use crate::qoe::{PeerQoe, QoeRecorder, QoeTotals};
@@ -51,7 +51,7 @@ use crate::transfer::{grant_per_link, CapacityModel, RequestBatch, TransferResol
 use fss_overlay::net::{LinkFaults, MessageKind, NetworkConfig};
 use fss_overlay::{ChurnModel, Overlay, OverlayError, PeerAttrs, PeerId};
 use fss_sim::exec::{DisjointRanges, DisjointSlots, JobExecutor, SerialExecutor};
-use fss_sim::{SimDuration, SimTime};
+use fss_sim::SimDuration;
 use std::sync::Arc;
 
 /// Snapshot of everything an experiment needs after (or while) running the
@@ -137,9 +137,6 @@ pub struct StreamingSystem {
 
     /// Reusable period working memory.
     scratch: PeriodScratch,
-    /// Chunk count of an unsharded store's period (effective only with the
-    /// `parallel` feature; results are identical either way).
-    parallelism: usize,
     /// Executor running the period's chunks.  `None` degrades to the
     /// in-line [`SerialExecutor`] — byte-identical results either way.
     executor: Option<Arc<dyn JobExecutor>>,
@@ -201,7 +198,6 @@ impl StreamingSystem {
             switch_completed_secs: None,
             qoe: QoeRecorder::with_capacity(capacity),
             scratch: PeriodScratch::default(),
-            parallelism: 1,
             executor: None,
             net: None,
         }
@@ -264,28 +260,11 @@ impl StreamingSystem {
         self.net.as_ref().map(|n| n.stats()).unwrap_or_default()
     }
 
-    /// Sets the number of period chunks of an unsharded store (the fan-out
-    /// width).
-    ///
-    /// Values above 1 take effect only when the `parallel` feature is
-    /// enabled; the sweep is chunked deterministically so results are
-    /// byte-identical to the sequential order regardless.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.parallelism = workers.max(1);
-    }
-
-    /// The configured chunk count of an unsharded store.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Re-partitions the peer store into (at least) `shards` shards.  With
-    /// more than one shard, the shards — not [`set_parallelism`]'s even
-    /// slices — become the chunk unit of the period, so the worker
-    /// pool steps shards independently.  Results are byte-identical across
-    /// shard counts: chunk outputs concatenate in peer order either way.
-    ///
-    /// [`set_parallelism`]: Self::set_parallelism
+    /// Re-partitions the peer store into (at least) `shards` shards.  The
+    /// shards are the chunk unit of the period, so the worker pool steps
+    /// shards independently; a single-shard store runs the period as one
+    /// chunk.  Results are byte-identical across shard counts: chunk
+    /// outputs concatenate in peer order either way.
     pub fn set_shards(&mut self, shards: usize) {
         self.peers.set_shards(shards);
     }
@@ -710,28 +689,9 @@ impl StreamingSystem {
         executed
     }
 
-    /// Executes one scheduling period through whichever stepping mode is
-    /// installed: period-lockstep ([`step`](Self::step)) by default, the
-    /// event-driven mode ([`step_event`](Self::step_event)) once
-    /// [`set_network`](Self::set_network) installed a network model.  The
-    /// single dispatch point every runner (period loops, the session
-    /// manager, experiments) goes through.
-    pub fn advance(&mut self) {
-        if self.net.is_some() {
-            self.step_event();
-        } else {
-            self.step();
-        }
-    }
-
-    /// True when every countable node has finished the old stream and
-    /// prepared the new one.
-    pub fn switch_complete(&self) -> bool {
-        self.switch_completed_secs.is_some()
-    }
-
-    /// Executes one scheduling period (optimized hot path): two dispatches
-    /// of one chunk plan over the executor.
+    /// Executes one scheduling period: two dispatches of one chunk plan over
+    /// the executor.  The single period every runner (period loops, the
+    /// session manager, experiments, the benchmark) goes through.
     ///
     /// 1. The **scheduling pass**: per chunk, gather, discovery, context
     ///    building and scheduling, and — under the default
@@ -740,24 +700,28 @@ impl StreamingSystem {
     ///    supplier budgets, so each chunk grants its own requesters (see
     ///    [`grant_per_link`]).  Only the `Shared` ablation model still
     ///    resolves globally between the dispatches.
-    /// 2. The **fused walk**: per chunk, grant application, discovery
-    ///    write, playback advance, QoE observation and switch milestones
-    ///    back to back, while the chunk's header and buffer columns are
+    /// 2. The **fused walk**: per chunk, delivery, discovery write,
+    ///    playback advance, QoE observation and switch milestones back to
+    ///    back, while the chunk's header and buffer columns are
     ///    cache-resident.
     ///
-    /// Reports are byte-identical to [`step_reference`](Self::step_reference)
-    /// for every executor, worker count and shard count.
+    /// What the walk delivers depends on the installed network model (see
+    /// [`set_network`](Self::set_network)).  In lockstep and under the ideal
+    /// network it is this period's grants.  Under a faulty network the
+    /// grants become in-flight messages, and the walk delivers the messages
+    /// that land strictly inside this period.
     ///
-    /// # Panics
-    /// Panics if a network model is installed: stepping past in-flight
-    /// messages would silently strand them — use [`advance`](Self::advance)
-    /// (or [`step_event`](Self::step_event)) instead.
-    pub fn step(&mut self) {
-        assert!(
-            self.net.is_none(),
-            "a network model is installed; use advance()/step_event()"
-        );
+    /// Reports are byte-identical to [`step_reference`](Self::step_reference)
+    /// for every executor, worker count and shard count, and the ideal
+    /// network reproduces lockstep byte-for-byte.
+    pub fn advance(&mut self) {
         let period_traffic_before = self.traffic_total;
+
+        // 0. Event mode: stragglers due exactly at this boundary are visible
+        //    to this period's buffer-map exchange and scheduling.
+        if self.net.is_some() {
+            self.land_boundary_arrivals();
+        }
 
         // 1. Churn and membership repair.
         self.apply_churn();
@@ -768,10 +732,16 @@ impl StreamingSystem {
         // 3-4. Buffer-map exchange, discovery, scheduling and grants.  The
         //      scheduling chunks compute post-discovery knowledge locally;
         //      the store write lands in the walk below.
-        self.schedule_and_grant(false);
+        self.schedule_and_grant();
 
-        // 5. Fused walk: grant application, discovery write, playback, QoE
-        //    and milestones per chunk.
+        // Event mode: the grants go on the wire, and each chunk's delivery
+        // slice becomes what lands before the next boundary.
+        if self.net.is_some() {
+            self.exchange_deliveries();
+        }
+
+        // 5. Fused walk: delivery, discovery write, playback, QoE and
+        //    milestones per chunk.
         self.period_index += 1;
         self.apply_and_play_fused();
 
@@ -780,11 +750,26 @@ impl StreamingSystem {
         self.update_switch_completion();
     }
 
+    /// True when every countable node has finished the old stream and
+    /// prepared the new one.
+    pub fn switch_complete(&self) -> bool {
+        self.switch_completed_secs.is_some()
+    }
+
     /// Executes one scheduling period through the original straight-line
     /// implementation (fresh allocations, per-id neighbour probing, map-based
-    /// transfer resolution).  Behaviour is identical to
-    /// [`step`](Self::step); kept as the verification baseline.
+    /// transfer resolution).  Behaviour is identical to lockstep
+    /// [`advance`](Self::advance); kept as the verification baseline.
+    ///
+    /// # Panics
+    /// Panics if a network model is installed: the reference models
+    /// lockstep only, so stepping past in-flight messages would silently
+    /// strand them — use [`advance`](Self::advance) instead.
     pub fn step_reference(&mut self) {
+        assert!(
+            self.net.is_none(),
+            "a network model is installed; use advance()"
+        );
         let period_traffic_before = self.traffic_total;
         self.apply_churn();
         self.emit_segments();
@@ -796,155 +781,18 @@ impl StreamingSystem {
         self.update_switch_completion();
     }
 
-    /// Executes one scheduling period in the event-driven mode: in-flight
-    /// messages from earlier periods land first, the period's churn /
-    /// emission / scheduling run at the boundary, granted transfers are
-    /// dispatched as scheduled messages, and every message arriving before
-    /// the next boundary is applied before playback advances.
-    ///
-    /// With the ideal network every grant arrives at the boundary that
-    /// resolved it, in resolver order — the exact state evolution of
-    /// [`step`](Self::step), byte-for-byte (fault draws are skipped
-    /// entirely, so no RNG stream moves either).
-    ///
-    /// # Panics
-    /// Panics if no network model is installed.
-    pub fn step_event(&mut self) {
-        assert!(
-            self.net.is_some(),
-            "event-driven stepping requires set_network()"
-        );
-        let period_traffic_before = self.traffic_total;
-        let now = self
+    /// Event mode: applies the in-flight messages due exactly at the current
+    /// boundary to their requesters' buffers, in send order, before this
+    /// period's scheduling reads them.  Arrivals for peers that have since
+    /// left the overlay are dropped and counted; duplicate arrivals are
+    /// idempotent ([`FifoBuffer::insert`]).  Data bits are accounted at
+    /// arrival.
+    fn land_boundary_arrivals(&mut self) {
+        let net = self
             .net
-            .as_ref()
-            .expect("network model installed")
-            .boundary(self.period_index);
-
-        // 0. Stragglers due exactly at this boundary are visible to this
-        //    period's buffer-map exchange and scheduling.
-        self.drain_arrivals(self.period_index, true);
-
-        // 1-4. Identical to the period-lockstep step (discovery writes land
-        //      immediately: the arrival drain below reads them).  The
-        //      scheduling chunks also draw the buffer-map and request-leg
-        //      faults before granting.
-        self.apply_churn();
-        self.emit_segments();
-        self.schedule_and_grant(true);
-
-        // The grants become in-flight messages instead of instant inserts.
-        self.dispatch_deliveries(now);
-
-        // 5. Everything arriving strictly inside this period lands before
-        //    playback advances.
-        self.drain_arrivals(self.period_index + 1, false);
-
-        // 6. Playback, milestones and accounting, as in period mode.
-        self.period_index += 1;
-        self.advance_playback_and_record();
-        self.account_switch_window(period_traffic_before);
-        self.update_switch_completion();
-    }
-
-    /// The event-mode delivery half: schedules each grant's arrival
-    /// (request leg + data leg of scaled trace latency, plus jitter) unless
-    /// the data leg drops it.  Grants go out chunk by chunk, so requester
-    /// by requester, each requester's in resolver order.
-    ///
-    /// Loss semantics per leg:
-    /// * a lost buffer-map advertisement blinds the requester to that
-    ///   supplier for the whole period (all its requests there are
-    ///   suppressed before granting),
-    /// * a lost request never reaches the supplier, so it does not charge
-    ///   the supplier's outbound budget (later requests may take the slot),
-    /// * a lost data message *does* consume the budget the grant step
-    ///   charged it — upstream bandwidth spent on a transfer that never
-    ///   lands.
-    ///
-    /// The first two are stateless per-link draws made in the scheduling
-    /// chunks (their counts merge here); the data leg stays serial.  Fault
-    /// draws are keyed by link, period and segment, and arrivals tie-break
-    /// by send order only between messages due at the same instant, which
-    /// within one requester keeps its grant order — so every buffer sees
-    /// the insert sequence a global supplier-major dispatch gave it.
-    fn dispatch_deliveries(&mut self, now: SimTime) {
-        let period = self.period_index;
-        let segment_bits = self.config.segment_bits;
-        let net = self.net.as_mut().expect("network model installed");
-        let chunk_slots = &self.scratch.workers[..self.scratch.chunks.len()];
-        for worker in chunk_slots {
-            net.stats.requests_blinded += worker.requests_blinded;
-            net.stats.requests_lost += worker.requests_lost;
-        }
-        let grants = chunk_slots.iter().flat_map(|w| w.grants.iter().copied());
-
-        if net.config.is_ideal() {
-            // Zero latency: every grant arrives at this same boundary, in
-            // grant order — the calendar would hand each message straight
-            // back out in send order, so apply the arrivals inline (the
-            // `net/*` bench pins the event-core overhead this short-circuit
-            // buys back).
-            for d in grants {
-                net.stats.data_sent += 1;
-                self.traffic_total.add_data(segment_bits);
-                if self.overlay.graph().is_active(d.requester) {
-                    self.peers.buffer_mut(d.requester).insert(d.segment);
-                    net.stats.data_delivered += 1;
-                } else {
-                    net.stats.data_stale += 1;
-                }
-            }
-            return;
-        }
-        let latency = self.overlay.latency();
-        for d in grants {
-            net.stats.data_sent += 1;
-            if net.config.loss_rate > 0.0
-                && net.faults.lost(
-                    d.supplier,
-                    d.requester,
-                    MessageKind::Data,
-                    period,
-                    d.segment.value(),
-                )
-            {
-                net.stats.data_lost += 1;
-                continue;
-            }
-            let rtt_ms = net.config.latency_scale * latency.round_trip_ms(d.requester, d.supplier);
-            let jitter = net.faults.jitter_ms(
-                d.supplier,
-                d.requester,
-                MessageKind::Data,
-                period,
-                d.segment.value(),
-            );
-            let arrival = now.saturating_add(SimDuration::from_millis(
-                rtt_ms.round().max(0.0) as u64 + jitter,
-            ));
-            net.calendar.push(
-                arrival,
-                NetMessage {
-                    requester: d.requester,
-                    supplier: d.supplier,
-                    segment: d.segment,
-                },
-            );
-            net.stats.max_in_flight = net.stats.max_in_flight.max(net.calendar.len() as u64);
-        }
-    }
-
-    /// Applies every in-flight message due before the boundary of `period`
-    /// (and, when `inclusive`, exactly at it) to its requester's buffer, in
-    /// (arrival time, send order) order.  Arrivals for peers that have
-    /// since left the overlay are dropped and counted; duplicate arrivals
-    /// are idempotent ([`crate::buffer::FifoBuffer::insert`]).  Data bits
-    /// are accounted at arrival — the instant period mode accounts them at,
-    /// once latency is zero.
-    fn drain_arrivals(&mut self, period: u64, inclusive: bool) {
-        let net = self.net.as_mut().expect("network model installed");
-        let arrivals = net.calendar.drain(period, inclusive);
+            .as_mut()
+            .expect("event-driven stepping requires set_network()");
+        let arrivals = net.calendar.drain(self.period_index, true);
         let mut delivered = 0;
         for msg in arrivals {
             if self.overlay.graph().is_active(msg.requester) {
@@ -959,6 +807,111 @@ impl StreamingSystem {
             .add_data(landed * self.config.segment_bits);
         net.stats.data_delivered += delivered;
         net.stats.data_stale += landed - delivered;
+    }
+
+    /// Event mode, between the two dispatches: hands this period's grants
+    /// to the network and refills each chunk's delivery slice with the
+    /// messages that land strictly inside the period.
+    ///
+    /// Each grant's arrival is scheduled (request leg + data leg of scaled
+    /// trace latency, plus jitter) unless the data leg drops it.  Grants go
+    /// out chunk by chunk, so requester by requester, each requester's in
+    /// resolver order.  Loss semantics per leg:
+    /// * a lost buffer-map advertisement blinds the requester to that
+    ///   supplier for the whole period (all its requests there are
+    ///   suppressed before granting),
+    /// * a lost request never reaches the supplier, so it does not charge
+    ///   the supplier's outbound budget (later requests may take the slot),
+    /// * a lost data message *does* consume the budget the grant step
+    ///   charged it — upstream bandwidth spent on a transfer that never
+    ///   lands.
+    ///
+    /// The first two are stateless per-link draws made in the scheduling
+    /// chunks (their counts merge here); the data leg is drawn here.  The
+    /// calendar hands the period's arrivals back in (arrival time, send
+    /// order) order.  One pass over them counts the arrivals for departed
+    /// requesters as stale and regroups the rest stably by their
+    /// requester's chunk, so every buffer sees the insert sequence a global
+    /// serial drain gave it.  Under the ideal network every grant lands at
+    /// this same boundary in grant order, so the grants stay in place as
+    /// the delivery slice.
+    fn exchange_deliveries(&mut self) {
+        let period = self.period_index;
+        let net = self
+            .net
+            .as_mut()
+            .expect("event-driven stepping requires set_network()");
+        let PeriodScratch {
+            active,
+            chunks,
+            workers,
+            ..
+        } = &mut self.scratch;
+        let workers = &mut workers[..chunks.len()];
+        let mut sent = 0;
+        for worker in workers.iter() {
+            net.stats.requests_blinded += worker.requests_blinded;
+            net.stats.requests_lost += worker.requests_lost;
+            sent += worker.grants.len() as u64;
+        }
+        net.stats.data_sent += sent;
+        if net.config.is_ideal() {
+            // Every requester scheduled this period is active.
+            net.stats.data_delivered += sent;
+            return;
+        }
+
+        let now = net.boundary(period);
+        let latency = self.overlay.latency();
+        for worker in workers.iter_mut() {
+            for d in worker.grants.drain(..) {
+                if net.config.loss_rate > 0.0
+                    && net.faults.lost(
+                        d.supplier,
+                        d.requester,
+                        MessageKind::Data,
+                        period,
+                        d.segment.value(),
+                    )
+                {
+                    net.stats.data_lost += 1;
+                    continue;
+                }
+                let rtt_ms =
+                    net.config.latency_scale * latency.round_trip_ms(d.requester, d.supplier);
+                let jitter = net.faults.jitter_ms(
+                    d.supplier,
+                    d.requester,
+                    MessageKind::Data,
+                    period,
+                    d.segment.value(),
+                );
+                let arrival = now.saturating_add(SimDuration::from_millis(
+                    rtt_ms.round().max(0.0) as u64 + jitter,
+                ));
+                net.calendar.push(arrival, d);
+                net.stats.max_in_flight = net.stats.max_in_flight.max(net.calendar.len() as u64);
+            }
+        }
+
+        let arrivals = net.calendar.drain(period + 1, false);
+        let mut stale = 0;
+        for &d in arrivals {
+            if self.overlay.graph().is_active(d.requester) {
+                workers[chunk_of(chunks, active, d.requester)]
+                    .grants
+                    .push(d);
+            } else {
+                stale += 1;
+            }
+        }
+        net.stats.data_delivered += arrivals.len() as u64 - stale;
+        net.stats.data_stale += stale;
+        // The walk accounts the delivered bits; stale arrivals — the
+        // receiver zapped away or churned out mid-flight — still spent
+        // theirs on the wire.
+        self.traffic_total
+            .add_data(stale * self.config.segment_bits);
     }
 
     /// Builds the run report.  The per-peer switch records fold into their
@@ -985,7 +938,7 @@ impl StreamingSystem {
     ///
     /// Deterministic across implementations and execution strategies (it
     /// reads protocol state only — never the scratch arena, whose size
-    /// follows the configured parallelism), so it is safe to surface in
+    /// follows the chunk plan), so it is safe to surface in
     /// [`SystemReport`].  For the full process picture including scratch,
     /// use the [`MemoryFootprint`] impl on the system itself.
     pub fn memory_usage(&self) -> MemUsage {
@@ -1141,8 +1094,8 @@ impl StreamingSystem {
     fn advance_playback_and_record(&mut self) {
         // QoE telemetry reads the playback state machine *after* each peer's
         // advance — counters only, no RNG, no allocation — so the observed
-        // run is bit-for-bit the unobserved one.  Shared by `step` and
-        // `step_reference`, which keeps the implementations equivalent.
+        // run is bit-for-bit the unobserved one.  The serial sweep of
+        // `step_reference`; the fused walk is its chunked equivalent.
         let qoe_on = self.qoe.is_enabled();
         if qoe_on {
             self.qoe.begin_period(self.period_index);
@@ -1247,14 +1200,6 @@ impl StreamingSystem {
     // optimized period internals
     // ------------------------------------------------------------------
 
-    fn worker_count(&self) -> usize {
-        if cfg!(feature = "parallel") {
-            self.parallelism.max(1)
-        } else {
-            1
-        }
-    }
-
     /// Buffer-map gather + discovery + context building + scheduling +
     /// grants, entirely out of the scratch arena: leaves each chunk's
     /// grants in its [`WorkerScratch`] slot, requester-ascending.
@@ -1266,23 +1211,24 @@ impl StreamingSystem {
     /// the locally computed post-discovery knowledge.  Discovery writes only
     /// touch the per-peer header — never a buffer — so every gather still
     /// reads pre-discovery state exactly like the reference implementation.
-    ///
-    /// `write_known` selects when the discovery result lands in the store:
-    /// the event path writes it here (`true`, before any delivery), the
-    /// fused step defers it to the walk (`false`) where the header line is
-    /// hot anyway.  Both orderings are byte-identical because nothing
-    /// between scheduling and the walk reads session knowledge.
-    fn schedule_and_grant(&mut self, write_known: bool) {
-        let capacity = self.overlay.graph().capacity();
-        let workers = self.worker_count();
-        self.scratch.ensure_capacity(capacity, workers);
-
+    /// The store write is deferred to the walk, where the header line is
+    /// hot anyway; discovery commutes with delivery (headers vs buffers),
+    /// so the deferral is byte-identical.
+    fn schedule_and_grant(&mut self) {
         self.scratch.active.clear();
         {
             let overlay = &self.overlay;
             self.scratch.active.extend(overlay.active_peers());
         }
         let active_len = self.scratch.active.len();
+
+        // Chunk plan: the shard-local runs of the active list, one scratch
+        // slot per chunk.
+        self.plan_chunks();
+        let chunk_count = self.scratch.chunks.len();
+        self.scratch
+            .ensure_capacity(self.overlay.graph().capacity(), chunk_count);
+
         self.scratch.observed_max.clear();
         self.scratch.observed_max.resize(active_len, SegmentId(0));
 
@@ -1303,29 +1249,9 @@ impl StreamingSystem {
             self.scratch.outbound_budget[p] = (outbound * tau).floor() as usize;
         }
 
-        // Chunk plan: with a sharded store the shards are the chunk unit
-        // (each chunk is the shard-local run of the active list); a
-        // single-shard store falls back to the legacy even slicing.  One
-        // scratch slot per chunk.
-        self.plan_chunks(workers);
-        let chunk_count = self.scratch.chunks.len();
-        self.scratch.ensure_capacity(capacity, chunk_count);
-
         // Scheduling pass (read-only over peers/overlay/directory; writes
         // only chunk-owned scratch ranges).
         self.run_scheduling_pass();
-
-        // Deferred discovery write for the path that does not run the
-        // fused walk.
-        if write_known {
-            for i in 0..active_len {
-                let p = self.scratch.active[i];
-                let observed = self.scratch.observed_max[i];
-                self.peers
-                    .peer_mut(p)
-                    .discover_sessions(&self.directory, observed);
-            }
-        }
 
         let control_bits = self.scratch.workers[..chunk_count]
             .iter()
@@ -1341,54 +1267,44 @@ impl StreamingSystem {
     /// Fills `scratch.chunks` with the `(start, end)` index ranges of the
     /// active list both dispatches of the period fan out over.
     ///
-    /// With a sharded store the shard-boundary runs are the chunk unit: the
-    /// active list is ascending, so each shard's active peers form one
-    /// contiguous run, found by binary search on the shard's id bound.  A
-    /// run is then **cost-balanced**: any run longer than twice the mean run
-    /// length is split into equal contiguous pieces under that cap, so one
-    /// densely populated shard (a skewed zap landing, say) cannot serialise
-    /// the whole parallel pass behind a single oversized chunk.  The split
-    /// is a pure function of the active list and the shard geometry —
+    /// The shard-boundary runs are the chunk unit: the active list is
+    /// ascending, so each shard's active peers form one contiguous run,
+    /// found by binary search on the shard's id bound.  A run is then
+    /// **cost-balanced**: any run longer than twice the mean run length is
+    /// split into equal contiguous pieces under that cap, so one densely
+    /// populated shard (a skewed zap landing, say) cannot serialise the
+    /// whole parallel pass behind a single oversized chunk.  The split is a
+    /// pure function of the active list and the shard geometry —
     /// deterministic and order-preserving, so merged outputs are unchanged.
-    /// A single-shard store falls back to the legacy even slicing over
-    /// `workers` chunks.  Always produces at least one (possibly empty)
-    /// chunk.
-    fn plan_chunks(&mut self, workers: usize) {
+    /// A single-shard store plans one chunk.  Always produces at least one
+    /// (possibly empty) chunk.
+    fn plan_chunks(&mut self) {
         let PeriodScratch { chunks, active, .. } = &mut self.scratch;
         chunks.clear();
-        if self.peers.shard_count() > 1 {
-            let shift = self.peers.shard_shift();
-            let mut runs = 0usize;
-            let mut start = 0usize;
-            while start < active.len() {
-                let shard = (active[start] as usize) >> shift;
-                let bound = ((shard as u64) + 1) << shift;
-                start += active[start..].partition_point(|&p| (p as u64) < bound);
-                runs += 1;
+        let shift = self.peers.shard_shift();
+        let mut runs = 0usize;
+        let mut start = 0usize;
+        while start < active.len() {
+            let shard = (active[start] as usize) >> shift;
+            let bound = ((shard as u64) + 1) << shift;
+            start += active[start..].partition_point(|&p| (p as u64) < bound);
+            runs += 1;
+        }
+        let cap = (2 * active.len())
+            .checked_div(runs)
+            .unwrap_or(active.len())
+            .max(1);
+        let mut start = 0usize;
+        while start < active.len() {
+            let shard = (active[start] as usize) >> shift;
+            let bound = ((shard as u64) + 1) << shift;
+            let end = start + active[start..].partition_point(|&p| (p as u64) < bound);
+            let len = end - start;
+            let pieces = len.div_ceil(cap);
+            for k in 0..pieces {
+                chunks.push((start + k * len / pieces, start + (k + 1) * len / pieces));
             }
-            let cap = (2 * active.len())
-                .checked_div(runs)
-                .unwrap_or(active.len())
-                .max(1);
-            let mut start = 0usize;
-            while start < active.len() {
-                let shard = (active[start] as usize) >> shift;
-                let bound = ((shard as u64) + 1) << shift;
-                let end = start + active[start..].partition_point(|&p| (p as u64) < bound);
-                let len = end - start;
-                let pieces = len.div_ceil(cap);
-                for k in 0..pieces {
-                    chunks.push((start + k * len / pieces, start + (k + 1) * len / pieces));
-                }
-                start = end;
-            }
-        } else {
-            let (chunk_size, used) = chunk_layout(active.len(), workers);
-            for c in 0..used {
-                let start = (c * chunk_size).min(active.len());
-                let end = (start + chunk_size).min(active.len());
-                chunks.push((start, end));
-            }
+            start = end;
         }
         if chunks.is_empty() {
             chunks.push((0, 0));
@@ -1494,21 +1410,23 @@ impl StreamingSystem {
             deliveries,
         );
         for d in deliveries.iter() {
-            let chunk = chunks.partition_point(|&(start, _)| active[start] <= d.requester) - 1;
-            workers[chunk].grants.push(*d);
+            workers[chunk_of(chunks, active, d.requester)]
+                .grants
+                .push(*d);
         }
     }
 
-    /// The fused back half of [`step`](Self::step), dispatched over the
-    /// same chunk plan as the scheduling pass: per chunk, grant
-    /// application, discovery write, playback advance, QoE observation and
-    /// switch milestones run back to back while the chunk's header and
-    /// buffer columns are cache-resident.
+    /// The fused back half of [`advance`](Self::advance), dispatched over
+    /// the same chunk plan as the scheduling pass: per chunk, delivery,
+    /// discovery write, playback advance, QoE observation and switch
+    /// milestones run back to back while the chunk's header and buffer
+    /// columns are cache-resident.
     ///
     /// Byte-identical to a serial ascending sweep because
-    /// * a chunk's grants all go to its own peers, requester-ascending and
-    ///   per requester in resolver order, so each buffer's insert sequence
-    ///   is unchanged,
+    /// * a chunk's delivery slice (its grants, or in faulty event mode its
+    ///   regrouped arrivals) goes only to its own peers, each peer's in
+    ///   the order a serial delivery gave it, so each buffer's insert
+    ///   sequence is unchanged,
     /// * playback, discovery and milestones read only the peer's own
     ///   columns plus period-start scratch (`observed_max`), never another
     ///   peer's state,
@@ -1770,8 +1688,8 @@ impl MemoryFootprint for StreamingSystem {
     /// The whole simulated process: every peer slot (including departed
     /// peers, whose inline state stays), the scratch arena, the
     /// membership view, the switch records and ratio samples.  Unlike
-    /// [`SystemReport::mem`] this depends on the configured parallelism
-    /// (worker slots) and is *not* surfaced in reports.
+    /// [`SystemReport::mem`] this depends on the chunk plan (worker slots)
+    /// and is *not* surfaced in reports.
     fn heap_bytes(&self) -> usize {
         self.peers.heap_bytes()
             + self.scratch.heap_bytes()
@@ -1805,17 +1723,10 @@ impl MemoryFootprint for ChurnScratch {
     }
 }
 
-/// Splits `active_len` nodes over at most `workers` contiguous chunks.
-///
-/// Returns `(chunk_size, chunk_count)`.  Both the request-vector
-/// distribution and the thread dispatch derive their layout from this one
-/// function so recycled vectors always land in workers that actually run.
-fn chunk_layout(active_len: usize, workers: usize) -> (usize, usize) {
-    if workers <= 1 || active_len < 2 {
-        return (active_len.max(1), 1);
-    }
-    let chunk_size = active_len.div_ceil(workers);
-    (chunk_size, active_len.div_ceil(chunk_size))
+/// The chunk holding active peer `peer`: `chunks` partitions the ascending
+/// `active` list into `(start, end)` index ranges.
+fn chunk_of(chunks: &[(usize, usize)], active: &[PeerId], peer: PeerId) -> usize {
+    chunks.partition_point(|&(start, _)| active[start] <= peer) - 1
 }
 
 /// Read-only inputs of one scheduling chunk.
@@ -1994,8 +1905,8 @@ struct ChunkLanes<'a> {
     ratios: &'a mut [(f64, f64)],
 }
 
-/// The fused walk of one chunk: applies the chunk's grants, then runs the
-/// discovery write, playback advance, QoE observation and switch
+/// The fused walk of one chunk: applies the chunk's delivery slice, then
+/// runs the discovery write, playback advance, QoE observation and switch
 /// milestones per peer while its header line and buffer struct are hot.
 /// `buffers`/`headers` (and the id-ranged lanes) start at the chunk's first
 /// peer id.
@@ -2017,8 +1928,8 @@ fn walk_chunk(
     } = lanes;
     let qs = inputs.config.new_source_qs;
 
-    // Grant application: requester-ascending, per requester in resolver
-    // order.
+    // Delivery: per requester in resolver order (lockstep) or arrival order
+    // (faulty event mode).
     let grants = &worker.grants;
     for (i, g) in grants.iter().enumerate() {
         if let Some(ahead) = grants.get(i + DELIVERY_AHEAD) {
@@ -2299,7 +2210,7 @@ mod tests {
             sys.switch_source(s2);
             for _ in 0..60 {
                 if optimized {
-                    sys.step();
+                    sys.advance();
                 } else {
                     sys.step_reference();
                 }
@@ -2322,11 +2233,11 @@ mod tests {
         b.start_initial_source(s1);
         for round in 0..30u64 {
             if round % 2 == 0 {
-                a.step();
+                a.advance();
                 b.step_reference();
             } else {
                 a.step_reference();
-                b.step();
+                b.advance();
             }
             if round == 20 {
                 a.switch_source(s2);
@@ -2336,13 +2247,27 @@ mod tests {
         assert_eq!(a.report(), b.report());
     }
 
-    #[cfg(feature = "parallel")]
+    /// Runs every chunk of a dispatch on its own scoped thread.
+    struct ThreadPerChunk;
+
+    impl JobExecutor for ThreadPerChunk {
+        fn execute(&self, chunks: usize, job: &dyn fss_sim::ScopedJob) {
+            std::thread::scope(|scope| {
+                for chunk in 0..chunks {
+                    scope.spawn(move || job.run_chunk(chunk));
+                }
+            });
+        }
+    }
+
+    /// Multi-shard periods whose chunks run concurrently report exactly
+    /// what the single-chunk period does.
     #[test]
     fn parallel_sweep_is_byte_identical() {
-        let run = |workers: usize| {
+        let run = |shards: usize| {
             let mut sys = build_system(80, 17);
-            sys.set_parallelism(workers);
-            assert_eq!(sys.parallelism(), workers.max(1));
+            sys.set_shards(shards);
+            sys.set_executor(Arc::new(ThreadPerChunk));
             let (s1, s2) = first_two(&sys);
             sys.start_initial_source(s1);
             sys.run_periods(25);
@@ -2352,8 +2277,8 @@ mod tests {
             sys.report()
         };
         let sequential = run(1);
-        for workers in [2, 3, 8] {
-            assert_eq!(run(workers), sequential, "workers = {workers}");
+        for shards in [2, 3, 8] {
+            assert_eq!(run(shards), sequential, "shards = {shards}");
         }
     }
 
@@ -2405,7 +2330,7 @@ mod tests {
         sys.scratch.active.push(base(3));
         let total = sys.scratch.active.len();
 
-        sys.plan_chunks(1);
+        sys.plan_chunks();
         let chunks = sys.scratch.chunks.clone();
 
         // Order-preserving partition of the active list.
@@ -2442,7 +2367,7 @@ mod tests {
                 sys.scratch.active.push(base(s) + i as PeerId);
             }
         }
-        sys.plan_chunks(1);
+        sys.plan_chunks();
         assert_eq!(sys.scratch.chunks.len(), 4, "{:?}", sys.scratch.chunks);
     }
 
@@ -2457,7 +2382,7 @@ mod tests {
             sys.start_initial_source(s1);
             for _ in 0..30 {
                 if optimized {
-                    sys.step();
+                    sys.advance();
                 } else {
                     sys.step_reference();
                 }
@@ -2466,7 +2391,7 @@ mod tests {
             sys.switch_source(s2);
             for _ in 0..40 {
                 if optimized {
-                    sys.step();
+                    sys.advance();
                 } else {
                     sys.step_reference();
                 }
@@ -2490,7 +2415,7 @@ mod tests {
             sys.start_initial_source(s1);
             let step = |sys: &mut StreamingSystem| {
                 if optimized {
-                    sys.step();
+                    sys.advance();
                 } else {
                     sys.step_reference();
                 }
@@ -2626,7 +2551,7 @@ mod tests {
         check(&sys);
         sys.set_churn(ChurnModel::paper_default(3));
         for _ in 0..15 {
-            sys.step();
+            sys.advance();
             check(&sys);
         }
         // Batched zap traffic keeps the view in sync too.
@@ -2667,7 +2592,7 @@ mod tests {
         });
         sys.set_churn(ChurnModel::paper_default(9));
         for _ in 0..20 {
-            sys.step();
+            sys.advance();
             let view = sys.membership_view();
             assert_eq!(view.len(), sys.overlay().active_count());
             assert!(view.candidates().len() <= 12);
@@ -2762,7 +2687,7 @@ mod tests {
         let mut begins = 0u64;
         let mut ends = 0u64;
         let step = |sys: &mut StreamingSystem, begins: &mut u64, ends: &mut u64| {
-            sys.step();
+            sys.advance();
             let row = *sys.qoe().latest().unwrap();
             *begins += row.stall_begins;
             *ends += row.stall_ends;
@@ -2984,23 +2909,27 @@ mod tests {
         assert!(sys.network_stats().data_stale > 0);
     }
 
+    /// The reference period models lockstep only.
     #[test]
-    #[should_panic(expected = "use advance()/step_event()")]
+    #[should_panic(expected = "a network model is installed; use advance()")]
     fn period_step_refuses_to_strand_in_flight_messages() {
         let mut sys = build_system(40, 0x5151);
         let source = sys.overlay().active_peers().next().unwrap();
         sys.set_network(NetworkConfig::ideal());
         sys.start_initial_source(source);
-        sys.step();
+        sys.step_reference();
     }
 
+    /// The event-mode delivery exchange runs only with a network model;
+    /// `advance` never calls it without one.
     #[test]
     #[should_panic(expected = "event-driven stepping requires")]
     fn event_step_requires_a_network_model() {
         let mut sys = build_system(40, 0x5152);
         let source = sys.overlay().active_peers().next().unwrap();
         sys.start_initial_source(source);
-        sys.step_event();
+        sys.advance();
+        sys.exchange_deliveries();
     }
 
     #[test]

@@ -61,7 +61,11 @@ pub struct RequestBatch {
     pub requests: Vec<SegmentRequest>,
 }
 
-/// One segment delivery that actually happened.
+/// One granted segment transfer: a delivery in lockstep, an in-flight
+/// message of the event-mode network (see [`crate::net`]).
+///
+/// `Copy` and pointer-free by design — the arrival calendar stores
+/// deliveries inline, so scheduling one never touches the allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeliveredSegment {
     /// The node that receives the segment.

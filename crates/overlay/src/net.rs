@@ -200,9 +200,7 @@ impl LinkFaults {
     }
 }
 
-/// The splitmix64 finalizer — the same cheap, well-mixed permutation
-/// `fss_sim::rng` derives its named streams with (duplicated here because
-/// the overlay crate sits below the simulator core).
+/// The splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;

@@ -1,6 +1,6 @@
 //! The persistent, deterministic worker pool.
 //!
-//! `StreamingSystem::step` used to spawn `std::thread::scope` workers every
+//! The period loop used to spawn `std::thread::scope` workers every
 //! scheduling period — tens of microseconds of spawn/join cost per period,
 //! multiplied by every period of every session.  [`WorkerPool`] replaces
 //! that with long-lived worker threads that park between jobs, amortising

@@ -724,15 +724,6 @@ impl SessionManager {
         &self.channels[channel].system
     }
 
-    /// Fans each channel's *internal* scheduling pass out over the pool as
-    /// well (`chunks` chunks per channel; effective with the `parallel`
-    /// feature, byte-identical results regardless).
-    pub fn set_gossip_parallelism(&mut self, chunks: usize) {
-        for channel in &mut self.channels {
-            channel.system.set_parallelism(chunks);
-        }
-    }
-
     /// Reshards every channel's peer store into (approximately) `shards`
     /// struct-of-arrays shards, which become the chunk unit of each
     /// channel's internal scheduling pass.  Byte-identical reports for every

@@ -14,11 +14,16 @@
 //!    shard counts {1, 2, 4, 8} × barrier/pipelined stepping.  Loss and
 //!    jitter draws are stateless hashes (no RNG cursor), so no execution
 //!    interleaving can perturb them.
+//!
+//! A faulty period also runs the lockstep pipeline: the same two pool
+//! dispatches, with the arrivals as the fused walk's delivery slice.
 
 use fss_core::FastSwitchScheduler;
-use fss_overlay::NetworkConfig;
+use fss_gossip::{GossipConfig, StreamingSystem};
+use fss_overlay::{NetworkConfig, OverlayBuilder};
 use fss_runtime::zap::{CrowdZap, Storm};
 use fss_runtime::{RuntimeReport, SessionConfig, SessionManager, SteppingMode, WorkerPool};
+use fss_trace::{GeneratorConfig, TraceGenerator};
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -191,7 +196,6 @@ fn run_faulty(workers: usize, shards: usize, mode: SteppingMode) -> RuntimeRepor
         }]),
     ));
     m.enable_channel_churn(5);
-    m.set_gossip_parallelism(workers);
     m.set_shards(shards);
     m.set_mode(mode);
     m.warmup(14);
@@ -232,6 +236,35 @@ fn faulty_runs_are_pinned_and_identical_across_pools_shards_and_modes() {
             }
         }
     }
+}
+
+/// A faulty event-mode period runs the lockstep pipeline: on a 4-shard
+/// store with a 2-worker pool it makes exactly the two pool dispatches of a
+/// lockstep period (the scheduling pass and the fused walk), with no serial
+/// playback sweep beside them.
+#[test]
+fn faulty_event_period_takes_two_pool_dispatches() {
+    let trace = TraceGenerator::new(GeneratorConfig::sized(256, 31)).generate("event-dispatch");
+    let overlay = OverlayBuilder::paper_default().build(&trace).unwrap();
+    let source = overlay.active_peers().next().unwrap();
+    let pool = Arc::new(WorkerPool::new(2));
+    let mut sys = StreamingSystem::new(
+        overlay,
+        GossipConfig::paper_default(),
+        Box::new(FastSwitchScheduler::new()),
+    );
+    sys.set_shards(4);
+    assert_eq!(sys.shard_count(), 4);
+    sys.set_executor(pool.as_executor());
+    sys.set_network(faulty_network());
+    sys.start_initial_source(source);
+    sys.run_periods(10);
+
+    let before = pool.dispatches();
+    sys.run_periods(5);
+    assert_eq!(pool.dispatches() - before, 2 * 5);
+    let stats = sys.network_stats();
+    assert!(stats.data_lost > 0 && stats.data_delivered > 0);
 }
 
 #[test]

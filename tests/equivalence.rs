@@ -14,15 +14,6 @@ use fast_source_switching::trace::{GeneratorConfig, TraceGenerator};
 enum Path {
     Reference,
     Optimized,
-    /// Chunked scheduling sweep without an executor (in-line chunks).
-    #[allow(dead_code)]
-    Parallel(usize),
-    /// Chunked scheduling sweep on a persistent pool of the given size.
-    #[allow(dead_code)]
-    Pool {
-        chunks: usize,
-        workers: usize,
-    },
     /// A sharded store stepped on a persistent pool: the chunk plan
     /// follows the shards, and both the scheduling pass (with its grants)
     /// and the fused walk fan out over the pool.
@@ -47,27 +38,14 @@ fn run_scenario(scheduler: Box<dyn SegmentScheduler>, path: Path) -> StreamingSy
     let (s1, s2) = (peers[0], peers[peers.len() / 2]);
 
     let mut sys = StreamingSystem::new(overlay, GossipConfig::paper_default(), scheduler);
-    match path {
-        Path::Parallel(workers) => sys.set_parallelism(workers),
-        Path::Pool { chunks, workers } => {
-            sys.set_parallelism(chunks);
-            let pool =
-                std::sync::Arc::new(fast_source_switching::runtime::WorkerPool::new(workers));
-            sys.set_executor(pool.as_executor());
-        }
-        Path::Sharded { shards, workers } => {
-            sys.set_shards(shards);
-            let pool =
-                std::sync::Arc::new(fast_source_switching::runtime::WorkerPool::new(workers));
-            sys.set_executor(pool.as_executor());
-        }
-        Path::Reference | Path::Optimized => {}
+    if let Path::Sharded { shards, workers } = path {
+        sys.set_shards(shards);
+        let pool = std::sync::Arc::new(fast_source_switching::runtime::WorkerPool::new(workers));
+        sys.set_executor(pool.as_executor());
     }
     let step = |sys: &mut StreamingSystem| match path {
         Path::Reference => sys.step_reference(),
-        Path::Optimized | Path::Parallel(_) | Path::Pool { .. } | Path::Sharded { .. } => {
-            sys.step()
-        }
+        Path::Optimized | Path::Sharded { .. } => sys.advance(),
     };
 
     sys.start_initial_source(s1);
@@ -132,31 +110,32 @@ fn sharded_pool_stepping_matches_reference_under_churn() {
     }
 }
 
-#[cfg(feature = "parallel")]
 #[test]
 fn parallel_sweep_matches_sequential_under_churn() {
     let sequential = run_churn_scenario(Box::new(FastSwitchScheduler::new()), Path::Optimized);
     for workers in [2, 4, 7] {
         let parallel = run_churn_scenario(
             Box::new(FastSwitchScheduler::new()),
-            Path::Parallel(workers),
+            Path::Sharded {
+                shards: workers,
+                workers,
+            },
         );
         assert_eq!(parallel, sequential, "workers = {workers}");
     }
 }
 
-/// The pool determinism guarantee: the scheduling sweep dispatched onto the
-/// persistent worker pool produces byte-identical reports for every pool
-/// size — 1 (in-line), 2, 4 and 7 workers — under churn, and matches the
-/// sequential and reference paths.
-#[cfg(feature = "parallel")]
+/// The pool determinism guarantee: a 4-shard store's period dispatched
+/// onto the persistent worker pool produces byte-identical reports for
+/// every pool size — 1 (in-line), 2, 4 and 7 workers — under churn, and
+/// matches the single-chunk path.
 #[test]
 fn pool_backed_sweep_is_byte_identical_across_pool_sizes() {
     let sequential = run_churn_scenario(Box::new(FastSwitchScheduler::new()), Path::Optimized);
     for workers in [1, 2, 4, 7] {
         let pooled = run_churn_scenario(
             Box::new(FastSwitchScheduler::new()),
-            Path::Pool { chunks: 4, workers },
+            Path::Sharded { shards: 4, workers },
         );
         assert_eq!(pooled, sequential, "pool workers = {workers}");
     }
@@ -165,7 +144,6 @@ fn pool_backed_sweep_is_byte_identical_across_pool_sizes() {
 /// Pool reuse across consecutive sessions: a pool that already ran one full
 /// session must drive a second one to exactly the report a fresh pool
 /// produces (no state leakage through the persistent workers).
-#[cfg(feature = "parallel")]
 #[test]
 fn pool_reuse_across_sessions_matches_fresh_pool() {
     use fast_source_switching::runtime::WorkerPool;
@@ -177,7 +155,7 @@ fn pool_reuse_across_sessions_matches_fresh_pool() {
         let peers: Vec<PeerId> = overlay.active_peers().collect();
         let (s1, s2) = (peers[0], peers[peers.len() / 2]);
         let mut sys = StreamingSystem::new(overlay, GossipConfig::paper_default(), scheduler);
-        sys.set_parallelism(4);
+        sys.set_shards(4);
         sys.set_executor(pool.as_executor());
         sys.start_initial_source(s1);
         sys.run_periods(30);
