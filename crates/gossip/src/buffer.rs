@@ -69,6 +69,7 @@
 //! per component; see `docs/performance.md` for the per-peer budget.
 
 use crate::mem::{vec_bytes, BufferMemBreakdown, MemoryFootprint};
+use crate::prefetch::prefetch_read;
 use crate::segment::SegmentId;
 use std::collections::VecDeque;
 
@@ -407,6 +408,66 @@ impl FifoBuffer {
         // difference is within [1, len] — no wrapping involved.
         Some((self.next_seq - u32::from(self.seqs[offset])) as usize)
     }
+
+    /// [`position_from_tail`](Self::position_from_tail) of a segment the
+    /// caller has already seen held — its bit is set in an
+    /// [`availability_word`](Self::availability_word) of this buffer — so
+    /// the membership test is skipped (checked in debug builds only).
+    #[inline]
+    pub(crate) fn held_position(&self, segment: SegmentId) -> usize {
+        debug_assert!(self.contains(segment), "{segment} is not held");
+        let offset = (segment.value() - self.base) as usize;
+        (self.next_seq - u32::from(self.seqs[offset])) as usize
+    }
+
+    /// Prefetches the window head: the availability word(s) and the
+    /// sequence-array lines of the newest 64 ids (`max_id − 63 ..= max_id`),
+    /// where the scheduling pass's candidate probes land.  Reads only the
+    /// struct itself; an empty buffer prefetches nothing.
+    #[inline]
+    pub(crate) fn prefetch_head(&self) {
+        let Some(max) = self.max else { return };
+        let newest = max.value() - self.base;
+        let oldest = newest.saturating_sub(63);
+        for offset in [oldest, newest] {
+            if let Some(word) = self.words.get((offset / 64) as usize) {
+                prefetch_read(word);
+            }
+        }
+        // 64 `u16` entries are 128 bytes: up to three lines.
+        for offset in [oldest, oldest + 32, newest] {
+            if let Some(seq) = self.seqs.get(offset as usize) {
+                prefetch_read(seq);
+            }
+        }
+    }
+
+    /// Prefetches the lines an [`insert`](Self::insert) of `segment` will
+    /// touch: the segment's availability word and sequence entry, the
+    /// window's first word, and the ring's front slot (evicted when full)
+    /// and back slot (next to the append).  Reads only the struct itself;
+    /// ids outside the window prefetch only the window's first word and
+    /// the ring ends.
+    #[inline]
+    pub(crate) fn prefetch_insert(&self, segment: SegmentId) {
+        if let Some(offset) = self.offset_of(segment.value()) {
+            if let Some(word) = self.words.get(offset / 64) {
+                prefetch_read(word);
+            }
+            if let Some(seq) = self.seqs.get(offset) {
+                prefetch_read(seq);
+            }
+        }
+        if let Some(word) = self.words.first() {
+            prefetch_read(word);
+        }
+        if let Some(front) = self.arrivals.front() {
+            prefetch_read(front);
+        }
+        if let Some(back) = self.arrivals.back() {
+            prefetch_read(back);
+        }
+    }
     // fss-lint: end
 
     /// Positions of many segments at once.
@@ -615,6 +676,32 @@ mod tests {
         let b = FifoBuffer::new(4);
         assert!(b.positions_of(&[]).is_empty());
         assert_eq!(b.positions_of(&ids(&[1])), vec![None]);
+    }
+
+    #[test]
+    fn prefetch_helpers_are_safe_and_leave_the_buffer_unchanged() {
+        let mut one = FifoBuffer::new(4);
+        one.insert(SegmentId(130));
+        let mut slid = FifoBuffer::new(8);
+        for i in 0..500u64 {
+            slid.insert(SegmentId(i));
+        }
+        let buffers = [FifoBuffer::default(), FifoBuffer::new(4), one, slid];
+        for buffer in &buffers {
+            let before = buffer.clone();
+            buffer.prefetch_head();
+            // Below the base, inside, at the head, past the window.
+            for id in [0, 1, 130, 450, 499, 500, 10_000, u64::MAX] {
+                buffer.prefetch_insert(SegmentId(id));
+            }
+            assert_eq!(*buffer, before);
+            for id in buffer.ids() {
+                assert_eq!(
+                    Some(buffer.held_position(id)),
+                    buffer.position_from_tail(id)
+                );
+            }
+        }
     }
 
     #[test]

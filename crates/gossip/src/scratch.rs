@@ -19,8 +19,9 @@
 //! Candidate segments are enumerated by word-level bitset intersection of
 //! the peers' availability windows, which every
 //! [`FifoBuffer`](crate::buffer::FifoBuffer) maintains incrementally (one
-//! bit flip per insert/evict) — nothing is rebuilt per period and no
-//! per-id neighbour probing happens at all.
+//! bit flip per insert/evict) — nothing is rebuilt per period.  Suppliers
+//! are filled neighbour-major from the same words, so a neighbour's
+//! sequence array is read only at the candidates it actually holds.
 //!
 //! The structures only ever grow (to a steady-state high-water mark); the
 //! equivalence tests assert the resulting [`SystemReport`]s are identical to
@@ -139,8 +140,13 @@ impl WorkerScratch {
     /// intersection: `need = range_mask AND NOT own_held`,
     /// `avail = OR(neighbour held)`, candidates = `need AND avail`.
     ///
-    /// Candidates are produced in ascending id order with suppliers in
-    /// `neighbors` order — identical to the reference per-id probing.
+    /// Candidates are pushed first, in ascending id order, and the
+    /// candidate mask is kept in `need_words`.  The suppliers are then
+    /// filled **neighbour-major**: each neighbour's words are intersected
+    /// with the mask, and every hit goes to the candidate whose index is
+    /// the hit's rank in the mask (a prefix popcount).  Each candidate's
+    /// suppliers therefore come out in `neighbors` order — identical to the
+    /// reference per-id probing — while only actual suppliers are probed.
     #[allow(clippy::too_many_arguments)]
     fn candidates_in_range(
         &mut self,
@@ -183,30 +189,54 @@ impl WorkerScratch {
             }
         }
 
-        for i in 0..words {
-            let mut bits = self.need_words[i] & self.avail_words[i];
+        // Candidates, ascending; `need_words` becomes the candidate mask.
+        let first = self.ctx.candidates.len();
+        for (i, need) in self.need_words.iter_mut().enumerate() {
+            *need &= self.avail_words[i];
+            let mut bits = *need;
             while bits != 0 {
-                let id = base + (i as u64) * 64 + bits.trailing_zeros() as u64;
+                let id = base + (i as u64) * 64 + u64::from(bits.trailing_zeros());
                 bits &= bits - 1;
-                let mut suppliers = self.supplier_pool.pop().unwrap_or_default();
-                for &n in neighbors {
-                    let buffer = store.buffer(n);
-                    if let Some(position) = buffer.position_from_tail(SegmentId(id)) {
-                        suppliers.push(SupplierInfo {
-                            peer: n,
-                            rate: outbound_rate[n as usize],
-                            buffer_position: position,
-                            buffer_capacity: buffer.capacity(),
-                        });
-                    }
-                }
-                debug_assert!(!suppliers.is_empty(), "avail bit implies a supplier");
                 self.ctx.candidates.push(CandidateSegment {
                     id: SegmentId(id),
-                    suppliers,
+                    suppliers: self.supplier_pool.pop().unwrap_or_default(),
                 });
             }
         }
+
+        // Suppliers, neighbour-major: probe only the hits.
+        for &n in neighbors {
+            let buffer = store.buffer(n);
+            if buffer.is_empty() {
+                continue;
+            }
+            let (rate, capacity) = (outbound_rate[n as usize], buffer.capacity());
+            let mut rank = first;
+            for (i, &mask) in self.need_words.iter().enumerate() {
+                let word_base = base + (i as u64) * 64;
+                let mut hits = mask & buffer.availability_word(word_base);
+                while hits != 0 {
+                    let bit = hits.trailing_zeros();
+                    hits &= hits - 1;
+                    let below = mask & ((1u64 << bit) - 1);
+                    let candidate = &mut self.ctx.candidates[rank + below.count_ones() as usize];
+                    candidate.suppliers.push(SupplierInfo {
+                        peer: n,
+                        rate,
+                        buffer_position: buffer
+                            .held_position(SegmentId(word_base + u64::from(bit))),
+                        buffer_capacity: capacity,
+                    });
+                }
+                rank += mask.count_ones() as usize;
+            }
+        }
+        debug_assert!(
+            self.ctx.candidates[first..]
+                .iter()
+                .all(|c| !c.suppliers.is_empty()),
+            "avail bit implies a supplier"
+        );
     }
 
     /// Rebuilds `self.ctx` for `node` without allocating, mirroring
@@ -390,8 +420,9 @@ pub struct PeriodScratch {
     pub outbound_budget: Vec<usize>,
     /// Chunk plan of both pool dispatches of a period (scheduling pass and
     /// fused walk): `(start, end)` index ranges into `active`, one per
-    /// chunk.  With a sharded store the chunks follow the shard boundaries;
-    /// a single-shard store falls back to even slices.
+    /// chunk.  The chunks follow the shard boundaries, with any shard run
+    /// longer than twice the mean split into even pieces; a single-shard
+    /// store plans one chunk.
     pub chunks: Vec<(usize, usize)>,
     /// Per-chunk state, one slot per chunk (one entry when sequential).
     pub workers: Vec<WorkerScratch>,
@@ -423,6 +454,154 @@ impl PeriodScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::FifoBuffer;
+    use crate::peer::{NeighborInfo, PeerNode};
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// A buffer of `capacity` fed a random subset of one id range in
+    /// `[0, head]` (half the time ending near the head, where neighbours
+    /// overlap), sometimes ascending and sometimes shuffled, so FIFO
+    /// eviction leaves gappy windows over several words.
+    fn random_buffer(rng: &mut SmallRng, capacity: usize, head: u64) -> FifoBuffer {
+        let mut buffer = FifoBuffer::new(capacity);
+        let lo = rng.gen_range(0..=head);
+        let hi = if rng.gen_range(0..2) == 0 {
+            head - rng.gen_range(0..=(head - lo).min(8))
+        } else {
+            rng.gen_range(lo..=head)
+        };
+        let sparsity = rng.gen_range(1..=4u64);
+        let mut ids: Vec<u64> = (lo..=hi)
+            .filter(|_| rng.gen_range(0..sparsity) == 0)
+            .collect();
+        if rng.gen_range(0..2) == 0 {
+            ids.shuffle(rng);
+        }
+        for id in ids {
+            buffer.insert(SegmentId(id));
+        }
+        buffer
+    }
+
+    /// Builds one random context-builder scenario from `seed` and returns
+    /// `(reference, production)`: `PeerNode::build_context` and
+    /// `scratch.build_context`, each `None` for "nothing to request".
+    fn build_both(
+        seed: u64,
+        scratch: &mut WorkerScratch,
+    ) -> (Option<SchedulingContext>, Option<SchedulingContext>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut config = GossipConfig::paper_default();
+        config.buffer_capacity = rng.gen_range(8..=120);
+        config.new_source_qs = rng.gen_range(1..=config.buffer_capacity);
+
+        // One to three serial sessions; the last one is live.
+        let mut directory = SessionDirectory::new();
+        directory.start_session(0, 0.0, None);
+        let mut first = 0;
+        for _ in 1..rng.gen_range(1..=3) {
+            let end = first + rng.gen_range(20..200u64);
+            directory.start_session(0, 1.0, Some(SegmentId(end)));
+            first = end + 1;
+        }
+        let head = first + rng.gen_range(0..200u64);
+
+        let mut node = PeerNode::new(0, &config, SegmentId(rng.gen_range(0..=head)));
+        if rng.gen_range(0..4) != 0 {
+            *node.buffer_mut() = random_buffer(&mut rng, config.buffer_capacity, head);
+        }
+        // With and without the next session discovered.
+        node.discover_sessions(&directory, SegmentId(rng.gen_range(0..=head + 8)));
+
+        // Neighbours: departed (default), fresh empty, or filled, with
+        // their own capacities, listed in a random order.
+        let count = rng.gen_range(0..=12u32);
+        let mut store = PeerStore::new(4);
+        store.push(node.clone());
+        for n in 1..=count {
+            store.push(PeerNode::new(n, &config, SegmentId(0)));
+            *store.buffer_mut(n) = match rng.gen_range(0..6) {
+                0 => FifoBuffer::default(),
+                1 => FifoBuffer::new(config.buffer_capacity),
+                _ => {
+                    let capacity = rng.gen_range(4..=2 * config.buffer_capacity);
+                    random_buffer(&mut rng, capacity, head)
+                }
+            };
+        }
+        let mut neighbors: Vec<PeerId> = (1..=count).collect();
+        neighbors.shuffle(&mut rng);
+        let outbound_rate: Vec<f64> = (0..=count).map(|_| rng.gen_range(0.0..20.0)).collect();
+        let inbound = if rng.gen_range(0..8) == 0 {
+            0.0
+        } else {
+            rng.gen_range(0.5..30.0)
+        };
+
+        let infos: Vec<NeighborInfo<'_>> = neighbors
+            .iter()
+            .map(|&n| NeighborInfo {
+                peer: n,
+                outbound_rate: outbound_rate[n as usize],
+                buffer: store.buffer(n),
+            })
+            .collect();
+        let reference = node.build_context(&config, &directory, inbound, &infos);
+
+        let max_advertised = neighbors
+            .iter()
+            .filter_map(|&n| store.buffer(n).max_id())
+            .max()
+            .unwrap_or(SegmentId(0));
+        let production = scratch
+            .build_context(
+                store.peer(0),
+                &config,
+                &directory,
+                inbound,
+                &neighbors,
+                &store,
+                &outbound_rate,
+                node.known_sessions(),
+                max_advertised,
+            )
+            .then(|| scratch.ctx.clone());
+        (reference, production)
+    }
+
+    /// Checks the scenarios of `seed` and of a derived seed on one scratch,
+    /// so the second runs on recycled supplier vectors.
+    fn check_seed(seed: u64) -> Result<(), proptest::TestCaseError> {
+        let mut scratch = WorkerScratch::default();
+        for seed in [seed, seed ^ 0x9e37_79b9_7f4a_7c15] {
+            let (reference, production) = build_both(seed, &mut scratch);
+            proptest::prop_assert_eq!(reference, production);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// The allocation-free context builder equals the reference
+        /// `PeerNode::build_context`: same candidates, same supplier order,
+        /// same `q1`/`q2` — or both find nothing to request.
+        #[test]
+        fn prop_build_context_matches_reference(seed in 0u64..u64::MAX) {
+            check_seed(seed)?;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+        /// Soak of [`prop_build_context_matches_reference`].
+        #[test]
+        #[ignore = "soak: 20k context-builder cases (run with --release -- --ignored)"]
+        fn prop_build_context_soak(seed in 0u64..u64::MAX) {
+            check_seed(seed)?;
+        }
+    }
 
     #[test]
     fn ensure_capacity_grows_monotonically() {

@@ -336,31 +336,46 @@ impl PeerStore {
         }
     }
 
-    /// Issues a software prefetch for a peer's buffer struct and header
-    /// line.  Advisory only: out-of-range ids are ignored.
+    // fss-lint: hot-path
+    /// A peer's buffer, or `None` for an id past the store (the prefetch
+    /// helpers' bounds-checked lookup).
+    #[inline]
+    fn buffer_get(&self, id: PeerId) -> Option<&FifoBuffer> {
+        let (shard, slot) = self.loc(id);
+        self.shards.get(shard)?.buffers.get(slot)
+    }
+
+    /// Issues a software prefetch for a peer's header line and both lines
+    /// of its buffer struct.  Advisory only: out-of-range ids are ignored.
     #[inline]
     pub(crate) fn prefetch_peer(&self, id: PeerId) {
         let (shard, slot) = self.loc(id);
-        if let Some(shard) = self.shards.get(shard) {
-            if let Some(buffer) = shard.buffers.get(slot) {
-                crate::prefetch::prefetch_read(buffer);
-            }
-            if let Some(header) = shard.headers.get(slot) {
-                crate::prefetch::prefetch_read(header);
-            }
+        if let Some(header) = self.shards.get(shard).and_then(|s| s.headers.get(slot)) {
+            crate::prefetch::prefetch_read(header);
+        }
+        self.prefetch_buffer(id);
+    }
+
+    /// Issues a software prefetch for both lines of a peer's buffer struct
+    /// (the neighbour-gather walks read `max_id`/availability words, never
+    /// the header).  Advisory only: out-of-range ids are ignored.
+    #[inline]
+    pub(crate) fn prefetch_buffer(&self, id: PeerId) {
+        if let Some(buffer) = self.buffer_get(id) {
+            crate::prefetch::prefetch_lines(buffer);
         }
     }
 
-    /// Issues a software prefetch for a peer's buffer struct only (the
-    /// neighbour-gather walks read `max_id`/availability words, never the
-    /// header).  Advisory only: out-of-range ids are ignored.
+    /// Prefetches a peer's window head
+    /// ([`FifoBuffer::prefetch_head`]); its buffer struct should already
+    /// be cached.  Advisory only: out-of-range ids are ignored.
     #[inline]
-    pub(crate) fn prefetch_buffer(&self, id: PeerId) {
-        let (shard, slot) = self.loc(id);
-        if let Some(buffer) = self.shards.get(shard).and_then(|s| s.buffers.get(slot)) {
-            crate::prefetch::prefetch_read(buffer);
+    pub(crate) fn prefetch_window_head(&self, id: PeerId) {
+        if let Some(buffer) = self.buffer_get(id) {
+            buffer.prefetch_head();
         }
     }
+    // fss-lint: end
 }
 
 impl MemoryFootprint for PeerStore {

@@ -40,7 +40,7 @@ use crate::mem::{vec_bytes, MemUsage, MemoryFootprint};
 use crate::membership::MembershipMaintainer;
 use crate::net::{NetStats, NetworkModel};
 use crate::peer::{self, NeighborInfo, PeerNode};
-use crate::prefetch::{prefetch_read, DELIVERY_AHEAD, WALK_AHEAD};
+use crate::prefetch::{prefetch_lines, prefetch_read, DELIVERY_AHEAD, WALK_AHEAD};
 use crate::qoe::{PeerQoe, QoeRecorder, QoeTotals};
 use crate::scheduler::SegmentScheduler;
 use crate::scratch::{PeriodScratch, WorkerScratch};
@@ -1788,8 +1788,24 @@ fn schedule_chunk(
         (inbound_rate[p as usize] * config.tau_secs).floor() as usize
     });
     for (i, &p) in chunk.iter().enumerate() {
+        // Staged prefetch (see `crate::prefetch`): each stage reads only
+        // lines an earlier stage fetched.
+        if let Some(&far) = chunk.get(i + 2 * WALK_AHEAD) {
+            store.prefetch_peer(far);
+            if let Some(first) = overlay.neighbors(far).first() {
+                prefetch_read(first);
+            }
+        }
         if let Some(&ahead) = chunk.get(i + WALK_AHEAD) {
-            store.prefetch_peer(ahead);
+            for &n in overlay.neighbors(ahead) {
+                store.prefetch_buffer(n);
+            }
+        }
+        if let Some(&next) = chunk.get(i + 1) {
+            store.prefetch_window_head(next);
+            for &n in overlay.neighbors(next) {
+                store.prefetch_window_head(n);
+            }
         }
         let neighbors = overlay.neighbors(p);
 
@@ -1798,10 +1814,7 @@ fn schedule_chunk(
         // scheduling skips below — exactly like the standalone pass did.
         let own = store.buffer(p).max_id();
         let mut neighbour_max: Option<SegmentId> = None;
-        for (j, &n) in neighbors.iter().enumerate() {
-            if let Some(&ahead) = neighbors.get(j + 2) {
-                store.prefetch_buffer(ahead);
-            }
+        for &n in neighbors {
             let max = store.buffer(n).max_id();
             if max > neighbour_max {
                 neighbour_max = max;
@@ -1932,8 +1945,15 @@ fn walk_chunk(
     // (faulty event mode).
     let grants = &worker.grants;
     for (i, g) in grants.iter().enumerate() {
+        if let Some(far) = grants.get(i + 4 * DELIVERY_AHEAD) {
+            if let Some(buffer) = buffers.get((far.requester as usize).wrapping_sub(base)) {
+                prefetch_lines(buffer);
+            }
+        }
         if let Some(ahead) = grants.get(i + DELIVERY_AHEAD) {
-            prefetch_read(&buffers[ahead.requester as usize - base]);
+            if let Some(buffer) = buffers.get((ahead.requester as usize).wrapping_sub(base)) {
+                buffer.prefetch_insert(ahead.segment);
+            }
         }
         buffers[g.requester as usize - base].insert(g.segment);
     }
