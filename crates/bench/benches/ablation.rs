@@ -1,7 +1,7 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
 //!
-//! * **Bandwidth model** — per-link (default) vs shared supplier outbound;
-//!   the shared model reproduces the paper's bandwidth-starved regime.
+//! * **Bandwidth model** — the cost of one quick scenario run under the
+//!   per-link grant rule.
 //! * **Rarity definition** — the paper's buffer-position product (eq. 8) vs
 //!   the traditional `1/n` rarity it argues against.
 //! * **Supplier assignment** — the greedy heuristic of Algorithm 1 vs the
@@ -20,14 +20,6 @@ fn bench_bandwidth_model(c: &mut Criterion) {
 
     group.bench_function("per_link_80_nodes", |b| {
         let config = ScenarioConfig::quick(80, Algorithm::Fast, Environment::Static);
-        b.iter(|| run_scenario(&config))
-    });
-    group.bench_function("shared_80_nodes", |b| {
-        let config = ScenarioConfig {
-            shared_supplier_capacity: true,
-            max_switch_periods: 120,
-            ..ScenarioConfig::quick(80, Algorithm::Fast, Environment::Static)
-        };
         b.iter(|| run_scenario(&config))
     });
     group.finish();

@@ -4,9 +4,9 @@
 //! context building, scheduling, transfer resolution, delivery, playback)
 //! through:
 //!
-//! * `reference_period` — the original straight-line implementation
-//!   (`step_reference`): fresh allocations, per-id neighbour probing,
-//!   map-based transfer resolution;
+//! * `reference_period` — one period of the executable specification
+//!   (`fss_spec::Spec::step`) on the same steady system: fresh
+//!   allocations, per-id neighbour probing, map-based grants;
 //! * `optimized_period` — the scratch-arena hot path (`advance`): zero
 //!   steady-state allocation, dense PeerId indexing, word-level bitset
 //!   candidate intersection;
@@ -79,8 +79,9 @@ fn bench_period_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("period_throughput");
     group.sample_size(10);
 
-    let mut sys = steady_system(1);
-    group.bench_function("reference_period_1k", |b| b.iter(|| sys.step_reference()));
+    let sys = steady_system(1);
+    let mut spec = fss_spec::Spec::from_system(&sys, Box::new(FastSwitchScheduler::new()));
+    group.bench_function("reference_period_1k", |b| b.iter(|| spec.step(&sys)));
 
     let mut sys = steady_system(1);
     group.bench_function("optimized_period_1k", |b| b.iter(|| sys.advance()));

@@ -89,7 +89,6 @@ pub fn run_scenario(config: &ScenarioConfig) -> RunResult {
 
     // 3. Assemble the system.
     let mut system = StreamingSystem::new(overlay, config.gossip, config.algorithm.scheduler());
-    system.set_capacity_model(config.capacity_model());
     if let Some(network) = config.network {
         system.set_network(network);
     }

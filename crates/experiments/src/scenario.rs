@@ -1,7 +1,7 @@
 //! Scenario configuration.
 
 use fss_core::{FastSwitchScheduler, NormalSwitchScheduler};
-use fss_gossip::{CapacityModel, GossipConfig, SegmentScheduler};
+use fss_gossip::{GossipConfig, SegmentScheduler};
 use fss_overlay::NetworkConfig;
 use serde::{Deserialize, Serialize};
 
@@ -76,9 +76,6 @@ pub struct ScenarioConfig {
     pub max_switch_periods: u64,
     /// Churn fractions for dynamic environments (leave, join).
     pub churn_fraction: f64,
-    /// Whether supplier outbound capacity is per-link (default) or shared
-    /// across requesters (the bandwidth-starved ablation).
-    pub shared_supplier_capacity: bool,
     /// Optional message-level network model (latency / loss / jitter).
     /// `None` (the paper's implicit assumption) runs period-lockstep;
     /// `Some` switches the run to event-driven stepping — the ideal
@@ -101,7 +98,6 @@ impl ScenarioConfig {
             warmup_periods: 40,
             max_switch_periods: 400,
             churn_fraction: 0.05,
-            shared_supplier_capacity: false,
             network: None,
             gossip: GossipConfig::paper_default(),
         }
@@ -119,15 +115,6 @@ impl ScenarioConfig {
     /// The same scenario with a different algorithm (identical workload).
     pub fn with_algorithm(&self, algorithm: Algorithm) -> Self {
         ScenarioConfig { algorithm, ..*self }
-    }
-
-    /// The supplier-capacity model this scenario uses.
-    pub fn capacity_model(&self) -> CapacityModel {
-        if self.shared_supplier_capacity {
-            CapacityModel::Shared
-        } else {
-            CapacityModel::PerLink
-        }
     }
 
     /// Validates the scenario.
@@ -201,17 +188,6 @@ mod tests {
         c = ScenarioConfig::paper(100, Algorithm::Fast, Environment::Static);
         c.gossip.buffer_capacity = 0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn capacity_model_defaults_to_per_link() {
-        let c = ScenarioConfig::paper(100, Algorithm::Fast, Environment::Static);
-        assert_eq!(c.capacity_model(), CapacityModel::PerLink);
-        let shared = ScenarioConfig {
-            shared_supplier_capacity: true,
-            ..c
-        };
-        assert_eq!(shared.capacity_model(), CapacityModel::Shared);
     }
 
     #[test]

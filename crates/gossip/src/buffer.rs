@@ -91,7 +91,7 @@ const EPOCH_LIMIT: u32 = 1 << 16;
 
 /// FIFO buffer of segment ids with O(1) membership and position queries and
 /// word-level availability access.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct FifoBuffer {
     capacity: usize,
     /// Arrival order, oldest at the front, as offsets from `base`.
@@ -110,6 +110,24 @@ pub struct FifoBuffer {
     epochs: u64,
     /// Cached greatest held id.
     max: Option<SegmentId>,
+}
+
+impl Clone for FifoBuffer {
+    /// A faithful copy, reserved capacity included: the memory meter
+    /// ([`mem_breakdown`](Self::mem_breakdown)) reads the same on the copy,
+    /// and both grow alike from here on.
+    fn clone(&self) -> Self {
+        let mut copy = FifoBuffer {
+            arrivals: VecDeque::with_capacity(self.arrivals.capacity()),
+            words: Vec::with_capacity(self.words.capacity()),
+            seqs: Vec::with_capacity(self.seqs.capacity()),
+            ..*self
+        };
+        copy.arrivals.extend(&self.arrivals);
+        copy.words.extend_from_slice(&self.words);
+        copy.seqs.extend_from_slice(&self.seqs);
+        copy
+    }
 }
 
 impl PartialEq for FifoBuffer {

@@ -149,6 +149,11 @@ impl BufferMap {
                 message: "zero window".into(),
             });
         }
+        if head.value().checked_add(window as u64 - 1).is_none() {
+            return Err(BufferMapDecodeError {
+                message: format!("window {window} at head {head} runs past the last segment id"),
+            });
+        }
         let expected_words = window.div_ceil(64);
         if bytes.len() != expected_words * 8 {
             return Err(BufferMapDecodeError {
@@ -288,6 +293,26 @@ mod tests {
         bytes.put_u32(10);
         bytes.put_u64(u64::MAX);
         assert!(BufferMap::decode(bytes.freeze()).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_windows_past_the_last_segment_id() {
+        // Head u64::MAX, window 64, the top bit of the word set: the id the
+        // bit names would be u64::MAX + 63.
+        let mut bytes = BytesMut::new();
+        bytes.put_u64(u64::MAX);
+        bytes.put_u32(64);
+        bytes.put_u64(1 << 63);
+        let err = BufferMap::decode(bytes.freeze()).unwrap_err();
+        assert!(err.message.contains("past the last segment id"), "{err}");
+
+        // The last window that still fits decodes.
+        let mut bytes = BytesMut::new();
+        bytes.put_u64(u64::MAX - 63);
+        bytes.put_u32(64);
+        bytes.put_u64(1 << 63);
+        let map = BufferMap::decode(bytes.freeze()).unwrap();
+        assert_eq!(map.ids().collect::<Vec<_>>(), vec![SegmentId(u64::MAX)]);
     }
 
     #[test]

@@ -108,6 +108,14 @@ impl GossipConfig {
         if self.new_source_qs == 0 {
             return err("new_source_qs must be positive".into());
         }
+        if self.startup_q > self.buffer_capacity {
+            // Playback starts after `startup_q` consecutive segments, which
+            // a buffer of `buffer_capacity` can never hold.
+            return err(format!(
+                "startup_q {} cannot exceed buffer_capacity {}",
+                self.startup_q, self.buffer_capacity
+            ));
+        }
         if self.new_source_qs > self.buffer_capacity {
             return err(format!(
                 "new_source_qs {} cannot exceed buffer_capacity {}",
@@ -167,6 +175,8 @@ mod tests {
             .message
             .contains("new_source_qs"));
         assert!(bad(|c| c.new_source_qs = 601).message.contains("exceed"));
+        let startup = bad(|c| c.startup_q = 601).message;
+        assert!(startup.contains("startup_q 601 cannot exceed buffer_capacity 600"));
         assert!(bad(|c| c.segment_bits = 0).message.contains("bits"));
     }
 

@@ -23,8 +23,9 @@
 //!   old stream finishing),
 //! * [`scheduler`] — the scheduling context handed to switch algorithms and
 //!   the request type they return,
-//! * [`transfer`] — bandwidth-constrained request resolution (per-supplier
-//!   outbound and per-requester inbound budgets),
+//! * [`transfer`] — the per-link grant rule (each supplier serves each
+//!   requesting neighbour up to its outbound budget; each requester takes
+//!   at most its inbound budget),
 //! * [`membership`] — neighbour-set repair under churn,
 //! * [`net`] — the message-level network model of the event-driven
 //!   stepping mode: granted transfers ride a per-period arrival calendar as
@@ -37,7 +38,8 @@
 //!   join/depart (churn, zaps, storms), and the shared allocation-free
 //!   [`directory::AdmissionPipeline`] + sampler every join path draws its
 //!   partners from (see `docs/architecture.md`),
-//! * [`peer`] — per-node protocol state and context construction,
+//! * [`peer`] — per-node protocol state (discovery, playback, switch
+//!   progress),
 //! * [`store`] — struct-of-arrays sharded peer storage: dense contiguous
 //!   peer-id shards owning their peers' state as parallel columns, the
 //!   chunk unit of both dispatches of a period (see `docs/performance.md`),
@@ -82,7 +84,7 @@ pub use config::GossipConfig;
 pub use directory::{AdmissionPipeline, AdmissionScratch, MembershipView, ViewConfig};
 pub use mem::{BufferMemBreakdown, MemUsage, MemoryFootprint};
 pub use net::{NetStats, NetworkModel};
-pub use peer::{NeighborInfo, PeerNode};
+pub use peer::PeerNode;
 pub use playback::{PlaybackPhase, PlaybackState};
 pub use qoe::{PeriodSample, QoeRecorder, QoeTotals};
 pub use scheduler::{
@@ -93,4 +95,4 @@ pub use segment::{SegmentId, Session, SessionDirectory, SourceId};
 pub use stats::{MilestoneStat, RatioSample, SwitchRecord, SwitchStats, TrafficCounters};
 pub use store::{PeerHeader, PeerMut, PeerRef, PeerShard, PeerStore};
 pub use system::{StreamingSystem, SystemReport};
-pub use transfer::{CapacityModel, DeliveredSegment, RequestBatch, TransferResolver};
+pub use transfer::DeliveredSegment;

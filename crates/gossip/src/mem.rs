@@ -13,8 +13,8 @@
 //!
 //! [`MemUsage`] (and therefore `SystemReport::mem`) accounts the **per-peer
 //! protocol state of active peers only**: it is a pure function of the
-//! simulated protocol history, so it is byte-identical between the optimized
-//! and reference period implementations, across worker counts and stepping
+//! simulated protocol history, so it is byte-identical between the period
+//! and its executable spec (`fss-spec`), across worker counts and stepping
 //! modes — the equivalence suites assert reports equal, and this field must
 //! never break them.  Execution-dependent memory (the [`PeriodScratch`]
 //! arena, whose worker-slot count follows the configured parallelism) is

@@ -16,7 +16,7 @@
 //!   [`fss_overlay::net::LinkFaults`] — no RNG cursor exists, so evaluation
 //!   order cannot change an outcome;
 //! * the calendar orders arrivals by time and ties by send order, and sends
-//!   happen in the resolver's deterministic grant order;
+//!   happen in the deterministic grant order;
 //! * the ideal configuration ([`fss_overlay::NetworkConfig::ideal`]) lands
 //!   every grant at the boundary that resolved it, so the fused walk
 //!   applies the period's grants directly — period-lockstep stepping,

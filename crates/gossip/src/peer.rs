@@ -1,11 +1,11 @@
 //! Per-node protocol state.
 //!
 //! A [`PeerNode`] is the *logical* per-peer record: a node's buffer and
-//! playback state, the count of serial sessions the node has *discovered*
-//! (§3: "a node does not know the source switch process until it discovers
-//! data segments of a new source in its neighbors"), and the
-//! [`SchedulingContext`] construction handed to the switch algorithm each
-//! period.
+//! playback state and the count of serial sessions the node has
+//! *discovered* (§3: "a node does not know the source switch process until
+//! it discovers data segments of a new source in its neighbors").  The
+//! scheduling context handed to the switch algorithm each period is built
+//! by [`WorkerScratch::build_context`](crate::scratch::WorkerScratch::build_context).
 //!
 //! Since the struct-of-arrays refactor the running system no longer stores
 //! `PeerNode` values — the record's four fields live as parallel columns
@@ -21,21 +21,8 @@ use crate::buffer::FifoBuffer;
 use crate::config::GossipConfig;
 use crate::mem::MemoryFootprint;
 use crate::playback::PlaybackState;
-use crate::scheduler::{CandidateSegment, SchedulingContext, SessionView, SupplierInfo};
 use crate::segment::{SegmentId, Session, SessionDirectory};
 use fss_overlay::PeerId;
-
-/// A neighbour as seen while building the scheduling context.
-#[derive(Debug, Clone, Copy)]
-pub struct NeighborInfo<'a> {
-    /// The neighbour's peer id.
-    pub peer: PeerId,
-    /// The neighbour's advertised outbound rate `R(j)` in segments/second.
-    pub outbound_rate: f64,
-    /// The neighbour's buffer (stands in for its 620-bit buffer map plus the
-    /// FIFO positions the map implies).
-    pub buffer: &'a FifoBuffer,
-}
 
 /// Protocol state of one overlay node.
 #[derive(Debug, Clone)]
@@ -127,25 +114,6 @@ impl PeerNode {
         self.q2_for(session, qs) == 0
     }
 
-    /// Builds this period's scheduling context, or `None` when the node has
-    /// nothing it could request (no candidates with suppliers).
-    pub fn build_context(
-        &self,
-        config: &GossipConfig,
-        directory: &SessionDirectory,
-        inbound_rate: f64,
-        neighbors: &[NeighborInfo<'_>],
-    ) -> Option<SchedulingContext> {
-        build_context(
-            &self.buffer,
-            self.id_play(),
-            self.known(directory),
-            config,
-            inbound_rate,
-            neighbors,
-        )
-    }
-
     /// Advances playback by one period.
     ///
     /// Playback starts after `Q` consecutive segments from the join point;
@@ -219,123 +187,6 @@ pub(crate) fn q2_for(buffer: &FifoBuffer, session: &Session, qs: usize) -> usize
     qs - buffer.count_in_range(first, last)
 }
 
-/// [`PeerNode::build_context`] over bare columns (the known-session prefix is
-/// resolved by the caller).
-pub(crate) fn build_context(
-    buffer: &FifoBuffer,
-    id_play: SegmentId,
-    known: &[Session],
-    config: &GossipConfig,
-    inbound_rate: f64,
-    neighbors: &[NeighborInfo<'_>],
-) -> Option<SchedulingContext> {
-    if neighbors.is_empty() || inbound_rate <= 0.0 {
-        return None;
-    }
-    if known.is_empty() {
-        return None;
-    }
-
-    // The "old" stream is the one the node is currently playing; the
-    // "new" stream is the next discovered session it has not reached yet.
-    let current_idx = known
-        .iter()
-        .rposition(|s| s.first_segment <= id_play)
-        .unwrap_or(0);
-    let current = &known[current_idx];
-    let next = known.get(current_idx + 1);
-
-    let max_advertised = neighbors
-        .iter()
-        .filter_map(|n| n.buffer.max_id())
-        .max()
-        .unwrap_or(SegmentId(0));
-
-    // Needed ids of the current stream.
-    let current_end = current
-        .last_segment
-        .unwrap_or(max_advertised)
-        .min(max_advertised);
-    let window_cap = 2 * config.buffer_capacity as u64;
-    let current_start = id_play
-        .max(current.first_segment)
-        .max(SegmentId(current_end.value().saturating_sub(window_cap)));
-    let mut needed: Vec<SegmentId> = if current_end >= current_start {
-        buffer.missing_in_range(current_start, current_end)
-    } else {
-        Vec::new()
-    };
-
-    // Needed ids of the next (new-source) stream, if discovered.
-    if let Some(next) = next {
-        let next_end = next
-            .last_segment
-            .unwrap_or(max_advertised)
-            .min(max_advertised);
-        if next_end >= next.first_segment {
-            needed.extend(buffer.missing_in_range(next.first_segment, next_end));
-        }
-    }
-    if needed.is_empty() {
-        return None;
-    }
-
-    // Gather suppliers: one scan of each neighbour's buffer.
-    let mut candidates: Vec<CandidateSegment> = needed
-        .iter()
-        .map(|&id| CandidateSegment {
-            id,
-            suppliers: Vec::new(),
-        })
-        .collect();
-    for n in neighbors {
-        let positions = n.buffer.positions_of(&needed);
-        for (candidate, position) in candidates.iter_mut().zip(positions) {
-            if let Some(position) = position {
-                candidate.suppliers.push(SupplierInfo {
-                    peer: n.peer,
-                    rate: n.outbound_rate,
-                    buffer_position: position,
-                    buffer_capacity: n.buffer.capacity(),
-                });
-            }
-        }
-    }
-    candidates.retain(|c| !c.suppliers.is_empty());
-    if candidates.is_empty() {
-        return None;
-    }
-
-    let (old_session, new_session, q1, q2) = match next {
-        Some(next) => (
-            Some(session_view(current)),
-            Some(session_view(next)),
-            undelivered_in_session(buffer, id_play, current, max_advertised),
-            q2_for(buffer, next, config.new_source_qs),
-        ),
-        None => (
-            Some(session_view(current)),
-            None,
-            undelivered_in_session(buffer, id_play, current, max_advertised),
-            0,
-        ),
-    };
-
-    Some(SchedulingContext {
-        tau_secs: config.tau_secs,
-        play_rate: config.play_rate,
-        inbound_rate,
-        id_play,
-        startup_q: config.startup_q,
-        new_source_qs: config.new_source_qs,
-        old_session,
-        new_session,
-        q1,
-        q2,
-        candidates,
-    })
-}
-
 /// [`PeerNode::advance_playback`] over bare columns (the known-session prefix
 /// is resolved by the caller).
 pub(crate) fn advance_playback(
@@ -380,17 +231,12 @@ impl MemoryFootprint for PeerNode {
     }
 }
 
-fn session_view(session: &Session) -> SessionView {
-    SessionView {
-        id: session.id,
-        first_segment: session.first_segment,
-        last_segment: session.last_segment,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::SchedulingContext;
+    use crate::scratch::WorkerScratch;
+    use crate::store::PeerStore;
 
     fn config() -> GossipConfig {
         GossipConfig {
@@ -406,6 +252,51 @@ mod tests {
         dir.start_session(0, 0.0, None);
         dir.start_session(1, 50.0, Some(SegmentId(99)));
         dir
+    }
+
+    /// `node`'s scheduling context from the production builder, with the
+    /// neighbours `(outbound rate, buffer)` stored under the ids following
+    /// the node's own.
+    fn context(
+        node: &PeerNode,
+        cfg: &GossipConfig,
+        dir: &SessionDirectory,
+        inbound: f64,
+        neighbors: &[(f64, FifoBuffer)],
+    ) -> Option<SchedulingContext> {
+        let mut store = PeerStore::new(64);
+        for id in 0..node.id() {
+            store.push(PeerNode::new(id, cfg, SegmentId(0)));
+        }
+        store.push(node.clone());
+        let mut rates = vec![0.0; node.id() as usize + 1];
+        let mut ids = Vec::new();
+        for (rate, buffer) in neighbors {
+            let id = store.len() as PeerId;
+            store.push(PeerNode::new(id, cfg, SegmentId(0)));
+            *store.buffer_mut(id) = buffer.clone();
+            rates.push(*rate);
+            ids.push(id);
+        }
+        let max_advertised = neighbors
+            .iter()
+            .filter_map(|(_, buffer)| buffer.max_id())
+            .max()
+            .unwrap_or(SegmentId(0));
+        let mut scratch = WorkerScratch::default();
+        scratch
+            .build_context(
+                store.peer(node.id()),
+                cfg,
+                dir,
+                inbound,
+                &ids,
+                &store,
+                &rates,
+                node.known_sessions(),
+                max_advertised,
+            )
+            .then(|| scratch.ctx.clone())
     }
 
     fn neighbor_buffer(ids: &[u64]) -> FifoBuffer {
@@ -467,24 +358,12 @@ mod tests {
         }
         node.discover_sessions(&dir, SegmentId(105));
 
-        let nb1 = neighbor_buffer(&(80..100).collect::<Vec<_>>());
-        let nb2 = neighbor_buffer(&(95..106).collect::<Vec<_>>());
         let neighbors = [
-            NeighborInfo {
-                peer: 2,
-                outbound_rate: 12.0,
-                buffer: &nb1,
-            },
-            NeighborInfo {
-                peer: 3,
-                outbound_rate: 20.0,
-                buffer: &nb2,
-            },
+            (12.0, neighbor_buffer(&(80..100).collect::<Vec<_>>())),
+            (20.0, neighbor_buffer(&(95..106).collect::<Vec<_>>())),
         ];
 
-        let ctx = node
-            .build_context(&cfg, &dir, 15.0, &neighbors)
-            .expect("has candidates");
+        let ctx = context(&node, &cfg, &dir, 15.0, &neighbors).expect("has candidates");
         assert!(ctx.switch_in_progress());
         assert_eq!(ctx.q1, 10, "missing 90..=99 of S1");
         assert_eq!(ctx.q2, 5, "none of 100..=104 held");
@@ -516,22 +395,17 @@ mod tests {
         node.discover_sessions(&dir, SegmentId(0));
 
         // No neighbours.
-        assert!(node.build_context(&cfg, &dir, 15.0, &[]).is_none());
+        assert!(context(&node, &cfg, &dir, 15.0, &[]).is_none());
 
         // Zero inbound (a source).
-        let nb = neighbor_buffer(&[0, 1, 2]);
-        let neighbors = [NeighborInfo {
-            peer: 2,
-            outbound_rate: 10.0,
-            buffer: &nb,
-        }];
-        assert!(node.build_context(&cfg, &dir, 0.0, &neighbors).is_none());
+        let neighbors = [(10.0, neighbor_buffer(&[0, 1, 2]))];
+        assert!(context(&node, &cfg, &dir, 0.0, &neighbors).is_none());
 
         // Node already has everything its neighbours advertise.
         for i in 0..3u64 {
             node.buffer_mut().insert(SegmentId(i));
         }
-        assert!(node.build_context(&cfg, &dir, 15.0, &neighbors).is_none());
+        assert!(context(&node, &cfg, &dir, 15.0, &neighbors).is_none());
     }
 
     #[test]

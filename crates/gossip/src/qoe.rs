@@ -102,7 +102,7 @@ impl PeriodSample {
 /// integers (order-free sums) and the event buffers concatenate in
 /// ascending peer order, so the merged row is byte-identical to one serial
 /// observation sweep.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct QoeLane {
     row: PeriodSample,
     /// Startup delays (whole periods) of this period's startups.
@@ -220,14 +220,14 @@ impl QoeTotals {
 }
 
 /// Counter-only QoE event recorder driven from the playback pass of
-/// `StreamingSystem::advance` (and, identically, `step_reference`).
+/// `StreamingSystem::advance`.
 ///
 /// The recorder owns no aggregation beyond the current period: callers read
 /// [`latest`](Self::latest) plus the per-period event buffers
 /// ([`startup_delays_periods`](Self::startup_delays_periods),
 /// [`stall_durations_periods`](Self::stall_durations_periods)) after each
 /// step and feed whatever bounded structure they maintain.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct QoeRecorder {
     enabled: bool,
     peers: Vec<PeerQoe>,

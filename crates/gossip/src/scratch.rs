@@ -1,9 +1,9 @@
 //! Reusable per-period working memory (the "scratch arena").
 //!
-//! The period loop used to re-allocate the world every scheduling
-//! period: the active-peer list, a `Vec<NeighborInfo>` per node, a
-//! `Vec<SupplierInfo>` per candidate segment, a `HashMap` of outbound
-//! budgets, and the per-node request vectors.  At production scale (the
+//! A straight-line period re-allocates the world every scheduling period:
+//! the active-peer list, a neighbour list per node, a `Vec<SupplierInfo>`
+//! per candidate segment, a map of outbound budgets, and the per-node
+//! request vectors.  At production scale (the
 //! ROADMAP's million-user scenarios) those allocations dominate the period
 //! cost.  This module holds every buffer the hot path needs, all owned by
 //! the system and reused across periods, so a steady-state period performs
@@ -24,9 +24,10 @@
 //! sequence array is read only at the candidates it actually holds.
 //!
 //! The structures only ever grow (to a steady-state high-water mark); the
-//! equivalence tests assert the resulting [`SystemReport`]s are identical to
-//! the pre-refactor reference implementation, and the allocation-counter
-//! test in `fss-bench` asserts the zero-allocation property.
+//! differential tests assert the resulting [`SystemReport`]s are identical
+//! to the executable specification in `fss-spec`, and the
+//! allocation-counter test in `fss-bench` asserts the zero-allocation
+//! property.
 //!
 //! [`SystemReport`]: crate::system::SystemReport
 
@@ -59,16 +60,10 @@ pub struct WorkerScratch {
     /// Working memory of the per-link grant step.
     pub grant: GrantScratch,
     /// The chunk's delivery slice, which the fused walk applies: its
-    /// grants, requester-ascending and within one requester in resolver
+    /// grants, requester-ascending and within one requester in grant
     /// order (supplier, then submission order); in faulty event mode, the
     /// arrivals that land inside the period, in arrival order.
     pub grants: Vec<DeliveredSegment>,
-    /// `Shared` capacity model only: the chunk's scheduled requests, flat,
-    /// for the global resolver.
-    pub shared_requests: Vec<SegmentRequest>,
-    /// `Shared` capacity model only: `(requester, inbound budget, start,
-    /// end)` — each requester's range of `shared_requests`.
-    pub shared_batches: Vec<(PeerId, usize, usize, usize)>,
     /// Control traffic observed by this chunk.
     pub control_bits: u64,
     /// Event mode: requests suppressed by a lost buffer-map advertisement.
@@ -113,8 +108,6 @@ impl WorkerScratch {
     /// most grants it can receive in a period.
     pub fn plan<F: Fn(PeerId) -> usize>(&mut self, chunk: &[PeerId], inbound_budget: F) {
         self.grants.clear();
-        self.shared_requests.clear();
-        self.shared_batches.clear();
         self.control_bits = 0;
         self.requests_blinded = 0;
         self.requests_lost = 0;
@@ -145,8 +138,8 @@ impl WorkerScratch {
     /// filled **neighbour-major**: each neighbour's words are intersected
     /// with the mask, and every hit goes to the candidate whose index is
     /// the hit's rank in the mask (a prefix popcount).  Each candidate's
-    /// suppliers therefore come out in `neighbors` order — identical to the
-    /// reference per-id probing — while only actual suppliers are probed.
+    /// suppliers therefore come out in `neighbors` order — identical to
+    /// per-id probing — while only actual suppliers are probed.
     #[allow(clippy::too_many_arguments)]
     fn candidates_in_range(
         &mut self,
@@ -239,10 +232,14 @@ impl WorkerScratch {
         );
     }
 
-    /// Rebuilds `self.ctx` for `node` without allocating, mirroring
-    /// `PeerNode::build_context` exactly (same windows, same candidate
-    /// order, same supplier order).  Returns `false` when the node has
-    /// nothing it could request this period.
+    /// Rebuilds `self.ctx` for `node` without allocating.  Returns `false`
+    /// when the node has nothing it could request this period.
+    ///
+    /// The candidates are the node's missing ids of the stream it is
+    /// playing (capped to a trailing `2·B` window below the highest id its
+    /// neighbours advertise) followed by those of the next discovered
+    /// session, in ascending id order; each candidate lists the neighbours
+    /// holding it, in `neighbors` order.
     ///
     /// The discovery inputs arrive precomputed: `known_sessions` is the
     /// node's *post-discovery* session count for this period (the fused
@@ -280,10 +277,9 @@ impl WorkerScratch {
         let current = &known[current_idx];
         let next = known.get(current_idx + 1);
 
-        // Ranges identical to the reference implementation: the current
-        // stream capped to a 2·B trailing window, plus the next (new-source)
-        // stream once discovered.  Ranges are disjoint and ascending, so
-        // candidates come out in id order.
+        // The current stream capped to a 2·B trailing window, plus the next
+        // (new-source) stream once discovered.  Ranges are disjoint and
+        // ascending, so candidates come out in id order.
         let current_end = current
             .last_segment
             .unwrap_or(max_advertised)
@@ -372,15 +368,13 @@ impl MemoryFootprint for WorkerScratch {
             + vec_bytes(&self.requests)
             + self.grant.heap_bytes()
             + vec_bytes(&self.grants)
-            + vec_bytes(&self.shared_requests)
-            + vec_bytes(&self.shared_batches)
             + self.qoe.heap_bytes()
     }
 }
 
 impl MemoryFootprint for PeriodScratch {
     /// The dense per-peer tables, the active/observed lists, the ratio
-    /// column, the `Shared`-model deliveries and every worker slot.
+    /// column and every worker slot.
     fn heap_bytes(&self) -> usize {
         let workers: usize =
             vec_bytes(&self.workers) + self.workers.iter().map(|w| w.heap_bytes()).sum::<usize>();
@@ -390,7 +384,6 @@ impl MemoryFootprint for PeriodScratch {
             + vec_bytes(&self.inbound_rate)
             + vec_bytes(&self.outbound_budget)
             + vec_bytes(&self.chunks)
-            + vec_bytes(&self.deliveries)
             + vec_bytes(&self.ratio_terms)
             + workers
     }
@@ -426,10 +419,6 @@ pub struct PeriodScratch {
     pub chunks: Vec<(usize, usize)>,
     /// Per-chunk state, one slot per chunk (one entry when sequential).
     pub workers: Vec<WorkerScratch>,
-    /// `Shared` capacity model only: the global resolver's deliveries, in
-    /// resolver (supplier-major) order, before they are handed to their
-    /// requesters' chunks.
-    pub deliveries: Vec<DeliveredSegment>,
     /// Ratio-track terms `(undelivered S1, delivered S2)` aligned with
     /// `active` — `(0.0, 0.0)` for peers that do not count — written by the
     /// walk chunks and summed serially in ascending order.
@@ -455,7 +444,8 @@ impl PeriodScratch {
 mod tests {
     use super::*;
     use crate::buffer::FifoBuffer;
-    use crate::peer::{NeighborInfo, PeerNode};
+    use crate::peer::PeerNode;
+    use crate::segment::Session;
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -485,8 +475,73 @@ mod tests {
         buffer
     }
 
+    /// The context builder as a straight-line oracle: every id of the
+    /// current and next session's ranges, probed at every neighbour.
+    /// `neighbors` holds `(peer, outbound rate, buffer)`.
+    fn reference_context(
+        node: &PeerNode,
+        config: &GossipConfig,
+        directory: &SessionDirectory,
+        inbound_rate: f64,
+        neighbors: &[(PeerId, f64, &FifoBuffer)],
+    ) -> Option<SchedulingContext> {
+        let known = node.known(directory);
+        if neighbors.is_empty() || inbound_rate <= 0.0 || known.is_empty() {
+            return None;
+        }
+        let id_play = node.id_play();
+        let current_idx = known.iter().rposition(|s| s.first_segment <= id_play);
+        let current = &known[current_idx.unwrap_or(0)];
+        let next = known.get(current_idx.unwrap_or(0) + 1);
+        let max_advertised = neighbors.iter().filter_map(|n| n.2.max_id()).max();
+        let max_advertised = max_advertised.unwrap_or(SegmentId(0));
+        let end_of = |s: &Session| s.last_segment.unwrap_or(max_advertised).min(max_advertised);
+
+        let window_start = end_of(current)
+            .value()
+            .saturating_sub(2 * config.buffer_capacity as u64);
+        let current_start = id_play.max(current.first_segment).value().max(window_start);
+        let mut needed: Vec<u64> = (current_start..=end_of(current).value()).collect();
+        if let Some(next) = next {
+            needed.extend(next.first_segment.value()..=end_of(next).value());
+        }
+        let mut candidates = Vec::new();
+        for id in needed.into_iter().map(SegmentId) {
+            let suppliers: Vec<SupplierInfo> = neighbors
+                .iter()
+                .filter_map(|&(peer, rate, buffer)| {
+                    Some(SupplierInfo {
+                        peer,
+                        rate,
+                        buffer_position: buffer.position_from_tail(id)?,
+                        buffer_capacity: buffer.capacity(),
+                    })
+                })
+                .collect();
+            if !node.buffer().contains(id) && !suppliers.is_empty() {
+                candidates.push(CandidateSegment { id, suppliers });
+            }
+        }
+        if candidates.is_empty() {
+            return None;
+        }
+        Some(SchedulingContext {
+            tau_secs: config.tau_secs,
+            play_rate: config.play_rate,
+            inbound_rate,
+            id_play,
+            startup_q: config.startup_q,
+            new_source_qs: config.new_source_qs,
+            old_session: Some(session_view(current)),
+            new_session: next.map(session_view),
+            q1: node.undelivered_in_session(current, max_advertised),
+            q2: next.map_or(0, |next| node.q2_for(next, config.new_source_qs)),
+            candidates,
+        })
+    }
+
     /// Builds one random context-builder scenario from `seed` and returns
-    /// `(reference, production)`: `PeerNode::build_context` and
+    /// `(reference, production)`: [`reference_context`] and
     /// `scratch.build_context`, each `None` for "nothing to request".
     fn build_both(
         seed: u64,
@@ -540,15 +595,11 @@ mod tests {
             rng.gen_range(0.5..30.0)
         };
 
-        let infos: Vec<NeighborInfo<'_>> = neighbors
+        let infos: Vec<(PeerId, f64, &FifoBuffer)> = neighbors
             .iter()
-            .map(|&n| NeighborInfo {
-                peer: n,
-                outbound_rate: outbound_rate[n as usize],
-                buffer: store.buffer(n),
-            })
+            .map(|&n| (n, outbound_rate[n as usize], store.buffer(n)))
             .collect();
-        let reference = node.build_context(&config, &directory, inbound, &infos);
+        let reference = reference_context(&node, &config, &directory, inbound, &infos);
 
         let max_advertised = neighbors
             .iter()
@@ -584,9 +635,9 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
-        /// The allocation-free context builder equals the reference
-        /// `PeerNode::build_context`: same candidates, same supplier order,
-        /// same `q1`/`q2` — or both find nothing to request.
+        /// The allocation-free context builder equals the straight-line
+        /// [`reference_context`]: same candidates, same supplier order, same
+        /// `q1`/`q2` — or both find nothing to request.
         #[test]
         fn prop_build_context_matches_reference(seed in 0u64..u64::MAX) {
             check_seed(seed)?;

@@ -28,9 +28,8 @@
 use crate::buffer::FifoBuffer;
 use crate::config::GossipConfig;
 use crate::mem::{vec_bytes, MemoryFootprint};
-use crate::peer::{self, NeighborInfo, PeerNode};
+use crate::peer::{self, PeerNode};
 use crate::playback::PlaybackState;
-use crate::scheduler::SchedulingContext;
 use crate::segment::{SegmentId, Session, SessionDirectory};
 use fss_overlay::PeerId;
 use std::marker::PhantomData;
@@ -499,11 +498,6 @@ impl<'a> PeerRef<'a> {
         self.playback.next_play()
     }
 
-    /// The sessions the peer currently knows about.
-    pub fn known<'d>(&self, directory: &'d SessionDirectory) -> &'d [Session] {
-        peer::known_slice(self.known_sessions, directory)
-    }
-
     /// See [`PeerNode::undelivered_in_session`].
     pub fn undelivered_in_session(&self, session: &Session, fallback_end: SegmentId) -> usize {
         peer::undelivered_in_session(self.buffer, self.id_play(), session, fallback_end)
@@ -512,30 +506,6 @@ impl<'a> PeerRef<'a> {
     /// See [`PeerNode::q2_for`].
     pub fn q2_for(&self, session: &Session, qs: usize) -> usize {
         peer::q2_for(self.buffer, session, qs)
-    }
-
-    /// See [`PeerNode::prepared_for`].
-    pub fn prepared_for(&self, session: &Session, qs: usize) -> bool {
-        self.q2_for(session, qs) == 0
-    }
-
-    /// See [`PeerNode::build_context`] (the allocating reference path; the
-    /// optimized path goes through the scratch arena instead).
-    pub fn build_context(
-        &self,
-        config: &GossipConfig,
-        directory: &SessionDirectory,
-        inbound_rate: f64,
-        neighbors: &[NeighborInfo<'_>],
-    ) -> Option<SchedulingContext> {
-        peer::build_context(
-            self.buffer,
-            self.id_play(),
-            self.known(directory),
-            config,
-            inbound_rate,
-            neighbors,
-        )
     }
 }
 

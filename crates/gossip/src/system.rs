@@ -28,10 +28,9 @@
 //! segments and advances playback.  Chunk outputs land in per-chunk scratch
 //! slots and merge in chunk order, so the report is byte-identical
 //! regardless of executor, worker count or scheduling interleaving.
-//! [`step_reference`](StreamingSystem::step_reference) preserves the
-//! original straight-line implementation; the two are byte-equivalent (the
-//! test-suite asserts identical [`SystemReport`]s) and the reference serves
-//! as the baseline for `BENCH_period.json`.
+//! `advance` is the only period in the library; the executable
+//! specification it is checked against (a straight-line lockstep period
+//! written from the public API) lives in the test-only `fss-spec` crate.
 
 use crate::buffer::FifoBuffer;
 use crate::config::GossipConfig;
@@ -39,7 +38,7 @@ use crate::directory::{sample_distinct, MembershipView, SampleScratch, ViewConfi
 use crate::mem::{vec_bytes, MemUsage, MemoryFootprint};
 use crate::membership::MembershipMaintainer;
 use crate::net::{NetStats, NetworkModel};
-use crate::peer::{self, NeighborInfo, PeerNode};
+use crate::peer::{self, PeerNode};
 use crate::prefetch::{prefetch_lines, prefetch_read, DELIVERY_AHEAD, WALK_AHEAD};
 use crate::qoe::{PeerQoe, QoeRecorder, QoeTotals};
 use crate::scheduler::SegmentScheduler;
@@ -47,7 +46,7 @@ use crate::scratch::{PeriodScratch, WorkerScratch};
 use crate::segment::{SegmentId, Session, SessionDirectory, SourceId};
 use crate::stats::{RatioSample, SwitchRecord, SwitchStats, TrafficCounters};
 use crate::store::{PeerHeader, PeerRef, PeerStore};
-use crate::transfer::{grant_per_link, CapacityModel, RequestBatch, TransferResolver};
+use crate::transfer::grant_per_link;
 use fss_overlay::net::{LinkFaults, MessageKind, NetworkConfig};
 use fss_overlay::{ChurnModel, Overlay, OverlayError, PeerAttrs, PeerId};
 use fss_sim::exec::{DisjointRanges, DisjointSlots, JobExecutor, SerialExecutor};
@@ -97,7 +96,6 @@ pub struct StreamingSystem {
     peers: PeerStore,
     directory: SessionDirectory,
     scheduler: Box<dyn SegmentScheduler>,
-    resolver: TransferResolver,
     churn: Option<ChurnModel>,
     membership: MembershipMaintainer,
     /// This channel's slot in the cross-channel membership directory: the
@@ -178,7 +176,6 @@ impl StreamingSystem {
             peers,
             directory: SessionDirectory::new(),
             scheduler,
-            resolver: TransferResolver::new(),
             churn: None,
             membership: MembershipMaintainer::new(min_degree, membership_seed),
             view,
@@ -206,12 +203,6 @@ impl StreamingSystem {
     /// Enables per-period churn (the paper's dynamic environments).
     pub fn set_churn(&mut self, churn: ChurnModel) {
         self.churn = Some(churn);
-    }
-
-    /// Selects how supplier outbound capacity is enforced (per-link by
-    /// default; shared for the bandwidth-starved ablation).
-    pub fn set_capacity_model(&mut self, model: crate::transfer::CapacityModel) {
-        self.resolver = TransferResolver::with_model(model);
     }
 
     /// Installs a message-level network model and switches
@@ -334,6 +325,12 @@ impl StreamingSystem {
             Some(t) => self.now_secs() - t,
             None => 0.0,
         }
+    }
+
+    /// The live source's emission cursor: the next segment id it emits and
+    /// the fractional emission credit carried into the next period.
+    pub fn emission(&self) -> (SegmentId, f64) {
+        (self.next_emit, self.emit_credit)
     }
 
     /// Number of scheduling periods executed so far.
@@ -668,15 +665,6 @@ impl StreamingSystem {
         }
     }
 
-    /// Runs `n` scheduling periods through the reference (pre-optimization)
-    /// implementation.  Used by equivalence tests and the baseline lane of
-    /// the `period_throughput` benchmark.
-    pub fn run_periods_reference(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step_reference();
-        }
-    }
-
     /// Runs until every countable node has completed the switch or
     /// `max_periods` have elapsed since the call.  Returns the number of
     /// periods executed.
@@ -694,12 +682,10 @@ impl StreamingSystem {
     /// session manager, experiments, the benchmark) goes through.
     ///
     /// 1. The **scheduling pass**: per chunk, gather, discovery, context
-    ///    building and scheduling, and — under the default
-    ///    [`CapacityModel::PerLink`] — the grant step: a per-link grant
-    ///    depends only on the requester's own requests and the read-only
-    ///    supplier budgets, so each chunk grants its own requesters (see
-    ///    [`grant_per_link`]).  Only the `Shared` ablation model still
-    ///    resolves globally between the dispatches.
+    ///    building, scheduling and the grant step: a per-link grant depends
+    ///    only on the requester's own requests and the read-only supplier
+    ///    budgets, so each chunk grants its own requesters (see
+    ///    [`grant_per_link`]).
     /// 2. The **fused walk**: per chunk, delivery, discovery write,
     ///    playback advance, QoE observation and switch milestones back to
     ///    back, while the chunk's header and buffer columns are
@@ -711,9 +697,9 @@ impl StreamingSystem {
     /// grants become in-flight messages, and the walk delivers the messages
     /// that land strictly inside this period.
     ///
-    /// Reports are byte-identical to [`step_reference`](Self::step_reference)
-    /// for every executor, worker count and shard count, and the ideal
-    /// network reproduces lockstep byte-for-byte.
+    /// Reports are byte-identical for every executor, worker count and
+    /// shard count, and the ideal network reproduces lockstep
+    /// byte-for-byte.
     pub fn advance(&mut self) {
         let period_traffic_before = self.traffic_total;
 
@@ -756,31 +742,6 @@ impl StreamingSystem {
         self.switch_completed_secs.is_some()
     }
 
-    /// Executes one scheduling period through the original straight-line
-    /// implementation (fresh allocations, per-id neighbour probing, map-based
-    /// transfer resolution).  Behaviour is identical to lockstep
-    /// [`advance`](Self::advance); kept as the verification baseline.
-    ///
-    /// # Panics
-    /// Panics if a network model is installed: the reference models
-    /// lockstep only, so stepping past in-flight messages would silently
-    /// strand them — use [`advance`](Self::advance) instead.
-    pub fn step_reference(&mut self) {
-        assert!(
-            self.net.is_none(),
-            "a network model is installed; use advance()"
-        );
-        let period_traffic_before = self.traffic_total;
-        self.apply_churn();
-        self.emit_segments();
-        let batches = self.collect_requests_reference();
-        self.deliver_reference(batches);
-        self.period_index += 1;
-        self.advance_playback_and_record();
-        self.account_switch_window(period_traffic_before);
-        self.update_switch_completion();
-    }
-
     /// Event mode: applies the in-flight messages due exactly at the current
     /// boundary to their requesters' buffers, in send order, before this
     /// period's scheduling reads them.  Arrivals for peers that have since
@@ -816,7 +777,7 @@ impl StreamingSystem {
     /// Each grant's arrival is scheduled (request leg + data leg of scaled
     /// trace latency, plus jitter) unless the data leg drops it.  Grants go
     /// out chunk by chunk, so requester by requester, each requester's in
-    /// resolver order.  Loss semantics per leg:
+    /// grant order.  Loss semantics per leg:
     /// * a lost buffer-map advertisement blinds the requester to that
     ///   supplier for the whole period (all its requests there are
     ///   suppressed before granting),
@@ -978,7 +939,7 @@ impl StreamingSystem {
     }
 
     // ------------------------------------------------------------------
-    // internal steps (shared)
+    // internal steps
     // ------------------------------------------------------------------
 
     fn account_switch_window(&mut self, period_traffic_before: TrafficCounters) {
@@ -1091,96 +1052,6 @@ impl StreamingSystem {
         }
     }
 
-    fn advance_playback_and_record(&mut self) {
-        // QoE telemetry reads the playback state machine *after* each peer's
-        // advance — counters only, no RNG, no allocation — so the observed
-        // run is bit-for-bit the unobserved one.  The serial sweep of
-        // `step_reference`; the fused walk is its chunked equivalent.
-        let qoe_on = self.qoe.is_enabled();
-        if qoe_on {
-            self.qoe.begin_period(self.period_index);
-        }
-        for p in self.overlay.active_peers() {
-            let mut peer = self.peers.peer_mut(p);
-            let played = peer.advance_playback(&self.config, &self.directory);
-            if qoe_on {
-                let playback = peer.playback();
-                let (started, stalls) = (playback.has_started(), playback.stalls());
-                self.qoe.observe(p as usize, started, stalls, played);
-            }
-        }
-        let switch_waiting = self.record_switch_milestones();
-        if qoe_on {
-            self.qoe.finish_period(switch_waiting);
-        }
-    }
-
-    /// The per-period switch-milestone pass: updates every countable peer's
-    /// milestones, appends the (possibly decimated) ratio sample, and
-    /// returns how many countable peers have not completed the switch yet
-    /// (the QoE switch-progress gauge; 0 outside a switch window).
-    fn record_switch_milestones(&mut self) -> u64 {
-        let Some((old_id, new_id)) = self.switch_sessions else {
-            return 0;
-        };
-        let since_switch = self.secs_since_switch();
-        let old = *self.directory.get(old_id).expect("old session");
-        let new = *self.directory.get(new_id).expect("new session");
-        let old_end = old.last_segment.expect("old session closed at switch");
-        let qs = self.config.new_source_qs;
-
-        let mut undelivered_sum = 0.0;
-        let mut delivered_sum = 0.0;
-        let mut counted = 0usize;
-        let mut waiting = 0u64;
-        for p in self.overlay.active_peers() {
-            let record = &mut self.switch_records[p as usize];
-            if !record.countable() {
-                continue;
-            }
-            let node = self.peers.peer(p);
-
-            if record.s1_finished_secs.is_none() && node.id_play() > old_end {
-                record.s1_finished_secs = Some(since_switch);
-            }
-            if record.s2_prepared_secs.is_none() && node.prepared_for(&new, qs) {
-                record.s2_prepared_secs = Some(since_switch);
-            }
-            if record.s2_started_secs.is_none() && node.id_play() > new.first_segment {
-                record.s2_started_secs = Some(since_switch);
-            }
-            if !record.completed() {
-                waiting += 1;
-            }
-
-            // Ratio tracks (Figures 5 and 9).
-            let q1 = node.undelivered_in_session(&old, old_end);
-            let undelivered_ratio = if record.q0 == 0 {
-                0.0
-            } else {
-                q1 as f64 / record.q0 as f64
-            };
-            let q2 = node.q2_for(&new, qs);
-            let delivered_ratio = (qs - q2) as f64 / qs as f64;
-            undelivered_sum += undelivered_ratio;
-            delivered_sum += delivered_ratio;
-            counted += 1;
-        }
-        if counted > 0 {
-            // Keep-every-k decimation (k = 1 keeps all, byte-identical to
-            // the undecimated report); the first sample is always kept.
-            self.ratio_periods_seen += 1;
-            if (self.ratio_periods_seen - 1).is_multiple_of(self.ratio_keep_every) {
-                self.ratio_samples.push(RatioSample {
-                    secs: since_switch,
-                    undelivered_ratio_s1: undelivered_sum / counted as f64,
-                    delivered_ratio_s2: delivered_sum / counted as f64,
-                });
-            }
-        }
-        waiting
-    }
-
     fn update_switch_completion(&mut self) {
         if self.switch_secs.is_none() || self.switch_completed_secs.is_some() {
             return;
@@ -1197,7 +1068,7 @@ impl StreamingSystem {
     }
 
     // ------------------------------------------------------------------
-    // optimized period internals
+    // period internals
     // ------------------------------------------------------------------
 
     /// Buffer-map gather + discovery + context building + scheduling +
@@ -1210,7 +1081,8 @@ impl StreamingSystem {
     /// parallel writes are disjoint) and builds each scheduling context from
     /// the locally computed post-discovery knowledge.  Discovery writes only
     /// touch the per-peer header — never a buffer — so every gather still
-    /// reads pre-discovery state exactly like the reference implementation.
+    /// reads pre-discovery state, as a serial discovery pass before
+    /// scheduling would.
     /// The store write is deferred to the walk, where the header line is
     /// hot anyway; discovery commutes with delivery (headers vs buffers),
     /// so the deferral is byte-identical.
@@ -1258,10 +1130,6 @@ impl StreamingSystem {
             .map(|w| w.control_bits)
             .sum();
         self.traffic_total.add_control(control_bits);
-
-        if self.resolver.model() == CapacityModel::Shared {
-            self.resolve_shared();
-        }
     }
 
     /// Fills `scratch.chunks` with the `(start, end)` index ranges of the
@@ -1311,7 +1179,7 @@ impl StreamingSystem {
         }
     }
 
-    /// Dispatches the per-node scheduling (and, per-link, granting) over
+    /// Dispatches the per-node scheduling and granting over
     /// the planned chunks.  Chunks are contiguous slices of the active
     /// list, so concatenating chunk outputs reproduces the sequential node
     /// order exactly; each chunk writes only its own [`WorkerScratch`] slot,
@@ -1344,7 +1212,6 @@ impl StreamingSystem {
             outbound_rate,
             inbound_rate,
             outbound_budget,
-            per_link: self.resolver.model() == CapacityModel::PerLink,
             faults,
             period: self.period_index,
         };
@@ -1380,40 +1247,6 @@ impl StreamingSystem {
             .as_deref()
             .unwrap_or(&SerialExecutor)
             .execute(used, &job);
-    }
-
-    /// The `Shared` capacity model's global resolution: the chunks stashed
-    /// their scheduled requests, the resolver arbitrates every supplier's
-    /// shared budget across requesters, and each delivery is handed to its
-    /// requester's chunk — per requester in resolver order, which is the
-    /// only order a buffer can observe.
-    fn resolve_shared(&mut self) {
-        let PeriodScratch {
-            active,
-            chunks,
-            workers,
-            outbound_budget,
-            deliveries,
-            ..
-        } = &mut self.scratch;
-        let used = chunks.len();
-        self.resolver.resolve_parts_into(
-            workers[..used].iter().flat_map(|w| {
-                w.shared_batches
-                    .iter()
-                    .map(move |&(p, budget, start, end)| {
-                        (p, budget, &w.shared_requests[start..end])
-                    })
-            }),
-            |p| outbound_budget.get(p as usize).copied().unwrap_or(0),
-            self.period_index,
-            deliveries,
-        );
-        for d in deliveries.iter() {
-            workers[chunk_of(chunks, active, d.requester)]
-                .grants
-                .push(*d);
-        }
     }
 
     /// The fused back half of [`advance`](Self::advance), dispatched over
@@ -1567,121 +1400,6 @@ impl StreamingSystem {
             self.qoe.finish_period(waiting);
         }
     }
-
-    // ------------------------------------------------------------------
-    // reference (pre-optimization) period internals
-    // ------------------------------------------------------------------
-
-    fn collect_requests_reference(&mut self) -> Vec<RequestBatch> {
-        let active: Vec<PeerId> = self.overlay.active_peers().collect();
-
-        // Discovery pass: a node learns a new session as soon as any
-        // neighbour (or its own buffer) holds one of its segments.
-        let observed: Vec<(PeerId, SegmentId)> = active
-            .iter()
-            .map(|&p| {
-                let own = self.peers.buffer(p).max_id();
-                let neighbours = self
-                    .overlay
-                    .neighbors(p)
-                    .iter()
-                    .filter_map(|&n| self.peers.buffer(n).max_id())
-                    .max();
-                (
-                    p,
-                    own.into_iter()
-                        .chain(neighbours)
-                        .max()
-                        .unwrap_or(SegmentId(0)),
-                )
-            })
-            .collect();
-        for (p, max_seen) in observed {
-            self.peers
-                .peer_mut(p)
-                .discover_sessions(&self.directory, max_seen);
-        }
-
-        // Scheduling pass (immutable).
-        let mut batches = Vec::with_capacity(active.len());
-        for &p in &active {
-            let neighbours = self.overlay.neighbors(p);
-            if neighbours.is_empty() {
-                continue;
-            }
-            // Buffer-map exchange cost: one 620-bit map per neighbour.
-            self.traffic_total
-                .add_control(self.config.buffermap_bits * neighbours.len() as u64);
-
-            let inbound = self
-                .overlay
-                .attrs(p)
-                .map(|a| a.bandwidth.inbound)
-                .unwrap_or(0.0);
-            if inbound <= 0.0 {
-                continue;
-            }
-            let infos: Vec<NeighborInfo<'_>> = neighbours
-                .iter()
-                .map(|&n| NeighborInfo {
-                    peer: n,
-                    outbound_rate: self
-                        .overlay
-                        .attrs(n)
-                        .map(|a| a.bandwidth.outbound)
-                        .unwrap_or(0.0),
-                    buffer: self.peers.buffer(n),
-                })
-                .collect();
-            let Some(ctx) =
-                self.peers
-                    .peer(p)
-                    .build_context(&self.config, &self.directory, inbound, &infos)
-            else {
-                continue;
-            };
-            let requests = self.scheduler.schedule(&ctx);
-            if requests.is_empty() {
-                continue;
-            }
-            batches.push(RequestBatch {
-                requester: p,
-                inbound_budget: ctx.inbound_budget(),
-                requests,
-            });
-        }
-        batches
-    }
-
-    fn deliver_reference(&mut self, batches: Vec<RequestBatch>) {
-        let tau = self.config.tau_secs;
-        // Outbound budgets out of the dense scratch table, like the
-        // optimized path: this was the last per-period `HashMap` anywhere
-        // in the period loop.
-        self.scratch
-            .ensure_capacity(self.overlay.graph().capacity(), 1);
-        for budget in self.scratch.outbound_budget.iter_mut() {
-            *budget = 0;
-        }
-        for p in self.overlay.active_peers() {
-            let rate = self
-                .overlay
-                .attrs(p)
-                .map(|a| a.bandwidth.outbound)
-                .unwrap_or(0.0);
-            self.scratch.outbound_budget[p as usize] = (rate * tau).floor() as usize;
-        }
-        let outbound_budget = &self.scratch.outbound_budget;
-        let deliveries = self.resolver.resolve_round_reference(
-            &batches,
-            |p| outbound_budget.get(p as usize).copied().unwrap_or(0),
-            self.period_index,
-        );
-        for d in deliveries {
-            self.peers.buffer_mut(d.requester).insert(d.segment);
-            self.traffic_total.add_data(self.config.segment_bits);
-        }
-    }
 }
 
 impl MemoryFootprint for StreamingSystem {
@@ -1740,9 +1458,6 @@ struct ChunkInputs<'a> {
     inbound_rate: &'a [f64],
     /// Whole-segment outbound budget per peer (0 for inactive peers).
     outbound_budget: &'a [usize],
-    /// Grant in the chunk (`CapacityModel::PerLink`); otherwise stash the
-    /// requests for the global `Shared` resolver.
-    per_link: bool,
     /// Buffer-map / request-leg fault draws of a lossy event-mode network.
     faults: Option<&'a LinkFaults>,
     /// The period being scheduled (keys the fault draws).
@@ -1780,7 +1495,6 @@ fn schedule_chunk(
         outbound_rate,
         inbound_rate,
         outbound_budget,
-        per_link,
         faults,
         period,
     } = *inputs;
@@ -1876,22 +1590,14 @@ fn schedule_chunk(
                 true
             });
         }
-        let inbound_budget = worker.ctx.inbound_budget();
-        if per_link {
-            grant_per_link(
-                p,
-                inbound_budget,
-                &worker.requests,
-                |s| outbound_budget.get(s as usize).copied().unwrap_or(0),
-                &mut worker.grant,
-                &mut worker.grants,
-            );
-        } else {
-            let start = worker.shared_requests.len();
-            worker.shared_requests.extend_from_slice(&worker.requests);
-            let end = worker.shared_requests.len();
-            worker.shared_batches.push((p, inbound_budget, start, end));
-        }
+        grant_per_link(
+            p,
+            worker.ctx.inbound_budget(),
+            &worker.requests,
+            |s| outbound_budget.get(s as usize).copied().unwrap_or(0),
+            &mut worker.grant,
+            &mut worker.grants,
+        );
     }
 }
 // fss-lint: end
@@ -1941,7 +1647,7 @@ fn walk_chunk(
     } = lanes;
     let qs = inputs.config.new_source_qs;
 
-    // Delivery: per requester in resolver order (lockstep) or arrival order
+    // Delivery: per requester in grant order (lockstep) or arrival order
     // (faulty event mode).
     let grants = &worker.grants;
     for (i, g) in grants.iter().enumerate() {
@@ -2212,61 +1918,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The tentpole invariant: the scratch-arena hot path produces a report
-    /// byte-identical to the original straight-line implementation, across a
-    /// warm-up, a source switch and churn.
-    #[test]
-    fn optimized_step_matches_reference_step() {
-        let run = |optimized: bool| {
-            let mut sys = build_system(60, 11);
-            let (s1, s2) = first_two(&sys);
-            sys.start_initial_source(s1);
-            if optimized {
-                sys.run_periods(30);
-            } else {
-                sys.run_periods_reference(30);
-            }
-            sys.set_churn(ChurnModel::paper_default(5));
-            sys.switch_source(s2);
-            for _ in 0..60 {
-                if optimized {
-                    sys.advance();
-                } else {
-                    sys.step_reference();
-                }
-            }
-            sys.report()
-        };
-        let optimized = run(true);
-        let reference = run(false);
-        assert_eq!(optimized, reference);
-    }
-
-    /// Interleaving the two implementations within one run must also agree:
-    /// every period starts from identical state either way.
-    #[test]
-    fn implementations_can_interleave() {
-        let mut a = build_system(50, 13);
-        let mut b = build_system(50, 13);
-        let (s1, s2) = first_two(&a);
-        a.start_initial_source(s1);
-        b.start_initial_source(s1);
-        for round in 0..30u64 {
-            if round % 2 == 0 {
-                a.advance();
-                b.step_reference();
-            } else {
-                a.step_reference();
-                b.advance();
-            }
-            if round == 20 {
-                a.switch_source(s2);
-                b.switch_source(s2);
-            }
-        }
-        assert_eq!(a.report(), b.report());
-    }
-
     /// Runs every chunk of a dispatch on its own scoped thread.
     struct ThreadPerChunk;
 
@@ -2389,72 +2040,6 @@ mod tests {
         }
         sys.plan_chunks();
         assert_eq!(sys.scratch.chunks.len(), 4, "{:?}", sys.scratch.chunks);
-    }
-
-    /// Sharded stepping must also agree with the straight-line reference
-    /// implementation (which never consults the chunk plan).
-    #[test]
-    fn sharded_step_matches_reference_step() {
-        let run = |optimized: bool| {
-            let mut sys = build_system(90, 29);
-            sys.set_shards(4);
-            let (s1, s2) = first_two(&sys);
-            sys.start_initial_source(s1);
-            for _ in 0..30 {
-                if optimized {
-                    sys.advance();
-                } else {
-                    sys.step_reference();
-                }
-            }
-            sys.set_churn(ChurnModel::paper_default(7));
-            sys.switch_source(s2);
-            for _ in 0..40 {
-                if optimized {
-                    sys.advance();
-                } else {
-                    sys.step_reference();
-                }
-            }
-            sys.report()
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    /// The `Shared` ablation model resolves globally between the two
-    /// passes and hands each delivery to its requester's chunk: still
-    /// byte-identical to the reference, on one chunk and on several,
-    /// through churn and a switch.
-    #[test]
-    fn shared_capacity_model_matches_reference_step() {
-        let run = |optimized: bool, shards: usize| {
-            let mut sys = build_system(90, 41);
-            sys.set_capacity_model(CapacityModel::Shared);
-            sys.set_shards(shards);
-            let (s1, s2) = first_two(&sys);
-            sys.start_initial_source(s1);
-            let step = |sys: &mut StreamingSystem| {
-                if optimized {
-                    sys.advance();
-                } else {
-                    sys.step_reference();
-                }
-            };
-            for _ in 0..30 {
-                step(&mut sys);
-            }
-            sys.set_churn(ChurnModel::paper_default(11));
-            sys.switch_source(s2);
-            for _ in 0..40 {
-                step(&mut sys);
-            }
-            sys.report()
-        };
-        let reference = run(false, 1);
-        assert!(reference.traffic_total.data_bits > 0);
-        for shards in [1, 4] {
-            assert_eq!(run(true, shards), reference, "shards = {shards}");
-        }
     }
 
     #[test]
@@ -2927,17 +2512,6 @@ mod tests {
         }
         assert!(departed(&sys) - departed_before >= 600);
         assert!(sys.network_stats().data_stale > 0);
-    }
-
-    /// The reference period models lockstep only.
-    #[test]
-    #[should_panic(expected = "a network model is installed; use advance()")]
-    fn period_step_refuses_to_strand_in_flight_messages() {
-        let mut sys = build_system(40, 0x5151);
-        let source = sys.overlay().active_peers().next().unwrap();
-        sys.set_network(NetworkConfig::ideal());
-        sys.start_initial_source(source);
-        sys.step_reference();
     }
 
     /// The event-mode delivery exchange runs only with a network model;

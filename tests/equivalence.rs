@@ -1,19 +1,21 @@
 //! Hot-path equivalence: the zero-allocation scratch-arena period loop (and
 //! its pool-parallel dispatches) must produce a `SystemReport` identical to
-//! the original straight-line reference implementation on a seeded churn
-//! scenario with the paper's schedulers.
+//! the executable specification (`fss-spec`) on a seeded churn scenario
+//! with the paper's schedulers.
 
 use fast_source_switching::core::{FastSwitchScheduler, NormalSwitchScheduler};
 use fast_source_switching::gossip::{
-    GossipConfig, SegmentScheduler, StreamingSystem, SwitchRecord, SystemReport,
+    GossipConfig, SegmentScheduler, StreamingSystem, SystemReport,
 };
 use fast_source_switching::overlay::{ChurnModel, OverlayBuilder, PeerId};
 use fast_source_switching::trace::{GeneratorConfig, TraceGenerator};
+use fss_spec::Spec;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Path {
-    Reference,
     Optimized,
+    /// The single-chunk path with the executable spec stepping alongside.
+    Spec,
     /// A sharded store stepped on a persistent pool: the chunk plan
     /// follows the shards, and both the scheduling pass (with its grants)
     /// and the fused walk fan out over the pool.
@@ -23,48 +25,72 @@ enum Path {
     },
 }
 
-/// Runs the 200-node churned switch scenario through the selected period
-/// implementation and returns its report.
-fn run_churn_scenario(scheduler: Box<dyn SegmentScheduler>, path: Path) -> SystemReport {
-    run_scenario(scheduler, path).report()
+fn fast() -> Box<dyn SegmentScheduler> {
+    Box::new(FastSwitchScheduler::new())
+}
+
+fn normal() -> Box<dyn SegmentScheduler> {
+    Box::new(NormalSwitchScheduler::new())
 }
 
 /// Runs the 200-node churned switch scenario through the selected period
-/// implementation and returns the system.
-fn run_scenario(scheduler: Box<dyn SegmentScheduler>, path: Path) -> StreamingSystem {
+/// implementation and returns its report.
+fn run_churn_scenario(scheduler: fn() -> Box<dyn SegmentScheduler>, path: Path) -> SystemReport {
+    run_scenario(scheduler, path).0.report()
+}
+
+/// Runs the 200-node churned switch scenario through the selected period
+/// implementation and returns the system (and the spec, on its path).
+fn run_scenario(
+    scheduler: fn() -> Box<dyn SegmentScheduler>,
+    path: Path,
+) -> (StreamingSystem, Option<Spec>) {
     let trace = TraceGenerator::new(GeneratorConfig::sized(200, 42)).generate("equivalence");
     let overlay = OverlayBuilder::paper_default().build(&trace).unwrap();
     let peers: Vec<PeerId> = overlay.active_peers().collect();
     let (s1, s2) = (peers[0], peers[peers.len() / 2]);
 
-    let mut sys = StreamingSystem::new(overlay, GossipConfig::paper_default(), scheduler);
+    let mut sys = StreamingSystem::new(overlay, GossipConfig::paper_default(), scheduler());
     if let Path::Sharded { shards, workers } = path {
         sys.set_shards(shards);
         let pool = std::sync::Arc::new(fast_source_switching::runtime::WorkerPool::new(workers));
         sys.set_executor(pool.as_executor());
     }
-    let step = |sys: &mut StreamingSystem| match path {
-        Path::Reference => sys.step_reference(),
-        Path::Optimized | Path::Sharded { .. } => sys.advance(),
-    };
-
     sys.start_initial_source(s1);
+    let mut spec = (path == Path::Spec).then(|| Spec::from_system(&sys, scheduler()));
+    let step = |sys: &mut StreamingSystem, spec: &mut Option<Spec>| {
+        sys.advance();
+        if let Some(spec) = spec {
+            spec.step(sys);
+        }
+    };
     for _ in 0..40 {
-        step(&mut sys);
+        step(&mut sys, &mut spec);
     }
     sys.set_churn(ChurnModel::paper_default(7));
     sys.switch_source(s2);
-    for _ in 0..120 {
-        step(&mut sys);
+    if let Some(spec) = &mut spec {
+        spec.switch_source(&sys, s2);
     }
-    sys
+    for _ in 0..120 {
+        step(&mut sys, &mut spec);
+    }
+    (sys, spec)
+}
+
+/// Runs the single-chunk path with the spec alongside and asserts equal
+/// reports and raw switch records; returns the spec's report.
+fn assert_matches_spec(scheduler: fn() -> Box<dyn SegmentScheduler>) -> SystemReport {
+    let (sys, spec) = run_scenario(scheduler, Path::Spec);
+    let spec = spec.expect("spec path");
+    assert_eq!(sys.report(), spec.report());
+    assert_eq!(sys.switch_records(), spec.switch_records());
+    spec.report()
 }
 
 #[test]
 fn fast_scheduler_optimized_matches_reference_under_churn() {
-    let reference = run_churn_scenario(Box::new(FastSwitchScheduler::new()), Path::Reference);
-    let optimized = run_churn_scenario(Box::new(FastSwitchScheduler::new()), Path::Optimized);
-    assert_eq!(optimized, reference);
+    let reference = assert_matches_spec(fast);
     // The scenario is meaningful: the switch actually completed and traffic
     // flowed.
     assert!(reference.switch_completed_secs.is_some());
@@ -74,27 +100,22 @@ fn fast_scheduler_optimized_matches_reference_under_churn() {
 
 #[test]
 fn normal_scheduler_optimized_matches_reference_under_churn() {
-    let reference = run_churn_scenario(Box::new(NormalSwitchScheduler::new()), Path::Reference);
-    let optimized = run_churn_scenario(Box::new(NormalSwitchScheduler::new()), Path::Optimized);
-    assert_eq!(optimized, reference);
+    assert_matches_spec(normal);
 }
 
 /// Sharded stepping on the pool — per-chunk grants and a per-chunk fused
-/// walk — against the reference, across shard counts and pool sizes.  The
-/// raw per-peer switch records are compared too, not just their report
+/// walk — against the spec, across shard counts and pool sizes.  The raw
+/// per-peer switch records are compared too, not just their report
 /// aggregate, and the ratio tracks ride in the report.
 #[test]
 fn sharded_pool_stepping_matches_reference_under_churn() {
-    let reference = run_scenario(Box::new(FastSwitchScheduler::new()), Path::Reference);
-    let reference_records: Vec<SwitchRecord> = reference.switch_records().to_vec();
-    let reference = reference.report();
+    let (_, spec) = run_scenario(fast, Path::Spec);
+    let spec = spec.expect("spec path");
+    let (reference, reference_records) = (spec.report(), spec.switch_records());
     assert!(!reference.ratio_samples.is_empty());
     for shards in [2, 4, 8] {
         for workers in [1, 2, 4] {
-            let sys = run_scenario(
-                Box::new(FastSwitchScheduler::new()),
-                Path::Sharded { shards, workers },
-            );
+            let sys = run_scenario(fast, Path::Sharded { shards, workers }).0;
             assert!(sys.shard_count() > 1, "shards = {shards}");
             assert_eq!(
                 sys.report(),
@@ -103,7 +124,7 @@ fn sharded_pool_stepping_matches_reference_under_churn() {
             );
             assert_eq!(
                 sys.switch_records(),
-                &reference_records[..],
+                reference_records,
                 "switch records, shards = {shards}, workers = {workers}"
             );
         }
@@ -112,10 +133,10 @@ fn sharded_pool_stepping_matches_reference_under_churn() {
 
 #[test]
 fn parallel_sweep_matches_sequential_under_churn() {
-    let sequential = run_churn_scenario(Box::new(FastSwitchScheduler::new()), Path::Optimized);
+    let sequential = run_churn_scenario(fast, Path::Optimized);
     for workers in [2, 4, 7] {
         let parallel = run_churn_scenario(
-            Box::new(FastSwitchScheduler::new()),
+            fast,
             Path::Sharded {
                 shards: workers,
                 workers,
@@ -131,12 +152,9 @@ fn parallel_sweep_matches_sequential_under_churn() {
 /// matches the single-chunk path.
 #[test]
 fn pool_backed_sweep_is_byte_identical_across_pool_sizes() {
-    let sequential = run_churn_scenario(Box::new(FastSwitchScheduler::new()), Path::Optimized);
+    let sequential = run_churn_scenario(fast, Path::Optimized);
     for workers in [1, 2, 4, 7] {
-        let pooled = run_churn_scenario(
-            Box::new(FastSwitchScheduler::new()),
-            Path::Sharded { shards: 4, workers },
-        );
+        let pooled = run_churn_scenario(fast, Path::Sharded { shards: 4, workers });
         assert_eq!(pooled, sequential, "pool workers = {workers}");
     }
 }
