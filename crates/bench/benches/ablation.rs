@@ -10,9 +10,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fss_core::{greedy_assign, optimal_assign, rarity, traditional_rarity, AssignmentOrder};
 use fss_experiments::{run_scenario, Algorithm, Environment, ScenarioConfig};
-use fss_gossip::{
-    CandidateSegment, SchedulingContext, SegmentId, SessionView, SourceId, SupplierInfo,
-};
+use fss_gossip::{SchedulingContext, SegmentId, SessionView, SourceId, SupplierInfo};
 
 fn bench_bandwidth_model(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_bandwidth_model");
@@ -26,20 +24,7 @@ fn bench_bandwidth_model(c: &mut Criterion) {
 }
 
 fn micro_context(n: u64, suppliers: u32) -> SchedulingContext {
-    let candidates = (0..n)
-        .map(|k| CandidateSegment {
-            id: SegmentId(150 + k),
-            suppliers: (0..suppliers)
-                .map(|s| SupplierInfo {
-                    peer: s + 1,
-                    rate: 3.0 + s as f64,
-                    buffer_position: 100 + k as usize,
-                    buffer_capacity: 600,
-                })
-                .collect(),
-        })
-        .collect();
-    SchedulingContext {
+    let mut ctx = SchedulingContext {
         tau_secs: 1.0,
         play_rate: 10.0,
         inbound_rate: 15.0,
@@ -58,8 +43,21 @@ fn micro_context(n: u64, suppliers: u32) -> SchedulingContext {
         }),
         q1: n as usize,
         q2: 50,
-        candidates,
+        ..SchedulingContext::default()
+    };
+    for s in 0..suppliers {
+        ctx.push_neighbour(s + 1, 3.0 + f64::from(s), 600);
     }
+    for k in 0..n {
+        ctx.push_candidate(
+            SegmentId(150 + k),
+            (0..suppliers).map(|slot| SupplierInfo {
+                slot,
+                buffer_position: 100 + k as u32,
+            }),
+        );
+    }
+    ctx
 }
 
 fn bench_assignment_gap(c: &mut Criterion) {

@@ -12,9 +12,13 @@
 //! their deadlines is NP-hard (parallel machine scheduling), which is why the
 //! paper — and this module — uses the greedy heuristic; `crate::optimal`
 //! provides an exact solver for tiny instances to measure the gap.
+//!
+//! The pass is linear apart from one sort: each candidate is scored once
+//! and sorted on an integer key (class, descending priority bits, then id;
+//! see [`greedy_assign_into`]), and the per-supplier queue is a column
+//! indexed by neighbour slot that also holds `1/R(j)`, taken once per slot.
 
 use crate::priority::{priority, SegmentPriority};
-use fss_gossip::hasher::FxHashMap;
 use fss_gossip::{SchedulingContext, SegmentId, StreamClass};
 use fss_overlay::PeerId;
 use serde::{Deserialize, Serialize};
@@ -72,14 +76,17 @@ impl AssignmentOutcome {
 /// Reusable working state of the greedy pass.
 ///
 /// The period hot path runs `greedy_assign` for every node every period;
-/// keeping the score buffer, the per-supplier queue map and the outcome
+/// keeping the sort buffer, the score and queue columns and the outcome
 /// vectors alive across calls makes the pass allocation-free after warm-up.
 #[derive(Debug, Default)]
 pub struct AssignScratch {
-    scored: Vec<(usize, SegmentPriority, StreamClass)>,
-    /// Per-supplier queued transfer time; probed once per (candidate,
-    /// supplier) pair per node per period, hence the fixed fast hasher.
-    queue: FxHashMap<PeerId, f64>,
+    /// `(sort key, id, candidate index)`, sorted into the greedy order.
+    order: Vec<(u64, u64, usize)>,
+    /// Priority and class per candidate index.
+    scores: Vec<(SegmentPriority, StreamClass)>,
+    /// Per neighbour slot: `t_trans = 1/R(j)` (`∞` for a rate `≤ 0`, which
+    /// no period fits) and the queued transfer time `τ(S_ij)`.
+    queue: Vec<(f64, f64)>,
     /// The outcome of the most recent [`greedy_assign_into`] call.
     pub outcome: AssignmentOutcome,
 }
@@ -91,176 +98,123 @@ pub fn greedy_assign(ctx: &SchedulingContext, order: AssignmentOrder) -> Assignm
     scratch.outcome
 }
 
+// fss-lint: hot-path
 /// Allocation-free variant of [`greedy_assign`]: results land in
 /// `scratch.outcome`, whose buffers are reused across calls.
+///
+/// The greedy order is ascending `(key, id)`.  The key's low 63 bits are
+/// `i64::MAX − bits(priority)`: priorities are non-negative (urgency is
+/// positive), and for non-negative floats bit order is value order, so
+/// ascending keys are descending priorities.  Under
+/// [`AssignmentOrder::OldSourceFirst`] the top bit marks new-source
+/// segments.  Candidate ids are unique, so the order is total.
+///
+/// # Panics
+/// Panics if a priority is NaN or negative.
 pub fn greedy_assign_into(
     ctx: &SchedulingContext,
     order: AssignmentOrder,
     scratch: &mut AssignScratch,
 ) {
-    // Score every candidate.
-    scratch.scored.clear();
-    scratch.scored.extend(
-        ctx.candidates
-            .iter()
-            .enumerate()
-            .map(|(idx, c)| (idx, priority(ctx, c), ctx.class_of(c.id))),
-    );
-
-    // Order the greedy pass.  Candidate ids are unique, so the key is a
-    // total order and the (allocation-free) unstable sort is deterministic.
-    scratch.scored.sort_unstable_by(|a, b| {
-        let class_rank = |class: StreamClass| match class {
-            StreamClass::Old => 0u8,
-            StreamClass::New => 1u8,
-        };
-        let key_a = (
-            class_rank(a.2),
-            std::cmp::Reverse(ordered(a.1.priority)),
-            ctx.candidates[a.0].id,
+    scratch.order.clear();
+    scratch.scores.clear();
+    for (idx, candidate) in ctx.candidates.iter().enumerate() {
+        let priority = priority(ctx, candidate);
+        let class = ctx.class_of(candidate.id);
+        assert!(
+            priority.priority >= 0.0,
+            "priority must be non-negative and not NaN"
         );
-        let key_b = (
-            class_rank(b.2),
-            std::cmp::Reverse(ordered(b.1.priority)),
-            ctx.candidates[b.0].id,
-        );
-        match order {
-            AssignmentOrder::OldSourceFirst => key_a.cmp(&key_b),
-            AssignmentOrder::ByPriority => (key_a.1, key_a.2).cmp(&(key_b.1, key_b.2)),
+        // `abs` orders -0.0 with 0.0, as a float comparison would.
+        let mut key = i64::MAX as u64 - priority.priority.abs().to_bits();
+        if order == AssignmentOrder::OldSourceFirst && class == StreamClass::New {
+            key |= 1 << 63;
         }
-    });
+        scratch.order.push((key, candidate.id.value(), idx));
+        scratch.scores.push((priority, class));
+    }
+    scratch.order.sort_unstable();
 
     // Greedy earliest-finish supplier choice with per-supplier queuing.
     scratch.queue.clear();
-    let queue = &mut scratch.queue;
+    scratch.queue.extend(ctx.neighbours.iter().map(|n| {
+        let t_trans = if n.rate > 0.0 {
+            1.0 / n.rate
+        } else {
+            f64::INFINITY
+        };
+        (t_trans, 0.0)
+    }));
     let outcome = &mut scratch.outcome;
     outcome.old.clear();
     outcome.new.clear();
     outcome.skipped = 0;
-    for &(idx, priority, class) in &scratch.scored {
+    for &(_, _, idx) in &scratch.order {
         let candidate = &ctx.candidates[idx];
-        let mut best: Option<(f64, PeerId)> = None;
-        for supplier in &candidate.suppliers {
-            if supplier.rate <= 0.0 {
-                continue;
-            }
-            let t_trans = 1.0 / supplier.rate;
-            let finish = t_trans + queue.get(&supplier.peer).copied().unwrap_or(0.0);
+        let mut best: Option<(f64, usize)> = None;
+        for supplier in ctx.suppliers_of(candidate) {
+            let slot = supplier.slot as usize;
+            let (t_trans, queued) = scratch.queue[slot];
+            let finish = t_trans + queued;
             if finish < ctx.tau_secs && best.is_none_or(|(b, _)| finish < b) {
-                best = Some((finish, supplier.peer));
+                best = Some((finish, slot));
             }
         }
-        match best {
-            Some((finish, peer)) => {
-                queue.insert(peer, finish);
-                let assigned = AssignedSegment {
-                    id: candidate.id,
-                    supplier: peer,
-                    class,
-                    priority,
-                    expected_receive_secs: finish,
-                };
-                match class {
-                    StreamClass::Old => outcome.old.push(assigned),
-                    StreamClass::New => outcome.new.push(assigned),
-                }
-            }
-            None => outcome.skipped += 1,
+        let Some((finish, slot)) = best else {
+            outcome.skipped += 1;
+            continue;
+        };
+        scratch.queue[slot].1 = finish;
+        let (priority, class) = scratch.scores[idx];
+        let assigned = AssignedSegment {
+            id: candidate.id,
+            supplier: ctx.neighbours[slot].peer,
+            class,
+            priority,
+            expected_receive_secs: finish,
+        };
+        match class {
+            StreamClass::Old => outcome.old.push(assigned),
+            StreamClass::New => outcome.new.push(assigned),
         }
     }
 }
-
-/// Total-orders an `f64` priority (NaN cannot occur: priorities are built
-/// from finite inputs).
-fn ordered(x: f64) -> ordered_float::NotNan {
-    ordered_float::NotNan::new(x)
-}
-
-/// Minimal ordered-float helper, local to this crate to avoid an external
-/// dependency.
-mod ordered_float {
-    /// An `f64` known not to be NaN, with a total order.
-    #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-    pub struct NotNan(f64);
-
-    impl NotNan {
-        /// Wraps a value, panicking on NaN.
-        pub fn new(x: f64) -> Self {
-            assert!(!x.is_nan(), "priority must not be NaN");
-            NotNan(x)
-        }
-    }
-
-    impl Eq for NotNan {}
-
-    #[allow(clippy::derive_ord_xor_partial_ord)]
-    impl Ord for NotNan {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.partial_cmp(other)
-                .expect("NotNan values always compare")
-        }
-    }
-}
+// fss-lint: end
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fss_gossip::{CandidateSegment, SessionView, SourceId, SupplierInfo};
+    use crate::testing::{context, push, Supplier};
+    use crate::{FastSwitchScheduler, NormalSwitchScheduler};
+    use fss_gossip::{SchedulerScratch, SegmentScheduler, SupplierInfo};
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
 
-    fn supplier(peer: u32, rate: f64, position: usize) -> SupplierInfo {
-        SupplierInfo {
-            peer,
-            rate,
-            buffer_position: position,
-            buffer_capacity: 600,
-        }
-    }
-
-    fn candidate(id: u64, suppliers: Vec<SupplierInfo>) -> CandidateSegment {
-        CandidateSegment {
-            id: SegmentId(id),
-            suppliers,
-        }
-    }
-
     /// A switch context: old session ends at 199, new session starts at 200,
-    /// playback is at 190.
-    fn switch_ctx(candidates: Vec<CandidateSegment>) -> SchedulingContext {
+    /// playback is at 190; `candidates` are `(id, [(peer, rate, position)])`.
+    fn switch_ctx(candidates: &[(u64, &[Supplier])]) -> SchedulingContext {
         switch_ctx_at(190, candidates)
     }
 
     /// A switch context with an explicit playback position.
-    fn switch_ctx_at(id_play: u64, candidates: Vec<CandidateSegment>) -> SchedulingContext {
-        SchedulingContext {
-            tau_secs: 1.0,
-            play_rate: 10.0,
-            inbound_rate: 15.0,
-            id_play: SegmentId(id_play),
-            startup_q: 10,
-            new_source_qs: 50,
-            old_session: Some(SessionView {
-                id: SourceId(0),
-                first_segment: SegmentId(0),
-                last_segment: Some(SegmentId(199)),
-            }),
-            new_session: Some(SessionView {
-                id: SourceId(1),
-                first_segment: SegmentId(200),
-                last_segment: None,
-            }),
-            q1: 10,
-            q2: 50,
-            candidates,
+    fn switch_ctx_at(id_play: u64, candidates: &[(u64, &[Supplier])]) -> SchedulingContext {
+        let mut ctx = context(id_play, 15.0, true);
+        ctx.q1 = 10;
+        ctx.q2 = 50;
+        for &(id, suppliers) in candidates {
+            push(&mut ctx, id, suppliers);
         }
+        ctx
     }
 
     #[test]
     fn splits_candidates_into_old_and_new_sets() {
-        let ctx = switch_ctx(vec![
-            candidate(191, vec![supplier(1, 15.0, 100)]),
-            candidate(205, vec![supplier(2, 15.0, 5)]),
-            candidate(192, vec![supplier(1, 15.0, 100)]),
+        let ctx = switch_ctx(&[
+            (191, &[(1, 15.0, 100)]),
+            (205, &[(2, 15.0, 5)]),
+            (192, &[(1, 15.0, 100)]),
         ]);
         let out = greedy_assign(&ctx, AssignmentOrder::ByPriority);
         assert_eq!(out.available_old(), 2);
@@ -272,10 +226,7 @@ mod tests {
 
     #[test]
     fn prefers_the_supplier_that_finishes_earliest() {
-        let ctx = switch_ctx(vec![candidate(
-            191,
-            vec![supplier(1, 5.0, 100), supplier(2, 20.0, 100)],
-        )]);
+        let ctx = switch_ctx(&[(191, &[(1, 5.0, 100), (2, 20.0, 100)])]);
         let out = greedy_assign(&ctx, AssignmentOrder::ByPriority);
         assert_eq!(out.old[0].supplier, 2);
         assert!((out.old[0].expected_receive_secs - 0.05).abs() < 1e-12);
@@ -285,12 +236,12 @@ mod tests {
     fn queuing_time_spreads_load_across_suppliers() {
         // Two suppliers at the same rate: consecutive segments alternate
         // between them because the first pick accumulates queuing time.
-        let suppliers = || vec![supplier(1, 10.0, 100), supplier(2, 10.0, 100)];
-        let ctx = switch_ctx(vec![
-            candidate(191, suppliers()),
-            candidate(192, suppliers()),
-            candidate(193, suppliers()),
-            candidate(194, suppliers()),
+        let suppliers: &[Supplier] = &[(1, 10.0, 100), (2, 10.0, 100)];
+        let ctx = switch_ctx(&[
+            (191, suppliers),
+            (192, suppliers),
+            (193, suppliers),
+            (194, suppliers),
         ]);
         let out = greedy_assign(&ctx, AssignmentOrder::ByPriority);
         let to_1 = out.old.iter().filter(|a| a.supplier == 1).count();
@@ -301,11 +252,12 @@ mod tests {
 
     #[test]
     fn segments_that_cannot_arrive_within_the_period_are_skipped() {
-        // One slow supplier: only ~1 segment fits in a period at 1.2 seg/s.
-        let ctx = switch_ctx(vec![
-            candidate(191, vec![supplier(1, 1.2, 100)]),
-            candidate(192, vec![supplier(1, 1.2, 100)]),
-            candidate(193, vec![supplier(1, 0.5, 100)]),
+        // One slow supplier: only ~1 segment fits in a period at 1.2 seg/s;
+        // a 0.5 seg/s supplier fits none.
+        let ctx = switch_ctx(&[
+            (191, &[(1, 1.2, 100)]),
+            (192, &[(1, 1.2, 100)]),
+            (193, &[(2, 0.5, 100)]),
         ]);
         let out = greedy_assign(&ctx, AssignmentOrder::ByPriority);
         assert_eq!(out.available_old(), 1);
@@ -319,10 +271,14 @@ mod tests {
         // supplier is rare, and an old segment far from its deadline is
         // neither.  The interleaved order must rank the rare new segment
         // ahead of the mundane old one (this is exactly Figure 2's point).
-        let urgent_old = candidate(101, vec![supplier(1, 15.0, 10)]);
-        let rare_new = candidate(200, vec![supplier(2, 15.0, 590)]);
-        let mundane_old = candidate(195, vec![supplier(3, 15.0, 10)]);
-        let ctx = switch_ctx_at(100, vec![urgent_old, rare_new, mundane_old]);
+        let ctx = switch_ctx_at(
+            100,
+            &[
+                (101, &[(1, 15.0, 10)]),  // urgent old
+                (200, &[(2, 15.0, 590)]), // rare new
+                (195, &[(3, 15.0, 10)]),  // mundane old
+            ],
+        );
 
         let fast = greedy_assign(&ctx, AssignmentOrder::ByPriority);
         assert_eq!(fast.old.len(), 2);
@@ -347,10 +303,10 @@ mod tests {
         // skipped, under priority order the rare new segment wins a slot.
         let ctx = switch_ctx_at(
             100,
-            vec![
-                candidate(185, vec![supplier(1, 2.5, 10)]),
-                candidate(186, vec![supplier(1, 2.5, 10)]),
-                candidate(200, vec![supplier(1, 2.5, 595)]),
+            &[
+                (185, &[(1, 2.5, 10)]),
+                (186, &[(1, 2.5, 10)]),
+                (200, &[(1, 2.5, 595)]),
             ],
         );
         let normal = greedy_assign(&ctx, AssignmentOrder::OldSourceFirst);
@@ -370,7 +326,7 @@ mod tests {
 
     #[test]
     fn empty_context_yields_empty_outcome() {
-        let ctx = switch_ctx(vec![]);
+        let ctx = switch_ctx(&[]);
         let out = greedy_assign(&ctx, AssignmentOrder::ByPriority);
         assert_eq!(out.available_old(), 0);
         assert_eq!(out.available_new(), 0);
@@ -384,28 +340,24 @@ mod tests {
         /// and keeps each output set sorted by non-increasing priority.
         #[test]
         fn prop_greedy_invariants(
+            rates in proptest::collection::vec(2.0f64..30.0, 5..6),
             specs in proptest::collection::vec(
-                (185u64..230, proptest::collection::vec((1u32..6, 2.0f64..30.0, 1usize..=600), 1..4)),
+                (185u64..230, proptest::collection::vec((1u32..6, 1u32..=600), 1..4)),
                 1..40,
             )
         ) {
-            let candidates: Vec<CandidateSegment> = specs
-                .iter()
-                .enumerate()
-                .map(|(i, (id, sup))| {
-                    // Keep at most one supplier entry per peer so the check
-                    // below can recover the rate the assignment used.
-                    let mut seen = std::collections::HashSet::new();
-                    let suppliers: Vec<SupplierInfo> = sup
-                        .iter()
-                        .filter(|(p, _, _)| seen.insert(*p))
-                        .map(|&(p, r, pos)| supplier(p, r, pos))
-                        .collect();
-                    candidate(*id + (i as u64 * 50), suppliers)
-                })
-                .collect();
-            let total = candidates.len();
-            let ctx = switch_ctx(candidates);
+            let mut ctx = switch_ctx(&[]);
+            for (i, (id, suppliers)) in specs.iter().enumerate() {
+                // Each peer has one rate; keep one entry per peer.
+                let mut seen = std::collections::HashSet::new();
+                let suppliers: Vec<Supplier> = suppliers
+                    .iter()
+                    .filter(|(p, _)| seen.insert(*p))
+                    .map(|&(p, pos)| (p, rates[p as usize - 1], pos))
+                    .collect();
+                push(&mut ctx, *id + (i as u64 * 50), &suppliers);
+            }
+            let total = ctx.candidates.len();
             for order in [AssignmentOrder::ByPriority, AssignmentOrder::OldSourceFirst] {
                 let out = greedy_assign(&ctx, order);
                 proptest::prop_assert_eq!(out.old.len() + out.new.len() + out.skipped, total);
@@ -413,17 +365,7 @@ mod tests {
                 // Per-supplier load fits in a period.
                 let mut load: HashMap<PeerId, f64> = HashMap::new();
                 for a in out.old.iter().chain(out.new.iter()) {
-                    let rate = ctx
-                        .candidates
-                        .iter()
-                        .find(|c| c.id == a.id)
-                        .unwrap()
-                        .suppliers
-                        .iter()
-                        .find(|s| s.peer == a.supplier)
-                        .unwrap()
-                        .rate;
-                    *load.entry(a.supplier).or_default() += 1.0 / rate;
+                    *load.entry(a.supplier).or_default() += 1.0 / rates[a.supplier as usize - 1];
                 }
                 for (_, l) in load {
                     proptest::prop_assert!(l < ctx.tau_secs + 1e-9);
@@ -438,6 +380,311 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The kernel as it was before the flat context, kept as the oracle of
+    /// the differential test: two-pass priorities, a `NotNan` comparator
+    /// sort, an `FxHashMap` queue keyed by peer with `1/rate` taken per
+    /// supplier, and the Fast scheduler's sort-based merge.  It reads the
+    /// context only through expanded `(peer, rate, position, capacity)`
+    /// suppliers.
+    mod oracle {
+        use super::super::{AssignedSegment, AssignmentOrder, AssignmentOutcome};
+        use crate::allocation::allocate_rates;
+        use crate::model::SwitchModel;
+        use crate::priority::{rarity_of, urgency, SegmentPriority};
+        use fss_gossip::hasher::FxHashMap;
+        use fss_gossip::{CandidateSegment, SchedulingContext, SegmentRequest, StreamClass};
+        use fss_overlay::PeerId;
+
+        fn suppliers<'a>(
+            ctx: &'a SchedulingContext,
+            candidate: &'a CandidateSegment,
+        ) -> impl Iterator<Item = (PeerId, f64, usize, usize)> + 'a {
+            ctx.suppliers_of(candidate).iter().map(|s| {
+                let n = ctx.neighbour(s);
+                let (position, capacity) = (s.buffer_position, n.buffer_capacity);
+                (n.peer, n.rate, position as usize, capacity as usize)
+            })
+        }
+
+        fn priority(ctx: &SchedulingContext, candidate: &CandidateSegment) -> SegmentPriority {
+            let deadline_secs =
+                (candidate.id.value() as f64 - ctx.id_play.value() as f64) / ctx.play_rate;
+            let max_rate = suppliers(ctx, candidate).map(|s| s.1).fold(0.0, f64::max);
+            let urgency = urgency(deadline_secs, max_rate);
+            let rarity = rarity_of(suppliers(ctx, candidate).map(|s| (s.2, s.3)));
+            SegmentPriority {
+                urgency,
+                rarity,
+                priority: urgency.max(rarity),
+            }
+        }
+
+        pub fn greedy_assign(ctx: &SchedulingContext, order: AssignmentOrder) -> AssignmentOutcome {
+            let mut scored: Vec<(usize, SegmentPriority, StreamClass)> = ctx
+                .candidates
+                .iter()
+                .enumerate()
+                .map(|(idx, c)| (idx, priority(ctx, c), ctx.class_of(c.id)))
+                .collect();
+            scored.sort_unstable_by(|a, b| {
+                let class_rank = |class: StreamClass| match class {
+                    StreamClass::Old => 0u8,
+                    StreamClass::New => 1u8,
+                };
+                let key_a = (
+                    class_rank(a.2),
+                    std::cmp::Reverse(ordered(a.1.priority)),
+                    ctx.candidates[a.0].id,
+                );
+                let key_b = (
+                    class_rank(b.2),
+                    std::cmp::Reverse(ordered(b.1.priority)),
+                    ctx.candidates[b.0].id,
+                );
+                match order {
+                    AssignmentOrder::OldSourceFirst => key_a.cmp(&key_b),
+                    AssignmentOrder::ByPriority => (key_a.1, key_a.2).cmp(&(key_b.1, key_b.2)),
+                }
+            });
+
+            let mut queue: FxHashMap<PeerId, f64> = FxHashMap::default();
+            let mut outcome = AssignmentOutcome::default();
+            for &(idx, priority, class) in &scored {
+                let candidate = &ctx.candidates[idx];
+                let mut best: Option<(f64, PeerId)> = None;
+                for (peer, rate, _, _) in suppliers(ctx, candidate) {
+                    if rate <= 0.0 {
+                        continue;
+                    }
+                    let t_trans = 1.0 / rate;
+                    let finish = t_trans + queue.get(&peer).copied().unwrap_or(0.0);
+                    if finish < ctx.tau_secs && best.is_none_or(|(b, _)| finish < b) {
+                        best = Some((finish, peer));
+                    }
+                }
+                match best {
+                    Some((finish, peer)) => {
+                        queue.insert(peer, finish);
+                        let assigned = AssignedSegment {
+                            id: candidate.id,
+                            supplier: peer,
+                            class,
+                            priority,
+                            expected_receive_secs: finish,
+                        };
+                        match class {
+                            StreamClass::Old => outcome.old.push(assigned),
+                            StreamClass::New => outcome.new.push(assigned),
+                        }
+                    }
+                    None => outcome.skipped += 1,
+                }
+            }
+            outcome
+        }
+
+        fn ordered(x: f64) -> ordered_float::NotNan {
+            ordered_float::NotNan::new(x)
+        }
+
+        mod ordered_float {
+            /// An `f64` known not to be NaN, with a total order.
+            #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+            pub struct NotNan(f64);
+
+            impl NotNan {
+                pub fn new(x: f64) -> Self {
+                    assert!(!x.is_nan(), "priority must not be NaN");
+                    NotNan(x)
+                }
+            }
+
+            impl Eq for NotNan {}
+
+            #[allow(clippy::derive_ord_xor_partial_ord)]
+            impl Ord for NotNan {
+                fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                    self.partial_cmp(other)
+                        .expect("NotNan values always compare")
+                }
+            }
+        }
+
+        fn merge_by_priority(
+            old: &[AssignedSegment],
+            new: &[AssignedSegment],
+            out: &mut Vec<SegmentRequest>,
+            limit: usize,
+        ) {
+            let mut merged: Vec<&AssignedSegment> = old.iter().chain(new).collect();
+            merged.sort_unstable_by(|a, b| {
+                b.priority
+                    .priority
+                    .partial_cmp(&a.priority.priority)
+                    .expect("priorities are finite")
+                    .then(a.id.cmp(&b.id))
+            });
+            out.extend(merged.iter().take(limit).map(|a| SegmentRequest {
+                segment: a.id,
+                supplier: a.supplier,
+            }));
+        }
+
+        pub fn fast(ctx: &SchedulingContext) -> Vec<SegmentRequest> {
+            let mut out = Vec::new();
+            let budget = ctx.inbound_budget();
+            if budget == 0 || ctx.candidates.is_empty() {
+                return out;
+            }
+            let outcome = greedy_assign(ctx, AssignmentOrder::ByPriority);
+            if outcome.old.is_empty() || outcome.new.is_empty() || !ctx.switch_in_progress() {
+                merge_by_priority(&outcome.old, &outcome.new, &mut out, budget);
+                return out;
+            }
+            let model = SwitchModel::new(
+                ctx.q1.max(1) as f64,
+                ctx.q2 as f64,
+                ctx.startup_q as f64,
+                ctx.play_rate,
+                ctx.inbound_rate,
+            );
+            let allocation = allocate_rates(
+                model.optimal_split(),
+                outcome.available_old(),
+                outcome.available_new(),
+                budget,
+                ctx.tau_secs,
+            );
+            merge_by_priority(
+                &outcome.old[..allocation.old_segments],
+                &outcome.new[..allocation.new_segments],
+                &mut out,
+                usize::MAX,
+            );
+            out
+        }
+
+        pub fn normal(ctx: &SchedulingContext) -> Vec<SegmentRequest> {
+            let budget = ctx.inbound_budget();
+            if budget == 0 || ctx.candidates.is_empty() {
+                return Vec::new();
+            }
+            let outcome = greedy_assign(ctx, AssignmentOrder::OldSourceFirst);
+            let old_take = outcome.available_old().min(budget);
+            let new_take = outcome.available_new().min(budget - old_take);
+            outcome
+                .old
+                .iter()
+                .take(old_take)
+                .chain(outcome.new.iter().take(new_take))
+                .map(|a| SegmentRequest {
+                    segment: a.id,
+                    supplier: a.supplier,
+                })
+                .collect()
+        }
+    }
+
+    /// A random context for the kernel differential test: 0–40 candidates
+    /// with unique ids in shuffled order over 1–12 neighbours, rates of 0,
+    /// negative, 0.5–30 and `+∞`, budgets 0–30, with and without a switch.
+    /// Positions at the capacity (rarity 1) and playback near the stream
+    /// boundary (overdue segments of both streams) make equal priorities
+    /// common, across streams too.
+    fn random_context(seed: u64) -> SchedulingContext {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let budget = rng.gen_range(0..=30usize);
+        let tau = [0.5, 1.0, 2.0][rng.gen_range(0..3usize)];
+        let mut ctx = context(
+            rng.gen_range(150..=205),
+            (budget as f64 + 0.5) / tau,
+            rng.gen_range(0..2) == 0,
+        );
+        ctx.tau_secs = tau;
+        ctx.q1 = rng.gen_range(0..=60);
+        ctx.q2 = rng.gen_range(0..=50);
+        let capacity = [1, 8, 600usize][rng.gen_range(0..3usize)];
+        let neighbours = rng.gen_range(1..=12u32);
+        for n in 0..neighbours {
+            let rate = match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -rng.gen_range(0.5..30.0),
+                2 => f64::INFINITY,
+                _ => rng.gen_range(0.5..30.0),
+            };
+            ctx.push_neighbour(3 * n + 1, rate, capacity);
+        }
+        let mut ids: Vec<u64> = (150..=260).collect();
+        ids.shuffle(&mut rng);
+        ids.truncate(rng.gen_range(0..=40));
+        for id in ids {
+            let mut slots: Vec<u32> = (0..neighbours)
+                .filter(|_| rng.gen_range(0..3) == 0)
+                .collect();
+            if rng.gen_range(0..2) == 0 {
+                slots.shuffle(&mut rng);
+            }
+            let oldest = rng.gen_range(0..3) == 0;
+            let suppliers: Vec<SupplierInfo> = slots
+                .into_iter()
+                .map(|slot| SupplierInfo {
+                    slot,
+                    buffer_position: if oldest {
+                        capacity as u32
+                    } else {
+                        rng.gen_range(1..=capacity as u32)
+                    },
+                })
+                .collect();
+            ctx.push_candidate(SegmentId(id), suppliers);
+        }
+        ctx
+    }
+
+    /// Runs the kernel, Fast and Normal on the contexts of `seed` and of a
+    /// derived seed (on one reused scratch each) and compares them with the
+    /// oracle exactly.
+    fn check_kernel(seed: u64) -> Result<(), proptest::TestCaseError> {
+        let mut assign = AssignScratch::default();
+        let (mut fast_scratch, mut normal_scratch) =
+            (SchedulerScratch::new(), SchedulerScratch::new());
+        let mut out = Vec::new();
+        for seed in [seed, seed ^ 0x9e37_79b9_7f4a_7c15] {
+            let ctx = random_context(seed);
+            for order in [AssignmentOrder::ByPriority, AssignmentOrder::OldSourceFirst] {
+                greedy_assign_into(&ctx, order, &mut assign);
+                proptest::prop_assert_eq!(&assign.outcome, &oracle::greedy_assign(&ctx, order));
+            }
+            FastSwitchScheduler::new().schedule_into(&ctx, &mut fast_scratch, &mut out);
+            proptest::prop_assert_eq!(&out, &oracle::fast(&ctx));
+            NormalSwitchScheduler::new().schedule_into(&ctx, &mut normal_scratch, &mut out);
+            proptest::prop_assert_eq!(&out, &oracle::normal(&ctx));
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// `greedy_assign`, `FastSwitchScheduler` and `NormalSwitchScheduler`
+        /// equal the pre-flat-context kernel kept in [`oracle`]: the same
+        /// outcome (sets, order, suppliers, priorities, finish times,
+        /// skips) and the same request lists.
+        #[test]
+        fn prop_kernel_matches_the_oracle(seed in 0u64..u64::MAX) {
+            check_kernel(seed)?;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+        /// Soak of [`prop_kernel_matches_the_oracle`].
+        #[test]
+        #[ignore = "soak: 20k kernel cases (run with --release -- --ignored)"]
+        fn prop_kernel_soak(seed in 0u64..u64::MAX) {
+            check_kernel(seed)?;
         }
     }
 }

@@ -16,6 +16,9 @@
 //! Outside of a switch (only one stream has schedulable segments) it degrades
 //! to a plain priority scheduler, which is what the underlying pull-based
 //! protocol does anyway.
+//!
+//! Step 4 is a linear two-way merge: the greedy pass emits both sets in
+//! (priority desc, id asc) order, so their prefixes merge without a sort.
 
 use crate::allocation::allocate_rates;
 use crate::assign::{greedy_assign_into, AssignScratch, AssignedSegment, AssignmentOrder};
@@ -33,62 +36,38 @@ impl FastSwitchScheduler {
     }
 }
 
-/// Reusable per-worker state of the fast scheduler.
-#[derive(Debug, Default)]
-struct FastScratch {
-    assign: AssignScratch,
-    /// Merge order: indices into the old set, or into the new set with the
-    /// high bit set.
-    merged: Vec<u32>,
+/// True when `a` goes before `b`: higher priority first, ties by ascending
+/// id.
+fn precedes(a: &AssignedSegment, b: &AssignedSegment) -> bool {
+    a.priority.priority > b.priority.priority
+        || (a.priority.priority == b.priority.priority && a.id < b.id)
 }
-
-const NEW_FLAG: u32 = 1 << 31;
 
 // fss-lint: hot-path
 /// Merges the selected old/new segments into `out` ordered by decreasing
 /// priority (ties broken by ascending id), emitting at most `limit` requests.
+/// Each input must already be in that order.
 fn merge_by_priority_into(
     old: &[AssignedSegment],
     new: &[AssignedSegment],
-    order: &mut Vec<u32>,
     out: &mut Vec<SegmentRequest>,
     limit: usize,
 ) {
-    order.clear();
-    // The index-with-flag encoding needs both sets to fit below the flag bit;
-    // candidate sets are bounded by the buffer window (hundreds), so this
-    // never fires outside adversarial synthetic inputs.
-    assert!(
-        old.len() < NEW_FLAG as usize && new.len() < NEW_FLAG as usize,
-        "candidate set too large for the u31 index encoding"
-    );
-    order.extend((0..old.len()).map(|i| i as u32));
-    order.extend((0..new.len()).map(|i| i as u32 | NEW_FLAG));
-    let segment_of = |key: u32| -> &AssignedSegment {
-        if key & NEW_FLAG != 0 {
-            &new[(key & !NEW_FLAG) as usize]
-        } else {
-            &old[key as usize]
-        }
-    };
-    // Ids are unique, so the key is total and the unstable sort
-    // deterministic.
-    order.sort_unstable_by(|&x, &y| {
-        let a = segment_of(x);
-        let b = segment_of(y);
-        b.priority
-            .priority
-            .partial_cmp(&a.priority.priority)
-            .expect("priorities are finite")
-            .then(a.id.cmp(&b.id))
-    });
-    out.extend(order.iter().take(limit).map(|&key| {
-        let a = segment_of(key);
-        SegmentRequest {
+    debug_assert!(old.windows(2).all(|w| precedes(&w[0], &w[1])));
+    debug_assert!(new.windows(2).all(|w| precedes(&w[0], &w[1])));
+    let (mut old, mut new) = (old.iter().peekable(), new.iter().peekable());
+    for _ in 0..limit {
+        let next = match (old.peek(), new.peek()) {
+            (Some(a), Some(b)) if !precedes(a, b) => new.next(),
+            (Some(_), _) => old.next(),
+            (None, _) => new.next(),
+        };
+        let Some(a) = next else { break };
+        out.push(SegmentRequest {
             segment: a.id,
             supplier: a.supplier,
-        }
-    }));
+        });
+    }
 }
 // fss-lint: end
 
@@ -115,13 +94,13 @@ impl SegmentScheduler for FastSwitchScheduler {
         if budget == 0 || ctx.candidates.is_empty() {
             return;
         }
-        let scratch: &mut FastScratch = scratch.get_or_default();
-        greedy_assign_into(ctx, AssignmentOrder::ByPriority, &mut scratch.assign);
-        let outcome = &scratch.assign.outcome;
+        let scratch: &mut AssignScratch = scratch.get_or_default();
+        greedy_assign_into(ctx, AssignmentOrder::ByPriority, scratch);
+        let outcome = &scratch.outcome;
 
         // Only one stream has anything schedulable: plain priority retrieval.
         if outcome.old.is_empty() || outcome.new.is_empty() || !ctx.switch_in_progress() {
-            merge_by_priority_into(&outcome.old, &outcome.new, &mut scratch.merged, out, budget);
+            merge_by_priority_into(&outcome.old, &outcome.new, out, budget);
             return;
         }
 
@@ -145,7 +124,6 @@ impl SegmentScheduler for FastSwitchScheduler {
         merge_by_priority_into(
             &outcome.old[..allocation.old_segments],
             &outcome.new[..allocation.new_segments],
-            &mut scratch.merged,
             out,
             usize::MAX,
         );
@@ -155,58 +133,24 @@ impl SegmentScheduler for FastSwitchScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fss_gossip::{
-        CandidateSegment, SegmentId, SessionView, SourceId, StreamClass, SupplierInfo,
-    };
-
-    fn supplier(peer: u32, rate: f64, position: usize) -> SupplierInfo {
-        SupplierInfo {
-            peer,
-            rate,
-            buffer_position: position,
-            buffer_capacity: 600,
-        }
-    }
+    use crate::testing::{context, push};
+    use fss_gossip::{SegmentId, StreamClass};
 
     /// A node 60 segments behind the old stream's end, with the whole old
     /// tail and the first new segments available from ample suppliers.
     fn switch_ctx(inbound: f64) -> SchedulingContext {
-        let mut candidates = Vec::new();
+        let mut ctx = context(140, inbound, true);
+        ctx.q1 = 60;
+        ctx.q2 = 50;
         // Old source: missing 140..=199 (60 segments).
         for id in 140..200u64 {
-            candidates.push(CandidateSegment {
-                id: SegmentId(id),
-                suppliers: vec![supplier(1, 20.0, 300), supplier(2, 20.0, 200)],
-            });
+            push(&mut ctx, id, &[(1, 20.0, 300), (2, 20.0, 200)]);
         }
         // New source: missing 200..=229 (30 segments available so far).
         for id in 200..230u64 {
-            candidates.push(CandidateSegment {
-                id: SegmentId(id),
-                suppliers: vec![supplier(3, 20.0, 30), supplier(4, 20.0, 20)],
-            });
+            push(&mut ctx, id, &[(3, 20.0, 30), (4, 20.0, 20)]);
         }
-        SchedulingContext {
-            tau_secs: 1.0,
-            play_rate: 10.0,
-            inbound_rate: inbound,
-            id_play: SegmentId(140),
-            startup_q: 10,
-            new_source_qs: 50,
-            old_session: Some(SessionView {
-                id: SourceId(0),
-                first_segment: SegmentId(0),
-                last_segment: Some(SegmentId(199)),
-            }),
-            new_session: Some(SessionView {
-                id: SourceId(1),
-                first_segment: SegmentId(200),
-                last_segment: None,
-            }),
-            q1: 60,
-            q2: 50,
-            candidates,
-        }
+        ctx
     }
 
     #[test]
@@ -281,7 +225,10 @@ mod tests {
         assert_eq!(ids.len(), requests.len());
         for r in &requests {
             let c = ctx.candidates.iter().find(|c| c.id == r.segment).unwrap();
-            assert!(c.suppliers.iter().any(|s| s.peer == r.supplier));
+            assert!(ctx
+                .suppliers_of(c)
+                .iter()
+                .any(|s| ctx.neighbour(s).peer == r.supplier));
         }
     }
 

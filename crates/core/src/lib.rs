@@ -27,6 +27,8 @@ pub mod model;
 pub mod normal;
 pub mod optimal;
 pub mod priority;
+#[cfg(test)]
+mod testing;
 
 pub use allocation::{allocate_rates, RateAllocation};
 pub use assign::{

@@ -70,54 +70,20 @@ impl SegmentScheduler for NormalSwitchScheduler {
 mod tests {
     use super::*;
     use crate::fast::FastSwitchScheduler;
-    use fss_gossip::{
-        CandidateSegment, SegmentId, SessionView, SourceId, StreamClass, SupplierInfo,
-    };
-
-    fn supplier(peer: u32, rate: f64, position: usize) -> SupplierInfo {
-        SupplierInfo {
-            peer,
-            rate,
-            buffer_position: position,
-            buffer_capacity: 600,
-        }
-    }
+    use crate::testing::{context, push};
+    use fss_gossip::StreamClass;
 
     fn switch_ctx(old_missing: u64, new_available: u64, inbound: f64) -> SchedulingContext {
-        let mut candidates = Vec::new();
+        let mut ctx = context(200 - old_missing, inbound, true);
+        ctx.q1 = old_missing as usize;
+        ctx.q2 = 50;
         for id in (200 - old_missing)..200u64 {
-            candidates.push(CandidateSegment {
-                id: SegmentId(id),
-                suppliers: vec![supplier(1, 20.0, 300), supplier(2, 20.0, 250)],
-            });
+            push(&mut ctx, id, &[(1, 20.0, 300), (2, 20.0, 250)]);
         }
         for id in 200..(200 + new_available) {
-            candidates.push(CandidateSegment {
-                id: SegmentId(id),
-                suppliers: vec![supplier(3, 20.0, 30), supplier(4, 20.0, 25)],
-            });
+            push(&mut ctx, id, &[(3, 20.0, 30), (4, 20.0, 25)]);
         }
-        SchedulingContext {
-            tau_secs: 1.0,
-            play_rate: 10.0,
-            inbound_rate: inbound,
-            id_play: SegmentId(200 - old_missing),
-            startup_q: 10,
-            new_source_qs: 50,
-            old_session: Some(SessionView {
-                id: SourceId(0),
-                first_segment: SegmentId(0),
-                last_segment: Some(SegmentId(199)),
-            }),
-            new_session: Some(SessionView {
-                id: SourceId(1),
-                first_segment: SegmentId(200),
-                last_segment: None,
-            }),
-            q1: old_missing as usize,
-            q2: 50,
-            candidates,
-        }
+        ctx
     }
 
     #[test]

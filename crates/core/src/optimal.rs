@@ -8,7 +8,6 @@
 //! one so the test-suite and the ablation bench can measure how far the
 //! greedy heuristic is from optimal.
 
-use fss_gossip::hasher::FxHashMap;
 use fss_gossip::{SchedulingContext, SegmentId};
 use fss_overlay::PeerId;
 
@@ -28,7 +27,8 @@ pub struct OptimalAssignment {
 pub const MAX_EXACT_CANDIDATES: usize = 12;
 
 /// Exhaustively finds the assignment that maximises the number of segments
-/// deliverable within one period (ties broken by total priority mass).
+/// deliverable within one period (ties broken by total priority mass).  The
+/// per-supplier load is a column indexed by neighbour slot.
 ///
 /// # Panics
 /// Panics if the context has more than [`MAX_EXACT_CANDIDATES`] candidates —
@@ -51,7 +51,7 @@ pub fn optimal_assign(ctx: &SchedulingContext) -> OptimalAssignment {
         priority_mass: 0.0,
     };
     let mut current: Vec<(SegmentId, PeerId)> = Vec::new();
-    let mut load: FxHashMap<PeerId, f64> = FxHashMap::default();
+    let mut load = vec![0.0; ctx.neighbours.len()];
     search(ctx, &priorities, 0, &mut current, &mut load, 0.0, &mut best);
     best
 }
@@ -62,7 +62,7 @@ fn search(
     priorities: &[f64],
     index: usize,
     current: &mut Vec<(SegmentId, PeerId)>,
-    load: &mut FxHashMap<PeerId, f64>,
+    load: &mut [f64],
     mass: f64,
     best: &mut OptimalAssignment,
 ) {
@@ -89,17 +89,19 @@ fn search(
     // Option A: skip this segment.
     search(ctx, priorities, index + 1, current, load, mass, best);
     // Option B: assign it to each feasible supplier.
-    for supplier in &candidate.suppliers {
-        if supplier.rate <= 0.0 {
+    for supplier in ctx.suppliers_of(candidate) {
+        let neighbour = ctx.neighbour(supplier);
+        if neighbour.rate <= 0.0 {
             continue;
         }
-        let t_trans = 1.0 / supplier.rate;
-        let used = load.get(&supplier.peer).copied().unwrap_or(0.0);
+        let t_trans = 1.0 / neighbour.rate;
+        let slot = supplier.slot as usize;
+        let used = load[slot];
         if used + t_trans >= ctx.tau_secs {
             continue;
         }
-        load.insert(supplier.peer, used + t_trans);
-        current.push((candidate.id, supplier.peer));
+        load[slot] = used + t_trans;
+        current.push((candidate.id, neighbour.peer));
         search(
             ctx,
             priorities,
@@ -110,7 +112,7 @@ fn search(
             best,
         );
         current.pop();
-        load.insert(supplier.peer, used);
+        load[slot] = used;
     }
 }
 
@@ -118,54 +120,27 @@ fn search(
 mod tests {
     use super::*;
     use crate::assign::{greedy_assign, AssignmentOrder};
-    use fss_gossip::{CandidateSegment, SessionView, SourceId, SupplierInfo};
+    use crate::testing::{context, push};
 
-    fn supplier(peer: u32, rate: f64) -> SupplierInfo {
-        SupplierInfo {
-            peer,
-            rate,
-            buffer_position: 100,
-            buffer_capacity: 600,
+    /// A switch context over `(id, [(peer, rate)])` candidates, every
+    /// supplier at position 100.
+    fn ctx(candidates: &[(u64, &[(PeerId, f64)])]) -> SchedulingContext {
+        let mut ctx = context(100, 15.0, true);
+        ctx.q1 = 10;
+        ctx.q2 = 50;
+        for &(id, suppliers) in candidates {
+            let suppliers: Vec<_> = suppliers.iter().map(|&(p, r)| (p, r, 100)).collect();
+            push(&mut ctx, id, &suppliers);
         }
-    }
-
-    fn ctx(candidates: Vec<CandidateSegment>) -> SchedulingContext {
-        SchedulingContext {
-            tau_secs: 1.0,
-            play_rate: 10.0,
-            inbound_rate: 15.0,
-            id_play: SegmentId(100),
-            startup_q: 10,
-            new_source_qs: 50,
-            old_session: Some(SessionView {
-                id: SourceId(0),
-                first_segment: SegmentId(0),
-                last_segment: Some(SegmentId(199)),
-            }),
-            new_session: Some(SessionView {
-                id: SourceId(1),
-                first_segment: SegmentId(200),
-                last_segment: None,
-            }),
-            q1: 10,
-            q2: 50,
-            candidates,
-        }
-    }
-
-    fn candidate(id: u64, suppliers: Vec<SupplierInfo>) -> CandidateSegment {
-        CandidateSegment {
-            id: SegmentId(id),
-            suppliers,
-        }
+        ctx
     }
 
     #[test]
     fn assigns_everything_when_capacity_allows() {
-        let c = ctx(vec![
-            candidate(101, vec![supplier(1, 10.0)]),
-            candidate(102, vec![supplier(2, 10.0)]),
-            candidate(103, vec![supplier(1, 10.0), supplier(2, 10.0)]),
+        let c = ctx(&[
+            (101, &[(1, 10.0)]),
+            (102, &[(2, 10.0)]),
+            (103, &[(1, 10.0), (2, 10.0)]),
         ]);
         let best = optimal_assign(&c);
         assert_eq!(best.delivered, 3);
@@ -175,11 +150,7 @@ mod tests {
     #[test]
     fn respects_per_supplier_capacity() {
         // One supplier that fits only two segments per period.
-        let c = ctx(vec![
-            candidate(101, vec![supplier(1, 2.5)]),
-            candidate(102, vec![supplier(1, 2.5)]),
-            candidate(103, vec![supplier(1, 2.5)]),
-        ]);
+        let c = ctx(&[(101, &[(1, 2.5)]), (102, &[(1, 2.5)]), (103, &[(1, 2.5)])]);
         let best = optimal_assign(&c);
         assert_eq!(best.delivered, 2);
     }
@@ -189,10 +160,10 @@ mod tests {
         // Greedy (by priority) sends the most urgent segment to the *fast*
         // supplier 2 even though only supplier 2 can serve the second
         // segment; the exact solver routes around that.
-        let c = ctx(vec![
-            candidate(101, vec![supplier(1, 1.5), supplier(2, 3.0)]),
-            candidate(102, vec![supplier(2, 3.0)]),
-            candidate(103, vec![supplier(2, 3.0)]),
+        let c = ctx(&[
+            (101, &[(1, 1.5), (2, 3.0)]),
+            (102, &[(2, 3.0)]),
+            (103, &[(2, 3.0)]),
         ]);
         let greedy = greedy_assign(&c, AssignmentOrder::ByPriority);
         let exact = optimal_assign(&c);
@@ -202,19 +173,24 @@ mod tests {
 
     #[test]
     fn exact_never_worse_than_greedy_on_small_instances() {
-        // A small family of deterministic instances.
+        // A small family of deterministic instances; supplier `s` has one
+        // rate per instance and is shared by the candidates.
         for seed in 0..20u64 {
-            let mut candidates = Vec::new();
             let n = 2 + seed % 5;
-            for k in 0..n {
-                let mut suppliers = Vec::new();
-                for s in 0..=(seed + k) % 3 {
-                    let rate = 1.5 + ((seed * 7 + k * 3 + s) % 10) as f64;
-                    suppliers.push(supplier(s as u32 + 1, rate));
-                }
-                candidates.push(candidate(101 + k * 7, suppliers));
-            }
-            let c = ctx(candidates);
+            let rate = |s: u64| 1.5 + ((seed * 7 + s * 3) % 10) as f64;
+            let suppliers: Vec<Vec<(PeerId, f64)>> = (0..n)
+                .map(|k| {
+                    (0..=(seed + k) % 3)
+                        .map(|s| (s as PeerId + 1, rate(s)))
+                        .collect()
+                })
+                .collect();
+            let candidates: Vec<(u64, &[(PeerId, f64)])> = suppliers
+                .iter()
+                .enumerate()
+                .map(|(k, s)| (101 + k as u64 * 7, s.as_slice()))
+                .collect();
+            let c = ctx(&candidates);
             let greedy = greedy_assign(&c, AssignmentOrder::ByPriority);
             let exact = optimal_assign(&c);
             assert!(
@@ -228,7 +204,7 @@ mod tests {
 
     #[test]
     fn empty_instance() {
-        let best = optimal_assign(&ctx(vec![]));
+        let best = optimal_assign(&ctx(&[]));
         assert_eq!(best.delivered, 0);
         assert!(best.assigned.is_empty());
         assert_eq!(best.priority_mass, 0.0);
@@ -237,9 +213,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "exact solver limited")]
     fn too_many_candidates_panics() {
-        let candidates = (0..20u64)
-            .map(|i| candidate(101 + i, vec![supplier(1, 10.0)]))
-            .collect();
-        let _ = optimal_assign(&ctx(candidates));
+        let candidates: Vec<(u64, &[(PeerId, f64)])> =
+            (0..20u64).map(|i| (101 + i, &[(1, 10.0)][..])).collect();
+        let _ = optimal_assign(&ctx(&candidates));
     }
 }

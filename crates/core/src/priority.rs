@@ -49,23 +49,21 @@ pub fn rarity(positions: &[(usize, usize)]) -> f64 {
     rarity_of(positions.iter().copied())
 }
 
-/// Iterator form of [`rarity`], used by the allocation-free hot path.
-/// An empty iterator yields 1.0 (an unsupplied segment is maximally rare).
+/// Iterator form of [`rarity`].  An empty iterator yields 1.0 (an
+/// unsupplied segment is maximally rare).
 pub fn rarity_of(positions: impl Iterator<Item = (usize, usize)>) -> f64 {
-    let mut product = 1.0;
-    let mut any = false;
-    for (position, capacity) in positions {
-        any = true;
-        product *= if capacity == 0 {
-            1.0
-        } else {
-            (position as f64 / capacity as f64).clamp(0.0, 1.0)
-        };
-    }
-    if any {
-        product
-    } else {
+    positions
+        .map(|(position, capacity)| replacement_fraction(position, capacity))
+        .product()
+}
+
+/// One supplier's factor of eq. 8, `p_ij / B` clamped to `[0, 1]` (1 for a
+/// zero capacity).
+fn replacement_fraction(position: usize, capacity: usize) -> f64 {
+    if capacity == 0 {
         1.0
+    } else {
+        (position as f64 / capacity as f64).clamp(0.0, 1.0)
     }
 }
 
@@ -82,17 +80,21 @@ pub fn traditional_rarity(supplier_count: usize) -> f64 {
 /// Full priority of a candidate segment within a scheduling context (eq. 9).
 ///
 /// Runs once per candidate per node per period, so it must not allocate:
-/// the rarity product streams through [`rarity_of`] instead of collecting
-/// the positions.
+/// one pass over the candidate's suppliers takes `R_i` and multiplies the
+/// rarity product in supplier order.
 pub fn priority(ctx: &SchedulingContext, candidate: &CandidateSegment) -> SegmentPriority {
     let deadline_secs = (candidate.id.value() as f64 - ctx.id_play.value() as f64) / ctx.play_rate;
-    let urgency = urgency(deadline_secs, candidate.max_rate());
-    let rarity = rarity_of(
-        candidate
-            .suppliers
-            .iter()
-            .map(|s| (s.buffer_position, s.buffer_capacity)),
-    );
+    let mut max_rate = 0.0;
+    let mut rarity = 1.0;
+    for supplier in ctx.suppliers_of(candidate) {
+        let neighbour = ctx.neighbour(supplier);
+        max_rate = f64::max(max_rate, neighbour.rate);
+        rarity *= replacement_fraction(
+            supplier.buffer_position as usize,
+            neighbour.buffer_capacity as usize,
+        );
+    }
+    let urgency = urgency(deadline_secs, max_rate);
     SegmentPriority {
         urgency,
         rarity,
@@ -103,36 +105,7 @@ pub fn priority(ctx: &SchedulingContext, candidate: &CandidateSegment) -> Segmen
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fss_gossip::{SegmentId, SessionView, SourceId, SupplierInfo};
-
-    fn supplier(peer: u32, rate: f64, position: usize) -> SupplierInfo {
-        SupplierInfo {
-            peer,
-            rate,
-            buffer_position: position,
-            buffer_capacity: 600,
-        }
-    }
-
-    fn ctx(id_play: u64) -> SchedulingContext {
-        SchedulingContext {
-            tau_secs: 1.0,
-            play_rate: 10.0,
-            inbound_rate: 15.0,
-            id_play: SegmentId(id_play),
-            startup_q: 10,
-            new_source_qs: 50,
-            old_session: Some(SessionView {
-                id: SourceId(0),
-                first_segment: SegmentId(0),
-                last_segment: Some(SegmentId(999)),
-            }),
-            new_session: None,
-            q1: 0,
-            q2: 0,
-            candidates: vec![],
-        }
-    }
+    use crate::testing::{context, push};
 
     #[test]
     fn urgency_grows_as_the_deadline_approaches() {
@@ -176,39 +149,35 @@ mod tests {
 
     #[test]
     fn priority_is_the_max_of_both_components() {
-        let context = ctx(100);
+        let mut ctx = context(100, 15.0, false);
         // A segment due in 0.5 s: urgency dominates.
-        let urgent = CandidateSegment {
-            id: SegmentId(105),
-            suppliers: vec![supplier(1, 15.0, 10)],
-        };
-        let p = priority(&context, &urgent);
+        push(&mut ctx, 105, &[(1, 15.0, 10)]);
+        // A far-future segment that is about to be evicted everywhere:
+        // rarity dominates.
+        push(&mut ctx, 900, &[(1, 15.0, 590), (2, 20.0, 595)]);
+        let p = priority(&ctx, &ctx.candidates[0]);
         assert!(p.urgency > p.rarity);
         assert_eq!(p.priority, p.urgency);
 
-        // A far-future segment that is about to be evicted everywhere:
-        // rarity dominates.
-        let rare = CandidateSegment {
-            id: SegmentId(900),
-            suppliers: vec![supplier(1, 15.0, 590), supplier(2, 20.0, 595)],
-        };
-        let p = priority(&context, &rare);
+        let p = priority(&ctx, &ctx.candidates[1]);
         assert!(p.rarity > p.urgency);
         assert_eq!(p.priority, p.rarity);
+        assert_eq!(p.rarity, rarity(&[(590, 600), (595, 600)]));
+        let deadline = (900.0 - 100.0) / 10.0;
+        assert_eq!(
+            p.urgency,
+            urgency(deadline, ctx.max_rate(&ctx.candidates[1]))
+        );
     }
 
     #[test]
     fn urgent_segments_outrank_far_safe_segments() {
-        let context = ctx(100);
-        let soon = CandidateSegment {
-            id: SegmentId(102),
-            suppliers: vec![supplier(1, 15.0, 10)],
-        };
-        let later = CandidateSegment {
-            id: SegmentId(200),
-            suppliers: vec![supplier(1, 15.0, 10)],
-        };
-        assert!(priority(&context, &soon).priority > priority(&context, &later).priority);
+        let mut ctx = context(100, 15.0, false);
+        push(&mut ctx, 102, &[(1, 15.0, 10)]);
+        push(&mut ctx, 200, &[(1, 15.0, 10)]);
+        let soon = priority(&ctx, &ctx.candidates[0]);
+        let later = priority(&ctx, &ctx.candidates[1]);
+        assert!(soon.priority > later.priority);
     }
 
     proptest::proptest! {

@@ -432,10 +432,10 @@ impl FifoBuffer {
     /// [`availability_word`](Self::availability_word) of this buffer — so
     /// the membership test is skipped (checked in debug builds only).
     #[inline]
-    pub(crate) fn held_position(&self, segment: SegmentId) -> usize {
+    pub(crate) fn held_position(&self, segment: SegmentId) -> u32 {
         debug_assert!(self.contains(segment), "{segment} is not held");
         let offset = (segment.value() - self.base) as usize;
-        (self.next_seq - u32::from(self.seqs[offset])) as usize
+        self.next_seq - u32::from(self.seqs[offset])
     }
 
     /// Prefetches the window head: the availability word(s) and the
@@ -715,7 +715,7 @@ mod tests {
             assert_eq!(*buffer, before);
             for id in buffer.ids() {
                 assert_eq!(
-                    Some(buffer.held_position(id)),
+                    Some(buffer.held_position(id) as usize),
                     buffer.position_from_tail(id)
                 );
             }

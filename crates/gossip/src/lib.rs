@@ -88,8 +88,8 @@ pub use peer::PeerNode;
 pub use playback::{PlaybackPhase, PlaybackState};
 pub use qoe::{PeriodSample, QoeRecorder, QoeTotals};
 pub use scheduler::{
-    CandidateSegment, SchedulerScratch, SchedulingContext, SegmentRequest, SegmentScheduler,
-    SessionView, StreamClass, SupplierInfo,
+    CandidateSegment, NeighbourInfo, SchedulerScratch, SchedulingContext, SegmentRequest,
+    SegmentScheduler, SessionView, StreamClass, SupplierInfo, SupplierSpan,
 };
 pub use segment::{SegmentId, Session, SessionDirectory, SourceId};
 pub use stats::{MilestoneStat, RatioSample, SwitchRecord, SwitchStats, TrafficCounters};

@@ -383,8 +383,8 @@ mod tests {
             .iter()
             .find(|c| c.id == SegmentId(97))
             .unwrap();
-        assert_eq!(c97.supplier_count(), 2);
-        assert_eq!(c97.max_rate(), 20.0);
+        assert_eq!(c97.suppliers.len(), 2);
+        assert_eq!(ctx.max_rate(c97), 20.0);
     }
 
     #[test]

@@ -6,7 +6,19 @@
 //! Fast Switch Algorithm, the Normal Switch baseline, or any other policy —
 //! which returns the ordered list of [`SegmentRequest`]s to issue this
 //! period.
+//!
+//! The context is flat: a per-call neighbour table ([`NeighbourInfo`]: peer,
+//! rate `R(j)`, capacity `B`), one array of 8-byte [`SupplierInfo`] entries
+//! (neighbour slot and buffer position `p_ij`) and a [`SupplierSpan`] into
+//! it per candidate.  Builders fill it with
+//! [`push_neighbour`](SchedulingContext::push_neighbour) for each
+//! neighbour, then [`push_candidate`](SchedulingContext::push_candidate)
+//! for each candidate; the system's own builder appends each candidate's
+//! suppliers directly and closes the span in-crate.  A peer therefore has
+//! one rate per context, and a scheduler can keep per-neighbour state in a
+//! column indexed by slot.
 
+use crate::cast::narrow;
 use crate::segment::{SegmentId, SourceId};
 use fss_overlay::PeerId;
 use serde::{Deserialize, Serialize};
@@ -22,39 +34,61 @@ pub enum StreamClass {
     New,
 }
 
-/// A neighbour able to supply one candidate segment.
+/// One neighbour of the scheduling node: a row of the context's per-call
+/// neighbour table.  Every neighbour gets a row, whether or not it holds a
+/// candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SupplierInfo {
-    /// The supplying neighbour.
+pub struct NeighbourInfo {
+    /// The neighbour.
     pub peer: PeerId,
     /// The neighbour's advertised sending rate `R(j)` in segments/second.
     pub rate: f64,
+    /// The neighbour's buffer capacity `B` (`< 2¹⁶`, as
+    /// [`GossipConfig::validate`](crate::GossipConfig::validate) and
+    /// [`FifoBuffer::new`](crate::FifoBuffer::new) require).
+    pub buffer_capacity: u32,
+}
+
+/// A neighbour able to supply one candidate segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SupplierInfo {
+    /// The supplier's slot in [`SchedulingContext::neighbours`].
+    pub slot: u32,
     /// The segment's position in the neighbour's FIFO buffer, measured from
     /// the tail (`p_ij` of Table 2; 1 = newest).
-    pub buffer_position: usize,
-    /// The neighbour's buffer capacity `B`.
-    pub buffer_capacity: usize,
+    pub buffer_position: u32,
+}
+
+/// A candidate's suppliers: the range `start..start + len` of
+/// [`SchedulingContext::suppliers`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SupplierSpan {
+    /// Index of the first supplier.
+    pub start: u32,
+    /// Number of suppliers.
+    pub len: u32,
+}
+
+impl SupplierSpan {
+    /// The number of suppliers (`n_i` of Table 2).
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True when the span names no supplier.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
 }
 
 /// One segment the node needs and could obtain this period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CandidateSegment {
     /// The segment id.
     pub id: SegmentId,
-    /// Neighbours currently holding the segment (never empty).
-    pub suppliers: Vec<SupplierInfo>,
-}
-
-impl CandidateSegment {
-    /// The number of suppliers (`n_i` of Table 2).
-    pub fn supplier_count(&self) -> usize {
-        self.suppliers.len()
-    }
-
-    /// The maximum receiving rate `R_i = max_j R_ij` (eq. 6).
-    pub fn max_rate(&self) -> f64 {
-        self.suppliers.iter().map(|s| s.rate).fold(0.0, f64::max)
-    }
+    /// Neighbours currently holding the segment (never empty in contexts
+    /// the system builds); see [`SchedulingContext::suppliers_of`].
+    pub suppliers: SupplierSpan,
 }
 
 /// A view of one source session as known to the scheduling node.
@@ -94,6 +128,12 @@ pub struct SchedulingContext {
     pub q1: usize,
     /// `Q2`: undelivered segments among the first `Qs` of the new source.
     pub q2: usize,
+    /// The node's neighbours, one row per neighbour in neighbour order;
+    /// [`SupplierInfo::slot`] indexes it.
+    pub neighbours: Vec<NeighbourInfo>,
+    /// Every candidate's suppliers, back to back; each candidate owns the
+    /// [`SupplierSpan`] it names, in neighbour order.
+    pub suppliers: Vec<SupplierInfo>,
     /// The segments the node needs and at least one neighbour can supply.
     pub candidates: Vec<CandidateSegment>,
 }
@@ -120,6 +160,80 @@ impl SchedulingContext {
             Some(new) if id >= new.first_segment => StreamClass::New,
             _ => StreamClass::Old,
         }
+    }
+
+    /// The suppliers of `candidate`.
+    pub fn suppliers_of(&self, candidate: &CandidateSegment) -> &[SupplierInfo] {
+        let span = candidate.suppliers;
+        &self.suppliers[span.start as usize..][..span.len()]
+    }
+
+    /// The neighbour-table row of `supplier`.
+    pub fn neighbour(&self, supplier: &SupplierInfo) -> &NeighbourInfo {
+        &self.neighbours[supplier.slot as usize]
+    }
+
+    /// The maximum receiving rate `R_i = max_j R_ij` of `candidate` (eq. 6).
+    pub fn max_rate(&self, candidate: &CandidateSegment) -> f64 {
+        self.suppliers_of(candidate)
+            .iter()
+            .map(|s| self.neighbour(s).rate)
+            .fold(0.0, f64::max)
+    }
+
+    /// Appends a row to the neighbour table and returns its slot.
+    ///
+    /// # Panics
+    /// Panics if `buffer_capacity` does not fit a `u32`.
+    pub fn push_neighbour(&mut self, peer: PeerId, rate: f64, buffer_capacity: usize) -> u32 {
+        let slot = narrow(self.neighbours.len(), "neighbour slots fit u32");
+        self.neighbours.push(NeighbourInfo {
+            peer,
+            rate,
+            buffer_capacity: narrow(buffer_capacity, "buffer capacity fits u32"),
+        });
+        slot
+    }
+
+    /// Appends candidate `id` held by `suppliers`, whose slots must already
+    /// be in the neighbour table.
+    pub fn push_candidate(
+        &mut self,
+        id: SegmentId,
+        suppliers: impl IntoIterator<Item = SupplierInfo>,
+    ) {
+        let start = self.suppliers.len();
+        self.suppliers.extend(suppliers);
+        self.close_candidate(id, start);
+    }
+
+    /// Appends candidate `id` held by the suppliers pushed onto
+    /// [`suppliers`](Self::suppliers) since index `start`.
+    pub(crate) fn close_candidate(&mut self, id: SegmentId, start: usize) {
+        debug_assert!(
+            self.suppliers[start..]
+                .iter()
+                .all(|s| (s.slot as usize) < self.neighbours.len()),
+            "supplier slot outside the neighbour table"
+        );
+        self.candidates.push(CandidateSegment {
+            id,
+            suppliers: SupplierSpan {
+                start: narrow(start, "supplier entries fit u32"),
+                len: narrow(
+                    self.suppliers.len() - start,
+                    "suppliers per candidate fit u32",
+                ),
+            },
+        });
+    }
+
+    /// Empties the neighbour table, the supplier array and the candidates,
+    /// keeping their buffers.
+    pub fn clear_tables(&mut self) {
+        self.neighbours.clear();
+        self.suppliers.clear();
+        self.candidates.clear();
     }
 }
 
@@ -220,6 +334,8 @@ mod tests {
             new_session: Some(view(1, 200, None)),
             q1: 20,
             q2: 50,
+            neighbours: vec![],
+            suppliers: vec![],
             candidates: vec![],
         }
     }
@@ -256,25 +372,33 @@ mod tests {
 
     #[test]
     fn candidate_helpers() {
-        let c = CandidateSegment {
-            id: SegmentId(42),
-            suppliers: vec![
-                SupplierInfo {
-                    peer: 1,
-                    rate: 12.0,
-                    buffer_position: 10,
-                    buffer_capacity: 600,
-                },
-                SupplierInfo {
-                    peer: 2,
-                    rate: 20.0,
-                    buffer_position: 500,
-                    buffer_capacity: 600,
-                },
-            ],
+        let mut ctx = context();
+        let one = ctx.push_neighbour(1, 12.0, 600);
+        let idle = ctx.push_neighbour(7, 30.0, 600);
+        let two = ctx.push_neighbour(2, 20.0, 600);
+        assert_eq!((one, idle, two), (0, 1, 2));
+        let supplier = |slot, buffer_position| SupplierInfo {
+            slot,
+            buffer_position,
         };
-        assert_eq!(c.supplier_count(), 2);
-        assert_eq!(c.max_rate(), 20.0);
+        ctx.push_candidate(SegmentId(41), [supplier(one, 3)]);
+        ctx.push_candidate(SegmentId(42), [supplier(one, 10), supplier(two, 500)]);
+        let c = ctx.candidates[1];
+        assert_eq!(c.suppliers, SupplierSpan { start: 1, len: 2 });
+        assert_eq!(c.suppliers.len(), 2);
+        assert_eq!(ctx.suppliers_of(&c)[1], supplier(two, 500));
+        assert_eq!(ctx.neighbour(&ctx.suppliers_of(&c)[1]).peer, 2);
+        assert_eq!(
+            ctx.max_rate(&c),
+            20.0,
+            "the idle neighbour is not a supplier"
+        );
+        assert_eq!(ctx.max_rate(&ctx.candidates[0]), 12.0);
+
+        ctx.clear_tables();
+        assert!(ctx.neighbours.is_empty() && ctx.suppliers.is_empty());
+        assert!(ctx.candidates.is_empty());
+        assert_eq!(std::mem::size_of::<SupplierInfo>(), 8);
     }
 
     #[test]

@@ -1,27 +1,31 @@
 //! Reusable per-period working memory (the "scratch arena").
 //!
 //! A straight-line period re-allocates the world every scheduling period:
-//! the active-peer list, a neighbour list per node, a `Vec<SupplierInfo>`
-//! per candidate segment, a map of outbound budgets, and the per-node
-//! request vectors.  At production scale (the
-//! ROADMAP's million-user scenarios) those allocations dominate the period
-//! cost.  This module holds every buffer the hot path needs, all owned by
-//! the system and reused across periods, so a steady-state period performs
-//! **zero heap allocations**:
+//! the active-peer list, a neighbour list per node, a supplier list per
+//! candidate segment, a map of outbound budgets, and the per-node request
+//! vectors.  At production scale (the ROADMAP's million-user scenarios)
+//! those allocations dominate the period cost.  This module holds every
+//! buffer the hot path needs, all owned by the system and reused across
+//! periods, so a steady-state period performs **zero heap allocations**:
 //!
 //! * [`PeriodScratch`] — dense (indexed by [`PeerId`]) rate/budget tables,
 //!   the active list, the chunk plan and the ratio-track column,
 //! * [`WorkerScratch`] — the per-chunk state of the two pool dispatches of
-//!   a period: a reusable [`SchedulingContext`], the supplier-vector pool,
-//!   the need/availability bitset words, the scheduler's own
-//!   [`SchedulerScratch`], the chunk's grants and its QoE lane.
+//!   a period: a reusable [`SchedulingContext`] (a neighbour table, one
+//!   flat supplier array and a span per candidate), the need/availability
+//!   bitset words and each neighbour's cached window words, the
+//!   scheduler's own [`SchedulerScratch`], the chunk's grants and its QoE
+//!   lane.
 //!
 //! Candidate segments are enumerated by word-level bitset intersection of
 //! the peers' availability windows, which every
 //! [`FifoBuffer`](crate::buffer::FifoBuffer) maintains incrementally (one
-//! bit flip per insert/evict) — nothing is rebuilt per period.  Suppliers
-//! are filled neighbour-major from the same words, so a neighbour's
-//! sequence array is read only at the candidates it actually holds.
+//! bit flip per insert/evict) — nothing is rebuilt per period.  The OR pass
+//! that finds the available ids keeps each neighbour's window words, so the
+//! suppliers are filled **candidate-major** from those cached words: the
+//! candidate's bit of each neighbour's word forms a holder mask, whose set
+//! bits (neighbour order) are appended straight to the flat supplier array.  A neighbour's sequence array is
+//! read only at the candidates it actually holds.
 //!
 //! The structures only ever grow (to a steady-state high-water mark); the
 //! differential tests assert the resulting [`SystemReport`]s are identical
@@ -31,11 +35,12 @@
 //!
 //! [`SystemReport`]: crate::system::SystemReport
 
+use crate::cast::narrow;
 use crate::config::GossipConfig;
 use crate::mem::{vec_bytes, MemoryFootprint};
 use crate::qoe::QoeLane;
 use crate::scheduler::SegmentRequest;
-use crate::scheduler::{CandidateSegment, SchedulerScratch, SchedulingContext, SupplierInfo};
+use crate::scheduler::{SchedulerScratch, SchedulingContext, SupplierInfo};
 use crate::segment::{SegmentId, SessionDirectory};
 use crate::store::{PeerRef, PeerStore};
 use crate::transfer::{DeliveredSegment, GrantScratch};
@@ -47,12 +52,13 @@ use fss_overlay::PeerId;
 pub struct WorkerScratch {
     /// The reusable scheduling context handed to the scheduler.
     pub ctx: SchedulingContext,
-    /// Recycled supplier vectors for `ctx.candidates`.
-    supplier_pool: Vec<Vec<SupplierInfo>>,
     /// Bits of the node's needed-but-missing ids over the current window.
     need_words: Vec<u64>,
     /// OR of the neighbours' availability words over the same window.
     avail_words: Vec<u64>,
+    /// Each neighbour's availability words over the same window,
+    /// neighbours × words (zero for an empty neighbour).
+    neighbour_words: Vec<u64>,
     /// The scheduler's own reusable state.
     pub sched: SchedulerScratch,
     /// One peer's scheduled requests (the scheduler's output buffer).
@@ -95,6 +101,8 @@ impl Default for SchedulingContext {
             new_session: None,
             q1: 0,
             q2: 0,
+            neighbours: Vec::new(),
+            suppliers: Vec::new(),
             candidates: Vec::new(),
         }
     }
@@ -103,10 +111,11 @@ impl Default for SchedulingContext {
 impl WorkerScratch {
     /// Opens the slot for a scheduling chunk over `chunk`: clears the
     /// per-period outputs and, when the chunk plan moved, sizes the grant
-    /// and QoE buffers for the chunk's peers so they never grow mid-run.
-    /// `inbound_budget(p)` is a peer's whole-segment inbound budget — the
-    /// most grants it can receive in a period.
-    pub fn plan<F: Fn(PeerId) -> usize>(&mut self, chunk: &[PeerId], inbound_budget: F) {
+    /// and QoE buffers for the chunk's peers.  `grant_hint(p)` is the most
+    /// grants a peer is expected to receive in a period; the reservation is
+    /// only a hint, so the caller bounds it (a burst beyond it grows the
+    /// buffer).
+    pub fn plan<F: Fn(PeerId) -> usize>(&mut self, chunk: &[PeerId], grant_hint: F) {
         self.grants.clear();
         self.control_bits = 0;
         self.requests_blinded = 0;
@@ -114,17 +123,9 @@ impl WorkerScratch {
         let extent = (chunk.first().copied().unwrap_or(0), chunk.len());
         if self.planned != extent {
             self.planned = extent;
-            let grants: usize = chunk.iter().map(|&p| inbound_budget(p)).sum();
+            let grants: usize = chunk.iter().map(|&p| grant_hint(p)).sum();
             self.grants.reserve(grants);
             self.qoe.reserve(chunk.len());
-        }
-    }
-
-    /// Returns `ctx.candidates`' supplier vectors to the pool.
-    fn clear_candidates(&mut self) {
-        for mut candidate in self.ctx.candidates.drain(..) {
-            candidate.suppliers.clear();
-            self.supplier_pool.push(candidate.suppliers);
         }
     }
 
@@ -133,14 +134,14 @@ impl WorkerScratch {
     /// intersection: `need = range_mask AND NOT own_held`,
     /// `avail = OR(neighbour held)`, candidates = `need AND avail`.
     ///
-    /// Candidates are pushed first, in ascending id order, and the
-    /// candidate mask is kept in `need_words`.  The suppliers are then
-    /// filled **neighbour-major**: each neighbour's words are intersected
-    /// with the mask, and every hit goes to the candidate whose index is
-    /// the hit's rank in the mask (a prefix popcount).  Each candidate's
-    /// suppliers therefore come out in `neighbors` order — identical to
-    /// per-id probing — while only actual suppliers are probed.
-    #[allow(clippy::too_many_arguments)]
+    /// The OR pass keeps each neighbour's words in `neighbour_words`.
+    /// Candidates are then pushed in ascending id order, each with its
+    /// suppliers **candidate-major**: the candidate's bit of each
+    /// neighbour's cached word goes into a holder mask (64 slots at a
+    /// time), whose set bits are the suppliers in `neighbors` order (slot
+    /// order), so only actual suppliers' sequence arrays are probed.  The
+    /// neighbour table must already list `neighbors`, slot `k` for
+    /// `neighbors[k]`.
     fn candidates_in_range(
         &mut self,
         start: SegmentId,
@@ -148,7 +149,6 @@ impl WorkerScratch {
         own: PeerRef<'_>,
         neighbors: &[PeerId],
         store: &PeerStore,
-        outbound_rate: &[f64],
     ) {
         if end < start {
             return;
@@ -160,6 +160,8 @@ impl WorkerScratch {
         self.need_words.resize(words, 0);
         self.avail_words.clear();
         self.avail_words.resize(words, 0);
+        self.neighbour_words.clear();
+        self.neighbour_words.resize(neighbors.len() * words, 0);
 
         for (i, need) in self.need_words.iter_mut().enumerate() {
             let word_base = base + (i as u64) * 64;
@@ -172,56 +174,49 @@ impl WorkerScratch {
             }
             *need = mask & !own.buffer().availability_word(word_base);
         }
-        for &n in neighbors {
+        for (&n, row) in neighbors
+            .iter()
+            .zip(self.neighbour_words.chunks_exact_mut(words))
+        {
             let buffer = store.buffer(n);
             if buffer.is_empty() {
                 continue;
             }
-            for (i, avail) in self.avail_words.iter_mut().enumerate() {
-                *avail |= buffer.availability_word(base + (i as u64) * 64);
+            for (i, (word, avail)) in row.iter_mut().zip(&mut self.avail_words).enumerate() {
+                *word = buffer.availability_word(base + (i as u64) * 64);
+                *avail |= *word;
             }
         }
 
-        // Candidates, ascending; `need_words` becomes the candidate mask.
         let first = self.ctx.candidates.len();
-        for (i, need) in self.need_words.iter_mut().enumerate() {
-            *need &= self.avail_words[i];
-            let mut bits = *need;
+        let slots: u32 = narrow(neighbors.len(), "neighbour slots fit u32");
+        for (i, (&need, &avail)) in self.need_words.iter().zip(&self.avail_words).enumerate() {
+            let mut bits = need & avail;
             while bits != 0 {
-                let id = base + (i as u64) * 64 + u64::from(bits.trailing_zeros());
+                let bit = bits.trailing_zeros();
                 bits &= bits - 1;
-                self.ctx.candidates.push(CandidateSegment {
-                    id: SegmentId(id),
-                    suppliers: self.supplier_pool.pop().unwrap_or_default(),
-                });
-            }
-        }
-
-        // Suppliers, neighbour-major: probe only the hits.
-        for &n in neighbors {
-            let buffer = store.buffer(n);
-            if buffer.is_empty() {
-                continue;
-            }
-            let (rate, capacity) = (outbound_rate[n as usize], buffer.capacity());
-            let mut rank = first;
-            for (i, &mask) in self.need_words.iter().enumerate() {
-                let word_base = base + (i as u64) * 64;
-                let mut hits = mask & buffer.availability_word(word_base);
-                while hits != 0 {
-                    let bit = hits.trailing_zeros();
-                    hits &= hits - 1;
-                    let below = mask & ((1u64 << bit) - 1);
-                    let candidate = &mut self.ctx.candidates[rank + below.count_ones() as usize];
-                    candidate.suppliers.push(SupplierInfo {
-                        peer: n,
-                        rate,
-                        buffer_position: buffer
-                            .held_position(SegmentId(word_base + u64::from(bit))),
-                        buffer_capacity: capacity,
-                    });
+                let id = SegmentId(base + (i as u64) * 64 + u64::from(bit));
+                // Bit `k` of `held`: slot `group + k` holds the candidate.
+                // The suppliers go straight onto the flat array (an
+                // iterator through `push_candidate` measured slower here).
+                let start = self.ctx.suppliers.len();
+                for group in (0..slots).step_by(64) {
+                    let mut held = 0u64;
+                    for k in 0..(slots - group).min(64) {
+                        let word = self.neighbour_words[(group + k) as usize * words + i];
+                        held |= (word >> bit & 1) << k;
+                    }
+                    while held != 0 {
+                        let slot = group + held.trailing_zeros();
+                        held &= held - 1;
+                        let buffer = store.buffer(neighbors[slot as usize]);
+                        self.ctx.suppliers.push(SupplierInfo {
+                            slot,
+                            buffer_position: buffer.held_position(id),
+                        });
+                    }
                 }
-                rank += mask.count_ones() as usize;
+                self.ctx.close_candidate(id, start);
             }
         }
         debug_assert!(
@@ -235,8 +230,9 @@ impl WorkerScratch {
     /// Rebuilds `self.ctx` for `node` without allocating.  Returns `false`
     /// when the node has nothing it could request this period.
     ///
-    /// The candidates are the node's missing ids of the stream it is
-    /// playing (capped to a trailing `2·B` window below the highest id its
+    /// The neighbour table lists every neighbour in `neighbors` order.  The
+    /// candidates are the node's missing ids of the stream it is playing
+    /// (capped to a trailing `2·B` window below the highest id its
     /// neighbours advertise) followed by those of the next discovered
     /// session, in ascending id order; each candidate lists the neighbours
     /// holding it, in `neighbors` order.
@@ -260,13 +256,18 @@ impl WorkerScratch {
         known_sessions: usize,
         max_advertised: SegmentId,
     ) -> bool {
-        self.clear_candidates();
+        self.ctx.clear_tables();
         if neighbors.is_empty() || inbound_rate <= 0.0 {
             return false;
         }
         let known = crate::peer::known_slice(known_sessions, directory);
         if known.is_empty() {
             return false;
+        }
+        for &n in neighbors {
+            let capacity = store.buffer(n).capacity();
+            self.ctx
+                .push_neighbour(n, outbound_rate[n as usize], capacity);
         }
 
         let id_play = node.id_play();
@@ -289,14 +290,7 @@ impl WorkerScratch {
             .max(current.first_segment)
             .max(SegmentId(current_end.value().saturating_sub(window_cap)));
         if current_end >= current_start {
-            self.candidates_in_range(
-                current_start,
-                current_end,
-                node,
-                neighbors,
-                store,
-                outbound_rate,
-            );
+            self.candidates_in_range(current_start, current_end, node, neighbors, store);
         }
         if let Some(next) = next {
             let next_end = next
@@ -304,14 +298,7 @@ impl WorkerScratch {
                 .unwrap_or(max_advertised)
                 .min(max_advertised);
             if next_end >= next.first_segment {
-                self.candidates_in_range(
-                    next.first_segment,
-                    next_end,
-                    node,
-                    neighbors,
-                    store,
-                    outbound_rate,
-                );
+                self.candidates_in_range(next.first_segment, next_end, node, neighbors, store);
             }
         }
         if self.ctx.candidates.is_empty() {
@@ -349,22 +336,17 @@ impl WorkerScratch {
 }
 
 impl MemoryFootprint for WorkerScratch {
-    /// Context candidates, the recycled supplier pool, the bitset word
-    /// buffers, the grant and request buffers and the QoE lane.  The type-erased scheduler scratch counts as
-    /// its slot only (its contents are policy-private).
+    /// The context's neighbour table, supplier array and candidates, the
+    /// bitset word buffers, the grant and request buffers and the QoE lane.
+    /// The type-erased scheduler scratch counts as its slot only (its
+    /// contents are policy-private).
     fn heap_bytes(&self) -> usize {
-        let nested_suppliers: usize = self
-            .ctx
-            .candidates
-            .iter()
-            .map(|c| vec_bytes(&c.suppliers))
-            .chain(self.supplier_pool.iter().map(vec_bytes))
-            .sum();
-        vec_bytes(&self.ctx.candidates)
-            + nested_suppliers
+        vec_bytes(&self.ctx.neighbours)
+            + vec_bytes(&self.ctx.suppliers)
+            + vec_bytes(&self.ctx.candidates)
             + vec_bytes(&self.need_words)
             + vec_bytes(&self.avail_words)
-            + vec_bytes(&self.supplier_pool)
+            + vec_bytes(&self.neighbour_words)
             + vec_bytes(&self.requests)
             + self.grant.heap_bytes()
             + vec_bytes(&self.grants)
@@ -445,6 +427,7 @@ mod tests {
     use super::*;
     use crate::buffer::FifoBuffer;
     use crate::peer::PeerNode;
+    use crate::scheduler::SessionView;
     use crate::segment::Session;
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
@@ -475,6 +458,49 @@ mod tests {
         buffer
     }
 
+    /// A context with every supplier expanded to `(peer, rate, position,
+    /// capacity)`: the builder's neighbour table lists every neighbour, so
+    /// contexts are compared through this view rather than slot by slot.
+    #[derive(Debug, PartialEq)]
+    struct Expanded {
+        scalars: (f64, f64, f64, SegmentId, usize, usize),
+        sessions: (Option<SessionView>, Option<SessionView>),
+        q1: usize,
+        q2: usize,
+        candidates: Vec<(SegmentId, Vec<Supplier>)>,
+    }
+
+    /// `(peer, rate, position, capacity)` of one supplier.
+    type Supplier = (PeerId, f64, usize, usize);
+
+    fn expand(ctx: &SchedulingContext) -> Expanded {
+        Expanded {
+            scalars: (
+                ctx.tau_secs,
+                ctx.play_rate,
+                ctx.inbound_rate,
+                ctx.id_play,
+                ctx.startup_q,
+                ctx.new_source_qs,
+            ),
+            sessions: (ctx.old_session, ctx.new_session),
+            q1: ctx.q1,
+            q2: ctx.q2,
+            candidates: ctx
+                .candidates
+                .iter()
+                .map(|c| {
+                    let suppliers = ctx.suppliers_of(c).iter().map(|s| {
+                        let n = ctx.neighbour(s);
+                        let (position, capacity) = (s.buffer_position, n.buffer_capacity);
+                        (n.peer, n.rate, position as usize, capacity as usize)
+                    });
+                    (c.id, suppliers.collect())
+                })
+                .collect(),
+        }
+    }
+
     /// The context builder as a straight-line oracle: every id of the
     /// current and next session's ranges, probed at every neighbour.
     /// `neighbors` holds `(peer, outbound rate, buffer)`.
@@ -484,7 +510,7 @@ mod tests {
         directory: &SessionDirectory,
         inbound_rate: f64,
         neighbors: &[(PeerId, f64, &FifoBuffer)],
-    ) -> Option<SchedulingContext> {
+    ) -> Option<Expanded> {
         let known = node.known(directory);
         if neighbors.is_empty() || inbound_rate <= 0.0 || known.is_empty() {
             return None;
@@ -507,33 +533,34 @@ mod tests {
         }
         let mut candidates = Vec::new();
         for id in needed.into_iter().map(SegmentId) {
-            let suppliers: Vec<SupplierInfo> = neighbors
+            let suppliers: Vec<Supplier> = neighbors
                 .iter()
                 .filter_map(|&(peer, rate, buffer)| {
-                    Some(SupplierInfo {
+                    Some((
                         peer,
                         rate,
-                        buffer_position: buffer.position_from_tail(id)?,
-                        buffer_capacity: buffer.capacity(),
-                    })
+                        buffer.position_from_tail(id)?,
+                        buffer.capacity(),
+                    ))
                 })
                 .collect();
             if !node.buffer().contains(id) && !suppliers.is_empty() {
-                candidates.push(CandidateSegment { id, suppliers });
+                candidates.push((id, suppliers));
             }
         }
         if candidates.is_empty() {
             return None;
         }
-        Some(SchedulingContext {
-            tau_secs: config.tau_secs,
-            play_rate: config.play_rate,
-            inbound_rate,
-            id_play,
-            startup_q: config.startup_q,
-            new_source_qs: config.new_source_qs,
-            old_session: Some(session_view(current)),
-            new_session: next.map(session_view),
+        Some(Expanded {
+            scalars: (
+                config.tau_secs,
+                config.play_rate,
+                inbound_rate,
+                id_play,
+                config.startup_q,
+                config.new_source_qs,
+            ),
+            sessions: (Some(session_view(current)), next.map(session_view)),
             q1: node.undelivered_in_session(current, max_advertised),
             q2: next.map_or(0, |next| node.q2_for(next, config.new_source_qs)),
             candidates,
@@ -543,10 +570,7 @@ mod tests {
     /// Builds one random context-builder scenario from `seed` and returns
     /// `(reference, production)`: [`reference_context`] and
     /// `scratch.build_context`, each `None` for "nothing to request".
-    fn build_both(
-        seed: u64,
-        scratch: &mut WorkerScratch,
-    ) -> (Option<SchedulingContext>, Option<SchedulingContext>) {
+    fn build_both(seed: u64, scratch: &mut WorkerScratch) -> (Option<Expanded>, Option<Expanded>) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut config = GossipConfig::paper_default();
         config.buffer_capacity = rng.gen_range(8..=120);
@@ -572,7 +596,12 @@ mod tests {
 
         // Neighbours: departed (default), fresh empty, or filled, with
         // their own capacities, listed in a random order.
-        let count = rng.gen_range(0..=12u32);
+        // Rarely more than 64, so the fill's slot groups are exercised.
+        let count = if rng.gen_range(0..16) == 0 {
+            rng.gen_range(60..=80u32)
+        } else {
+            rng.gen_range(0..=12u32)
+        };
         let mut store = PeerStore::new(4);
         store.push(node.clone());
         for n in 1..=count {
@@ -618,12 +647,12 @@ mod tests {
                 node.known_sessions(),
                 max_advertised,
             )
-            .then(|| scratch.ctx.clone());
+            .then(|| expand(&scratch.ctx));
         (reference, production)
     }
 
     /// Checks the scenarios of `seed` and of a derived seed on one scratch,
-    /// so the second runs on recycled supplier vectors.
+    /// so the second runs on reused context tables.
     fn check_seed(seed: u64) -> Result<(), proptest::TestCaseError> {
         let mut scratch = WorkerScratch::default();
         for seed in [seed, seed ^ 0x9e37_79b9_7f4a_7c15] {
@@ -636,7 +665,8 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
         /// The allocation-free context builder equals the straight-line
-        /// [`reference_context`]: same candidates, same supplier order, same
+        /// [`reference_context`]: same candidates, same suppliers (peer,
+        /// rate, position, capacity) in the same order, same sessions and
         /// `q1`/`q2` — or both find nothing to request.
         #[test]
         fn prop_build_context_matches_reference(seed in 0u64..u64::MAX) {

@@ -1498,8 +1498,11 @@ fn schedule_chunk(
         faults,
         period,
     } = *inputs;
+    // A peer is granted at most ⌊I·τ⌋ segments a period; past its buffer
+    // capacity the reservation stops being a useful hint (a huge validated
+    // τ would otherwise reserve gigabytes).
     worker.plan(chunk, |p| {
-        (inbound_rate[p as usize] * config.tau_secs).floor() as usize
+        ((inbound_rate[p as usize] * config.tau_secs).floor() as usize).min(config.buffer_capacity)
     });
     for (i, &p) in chunk.iter().enumerate() {
         // Staged prefetch (see `crate::prefetch`): each stage reads only
@@ -1759,9 +1762,10 @@ mod tests {
                 if requests.len() >= ctx.inbound_budget() {
                     break;
                 }
-                let best = c
-                    .suppliers
+                let best = ctx
+                    .suppliers_of(&c)
                     .iter()
+                    .map(|s| ctx.neighbour(s))
                     .filter(|s| {
                         let cap = (s.rate * ctx.tau_secs).floor() as usize;
                         load.get(&s.peer).copied().unwrap_or(0) < cap
@@ -1796,6 +1800,26 @@ mod tests {
     fn first_two(sys: &StreamingSystem) -> (PeerId, PeerId) {
         let peers: Vec<PeerId> = sys.overlay().active_peers().take(2).collect();
         (peers[0], peers[1])
+    }
+
+    #[test]
+    fn huge_validated_tau_runs_two_periods() {
+        // ⌊I·τ⌋ is in the millions here; the chunk's grant reservation is
+        // capped at the buffer capacity per peer instead of reserving tens
+        // of gigabytes.
+        let config = GossipConfig {
+            tau_secs: 1e6,
+            play_rate: 1e-5,
+            ..GossipConfig::paper_default()
+        };
+        config.validate().unwrap();
+        let trace = TraceGenerator::new(GeneratorConfig::sized(200, 1)).generate("sys");
+        let overlay = OverlayBuilder::paper_default().build(&trace).unwrap();
+        let mut sys = StreamingSystem::new(overlay, config, Box::new(GreedyOldest));
+        let (source, _) = first_two(&sys);
+        sys.start_initial_source(source);
+        sys.run_periods(2);
+        assert_eq!(sys.periods(), 2);
     }
 
     #[test]

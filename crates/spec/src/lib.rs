@@ -12,10 +12,10 @@
 //! messages and transitions.
 
 use fss_gossip::{
-    CandidateSegment, DeliveredSegment, FifoBuffer, GossipConfig, MemUsage, PeerNode,
-    PlaybackState, QoeRecorder, RatioSample, SchedulingContext, SegmentId, SegmentRequest,
-    SegmentScheduler, Session, SessionDirectory, SessionView, StreamingSystem, SupplierInfo,
-    SwitchRecord, SwitchStats, SystemReport, TrafficCounters,
+    DeliveredSegment, FifoBuffer, GossipConfig, MemUsage, PeerNode, PlaybackState, QoeRecorder,
+    RatioSample, SchedulingContext, SegmentId, SegmentRequest, SegmentScheduler, Session,
+    SessionDirectory, SessionView, StreamingSystem, SupplierInfo, SwitchRecord, SwitchStats,
+    SystemReport, TrafficCounters,
 };
 use fss_overlay::{Overlay, PeerId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -402,36 +402,12 @@ impl Spec {
             needed.extend(next.first_segment.value()..=next_end.value());
         }
 
-        let mut candidates = Vec::new();
-        for id in needed.into_iter().map(SegmentId) {
-            if peer.buffer.contains(id) {
-                continue;
-            }
-            let suppliers: Vec<SupplierInfo> = neighbors
-                .iter()
-                .filter_map(|&n| {
-                    let buffer = &self.peers[n as usize].buffer;
-                    Some(SupplierInfo {
-                        peer: n,
-                        rate: overlay.attrs(n).map_or(0.0, |a| a.bandwidth.outbound),
-                        buffer_position: buffer.position_from_tail(id)?,
-                        buffer_capacity: buffer.capacity(),
-                    })
-                })
-                .collect();
-            if !suppliers.is_empty() {
-                candidates.push(CandidateSegment { id, suppliers });
-            }
-        }
-        if candidates.is_empty() {
-            return None;
-        }
         let view = |s: &Session| SessionView {
             id: s.id,
             first_segment: s.first_segment,
             last_segment: s.last_segment,
         };
-        Some(SchedulingContext {
+        let mut ctx = SchedulingContext {
             tau_secs: self.config.tau_secs,
             play_rate: self.config.play_rate,
             inbound_rate: inbound,
@@ -442,8 +418,31 @@ impl Spec {
             new_session: next.map(view),
             q1: peer.undelivered_in(current, max_advertised),
             q2: next.map_or(0, |n| peer.q2(n, self.config.new_source_qs)),
-            candidates,
-        })
+            ..SchedulingContext::default()
+        };
+        for &n in neighbors {
+            let rate = overlay.attrs(n).map_or(0.0, |a| a.bandwidth.outbound);
+            ctx.push_neighbour(n, rate, self.peers[n as usize].buffer.capacity());
+        }
+        for id in needed.into_iter().map(SegmentId) {
+            if peer.buffer.contains(id) {
+                continue;
+            }
+            let suppliers: Vec<SupplierInfo> = (0..)
+                .zip(neighbors)
+                .filter_map(|(slot, &n)| {
+                    let position = self.peers[n as usize].buffer.position_from_tail(id)?;
+                    Some(SupplierInfo {
+                        slot,
+                        buffer_position: position as u32,
+                    })
+                })
+                .collect();
+            if !suppliers.is_empty() {
+                ctx.push_candidate(id, suppliers);
+            }
+        }
+        (!ctx.candidates.is_empty()).then_some(ctx)
     }
 
     /// The per-link grant rule: each requester keeps its first

@@ -12,39 +12,14 @@
 
 use fast_source_switching::core::{FastSwitchScheduler, NormalSwitchScheduler};
 use fast_source_switching::gossip::{
-    CandidateSegment, SchedulingContext, SegmentId, SegmentScheduler, SessionView, SourceId,
-    StreamClass, SupplierInfo,
+    SchedulingContext, SegmentId, SegmentScheduler, SessionView, SourceId, StreamClass,
+    SupplierInfo,
 };
-
-fn supplier(peer: u32, rate: f64, position: usize) -> SupplierInfo {
-    SupplierInfo {
-        peer,
-        rate,
-        buffer_position: position,
-        buffer_capacity: 600,
-    }
-}
 
 fn main() {
     // Old source S1 ends at segment 199; the node is 60 segments behind its
     // end and the new source S2 starts at segment 200.
-    let mut candidates = Vec::new();
-    for id in 195..200u64 {
-        // The five remaining segments of S1.
-        candidates.push(CandidateSegment {
-            id: SegmentId(id),
-            suppliers: vec![supplier(1, 14.0, 350), supplier(2, 12.0, 320)],
-        });
-    }
-    for id in 200..205u64 {
-        // The first five segments of S2.
-        candidates.push(CandidateSegment {
-            id: SegmentId(id),
-            suppliers: vec![supplier(3, 14.0, 40), supplier(4, 16.0, 25)],
-        });
-    }
-
-    let ctx = SchedulingContext {
+    let mut ctx = SchedulingContext {
         tau_secs: 1.0,
         play_rate: 10.0,
         inbound_rate: 7.0, // room for 7 of the 10 available segments
@@ -63,8 +38,31 @@ fn main() {
         }),
         q1: 60,
         q2: 50,
-        candidates,
+        ..SchedulingContext::default()
     };
+    // Four neighbours: `(peer, rate)`, each with a 600-segment buffer.
+    let slots: Vec<u32> = [(1, 14.0), (2, 12.0), (3, 14.0), (4, 16.0)]
+        .into_iter()
+        .map(|(peer, rate)| ctx.push_neighbour(peer, rate, 600))
+        .collect();
+    let supplier = |slot: u32, buffer_position| SupplierInfo {
+        slot,
+        buffer_position,
+    };
+    for id in 195..200u64 {
+        // The five remaining segments of S1.
+        ctx.push_candidate(
+            SegmentId(id),
+            [supplier(slots[0], 350), supplier(slots[1], 320)],
+        );
+    }
+    for id in 200..205u64 {
+        // The first five segments of S2.
+        ctx.push_candidate(
+            SegmentId(id),
+            [supplier(slots[2], 40), supplier(slots[3], 25)],
+        );
+    }
 
     let describe = |name: &str, scheduler: &dyn SegmentScheduler| {
         let requests = scheduler.schedule(&ctx);

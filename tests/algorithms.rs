@@ -5,45 +5,14 @@ use fast_source_switching::core::{
     allocate_rates, greedy_assign, optimal_assign, AssignmentOrder, SwitchModel,
 };
 use fast_source_switching::gossip::{
-    CandidateSegment, SchedulingContext, SegmentId, SessionView, SourceId, SupplierInfo,
+    SchedulingContext, SegmentId, SessionView, SourceId, SupplierInfo,
 };
 use fast_source_switching::prelude::*;
 
 /// Builds a synthetic switch context with `old_missing` old-source segments
 /// and `new_available` new-source segments, all well supplied.
 fn context(old_missing: u64, new_available: u64, inbound: f64) -> SchedulingContext {
-    let mut candidates = Vec::new();
-    for id in (200 - old_missing)..200 {
-        candidates.push(CandidateSegment {
-            id: SegmentId(id),
-            suppliers: vec![
-                SupplierInfo {
-                    peer: 1,
-                    rate: 18.0,
-                    buffer_position: 300,
-                    buffer_capacity: 600,
-                },
-                SupplierInfo {
-                    peer: 2,
-                    rate: 15.0,
-                    buffer_position: 250,
-                    buffer_capacity: 600,
-                },
-            ],
-        });
-    }
-    for id in 200..200 + new_available {
-        candidates.push(CandidateSegment {
-            id: SegmentId(id),
-            suppliers: vec![SupplierInfo {
-                peer: 3,
-                rate: 20.0,
-                buffer_position: 30,
-                buffer_capacity: 600,
-            }],
-        });
-    }
-    SchedulingContext {
+    let mut ctx = SchedulingContext {
         tau_secs: 1.0,
         play_rate: 10.0,
         inbound_rate: inbound,
@@ -62,8 +31,22 @@ fn context(old_missing: u64, new_available: u64, inbound: f64) -> SchedulingCont
         }),
         q1: old_missing as usize,
         q2: 50,
-        candidates,
+        ..SchedulingContext::default()
+    };
+    let one = ctx.push_neighbour(1, 18.0, 600);
+    let two = ctx.push_neighbour(2, 15.0, 600);
+    let three = ctx.push_neighbour(3, 20.0, 600);
+    let supplier = |slot, buffer_position| SupplierInfo {
+        slot,
+        buffer_position,
+    };
+    for id in (200 - old_missing)..200 {
+        ctx.push_candidate(SegmentId(id), [supplier(one, 300), supplier(two, 250)]);
     }
+    for id in 200..200 + new_available {
+        ctx.push_candidate(SegmentId(id), [supplier(three, 30)]);
+    }
+    ctx
 }
 
 #[test]

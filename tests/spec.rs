@@ -42,9 +42,10 @@ impl SegmentScheduler for GreedyOldest {
             if requests.len() >= ctx.inbound_budget() {
                 break;
             }
-            let best = c
-                .suppliers
+            let best = ctx
+                .suppliers_of(&c)
                 .iter()
+                .map(|s| ctx.neighbour(s))
                 .filter(|s| {
                     let cap = (s.rate * ctx.tau_secs).floor() as usize;
                     load.get(&s.peer).copied().unwrap_or(0) < cap
@@ -81,9 +82,9 @@ impl SegmentScheduler for AskEverything {
             .iter()
             .rev()
             .flat_map(|c| {
-                c.suppliers.iter().map(|s| SegmentRequest {
+                ctx.suppliers_of(c).iter().map(|s| SegmentRequest {
                     segment: c.id,
-                    supplier: s.peer,
+                    supplier: ctx.neighbour(s).peer,
                 })
             })
             .collect()
