@@ -19,7 +19,7 @@
 //! * `zap_admission/*` — the per-batch cost of resolving one zap batch
 //!   (mover selection + per-arrival neighbour/attribute sampling) through
 //!   the legacy collect-then-`choose_multiple` path versus the membership
-//!   directory's pooled admission pipeline;
+//!   directory's pooled admission samplers;
 //! * `qoe_overhead/*` — one steady period with QoE event recording on
 //!   (the default) versus off: the cost of the streaming telemetry layer
 //!   on the playback pass;
@@ -41,9 +41,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fss_core::FastSwitchScheduler;
-use fss_gossip::{
-    AdmissionPipeline, AdmissionScratch, GossipConfig, MembershipView, StreamingSystem,
-};
+use fss_gossip::directory::{sample_neighbours, select_movers};
+use fss_gossip::{AdmissionScratch, GossipConfig, MembershipView, StreamingSystem};
 use fss_overlay::{BandwidthConfig, OverlayBuilder, PeerAttrs, PeerId};
 use fss_trace::{GeneratorConfig, TraceGenerator};
 use rand::rngs::SmallRng;
@@ -403,12 +402,11 @@ fn directory_resolve(
     rng: &mut SmallRng,
     scratch: &mut AdmissionScratch,
 ) {
-    let pipeline = AdmissionPipeline;
     scratch.clear();
-    pipeline.select_movers(origin, origin_source, |_| false, batch, rng, scratch);
+    select_movers(origin, origin_source, |_| false, batch, rng, scratch);
     let degree = degree.min(target.candidates().len());
     for _ in 0..scratch.movers.len() {
-        pipeline.sample_neighbours(target, degree, rng, scratch);
+        sample_neighbours(target, degree, rng, scratch);
         scratch.attrs.push(PeerAttrs {
             ping_ms: 80.0 * rng.gen_range(0.5..2.0),
             bandwidth: bandwidth.sample_peer(rng),

@@ -160,7 +160,7 @@ fn steady_state_period_loop_does_not_allocate() {
 /// never reused.
 #[test]
 fn steady_state_zap_batch_resolution_does_not_allocate() {
-    use fss_gossip::AdmissionPipeline;
+    use fss_gossip::directory::{sample_neighbours, select_movers};
     use fss_overlay::BandwidthConfig;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -182,13 +182,12 @@ fn steady_state_zap_batch_resolution_does_not_allocate() {
     let (origin, origin_source) = build(31);
     let (target, _) = build(32);
 
-    let pipeline = AdmissionPipeline;
     let mut scratch = fss_gossip::AdmissionScratch::default();
     let mut rng = SmallRng::seed_from_u64(9);
     let bandwidth = BandwidthConfig::default();
     let resolve_batch = |scratch: &mut fss_gossip::AdmissionScratch, rng: &mut SmallRng| -> usize {
         scratch.clear();
-        pipeline.select_movers(
+        select_movers(
             origin.membership_view(),
             origin_source,
             |_| false,
@@ -199,7 +198,7 @@ fn steady_state_zap_batch_resolution_does_not_allocate() {
         let view = target.membership_view();
         let degree = 5.min(view.candidates().len());
         for _ in 0..scratch.movers.len() {
-            pipeline.sample_neighbours(view, degree, rng, scratch);
+            sample_neighbours(view, degree, rng, scratch);
             scratch.attrs.push(fss_overlay::PeerAttrs {
                 ping_ms: 80.0 * rng.gen_range(0.5..2.0),
                 bandwidth: bandwidth.sample_peer(rng),

@@ -1,5 +1,5 @@
 //! The cross-channel membership directory: per-channel membership views and
-//! the shared admission pipeline.
+//! the shared admission samplers.
 //!
 //! A multi-channel deployment (the CliqueStream and live-entertainment
 //! settings of PAPERS.md) needs switching viewers to locate partners in
@@ -14,7 +14,7 @@
 //!
 //! * [`MembershipView`] — one channel's membership, mirrored as a sorted
 //!   (ascending [`PeerId`]) member list updated on every join/depart event
-//!   (churn, zap arrivals/departures, external admits).  The sorted order is
+//!   (churn, zap arrivals/departures, external batches).  The sorted order is
 //!   exactly the order `Overlay::active_peers()` yields, so samplers drawing
 //!   from the view consume the *same RNG stream over the same candidate
 //!   set* as the legacy collect-then-sample path — reports stay
@@ -23,11 +23,12 @@
 //!   (CliqueStream-style partial view): a deterministic reservoir sample of
 //!   at most `candidate_bound` members, refreshed incrementally, so huge
 //!   channels hand newcomers a constant-size partner set.
-//! * [`AdmissionPipeline`] — the shared join machinery: allocation-free
-//!   sampling of movers and per-arrival neighbour sets out of pooled
-//!   scratch buffers ([`AdmissionScratch`]) for zap batches and flash-crowd
-//!   storms, with churn joiners drawing from the same views through the
-//!   same sampler; the session layer adds an optional **rate-limited
+//! * [`select_movers`] and [`sample_neighbours`] — the shared join
+//!   machinery: allocation-free sampling of movers and per-arrival
+//!   neighbour sets out of pooled scratch buffers ([`AdmissionScratch`])
+//!   for zap batches and flash-crowd storms, with churn joiners drawing
+//!   from the same views through the same sampler; the session layer adds
+//!   an optional **rate-limited
 //!   admission queue** (`max_admits_per_period`) on top that spreads a
 //!   flash crowd's joins over several period boundaries instead of one.
 //! * [`sample_distinct`] — the allocation-free sampler underneath both: a
@@ -48,16 +49,6 @@ use crate::mem::{vec_bytes, MemoryFootprint};
 use fss_overlay::{PeerAttrs, PeerId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Sorts id-keyed items ascending by their id.
-///
-/// Ids are unique, so the key is a total order and the (allocation-free)
-/// unstable sort is deterministic.  Shared by the directory's view
-/// construction and id-ordered candidate scheduling (see the scheduler
-/// tests in [`crate::system`]).
-pub fn sort_by_id<T, K: Ord>(items: &mut [T], id: impl Fn(&T) -> K) {
-    items.sort_unstable_by_key(id);
-}
 
 /// Configuration of one channel's membership view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +115,7 @@ impl MembershipView {
     pub fn from_members(config: ViewConfig, members: impl IntoIterator<Item = PeerId>) -> Self {
         let mut view = Self::new(config);
         let mut initial: Vec<PeerId> = members.into_iter().collect();
-        sort_by_id(&mut initial, |&p| p);
+        initial.sort_unstable();
         for peer in initial {
             view.on_join(peer);
         }
@@ -384,100 +375,83 @@ impl MemoryFootprint for AdmissionScratch {
     }
 }
 
-/// The shared admission pipeline behind zap batches and flash-crowd storms:
-/// mover selection and per-arrival neighbour assignment against a
-/// [`MembershipView`] instead of a fresh overlay collection.  Churn joiners
-/// attach through the same views and the same [`sample_distinct`] sampler
-/// (see `StreamingSystem::apply_churn`); their departure side keeps the
-/// paper's shuffle-based eligibility model in `ChurnModel`.
+/// Selects up to `requested` movers out of `view`, excluding `source`
+/// and any peer `blocked` (same-boundary arrivals), respecting the live
+/// survival floor (at least one non-source member stays behind).
 ///
-/// The pipeline is stateless (all working memory lives in the caller's
-/// [`AdmissionScratch`]); rate limiting is the session layer's concern —
-/// see `fss_runtime::SessionManager` — because deferral needs the channel's
-/// period clock.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AdmissionPipeline;
+/// Fills `scratch.eligible` and `scratch.movers`; consumes the same RNG
+/// stream as the legacy filter-collect-`choose_multiple` path.
+///
+/// This and [`sample_neighbours`] are the admission side of zap batches
+/// and flash-crowd storms: mover selection and per-arrival neighbour
+/// assignment against a [`MembershipView`] instead of a fresh overlay
+/// collection.  Churn joiners attach through the same views and the
+/// same [`sample_distinct`] sampler (see `StreamingSystem::apply_churn`);
+/// their departure side keeps the paper's shuffle-based eligibility
+/// model in `ChurnModel`.  All working memory lives in the caller's
+/// [`AdmissionScratch`]; rate limiting is the session layer's concern —
+/// see `fss_runtime::SessionManager` — because deferral needs the
+/// channel's period clock.
+pub fn select_movers(
+    view: &MembershipView,
+    source: PeerId,
+    mut blocked: impl FnMut(PeerId) -> bool,
+    requested: usize,
+    rng: &mut SmallRng,
+    scratch: &mut AdmissionScratch,
+) {
+    scratch.eligible.clear();
+    scratch.movers.clear();
+    scratch.eligible.extend(
+        view.members()
+            .iter()
+            .copied()
+            .filter(|&p| p != source && !blocked(p)),
+    );
+    // Live survival floor: when every non-source member is eligible, one
+    // must stay behind so the channel never drains to source-only
+    // membership (same-boundary arrivals count as staying — present,
+    // merely ineligible to move again this boundary).
+    let non_source_present = view.len() - 1;
+    let floor_reserve = usize::from(non_source_present == scratch.eligible.len());
+    let quota = scratch.eligible.len().saturating_sub(floor_reserve);
+    sample_distinct(
+        &scratch.eligible,
+        rng,
+        requested.min(quota),
+        &mut scratch.sampler,
+        &mut scratch.movers,
+    );
+}
 
-impl AdmissionPipeline {
-    /// Selects up to `requested` movers out of `view`, excluding `source`
-    /// and any peer `blocked` (same-boundary arrivals), respecting the live
-    /// survival floor (at least one non-source member stays behind).
-    ///
-    /// Fills `scratch.eligible` and `scratch.movers`; consumes the same RNG
-    /// stream as the legacy filter-collect-`choose_multiple` path.
-    pub fn select_movers(
-        &self,
-        view: &MembershipView,
-        source: PeerId,
-        mut blocked: impl FnMut(PeerId) -> bool,
-        requested: usize,
-        rng: &mut SmallRng,
-        scratch: &mut AdmissionScratch,
-    ) {
-        scratch.eligible.clear();
-        scratch.movers.clear();
-        scratch.eligible.extend(
-            view.members()
-                .iter()
-                .copied()
-                .filter(|&p| p != source && !blocked(p)),
-        );
-        // Live survival floor: when every non-source member is eligible, one
-        // must stay behind so the channel never drains to source-only
-        // membership (same-boundary arrivals count as staying — present,
-        // merely ineligible to move again this boundary).
-        let non_source_present = view.len() - 1;
-        let floor_reserve = usize::from(non_source_present == scratch.eligible.len());
-        let quota = scratch.eligible.len().saturating_sub(floor_reserve);
-        sample_distinct(
-            &scratch.eligible,
-            rng,
-            requested.min(quota),
-            &mut scratch.sampler,
-            &mut scratch.movers,
-        );
-    }
-
-    /// Draws one arrival's neighbour set from `view`'s candidate list into
-    /// `scratch.neighbours` (appending `degree.min(candidates)` entries) and
-    /// returns how many were appended.
-    ///
-    /// RNG-compatible with `candidates.choose_multiple(rng, degree)` over
-    /// the legacy collected candidate vector.
-    pub fn sample_neighbours(
-        &self,
-        view: &MembershipView,
-        degree: usize,
-        rng: &mut SmallRng,
-        scratch: &mut AdmissionScratch,
-    ) -> usize {
-        let candidates = view.candidates();
-        let take = degree.min(candidates.len());
-        sample_distinct(
-            candidates,
-            rng,
-            take,
-            &mut scratch.sampler,
-            &mut scratch.neighbours,
-        );
-        take
-    }
+/// Draws one arrival's neighbour set from `view`'s candidate list into
+/// `scratch.neighbours` (appending `degree.min(candidates)` entries) and
+/// returns how many were appended.
+///
+/// RNG-compatible with `candidates.choose_multiple(rng, degree)` over
+/// the legacy collected candidate vector.
+pub fn sample_neighbours(
+    view: &MembershipView,
+    degree: usize,
+    rng: &mut SmallRng,
+    scratch: &mut AdmissionScratch,
+) -> usize {
+    let candidates = view.candidates();
+    let take = degree.min(candidates.len());
+    sample_distinct(
+        candidates,
+        rng,
+        take,
+        &mut scratch.sampler,
+        &mut scratch.neighbours,
+    );
+    take
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::seq::SliceRandom;
-
-    #[test]
-    fn sort_by_id_orders_ascending() {
-        let mut items = vec![(9u32, "c"), (1, "a"), (4, "b")];
-        sort_by_id(&mut items, |&(id, _)| id);
-        assert_eq!(
-            items.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
-            vec![1, 4, 9]
-        );
-    }
 
     /// The satellite guarantee: the sparse sampler is a drop-in replacement
     /// for the vendored `choose_multiple` — identical picks *and* identical
@@ -610,12 +584,11 @@ mod tests {
     #[test]
     fn pipeline_selects_movers_with_the_survival_floor() {
         let view = MembershipView::from_members(ViewConfig::default(), 0..6u32);
-        let pipeline = AdmissionPipeline;
         let mut scratch = AdmissionScratch::default();
         let mut rng = SmallRng::seed_from_u64(1);
         // Ask for far more movers than the channel can give up: everyone but
         // the source is eligible, so the floor holds one back.
-        pipeline.select_movers(&view, 0, |_| false, 100, &mut rng, &mut scratch);
+        select_movers(&view, 0, |_| false, 100, &mut rng, &mut scratch);
         assert_eq!(scratch.eligible.len(), 5);
         assert_eq!(scratch.movers.len(), 4, "one non-source member must stay");
         assert!(!scratch.movers.contains(&0), "the source never moves");
@@ -623,7 +596,7 @@ mod tests {
         // A blocked peer (same-boundary arrival) counts as staying, so the
         // floor reserve is not double-charged.
         let mut rng = SmallRng::seed_from_u64(2);
-        pipeline.select_movers(&view, 0, |p| p == 3, 100, &mut rng, &mut scratch);
+        select_movers(&view, 0, |p| p == 3, 100, &mut rng, &mut scratch);
         assert_eq!(scratch.eligible.len(), 4);
         assert_eq!(scratch.movers.len(), 4, "the blocked peer is the floor");
         assert!(!scratch.movers.contains(&3));
@@ -633,11 +606,10 @@ mod tests {
     fn pipeline_neighbour_sampling_matches_the_legacy_path() {
         let members: Vec<PeerId> = (0..40).collect();
         let view = MembershipView::from_members(ViewConfig::default(), members.iter().copied());
-        let pipeline = AdmissionPipeline;
         let mut scratch = AdmissionScratch::default();
 
         let mut rng = SmallRng::seed_from_u64(11);
-        let taken = pipeline.sample_neighbours(&view, 5, &mut rng, &mut scratch);
+        let taken = sample_neighbours(&view, 5, &mut rng, &mut scratch);
         assert_eq!(taken, 5);
 
         // Legacy path: collect + choose_multiple over the same candidates.

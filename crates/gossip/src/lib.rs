@@ -36,13 +36,15 @@
 //! * [`directory`] — the cross-channel membership directory: per-channel
 //!   [`directory::MembershipView`]s maintained incrementally on every
 //!   join/depart (churn, zaps, storms), and the shared allocation-free
-//!   [`directory::AdmissionPipeline`] + sampler every join path draws its
-//!   partners from (see `docs/architecture.md`),
-//! * [`peer`] — per-node protocol state (discovery, playback, switch
-//!   progress),
-//! * [`store`] — struct-of-arrays sharded peer storage: dense contiguous
-//!   peer-id shards owning their peers' state as parallel columns, the
-//!   chunk unit of both dispatches of a period (see `docs/performance.md`),
+//!   samplers ([`directory::select_movers`],
+//!   [`directory::sample_neighbours`]) every join path draws its partners
+//!   from (see `docs/architecture.md`),
+//! * [`peer`] — the per-peer protocol rules (discovery, playback, switch
+//!   progress) over the store's columns,
+//! * [`store`] — struct-of-arrays sharded peer storage, the one per-peer
+//!   record: dense contiguous peer-id shards owning their peers' state as
+//!   parallel columns, the chunk unit of both dispatches of a period (see
+//!   `docs/performance.md`),
 //! * [`stats`] — traffic counters, switch records and ratio samples,
 //! * [`qoe`] — counter-only QoE event recording on the playback path
 //!   (startups, stall episodes, continuity, switch progress), one
@@ -81,10 +83,9 @@ pub mod transfer;
 pub use buffer::FifoBuffer;
 pub use buffermap::BufferMap;
 pub use config::GossipConfig;
-pub use directory::{AdmissionPipeline, AdmissionScratch, MembershipView, ViewConfig};
+pub use directory::{AdmissionScratch, MembershipView, ViewConfig};
 pub use mem::{BufferMemBreakdown, MemUsage, MemoryFootprint};
 pub use net::{NetStats, NetworkModel};
-pub use peer::PeerNode;
 pub use playback::{PlaybackPhase, PlaybackState};
 pub use qoe::{PeriodSample, QoeRecorder, QoeTotals};
 pub use scheduler::{
@@ -93,6 +94,6 @@ pub use scheduler::{
 };
 pub use segment::{SegmentId, Session, SessionDirectory, SourceId};
 pub use stats::{MilestoneStat, RatioSample, SwitchRecord, SwitchStats, TrafficCounters};
-pub use store::{PeerHeader, PeerMut, PeerRef, PeerShard, PeerStore};
+pub use store::{PeerHeader, PeerMut, PeerRef, PeerShard, PeerStore, PEER_INLINE_BYTES};
 pub use system::{StreamingSystem, SystemReport};
 pub use transfer::DeliveredSegment;

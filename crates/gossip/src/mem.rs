@@ -92,8 +92,9 @@ pub struct MemUsage {
     pub peer_slots: usize,
     /// Active peers — the denominator of [`bytes_per_peer`](Self::bytes_per_peer).
     pub active_peers: usize,
-    /// Total footprint of the active peers' protocol state (inline
-    /// `PeerNode` plus buffer heap).
+    /// Total footprint of the active peers' protocol state (the inline
+    /// record, [`PEER_INLINE_BYTES`](crate::store::PEER_INLINE_BYTES) each,
+    /// plus buffer heap).
     pub peer_bytes: u64,
     /// Arrival-ring share of `peer_bytes`.
     pub ring_bytes: u64,

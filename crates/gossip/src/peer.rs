@@ -1,151 +1,24 @@
-//! Per-node protocol state.
+//! Per-peer protocol rules.
 //!
-//! A [`PeerNode`] is the *logical* per-peer record: a node's buffer and
-//! playback state and the count of serial sessions the node has
-//! *discovered* (§3: "a node does not know the source switch process until
-//! it discovers data segments of a new source in its neighbors").  The
-//! scheduling context handed to the switch algorithm each period is built
-//! by [`WorkerScratch::build_context`](crate::scratch::WorkerScratch::build_context).
-//!
-//! Since the struct-of-arrays refactor the running system no longer stores
-//! `PeerNode` values — the record's four fields live as parallel columns
-//! inside the sharded [`PeerStore`](crate::store::PeerStore), and the
-//! protocol logic is shared with the store's [`PeerRef`](crate::store::PeerRef)
-//! / [`PeerMut`](crate::store::PeerMut) views through the free functions of
-//! this module.  `PeerNode` remains the construction currency (churn
-//! joiners, zap arrivals), the standalone unit-test surface for the
-//! protocol rules, and the definition of the per-peer inline stride the
-//! memory meter reports.
+//! A peer's state is its buffer, its playback state, its playback credit
+//! and the count of serial sessions it has *discovered* (§3: "a node does
+//! not know the source switch process until it discovers data segments of
+//! a new source in its neighbors").  That state lives as columns of the
+//! sharded [`PeerStore`](crate::store::PeerStore); the functions here are
+//! the one implementation of the rules over it, called by the store's
+//! [`PeerRef`](crate::store::PeerRef) / [`PeerMut`](crate::store::PeerMut)
+//! views, the scheduling pass and the fused period walk.  The scheduling
+//! context handed to the switch algorithm each period is built by
+//! [`WorkerScratch::build_context`](crate::scratch::WorkerScratch::build_context).
 
 use crate::buffer::FifoBuffer;
 use crate::config::GossipConfig;
-use crate::mem::MemoryFootprint;
 use crate::playback::PlaybackState;
 use crate::segment::{SegmentId, Session, SessionDirectory};
-use fss_overlay::PeerId;
 
-/// Protocol state of one overlay node.
-#[derive(Debug, Clone)]
-pub struct PeerNode {
-    id: PeerId,
-    buffer: FifoBuffer,
-    playback: PlaybackState,
-    /// How many sessions (prefix of the directory) this node has discovered.
-    known_sessions: usize,
-    /// Fractional playback credit carried across periods.
-    play_credit: f64,
-}
-
-impl PeerNode {
-    /// Creates a node that will join the stream at `join_point`.
-    pub fn new(id: PeerId, config: &GossipConfig, join_point: SegmentId) -> Self {
-        PeerNode {
-            id,
-            buffer: FifoBuffer::new(config.buffer_capacity),
-            playback: PlaybackState::new(join_point),
-            known_sessions: 0,
-            play_credit: 0.0,
-        }
-    }
-
-    /// The node's peer id.
-    pub fn id(&self) -> PeerId {
-        self.id
-    }
-
-    /// The node's segment buffer.
-    pub fn buffer(&self) -> &FifoBuffer {
-        &self.buffer
-    }
-
-    /// Mutable access to the buffer (segment deliveries, source emission).
-    pub fn buffer_mut(&mut self) -> &mut FifoBuffer {
-        &mut self.buffer
-    }
-
-    /// The node's playback state.
-    pub fn playback(&self) -> &PlaybackState {
-        &self.playback
-    }
-
-    /// Number of sessions this node has discovered.
-    pub fn known_sessions(&self) -> usize {
-        self.known_sessions
-    }
-
-    /// The id the node will play next (`id_play`).
-    pub fn id_play(&self) -> SegmentId {
-        self.playback.next_play()
-    }
-
-    /// Moves the join point before playback starts (churn joiners follow
-    /// their neighbours' current playback position).
-    pub fn rejoin_at(&mut self, join_point: SegmentId) {
-        self.playback.rejoin_at(join_point);
-    }
-
-    /// Discovers sessions: the node learns every session whose first segment
-    /// is at or below `observed_max`, in serial order.  Sources call this with
-    /// their own session's first segment when they start emitting.
-    pub fn discover_sessions(&mut self, directory: &SessionDirectory, observed_max: SegmentId) {
-        discover_sessions(&mut self.known_sessions, directory, observed_max);
-    }
-
-    /// The sessions this node currently knows about.
-    pub fn known<'d>(&self, directory: &'d SessionDirectory) -> &'d [Session] {
-        known_slice(self.known_sessions, directory)
-    }
-
-    /// Undelivered segments of `session` that the node still needs, i.e. ids
-    /// in `[max(id_play, first), end]` missing from its buffer.  `end` falls
-    /// back to `fallback_end` for a live session.
-    pub fn undelivered_in_session(&self, session: &Session, fallback_end: SegmentId) -> usize {
-        undelivered_in_session(&self.buffer, self.id_play(), session, fallback_end)
-    }
-
-    /// `Q2` for a new session: how many of its first `Qs` segments are still
-    /// missing.
-    pub fn q2_for(&self, session: &Session, qs: usize) -> usize {
-        q2_for(&self.buffer, session, qs)
-    }
-
-    /// True when the node holds all of the first `Qs` segments of `session`.
-    pub fn prepared_for(&self, session: &Session, qs: usize) -> bool {
-        self.q2_for(session, qs) == 0
-    }
-
-    /// Advances playback by one period.
-    ///
-    /// Playback starts after `Q` consecutive segments from the join point;
-    /// a next session is gated until all of its first `Qs` segments are
-    /// present (and, implicitly, until the previous stream has been fully
-    /// played — playback is sequential).  Returns the number of segments
-    /// played.
-    pub fn advance_playback(&mut self, config: &GossipConfig, directory: &SessionDirectory) -> u64 {
-        let known = known_slice(self.known_sessions, directory);
-        advance_playback(
-            &self.buffer,
-            &mut self.playback,
-            &mut self.play_credit,
-            known,
-            config,
-        )
-    }
-
-    /// Decomposes the record into its columns, in
-    /// [`PeerStore`](crate::store::PeerStore) column order: buffer, playback,
-    /// known-session count, playback credit.
-    pub(crate) fn into_parts(self) -> (FifoBuffer, PlaybackState, usize, f64) {
-        (
-            self.buffer,
-            self.playback,
-            self.known_sessions,
-            self.play_credit,
-        )
-    }
-}
-
-/// [`PeerNode::discover_sessions`] over a bare known-session counter.
+/// Discovers sessions: a peer learns every session whose first segment is
+/// at or below `observed_max`, in serial order.  Sources call this with
+/// their own session's first segment when they start emitting.
 pub(crate) fn discover_sessions(
     known_sessions: &mut usize,
     directory: &SessionDirectory,
@@ -159,12 +32,14 @@ pub(crate) fn discover_sessions(
     }
 }
 
-/// [`PeerNode::known`] over a bare known-session counter.
+/// The sessions a peer that has discovered `known_sessions` of them knows.
 pub(crate) fn known_slice(known_sessions: usize, directory: &SessionDirectory) -> &[Session] {
     &directory.sessions()[..known_sessions.min(directory.len())]
 }
 
-/// [`PeerNode::undelivered_in_session`] over bare columns.
+/// Undelivered segments of `session` that a peer still needs, i.e. ids in
+/// `[max(id_play, first), end]` missing from its buffer.  `end` falls back
+/// to `fallback_end` for a live session.
 pub(crate) fn undelivered_in_session(
     buffer: &FifoBuffer,
     id_play: SegmentId,
@@ -180,15 +55,21 @@ pub(crate) fn undelivered_in_session(
     span - buffer.count_in_range(start, end)
 }
 
-/// [`PeerNode::q2_for`] over a bare buffer column.
+/// `Q2` for a new session: how many of its first `Qs` segments are still
+/// missing.
 pub(crate) fn q2_for(buffer: &FifoBuffer, session: &Session, qs: usize) -> usize {
     let first = session.first_segment;
     let last = first.offset(qs as u64 - 1);
     qs - buffer.count_in_range(first, last)
 }
 
-/// [`PeerNode::advance_playback`] over bare columns (the known-session prefix
-/// is resolved by the caller).
+/// Advances playback by one period and returns the number of segments
+/// played (the known-session prefix is resolved by the caller).
+///
+/// Playback starts after `Q` consecutive segments from the join point; a
+/// next session is gated until all of its first `Qs` segments are present
+/// (and, implicitly, until the previous stream has been fully played —
+/// playback is sequential).
 pub(crate) fn advance_playback(
     buffer: &FifoBuffer,
     playback: &mut PlaybackState,
@@ -223,20 +104,13 @@ pub(crate) fn advance_playback(
     playback.advance(buffer, budget, limit)
 }
 
-impl MemoryFootprint for PeerNode {
-    /// A node's heap is its buffer: playback, discovery and credit state
-    /// are inline scalars.
-    fn heap_bytes(&self) -> usize {
-        self.buffer.heap_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scheduler::SchedulingContext;
     use crate::scratch::WorkerScratch;
     use crate::store::PeerStore;
+    use fss_overlay::PeerId;
 
     fn config() -> GossipConfig {
         GossipConfig {
@@ -254,29 +128,36 @@ mod tests {
         dir
     }
 
+    /// A store of fresh peers `0..=node`, peer `node` joining at
+    /// `join_point`.
+    fn store_with(node: PeerId, cfg: &GossipConfig, join_point: SegmentId) -> PeerStore {
+        let mut store = PeerStore::new(64);
+        for _ in 0..=node {
+            store.push_peer(cfg.buffer_capacity);
+        }
+        store.peer_mut(node).rejoin_at(join_point);
+        store
+    }
+
     /// `node`'s scheduling context from the production builder, with the
-    /// neighbours `(outbound rate, buffer)` stored under the ids following
-    /// the node's own.
+    /// neighbours `(outbound rate, buffer)` appended to the store.
     fn context(
-        node: &PeerNode,
+        store: &mut PeerStore,
+        node: PeerId,
         cfg: &GossipConfig,
         dir: &SessionDirectory,
         inbound: f64,
         neighbors: &[(f64, FifoBuffer)],
     ) -> Option<SchedulingContext> {
-        let mut store = PeerStore::new(64);
-        for id in 0..node.id() {
-            store.push(PeerNode::new(id, cfg, SegmentId(0)));
-        }
-        store.push(node.clone());
-        let mut rates = vec![0.0; node.id() as usize + 1];
         let mut ids = Vec::new();
-        for (rate, buffer) in neighbors {
-            let id = store.len() as PeerId;
-            store.push(PeerNode::new(id, cfg, SegmentId(0)));
+        for (_, buffer) in neighbors {
+            let id = store.push_peer(cfg.buffer_capacity);
             *store.buffer_mut(id) = buffer.clone();
-            rates.push(*rate);
             ids.push(id);
+        }
+        let mut rates = vec![0.0; store.len()];
+        for (&id, (rate, _)) in ids.iter().zip(neighbors) {
+            rates[id as usize] = *rate;
         }
         let max_advertised = neighbors
             .iter()
@@ -284,16 +165,17 @@ mod tests {
             .max()
             .unwrap_or(SegmentId(0));
         let mut scratch = WorkerScratch::default();
+        let store = &*store;
         scratch
             .build_context(
-                store.peer(node.id()),
+                store.peer(node),
                 cfg,
                 dir,
                 inbound,
                 &ids,
-                &store,
+                store,
                 &rates,
-                node.known_sessions(),
+                store.peer(node).known_sessions(),
                 max_advertised,
             )
             .then(|| scratch.ctx.clone())
@@ -311,23 +193,24 @@ mod tests {
     fn discovery_follows_observed_ids() {
         let dir = switched_directory();
         let cfg = config();
-        let mut node = PeerNode::new(5, &cfg, SegmentId(0));
-        assert_eq!(node.known_sessions(), 0);
+        let mut store = store_with(5, &cfg, SegmentId(0));
+        assert_eq!(store.peer(5).known_sessions(), 0);
 
-        node.discover_sessions(&dir, SegmentId(10));
-        assert_eq!(node.known_sessions(), 1);
-        assert_eq!(node.known(&dir).len(), 1);
+        store.peer_mut(5).discover_sessions(&dir, SegmentId(10));
+        assert_eq!(store.peer(5).known_sessions(), 1);
+        assert_eq!(known_slice(store.peer(5).known_sessions(), &dir).len(), 1);
 
         // Seeing a segment of S2 reveals the switch (and hence S1's end).
-        node.discover_sessions(&dir, SegmentId(100));
-        assert_eq!(node.known_sessions(), 2);
+        store.peer_mut(5).discover_sessions(&dir, SegmentId(100));
+        assert_eq!(store.peer(5).known_sessions(), 2);
     }
 
     #[test]
     fn undelivered_and_q2_counts() {
         let dir = switched_directory();
         let cfg = config();
-        let mut node = PeerNode::new(1, &cfg, SegmentId(0));
+        let mut store = store_with(1, &cfg, SegmentId(0));
+        let mut node = store.peer_mut(1);
         node.discover_sessions(&dir, SegmentId(100));
         for i in 0..95u64 {
             node.buffer_mut().insert(SegmentId(i));
@@ -337,33 +220,31 @@ mod tests {
         let s1 = &dir.sessions()[0];
         let s2 = &dir.sessions()[1];
         // Missing 95..=99 of S1.
-        assert_eq!(node.undelivered_in_session(s1, SegmentId(99)), 5);
+        assert_eq!(store.peer(1).undelivered_in_session(s1, SegmentId(99)), 5);
         // Of the first 5 segments of S2 (100..=104) only 101 is held.
-        assert_eq!(node.q2_for(s2, 5), 4);
-        assert!(!node.prepared_for(s2, 5));
+        assert_eq!(store.peer(1).q2_for(s2, 5), 4);
         for i in 100..105u64 {
-            node.buffer_mut().insert(SegmentId(i));
+            store.buffer_mut(1).insert(SegmentId(i));
         }
-        assert!(node.prepared_for(s2, 5));
-        assert_eq!(node.q2_for(s2, 5), 0);
+        assert_eq!(store.peer(1).q2_for(s2, 5), 0, "prepared for S2");
     }
 
     #[test]
     fn context_classifies_old_and_new_candidates() {
         let dir = switched_directory();
         let cfg = config();
-        let mut node = PeerNode::new(1, &cfg, SegmentId(0));
+        let mut store = store_with(1, &cfg, SegmentId(0));
         for i in 0..90u64 {
-            node.buffer_mut().insert(SegmentId(i));
+            store.buffer_mut(1).insert(SegmentId(i));
         }
-        node.discover_sessions(&dir, SegmentId(105));
+        store.peer_mut(1).discover_sessions(&dir, SegmentId(105));
 
         let neighbors = [
             (12.0, neighbor_buffer(&(80..100).collect::<Vec<_>>())),
             (20.0, neighbor_buffer(&(95..106).collect::<Vec<_>>())),
         ];
 
-        let ctx = context(&node, &cfg, &dir, 15.0, &neighbors).expect("has candidates");
+        let ctx = context(&mut store, 1, &cfg, &dir, 15.0, &neighbors).expect("has candidates");
         assert!(ctx.switch_in_progress());
         assert_eq!(ctx.q1, 10, "missing 90..=99 of S1");
         assert_eq!(ctx.q2, 5, "none of 100..=104 held");
@@ -391,28 +272,29 @@ mod tests {
     fn context_is_none_without_needs_or_neighbors() {
         let dir = switched_directory();
         let cfg = config();
-        let mut node = PeerNode::new(1, &cfg, SegmentId(0));
-        node.discover_sessions(&dir, SegmentId(0));
+        let mut store = store_with(1, &cfg, SegmentId(0));
+        store.peer_mut(1).discover_sessions(&dir, SegmentId(0));
 
         // No neighbours.
-        assert!(context(&node, &cfg, &dir, 15.0, &[]).is_none());
+        assert!(context(&mut store, 1, &cfg, &dir, 15.0, &[]).is_none());
 
         // Zero inbound (a source).
         let neighbors = [(10.0, neighbor_buffer(&[0, 1, 2]))];
-        assert!(context(&node, &cfg, &dir, 0.0, &neighbors).is_none());
+        assert!(context(&mut store, 1, &cfg, &dir, 0.0, &neighbors).is_none());
 
         // Node already has everything its neighbours advertise.
         for i in 0..3u64 {
-            node.buffer_mut().insert(SegmentId(i));
+            store.buffer_mut(1).insert(SegmentId(i));
         }
-        assert!(context(&node, &cfg, &dir, 15.0, &neighbors).is_none());
+        assert!(context(&mut store, 1, &cfg, &dir, 15.0, &neighbors).is_none());
     }
 
     #[test]
     fn playback_gates_new_session_until_prepared() {
         let dir = switched_directory();
         let cfg = config();
-        let mut node = PeerNode::new(1, &cfg, SegmentId(90));
+        let mut store = store_with(1, &cfg, SegmentId(90));
+        let mut node = store.peer_mut(1);
         node.discover_sessions(&dir, SegmentId(100));
         for i in 90..=100u64 {
             node.buffer_mut().insert(SegmentId(i));
@@ -421,7 +303,7 @@ mod tests {
         // First period: plays 90..=99 (10 segments) and stops at the gate.
         let played = node.advance_playback(&cfg, &dir);
         assert_eq!(played, 10);
-        assert_eq!(node.id_play(), SegmentId(100));
+        assert_eq!(node.playback().next_play(), SegmentId(100));
 
         // Still gated: only one segment (100) of the required five held.
         let played = node.advance_playback(&cfg, &dir);
@@ -432,14 +314,15 @@ mod tests {
         }
         let played = node.advance_playback(&cfg, &dir);
         assert_eq!(played, 5, "gate lifted once the first Qs are present");
-        assert_eq!(node.id_play(), SegmentId(105));
+        assert_eq!(store.peer(1).id_play(), SegmentId(105));
     }
 
     #[test]
     fn playback_does_not_start_without_q_consecutive() {
         let dir = switched_directory();
         let cfg = config();
-        let mut node = PeerNode::new(1, &cfg, SegmentId(0));
+        let mut store = store_with(1, &cfg, SegmentId(0));
+        let mut node = store.peer_mut(1);
         node.discover_sessions(&dir, SegmentId(5));
         node.buffer_mut().insert(SegmentId(0));
         node.buffer_mut().insert(SegmentId(2));
@@ -453,7 +336,8 @@ mod tests {
         let dir = switched_directory();
         let mut cfg = config();
         cfg.play_rate = 0.5; // one segment every two periods
-        let mut node = PeerNode::new(1, &cfg, SegmentId(0));
+        let mut store = store_with(1, &cfg, SegmentId(0));
+        let mut node = store.peer_mut(1);
         node.discover_sessions(&dir, SegmentId(10));
         for i in 0..10u64 {
             node.buffer_mut().insert(SegmentId(i));

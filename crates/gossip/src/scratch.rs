@@ -426,7 +426,7 @@ impl PeriodScratch {
 mod tests {
     use super::*;
     use crate::buffer::FifoBuffer;
-    use crate::peer::PeerNode;
+    use crate::peer::known_slice;
     use crate::scheduler::SessionView;
     use crate::segment::Session;
     use rand::rngs::SmallRng;
@@ -505,13 +505,13 @@ mod tests {
     /// current and next session's ranges, probed at every neighbour.
     /// `neighbors` holds `(peer, outbound rate, buffer)`.
     fn reference_context(
-        node: &PeerNode,
+        node: PeerRef<'_>,
         config: &GossipConfig,
         directory: &SessionDirectory,
         inbound_rate: f64,
         neighbors: &[(PeerId, f64, &FifoBuffer)],
     ) -> Option<Expanded> {
-        let known = node.known(directory);
+        let known = known_slice(node.known_sessions(), directory);
         if neighbors.is_empty() || inbound_rate <= 0.0 || known.is_empty() {
             return None;
         }
@@ -587,7 +587,10 @@ mod tests {
         }
         let head = first + rng.gen_range(0..200u64);
 
-        let mut node = PeerNode::new(0, &config, SegmentId(rng.gen_range(0..=head)));
+        let mut store = PeerStore::new(4);
+        store.push_peer(config.buffer_capacity);
+        let mut node = store.peer_mut(0);
+        node.rejoin_at(SegmentId(rng.gen_range(0..=head)));
         if rng.gen_range(0..4) != 0 {
             *node.buffer_mut() = random_buffer(&mut rng, config.buffer_capacity, head);
         }
@@ -602,10 +605,8 @@ mod tests {
         } else {
             rng.gen_range(0..=12u32)
         };
-        let mut store = PeerStore::new(4);
-        store.push(node.clone());
         for n in 1..=count {
-            store.push(PeerNode::new(n, &config, SegmentId(0)));
+            store.push_peer(config.buffer_capacity);
             *store.buffer_mut(n) = match rng.gen_range(0..6) {
                 0 => FifoBuffer::default(),
                 1 => FifoBuffer::new(config.buffer_capacity),
@@ -628,7 +629,7 @@ mod tests {
             .iter()
             .map(|&n| (n, outbound_rate[n as usize], store.buffer(n)))
             .collect();
-        let reference = reference_context(&node, &config, &directory, inbound, &infos);
+        let reference = reference_context(store.peer(0), &config, &directory, inbound, &infos);
 
         let max_advertised = neighbors
             .iter()
@@ -644,7 +645,7 @@ mod tests {
                 &neighbors,
                 &store,
                 &outbound_rate,
-                node.known_sessions(),
+                store.peer(0).known_sessions(),
                 max_advertised,
             )
             .then(|| expand(&scratch.ctx));

@@ -1,34 +1,33 @@
-//! Struct-of-arrays sharded peer storage.
+//! Struct-of-arrays sharded peer storage: the one per-peer record.
 //!
-//! The pre-sharding system kept one `Vec<PeerNode>` — an array of structs.
-//! At million-peer scale that layout has two costs: every protocol pass
-//! (scheduling, delivery, playback) strides over 192-byte records to touch
-//! one or two fields, and the worker pool has to carve chunks out of a
-//! single array whose ownership the borrow checker cannot split by field.
+//! An array of per-peer structs has two costs at million-peer scale: every
+//! protocol pass (scheduling, delivery, playback) strides over 192-byte
+//! records to touch one or two fields, and the worker pool has to carve
+//! chunks out of a single array whose ownership the borrow checker cannot
+//! split by field.
 //!
-//! [`PeerStore`] flips the layout.  Peers live in **shards** of dense,
-//! contiguous [`PeerId`] ranges (ids are assigned sequentially and never
-//! reused, so `id → (shard, slot)` is a shift and a mask).  Each
-//! [`PeerShard`] owns its peers' state as parallel *columns* — buffers,
-//! playback states, discovery counters, playback credits — so a pass that
-//! only needs buffers walks a dense `Vec<FifoBuffer>`, and the scheduling
-//! pass hands whole shards to the worker pool as its chunk unit (see
+//! [`PeerStore`] keeps peers in **shards** of dense, contiguous [`PeerId`]
+//! ranges instead (ids are assigned sequentially and never reused, so
+//! `id → (shard, slot)` is a shift and a mask).  Each [`PeerShard`] owns its
+//! peers' state as two parallel *columns*: the bulk [`FifoBuffer`]s and the
+//! hot [`PeerHeader`]s (playback, credit, discovery).  A pass that only
+//! needs buffers walks a dense `Vec<FifoBuffer>`, and the scheduling pass
+//! hands whole shards to the worker pool as its chunk unit (see
 //! `StreamingSystem::plan_chunks`).
 //!
-//! The [`PeerNode`] record survives as the *logical* per-peer unit: joiners
-//! are constructed as `PeerNode`s and [`PeerStore::push`] destructures them
-//! into columns, and the memory meter keeps reporting
-//! `size_of::<PeerNode>()` as the per-peer inline stride — the columns hold
-//! exactly those fields, so the accounting is unchanged by the layout.
+//! Peers enter through [`PeerStore::push_peer`], which appends an empty
+//! buffer and a fresh header.  The logical per-peer record is the id, the
+//! buffer and the header; the memory meter reports its size,
+//! [`PEER_INLINE_BYTES`], as the per-peer inline stride.
 //!
 //! Borrowed access comes as views: [`PeerRef`] (shared, `Copy`) and
-//! [`PeerMut`] (exclusive), both forwarding to the protocol logic shared
-//! with `PeerNode` in [`crate::peer`].
+//! [`PeerMut`] (exclusive), both forwarding to the protocol rules in
+//! [`crate::peer`].
 
 use crate::buffer::FifoBuffer;
 use crate::config::GossipConfig;
 use crate::mem::{vec_bytes, MemoryFootprint};
-use crate::peer::{self, PeerNode};
+use crate::peer;
 use crate::playback::PlaybackState;
 use crate::segment::{SegmentId, Session, SessionDirectory};
 use fss_overlay::PeerId;
@@ -60,6 +59,11 @@ pub struct PeerHeader {
 // One header per cache line: the fused period walk budgets exactly one
 // line fill per peer for the hot column.
 const _: () = assert!(std::mem::size_of::<PeerHeader>() <= 64);
+
+/// The metered per-peer inline stride: the logical per-peer record: id +
+/// buffer + header.  `StreamingSystem::memory_usage` charges it once per
+/// active peer on top of the buffer's heap blocks.
+pub const PEER_INLINE_BYTES: usize = std::mem::size_of::<(PeerId, FifoBuffer, PeerHeader)>();
 
 /// One shard: the peer state of a contiguous [`PeerId`] range, stored as
 /// parallel columns (struct of arrays), split hot/cold: the dense
@@ -114,9 +118,9 @@ impl MemoryFootprint for PeerShard {
 }
 
 /// Sharded struct-of-arrays storage for every peer the system has ever
-/// admitted (slots are never reused; departed peers keep their slot, as in
-/// the previous `Vec<PeerNode>` layout, but the system releases their
-/// buffer storage, so a departed slot costs only its inline stride).
+/// admitted (slots are never reused; departed peers keep their slot, but
+/// the system releases their buffer storage, so a departed slot costs only
+/// its inline stride).
 #[derive(Debug)]
 pub struct PeerStore {
     /// Power-of-two shard capacity.
@@ -251,19 +255,21 @@ impl PeerStore {
         }
     }
 
-    /// Appends the next peer.  Ids are dense: the node's id must equal the
-    /// store's current length (checked in debug builds by the caller, which
-    /// owns id assignment).
-    pub fn push(&mut self, node: PeerNode) {
-        let (buffer, playback, known, credit) = node.into_parts();
+    /// Appends a fresh peer: an empty buffer of `buffer_capacity` segments
+    /// and a header joining at segment 0, with nothing discovered and no
+    /// playback credit.  Returns its id, the store's previous length (ids
+    /// are dense).
+    pub fn push_peer(&mut self, buffer_capacity: usize) -> PeerId {
+        let id = self.len as PeerId;
         self.push_parts(
-            buffer,
+            FifoBuffer::new(buffer_capacity),
             PeerHeader {
-                playback,
-                play_credit: credit,
-                known_sessions: known,
+                playback: PlaybackState::new(SegmentId(0)),
+                play_credit: 0.0,
+                known_sessions: 0,
             },
         );
+        id
     }
 
     fn push_parts(&mut self, buffer: FifoBuffer, header: PeerHeader) {
@@ -462,8 +468,7 @@ impl ColumnLender<'_> {
     }
 }
 
-/// A shared, `Copy` view of one stored peer — the read-side twin of
-/// [`PeerNode`], sharing its protocol logic.
+/// A shared, `Copy` view of one stored peer.
 #[derive(Clone, Copy)]
 pub struct PeerRef<'a> {
     id: PeerId,
@@ -498,19 +503,21 @@ impl<'a> PeerRef<'a> {
         self.playback.next_play()
     }
 
-    /// See [`PeerNode::undelivered_in_session`].
+    /// Undelivered segments of `session` that the peer still needs, i.e.
+    /// ids in `[max(id_play, first), end]` missing from its buffer.  `end`
+    /// falls back to `fallback_end` for a live session.
     pub fn undelivered_in_session(&self, session: &Session, fallback_end: SegmentId) -> usize {
         peer::undelivered_in_session(self.buffer, self.id_play(), session, fallback_end)
     }
 
-    /// See [`PeerNode::q2_for`].
+    /// `Q2` for a new session: how many of its first `Qs` segments are
+    /// still missing.
     pub fn q2_for(&self, session: &Session, qs: usize) -> usize {
         peer::q2_for(self.buffer, session, qs)
     }
 }
 
-/// An exclusive view of one stored peer — the write-side twin of
-/// [`PeerNode`], sharing its protocol logic.
+/// An exclusive view of one stored peer.
 pub struct PeerMut<'a> {
     id: PeerId,
     buffer: &'a mut FifoBuffer,
@@ -528,17 +535,22 @@ impl PeerMut<'_> {
         self.buffer
     }
 
-    /// See [`PeerNode::rejoin_at`].
+    /// Moves the join point before playback starts (joiners follow their
+    /// neighbours' current playback position).
     pub fn rejoin_at(&mut self, join_point: SegmentId) {
         self.header.playback.rejoin_at(join_point);
     }
 
-    /// See [`PeerNode::discover_sessions`].
+    /// Discovers sessions: the peer learns every session whose first
+    /// segment is at or below `observed_max`, in serial order.  Sources call
+    /// this with their own session's first segment when they start
+    /// emitting.
     pub fn discover_sessions(&mut self, directory: &SessionDirectory, observed_max: SegmentId) {
         peer::discover_sessions(&mut self.header.known_sessions, directory, observed_max);
     }
 
-    /// See [`PeerNode::advance_playback`].
+    /// Advances playback by one period and returns the number of segments
+    /// played (see [`crate::peer`] for the startup and new-session gates).
     pub fn advance_playback(&mut self, config: &GossipConfig, directory: &SessionDirectory) -> u64 {
         let known = peer::known_slice(self.header.known_sessions, directory);
         peer::advance_playback(
@@ -563,10 +575,9 @@ mod tests {
     use super::*;
 
     fn store_of(n: usize, shard_size: usize) -> PeerStore {
-        let cfg = GossipConfig::paper_default();
         let mut store = PeerStore::new(shard_size);
         for id in 0..n {
-            store.push(PeerNode::new(id as PeerId, &cfg, SegmentId(0)));
+            assert_eq!(store.push_peer(600), id as PeerId);
         }
         store
     }
@@ -582,36 +593,22 @@ mod tests {
         assert_eq!(store.shard_of(3), 0);
         assert_eq!(store.shard_of(4), 1);
         assert_eq!(store.peer(7).id(), 7);
+        // A pushed peer starts empty, joining at segment 0.
+        let peer = store.peer(7);
+        assert_eq!(peer.buffer().capacity(), 600);
+        assert!(peer.buffer().is_empty());
+        assert_eq!(peer.playback().join_point(), SegmentId(0));
+        assert!(!peer.playback().has_started());
+        assert_eq!(peer.known_sessions(), 0);
+        assert_eq!(store.header(7).play_credit, 0.0);
     }
 
+    /// The metered inline stride is the id + buffer + header record, and
+    /// its value is what every pinned `MemUsage` digest was taken with.
     #[test]
-    fn views_match_the_logical_record() {
-        let cfg = GossipConfig::paper_default();
-        let mut dir = SessionDirectory::new();
-        dir.start_session(0, 0.0, None);
-
-        let mut store = store_of(6, 4);
-        let mut node = PeerNode::new(2, &cfg, SegmentId(0));
-
-        for i in 0..20u64 {
-            store.buffer_mut(2).insert(SegmentId(i));
-            node.buffer_mut().insert(SegmentId(i));
-        }
-        store.peer_mut(2).discover_sessions(&dir, SegmentId(5));
-        node.discover_sessions(&dir, SegmentId(5));
-        assert_eq!(store.peer(2).known_sessions(), node.known_sessions());
-
-        let played_store = store.peer_mut(2).advance_playback(&cfg, &dir);
-        let played_node = node.advance_playback(&cfg, &dir);
-        assert_eq!(played_store, played_node);
-        assert_eq!(store.peer(2).id_play(), node.id_play());
-
-        let s = &dir.sessions()[0];
-        assert_eq!(
-            store.peer(2).undelivered_in_session(s, SegmentId(19)),
-            node.undelivered_in_session(s, SegmentId(19))
-        );
-        assert_eq!(store.peer(2).q2_for(s, 5), node.q2_for(s, 5));
+    #[cfg(target_pointer_width = "64")]
+    fn inline_stride_is_192_bytes() {
+        assert_eq!(PEER_INLINE_BYTES, 192);
     }
 
     #[test]

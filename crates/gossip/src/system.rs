@@ -38,14 +38,14 @@ use crate::directory::{sample_distinct, MembershipView, SampleScratch, ViewConfi
 use crate::mem::{vec_bytes, MemUsage, MemoryFootprint};
 use crate::membership::MembershipMaintainer;
 use crate::net::{NetStats, NetworkModel};
-use crate::peer::{self, PeerNode};
+use crate::peer;
 use crate::prefetch::{prefetch_lines, prefetch_read, DELIVERY_AHEAD, WALK_AHEAD};
 use crate::qoe::{PeerQoe, QoeRecorder, QoeTotals};
 use crate::scheduler::SegmentScheduler;
 use crate::scratch::{PeriodScratch, WorkerScratch};
 use crate::segment::{SegmentId, Session, SessionDirectory, SourceId};
 use crate::stats::{RatioSample, SwitchRecord, SwitchStats, TrafficCounters};
-use crate::store::{PeerHeader, PeerRef, PeerStore};
+use crate::store::{PeerHeader, PeerRef, PeerStore, PEER_INLINE_BYTES};
 use crate::transfer::grant_per_link;
 use fss_overlay::net::{LinkFaults, MessageKind, NetworkConfig};
 use fss_overlay::{ChurnModel, Overlay, OverlayError, PeerAttrs, PeerId};
@@ -121,11 +121,6 @@ pub struct StreamingSystem {
     switch_sessions: Option<(SourceId, SourceId)>,
     switch_records: Vec<SwitchRecord>,
     ratio_samples: Vec<RatioSample>,
-    /// Keep-every-k decimation of the ratio samples (1 = keep all).
-    ratio_keep_every: u64,
-    /// Periods with a recordable ratio sample since the switch (the
-    /// decimation counter; the first sample is always kept).
-    ratio_periods_seen: u64,
     switch_completed_secs: Option<f64>,
 
     /// Streaming QoE event recorder, fed by the playback pass (see
@@ -158,8 +153,8 @@ impl StreamingSystem {
         config.validate().expect("valid gossip configuration");
         let capacity = overlay.graph().capacity();
         let mut peers = PeerStore::with_capacity(capacity);
-        for id in 0..capacity as PeerId {
-            peers.push(PeerNode::new(id, &config, SegmentId(0)));
+        for _ in 0..capacity {
+            peers.push_peer(config.buffer_capacity);
         }
         let min_degree = overlay.config().min_degree;
         let membership_seed = overlay.config().seed ^ 0x4d45_4d42;
@@ -190,8 +185,6 @@ impl StreamingSystem {
             switch_sessions: None,
             switch_records: vec![SwitchRecord::default(); capacity],
             ratio_samples: Vec::new(),
-            ratio_keep_every: 1,
-            ratio_periods_seen: 0,
             switch_completed_secs: None,
             qoe: QoeRecorder::with_capacity(capacity),
             scratch: PeriodScratch::default(),
@@ -234,12 +227,6 @@ impl StreamingSystem {
         self.net = Some(NetworkModel::new(config, tau_ms, horizon, hint));
     }
 
-    /// Uninstalls the network model, reverting [`advance`](Self::advance) to
-    /// period-lockstep stepping.  Messages still in flight are discarded.
-    pub fn clear_network(&mut self) {
-        self.net = None;
-    }
-
     /// The installed network model, if event-driven stepping is active.
     pub fn network(&self) -> Option<&NetworkModel> {
         self.net.as_ref()
@@ -279,11 +266,6 @@ impl StreamingSystem {
     /// reports are byte-identical in all configurations.
     pub fn set_executor(&mut self, executor: Arc<dyn JobExecutor>) {
         self.executor = Some(executor);
-    }
-
-    /// Detaches the executor, reverting to in-line chunk execution.
-    pub fn clear_executor(&mut self) {
-        self.executor = None;
     }
 
     /// The protocol configuration.
@@ -372,26 +354,6 @@ impl StreamingSystem {
         self.qoe.set_enabled(on);
     }
 
-    /// Decimates the per-period ratio samples to every `keep_every`-th
-    /// recordable period (the first sample after a switch is always kept),
-    /// bounding `SystemReport::ratio_samples` for long runs.  The default
-    /// of 1 keeps every sample — byte-identical to the undecimated report
-    /// (pinned by the golden digest tests).
-    ///
-    /// # Panics
-    /// Panics if `keep_every` is 0.
-    pub fn set_ratio_decimation(&mut self, keep_every: u64) {
-        assert!(keep_every > 0, "keep_every must be at least 1");
-        self.ratio_keep_every = keep_every;
-    }
-
-    /// Chooses a keep-every-k ratio decimation so a run of `expected_periods`
-    /// yields at most `max_samples` ratio samples (at least 1 sample).
-    pub fn ratio_keep_every_for(expected_periods: u64, max_samples: usize) -> u64 {
-        let cap = (max_samples as u64).max(1);
-        expected_periods.div_ceil(cap).max(1)
-    }
-
     /// Starts the first source.  Must be called exactly once before running.
     pub fn start_initial_source(&mut self, source: PeerId) -> SourceId {
         assert!(
@@ -474,7 +436,6 @@ impl StreamingSystem {
         self.switch_completed_secs = None;
         self.traffic_switch_window = TrafficCounters::new();
         self.ratio_samples.clear();
-        self.ratio_periods_seen = 0;
         let old_session = *self.directory.get(old_id).expect("old session exists");
         for record in self.switch_records.iter_mut() {
             *record = SwitchRecord::default();
@@ -492,109 +453,67 @@ impl StreamingSystem {
         new_id
     }
 
-    /// Removes `peer` from the overlay — an externally driven departure,
-    /// e.g. a viewer zapping away to another channel in a multi-channel
-    /// deployment.
+    /// Removes a batch of peers and repairs the membership once — an
+    /// externally driven departure, e.g. the viewers of a *zap batch*
+    /// leaving this channel for another one at the same period boundary.
     ///
-    /// The peer's slot stays (ids are never reused) but its buffer storage
+    /// Each peer's slot stays (ids are never reused) but its buffer storage
     /// is released: nothing reads a departed peer's buffer again.  Its
     /// switch record is marked departed so it stops counting towards switch
-    /// metrics.  Call [`repair_membership`](Self::repair_membership)
-    /// after a batch of external membership changes.
+    /// metrics.  Batching the repair is what keeps a multi-viewer zap batch
+    /// a single pairwise synchronisation point between two channels.  An
+    /// empty batch is a no-op (no repair pass, no RNG consumption).
+    ///
+    /// The whole batch is validated before the first departure: an `Err`
+    /// (a peer that is not active, or one listed twice) leaves the system
+    /// unchanged.
     ///
     /// # Panics
-    /// Panics if `peer` has ever been a source: departing the emitter would
-    /// silently stall the whole stream, and old sources remain the primary
-    /// holders of their stream's tail — the same protection the churn path
-    /// enforces.
-    pub fn depart_peer(&mut self, peer: PeerId) -> Result<(), OverlayError> {
-        assert!(
-            !self.sources.contains(&peer),
-            "sources cannot depart (peer {peer})"
-        );
-        self.overlay.remove_peer(peer)?;
-        self.view.on_depart(peer);
-        self.release_departed(peer);
-        Ok(())
-    }
-
-    /// Admits a new peer attached to `neighbors` — an externally driven
-    /// arrival, e.g. a viewer zapping in from another channel.
-    ///
-    /// Exactly like a churn joiner, the newcomer starts media playback by
-    /// following its neighbours' current steps.  Returns the new peer's id.
-    pub fn admit_peer(
-        &mut self,
-        attrs: PeerAttrs,
-        neighbors: &[PeerId],
-    ) -> Result<PeerId, OverlayError> {
-        let id = self.overlay.add_peer(attrs, neighbors)?;
-        self.view.on_join(id);
-        self.register_joined_peer(id);
-        self.rejoin_at_neighbours(id);
-        Ok(id)
-    }
-
-    /// Removes a batch of peers and repairs the membership once — the
-    /// departure half of a *zap batch* (a group of viewers leaving this
-    /// channel for another one at the same period boundary).
-    ///
-    /// Equivalent to [`depart_peer`](Self::depart_peer) for every peer
-    /// followed by one [`repair_membership`](Self::repair_membership) call;
-    /// batching the repair is what keeps a multi-viewer zap batch a single
-    /// pairwise synchronisation point between two channels.  An empty batch
-    /// is a no-op (no repair pass, no RNG consumption).
-    ///
-    /// # Panics
-    /// Panics if any peer has ever been a source (see
-    /// [`depart_peer`](Self::depart_peer)).
+    /// Panics, before any state changes, if any peer has ever been a source:
+    /// departing the emitter would silently stall the whole stream, and old
+    /// sources remain the primary holders of their stream's tail — the same
+    /// protection the churn path enforces.
     pub fn depart_batch(&mut self, peers: &[PeerId]) -> Result<(), OverlayError> {
         if peers.is_empty() {
             return Ok(());
         }
+        for (i, &peer) in peers.iter().enumerate() {
+            assert!(
+                !self.sources.contains(&peer),
+                "sources cannot depart (peer {peer})"
+            );
+            if !self.overlay.graph().is_active(peer) || peers[..i].contains(&peer) {
+                return Err(OverlayError::UnknownPeer { peer });
+            }
+        }
         for &peer in peers {
-            self.depart_peer(peer)?;
+            self.overlay.remove_peer(peer).expect("validated departure");
+            self.view.on_depart(peer);
+            self.release_departed(peer);
         }
         self.repair_membership();
         Ok(())
     }
 
-    /// Admits a batch of peers and repairs the membership once — the arrival
-    /// half of a *zap batch*.
+    /// Admits a batch of peers and repairs the membership once — an
+    /// externally driven arrival, e.g. the viewers of a zap batch.
     ///
-    /// Exactly like the churn join rule, all arrivals are registered first
-    /// and only then pointed at their neighbours' playback steps, so
-    /// arrivals may neighbour each other within the batch.  Returns the new
-    /// peer ids in batch order.  An empty batch is a no-op.
-    pub fn admit_batch(
-        &mut self,
-        arrivals: &[(PeerAttrs, Vec<PeerId>)],
-    ) -> Result<Vec<PeerId>, OverlayError> {
-        let mut ids = Vec::with_capacity(arrivals.len());
-        for (attrs, neighbors) in arrivals {
-            let id = self.overlay.add_peer(*attrs, neighbors)?;
-            self.view.on_join(id);
-            self.register_joined_peer(id);
-            ids.push(id);
-        }
-        for &id in &ids {
-            self.rejoin_at_neighbours(id);
-        }
-        if !ids.is_empty() {
-            self.repair_membership();
-        }
-        Ok(ids)
-    }
-
-    /// [`admit_batch`](Self::admit_batch) over flat, pooled buffers: arrival
-    /// `i` takes `neighbours[i * degree..(i + 1) * degree]` as its neighbour
-    /// set and its id is appended to `ids_out` (cleared first).  This is the
-    /// allocation-free admission shape the zap hot path uses — no per-arrival
-    /// `Vec` clone, no returned `Vec`.
+    /// Arrival `i` gets `attrs[i]`, attaches to
+    /// `neighbours[i * degree..(i + 1) * degree]` and, like a churn joiner,
+    /// starts playback by following its neighbours' current steps.  Its id
+    /// is appended to `ids_out` (cleared first).  Arrivals may neighbour an
+    /// earlier arrival of the same batch: ids are dense, so arrival `j`
+    /// takes id `overlay().graph().capacity() + j`.  The buffers are flat
+    /// and pooled, so admission allocates nothing but the newcomers' own
+    /// state.  An empty batch is a no-op.
+    ///
+    /// The whole batch is validated before the first arrival is added: an
+    /// `Err` (a neighbour that is neither active nor an earlier arrival)
+    /// leaves the system unchanged.
     ///
     /// # Panics
     /// Panics if `neighbours.len() != attrs.len() * degree`.
-    pub fn admit_batch_grouped(
+    pub fn admit_batch(
         &mut self,
         attrs: &[PeerAttrs],
         neighbours: &[PeerId],
@@ -607,51 +526,56 @@ impl StreamingSystem {
             "flat neighbour buffer must hold `degree` entries per arrival"
         );
         ids_out.clear();
-        for (i, peer_attrs) in attrs.iter().enumerate() {
-            let id = self
-                .overlay
-                .add_peer(*peer_attrs, &neighbours[i * degree..(i + 1) * degree])?;
-            self.view.on_join(id);
-            self.register_joined_peer(id);
+        if attrs.is_empty() {
+            return Ok(());
+        }
+        let first = self.overlay.graph().capacity() as PeerId;
+        let group = |i: usize| &neighbours[i * degree..(i + 1) * degree];
+        for i in 0..attrs.len() {
+            let earlier = first..first + i as PeerId;
+            let unknown = group(i)
+                .iter()
+                .find(|&&n| !self.overlay.graph().is_active(n) && !earlier.contains(&n));
+            if let Some(&peer) = unknown {
+                return Err(OverlayError::UnknownPeer { peer });
+            }
+        }
+        for (i, &peer_attrs) in attrs.iter().enumerate() {
+            let id = join_overlay(&mut self.overlay, &mut self.view, peer_attrs, group(i));
             ids_out.push(id);
         }
-        for &id in ids_out.iter() {
-            self.rejoin_at_neighbours(id);
-        }
-        if !ids_out.is_empty() {
-            self.repair_membership();
-        }
+        self.settle_joiners(ids_out);
         Ok(())
     }
 
-    /// Allocates the protocol state of a peer the overlay just added.
-    fn register_joined_peer(&mut self, id: PeerId) {
-        debug_assert_eq!(id as usize, self.peers.len());
-        self.peers
-            .push(PeerNode::new(id, &self.config, SegmentId(0)));
-        self.switch_records.push(SwitchRecord::default());
-        self.qoe.register_peer(self.period_index);
+    /// The tail of the join rule shared by churn joiners and admitted
+    /// batches, once the overlay holds every joiner: allocate all their
+    /// protocol state, then point each joiner's playback at its neighbours'
+    /// current steps (joiners may neighbour each other, so no join point is
+    /// computed before every joiner is registered), then repair the
+    /// membership once.
+    fn settle_joiners(&mut self, joined: &[PeerId]) {
+        for &id in joined {
+            debug_assert_eq!(id as usize, self.peers.len());
+            self.peers.push_peer(self.config.buffer_capacity);
+            self.switch_records.push(SwitchRecord::default());
+            self.qoe.register_peer(self.period_index);
+        }
+        for &id in joined {
+            let join_point = self
+                .overlay
+                .neighbors(id)
+                .iter()
+                .map(|&n| self.peers.peer(n).id_play())
+                .max()
+                .unwrap_or(SegmentId(0));
+            self.peers.peer_mut(id).rejoin_at(join_point);
+        }
+        self.repair_membership();
     }
 
-    /// Points a joiner's playback at its neighbours' current steps (the
-    /// paper's join rule, shared by churn joiners and zap arrivals).
-    fn rejoin_at_neighbours(&mut self, id: PeerId) {
-        let join_point = self
-            .overlay
-            .neighbors(id)
-            .iter()
-            .map(|&n| self.peers.peer(n).id_play())
-            .max()
-            .unwrap_or(SegmentId(0));
-        self.peers.peer_mut(id).rejoin_at(join_point);
-    }
-
-    /// Repairs neighbour sets after external membership changes
-    /// ([`depart_peer`](Self::depart_peer) / [`admit_peer`](Self::admit_peer)).
-    ///
-    /// The per-period churn path runs this automatically; external drivers
-    /// call it once per batch of zap events.
-    pub fn repair_membership(&mut self) {
+    /// Repairs neighbour sets after membership changes.
+    fn repair_membership(&mut self) {
         self.membership
             .repair(&mut self.overlay, self.view.members())
             .expect("membership repair over valid overlay");
@@ -907,10 +831,6 @@ impl StreamingSystem {
             peer_slots: self.peers.len(),
             ..MemUsage::default()
         };
-        // The columns of the sharded store hold exactly the fields of the
-        // logical `PeerNode` record, so its size remains the metered
-        // per-peer inline stride.
-        let inline = std::mem::size_of::<PeerNode>();
         // Shard-major sweep: resolve each shard's buffer column once and
         // index slots directly (the active list is ascending, so each shard
         // is one contiguous run), prefetching the next buffer struct ahead
@@ -932,7 +852,7 @@ impl StreamingSystem {
             if let Some(ahead) = buffers.get(slot + WALK_AHEAD) {
                 prefetch_read(ahead);
             }
-            usage.add_peer(inline, buffers[slot].mem_breakdown());
+            usage.add_peer(PEER_INLINE_BYTES, buffers[slot].mem_breakdown());
         }
         // fss-lint: end
         usage
@@ -955,8 +875,9 @@ impl StreamingSystem {
     /// Per-period churn, routed through the membership directory: the
     /// departure shuffle reads the view's member list, every joiner's
     /// neighbour set is sampled from the view's candidate list (the same
-    /// admission pipeline zap batches use), and the view is kept in sync
-    /// event by event so later joiners can attach to earlier ones.
+    /// sampler zap batches use), the view is kept in sync event by event so
+    /// later joiners can attach to earlier ones, and the joiners settle
+    /// through the tail [`admit_batch`](Self::admit_batch) shares.
     ///
     /// RNG-compatible with the standalone `ChurnModel::step`: the view's
     /// ascending-id member order is exactly the `active_peers()` collection
@@ -999,11 +920,9 @@ impl StreamingSystem {
                 let attrs = churn.draw_arrival(|rng| {
                     sample_distinct(view.candidates(), rng, degree, sampler, neighbours)
                 });
-                let id = overlay
-                    .add_peer(attrs, neighbours)
-                    .expect("churn joiner over valid overlay");
-                view.on_join(id);
-                scratch.joined.push(id);
+                scratch
+                    .joined
+                    .push(join_overlay(overlay, view, attrs, neighbours));
             }
         }
 
@@ -1011,20 +930,11 @@ impl StreamingSystem {
             let left = self.churn_scratch.left[i];
             self.release_departed(left);
         }
-        // Joiners may neighbour each other within the same churn step, so
-        // allocate all their protocol state first and only then compute join
-        // points from their neighbours' playback positions.  (Indexed loops:
-        // register/rejoin take `&mut self`, which cannot overlap a borrow of
-        // the scratch's joined list.)
-        for i in 0..self.churn_scratch.joined.len() {
-            let joined = self.churn_scratch.joined[i];
-            self.register_joined_peer(joined);
-        }
-        for i in 0..self.churn_scratch.joined.len() {
-            let joined = self.churn_scratch.joined[i];
-            self.rejoin_at_neighbours(joined);
-        }
-        self.repair_membership();
+        // Moved out and back (no allocation): the shared tail takes
+        // `&mut self`, which cannot overlap a borrow of the scratch.
+        let joined = std::mem::take(&mut self.churn_scratch.joined);
+        self.settle_joiners(&joined);
+        self.churn_scratch.joined = joined;
     }
 
     /// Marks a departed peer's switch record and releases its buffer
@@ -1387,14 +1297,11 @@ impl StreamingSystem {
                 undelivered_sum += undelivered;
                 delivered_sum += delivered;
             }
-            self.ratio_periods_seen += 1;
-            if (self.ratio_periods_seen - 1).is_multiple_of(self.ratio_keep_every) {
-                self.ratio_samples.push(RatioSample {
-                    secs: since_switch,
-                    undelivered_ratio_s1: undelivered_sum / counted as f64,
-                    delivered_ratio_s2: delivered_sum / counted as f64,
-                });
-            }
+            self.ratio_samples.push(RatioSample {
+                secs: since_switch,
+                undelivered_ratio_s1: undelivered_sum / counted as f64,
+                delivered_ratio_s2: delivered_sum / counted as f64,
+            });
         }
         if qoe_on {
             self.qoe.finish_period(waiting);
@@ -1419,6 +1326,23 @@ impl MemoryFootprint for StreamingSystem {
             + self.qoe.heap_bytes()
             + self.net.as_ref().map_or(0, |n| n.heap_bytes())
     }
+}
+
+/// Adds one joiner to the overlay and to the channel's membership view —
+/// the head of the join rule shared by churn joiners and admitted batches
+/// ([`StreamingSystem::settle_joiners`] is the tail).  The neighbours are
+/// active, checked by every caller.
+fn join_overlay(
+    overlay: &mut Overlay,
+    view: &mut MembershipView,
+    attrs: PeerAttrs,
+    neighbours: &[PeerId],
+) -> PeerId {
+    let id = overlay
+        .add_peer(attrs, neighbours)
+        .expect("joiner neighbours are active");
+    view.on_join(id);
+    id
 }
 
 /// Pooled working memory of the directory-routed churn pass.
@@ -1754,7 +1678,7 @@ mod tests {
         }
         fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest> {
             let mut candidates = ctx.candidates.clone();
-            crate::directory::sort_by_id(&mut candidates, |c| c.id);
+            candidates.sort_unstable_by_key(|c| c.id);
             let mut load: std::collections::HashMap<fss_overlay::PeerId, usize> =
                 std::collections::HashMap::new();
             let mut requests = Vec::new();
@@ -2073,15 +1997,16 @@ mod tests {
         sys.start_initial_source(source);
         sys.run_periods(20);
 
-        sys.depart_peer(viewer).unwrap();
-        sys.repair_membership();
+        sys.depart_batch(&[viewer]).unwrap();
         assert!(!sys.overlay().graph().is_active(viewer));
         assert!(sys.switch_records()[viewer as usize].departed);
 
         let neighbours: Vec<PeerId> = sys.overlay().active_peers().take(5).collect();
         let attrs = *sys.overlay().attrs(source).unwrap();
-        let joined = sys.admit_peer(attrs, &neighbours).unwrap();
-        sys.repair_membership();
+        let mut ids = Vec::new();
+        sys.admit_batch(&[attrs], &neighbours, neighbours.len(), &mut ids)
+            .unwrap();
+        let joined = ids[0];
         assert!(sys.overlay().graph().is_active(joined));
         // The arrival follows its neighbours' playback steps, like a churn
         // joiner: its join point is at (or past) the slowest neighbour.
@@ -2094,8 +2019,9 @@ mod tests {
         sys.run_periods(5); // the system keeps running with the newcomer
     }
 
-    /// The batched zap hooks must behave like per-peer depart/admit plus one
-    /// repair pass, and arrivals within a batch may neighbour each other.
+    /// The batched membership pair: departures and arrivals repair the
+    /// membership once per batch, arrivals within a batch may neighbour
+    /// each other, and empty batches are no-ops.
     #[test]
     fn batched_zap_hooks_mirror_single_peer_calls() {
         let mut sys = build_system(40, 9);
@@ -2122,20 +2048,95 @@ mod tests {
 
         // Admit a batch in which the second arrival neighbours the first.
         let attrs = *sys.overlay().attrs(source).unwrap();
-        let hosts: Vec<PeerId> = sys.overlay().active_peers().take(5).collect();
+        let hosts: Vec<PeerId> = sys.overlay().active_peers().take(2).collect();
         let first_id = sys.overlay().graph().capacity() as PeerId;
-        let batch = vec![(attrs, hosts.clone()), (attrs, vec![hosts[0], first_id])];
-        let ids = sys.admit_batch(&batch).unwrap();
-        assert_eq!(ids.len(), 2);
-        assert_eq!(ids[0], first_id);
-        for &id in &ids {
+        let flat = [hosts[0], hosts[1], hosts[0], first_id];
+        let mut ids = Vec::new();
+        sys.admit_batch(&[attrs; 2], &flat, 2, &mut ids).unwrap();
+        assert_eq!(ids, [first_id, first_id + 1]);
+        for (&id, neighbours) in ids.iter().zip(flat.chunks(2)) {
             assert!(sys.overlay().graph().is_active(id));
+            // Each joiner's join point is at or past its slowest neighbour's.
+            let slowest = neighbours.iter().map(|&n| sys.peer(n).id_play()).min();
+            assert!(sys.peer(id).playback().join_point() >= slowest.unwrap());
         }
         assert!(sys.overlay().neighbors(ids[1]).contains(&ids[0]));
-        // Empty batches are no-ops.
+
+        // Empty batches are no-ops: no repair pass, so no edge changes.
+        let edges = sys.overlay().graph().edge_count();
         sys.depart_batch(&[]).unwrap();
-        assert!(sys.admit_batch(&[]).unwrap().is_empty());
+        sys.admit_batch(&[], &[], 2, &mut ids).unwrap();
+        assert!(ids.is_empty());
+        assert_eq!(sys.overlay().graph().edge_count(), edges);
+        assert_eq!(sys.overlay().graph().capacity(), first_id as usize + 2);
         sys.run_periods(5);
+    }
+
+    /// A rejected membership batch changes nothing: the whole batch is
+    /// validated before the first mutation, so the overlay, the store, the
+    /// view and the switch records stay in step and the system keeps
+    /// running.
+    #[test]
+    fn rejected_membership_batches_leave_the_system_untouched() {
+        let mut sys = build_system(40, 10);
+        let (source, host) = first_two(&sys);
+        sys.start_initial_source(source);
+        sys.run_periods(10);
+        let gone = sys
+            .overlay()
+            .active_peers()
+            .find(|&p| p != source && p != host)
+            .unwrap();
+        sys.depart_batch(&[gone]).unwrap();
+        let stay = sys
+            .overlay()
+            .active_peers()
+            .find(|&p| p != source && p != host)
+            .unwrap();
+
+        let shape = |sys: &StreamingSystem| {
+            (
+                sys.overlay().graph().capacity(),
+                sys.overlay().active_count(),
+                sys.peer_store().len(),
+                sys.membership_view().len(),
+                sys.switch_records().len(),
+            )
+        };
+        let before = shape(&sys);
+        let attrs = *sys.overlay().attrs(host).unwrap();
+        let mut ids = vec![7];
+        let next = before.0 as PeerId;
+
+        // A departed neighbour, an unknown one, and a forward reference to
+        // a later arrival of the same batch.
+        let rejected: [(&[PeerId], PeerId); 3] = [
+            (&[host, gone], gone),
+            (&[host, 9_999], 9_999),
+            (&[host, next + 1, host, next], next + 1),
+        ];
+        for (flat, unknown) in rejected {
+            let batch = [attrs; 2];
+            let arrivals = &batch[..flat.len() / 2];
+            assert_eq!(
+                sys.admit_batch(arrivals, flat, 2, &mut ids),
+                Err(OverlayError::UnknownPeer { peer: unknown })
+            );
+            assert!(ids.is_empty());
+            assert_eq!(shape(&sys), before);
+        }
+
+        // A departed or repeated leaver rejects the whole batch, and the
+        // valid leaver listed first stays.
+        for batch in [[stay, gone], [stay, stay]] {
+            assert!(sys.depart_batch(&batch).is_err());
+            assert!(sys.overlay().graph().is_active(stay));
+            assert!(!sys.switch_records()[stay as usize].departed);
+            assert_eq!(shape(&sys), before);
+        }
+
+        sys.run_periods(3);
+        assert_eq!(sys.periods(), 13);
     }
 
     /// The report-surfaced memory meter: counts active peers, reports a
@@ -2166,7 +2167,7 @@ mod tests {
 
     /// The directory invariant: the membership view mirrors the overlay's
     /// active set exactly — in ascending-id (`active_peers()`) order —
-    /// through churn, batched zaps and single-peer admits alike.
+    /// through churn and batched zaps alike.
     #[test]
     fn membership_view_stays_in_sync_with_the_overlay() {
         let mut sys = build_system(60, 19);
@@ -2199,7 +2200,7 @@ mod tests {
             flat.extend_from_slice(&hosts);
         }
         let mut ids = Vec::new();
-        sys.admit_batch_grouped(&[attrs; 3], &flat, hosts.len(), &mut ids)
+        sys.admit_batch(&[attrs; 3], &flat, hosts.len(), &mut ids)
             .unwrap();
         assert_eq!(ids.len(), 3);
         check(&sys);
@@ -2241,7 +2242,14 @@ mod tests {
         let mut sys = build_system(20, 6);
         let (s1, _) = first_two(&sys);
         sys.start_initial_source(s1);
-        let _ = sys.depart_peer(s1);
+        let viewer = sys.overlay().active_peers().find(|&p| p != s1).unwrap();
+        let active = sys.overlay().active_count();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = sys.depart_batch(&[viewer, s1]);
+        }));
+        // The panic fires before the batch's first departure.
+        assert_eq!(sys.overlay().active_count(), active);
+        std::panic::resume_unwind(result.unwrap_err());
     }
 
     #[test]
@@ -2511,6 +2519,7 @@ mod tests {
             store.heap_bytes() - live
         };
         let (departed_before, retained_before) = (departed(&sys), retained(&sys));
+        let mut ids = Vec::new();
         for period in 0..300 {
             // A zap batch: two viewers leave, two arrive.
             let leavers: Vec<PeerId> = sys
@@ -2522,7 +2531,8 @@ mod tests {
                 .collect();
             sys.depart_batch(&leavers).unwrap();
             let hosts: Vec<PeerId> = sys.overlay().active_peers().take(4).collect();
-            sys.admit_batch(&[(attrs, hosts.clone()), (attrs, hosts)])
+            let flat = [&hosts[..], &hosts[..]].concat();
+            sys.admit_batch(&[attrs; 2], &flat, hosts.len(), &mut ids)
                 .unwrap();
             sys.advance();
 
@@ -2548,19 +2558,5 @@ mod tests {
         sys.start_initial_source(source);
         sys.advance();
         sys.exchange_deliveries();
-    }
-
-    #[test]
-    fn clear_network_reverts_to_period_stepping() {
-        let mut sys = build_system(40, 0x5153);
-        let source = sys.overlay().active_peers().next().unwrap();
-        sys.set_network(NetworkConfig::ideal());
-        sys.start_initial_source(source);
-        sys.run_periods(5);
-        sys.clear_network();
-        assert!(sys.network().is_none());
-        sys.run_periods(5);
-        assert_eq!(sys.periods(), 10);
-        assert_eq!(sys.network_stats(), NetStats::default());
     }
 }

@@ -116,11 +116,18 @@ impl Overlay {
 
     /// Adds a freshly joined peer with the given attributes and connects it to
     /// `neighbors`.  Returns its new id.
+    ///
+    /// Every neighbour must be active.  An unknown or departed one is
+    /// rejected before anything is allocated, so an `Err` leaves the overlay
+    /// unchanged.
     pub fn add_peer(
         &mut self,
         attrs: PeerAttrs,
         neighbors: &[PeerId],
     ) -> Result<PeerId, OverlayError> {
+        if let Some(&peer) = neighbors.iter().find(|&&n| !self.graph.is_active(n)) {
+            return Err(OverlayError::UnknownPeer { peer });
+        }
         let id = self.graph.add_peer();
         self.attrs.push(attrs);
         self.latency.push_peer(attrs.ping_ms);
@@ -348,6 +355,30 @@ mod tests {
         assert!(!overlay.graph().is_active(id));
         // Attribute history is preserved for metrics.
         assert!(overlay.attrs(id).is_some());
+    }
+
+    #[test]
+    fn rejected_add_leaves_the_overlay_unchanged() {
+        let mut overlay = OverlayBuilder::paper_default()
+            .build(&trace(30, 6))
+            .unwrap();
+        let mut hosts: Vec<PeerId> = overlay.active_peers().take(3).collect();
+        let gone = hosts.pop().unwrap();
+        overlay.remove_peer(gone).unwrap();
+        let attrs = *overlay.attrs(hosts[0]).unwrap();
+        let (capacity, active, edges) = (
+            overlay.graph().capacity(),
+            overlay.active_count(),
+            overlay.graph().edge_count(),
+        );
+        for neighbours in [vec![hosts[0], gone], vec![hosts[1], 9_999]] {
+            assert!(overlay.add_peer(attrs, &neighbours).is_err());
+            assert_eq!(overlay.graph().capacity(), capacity);
+            assert_eq!(overlay.active_count(), active);
+            assert_eq!(overlay.graph().edge_count(), edges);
+        }
+        // The next valid arrival takes the id the rejected ones did not.
+        assert_eq!(overlay.add_peer(attrs, &hosts).unwrap() as usize, capacity);
     }
 
     proptest::proptest! {

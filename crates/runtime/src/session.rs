@@ -50,9 +50,9 @@
 
 use crate::pool::WorkerPool;
 use crate::zap::{ZapBatch, ZapSchedule, ZapWorkload};
+use fss_gossip::directory::{sample_neighbours, select_movers};
 use fss_gossip::{
-    AdmissionPipeline, AdmissionScratch, GossipConfig, SegmentScheduler, StreamingSystem,
-    TrafficCounters, ViewConfig,
+    AdmissionScratch, GossipConfig, SegmentScheduler, StreamingSystem, TrafficCounters, ViewConfig,
 };
 use fss_metrics::{
     AdmissionSummary, DepthWindow, MemSummary, QoeWindow, QuantileSketch, Scorecard, Timeline,
@@ -279,9 +279,6 @@ struct Channel {
     deferred: usize,
     /// Deepest the queue has run.
     max_queue_depth: usize,
-    /// Queue depth observed after the drain at each boundary (index =
-    /// period), recorded only while the limiter is active.
-    queue_depth_by_period: Vec<usize>,
     /// Pooled buffers of the drain path.
     admit_scratch: AdmissionScratch,
 
@@ -333,10 +330,9 @@ fn admit_arrivals(
     rng: &mut SmallRng,
     mut next: impl FnMut(&mut SmallRng) -> (PeerAttrs, u64),
 ) {
-    let pipeline = AdmissionPipeline;
     let degree = zap_degree.min(system.membership_view().candidates().len());
     for _ in 0..count {
-        pipeline.sample_neighbours(system.membership_view(), degree, rng, scratch);
+        sample_neighbours(system.membership_view(), degree, rng, scratch);
         let (attrs, requested_period) = next(rng);
         scratch.attrs.push(attrs);
         scratch.requested.push(requested_period);
@@ -349,7 +345,7 @@ fn admit_arrivals(
         ..
     } = scratch;
     system
-        .admit_batch_grouped(attrs, neighbours, degree, admitted)
+        .admit_batch(attrs, neighbours, degree, admitted)
         .expect("zap arrivals join an active channel");
     for (i, &viewer) in admitted.iter().enumerate() {
         pending.push(PendingZap {
@@ -412,7 +408,6 @@ impl Channel {
                 self.admission_delays.record(delay);
             }
         }
-        self.queue_depth_by_period.push(self.queue.len());
     }
 
     /// Completes pending zaps whose playback has started and retires
@@ -616,7 +611,6 @@ impl SessionManager {
                     admission_delays: QuantileSketch::new(tau),
                     deferred: 0,
                     max_queue_depth: 0,
-                    queue_depth_by_period: Vec::new(),
                     admit_scratch: AdmissionScratch::default(),
                     qoe_timeline: Timeline::new(TIMELINE_WINDOWS),
                     depth_timeline: Timeline::new(TIMELINE_WINDOWS),
@@ -731,16 +725,6 @@ impl SessionManager {
     pub fn set_shards(&mut self, shards: usize) {
         for channel in &mut self.channels {
             channel.system.set_shards(shards);
-        }
-    }
-
-    /// Turns per-period QoE event recording on or off in every channel
-    /// (on by default).  Off, the gossip hot path skips all QoE work and
-    /// the report's QoE timeline and scorecard stay empty — the
-    /// `qoe_overhead` bench lane measures the difference.
-    pub fn set_qoe_enabled(&mut self, on: bool) {
-        for channel in &mut self.channels {
-            channel.system.set_qoe_enabled(on);
         }
     }
 
@@ -1104,7 +1088,6 @@ impl SessionManager {
                 .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(planned.index + 1))
                 ^ 0x0BA7_0CAD,
         );
-        let pipeline = AdmissionPipeline;
         let scratch = &mut self.zap_scratch;
         scratch.clear();
         let (origin, target) = pair_mut(&mut self.channels, from, to);
@@ -1119,7 +1102,7 @@ impl SessionManager {
         // take would then drain it to source-only membership.
         {
             let pending = &origin.pending;
-            pipeline.select_movers(
+            select_movers(
                 origin.system.membership_view(),
                 origin.source,
                 |p| {
@@ -1173,29 +1156,6 @@ impl SessionManager {
             target.zaps_in += mover_count;
             target.max_queue_depth = target.max_queue_depth.max(target.queue.len());
         }
-    }
-
-    /// Total admission-queue depth across channels after the drain at each
-    /// period boundary (empty unless `max_admits_per_period` is set).  The
-    /// timeline is deterministic across stepping modes and pool sizes, like
-    /// the report.
-    pub fn queue_depth_timeline(&self) -> Vec<(u64, usize)> {
-        let periods = self
-            .channels
-            .iter()
-            .map(|c| c.queue_depth_by_period.len())
-            .max()
-            .unwrap_or(0);
-        (0..periods)
-            .map(|p| {
-                let depth = self
-                    .channels
-                    .iter()
-                    .map(|c| c.queue_depth_by_period.get(p).copied().unwrap_or(0))
-                    .sum();
-                (p as u64, depth)
-            })
-            .collect()
     }
 }
 
@@ -1398,7 +1358,7 @@ mod tests {
 
     /// Satellite determinism sweep: with the rate-limited admission queue
     /// *and* bounded candidate views active, under churn and a flash-crowd
-    /// storm, reports and queue-depth timelines stay byte-identical across
+    /// storm, reports (queue-depth timeline included) stay byte-identical across
     /// pool sizes and stepping modes — directory updates are the only
     /// cross-channel synchronisation points, and they happen at the same
     /// boundaries regardless of execution strategy.
@@ -1427,20 +1387,19 @@ mod tests {
             m.set_mode(mode);
             m.warmup(25);
             m.run_periods(30);
-            (m.report(), m.queue_depth_timeline())
+            m.report()
         };
-        let (reference, reference_timeline) = run(1, SteppingMode::Barrier);
+        let reference = run(1, SteppingMode::Barrier);
         assert!(reference.admission.rate_limited);
         assert!(reference.total_zaps() > 0);
+        assert!(reference.queue_depth.windows().any(|w| w.peak > 0));
         for workers in [1, 2, 4, 7] {
             for run_ahead in [1, 4, 8] {
-                let (report, timeline) = run(workers, SteppingMode::Pipelined { run_ahead });
+                let report = run(workers, SteppingMode::Pipelined { run_ahead });
                 assert_eq!(report, reference, "workers={workers} run_ahead={run_ahead}");
-                assert_eq!(timeline, reference_timeline, "timeline workers={workers}");
             }
-            let (report, timeline) = run(workers, SteppingMode::Barrier);
+            let report = run(workers, SteppingMode::Barrier);
             assert_eq!(report, reference, "barrier workers={workers}");
-            assert_eq!(timeline, reference_timeline);
         }
     }
 
@@ -1469,16 +1428,19 @@ mod tests {
             });
             m.warmup(20);
             m.run_periods(30);
-            (m.report(), m.queue_depth_timeline())
+            m.report()
         };
 
-        let (unlimited, unlimited_timeline) = run(None);
+        let unlimited = run(None);
         assert!(!unlimited.admission.rate_limited);
         assert_eq!(unlimited.admission.deferred, 0);
         assert_eq!(unlimited.admission.max_queue_depth, 0);
-        assert!(unlimited_timeline.is_empty(), "no limiter, no timeline");
+        assert!(
+            unlimited.queue_depth.windows().all(|w| w.peak == 0),
+            "no limiter, no queue"
+        );
 
-        let (limited, timeline) = run(Some(8));
+        let limited = run(Some(8));
         assert!(limited.admission.rate_limited);
         // Both runs observe the same storm...
         assert_eq!(limited.total_zaps(), unlimited.total_zaps());
@@ -1494,9 +1456,14 @@ mod tests {
         // The queue drains over the following boundaries and ends empty.
         assert_eq!(limited.admission.still_queued, 0);
         assert_eq!(limited.admission.admitted, limited.total_zaps());
-        let peak = timeline.iter().map(|&(_, d)| d).max().unwrap();
+        let timeline = &limited.queue_depth;
+        let peak = timeline.windows().map(|w| w.peak).max().unwrap();
         assert!(peak >= 40);
-        assert_eq!(timeline.last().unwrap().1, 0, "queue must fully drain");
+        assert_eq!(
+            timeline.windows().last().unwrap().last,
+            0,
+            "queue must fully drain"
+        );
         // Accounting: every arrival is completed, pending or abandoned.
         for c in &limited.channels {
             assert_eq!(c.zaps_in, c.zap_latency.zaps());

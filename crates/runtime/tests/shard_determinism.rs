@@ -50,8 +50,9 @@ fn fx_digest(text: &str) -> u64 {
 /// to exercise the rate-limited admission path under sharding).  `{:?}` on
 /// `f64` prints the shortest round-trip representation, so the digest is
 /// exact, not rounded.
-fn surface(report: &RuntimeReport, timeline: &[(u64, usize)]) -> String {
+fn surface(report: &RuntimeReport) -> String {
     use std::fmt::Write;
+    let timeline = depth_by_boundary(report);
     let mut s = String::new();
     write!(s, "periods={} workload={}", report.periods, report.workload).unwrap();
     for c in &report.channels {
@@ -71,7 +72,20 @@ fn surface(report: &RuntimeReport, timeline: &[(u64, usize)]) -> String {
     s
 }
 
-fn run(shards: usize, workers: usize, mode: SteppingMode) -> (RuntimeReport, Vec<(u64, usize)>) {
+/// The post-drain admission-queue depth summed across channels at each
+/// period boundary, read off the report's bounded depth timeline.  The run
+/// is shorter than the timeline's 64 windows, so each window is one
+/// boundary.
+fn depth_by_boundary(report: &RuntimeReport) -> Vec<(u64, usize)> {
+    let timeline = &report.queue_depth;
+    assert_eq!(timeline.stride(), 1, "one window per boundary");
+    timeline
+        .windows()
+        .map(|w| (w.start_period, w.last as usize))
+        .collect()
+}
+
+fn run(shards: usize, workers: usize, mode: SteppingMode) -> RuntimeReport {
     let config = SessionConfig {
         seed: 47,
         admission: AdmissionControl {
@@ -95,7 +109,7 @@ fn run(shards: usize, workers: usize, mode: SteppingMode) -> (RuntimeReport, Vec
     m.set_mode(mode);
     m.warmup(25);
     m.run_periods(30);
-    (m.report(), m.queue_depth_timeline())
+    m.report()
 }
 
 /// The digest of the single-shard, single-worker barrier run.  Every other
@@ -120,17 +134,17 @@ fn qoe_surface(report: &RuntimeReport) -> String {
 
 #[test]
 fn reports_are_byte_identical_across_shard_counts_and_pool_sizes() {
-    let (reference, reference_timeline) = run(1, 1, SteppingMode::Barrier);
+    let reference = run(1, 1, SteppingMode::Barrier);
     assert!(reference.total_zaps() > 0);
     assert!(reference.cross_channel_zaps.completed > 0);
     assert!(reference.admission.rate_limited);
     assert!(reference.admission.deferred > 0, "the storm must queue");
 
     assert_eq!(
-        fx_digest(&surface(&reference, &reference_timeline)),
+        fx_digest(&surface(&reference)),
         PINNED_DIGEST,
         "sharded run drifted from the pinned baseline:\n{}",
-        surface(&reference, &reference_timeline)
+        surface(&reference)
     );
     assert!(
         reference.scorecard.admission_peak_queue > 0,
@@ -145,17 +159,12 @@ fn reports_are_byte_identical_across_shard_counts_and_pool_sizes() {
 
     for &shards in &[1usize, 2, 4, 8] {
         for &workers in &[1usize, 2, 4, 7] {
-            let (report, timeline) = run(shards, workers, SteppingMode::Barrier);
+            let report = run(shards, workers, SteppingMode::Barrier);
             assert_eq!(report, reference, "shards={shards} workers={workers}");
-            assert_eq!(
-                timeline, reference_timeline,
-                "timeline shards={shards} workers={workers}"
-            );
         }
         // Pipelined stepping composes with sharding too.
-        let (report, timeline) = run(shards, 4, SteppingMode::Pipelined { run_ahead: 4 });
+        let report = run(shards, 4, SteppingMode::Pipelined { run_ahead: 4 });
         assert_eq!(report, reference, "pipelined shards={shards}");
-        assert_eq!(timeline, reference_timeline, "pipelined timeline");
     }
 }
 

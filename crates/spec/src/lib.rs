@@ -12,10 +12,10 @@
 //! messages and transitions.
 
 use fss_gossip::{
-    DeliveredSegment, FifoBuffer, GossipConfig, MemUsage, PeerNode, PlaybackState, QoeRecorder,
-    RatioSample, SchedulingContext, SegmentId, SegmentRequest, SegmentScheduler, Session,
-    SessionDirectory, SessionView, StreamingSystem, SupplierInfo, SwitchRecord, SwitchStats,
-    SystemReport, TrafficCounters,
+    DeliveredSegment, FifoBuffer, GossipConfig, MemUsage, PlaybackState, QoeRecorder, RatioSample,
+    SchedulingContext, SegmentId, SegmentRequest, SegmentScheduler, Session, SessionDirectory,
+    SessionView, StreamingSystem, SupplierInfo, SwitchRecord, SwitchStats, SystemReport,
+    TrafficCounters, PEER_INLINE_BYTES,
 };
 use fss_overlay::{Overlay, PeerId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -232,7 +232,7 @@ impl Spec {
         };
         for &p in &self.active {
             let breakdown = self.peers[p as usize].buffer.mem_breakdown();
-            mem.add_peer(std::mem::size_of::<PeerNode>(), breakdown);
+            mem.add_peer(PEER_INLINE_BYTES, breakdown);
         }
         SystemReport {
             scheduler: self.scheduler.name(),

@@ -41,14 +41,14 @@ const STORM_SIZE: usize = 120;
 const ADMITS_PER_PERIOD: usize = 16;
 
 fn run(pool: &Arc<WorkerPool>, mode: SteppingMode) -> (RuntimeReport, std::time::Duration) {
-    run_with(pool, mode, AdmissionControl::unlimited()).0
+    run_with(pool, mode, AdmissionControl::unlimited())
 }
 
 fn run_with(
     pool: &Arc<WorkerPool>,
     mode: SteppingMode,
     admission: AdmissionControl,
-) -> ((RuntimeReport, std::time::Duration), Vec<(u64, usize)>) {
+) -> (RuntimeReport, std::time::Duration) {
     let config = SessionConfig {
         admission,
         ..SessionConfig::paper_default(CHANNELS, VIEWERS_PER_CHANNEL)
@@ -73,7 +73,7 @@ fn run_with(
     manager.warmup(WARMUP);
     manager.run_periods(MEASURE);
     let elapsed = start.elapsed();
-    ((manager.report(), elapsed), manager.queue_depth_timeline())
+    (manager.report(), elapsed)
 }
 
 fn main() {
@@ -134,7 +134,7 @@ fn main() {
         "re-running with admission control: each channel admits at most \
          {ADMITS_PER_PERIOD} zap arrivals per period boundary"
     );
-    let ((limited, _), timeline) = run_with(
+    let (limited, _) = run_with(
         &pool,
         SteppingMode::pipelined(),
         AdmissionControl::rate_limited(ADMITS_PER_PERIOD),
@@ -158,18 +158,24 @@ fn main() {
 
     // Queue-depth timeline around the storm boundary (zero elsewhere).
     println!();
-    println!("queue-depth timeline (period: total queued, # = 4 viewers):");
-    let storm_at = (WARMUP + MEASURE / 2) as usize;
-    for &(period, depth) in timeline
-        .iter()
-        .skip(storm_at.saturating_sub(2))
-        .take_while(|&&(p, d)| (p as usize) < storm_at + 2 || d > 0)
+    println!(
+        "queue-depth timeline (bounded: {} periods per window; peak total \
+         queued, # = 4 viewers):",
+        limited.queue_depth.stride()
+    );
+    let storm_at = WARMUP + MEASURE / 2;
+    for w in limited
+        .queue_depth
+        .windows()
+        .skip_while(|w| w.start_period + w.periods + 2 <= storm_at)
+        .take_while(|w| w.start_period < storm_at + 2 || w.peak > 0)
     {
         println!(
-            "  {:>5}: {:>3}  {}",
-            period,
-            depth,
-            "#".repeat(depth.div_ceil(4))
+            "  {:>4}..{:<4}  {:>3}  {}",
+            w.start_period,
+            w.start_period + w.periods,
+            w.peak,
+            "#".repeat((w.peak as usize).div_ceil(4))
         );
     }
 

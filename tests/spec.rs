@@ -8,7 +8,6 @@
 //! (`cargo test --release --test spec -- --ignored`).
 
 use fast_source_switching::core::{FastSwitchScheduler, NormalSwitchScheduler};
-use fast_source_switching::gossip::directory::sort_by_id;
 use fast_source_switching::gossip::{
     GossipConfig, SchedulingContext, SegmentRequest, SegmentScheduler, StreamingSystem,
 };
@@ -35,7 +34,7 @@ impl SegmentScheduler for GreedyOldest {
 
     fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest> {
         let mut candidates = ctx.candidates.clone();
-        sort_by_id(&mut candidates, |c| c.id);
+        candidates.sort_unstable_by_key(|c| c.id);
         let mut load: HashMap<PeerId, usize> = HashMap::new();
         let mut requests = Vec::new();
         for c in candidates {
@@ -361,7 +360,9 @@ fn run_differential(scenario: Scenario) {
 }
 
 /// An external zap batch: `leaving` viewers (never a source) depart and
-/// `arriving` viewers attach to up to four current members.
+/// `arriving` viewers attach to up to four current members.  Every arrival
+/// after the first swaps its last host for the first arrival, so the batch
+/// exercises within-batch neighbouring.
 fn zap(
     sys: &mut StreamingSystem,
     sources: &[PeerId],
@@ -379,8 +380,20 @@ fn zap(
     sys.depart_batch(&leavers).unwrap();
     let hosts: Vec<PeerId> = sys.overlay().active_peers().take(4).collect();
     let attrs = *sys.overlay().attrs(hosts[0]).unwrap();
-    let arrivals = vec![(attrs, hosts); arriving];
-    sys.admit_batch(&arrivals).unwrap();
+    let first = sys.overlay().graph().capacity() as PeerId;
+    let mut neighbours = Vec::new();
+    for i in 0..arriving {
+        neighbours.extend_from_slice(&hosts);
+        if i > 0 {
+            *neighbours.last_mut().unwrap() = first;
+        }
+    }
+    let mut ids = Vec::new();
+    sys.admit_batch(&vec![attrs; arriving], &neighbours, hosts.len(), &mut ids)
+        .unwrap();
+    if arriving > 1 {
+        assert!(sys.overlay().neighbors(ids[1]).contains(&ids[0]));
+    }
 }
 
 proptest::proptest! {
