@@ -12,29 +12,46 @@
 //!
 //! The scheduling sweep probes buffers millions of times per simulated
 //! second, so membership and positions must be O(1) and steady-state
-//! operation must neither allocate nor rebuild anything per period:
+//! operation must neither allocate nor rebuild anything per period.  The
+//! struct is exactly two cache lines (128 B, 64-byte aligned):
 //!
-//! * `arrivals` is a ring of at most `capacity` entries (allocated once),
-//!   each a **`u32` offset from the window base** rather than a full 8-byte
-//!   `SegmentId` — offsets are bounded by [`MAX_SPAN_IDS`], and the rare
-//!   events that move the base (window compaction, out-of-order rebases)
-//!   re-anchor the ring in the same O(span) pass;
-//! * availability lives in a **windowed bitmap** (`base` + `words`),
-//!   maintained incrementally on insert/evict.  The window slides with the
-//!   stream: when the head outgrows the words, dead all-zero leading words
-//!   are compacted away in place, so steady-state inserts never allocate.
-//!   This bitmap doubles as each peer's advertised buffer map — neighbours
-//!   intersect its words directly instead of probing ids one by one;
-//! * `seqs` stores, for every covered id, its **arrival sequence number**
-//!   as a `u16` relative to the current *epoch*.  Because eviction always
-//!   removes the oldest arrival, the live sequence numbers form a
-//!   contiguous range of at most `len() ≤ capacity < 2¹⁶` values, so
-//!   `position_from_tail` is a single subtraction: `next_seq − seq` — exact
-//!   by construction, with no modular arithmetic to reason about (see
-//!   *Epoch wrapping* below);
-//! * the maximum held id is cached; it only needs recomputing when the
-//!   evicted segment *is* the maximum (an out-of-order tail, rare in
-//!   practice), which costs one reverse word scan and still no allocation.
+//! * the **core line** holds every field a reader or an insert needs:
+//!   * the arrival ring: `capacity` slots allocated once, with a `u16` head
+//!     and length, each slot a **`u32` offset from the window base** rather
+//!     than a full 8-byte `SegmentId` — offsets are bounded by
+//!     [`MAX_SPAN_IDS`], and the rare events that move the base (window
+//!     compaction, out-of-order rebases) re-anchor the ring in the same
+//!     O(span) pass;
+//!   * the **windowed bitmap** (`base` + availability words), maintained
+//!     incrementally on insert/evict.  The window slides with the stream:
+//!     when the head outgrows the words, dead all-zero leading words are
+//!     compacted away in place, so steady-state inserts never allocate;
+//!   * for every covered id, its **arrival sequence number** as a `u16`
+//!     relative to the current *epoch*.  Because eviction always removes
+//!     the oldest arrival, the live sequence numbers form a contiguous range
+//!     of at most `len() ≤ capacity < 2¹⁶` values, so `position_from_tail`
+//!     is a single subtraction: `next_seq − seq` — exact by construction,
+//!     with no modular arithmetic to reason about (see *Epoch wrapping*
+//!     below).  Words and sequence numbers share one heap block: the
+//!     reserved words, then 64 sequence numbers per reserved word, packed
+//!     four to a `u64`; a `u32` counts the words in use;
+//!   * the greatest held id, which only needs recomputing when the evicted
+//!     segment *is* the maximum (an out-of-order tail, rare in practice): one
+//!     reverse word scan, still no allocation.
+//! * the **advert line** is the buffer's published head, the part of the
+//!   buffer map its neighbours actually read: the availability words of the
+//!   word holding the maximum and the word below it, and the sequence
+//!   numbers of the held ids in `(max − 24, max]`.  Both are rings keyed by
+//!   id (slot `(aligned >> 6) & 1` and slot `id % 24`), so insert and evict
+//!   keep them exact in O(1): a rising maximum zeroes at most two word slots
+//!   and never shifts anything.  Recomputing the maximum and renormalising
+//!   the epoch — both rare — refresh the whole line from the heap.
+//!
+//! Neighbours read availability through `advert_word` (ids above the
+//! maximum read 0 without touching the heap) and positions through
+//! `advert_position`; both fall back to the heap window outside the head.  In steady streaming every scheduling probe lands within 16 ids of
+//! the supplier's maximum, so a neighbour's buffer map costs the two lines
+//! of its struct.
 //!
 //! # Epoch wrapping
 //!
@@ -68,10 +85,9 @@
 //! [`mem_breakdown`](FifoBuffer::mem_breakdown) reports the reserved bytes
 //! per component; see `docs/performance.md` for the per-peer budget.
 
-use crate::mem::{vec_bytes, BufferMemBreakdown, MemoryFootprint};
+use crate::mem::{BufferMemBreakdown, MemoryFootprint};
 use crate::prefetch::prefetch_read;
 use crate::segment::SegmentId;
-use std::collections::VecDeque;
 
 /// Extra zero words appended on growth so the compaction/extension cycle
 /// amortises instead of running every few inserts.
@@ -89,45 +105,73 @@ pub const MAX_SPAN_IDS: u64 = 1 << 22;
 /// One past the largest sequence number an epoch can hold.
 const EPOCH_LIMIT: u32 = 1 << 16;
 
+/// `u64`s holding one availability word's 64 `u16` sequence numbers, four
+/// to a `u64`.
+const SEQ_WORDS: usize = 64 / 4;
+
+/// `u64`s of the window block per reserved availability word: the word
+/// itself plus its sequence numbers.
+const BLOCK_STRIDE: usize = 1 + SEQ_WORDS;
+
+/// How many of the newest ids, `(max − ADVERT_IDS, max]`, the advert holds
+/// sequence numbers for.
+const ADVERT_IDS: u64 = 24;
+
+/// The advert's word slot of the aligned word `aligned`.
+#[inline]
+fn word_slot(aligned: u64) -> usize {
+    (aligned >> 6) as usize & 1
+}
+
+/// The advert's sequence slot of `id`.
+#[inline]
+fn seq_slot(id: u64) -> usize {
+    (id % ADVERT_IDS) as usize
+}
+
+/// The advert line: the buffer's head, kept exact on every insert and
+/// evict (see the module docs).
+#[derive(Debug, Default, Clone)]
+struct Advert {
+    /// Availability words of the word holding `max` and the word below it,
+    /// slot `(aligned >> 6) & 1`.
+    words: [u64; 2],
+    /// Sequence numbers of the held ids in `(max − ADVERT_IDS, max]`, slot
+    /// `id % ADVERT_IDS` (meaningful only where the id is held).
+    seqs: [u16; ADVERT_IDS as usize],
+}
+
 /// FIFO buffer of segment ids with O(1) membership and position queries and
 /// word-level availability access.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
+#[repr(C, align(64))]
 pub struct FifoBuffer {
-    capacity: usize,
-    /// Arrival order, oldest at the front, as offsets from `base`.
-    arrivals: VecDeque<u32>,
+    /// Arrival ring, `capacity` slots: offsets from `base`, oldest at
+    /// `head`.
+    ring: Box<[u32]>,
+    /// The window block: `cap` availability words over
+    /// `[base, base + 64·cap)`, then `64·cap` epoch-relative arrival sequence
+    /// numbers packed four to a `u64` (valid only where the availability bit
+    /// is set).  `cap = window.len() / BLOCK_STRIDE`.
+    window: Box<[u64]>,
     /// First id covered by the bitmap; always a multiple of 64.
     base: u64,
-    /// Availability bits over `[base, base + 64·words.len())`.
-    words: Vec<u64>,
-    /// Epoch-relative arrival sequence number per covered id (valid only
-    /// where the availability bit is set).
-    seqs: Vec<u16>,
+    /// Greatest held id; 0 while empty, when the advert words are empty
+    /// too.
+    max: u64,
     /// Sequence number the next insert will receive; kept ≤ [`EPOCH_LIMIT`]
     /// by renormalisation.
     next_seq: u32,
     /// Number of epoch renormalisations performed so far.
-    epochs: u64,
-    /// Cached greatest held id.
-    max: Option<SegmentId>,
-}
-
-impl Clone for FifoBuffer {
-    /// A faithful copy, reserved capacity included: the memory meter
-    /// ([`mem_breakdown`](Self::mem_breakdown)) reads the same on the copy,
-    /// and both grow alike from here on.
-    fn clone(&self) -> Self {
-        let mut copy = FifoBuffer {
-            arrivals: VecDeque::with_capacity(self.arrivals.capacity()),
-            words: Vec::with_capacity(self.words.capacity()),
-            seqs: Vec::with_capacity(self.seqs.capacity()),
-            ..*self
-        };
-        copy.arrivals.extend(&self.arrivals);
-        copy.words.extend_from_slice(&self.words);
-        copy.seqs.extend_from_slice(&self.seqs);
-        copy
-    }
+    epochs: u32,
+    /// Availability words in use (a prefix of the reserved ones).
+    words: u32,
+    /// Ring slot of the oldest arrival.
+    head: u16,
+    /// Segments held.
+    len: u16,
+    /// The second cache line.
+    advert: Advert,
 }
 
 impl PartialEq for FifoBuffer {
@@ -137,8 +181,8 @@ impl PartialEq for FifoBuffer {
         // window placement and the epoch anchoring are implementation
         // details (the ring stores base-relative offsets, so raw entries
         // are not comparable across different window histories).
-        self.capacity == other.capacity
-            && self.arrivals.len() == other.arrivals.len()
+        self.capacity() == other.capacity()
+            && self.len == other.len
             && self.arrivals().eq(other.arrivals())
     }
 }
@@ -156,30 +200,27 @@ impl FifoBuffer {
             "buffer capacity {capacity} must fit one u16 sequence epoch (< {EPOCH_LIMIT})"
         );
         FifoBuffer {
-            capacity,
-            arrivals: VecDeque::with_capacity(capacity),
-            base: 0,
-            words: Vec::new(),
-            seqs: Vec::new(),
-            next_seq: 0,
-            epochs: 0,
-            max: None,
+            ring: vec![0; capacity].into_boxed_slice(),
+            ..FifoBuffer::default()
         }
     }
 
     /// Maximum number of segments the buffer can hold.
+    #[inline]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.len()
     }
 
     /// Number of segments currently held.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.arrivals.len()
+        usize::from(self.len)
     }
 
     /// True when the buffer holds no segments.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
+        self.len == 0
     }
 
     /// Number of sequence-epoch renormalisations performed so far.
@@ -187,7 +228,43 @@ impl FifoBuffer {
     /// Grows by one per 2¹⁶ arrivals in steady state; useful to assert that
     /// a test actually crossed an epoch boundary.
     pub fn epochs(&self) -> u64 {
-        self.epochs
+        u64::from(self.epochs)
+    }
+
+    /// Reserved availability words (the window block's `cap`).
+    #[inline]
+    fn reserved_words(&self) -> usize {
+        self.window.len() / BLOCK_STRIDE
+    }
+
+    /// The availability words in use.
+    #[inline]
+    fn words(&self) -> &[u64] {
+        &self.window[..self.words as usize]
+    }
+
+    /// The sequence number stored for window offset `offset`.
+    #[inline]
+    fn seq(&self, offset: usize) -> u16 {
+        let packed = self.window[self.reserved_words() + offset / 4];
+        (packed >> (offset % 4 * 16)) as u16
+    }
+
+    fn set_seq(&mut self, offset: usize, seq: u16) {
+        let shift = offset % 4 * 16;
+        let packed = &mut self.window[self.reserved_words() + offset / 4];
+        *packed = (*packed & !(0xffff << shift)) | (u64::from(seq) << shift);
+    }
+
+    /// Ring slot `i` places after the head.
+    #[inline]
+    fn ring_slot(&self, i: usize) -> usize {
+        let slot = usize::from(self.head) + i;
+        if slot >= self.ring.len() {
+            slot - self.ring.len()
+        } else {
+            slot
+        }
     }
 
     fn offset_of(&self, id: u64) -> Option<usize> {
@@ -195,158 +272,236 @@ impl FifoBuffer {
             return None;
         }
         let offset = (id - self.base) as usize;
-        if offset < self.words.len() * 64 {
+        if offset < self.words().len() * 64 {
             Some(offset)
         } else {
             None
         }
     }
 
-    /// True when `segment` is currently held.
+    /// True when `segment` is currently held (read from the advert inside
+    /// the head, see `advert_word`).
+    #[inline]
     pub fn contains(&self, segment: SegmentId) -> bool {
-        match self.offset_of(segment.value()) {
-            Some(offset) => (self.words[offset / 64] >> (offset % 64)) & 1 == 1,
-            None => false,
-        }
+        let id = segment.value();
+        (self.advert_word(id & !63) >> (id % 64)) & 1 == 1
     }
 
     /// The 64 availability bits covering `[aligned, aligned + 63]`
-    /// (`aligned` must be a multiple of 64; ids outside the window read 0).
+    /// (`aligned` must be a multiple of 64; ids outside the window read 0),
+    /// read from the heap window.
     ///
-    /// This is the peer's advertised buffer map, maintained incrementally:
-    /// neighbours intersect these words with their own "needed" windows to
-    /// enumerate candidate segments without per-id probing.
+    /// This is the peer's buffer map, maintained incrementally: neighbours
+    /// intersect these words with their own "needed" windows to enumerate
+    /// candidate segments without per-id probing.  Hot readers go through
+    /// `advert_word`, which answers the head from the struct itself.
     #[inline]
     pub fn availability_word(&self, aligned: u64) -> u64 {
         debug_assert_eq!(aligned % 64, 0);
         if aligned < self.base {
             return 0;
         }
-        self.words
+        self.words()
             .get(((aligned - self.base) / 64) as usize)
             .copied()
             .unwrap_or(0)
     }
 
+    /// [`availability_word`](Self::availability_word) read from the advert
+    /// line: words above the maximum are 0 and the word holding the maximum
+    /// and the word below it are copies kept in the struct, so only older
+    /// words fall back to the heap window.
+    #[inline]
+    pub(crate) fn advert_word(&self, aligned: u64) -> u64 {
+        debug_assert_eq!(aligned % 64, 0);
+        let top = self.max & !63;
+        if aligned > top {
+            return 0;
+        }
+        if top - aligned <= 64 {
+            return self.advert.words[word_slot(aligned)];
+        }
+        self.availability_word(aligned)
+    }
+
     /// Drops dead (all-zero) leading words, sliding the window base up and
     /// re-anchoring the ring offsets.
     fn compact_leading_zeros(&mut self) {
-        let zeros = self.words.iter().take_while(|&&w| w == 0).count();
-        if zeros == 0 || zeros == self.words.len() {
+        let zeros = self.words().iter().take_while(|&&w| w == 0).count();
+        let len = self.words().len();
+        if zeros == 0 || zeros == len {
             return;
         }
-        let len = self.words.len();
-        self.words.copy_within(zeros..len, 0);
-        self.words.truncate(len - zeros);
-        self.seqs.copy_within(zeros * 64..len * 64, 0);
-        self.seqs.truncate((len - zeros) * 64);
+        let seqs = self.reserved_words();
+        self.window.copy_within(zeros..len, 0);
+        self.window
+            .copy_within(seqs + zeros * SEQ_WORDS..seqs + len * SEQ_WORDS, seqs);
+        self.words = crate::cast::narrow(len - zeros, "window words within MAX_SPAN_IDS");
         self.base += (zeros as u64) * 64;
-        // Every held id sits at or above the new base, so every ring offset
-        // is at least `zeros·64`.
+        // Every held id sits at or above the new base, so every live ring
+        // offset is at least `zeros·64`; the whole ring is shifted, free
+        // slots included, because their contents are never read.
         let delta: u32 = crate::cast::narrow(zeros * 64, "compacted span within MAX_SPAN_IDS");
-        for offset in self.arrivals.iter_mut() {
-            *offset -= delta;
+        for offset in self.ring.iter_mut() {
+            *offset = offset.wrapping_sub(delta);
         }
     }
 
-    /// Grows a vector to `new_len` zeroes without amortised over-allocation:
-    /// window growth is rare and self-limiting (compaction reclaims dead
-    /// words), so exact reservations keep the steady-state footprint at the
-    /// true high-water mark instead of up to 2× of it.
-    fn grow_exact<T: Copy + Default>(v: &mut Vec<T>, new_len: usize) {
-        if new_len > v.capacity() {
-            v.reserve_exact(new_len - v.len());
+    /// Grows the window to `new_len` words, the new words and their
+    /// sequence numbers zeroed, and the reserved words to exactly `new_len`
+    /// when they do not suffice: window growth is rare and self-limiting
+    /// (compaction reclaims dead words), so exact reservations keep the
+    /// steady-state footprint at the true high-water mark instead of up to
+    /// 2× of it.
+    fn grow_window(&mut self, new_len: usize) {
+        let old_len = self.words().len();
+        debug_assert!(new_len > old_len);
+        let reserved = self.reserved_words();
+        if new_len > reserved {
+            let mut block = vec![0; new_len * BLOCK_STRIDE].into_boxed_slice();
+            block[..old_len].copy_from_slice(&self.window[..old_len]);
+            block[new_len..new_len + old_len * SEQ_WORDS]
+                .copy_from_slice(&self.window[reserved..reserved + old_len * SEQ_WORDS]);
+            self.window = block;
+        } else {
+            self.window[old_len..new_len].fill(0);
+            self.window[reserved + old_len * SEQ_WORDS..reserved + new_len * SEQ_WORDS].fill(0);
         }
-        v.resize(new_len, T::default());
+        self.words = crate::cast::narrow(new_len, "window words within MAX_SPAN_IDS");
     }
 
-    /// Grows/slides the window so `id` is covered.
+    /// Grows/slides the window so `id` is covered (out of line: inserts
+    /// call it only for an id outside the window).
     ///
     /// # Panics
     /// Panics when covering `id` would stretch the window beyond
     /// [`MAX_SPAN_IDS`].
+    #[inline(never)]
     fn ensure_covered(&mut self, id: u64) {
-        if self.words.is_empty() {
+        if self.words == 0 {
             self.base = id & !63;
-            Self::grow_exact(&mut self.words, 1 + GROWTH_SLACK_WORDS);
-            Self::grow_exact(&mut self.seqs, (1 + GROWTH_SLACK_WORDS) * 64);
+            self.grow_window(1 + GROWTH_SLACK_WORDS);
             return;
         }
+        let old_len = self.words().len();
         if id < self.base {
             // Out-of-order arrival below the window: prepend words.
             assert!(
-                self.base + self.words.len() as u64 * 64 - (id & !63) <= MAX_SPAN_IDS,
+                self.base + old_len as u64 * 64 - (id & !63) <= MAX_SPAN_IDS,
                 "FifoBuffer id span would exceed {MAX_SPAN_IDS} ids (inserting {id} below window base {}); \
                  this buffer is designed for stream-local segment ids",
                 self.base
             );
             let new_base = id & !63;
             let shift = ((self.base - new_base) / 64) as usize;
-            let old_len = self.words.len();
-            Self::grow_exact(&mut self.words, old_len + shift);
-            self.words.copy_within(0..old_len, shift);
-            self.words[..shift].fill(0);
-            Self::grow_exact(&mut self.seqs, (old_len + shift) * 64);
-            self.seqs.copy_within(0..old_len * 64, shift * 64);
-            self.seqs[..shift * 64].fill(0);
+            self.grow_window(old_len + shift);
+            let seqs = self.reserved_words();
+            self.window.copy_within(0..old_len, shift);
+            self.window[..shift].fill(0);
+            self.window
+                .copy_within(seqs..seqs + old_len * SEQ_WORDS, seqs + shift * SEQ_WORDS);
+            self.window[seqs..seqs + shift * SEQ_WORDS].fill(0);
             self.base = new_base;
             // Held ids kept their absolute positions, so their offsets from
             // the lowered base all grew by the prepended span.
             let delta: u32 = crate::cast::narrow(shift * 64, "prepended span within MAX_SPAN_IDS");
-            for offset in self.arrivals.iter_mut() {
-                *offset += delta;
+            for offset in self.ring.iter_mut() {
+                *offset = offset.wrapping_add(delta);
             }
             return;
         }
         let needed = ((id - self.base) / 64) as usize + 1;
-        if needed <= self.words.len() {
+        if needed <= old_len {
             return;
         }
         // Reclaim dead leading words before growing; in steady state the
         // window slides with the stream and this avoids any allocation.
         self.compact_leading_zeros();
         let needed = ((id - self.base) / 64) as usize + 1;
-        if needed > self.words.len() {
+        if needed > self.words().len() {
             assert!(
                 (needed as u64) * 64 <= MAX_SPAN_IDS,
                 "FifoBuffer id span would exceed {MAX_SPAN_IDS} ids (inserting {id} with window base {}); \
                  this buffer is designed for stream-local segment ids",
                 self.base
             );
-            Self::grow_exact(&mut self.words, needed + GROWTH_SLACK_WORDS);
-            Self::grow_exact(&mut self.seqs, (needed + GROWTH_SLACK_WORDS) * 64);
+            self.grow_window(needed + GROWTH_SLACK_WORDS);
         }
     }
 
+    /// Rescans the window for the greatest held id and rebuilds the advert
+    /// around it.
+    #[cold]
     fn recompute_max(&mut self) {
-        self.max = None;
-        for (i, &word) in self.words.iter().enumerate().rev() {
-            if word != 0 {
-                let top = 63 - word.leading_zeros() as u64;
-                self.max = Some(SegmentId(self.base + (i as u64) * 64 + top));
-                return;
+        let base = self.base;
+        let top = self
+            .words()
+            .iter()
+            .enumerate()
+            .rev()
+            .find(|&(_, &w)| w != 0);
+        if let Some((i, &word)) = top {
+            self.max = base + (i as u64) * 64 + 63 - u64::from(word.leading_zeros());
+        }
+        self.refresh_advert();
+    }
+
+    /// Rebuilds the whole advert line from the heap window (the rare
+    /// full refresh: a recomputed maximum or a renormalised epoch).
+    #[cold]
+    fn refresh_advert(&mut self) {
+        if self.len == 0 {
+            return;
+        }
+        let top = self.max & !63;
+        let slot = word_slot(top);
+        self.advert.words[slot] = self.availability_word(top);
+        self.advert.words[slot ^ 1] = top
+            .checked_sub(64)
+            .map_or(0, |below| self.availability_word(below));
+        for id in self.max.saturating_sub(ADVERT_IDS - 1)..=self.max {
+            if let Some(offset) = self.offset_of(id) {
+                if (self.words()[offset / 64] >> (offset % 64)) & 1 == 1 {
+                    self.advert.seqs[seq_slot(id)] = self.seq(offset);
+                }
             }
         }
     }
 
     // fss-lint: hot-path
     /// Removes and returns the oldest arrival (the FIFO victim).
+    #[inline(always)]
     fn evict_oldest(&mut self) -> SegmentId {
-        let offset = self.arrivals.pop_front().expect("non-empty when evicting") as usize;
-        let old = SegmentId(self.base + offset as u64);
-        self.words[offset / 64] &= !(1 << (offset % 64));
-        if self.max == Some(old) {
+        let offset = (self.len > 0)
+            .then(|| self.ring[usize::from(self.head)])
+            .expect("non-empty when evicting") as usize;
+        self.head = self.ring_slot(1) as u16;
+        self.len -= 1;
+        let id = self.base + offset as u64;
+        let bit = 1u64 << (offset % 64);
+        self.window[offset / 64] &= !bit;
+        if self.len == 0 {
+            self.max = 0;
+            self.advert.words = [0; 2];
+        } else if id == self.max {
             self.recompute_max();
+        } else {
+            let (top, aligned) = (self.max & !63, id & !63);
+            if top - aligned <= 64 {
+                self.advert.words[word_slot(aligned)] &= !bit;
+            }
         }
-        old
+        SegmentId(id)
     }
+    // fss-lint: end
 
     /// Re-anchors all live sequence numbers to a fresh epoch: subtracts the
     /// oldest live sequence number from every live entry so the range
     /// becomes `[0, len)` and the counter restarts at `len`.  One pass over
     /// the set bits, no allocation.
+    #[cold]
     fn renormalise_epoch(&mut self) {
-        let live: u32 = crate::cast::narrow(self.arrivals.len(), "live count below EPOCH_LIMIT");
+        let live = u32::from(self.len);
         let delta = self.next_seq - live;
         if delta == 0 {
             return;
@@ -356,17 +511,18 @@ impl FifoBuffer {
             // u16 subtraction below can never underflow; with live > 0 the
             // delta itself is at most EPOCH_LIMIT − 1 and fits a u16.
             let delta: u16 = crate::cast::narrow(delta, "epoch delta bounded by live range");
-            for (i, &word) in self.words.iter().enumerate() {
-                let mut bits = word;
+            for i in 0..self.words().len() {
+                let mut bits = self.window[i];
                 while bits != 0 {
                     let offset = i * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    self.seqs[offset] -= delta;
+                    self.set_seq(offset, self.seq(offset) - delta);
                 }
             }
         }
         self.next_seq = live;
         self.epochs += 1;
+        self.refresh_advert();
     }
 
     /// Inserts a segment.  Returns the evicted segment if the buffer was full,
@@ -375,23 +531,50 @@ impl FifoBuffer {
         if self.contains(segment) {
             return None;
         }
-        let evicted = if self.arrivals.len() == self.capacity {
+        let evicted = if self.len() == self.capacity() {
             Some(self.evict_oldest())
         } else {
             None
         };
-        self.ensure_covered(segment.value());
+        let id = segment.value();
+        if self.offset_of(id).is_none() {
+            self.ensure_covered(id);
+        }
         if self.next_seq == EPOCH_LIMIT {
             self.renormalise_epoch();
         }
         debug_assert!(self.next_seq < EPOCH_LIMIT);
-        let offset = (segment.value() - self.base) as usize;
-        self.words[offset / 64] |= 1 << (offset % 64);
-        self.seqs[offset] = self.next_seq as u16;
+        let offset = (id - self.base) as usize;
+        let bit = 1u64 << (offset % 64);
+        self.window[offset / 64] |= bit;
+        let seq = self.next_seq as u16;
+        self.set_seq(offset, seq);
         self.next_seq += 1;
-        self.arrivals.push_back(offset as u32);
-        if self.max.is_none_or(|m| segment > m) {
-            self.max = Some(segment);
+        let tail = self.ring_slot(self.len());
+        self.ring[tail] = offset as u32;
+
+        // The advert: a rising maximum first clears the word slots it
+        // moves onto (nothing below the old maximum's line changes, and the
+        // sequence slots of ids above the old maximum are not held yet).
+        // An empty buffer has `max == 0` and empty advert words, so its
+        // first insert needs no case of its own.
+        if id > self.max {
+            let (old_top, new_top) = (self.max & !63, id & !63);
+            if new_top != old_top {
+                self.advert.words[word_slot(new_top)] = 0;
+                if new_top - old_top > 64 {
+                    self.advert.words[word_slot(new_top - 64)] = 0;
+                }
+            }
+            self.max = id;
+        }
+        self.len += 1;
+        let (top, aligned) = (self.max & !63, id & !63);
+        if top - aligned <= 64 {
+            self.advert.words[word_slot(aligned)] |= bit;
+        }
+        if self.max - id < ADVERT_IDS {
+            self.advert.seqs[seq_slot(id)] = seq;
         }
         evicted
     }
@@ -404,7 +587,7 @@ impl FifoBuffer {
     /// for memory-pressure trimming and for exercising the window
     /// shrink-then-regrow paths.
     pub fn shrink_front(&mut self, n: usize) -> usize {
-        let count = n.min(self.arrivals.len());
+        let count = n.min(self.len());
         for _ in 0..count {
             self.evict_oldest();
         }
@@ -419,71 +602,58 @@ impl FifoBuffer {
     /// that the segment will soon be replaced in this buffer.
     pub fn position_from_tail(&self, segment: SegmentId) -> Option<usize> {
         let offset = self.offset_of(segment.value())?;
-        if (self.words[offset / 64] >> (offset % 64)) & 1 == 0 {
+        if (self.words()[offset / 64] >> (offset % 64)) & 1 == 0 {
             return None;
         }
         // Exact: live seqs lie in [next_seq − len, next_seq), so the
         // difference is within [1, len] — no wrapping involved.
-        Some((self.next_seq - u32::from(self.seqs[offset])) as usize)
+        Some((self.next_seq - u32::from(self.seq(offset))) as usize)
     }
 
     /// [`position_from_tail`](Self::position_from_tail) of a segment the
     /// caller has already seen held — its bit is set in an
     /// [`availability_word`](Self::availability_word) of this buffer — so
     /// the membership test is skipped (checked in debug builds only).
+    /// Reads the heap window.
     #[inline]
     pub(crate) fn held_position(&self, segment: SegmentId) -> u32 {
         debug_assert!(self.contains(segment), "{segment} is not held");
         let offset = (segment.value() - self.base) as usize;
-        self.next_seq - u32::from(self.seqs[offset])
+        self.next_seq - u32::from(self.seq(offset))
     }
 
-    /// Prefetches the window head: the availability word(s) and the
-    /// sequence-array lines of the newest 64 ids (`max_id − 63 ..= max_id`),
-    /// where the scheduling pass's candidate probes land.  Reads only the
-    /// struct itself; an empty buffer prefetches nothing.
+    /// [`held_position`](Self::held_position) read from the advert line
+    /// for the newest 24 ids, from the heap window for older ones.
     #[inline]
-    pub(crate) fn prefetch_head(&self) {
-        let Some(max) = self.max else { return };
-        let newest = max.value() - self.base;
-        let oldest = newest.saturating_sub(63);
-        for offset in [oldest, newest] {
-            if let Some(word) = self.words.get((offset / 64) as usize) {
-                prefetch_read(word);
-            }
-        }
-        // 64 `u16` entries are 128 bytes: up to three lines.
-        for offset in [oldest, oldest + 32, newest] {
-            if let Some(seq) = self.seqs.get(offset as usize) {
-                prefetch_read(seq);
-            }
+    pub(crate) fn advert_position(&self, segment: SegmentId) -> u32 {
+        debug_assert!(self.contains(segment), "{segment} is not held");
+        let id = segment.value();
+        if self.max - id < ADVERT_IDS {
+            self.next_seq - u32::from(self.advert.seqs[seq_slot(id)])
+        } else {
+            self.held_position(segment)
         }
     }
 
+    // fss-lint: hot-path
     /// Prefetches the lines an [`insert`](Self::insert) of `segment` will
     /// touch: the segment's availability word and sequence entry, the
-    /// window's first word, and the ring's front slot (evicted when full)
-    /// and back slot (next to the append).  Reads only the struct itself;
-    /// ids outside the window prefetch only the window's first word and
-    /// the ring ends.
+    /// window's first word, and the ring's head slot (evicted when full)
+    /// and tail slot (written by the append).  Reads only the struct
+    /// itself; ids outside the window prefetch only the window's first word
+    /// and the ring slots.
     #[inline]
     pub(crate) fn prefetch_insert(&self, segment: SegmentId) {
         if let Some(offset) = self.offset_of(segment.value()) {
-            if let Some(word) = self.words.get(offset / 64) {
-                prefetch_read(word);
-            }
-            if let Some(seq) = self.seqs.get(offset) {
-                prefetch_read(seq);
-            }
+            prefetch_read(&self.window[offset / 64]);
+            prefetch_read(&self.window[self.reserved_words() + offset / 4]);
         }
-        if let Some(word) = self.words.first() {
+        if let Some(word) = self.window.first() {
             prefetch_read(word);
         }
-        if let Some(front) = self.arrivals.front() {
-            prefetch_read(front);
-        }
-        if let Some(back) = self.arrivals.back() {
-            prefetch_read(back);
+        if self.capacity() > 0 {
+            prefetch_read(&self.ring[usize::from(self.head)]);
+            prefetch_read(&self.ring[self.ring_slot(self.len())]);
         }
     }
     // fss-lint: end
@@ -501,7 +671,7 @@ impl FifoBuffer {
     /// walks the availability words).
     pub fn ids(&self) -> impl Iterator<Item = SegmentId> + '_ {
         let base = self.base;
-        self.words
+        self.words()
             .iter()
             .enumerate()
             .flat_map(move |(i, &word)| BitIter {
@@ -512,27 +682,25 @@ impl FifoBuffer {
 
     /// Iterator over held segments in arrival order (oldest first).
     pub fn arrivals(&self) -> impl Iterator<Item = SegmentId> + '_ {
-        let base = self.base;
-        self.arrivals
-            .iter()
-            .map(move |&offset| SegmentId(base + offset as u64))
+        (0..self.len()).map(move |i| SegmentId(self.base + u64::from(self.ring[self.ring_slot(i)])))
     }
 
     /// Number of held segments with ids in `[from, to]` (inclusive):
-    /// a popcount over the covered words.
+    /// a popcount over the covered words (advert reads, so a range inside
+    /// the head never touches the heap).
     pub fn count_in_range(&self, from: SegmentId, to: SegmentId) -> usize {
-        if to < from || self.words.is_empty() {
+        if to < from || self.len == 0 {
             return 0;
         }
         let lo = from.value().max(self.base);
-        let hi = to.value().min(self.base + self.words.len() as u64 * 64 - 1);
+        let hi = to.value().min(self.max);
         if hi < lo {
             return 0;
         }
         let mut count = 0usize;
         let mut word_base = lo & !63;
         while word_base <= hi {
-            let mut word = self.availability_word(word_base);
+            let mut word = self.advert_word(word_base);
             if word_base < lo {
                 word &= u64::MAX << (lo - word_base);
             }
@@ -571,11 +739,12 @@ impl FifoBuffer {
     ///
     /// Marked `#[inline]`: the fused scheduling gather calls this across
     /// crate boundaries for every neighbour of every active peer — the call
-    /// must collapse to a single field load so the chunk walk stays bound by
-    /// the prefetched column reads, not by call overhead.
+    /// must collapse to two loads from the struct's first line so the chunk
+    /// walk stays bound by the prefetched column reads, not by call
+    /// overhead.
     #[inline]
     pub fn max_id(&self) -> Option<SegmentId> {
-        self.max
+        (self.len > 0).then_some(SegmentId(self.max))
     }
 
     /// Reserved heap bytes per component (ring / window / sequence array).
@@ -584,10 +753,11 @@ impl FifoBuffer {
     /// active peer right after prefetching the buffer struct.
     #[inline]
     pub fn mem_breakdown(&self) -> BufferMemBreakdown {
+        let reserved = self.reserved_words();
         BufferMemBreakdown {
-            ring_bytes: self.arrivals.capacity() * std::mem::size_of::<u32>(),
-            window_bytes: vec_bytes(&self.words),
-            seq_bytes: vec_bytes(&self.seqs),
+            ring_bytes: self.capacity() * std::mem::size_of::<u32>(),
+            window_bytes: reserved * std::mem::size_of::<u64>(),
+            seq_bytes: reserved * 64 * std::mem::size_of::<u16>(),
         }
     }
 }
@@ -707,19 +877,57 @@ mod tests {
         let buffers = [FifoBuffer::default(), FifoBuffer::new(4), one, slid];
         for buffer in &buffers {
             let before = buffer.clone();
-            buffer.prefetch_head();
             // Below the base, inside, at the head, past the window.
             for id in [0, 1, 130, 450, 499, 500, 10_000, u64::MAX] {
                 buffer.prefetch_insert(SegmentId(id));
             }
             assert_eq!(*buffer, before);
+            assert_eq!(buffer.max_id(), before.max_id());
             for id in buffer.ids() {
                 assert_eq!(
                     Some(buffer.held_position(id) as usize),
                     buffer.position_from_tail(id)
                 );
+                assert_eq!(buffer.advert_position(id), buffer.held_position(id));
             }
         }
+    }
+
+    /// The struct is exactly two cache lines, the core line and the advert
+    /// line, and starts on a line boundary.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn layout_is_two_aligned_cache_lines() {
+        assert_eq!(std::mem::size_of::<FifoBuffer>(), 128);
+        assert_eq!(std::mem::align_of::<FifoBuffer>(), 64);
+        assert_eq!(std::mem::offset_of!(FifoBuffer, advert), 64);
+        assert_eq!(std::mem::size_of::<Advert>(), 64);
+    }
+
+    #[test]
+    fn advert_serves_the_head_and_falls_back_below_it() {
+        let mut b = FifoBuffer::new(600);
+        for i in 0..300u64 {
+            b.insert(SegmentId(i));
+        }
+        // The max (299) sits in word 256; words 256 and 192 are advertised,
+        // words above the max read 0 and older words come from the heap.
+        for aligned in (0..512u64).step_by(64) {
+            assert_eq!(b.advert_word(aligned), b.availability_word(aligned));
+        }
+        assert_eq!(b.advert.words[word_slot(256)], b.availability_word(256));
+        assert_eq!(b.advert.words[word_slot(192)], u64::MAX);
+        for id in [0u64, 200, 275, 276, 298, 299] {
+            assert_eq!(b.advert_position(SegmentId(id)), 300 - id as u32);
+        }
+        // A jump of more than two words leaves nothing of the old head in
+        // the advert.
+        b.insert(SegmentId(1_000));
+        assert_eq!(b.advert_word(960), 1 << (1_000 - 960));
+        assert_eq!(b.advert_word(896), 0);
+        assert_eq!(b.advert_word(256), b.availability_word(256));
+        assert_eq!(b.advert_position(SegmentId(1_000)), 1);
+        assert_eq!(b.advert_position(SegmentId(299)), 2);
     }
 
     #[test]
@@ -767,9 +975,9 @@ mod tests {
         assert!(!b.contains(SegmentId(99_935)));
         assert_eq!(b.max_id(), Some(SegmentId(99_999)));
         assert!(
-            b.words.len() <= 4 + 2 * GROWTH_SLACK_WORDS,
+            b.words().len() <= 4 + 2 * GROWTH_SLACK_WORDS,
             "window kept {} words for a 64-id span",
-            b.words.len()
+            b.words().len()
         );
         // Positions still exact after 100k slides (and one epoch bump).
         assert_eq!(b.position_from_tail(SegmentId(99_999)), Some(1));
@@ -966,9 +1174,14 @@ mod tests {
             b.insert(SegmentId(i));
         }
         let mem = b.mem_breakdown();
-        assert_eq!(mem.ring_bytes, b.arrivals.capacity() * 4);
-        assert_eq!(mem.window_bytes, b.words.capacity() * 8);
-        assert_eq!(mem.seq_bytes, b.seqs.capacity() * 2);
+        assert_eq!(mem.ring_bytes, b.ring.len() * 4);
+        assert_eq!(b.ring.len(), b.capacity());
+        // One block holds the reserved words and 64 `u16` sequence numbers
+        // per reserved word; the meter splits it into the two components.
+        assert_eq!(b.window.len(), b.reserved_words() * BLOCK_STRIDE);
+        assert!(b.words().len() <= b.reserved_words());
+        assert_eq!(mem.window_bytes, b.reserved_words() * 8);
+        assert_eq!(mem.seq_bytes, b.reserved_words() * 64 * 2);
         assert_eq!(mem.heap_total(), b.heap_bytes());
         assert!(b.footprint_bytes() > b.heap_bytes());
         // The compact layout halves the ring and seq components, so the
@@ -1071,6 +1284,128 @@ mod tests {
             Op::Insert(value)
         } else {
             Op::ShrinkFront((value % 12) as usize)
+        }
+    }
+
+    /// Every advert read equals its heap read: each aligned word from two
+    /// words below the window to two past it, and each held id's position.
+    fn check_advert(b: &FifoBuffer) -> Result<(), proptest::TestCaseError> {
+        let first = b.base.saturating_sub(128);
+        let last = b.base + 64 * b.words().len() as u64 + 128;
+        for aligned in (first..=last).step_by(64) {
+            let (advert, heap) = (b.advert_word(aligned), b.availability_word(aligned));
+            proptest::prop_assert!(
+                advert == heap,
+                "word {aligned}: advert {advert:#x}, heap {heap:#x}, max {:?}",
+                b.max_id()
+            );
+        }
+        for id in b.ids() {
+            let (advert, heap) = (b.advert_position(id), b.position_from_tail(id));
+            proptest::prop_assert!(
+                Some(advert as usize) == heap,
+                "position of {id}: advert {advert}, heap {heap:?}"
+            );
+        }
+        proptest::prop_assert_eq!(b.max_id(), b.ids().last());
+        Ok(())
+    }
+
+    /// One random insert / `shrink_front` history, checked with
+    /// [`check_advert`] after every step: streaming, out-of-order and
+    /// duplicate ids, jumps of more than 128 ids up and down, evictions of
+    /// the maximum, drains to empty, clones and (in a quarter of the seeds)
+    /// a run of more than 2¹⁶ inserts across an epoch renormalisation.
+    fn advert_scenario(seed: u64) -> Result<(), proptest::TestCaseError> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        check_advert(&FifoBuffer::default())?;
+        let capacity = if rng.gen_range(0..4) == 0 {
+            rng.gen_range(1..=4)
+        } else {
+            rng.gen_range(1..=48)
+        };
+        let mut b = FifoBuffer::new(capacity);
+        check_advert(&b)?;
+        let mut burst = rng.gen_range(0..4) == 0;
+        let mut head = rng.gen_range(0..1_000u64);
+        for _ in 0..rng.gen_range(1..=300) {
+            match rng.gen_range(0..16) {
+                0..=5 => {
+                    head += 1;
+                    b.insert(SegmentId(head));
+                }
+                6..=9 => {
+                    b.insert(SegmentId(head.saturating_sub(rng.gen_range(0..80u64))));
+                }
+                10 => {
+                    head += rng.gen_range(129..400u64);
+                    b.insert(SegmentId(head));
+                }
+                11 => {
+                    b.insert(SegmentId(head.saturating_sub(rng.gen_range(100..600u64))));
+                }
+                12 => {
+                    // Make a fresh maximum the oldest arrival, add younger
+                    // lower ids, then evict it.
+                    head += rng.gen_range(1..200u64);
+                    b.insert(SegmentId(head));
+                    b.shrink_front(b.len() - 1);
+                    for _ in 0..rng.gen_range(1..=capacity.min(30)) {
+                        b.insert(SegmentId(head - rng.gen_range(1..=head.min(90))));
+                    }
+                    b.shrink_front(1);
+                }
+                13 => {
+                    b.shrink_front(rng.gen_range(0..=capacity));
+                }
+                14 => {
+                    if rng.gen_range(0..4) == 0 {
+                        b = b.clone();
+                    } else {
+                        b.shrink_front(capacity);
+                    }
+                }
+                _ => {
+                    if !burst {
+                        continue;
+                    }
+                    burst = false;
+                    let epochs = b.epochs();
+                    let mut inserts = 0u64;
+                    while b.epochs() == epochs || inserts <= u64::from(EPOCH_LIMIT) {
+                        head += 1;
+                        b.insert(SegmentId(head));
+                        inserts += 1;
+                        if b.next_seq < 4 || b.next_seq > EPOCH_LIMIT - 4 {
+                            check_advert(&b)?;
+                        }
+                    }
+                    proptest::prop_assert!(b.epochs() > epochs);
+                }
+            }
+            check_advert(&b)?;
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// The advert line answers exactly what the heap window answers.
+        #[test]
+        fn prop_advert_matches_heap(seed in 0u64..u64::MAX) {
+            advert_scenario(seed)?;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+        /// Soak of [`prop_advert_matches_heap`].
+        #[test]
+        #[ignore = "soak: 20k advert histories (run with --release -- --ignored)"]
+        fn prop_advert_soak(seed in 0u64..u64::MAX) {
+            advert_scenario(seed)?;
         }
     }
 

@@ -7,28 +7,27 @@
 //! will touch a few iterations ahead — so issuing a prefetch at a small
 //! fixed distance overlaps those fills with useful work.
 //!
-//! A random gossip overlay gives the neighbour reads no locality at all,
-//! and each one is a chain of dependent loads: peer id → buffer struct
-//! (128 B, two or three lines) → window words and sequence array (separate
-//! heap blocks).  The scheduling pass therefore prefetches in stages, each
-//! stage reading only lines an earlier stage already fetched:
+//! A random gossip overlay gives the neighbour reads no locality at all.
+//! A neighbour's buffer map is its `FifoBuffer` struct: two aligned cache
+//! lines, the core line and the advert line, which carries the window head
+//! the scheduling probes land in (see [`crate::buffer`]).  The scheduling
+//! pass prefetches in two stages, the second reading only lines the first
+//! already fetched:
 //!
 //! | distance | prefetched |
 //! |---|---|
 //! | `2·WALK_AHEAD` | the peer's header, its buffer struct and its adjacency list |
 //! | `WALK_AHEAD` | both lines of every neighbour's buffer struct |
-//! | `1` | the window head ([`FifoBuffer::prefetch_head`]) of the own buffer and of every neighbour |
 //!
 //! The delivery walk does the same in two stages: the requester's buffer
-//! struct at `4·DELIVERY_AHEAD` grants ahead, then the lines its insert
-//! will touch ([`FifoBuffer::prefetch_insert`]) at `DELIVERY_AHEAD`.
+//! struct at `4·DELIVERY_AHEAD` grants ahead, then the heap lines its
+//! insert will touch ([`FifoBuffer::prefetch_insert`]) at `DELIVERY_AHEAD`.
 //!
 //! Prefetching is purely advisory: it moves cache lines, never data, so it
 //! cannot change any simulated result (the determinism suites run across
 //! executors, pool sizes and shard counts regardless).  On
 //! non-x86 targets the hint compiles to nothing.
 //!
-//! [`FifoBuffer::prefetch_head`]: crate::buffer::FifoBuffer::prefetch_head
 //! [`FifoBuffer::prefetch_insert`]: crate::buffer::FifoBuffer::prefetch_insert
 
 /// Base prefetch distance, in peers, of the dense chunk walks (scheduling
@@ -55,20 +54,33 @@ pub(crate) fn prefetch_read<T>(t: &T) {
     prefetch_addr((t as *const T).cast::<u8>());
 }
 
-/// Issues one read prefetch per 64-byte step of `size_of::<T>()`,
-/// starting at `t` (two for a buffer struct).  When `t` is not
-/// line-aligned, its last few bytes may sit in one more line, left to the
-/// hardware's adjacent-line prefetch: covering it explicitly measured
-/// slightly slower on `steady_100k`.  The addresses are computed with
-/// `wrapping` pointer arithmetic and never dereferenced.
+/// Issues one read prefetch per cache line `t` occupies, from the line
+/// of its first byte to the line of its last (two for a buffer struct,
+/// one or two for a peer header).  The addresses keep `t`'s provenance
+/// and are never dereferenced.
 #[inline(always)]
 pub(crate) fn prefetch_lines<T>(t: &T) {
     let start = (t as *const T).cast::<u8>();
-    let mut offset = 0;
-    while offset < core::mem::size_of::<T>() {
-        prefetch_addr(start.wrapping_add(offset));
-        offset += LINE;
+    let size = core::mem::size_of::<T>();
+    // A line-aligned type starts on a line: its count is a constant.
+    let (lead, lines) = if core::mem::align_of::<T>().is_multiple_of(LINE) {
+        (0, size.max(1).div_ceil(LINE))
+    } else {
+        line_span(start.addr(), size)
+    };
+    let first = start.wrapping_sub(lead);
+    for line in 0..lines {
+        prefetch_addr(first.wrapping_add(line * LINE));
     }
+}
+
+/// The cache lines the `size` bytes at `addr` occupy: how far the first
+/// line starts before `addr`, and how many lines there are (one for a
+/// zero-sized value).
+#[inline(always)]
+fn line_span(addr: usize, size: usize) -> (usize, usize) {
+    let lead = addr % LINE;
+    (lead, (lead + size.max(1)).div_ceil(LINE))
 }
 
 #[inline(always)]
@@ -81,4 +93,43 @@ fn prefetch_addr(addr: *const u8) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = addr;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The start addresses of the lines [`line_span`] names.
+    fn lines(addr: usize, size: usize) -> Vec<usize> {
+        let (lead, count) = line_span(addr, size);
+        (0..count).map(|line| addr - lead + line * LINE).collect()
+    }
+
+    #[test]
+    fn line_addresses_cover_the_first_through_the_last_byte() {
+        // Aligned: a 128-byte buffer struct is exactly two lines, a 56-byte
+        // header one.
+        assert_eq!(lines(4096, 128), [4096, 4160]);
+        assert_eq!(lines(4096, 56), [4096]);
+        assert_eq!(lines(4096, 64), [4096]);
+        // Unaligned starts reach into one more line.
+        assert_eq!(lines(4096 + 16, 128), [4096, 4160, 4224]);
+        assert_eq!(lines(4096 + 8, 56), [4096]);
+        assert_eq!(lines(4096 + 16, 56), [4096, 4160]);
+        assert_eq!(lines(4096 + 63, 2), [4096, 4160]);
+        // A 56-byte-stride header column: 6 of every 8 headers straddle a
+        // line boundary, and each is covered from its first to its last
+        // byte.
+        let mut straddling = 0;
+        for k in 0..8usize {
+            let (first, last) = (4096 + 16 + 56 * k, 4096 + 16 + 56 * k + 55);
+            let got = lines(first, 56);
+            assert_eq!(got.first(), Some(&(first - first % LINE)), "header {k}");
+            assert_eq!(got.last(), Some(&(last - last % LINE)), "header {k}");
+            straddling += usize::from(got.len() == 2);
+        }
+        assert_eq!(straddling, 6);
+        // Zero-sized values still name their line.
+        assert_eq!(lines(4096 + 5, 0), [4096]);
+    }
 }

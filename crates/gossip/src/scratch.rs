@@ -24,8 +24,11 @@
 //! that finds the available ids keeps each neighbour's window words, so the
 //! suppliers are filled **candidate-major** from those cached words: the
 //! candidate's bit of each neighbour's word forms a holder mask, whose set
-//! bits (neighbour order) are appended straight to the flat supplier array.  A neighbour's sequence array is
-//! read only at the candidates it actually holds.
+//! bits (neighbour order) are appended straight to the flat supplier array.
+//! A neighbour's position is read only at the candidates it actually holds.
+//! Words and positions both come from the buffers' advert lines, so a
+//! neighbour whose head covers the range costs its two struct lines and no
+//! heap read.
 //!
 //! The structures only ever grow (to a steady-state high-water mark); the
 //! differential tests assert the resulting [`SystemReport`]s are identical
@@ -76,6 +79,9 @@ pub struct WorkerScratch {
     pub requests_blinded: u64,
     /// Event mode: requests lost on the request leg.
     pub requests_lost: u64,
+    /// Event mode: one peer's buffer-map loss draw per supplier, drawn on
+    /// the supplier's first request of the call.
+    pub buffer_maps_lost: Vec<(PeerId, bool)>,
     /// The chunk's QoE row and event buffers (fused walk).
     pub qoe: QoeLane,
     /// Switch-countable peers of the chunk that have not completed the
@@ -139,7 +145,10 @@ impl WorkerScratch {
     /// suppliers **candidate-major**: the candidate's bit of each
     /// neighbour's cached word goes into a holder mask (64 slots at a
     /// time), whose set bits are the suppliers in `neighbors` order (slot
-    /// order), so only actual suppliers' sequence arrays are probed.  The
+    /// order), so only actual suppliers' positions are probed.  Words and
+    /// positions are advert reads, which fall back to the heap window
+    /// outside a buffer's head (debug builds check every read against the
+    /// heap).  The
     /// neighbour table must already list `neighbors`, slot `k` for
     /// `neighbors[k]`.
     fn candidates_in_range(
@@ -172,7 +181,9 @@ impl WorkerScratch {
             if word_base + 63 > end {
                 mask &= u64::MAX >> (word_base + 63 - end);
             }
-            *need = mask & !own.buffer().availability_word(word_base);
+            let held = own.buffer().advert_word(word_base);
+            debug_assert_eq!(held, own.buffer().availability_word(word_base));
+            *need = mask & !held;
         }
         for (&n, row) in neighbors
             .iter()
@@ -183,7 +194,13 @@ impl WorkerScratch {
                 continue;
             }
             for (i, (word, avail)) in row.iter_mut().zip(&mut self.avail_words).enumerate() {
-                *word = buffer.availability_word(base + (i as u64) * 64);
+                let aligned = base + (i as u64) * 64;
+                *word = buffer.advert_word(aligned);
+                debug_assert_eq!(
+                    *word,
+                    buffer.availability_word(aligned),
+                    "advert word {aligned} of {n}"
+                );
                 *avail |= *word;
             }
         }
@@ -210,9 +227,15 @@ impl WorkerScratch {
                         let slot = group + held.trailing_zeros();
                         held &= held - 1;
                         let buffer = store.buffer(neighbors[slot as usize]);
+                        let buffer_position = buffer.advert_position(id);
+                        debug_assert_eq!(
+                            buffer_position,
+                            buffer.held_position(id),
+                            "advert position of {id}"
+                        );
                         self.ctx.suppliers.push(SupplierInfo {
                             slot,
-                            buffer_position: buffer.held_position(id),
+                            buffer_position,
                         });
                     }
                 }
@@ -348,6 +371,7 @@ impl MemoryFootprint for WorkerScratch {
             + vec_bytes(&self.avail_words)
             + vec_bytes(&self.neighbour_words)
             + vec_bytes(&self.requests)
+            + vec_bytes(&self.buffer_maps_lost)
             + self.grant.heap_bytes()
             + vec_bytes(&self.grants)
             + self.qoe.heap_bytes()
@@ -567,10 +591,44 @@ mod tests {
         })
     }
 
+    /// How often the scenarios reach past the buffers' advert lines.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// Supplier probes of ids more than 24 below the supplier's max.
+        behind_advert: usize,
+        /// Contexts whose current-session candidates span 3 or more words.
+        wide_windows: usize,
+        /// Contexts with candidates in a discovered next session.
+        next_session: usize,
+    }
+
+    impl Coverage {
+        fn record(&mut self, ctx: &Expanded, store: &PeerStore) {
+            for (id, suppliers) in &ctx.candidates {
+                for &(peer, ..) in suppliers {
+                    let max = store.buffer(peer).max_id().map_or(0, SegmentId::value);
+                    self.behind_advert += usize::from(max - id.value() >= 24);
+                }
+            }
+            let (current, next): (Vec<_>, Vec<_>) = ctx
+                .candidates
+                .iter()
+                .partition(|(id, _)| ctx.sessions.1.is_none_or(|next| *id < next.first_segment));
+            if let (Some(first), Some(last)) = (current.first(), current.last()) {
+                self.wide_windows += usize::from(last.0.value() / 64 - first.0.value() / 64 >= 2);
+            }
+            self.next_session += usize::from(!next.is_empty());
+        }
+    }
+
     /// Builds one random context-builder scenario from `seed` and returns
     /// `(reference, production)`: [`reference_context`] and
     /// `scratch.build_context`, each `None` for "nothing to request".
-    fn build_both(seed: u64, scratch: &mut WorkerScratch) -> (Option<Expanded>, Option<Expanded>) {
+    fn build_both(
+        seed: u64,
+        scratch: &mut WorkerScratch,
+        coverage: &mut Coverage,
+    ) -> (Option<Expanded>, Option<Expanded>) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut config = GossipConfig::paper_default();
         config.buffer_capacity = rng.gen_range(8..=120);
@@ -597,8 +655,8 @@ mod tests {
         // With and without the next session discovered.
         node.discover_sessions(&directory, SegmentId(rng.gen_range(0..=head + 8)));
 
-        // Neighbours: departed (default), fresh empty, or filled, with
-        // their own capacities, listed in a random order.
+        // Neighbours: departed (default), fresh empty, lagging or filled,
+        // with their own capacities, listed in a random order.
         // Rarely more than 64, so the fill's slot groups are exercised.
         let count = if rng.gen_range(0..16) == 0 {
             rng.gen_range(60..=80u32)
@@ -607,9 +665,21 @@ mod tests {
         };
         for n in 1..=count {
             store.push_peer(config.buffer_capacity);
-            *store.buffer_mut(n) = match rng.gen_range(0..6) {
+            *store.buffer_mut(n) = match rng.gen_range(0..7) {
                 0 => FifoBuffer::default(),
                 1 => FifoBuffer::new(config.buffer_capacity),
+                2 => {
+                    // Lagging: a contiguous run ending 25–150 ids below the
+                    // head, so probes of the run's older ids miss its
+                    // advert and read the heap window.
+                    let capacity = rng.gen_range(32..=2 * config.buffer_capacity.max(32));
+                    let mut lagging = FifoBuffer::new(capacity);
+                    let hi = head.saturating_sub(rng.gen_range(25..=150u64));
+                    for id in hi.saturating_sub(capacity as u64 - 1)..=hi {
+                        lagging.insert(SegmentId(id));
+                    }
+                    lagging
+                }
                 _ => {
                     let capacity = rng.gen_range(4..=2 * config.buffer_capacity);
                     random_buffer(&mut rng, capacity, head)
@@ -649,6 +719,9 @@ mod tests {
                 max_advertised,
             )
             .then(|| expand(&scratch.ctx));
+        if let Some(ctx) = &production {
+            coverage.record(ctx, &store);
+        }
         (reference, production)
     }
 
@@ -657,7 +730,7 @@ mod tests {
     fn check_seed(seed: u64) -> Result<(), proptest::TestCaseError> {
         let mut scratch = WorkerScratch::default();
         for seed in [seed, seed ^ 0x9e37_79b9_7f4a_7c15] {
-            let (reference, production) = build_both(seed, &mut scratch);
+            let (reference, production) = build_both(seed, &mut scratch, &mut Coverage::default());
             proptest::prop_assert_eq!(reference, production);
         }
         Ok(())
@@ -683,6 +756,21 @@ mod tests {
         fn prop_build_context_soak(seed in 0u64..u64::MAX) {
             check_seed(seed)?;
         }
+    }
+
+    /// The random scenarios reach the builder's fallbacks past the advert
+    /// lines: supplier probes more than 24 ids below the supplier's max,
+    /// candidate windows of 3 or more words, and a discovered next session.
+    #[test]
+    fn build_context_scenarios_reach_past_the_advert() {
+        let mut scratch = WorkerScratch::default();
+        let mut coverage = Coverage::default();
+        for seed in 0..256 {
+            build_both(seed, &mut scratch, &mut coverage);
+        }
+        assert!(coverage.behind_advert > 100, "{coverage:?}");
+        assert!(coverage.wide_windows > 10, "{coverage:?}");
+        assert!(coverage.next_session > 10, "{coverage:?}");
     }
 
     #[test]

@@ -350,34 +350,26 @@ impl PeerStore {
         self.shards.get(shard)?.buffers.get(slot)
     }
 
-    /// Issues a software prefetch for a peer's header line and both lines
-    /// of its buffer struct.  Advisory only: out-of-range ids are ignored.
+    /// Issues a software prefetch for a peer's header (one or two lines:
+    /// the 56-byte headers straddle lines) and both lines of its buffer
+    /// struct.  Advisory only: out-of-range ids are ignored.
     #[inline]
     pub(crate) fn prefetch_peer(&self, id: PeerId) {
         let (shard, slot) = self.loc(id);
         if let Some(header) = self.shards.get(shard).and_then(|s| s.headers.get(slot)) {
-            crate::prefetch::prefetch_read(header);
+            crate::prefetch::prefetch_lines(header);
         }
         self.prefetch_buffer(id);
     }
 
-    /// Issues a software prefetch for both lines of a peer's buffer struct
-    /// (the neighbour-gather walks read `max_id`/availability words, never
-    /// the header).  Advisory only: out-of-range ids are ignored.
+    /// Issues a software prefetch for both lines of a peer's buffer struct:
+    /// the core line and the advert line, which together answer the
+    /// neighbour gather's `max_id` and head reads.  Advisory only:
+    /// out-of-range ids are ignored.
     #[inline]
     pub(crate) fn prefetch_buffer(&self, id: PeerId) {
         if let Some(buffer) = self.buffer_get(id) {
             crate::prefetch::prefetch_lines(buffer);
-        }
-    }
-
-    /// Prefetches a peer's window head
-    /// ([`FifoBuffer::prefetch_head`]); its buffer struct should already
-    /// be cached.  Advisory only: out-of-range ids are ignored.
-    #[inline]
-    pub(crate) fn prefetch_window_head(&self, id: PeerId) {
-        if let Some(buffer) = self.buffer_get(id) {
-            buffer.prefetch_head();
         }
     }
     // fss-lint: end
@@ -609,6 +601,19 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     fn inline_stride_is_192_bytes() {
         assert_eq!(PEER_INLINE_BYTES, 192);
+    }
+
+    /// Every shard's buffer column starts on a cache line, so each
+    /// two-line buffer struct occupies exactly its two lines.
+    #[test]
+    fn buffer_columns_are_cache_line_aligned() {
+        let mut store = store_of(11, 4);
+        for shards in [1, 2, 3] {
+            store.set_shards(shards);
+            for shard in store.shards() {
+                assert_eq!(shard.buffers().as_ptr().addr() % 64, 0);
+            }
+        }
     }
 
     #[test]

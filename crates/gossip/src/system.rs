@@ -1429,8 +1429,9 @@ fn schedule_chunk(
         ((inbound_rate[p as usize] * config.tau_secs).floor() as usize).min(config.buffer_capacity)
     });
     for (i, &p) in chunk.iter().enumerate() {
-        // Staged prefetch (see `crate::prefetch`): each stage reads only
-        // lines an earlier stage fetched.
+        // Staged prefetch (see `crate::prefetch`): the second stage reads
+        // only lines the first fetched.  A neighbour's buffer map is its
+        // buffer struct, advert line included.
         if let Some(&far) = chunk.get(i + 2 * WALK_AHEAD) {
             store.prefetch_peer(far);
             if let Some(first) = overlay.neighbors(far).first() {
@@ -1440,12 +1441,6 @@ fn schedule_chunk(
         if let Some(&ahead) = chunk.get(i + WALK_AHEAD) {
             for &n in overlay.neighbors(ahead) {
                 store.prefetch_buffer(n);
-            }
-        }
-        if let Some(&next) = chunk.get(i + 1) {
-            store.prefetch_window_head(next);
-            for &n in overlay.neighbors(next) {
-                store.prefetch_window_head(n);
             }
         }
         let neighbors = overlay.neighbors(p);
@@ -1498,9 +1493,22 @@ fn schedule_chunk(
             continue;
         }
         if let Some(faults) = faults {
+            // A lost buffer map depends only on the link and the period, so
+            // it is drawn once per supplier of the call, not per request.
             let (blinded, lost) = (&mut worker.requests_blinded, &mut worker.requests_lost);
+            let maps = &mut worker.buffer_maps_lost;
+            maps.clear();
             worker.requests.retain(|req| {
-                if faults.lost(req.supplier, p, MessageKind::BufferMap, period, 0) {
+                let map_lost = match maps.iter().find(|&&(s, _)| s == req.supplier) {
+                    Some(&(_, map_lost)) => map_lost,
+                    None => {
+                        let map_lost =
+                            faults.lost(req.supplier, p, MessageKind::BufferMap, period, 0);
+                        maps.push((req.supplier, map_lost));
+                        map_lost
+                    }
+                };
+                if map_lost {
                     *blinded += 1;
                     return false;
                 }
@@ -1595,8 +1603,8 @@ fn walk_chunk(
         let slot = p as usize - base;
         if let Some(&ahead) = chunk.get(i + WALK_AHEAD) {
             let ahead_slot = ahead as usize - base;
-            prefetch_read(&headers[ahead_slot]);
-            prefetch_read(&buffers[ahead_slot]);
+            prefetch_lines(&headers[ahead_slot]);
+            prefetch_lines(&buffers[ahead_slot]);
         }
         let header = &mut headers[slot];
         peer::discover_sessions(
