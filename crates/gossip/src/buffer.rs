@@ -493,7 +493,6 @@ impl FifoBuffer {
         }
         SegmentId(id)
     }
-    // fss-lint: end
 
     /// Re-anchors all live sequence numbers to a fresh epoch: subtracts the
     /// oldest live sequence number from every live entry so the range
@@ -635,7 +634,6 @@ impl FifoBuffer {
         }
     }
 
-    // fss-lint: hot-path
     /// Prefetches the lines an [`insert`](Self::insert) of `segment` will
     /// touch: the segment's availability word and sequence entry, the
     /// window's first word, and the ring's head slot (evicted when full)

@@ -61,13 +61,7 @@ pub(crate) fn prefetch_read<T>(t: &T) {
 #[inline(always)]
 pub(crate) fn prefetch_lines<T>(t: &T) {
     let start = (t as *const T).cast::<u8>();
-    let size = core::mem::size_of::<T>();
-    // A line-aligned type starts on a line: its count is a constant.
-    let (lead, lines) = if core::mem::align_of::<T>().is_multiple_of(LINE) {
-        (0, size.max(1).div_ceil(LINE))
-    } else {
-        line_span(start.addr(), size)
-    };
+    let (lead, lines) = line_span(start.addr(), core::mem::size_of::<T>());
     let first = start.wrapping_sub(lead);
     for line in 0..lines {
         prefetch_addr(first.wrapping_add(line * LINE));

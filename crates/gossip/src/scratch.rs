@@ -79,9 +79,6 @@ pub struct WorkerScratch {
     pub requests_blinded: u64,
     /// Event mode: requests lost on the request leg.
     pub requests_lost: u64,
-    /// Event mode: one peer's buffer-map loss draw per supplier, drawn on
-    /// the supplier's first request of the call.
-    pub buffer_maps_lost: Vec<(PeerId, bool)>,
     /// The chunk's QoE row and event buffers (fused walk).
     pub qoe: QoeLane,
     /// Switch-countable peers of the chunk that have not completed the
@@ -371,7 +368,6 @@ impl MemoryFootprint for WorkerScratch {
             + vec_bytes(&self.avail_words)
             + vec_bytes(&self.neighbour_words)
             + vec_bytes(&self.requests)
-            + vec_bytes(&self.buffer_maps_lost)
             + self.grant.heap_bytes()
             + vec_bytes(&self.grants)
             + self.qoe.heap_bytes()

@@ -1493,22 +1493,9 @@ fn schedule_chunk(
             continue;
         }
         if let Some(faults) = faults {
-            // A lost buffer map depends only on the link and the period, so
-            // it is drawn once per supplier of the call, not per request.
             let (blinded, lost) = (&mut worker.requests_blinded, &mut worker.requests_lost);
-            let maps = &mut worker.buffer_maps_lost;
-            maps.clear();
             worker.requests.retain(|req| {
-                let map_lost = match maps.iter().find(|&&(s, _)| s == req.supplier) {
-                    Some(&(_, map_lost)) => map_lost,
-                    None => {
-                        let map_lost =
-                            faults.lost(req.supplier, p, MessageKind::BufferMap, period, 0);
-                        maps.push((req.supplier, map_lost));
-                        map_lost
-                    }
-                };
-                if map_lost {
+                if faults.lost(req.supplier, p, MessageKind::BufferMap, period, 0) {
                     *blinded += 1;
                     return false;
                 }
