@@ -13,10 +13,9 @@
 //! | 4    | `r1 > O1`, `r2 > O2` | `O1`              | `O2`              |
 
 use crate::model::SwitchSplit;
-use serde::{Deserialize, Serialize};
 
 /// Which of the four cases applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocationCase {
     /// Both streams can absorb their ideal share.
     Ideal,
@@ -29,7 +28,7 @@ pub enum AllocationCase {
 }
 
 /// The whole-segment allocation for one scheduling period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RateAllocation {
     /// Segments of the old source to retrieve this period (`I1`).
     pub old_segments: usize,

@@ -21,10 +21,9 @@
 use crate::priority::{priority, SegmentPriority};
 use fss_gossip::{SchedulingContext, SegmentId, StreamClass};
 use fss_overlay::PeerId;
-use serde::{Deserialize, Serialize};
 
 /// How candidates are ordered before the greedy pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AssignmentOrder {
     /// Strictly by decreasing priority, mixing both streams — the fast switch
     /// algorithm's order.
@@ -35,7 +34,7 @@ pub enum AssignmentOrder {
 }
 
 /// One segment together with the supplier the greedy pass chose for it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AssignedSegment {
     /// The segment to request.
     pub id: SegmentId,
@@ -51,7 +50,7 @@ pub struct AssignedSegment {
 }
 
 /// The ordered schedulable sets produced by the greedy pass.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AssignmentOutcome {
     /// `O1`: schedulable old-source segments, highest priority first.
     pub old: Vec<AssignedSegment>,

@@ -14,10 +14,8 @@
 //! r1 = ( I − p(Q1+Q2)/Q + sqrt( (p(Q1+Q2)/Q − I)² + 4·p·I·Q1/Q ) ) / 2
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Inputs of the switch-process optimization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchModel {
     /// `Q1`: undelivered segments of the old source.
     pub q1: f64,
@@ -32,7 +30,7 @@ pub struct SwitchModel {
 }
 
 /// The optimal rate split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchSplit {
     /// Rate allocated to the old source (`I1 = r1`).
     pub r1: f64,

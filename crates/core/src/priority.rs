@@ -11,14 +11,13 @@
 //! * `priority_i = max(urgency_i, rarity_i)` (eq. 9).
 
 use fss_gossip::{CandidateSegment, SchedulingContext};
-use serde::{Deserialize, Serialize};
 
 /// A very large urgency standing in for "the deadline has already passed"
 /// (the paper's `1/t_i` with `t_i → 0⁺`).
 pub const URGENCY_OVERDUE: f64 = 1.0e9;
 
 /// The computed priority components of one candidate segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentPriority {
     /// Deadline pressure (eq. 7).
     pub urgency: f64,

@@ -15,8 +15,7 @@
 //!
 //! [`tracks`] produces Figures 5 and 9 (per-second series) and [`sweeps`]
 //! produces Figures 6–8 and 10–12 (per-size tables) from a single size sweep
-//! per environment.  [`generate`] runs everything for one environment,
-//! [`generate_all`] for both.
+//! per environment.  [`generate`] runs everything for one environment.
 
 pub mod sweeps;
 pub mod tracks;
@@ -107,14 +106,6 @@ pub fn generate_custom(
         points,
         tables: vec![track_table, finishing, switch, overhead],
     }
-}
-
-/// Regenerates every figure of the paper (both environments).
-pub fn generate_all(scale: FigureScale) -> Vec<FigureSet> {
-    vec![
-        generate(Environment::Static, scale),
-        generate(Environment::Dynamic, scale),
-    ]
 }
 
 #[cfg(test)]

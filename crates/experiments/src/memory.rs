@@ -28,7 +28,6 @@ use fss_metrics::MemSummary;
 use fss_overlay::{OverlayBuilder, OverlayConfig, PeerId};
 use fss_runtime::{RuntimeReport, SessionConfig, SessionManager, WorkerPool};
 use fss_trace::{GeneratorConfig, TraceGenerator};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Population of the large-population scenario: 50× the paper's common
@@ -36,7 +35,7 @@ use std::sync::Arc;
 pub const LARGE_POPULATION_NODES: usize = 50_000;
 
 /// Configuration of one steady-state memory measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryScenario {
     /// Number of overlay nodes.
     pub nodes: usize,
@@ -79,7 +78,7 @@ impl MemoryScenario {
 }
 
 /// One point of the memory sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryPoint {
     /// Number of overlay nodes.
     pub nodes: usize,
@@ -132,7 +131,7 @@ pub fn sweep_memory(sizes: &[usize]) -> Vec<MemoryPoint> {
 }
 
 /// Outcome of the large-population run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LargePopulationReport {
     /// Number of overlay nodes simulated.
     pub nodes: usize,
@@ -181,7 +180,7 @@ pub fn run_large_population(scenario: &MemoryScenario) -> LargePopulationReport 
 pub const MILLION_VIEWERS: usize = 1_000_000;
 
 /// Configuration of the multi-channel million-viewer scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MillionScenario {
     /// Number of concurrent channels hosted in the one process.
     pub channels: usize,
@@ -244,7 +243,7 @@ impl MillionScenario {
 
 /// Outcome of the million-viewer run: the session's full report plus the
 /// headline numbers the capstone is judged on.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MillionReport {
     /// Viewers at start-up (channels × viewers per channel).
     pub viewers: usize,

@@ -3,10 +3,9 @@
 use fss_core::{FastSwitchScheduler, NormalSwitchScheduler};
 use fss_gossip::{GossipConfig, SegmentScheduler};
 use fss_overlay::NetworkConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which switch algorithm a run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// The paper's Fast Switch Algorithm.
     Fast,
@@ -36,7 +35,7 @@ impl Algorithm {
 }
 
 /// Static or dynamic (churned) network environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Environment {
     /// No membership changes (§5.3).
     Static,
@@ -55,7 +54,7 @@ impl Environment {
 }
 
 /// Full description of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioConfig {
     /// Number of overlay nodes.
     pub nodes: usize,

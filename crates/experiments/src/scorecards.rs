@@ -12,11 +12,10 @@
 use crate::zapping::{run_channel_zapping, ZappingScenario};
 use fss_metrics::{Scorecard, ScorecardDelta};
 use fss_runtime::WorkerPool;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// One labelled variant's outcome in a scorecard comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScorecardPoint {
     /// Human-readable variant label (e.g. `"admits=8"`).
     pub label: String,

@@ -28,11 +28,10 @@ use fss_runtime::{
     AdmissionControl, RuntimeReport, SessionConfig, SessionManager, SteppingMode, WorkerPool,
     ZapWorkload,
 };
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Configuration of one channel-zapping experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZappingScenario {
     /// The multi-channel session layout (channels, viewers, zap rate).
     pub session: SessionConfig,
@@ -88,7 +87,7 @@ pub fn run_channel_zapping(scenario: &ZappingScenario, pool: &Arc<WorkerPool>) -
 }
 
 /// One point of the channel-count sweep.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZappingSweepPoint {
     /// Number of concurrent channels.
     pub channels: usize,
@@ -137,7 +136,7 @@ pub fn sweep_channel_counts(
 }
 
 /// One point of the popularity-skew sweep.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlphaSweepPoint {
     /// The Zipf exponent of the workload (0 = uniform popularity).
     pub alpha: f64,
@@ -163,7 +162,7 @@ pub fn sweep_zipf_alphas(
 }
 
 /// One point of the flash-crowd sweep.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StormSweepPoint {
     /// Viewers converging on the target channel in the storm period.
     pub storm_size: usize,
@@ -197,7 +196,7 @@ pub fn sweep_storm_sizes(
 }
 
 /// One point of the admission-rate sweep.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionSweepPoint {
     /// The per-channel per-boundary admission cap (`None` = unlimited, the
     /// legacy admit-everything-at-the-boundary behaviour).

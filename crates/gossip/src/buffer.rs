@@ -582,10 +582,10 @@ impl FifoBuffer {
     /// how many were removed (fewer than `n` when the buffer runs out).
     ///
     /// Positions of the surviving segments are unchanged — distance from
-    /// the tail does not depend on how many older segments exist.  Useful
-    /// for memory-pressure trimming and for exercising the window
-    /// shrink-then-regrow paths.
-    pub fn shrink_front(&mut self, n: usize) -> usize {
+    /// the tail does not depend on how many older segments exist.  Drives
+    /// the window's shrink-then-regrow paths in the tests.
+    #[cfg(test)]
+    fn shrink_front(&mut self, n: usize) -> usize {
         let count = n.min(self.len());
         for _ in 0..count {
             self.evict_oldest();
@@ -656,18 +656,10 @@ impl FifoBuffer {
     }
     // fss-lint: end
 
-    /// Positions of many segments at once.
-    /// The result aligns with `segments`; `None` marks absent segments.
-    pub fn positions_of(&self, segments: &[SegmentId]) -> Vec<Option<usize>> {
-        segments
-            .iter()
-            .map(|&s| self.position_from_tail(s))
-            .collect()
-    }
-
     /// Iterator over held segment ids in ascending id order (no allocation:
     /// walks the availability words).
-    pub fn ids(&self) -> impl Iterator<Item = SegmentId> + '_ {
+    #[cfg(test)]
+    fn ids(&self) -> impl Iterator<Item = SegmentId> + '_ {
         let base = self.base;
         self.words()
             .iter()
@@ -709,17 +701,6 @@ impl FifoBuffer {
             word_base += 64;
         }
         count
-    }
-
-    /// Ids in `[from, to]` (inclusive) that are **not** held.
-    pub fn missing_in_range(&self, from: SegmentId, to: SegmentId) -> Vec<SegmentId> {
-        if to < from {
-            return Vec::new();
-        }
-        (from.value()..=to.value())
-            .map(SegmentId)
-            .filter(|&id| !self.contains(id))
-            .collect()
     }
 
     /// Length of the run of consecutively held segments starting at `from`.
@@ -767,11 +748,13 @@ impl MemoryFootprint for FifoBuffer {
 }
 
 /// Iterator over the set bits of one availability word.
+#[cfg(test)]
 struct BitIter {
     word: u64,
     base: u64,
 }
 
+#[cfg(test)]
 impl Iterator for BitIter {
     type Item = SegmentId;
     fn next(&mut self) -> Option<SegmentId> {
@@ -840,9 +823,7 @@ mod tests {
         assert_eq!(b.position_from_tail(SegmentId(4)), Some(1));
         assert_eq!(b.position_from_tail(SegmentId(0)), Some(5));
         assert_eq!(b.position_from_tail(SegmentId(9)), None);
-
-        let positions = b.positions_of(&ids(&[4, 0, 2, 99]));
-        assert_eq!(positions, vec![Some(1), Some(5), Some(3), None]);
+        assert_eq!(b.position_from_tail(SegmentId(2)), Some(3));
     }
 
     #[test]
@@ -855,13 +836,6 @@ mod tests {
         assert_eq!(b.position_from_tail(SegmentId(8)), Some(1));
         assert_eq!(b.position_from_tail(SegmentId(5)), Some(4));
         assert_eq!(b.position_from_tail(SegmentId(4)), None);
-    }
-
-    #[test]
-    fn positions_of_empty_query() {
-        let b = FifoBuffer::new(4);
-        assert!(b.positions_of(&[]).is_empty());
-        assert_eq!(b.positions_of(&ids(&[1])), vec![None]);
     }
 
     #[test]
@@ -938,8 +912,6 @@ mod tests {
         assert_eq!(b.count_in_range(SegmentId(4), SegmentId(5)), 0);
         assert_eq!(b.count_in_range(SegmentId(7), SegmentId(1)), 0);
         assert_eq!(b.count_in_range(SegmentId(0), SegmentId(1_000_000)), 5);
-        assert_eq!(b.missing_in_range(SegmentId(1), SegmentId(7)), ids(&[4, 5]));
-        assert_eq!(b.missing_in_range(SegmentId(8), SegmentId(7)), ids(&[]));
         assert_eq!(b.contiguous_run_from(SegmentId(1)), 3);
         assert_eq!(b.contiguous_run_from(SegmentId(6)), 2);
         assert_eq!(b.contiguous_run_from(SegmentId(4)), 0);
@@ -1485,7 +1457,9 @@ mod tests {
                 .iter()
                 .map(|&s| naive.position_from_tail(s.value()))
                 .collect();
-            proptest::prop_assert_eq!(compact.positions_of(&probe), expected);
+            let positions: Vec<Option<usize>> =
+                probe.iter().map(|&s| compact.position_from_tail(s)).collect();
+            proptest::prop_assert_eq!(positions, expected);
             proptest::prop_assert_eq!(compact.max_id(), naive.ids().last().copied());
         }
     }

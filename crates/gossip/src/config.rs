@@ -7,11 +7,20 @@
 //! * buffer of `B = 600` segments,
 //! * scheduling period `τ = 1.0` s,
 //! * startup threshold `Q = 10` consecutive segments,
-//! * new-source startup threshold `Qs = 50` segments,
-//! * buffer map of 620 bits (600-bit availability + 20-bit head id).
+//! * new-source startup threshold `Qs = 50` segments.
+//!
+//! The buffer map a peer sends each neighbour every period is not a setting:
+//! §5.3 sizes it as "600 bits to record the data availability … The id of the
+//! first segment in the buffer is indicated by 20 bits … getting the buffer
+//! information of one neighbor takes 620 bits' communication cost in total",
+//! i.e. `B` availability bits plus a [`HEAD_ID_BITS`]-bit head id
+//! ([`GossipConfig::buffermap_bits`]).  The simulator never sends a map as
+//! bytes; the size feeds the control-traffic counters.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// Bits of the head segment id carried by every buffer map (§5.3).
+pub const HEAD_ID_BITS: u64 = 20;
 
 /// Errors produced when validating a [`GossipConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,7 +38,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Protocol parameters of the streaming system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GossipConfig {
     /// Data scheduling period `τ` in seconds.
     pub tau_secs: f64,
@@ -45,8 +54,6 @@ pub struct GossipConfig {
     pub new_source_qs: usize,
     /// Payload size of one segment in bits (30 Kb = 30 × 1024 bits).
     pub segment_bits: u64,
-    /// Size of one buffer-map exchange in bits (600-bit map + 20-bit head id).
-    pub buffermap_bits: u64,
 }
 
 impl Default for GossipConfig {
@@ -58,7 +65,6 @@ impl Default for GossipConfig {
             startup_q: 10,
             new_source_qs: 50,
             segment_bits: 30 * 1024,
-            buffermap_bits: 620,
         }
     }
 }
@@ -69,9 +75,10 @@ impl GossipConfig {
         Self::default()
     }
 
-    /// Segments a rate of `rate` segments/s can move within one period.
-    pub fn segments_per_period(&self, rate: f64) -> f64 {
-        rate * self.tau_secs
+    /// Size of one buffer-map exchange in bits: `B` availability bits plus
+    /// the [`HEAD_ID_BITS`]-bit head id (620 at the paper's `B = 600`).
+    pub fn buffermap_bits(&self) -> u64 {
+        self.buffer_capacity as u64 + HEAD_ID_BITS
     }
 
     /// Number of segments played per period.
@@ -122,8 +129,8 @@ impl GossipConfig {
                 self.new_source_qs, self.buffer_capacity
             ));
         }
-        if self.segment_bits == 0 || self.buffermap_bits == 0 {
-            return err("segment_bits and buffermap_bits must be positive".into());
+        if self.segment_bits == 0 {
+            return err("segment_bits must be positive".into());
         }
         Ok(())
     }
@@ -142,18 +149,24 @@ mod tests {
         assert_eq!(c.startup_q, 10);
         assert_eq!(c.new_source_qs, 50);
         assert_eq!(c.segment_bits, 30 * 1024);
-        assert_eq!(c.buffermap_bits, 620);
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn paper_default_is_620_bits() {
+        let mut c = GossipConfig::paper_default();
+        assert_eq!(c.buffermap_bits(), 620);
+        // The map follows `B`: B availability bits plus the head id.
+        c.buffer_capacity = 120;
+        assert_eq!(c.buffermap_bits(), 140);
     }
 
     #[test]
     fn per_period_helpers() {
         let c = GossipConfig::paper_default();
-        assert_eq!(c.segments_per_period(15.0), 15.0);
         assert_eq!(c.play_per_period(), 10.0);
         let mut c2 = c;
         c2.tau_secs = 0.5;
-        assert_eq!(c2.segments_per_period(15.0), 7.5);
         assert_eq!(c2.play_per_period(), 5.0);
     }
 

@@ -13,11 +13,11 @@
 //!
 //! Module map:
 //!
-//! * [`config`] — protocol constants (`τ`, `p`, `B`, `Q`, `Qs`, segment and
-//!   buffer-map sizes), defaulting to the paper's §5.1 values,
+//! * [`config`] — protocol constants (`τ`, `p`, `B`, `Q`, `Qs`, segment
+//!   size) and the 620-bit buffer-map size they imply, defaulting to the
+//!   paper's §5.1 values,
 //! * [`segment`] — global segment identifiers, sources and serial sessions,
 //! * [`buffer`] — the per-node FIFO segment buffer (`B = 600` segments),
-//! * [`buffermap`] — the 620-bit data-availability map exchanged per period,
 //! * [`playback`] — the per-node playback state machine (startup after `Q`
 //!   consecutive segments, new-source startup after `Qs` segments *and* the
 //!   old stream finishing),
@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod buffer;
-pub mod buffermap;
 pub mod cast;
 pub mod config;
 pub mod directory;
@@ -81,7 +80,6 @@ pub mod system;
 pub mod transfer;
 
 pub use buffer::FifoBuffer;
-pub use buffermap::BufferMap;
 pub use config::GossipConfig;
 pub use directory::{AdmissionScratch, MembershipView, ViewConfig};
 pub use mem::{BufferMemBreakdown, MemUsage, MemoryFootprint};

@@ -4,8 +4,8 @@
 //! every viewer the system hosts carries a [`FifoBuffer`] (arrival ring,
 //! availability window, arrival-sequence array) plus a handful of scalar
 //! protocol fields.  This module defines the [`MemoryFootprint`] trait that
-//! every stateful gossip type implements — buffer, buffer map, peer node,
-//! scratch arena, whole system — and the [`MemUsage`] aggregate that
+//! every stateful gossip type implements — buffer, peer store, scratch
+//! arena, network model, whole system — and the [`MemUsage`] aggregate that
 //! [`SystemReport`](crate::system::SystemReport) surfaces so experiments and
 //! benches can record bytes/peer next to throughput.
 //!
@@ -28,8 +28,6 @@
 //!
 //! [`FifoBuffer`]: crate::buffer::FifoBuffer
 //! [`PeriodScratch`]: crate::scratch::PeriodScratch
-
-use serde::Serialize;
 
 /// Types that can report how much memory they are holding.
 ///
@@ -85,7 +83,7 @@ impl BufferMemBreakdown {
 ///
 /// [`StreamingSystem::memory_usage`]: crate::system::StreamingSystem::memory_usage
 /// [`SystemReport::mem`]: crate::system::SystemReport::mem
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemUsage {
     /// Allocated peer slots, including departed peers (ids are never
     /// reused, so slots outlive their peers).

@@ -10,10 +10,9 @@
 
 use crate::buffer::FifoBuffer;
 use crate::segment::SegmentId;
-use serde::{Deserialize, Serialize};
 
 /// Coarse playback phase, mostly useful for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlaybackPhase {
     /// Waiting for the initial startup condition (`Q` consecutive segments).
     Startup,
@@ -22,7 +21,7 @@ pub enum PlaybackPhase {
 }
 
 /// Statistics and position of one node's playback.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlaybackState {
     join_point: SegmentId,
     next_play: SegmentId,

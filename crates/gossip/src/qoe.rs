@@ -32,7 +32,6 @@
 //! stall-end event (mirroring how a real player's session trace ends).
 
 use crate::mem::{vec_bytes, MemoryFootprint};
-use serde::{Deserialize, Serialize};
 
 /// Per-peer QoE observation state, indexed by `PeerId` like the switch
 /// records (one entry per ever-allocated peer slot; ids are never reused).
@@ -57,7 +56,7 @@ pub struct PeerQoe {
 /// One period's QoE counters for one channel — the row a bounded timeline
 /// aggregates.  All fields are plain counters so rows merge by addition
 /// (and max for the gauges) without floating-point order sensitivity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeriodSample {
     /// Period index this row describes (1-based: the first `advance()` produces
     /// period 1).
@@ -186,7 +185,7 @@ impl MemoryFootprint for QoeLane {
 
 /// Cumulative QoE counters over a whole run — the O(1)-size aggregate
 /// surfaced in `SystemReport`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QoeTotals {
     /// Periods observed with telemetry enabled.
     pub periods: u64,
@@ -211,11 +210,6 @@ impl QoeTotals {
     pub fn continuity(&self) -> Option<f64> {
         let opportunities = self.played + self.stalled_segments;
         (opportunities > 0).then(|| self.played as f64 / opportunities as f64)
-    }
-
-    /// Mean startup delay in periods (`None` before the first startup).
-    pub fn mean_startup_periods(&self) -> Option<f64> {
-        (self.startups > 0).then(|| self.startup_delay_periods as f64 / self.startups as f64)
     }
 }
 

@@ -21,11 +21,10 @@
 use crate::cast::narrow;
 use crate::segment::{SegmentId, SourceId};
 use fss_overlay::PeerId;
-use serde::{Deserialize, Serialize};
 
 /// Which stream a candidate segment belongs to, relative to an in-progress
 /// source switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamClass {
     /// Segment of the old source `S1` (still required to finish its
     /// playback).
@@ -37,7 +36,7 @@ pub enum StreamClass {
 /// One neighbour of the scheduling node: a row of the context's per-call
 /// neighbour table.  Every neighbour gets a row, whether or not it holds a
 /// candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeighbourInfo {
     /// The neighbour.
     pub peer: PeerId,
@@ -50,7 +49,7 @@ pub struct NeighbourInfo {
 }
 
 /// A neighbour able to supply one candidate segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupplierInfo {
     /// The supplier's slot in [`SchedulingContext::neighbours`].
     pub slot: u32,
@@ -61,7 +60,7 @@ pub struct SupplierInfo {
 
 /// A candidate's suppliers: the range `start..start + len` of
 /// [`SchedulingContext::suppliers`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupplierSpan {
     /// Index of the first supplier.
     pub start: u32,
@@ -82,7 +81,7 @@ impl SupplierSpan {
 }
 
 /// One segment the node needs and could obtain this period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CandidateSegment {
     /// The segment id.
     pub id: SegmentId,
@@ -92,7 +91,7 @@ pub struct CandidateSegment {
 }
 
 /// A view of one source session as known to the scheduling node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionView {
     /// The session identifier.
     pub id: SourceId,
@@ -103,7 +102,7 @@ pub struct SessionView {
 }
 
 /// Everything a scheduler needs to decide this period's requests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulingContext {
     /// Scheduling period `τ` in seconds.
     pub tau_secs: f64,
@@ -238,7 +237,7 @@ impl SchedulingContext {
 }
 
 /// One request the scheduler decided to issue this period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentRequest {
     /// The requested segment.
     pub segment: SegmentId,

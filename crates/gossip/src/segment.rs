@@ -6,14 +6,11 @@
 //! able to describe availability across a source switch.
 
 use fss_overlay::PeerId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one data segment (global, monotonically increasing across
 /// serial sources).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SegmentId(pub u64);
 
 impl SegmentId {
@@ -40,9 +37,7 @@ impl fmt::Display for SegmentId {
 }
 
 /// Identifier of a streaming source session (0 = the first source).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SourceId(pub u32);
 
 impl fmt::Display for SourceId {
@@ -53,7 +48,7 @@ impl fmt::Display for SourceId {
 
 /// One serial streaming session: a source peer emitting a contiguous range of
 /// global segment ids.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Session {
     /// The session / source identifier.
     pub id: SourceId,
@@ -93,7 +88,7 @@ impl Session {
 }
 
 /// Registry of all sessions, in serial order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionDirectory {
     sessions: Vec<Session>,
 }

@@ -4,10 +4,8 @@
 //! switch time, reduction ratio, communication overhead, ratio tracks) lives
 //! in `fss-metrics` and the experiment harness.
 
-use serde::{Deserialize, Serialize};
-
 /// Running totals of control and data traffic, in bits.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficCounters {
     /// Bits spent exchanging buffer maps (control traffic).
     pub control_bits: u64,
@@ -49,7 +47,7 @@ impl TrafficCounters {
 }
 
 /// Per-node record of the source-switch milestones.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SwitchRecord {
     /// Whether the node was part of the overlay when the switch happened
     /// (nodes joining later are excluded from switch metrics).
@@ -89,7 +87,7 @@ impl SwitchRecord {
 /// Values are folded in ascending peer-id order (the order the legacy
 /// per-peer record vector was aggregated in), so the derived mean is
 /// bitwise identical to the historical collect-into-`Vec` path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MilestoneStat {
     /// Number of nodes that reached the milestone.
     pub count: usize,
@@ -160,7 +158,7 @@ impl MilestoneStat {
 /// Built by one serial ascending-id pass over the system's internal
 /// records; every derived figure (averages, maxima, completion counts) is
 /// bitwise identical to aggregating the full record vector.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SwitchStats {
     /// Nodes that were present at the switch and did not depart.
     pub countable_nodes: usize,
@@ -217,7 +215,7 @@ impl SwitchStats {
 }
 
 /// One per-period sample of the two ratio tracks of Figures 5 and 9.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RatioSample {
     /// Seconds since the switch.
     pub secs: f64,

@@ -220,20 +220,7 @@ impl PeerStore {
     /// in peer order either way).
     pub fn set_shards(&mut self, shards: usize) {
         let shards = shards.max(1);
-        let target = self.len.div_ceil(shards).max(1).next_power_of_two();
-        self.reshard(target);
-    }
-
-    /// Re-partitions the store to the given power-of-two shard size.
-    pub fn set_shard_size(&mut self, shard_size: usize) {
-        assert!(
-            shard_size.is_power_of_two(),
-            "shard size must be a power of two, got {shard_size}"
-        );
-        self.reshard(shard_size);
-    }
-
-    fn reshard(&mut self, shard_size: usize) {
+        let shard_size = self.len.div_ceil(shards).max(1).next_power_of_two();
         if shard_size == self.shard_size {
             return;
         }
@@ -286,12 +273,6 @@ impl PeerStore {
     fn loc(&self, id: PeerId) -> (usize, usize) {
         let id = id as usize;
         (id >> self.shift, id & (self.shard_size - 1))
-    }
-
-    /// The shard index holding `id`.
-    #[inline]
-    pub fn shard_of(&self, id: PeerId) -> usize {
-        (id as usize) >> self.shift
     }
 
     /// A peer's buffer column entry.
@@ -582,8 +563,8 @@ mod tests {
         assert_eq!(store.shards()[0].len(), 4);
         assert_eq!(store.shards()[1].len(), 4);
         assert_eq!(store.shards()[2].len(), 2);
-        assert_eq!(store.shard_of(3), 0);
-        assert_eq!(store.shard_of(4), 1);
+        assert_eq!(store.loc(3), (0, 3));
+        assert_eq!(store.loc(4), (1, 0));
         assert_eq!(store.peer(7).id(), 7);
         // A pushed peer starts empty, joining at segment 0.
         let peer = store.peer(7);

@@ -211,7 +211,10 @@ impl StreamingSystem {
     /// Panics if the configuration is invalid or `τ` rounds below 1 ms.
     pub fn set_network(&mut self, config: NetworkConfig) {
         let tau_ms = (self.config.tau_secs * 1_000.0).round() as u64;
-        let per_period = (self.config.play_rate * self.config.tau_secs).ceil() as usize + 1;
+        // A requester is granted at most B segments a period (the grant
+        // reservation's cap), so a huge validated τ reserves no more.
+        let per_period = ((self.config.play_rate * self.config.tau_secs).ceil() as usize + 1)
+            .min(self.config.buffer_capacity);
         // Horizon: how many periods a message can stay in flight under the
         // slowest link (request + data leg = 2 one-way = 4 access delays),
         // clamped against pathological latency models; later arrivals wait
@@ -658,12 +661,6 @@ impl StreamingSystem {
         // 6. Switch-window traffic accounting.
         self.account_switch_window(period_traffic_before);
         self.update_switch_completion();
-    }
-
-    /// True when every countable node has finished the old stream and
-    /// prepared the new one.
-    pub fn switch_complete(&self) -> bool {
-        self.switch_completed_secs.is_some()
     }
 
     /// Event mode: applies the in-flight messages due exactly at the current
@@ -1462,8 +1459,8 @@ fn schedule_chunk(
         if neighbors.is_empty() {
             continue;
         }
-        // Buffer-map exchange cost: one 620-bit map per neighbour.
-        worker.control_bits += config.buffermap_bits * neighbors.len() as u64;
+        // Buffer-map exchange cost: one (B + 20)-bit map per neighbour.
+        worker.control_bits += config.buffermap_bits() * neighbors.len() as u64;
 
         let inbound = inbound_rate[p as usize];
         if inbound <= 0.0 {
@@ -1707,13 +1704,13 @@ mod tests {
     }
 
     fn build_system(nodes: usize, seed: u64) -> StreamingSystem {
+        build_system_with(nodes, seed, GossipConfig::paper_default())
+    }
+
+    fn build_system_with(nodes: usize, seed: u64, config: GossipConfig) -> StreamingSystem {
         let trace = TraceGenerator::new(GeneratorConfig::sized(nodes, seed)).generate("sys");
         let overlay = OverlayBuilder::paper_default().build(&trace).unwrap();
-        StreamingSystem::new(
-            overlay,
-            GossipConfig::paper_default(),
-            Box::new(GreedyOldest),
-        )
+        StreamingSystem::new(overlay, config, Box::new(GreedyOldest))
     }
 
     fn first_two(sys: &StreamingSystem) -> (PeerId, PeerId) {
@@ -1732,9 +1729,29 @@ mod tests {
             ..GossipConfig::paper_default()
         };
         config.validate().unwrap();
-        let trace = TraceGenerator::new(GeneratorConfig::sized(200, 1)).generate("sys");
-        let overlay = OverlayBuilder::paper_default().build(&trace).unwrap();
-        let mut sys = StreamingSystem::new(overlay, config, Box::new(GreedyOldest));
+        let mut sys = build_system_with(200, 1, config);
+        let (source, _) = first_two(&sys);
+        sys.start_initial_source(source);
+        sys.run_periods(2);
+        assert_eq!(sys.periods(), 2);
+    }
+
+    #[test]
+    fn huge_validated_tau_reserves_a_bounded_calendar() {
+        // ⌈p·τ⌉ + 1 grows with τ; the calendar reserves at most B grants per
+        // requester and period, so a longer period reserves no more.
+        let with_tau = |tau_secs| {
+            let config = GossipConfig {
+                tau_secs,
+                ..GossipConfig::paper_default()
+            };
+            let mut sys = build_system_with(200, 1, config);
+            sys.set_network(NetworkConfig::ideal());
+            sys
+        };
+        let minute = with_tau(60.0).network().unwrap().heap_bytes();
+        let mut sys = with_tau(1_000.0);
+        assert!(sys.network().unwrap().heap_bytes() <= minute);
         let (source, _) = first_two(&sys);
         sys.start_initial_source(source);
         sys.run_periods(2);
@@ -1785,7 +1802,6 @@ mod tests {
         sys.switch_source(s2);
         let executed = sys.run_until_switched(200);
         assert!(executed < 200, "switch never completed");
-        assert!(sys.switch_complete());
 
         let report = sys.report();
         assert_eq!(report.scheduler, "greedy-oldest");

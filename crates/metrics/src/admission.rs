@@ -10,10 +10,9 @@
 
 use crate::sketch::QuantileSketch;
 use crate::summary::Summary;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated admission-pipeline metrics of one multi-channel run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionSummary {
     /// True when a `max_admits_per_period` rate limit was active (the
     /// delay/queue fields are structurally zero otherwise).

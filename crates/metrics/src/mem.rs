@@ -11,14 +11,13 @@
 //! `BENCH_period.json` and guarded by `crates/bench/tests/mem_budget.rs`.
 
 use fss_gossip::MemUsage;
-use serde::Serialize;
 
 /// Aggregated per-peer memory footprint over one or more streaming systems.
 ///
 /// Deterministic: built by summing the systems' integer [`MemUsage`]
 /// counters in order, so reports containing it stay byte-comparable across
 /// worker counts and stepping modes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemSummary {
     /// Number of systems (channels) aggregated.
     pub systems: usize,

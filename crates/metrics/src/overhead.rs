@@ -1,10 +1,9 @@
 //! Communication-overhead metric (§5.2 metric 3, Figures 8 and 12).
 
 use fss_gossip::TrafficCounters;
-use serde::{Deserialize, Serialize};
 
 /// Communication overhead of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadSummary {
     /// Control (buffer-map) bits exchanged in the measured window.
     pub control_bits: u64,

@@ -26,7 +26,6 @@
 
 use crate::sketch::QuantileSketch;
 use fss_gossip::{MemoryFootprint, PeriodSample};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A per-period aggregation window a [`Timeline`] can decimate in time and
@@ -47,7 +46,7 @@ pub trait TimelineWindow: Clone {
 ///
 /// Steady-state pushes never allocate: the slot vector is pre-reserved at
 /// construction and decimation shrinks it in place.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Timeline<W> {
     slots: Vec<W>,
     capacity: usize,
@@ -183,7 +182,7 @@ impl<W> MemoryFootprint for Timeline<W> {
 
 /// Playback-QoE window: the counters of one or more adjacent
 /// [`PeriodSample`] rows (and, after a report fold, of every channel).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QoeWindow {
     /// First period this window covers.
     pub start_period: u64,
@@ -276,7 +275,7 @@ impl TimelineWindow for QoeWindow {
 
 /// Admission-queue depth window: the post-drain queue depth gauges of one
 /// or more adjacent period boundaries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DepthWindow {
     /// First period boundary this window covers.
     pub start_period: u64,
@@ -335,7 +334,7 @@ impl TimelineWindow for DepthWindow {
 /// on.  Serialises to an exact text form (`{:?}` prints the shortest f64
 /// representation that round-trips) so scorecards can be stored next to a
 /// run and diffed later.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scorecard {
     /// Periods the run executed.
     pub periods: u64,
@@ -640,7 +639,7 @@ impl std::error::Error for ScorecardParseError {}
 
 /// The comparison of two scorecards (baseline → variant), printable as a
 /// metric-by-metric delta table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScorecardDelta {
     /// The baseline scorecard.
     pub before: Scorecard,

@@ -1,9 +1,7 @@
 //! Plain-text and CSV tables for the figure harness.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple column-aligned table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     title: String,
     headers: Vec<String>,

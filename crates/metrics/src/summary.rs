@@ -1,9 +1,7 @@
 //! Descriptive statistics over a sample of `f64` values.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a (possibly empty) sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

@@ -3,10 +3,9 @@
 use crate::sketch::QuantileSketch;
 use crate::summary::Summary;
 use fss_gossip::{SwitchRecord, SwitchStats};
-use serde::{Deserialize, Serialize};
 
 /// Aggregated switch metrics over all countable nodes of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchSummary {
     /// Nodes that were present at the switch and did not depart.
     pub countable_nodes: usize,
@@ -98,7 +97,7 @@ impl SwitchSummary {
 /// source switch).  Zaps whose playback never started within the measured
 /// horizon count as *pending* and are excluded from the latency moments but
 /// reported in the completion rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZapSummary {
     /// Zap arrivals whose playback started within the horizon.
     pub completed: usize,

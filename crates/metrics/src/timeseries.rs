@@ -1,10 +1,9 @@
 //! The ratio tracks of Figures 5 and 9.
 
 use fss_gossip::RatioSample;
-use serde::{Deserialize, Serialize};
 
 /// A cleaned-up ratio track: one row per second since the switch.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RatioTrack {
     rows: Vec<RatioSample>,
 }

@@ -7,10 +7,8 @@
 //! busiest channel's share, and the Gini coefficient of the whole arrival
 //! distribution (0 = perfectly even, → 1 = all arrivals on one channel).
 
-use serde::{Deserialize, Serialize};
-
 /// How zap arrivals are distributed over channels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZapLoadSummary {
     /// Total zap arrivals across all channels.
     pub total_arrivals: usize,

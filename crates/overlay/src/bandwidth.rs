@@ -15,10 +15,9 @@
 
 use crate::error::OverlayError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Inbound/outbound segment rates assigned to one peer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeerBandwidth {
     /// Inbound rate in segments per second.
     pub inbound: f64,
@@ -27,7 +26,7 @@ pub struct PeerBandwidth {
 }
 
 /// Configuration of the bandwidth distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthConfig {
     /// Minimum peer rate (segments/s).  Paper default: 10 (300 Kbps).
     pub min_rate: f64,

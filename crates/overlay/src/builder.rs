@@ -13,10 +13,9 @@ use fss_sim::hasher::FxHashMap;
 use fss_trace::Trace;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Static attributes of one peer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeerAttrs {
     /// Measured ping RTT (milliseconds), from the trace or sampled for
     /// joining peers.
@@ -26,7 +25,7 @@ pub struct PeerAttrs {
 }
 
 /// Configuration of the overlay construction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlayConfig {
     /// Minimum number of neighbours every peer must hold (paper: `M = 5`).
     pub min_degree: usize,
@@ -47,7 +46,7 @@ impl Default for OverlayConfig {
 }
 
 /// The fully constructed overlay: topology + per-peer attributes + latency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Overlay {
     /// Name of the trace this overlay was built from.
     pub name: String,

@@ -13,10 +13,9 @@ use crate::graph::PeerId;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// What happened during one churn step.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChurnEvent {
     /// Peers that left the overlay this period.
     pub left: Vec<PeerId>,

@@ -1,7 +1,6 @@
 //! Dynamic undirected overlay graph.
 
 use crate::error::OverlayError;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a peer in the overlay.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 pub type PeerId = u32;
 
 /// An undirected graph with stable peer ids and O(1) membership checks.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OverlayGraph {
     /// `adjacency[p]` lists the active neighbours of peer `p`.
     adjacency: Vec<Vec<PeerId>>,

@@ -7,10 +7,9 @@
 //! for peer-to-peer overlays of that era.
 
 use crate::graph::PeerId;
-use serde::{Deserialize, Serialize};
 
 /// Stores per-peer access delay and answers pairwise latency queries.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyModel {
     /// One-way access delay per peer in milliseconds (half the measured ping).
     access_ms: Vec<f64>,

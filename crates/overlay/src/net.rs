@@ -14,14 +14,13 @@
 //! shard layouts and stepping modes — there is no RNG cursor to perturb.
 
 use crate::graph::PeerId;
-use serde::{Deserialize, Serialize};
 
 /// Knobs of the message-level network model.
 ///
 /// The default ([`NetworkConfig::ideal`]) is the degenerate instance the
 /// period-lockstep mode is equivalent to: zero latency, zero loss, zero
 /// jitter.  Golden-digest tests pin that equivalence byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
     /// Multiplier applied to the modeled per-link round-trip time from
     /// [`crate::latency::LatencyModel`].  `0.0` delivers instantly; `1.0`

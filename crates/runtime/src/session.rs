@@ -65,12 +65,11 @@ use fss_sim::exec::DisjointSlots;
 use fss_trace::{GeneratorConfig, TraceGenerator};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Configuration of a multi-channel session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionConfig {
     /// Number of concurrent channels (independent streaming systems).
     pub channels: usize,
@@ -102,7 +101,7 @@ pub struct SessionConfig {
 }
 
 /// Admission-control knobs of the membership directory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionControl {
     /// Per-channel cap on zap arrivals admitted per period boundary.  `None`
     /// (the default) admits every arrival at its batch boundary — the
@@ -457,7 +456,7 @@ struct PlannedBatch {
 }
 
 /// Per-channel slice of the [`RuntimeReport`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelReport {
     /// Channel index.
     pub channel: usize,
@@ -480,7 +479,7 @@ pub struct ChannelReport {
 /// Deterministic: identical bytes for every worker-pool size **and** for
 /// barrier versus pipelined stepping (asserted by the test-suite), so
 /// reports can be diffed across hardware and execution strategies.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeReport {
     /// Periods driven through every channel.
     pub periods: u64,

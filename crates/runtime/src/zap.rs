@@ -31,7 +31,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// One planned viewer movement between two channels at a period boundary.
 ///
@@ -40,7 +39,7 @@ use serde::Serialize;
 /// its live survival floor (at least one non-source peer always stays, so a
 /// plan drawn from a stale population model can never drain a channel to
 /// source-only membership).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ZapBatch {
     /// Period boundary at which the batch applies (viewers move before the
     /// channels execute this period).
@@ -180,7 +179,7 @@ impl ZipfSampler {
 /// One flash-crowd event: `size` viewers converge on channel `target` at
 /// period boundary `at`, drawn from the other channels in proportion to the
 /// schedule's modelled populations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Storm {
     /// Period boundary of the burst.  Must fall within the *measured*
     /// periods (the schedule is never consulted during warm-up; a missed
@@ -463,7 +462,7 @@ impl ZapSchedule for CrowdZap {
 ///
 /// [`build`](Self::build) turns the description into the concrete
 /// [`ZapSchedule`] for a given session shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ZapWorkload {
     /// No zapping at all.
     None,

@@ -349,7 +349,7 @@ impl Spec {
                 continue;
             }
             self.traffic_total
-                .add_control(self.config.buffermap_bits * neighbors.len() as u64);
+                .add_control(self.config.buffermap_bits() * neighbors.len() as u64);
             let inbound = overlay.attrs(p).map_or(0.0, |a| a.bandwidth.inbound);
             if inbound <= 0.0 {
                 continue;

@@ -9,10 +9,9 @@
 
 use crate::generator::{GeneratorConfig, TraceGenerator};
 use crate::record::Trace;
-use serde::{Deserialize, Serialize};
 
 /// A named entry of the catalog: enough information to regenerate one trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpec {
     /// Catalog name, e.g. `"clip2-synth-1000-a"`.
     pub name: String,
@@ -30,7 +29,7 @@ impl TraceSpec {
 }
 
 /// The fixed catalog of 30 synthetic crawl snapshots.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceCatalog {
     specs: Vec<TraceSpec>,
 }

@@ -19,11 +19,10 @@ use crate::record::{NodeId, Trace, TraceRecord};
 use crate::speed::AccessSpeed;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Configuration for [`TraceGenerator`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorConfig {
     /// Number of peers to generate.
     pub nodes: usize,

@@ -3,7 +3,6 @@
 use crate::error::TraceError;
 use crate::speed::AccessSpeed;
 use fss_sim::hasher::{FxHashMap, FxHashSet};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -14,7 +13,7 @@ pub type NodeId = u32;
 ///
 /// The paper lists "each node's ID, IP, host name, port, ping time, speed and
 /// so on, but we just use the ID, IP and ping time information".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
     /// Dense node identifier.
     pub id: NodeId,
@@ -49,7 +48,7 @@ impl fmt::Display for TraceRecord {
 
 /// A complete overlay trace: peers plus the undirected overlay edges observed
 /// between them.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Human readable name (e.g. `"clip2-synth-1000-a"`).
     pub name: String,

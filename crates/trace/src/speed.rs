@@ -7,10 +7,8 @@
 //! and outbound segment rates (see `fss-overlay::bandwidth`), so this class
 //! only influences generated metadata, not simulation results.
 
-use serde::{Deserialize, Serialize};
-
 /// Access-link class of a crawled peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessSpeed {
     /// 56 kbit/s dial-up modem.
     Modem56k,
