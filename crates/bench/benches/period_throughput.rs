@@ -404,7 +404,7 @@ fn directory_resolve(
 ) {
     scratch.clear();
     select_movers(origin, origin_source, |_| false, batch, rng, scratch);
-    let degree = degree.min(target.candidates().len());
+    let degree = degree.min(target.len());
     for _ in 0..scratch.movers.len() {
         sample_neighbours(target, degree, rng, scratch);
         scratch.attrs.push(PeerAttrs {

@@ -196,7 +196,7 @@ fn steady_state_zap_batch_resolution_does_not_allocate() {
             scratch,
         );
         let view = target.membership_view();
-        let degree = 5.min(view.candidates().len());
+        let degree = 5.min(view.len());
         for _ in 0..scratch.movers.len() {
             sample_neighbours(view, degree, rng, scratch);
             scratch.attrs.push(fss_overlay::PeerAttrs {

@@ -231,7 +231,6 @@ pub fn sweep_admission_rates(
                 session: SessionConfig {
                     admission: AdmissionControl {
                         max_admits_per_period,
-                        ..base.session.admission
                     },
                     ..base.session
                 },

@@ -19,10 +19,6 @@
 //!   from the view consume the *same RNG stream over the same candidate
 //!   set* as the legacy collect-then-sample path — reports stay
 //!   byte-identical (pinned by the `golden_report` tests in `fss-runtime`).
-//!   Optionally the view also maintains a **bounded candidate list**
-//!   (CliqueStream-style partial view): a deterministic reservoir sample of
-//!   at most `candidate_bound` members, refreshed incrementally, so huge
-//!   channels hand newcomers a constant-size partner set.
 //! * [`select_movers`] and [`sample_neighbours`] — the shared join
 //!   machinery: allocation-free sampling of movers and per-arrival
 //!   neighbour sets out of pooled scratch buffers ([`AdmissionScratch`])
@@ -48,83 +44,34 @@ use crate::hasher::FxHashMap;
 use crate::mem::{vec_bytes, MemoryFootprint};
 use fss_overlay::{PeerAttrs, PeerId};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-/// Configuration of one channel's membership view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ViewConfig {
-    /// Upper bound on the sampled candidate list handed to newcomers.
-    /// `None` keeps the candidate list equal to the full membership (the
-    /// default — byte-identical to the legacy collect-then-sample path).
-    pub candidate_bound: Option<usize>,
-    /// Seed of the view's reservoir decisions (only consumed when
-    /// `candidate_bound` is set).
-    pub seed: u64,
-}
-
-impl Default for ViewConfig {
-    fn default() -> Self {
-        ViewConfig {
-            candidate_bound: None,
-            seed: 0x000D_17EC_7021,
-        }
-    }
-}
-
-/// One channel's membership view: the sorted member list plus the (optional)
-/// bounded candidate list newcomers sample their partners from.
+/// One channel's membership view: the sorted member list newcomers sample
+/// their partners from.
 ///
 /// Updated incrementally on every membership event — O(log n) search plus
 /// an O(n) shift per event instead of an O(n) collection *per zap batch*,
-/// and no allocation once the backing vectors reach their high-water marks.
-#[derive(Debug, Clone)]
+/// and no allocation once the backing vector reaches its high-water mark.
+#[derive(Debug, Clone, Default)]
 pub struct MembershipView {
     /// All active members, ascending by id (the same order
     /// `Overlay::active_peers()` iterates in).
     members: Vec<PeerId>,
-    /// Bounded candidate list (reservoir sample of `members`); empty when
-    /// the view is unbounded and [`candidates`](Self::candidates) returns
-    /// the full member list instead.
-    bounded: Vec<PeerId>,
-    /// Update stamp at which each `bounded` entry was (re)sampled, parallel
-    /// to `bounded`.  Drives the staleness metric.
-    bounded_stamps: Vec<u64>,
-    /// Total membership updates applied (joins + departs).
-    updates: u64,
-    /// Members ever seen by the bounded reservoir (its `i` in Algorithm R).
-    reservoir_seen: u64,
-    rng: SmallRng,
-    config: ViewConfig,
 }
 
 impl MembershipView {
-    /// An empty view with the given configuration.
-    pub fn new(config: ViewConfig) -> Self {
-        MembershipView {
-            members: Vec::new(),
-            bounded: Vec::new(),
-            bounded_stamps: Vec::new(),
-            updates: 0,
-            reservoir_seen: 0,
-            rng: SmallRng::seed_from_u64(config.seed ^ 0x0D14_EC70),
-            config,
-        }
-    }
-
     /// Builds a view over an existing membership (need not be sorted).
-    pub fn from_members(config: ViewConfig, members: impl IntoIterator<Item = PeerId>) -> Self {
-        let mut view = Self::new(config);
-        let mut initial: Vec<PeerId> = members.into_iter().collect();
-        initial.sort_unstable();
-        for peer in initial {
-            view.on_join(peer);
-        }
-        view
-    }
-
-    /// The view's configuration.
-    pub fn config(&self) -> &ViewConfig {
-        &self.config
+    ///
+    /// # Panics
+    /// Panics if `members` names a peer twice.
+    pub fn from_members(members: impl IntoIterator<Item = PeerId>) -> Self {
+        let mut members: Vec<PeerId> = members.into_iter().collect();
+        members.sort_unstable();
+        assert!(
+            members.windows(2).all(|pair| pair[0] != pair[1]),
+            "peer joined twice"
+        );
+        MembershipView { members }
     }
 
     /// All active members, ascending by id.
@@ -147,40 +94,6 @@ impl MembershipView {
         self.members.binary_search(&peer).is_ok()
     }
 
-    /// The candidate list newcomers sample partners from: the bounded
-    /// reservoir when a `candidate_bound` is configured, the full member
-    /// list otherwise.
-    pub fn candidates(&self) -> &[PeerId] {
-        if self.config.candidate_bound.is_some() {
-            &self.bounded
-        } else {
-            &self.members
-        }
-    }
-
-    /// Total membership updates (joins + departs) applied so far.
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
-    /// Mean age — in membership updates — of the candidate-list entries: how
-    /// far the sampled partial view lags the live membership.  Exact
-    /// (unbounded) views refresh on every update, so their staleness is the
-    /// mean time since each member joined only in the bounded case; the
-    /// unbounded case reports 0 because the candidate list *is* the
-    /// membership.
-    pub fn staleness(&self) -> f64 {
-        if self.config.candidate_bound.is_none() || self.bounded_stamps.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self
-            .bounded_stamps
-            .iter()
-            .map(|&stamp| self.updates - stamp)
-            .sum();
-        total as f64 / self.bounded_stamps.len() as f64
-    }
-
     /// Registers a join.  Idempotence is deliberately *not* provided: every
     /// overlay membership event must be mirrored exactly once.
     ///
@@ -192,23 +105,6 @@ impl MembershipView {
             .binary_search(&peer)
             .expect_err("peer joined twice");
         self.members.insert(at, peer);
-        self.updates += 1;
-        if let Some(bound) = self.config.candidate_bound {
-            // Vitter's Algorithm R keeps `bounded` a uniform sample of every
-            // member the reservoir has seen; the stamps record when each
-            // slot was last refreshed (the staleness metric).
-            self.reservoir_seen += 1;
-            if self.bounded.len() < bound {
-                self.bounded.push(peer);
-                self.bounded_stamps.push(self.updates);
-            } else {
-                let slot = self.rng.gen_range(0..self.reservoir_seen) as usize;
-                if slot < bound {
-                    self.bounded[slot] = peer;
-                    self.bounded_stamps[slot] = self.updates;
-                }
-            }
-        }
     }
 
     /// Registers a departure.
@@ -221,67 +117,12 @@ impl MembershipView {
             .binary_search(&peer)
             .expect("departing peer is a member");
         self.members.remove(at);
-        self.updates += 1;
-        if self.config.candidate_bound.is_some() {
-            // Refill the vacated slot from the live membership so the
-            // candidate list never hands out a departed peer.
-            if let Some(slot) = self.bounded.iter().position(|&c| c == peer) {
-                self.refill_slot(slot);
-            }
-        }
-    }
-
-    /// Replaces the candidate at `slot` with a random live member not
-    /// already in the list (or removes the slot when none exists).
-    fn refill_slot(&mut self, slot: usize) {
-        // Fast path: rejection-sample a member index.  With the bound well
-        // below the membership (the situation bounded views exist for) each
-        // draw lands outside the candidate list with probability ≥ 1/2, so
-        // the expected cost is O(bound) — not a scan of the whole channel.
-        if self.members.len() >= 2 * self.bounded.len() {
-            for _ in 0..32 {
-                let pick = self.members[self.rng.gen_range(0..self.members.len())];
-                if !self.bounded.contains(&pick) {
-                    self.bounded[slot] = pick;
-                    self.bounded_stamps[slot] = self.updates;
-                    return;
-                }
-            }
-        }
-        // Dense memberships (or a pathological streak of rejections): one
-        // reservoir pass over the members outside the candidate list — the
-        // k-th outsider replaces the running pick with probability 1/k, so
-        // the survivor is uniform without a second scan.
-        let mut replacement = None;
-        let mut outside = 0u64;
-        for i in 0..self.members.len() {
-            let member = self.members[i];
-            if self.bounded.contains(&member) {
-                continue;
-            }
-            outside += 1;
-            if self.rng.gen_range(0..outside) == 0 {
-                replacement = Some(member);
-            }
-        }
-        match replacement {
-            Some(pick) => {
-                self.bounded[slot] = pick;
-                self.bounded_stamps[slot] = self.updates;
-            }
-            // Every member is already a candidate: the slot cannot be
-            // refilled, so the list shrinks.
-            None => {
-                self.bounded.swap_remove(slot);
-                self.bounded_stamps.swap_remove(slot);
-            }
-        }
     }
 }
 
 impl MemoryFootprint for MembershipView {
     fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.members) + vec_bytes(&self.bounded) + vec_bytes(&self.bounded_stamps)
+        vec_bytes(&self.members)
     }
 }
 
@@ -424,22 +265,21 @@ pub fn select_movers(
     );
 }
 
-/// Draws one arrival's neighbour set from `view`'s candidate list into
-/// `scratch.neighbours` (appending `degree.min(candidates)` entries) and
+/// Draws one arrival's neighbour set from `view`'s members into
+/// `scratch.neighbours` (appending `degree.min(view.len())` entries) and
 /// returns how many were appended.
 ///
-/// RNG-compatible with `candidates.choose_multiple(rng, degree)` over
-/// the legacy collected candidate vector.
+/// RNG-compatible with `members.choose_multiple(rng, degree)` over
+/// the legacy collected member vector.
 pub fn sample_neighbours(
     view: &MembershipView,
     degree: usize,
     rng: &mut SmallRng,
     scratch: &mut AdmissionScratch,
 ) -> usize {
-    let candidates = view.candidates();
-    let take = degree.min(candidates.len());
+    let take = degree.min(view.len());
     sample_distinct(
-        candidates,
+        view.members(),
         rng,
         take,
         &mut scratch.sampler,
@@ -452,6 +292,7 @@ pub fn sample_neighbours(
 mod tests {
     use super::*;
     use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
     /// The satellite guarantee: the sparse sampler is a drop-in replacement
     /// for the vendored `choose_multiple` — identical picks *and* identical
@@ -484,106 +325,47 @@ mod tests {
 
     #[test]
     fn view_mirrors_membership_in_sorted_order() {
-        let mut view = MembershipView::new(ViewConfig::default());
+        let mut view = MembershipView::default();
         for p in [5u32, 1, 9, 3] {
             view.on_join(p);
         }
         assert_eq!(view.members(), &[1, 3, 5, 9]);
-        assert_eq!(view.candidates(), &[1, 3, 5, 9]);
         assert!(view.contains(5));
         view.on_depart(5);
         assert_eq!(view.members(), &[1, 3, 9]);
         assert!(!view.contains(5));
         assert_eq!(view.len(), 3);
-        assert_eq!(view.updates(), 5);
-        assert_eq!(view.staleness(), 0.0, "exact views are never stale");
+        assert_eq!(
+            MembershipView::from_members([9u32, 1, 3]).members(),
+            view.members()
+        );
         assert!(view.heap_bytes() > 0);
     }
 
     #[test]
     #[should_panic(expected = "joined twice")]
     fn double_join_panics() {
-        let mut view = MembershipView::new(ViewConfig::default());
+        let mut view = MembershipView::default();
         view.on_join(1);
         view.on_join(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "joined twice")]
+    fn duplicate_initial_member_panics() {
+        MembershipView::from_members([4u32, 2, 4]);
     }
 
     #[test]
     #[should_panic(expected = "is a member")]
     fn unknown_departure_panics() {
-        let mut view = MembershipView::new(ViewConfig::default());
+        let mut view = MembershipView::default();
         view.on_depart(7);
     }
 
     #[test]
-    fn bounded_view_caps_the_candidate_list() {
-        let config = ViewConfig {
-            candidate_bound: Some(8),
-            seed: 42,
-        };
-        let mut view = MembershipView::from_members(config, 0..100u32);
-        assert_eq!(view.len(), 100);
-        assert_eq!(view.candidates().len(), 8);
-        // Candidates are always live members.
-        for &c in view.candidates() {
-            assert!(view.contains(c));
-        }
-        // Departing a candidate refills the slot from the live membership.
-        let victim = view.candidates()[0];
-        view.on_depart(victim);
-        assert_eq!(view.candidates().len(), 8);
-        for &c in view.candidates() {
-            assert!(view.contains(c), "candidate {c} is not a live member");
-            assert_ne!(c, victim);
-        }
-        // The reservoir is a *sample*: staleness grows as updates pass it by.
-        for p in 200..260u32 {
-            view.on_join(p);
-        }
-        assert!(view.staleness() > 0.0);
-    }
-
-    #[test]
-    fn bounded_view_shrinks_with_tiny_memberships() {
-        let config = ViewConfig {
-            candidate_bound: Some(4),
-            seed: 7,
-        };
-        let mut view = MembershipView::from_members(config, 0..4u32);
-        assert_eq!(view.candidates().len(), 4);
-        view.on_depart(0);
-        view.on_depart(1);
-        view.on_depart(2);
-        // Fewer members than the bound: every member is a candidate, no
-        // slot can be refilled from outside.
-        assert!(view.candidates().len() <= view.len());
-        for &c in view.candidates() {
-            assert!(view.contains(c));
-        }
-    }
-
-    #[test]
-    fn bounded_view_is_deterministic() {
-        let build = || {
-            let config = ViewConfig {
-                candidate_bound: Some(6),
-                seed: 99,
-            };
-            let mut view = MembershipView::from_members(config, 0..50u32);
-            for p in [3u32, 17, 40] {
-                view.on_depart(p);
-            }
-            for p in 60..80u32 {
-                view.on_join(p);
-            }
-            view.candidates().to_vec()
-        };
-        assert_eq!(build(), build());
-    }
-
-    #[test]
     fn pipeline_selects_movers_with_the_survival_floor() {
-        let view = MembershipView::from_members(ViewConfig::default(), 0..6u32);
+        let view = MembershipView::from_members(0..6u32);
         let mut scratch = AdmissionScratch::default();
         let mut rng = SmallRng::seed_from_u64(1);
         // Ask for far more movers than the channel can give up: everyone but
@@ -605,7 +387,7 @@ mod tests {
     #[test]
     fn pipeline_neighbour_sampling_matches_the_legacy_path() {
         let members: Vec<PeerId> = (0..40).collect();
-        let view = MembershipView::from_members(ViewConfig::default(), members.iter().copied());
+        let view = MembershipView::from_members(members.iter().copied());
         let mut scratch = AdmissionScratch::default();
 
         let mut rng = SmallRng::seed_from_u64(11);

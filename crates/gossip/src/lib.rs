@@ -81,10 +81,10 @@ pub mod transfer;
 
 pub use buffer::FifoBuffer;
 pub use config::GossipConfig;
-pub use directory::{AdmissionScratch, MembershipView, ViewConfig};
+pub use directory::{AdmissionScratch, MembershipView};
 pub use mem::{BufferMemBreakdown, MemUsage, MemoryFootprint};
 pub use net::{NetStats, NetworkModel};
-pub use playback::{PlaybackPhase, PlaybackState};
+pub use playback::PlaybackState;
 pub use qoe::{PeriodSample, QoeRecorder, QoeTotals};
 pub use scheduler::{
     CandidateSegment, NeighbourInfo, SchedulerScratch, SchedulingContext, SegmentRequest,

@@ -11,15 +11,6 @@
 use crate::buffer::FifoBuffer;
 use crate::segment::SegmentId;
 
-/// Coarse playback phase, mostly useful for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlaybackPhase {
-    /// Waiting for the initial startup condition (`Q` consecutive segments).
-    Startup,
-    /// Actively consuming segments.
-    Playing,
-}
-
 /// Statistics and position of one node's playback.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlaybackState {
@@ -58,15 +49,6 @@ impl PlaybackState {
     /// Whether playback has started.
     pub fn has_started(&self) -> bool {
         self.started
-    }
-
-    /// The current playback phase.
-    pub fn phase(&self) -> PlaybackPhase {
-        if self.started {
-            PlaybackPhase::Playing
-        } else {
-            PlaybackPhase::Startup
-        }
     }
 
     /// Total segments played so far.
@@ -142,7 +124,7 @@ mod tests {
     #[test]
     fn startup_requires_q_consecutive_segments() {
         let mut p = PlaybackState::new(SegmentId(0));
-        assert_eq!(p.phase(), PlaybackPhase::Startup);
+        assert!(!p.has_started());
 
         // 9 consecutive: not enough for Q = 10.
         let b = buffer_with(&(0..9).collect::<Vec<_>>());
@@ -154,7 +136,7 @@ mod tests {
 
         let b = buffer_with(&(0..10).collect::<Vec<_>>());
         assert!(p.try_start(&b, 10));
-        assert_eq!(p.phase(), PlaybackPhase::Playing);
+        assert!(p.has_started());
         // Idempotent.
         assert!(p.try_start(&FifoBuffer::new(10), 10));
     }

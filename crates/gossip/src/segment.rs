@@ -124,11 +124,6 @@ impl SessionDirectory {
         self.sessions.iter().find(|s| s.id == id)
     }
 
-    /// The session owning `segment`, if any.
-    pub fn session_of(&self, segment: SegmentId) -> Option<&Session> {
-        self.sessions.iter().find(|s| s.contains(segment))
-    }
-
     /// Starts a new session from `source_peer` at `start_secs`.
     ///
     /// The previous live session (if any) is closed at `previous_end`, and the
@@ -232,8 +227,6 @@ mod tests {
         assert_eq!(new.first_segment, SegmentId(500));
         assert!(dir.live().unwrap().id == s2);
 
-        assert_eq!(dir.session_of(SegmentId(499)).unwrap().id, s1);
-        assert_eq!(dir.session_of(SegmentId(500)).unwrap().id, s2);
         assert_eq!(dir.sessions().len(), 2);
     }
 

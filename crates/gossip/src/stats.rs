@@ -93,9 +93,10 @@ pub struct MilestoneStat {
     pub count: usize,
     /// Sum of the milestone values, folded in peer-id order.
     pub sum: f64,
-    /// Smallest recorded value (0 when no node reached the milestone).
+    /// Smallest recorded value (+∞ when no node reached the milestone).
     pub min: f64,
-    /// Largest recorded value (0 when no node reached the milestone).
+    /// Largest recorded value (−∞ when no node reached the milestone; see
+    /// [`max_or_zero`](Self::max_or_zero)).
     pub max: f64,
 }
 
@@ -138,15 +139,6 @@ impl MilestoneStat {
             0.0
         } else {
             self.max
-        }
-    }
-
-    /// Smallest recorded value (0 when empty).
-    pub fn min_or_zero(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
         }
     }
 }
@@ -307,7 +299,6 @@ mod tests {
         assert_eq!(stats.completion_rate(), 0.0);
         assert_eq!(stats.finish_old_secs.mean(), 0.0);
         assert_eq!(stats.finish_old_secs.max_or_zero(), 0.0);
-        assert_eq!(stats.finish_old_secs.min_or_zero(), 0.0);
     }
 
     #[test]

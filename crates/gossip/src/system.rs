@@ -34,7 +34,7 @@
 
 use crate::buffer::FifoBuffer;
 use crate::config::GossipConfig;
-use crate::directory::{sample_distinct, MembershipView, SampleScratch, ViewConfig};
+use crate::directory::{sample_distinct, MembershipView, SampleScratch};
 use crate::mem::{vec_bytes, MemUsage, MemoryFootprint};
 use crate::membership::MembershipMaintainer;
 use crate::net::{NetStats, NetworkModel};
@@ -99,9 +99,9 @@ pub struct StreamingSystem {
     churn: Option<ChurnModel>,
     membership: MembershipMaintainer,
     /// This channel's slot in the cross-channel membership directory: the
-    /// incrementally maintained member/candidate view every admission path
-    /// (churn rejoin, zap batches, storms) and the repair pass read instead
-    /// of re-collecting `active_peers()`.
+    /// incrementally maintained member view every admission path (churn
+    /// rejoin, zap batches, storms) and the repair pass read instead of
+    /// re-collecting `active_peers()`.
     view: MembershipView,
     /// Pooled churn working memory (eligible/left/joined/neighbour buffers).
     churn_scratch: ChurnScratch,
@@ -158,13 +158,7 @@ impl StreamingSystem {
         }
         let min_degree = overlay.config().min_degree;
         let membership_seed = overlay.config().seed ^ 0x4d45_4d42;
-        let view = MembershipView::from_members(
-            ViewConfig {
-                candidate_bound: None,
-                seed: overlay.config().seed ^ 0x0D15_EC70,
-            },
-            overlay.active_peers(),
-        );
+        let view = MembershipView::from_members(overlay.active_peers());
         StreamingSystem {
             config,
             overlay,
@@ -287,16 +281,9 @@ impl StreamingSystem {
     }
 
     /// This channel's membership view — the directory slot other layers
-    /// (zap resolution, experiments) read candidates from.
+    /// (zap resolution, experiments) read members from.
     pub fn membership_view(&self) -> &MembershipView {
         &self.view
-    }
-
-    /// Reconfigures the membership view (e.g. installs a bounded candidate
-    /// list).  The view is rebuilt from the current membership; call before
-    /// the measured run for reproducible candidate lists.
-    pub fn configure_view(&mut self, config: ViewConfig) {
-        self.view = MembershipView::from_members(config, self.overlay.active_peers());
     }
 
     /// Current simulation time in seconds.
@@ -871,7 +858,7 @@ impl StreamingSystem {
 
     /// Per-period churn, routed through the membership directory: the
     /// departure shuffle reads the view's member list, every joiner's
-    /// neighbour set is sampled from the view's candidate list (the same
+    /// neighbour set is sampled from the view's member list (the same
     /// sampler zap batches use), the view is kept in sync event by event so
     /// later joiners can attach to earlier ones, and the joiners settle
     /// through the tail [`admit_batch`](Self::admit_batch) shares.
@@ -911,11 +898,11 @@ impl StreamingSystem {
                     break;
                 }
                 scratch.neighbours.clear();
-                let degree = churn.join_degree.min(view.candidates().len());
+                let degree = churn.join_degree.min(view.len());
                 let neighbours = &mut scratch.neighbours;
                 let sampler = &mut scratch.sampler;
                 let attrs = churn.draw_arrival(|rng| {
-                    sample_distinct(view.candidates(), rng, degree, sampler, neighbours)
+                    sample_distinct(view.members(), rng, degree, sampler, neighbours)
                 });
                 scratch
                     .joined
@@ -2187,7 +2174,6 @@ mod tests {
         let check = |sys: &StreamingSystem| {
             let active: Vec<PeerId> = sys.overlay().active_peers().collect();
             assert_eq!(sys.membership_view().members(), &active[..]);
-            assert_eq!(sys.membership_view().candidates(), &active[..]);
         };
         check(&sys);
         sys.set_churn(ChurnModel::paper_default(3));
@@ -2217,34 +2203,6 @@ mod tests {
         check(&sys);
         sys.run_periods(5);
         check(&sys);
-    }
-
-    /// A bounded (partial) view keeps its candidate list capped and live
-    /// while the member list stays exact.
-    #[test]
-    fn bounded_view_survives_churn() {
-        use crate::directory::ViewConfig;
-        let mut sys = build_system(80, 23);
-        let (source, _) = first_two(&sys);
-        sys.start_initial_source(source);
-        sys.configure_view(ViewConfig {
-            candidate_bound: Some(12),
-            seed: 5,
-        });
-        sys.set_churn(ChurnModel::paper_default(9));
-        for _ in 0..20 {
-            sys.advance();
-            let view = sys.membership_view();
-            assert_eq!(view.len(), sys.overlay().active_count());
-            assert!(view.candidates().len() <= 12);
-            for &c in view.candidates() {
-                assert!(
-                    sys.overlay().graph().is_active(c),
-                    "candidate {c} is not live"
-                );
-            }
-        }
-        assert!(sys.membership_view().staleness() >= 0.0);
     }
 
     #[test]

@@ -5,11 +5,9 @@
 //! channel in one period boundary — arrivals queue and admit over several
 //! boundaries, which is how deployed systems behave under switch storms.
 //! This module aggregates what that costs: how many arrivals waited, how
-//! long, how deep the queues ran, and how stale the (optionally bounded)
-//! candidate views were.
+//! long and how deep the queues ran.
 
 use crate::sketch::QuantileSketch;
-use crate::summary::Summary;
 
 /// Aggregated admission-pipeline metrics of one multi-channel run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,22 +31,69 @@ pub struct AdmissionSummary {
     pub p95_delay_secs: f64,
     /// Worst admission delay, seconds.
     pub max_delay_secs: f64,
-    /// Mean candidate-view staleness across channels (age of the sampled
-    /// candidate entries in membership updates; 0 for exact views).
-    pub avg_view_staleness: f64,
 }
 
 impl AdmissionSummary {
-    /// Builds the summary from the per-arrival admission delays (seconds,
-    /// one entry per admitted arrival — zero for arrivals admitted at their
-    /// request boundary), the queue tail state and the per-channel view
-    /// staleness readings.
-    pub fn from_parts(
+    /// Builds the summary from a streaming delay sketch instead of a
+    /// per-arrival vector.  `deferred` (admissions that waited ≥ 1 period)
+    /// is carried as an explicit counter because the sketch's bucket 0
+    /// deliberately conflates "zero delay" with "sub-tick delay".  For the
+    /// simulator's whole-period delays every field matches the
+    /// exact-vector oracle in this module's tests bitwise.
+    pub fn from_sketch(
+        rate_limited: bool,
+        delays: &QuantileSketch,
+        deferred: usize,
+        still_queued: usize,
+        max_queue_depth: usize,
+    ) -> AdmissionSummary {
+        AdmissionSummary {
+            rate_limited,
+            admitted: delays.count() as usize,
+            deferred,
+            still_queued,
+            max_queue_depth,
+            avg_delay_secs: delays.mean(),
+            p95_delay_secs: delays.quantile(0.95),
+            max_delay_secs: delays.max(),
+        }
+    }
+
+    /// An empty summary for a run without admission control: every arrival
+    /// was admitted at its request boundary, outside the pipeline's queue.
+    pub fn pass_through(admitted: usize) -> AdmissionSummary {
+        AdmissionSummary {
+            rate_limited: false,
+            admitted,
+            deferred: 0,
+            still_queued: 0,
+            max_queue_depth: 0,
+            avg_delay_secs: 0.0,
+            p95_delay_secs: 0.0,
+            max_delay_secs: 0.0,
+        }
+    }
+
+    /// Total arrivals the pipeline saw (admitted + still queued).
+    pub fn requested(&self) -> usize {
+        self.admitted + self.still_queued
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::summary::Summary;
+
+    /// The exact-vector oracle of [`AdmissionSummary::from_sketch`]: the
+    /// summary built from the per-arrival admission delays (seconds, one
+    /// entry per admitted arrival — zero for arrivals admitted at their
+    /// request boundary) and the queue tail state.
+    fn from_parts(
         rate_limited: bool,
         delays_secs: &[f64],
         still_queued: usize,
         max_queue_depth: usize,
-        view_staleness: &[f64],
     ) -> AdmissionSummary {
         let s = Summary::of(delays_secs);
         AdmissionSummary {
@@ -60,77 +105,13 @@ impl AdmissionSummary {
             avg_delay_secs: s.mean,
             p95_delay_secs: Summary::quantile(delays_secs, 0.95),
             max_delay_secs: s.max,
-            avg_view_staleness: Summary::of(view_staleness).mean,
         }
     }
-
-    /// Builds the summary from a streaming delay sketch instead of a
-    /// per-arrival vector.  `deferred` (admissions that waited ≥ 1 period)
-    /// is carried as an explicit counter because the sketch's bucket 0
-    /// deliberately conflates "zero delay" with "sub-tick delay".  For the
-    /// simulator's whole-period delays every field matches
-    /// [`from_parts`](Self::from_parts) bitwise.
-    pub fn from_sketch(
-        rate_limited: bool,
-        delays: &QuantileSketch,
-        deferred: usize,
-        still_queued: usize,
-        max_queue_depth: usize,
-        view_staleness: &[f64],
-    ) -> AdmissionSummary {
-        AdmissionSummary {
-            rate_limited,
-            admitted: delays.count() as usize,
-            deferred,
-            still_queued,
-            max_queue_depth,
-            avg_delay_secs: delays.mean(),
-            p95_delay_secs: delays.quantile(0.95),
-            max_delay_secs: delays.max(),
-            avg_view_staleness: Summary::of(view_staleness).mean,
-        }
-    }
-
-    /// An empty summary for a run without admission control: every arrival
-    /// was admitted at its request boundary, outside the pipeline's queue.
-    pub fn pass_through(admitted: usize, view_staleness: &[f64]) -> AdmissionSummary {
-        AdmissionSummary {
-            rate_limited: false,
-            admitted,
-            deferred: 0,
-            still_queued: 0,
-            max_queue_depth: 0,
-            avg_delay_secs: 0.0,
-            p95_delay_secs: 0.0,
-            max_delay_secs: 0.0,
-            avg_view_staleness: Summary::of(view_staleness).mean,
-        }
-    }
-
-    /// Total arrivals the pipeline saw (admitted + still queued).
-    pub fn requested(&self) -> usize {
-        self.admitted + self.still_queued
-    }
-
-    /// Fraction of requested arrivals admitted within the horizon (0 when
-    /// nothing was requested).
-    pub fn admission_rate(&self) -> f64 {
-        if self.requested() == 0 {
-            0.0
-        } else {
-            self.admitted as f64 / self.requested() as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn aggregates_delays_and_queue_state() {
         let delays = [0.0, 0.0, 1.0, 2.0, 4.0];
-        let s = AdmissionSummary::from_parts(true, &delays, 3, 17, &[0.0, 2.0]);
+        let s = from_parts(true, &delays, 3, 17);
         assert!(s.rate_limited);
         assert_eq!(s.admitted, 5);
         assert_eq!(s.deferred, 3);
@@ -140,19 +121,16 @@ mod tests {
         assert!((s.avg_delay_secs - 1.4).abs() < 1e-12);
         assert_eq!(s.max_delay_secs, 4.0);
         assert!(s.p95_delay_secs <= s.max_delay_secs + 1e-12);
-        assert!((s.admission_rate() - 5.0 / 8.0).abs() < 1e-12);
-        assert!((s.avg_view_staleness - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn pass_through_reports_no_queueing() {
-        let s = AdmissionSummary::pass_through(42, &[0.0, 0.0]);
+        let s = AdmissionSummary::pass_through(42);
         assert!(!s.rate_limited);
         assert_eq!(s.admitted, 42);
         assert_eq!(s.deferred, 0);
         assert_eq!(s.still_queued, 0);
         assert_eq!(s.requested(), 42);
-        assert_eq!(s.admission_rate(), 1.0);
         assert_eq!(s.avg_delay_secs, 0.0);
     }
 
@@ -164,18 +142,16 @@ mod tests {
             sketch.record(d);
         }
         let deferred = delays.iter().filter(|&&d| d > 0.0).count();
-        let staleness = [0.0, 2.0];
         assert_eq!(
-            AdmissionSummary::from_sketch(true, &sketch, deferred, 3, 17, &staleness),
-            AdmissionSummary::from_parts(true, &delays, 3, 17, &staleness)
+            AdmissionSummary::from_sketch(true, &sketch, deferred, 3, 17),
+            from_parts(true, &delays, 3, 17)
         );
     }
 
     #[test]
     fn empty_pipeline() {
-        let s = AdmissionSummary::from_parts(true, &[], 0, 0, &[]);
+        let s = from_parts(true, &[], 0, 0);
         assert_eq!(s.requested(), 0);
-        assert_eq!(s.admission_rate(), 0.0);
         assert_eq!(s.avg_delay_secs, 0.0);
     }
 }

@@ -17,9 +17,9 @@
 //!   multi-channel runtime (viewers hopping between concurrent streams),
 //! * [`zapload::ZapLoadSummary`] — the arrival skew across channels
 //!   realised by a popularity-skewed (Zipf / flash-crowd) zap workload,
-//! * [`admission::AdmissionSummary`] — queue depth, admission-delay
-//!   distribution and view staleness of the membership directory's
-//!   rate-limited admission pipeline,
+//! * [`admission::AdmissionSummary`] — queue depth and admission-delay
+//!   distribution of the membership directory's rate-limited admission
+//!   pipeline,
 //! * [`mem::MemSummary`] — the per-peer memory footprint (bytes/peer,
 //!   ring / window / sequence breakdown) aggregated across systems,
 //! * [`qoe::Timeline`] — fixed-capacity QoE / queue-depth timelines with

@@ -39,11 +39,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Convenience for rows of mixed displayable values.
-    pub fn push_display_row(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.push_row(cells.iter().map(|c| c.to_string()).collect());
-    }
-
     /// Renders the table as aligned plain text.
     pub fn to_text(&self) -> String {
         let columns = self
@@ -162,7 +157,7 @@ mod tests {
     fn bookkeeping_and_display_rows() {
         let mut t = Table::new("t", &["a", "b"]);
         assert!(t.is_empty());
-        t.push_display_row(&[&1, &2.5]);
+        t.push_row(vec!["1".into(), "2.5".into()]);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
         assert_eq!(t.title(), "t");

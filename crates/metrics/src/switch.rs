@@ -113,7 +113,9 @@ pub struct ZapSummary {
 
 impl ZapSummary {
     /// Builds the summary from the completed zaps' startup delays plus the
-    /// count of zaps still pending at the end of the horizon.
+    /// count of zaps still pending at the end of the horizon: the
+    /// exact-vector oracle of [`from_sketch`](Self::from_sketch).
+    #[cfg(test)]
     pub fn from_latencies(latencies: &[f64], pending: usize) -> ZapSummary {
         let s = Summary::of(latencies);
         ZapSummary {
@@ -128,8 +130,8 @@ impl ZapSummary {
     /// Builds the summary from a streaming latency sketch instead of a
     /// per-event vector.  Because simulated startup delays are whole
     /// multiples of the sketch unit (the period length `τ`), every field is
-    /// bitwise identical to [`from_latencies`](Self::from_latencies) over
-    /// the equivalent sample.  Never allocates.
+    /// bitwise identical to the exact-vector oracle in this module's tests
+    /// over the equivalent sample.  Never allocates.
     pub fn from_sketch(latencies: &QuantileSketch, pending: usize) -> ZapSummary {
         ZapSummary {
             completed: latencies.count() as usize,

@@ -41,23 +41,6 @@ impl RatioTrack {
         self.interpolate(secs, |r| r.delivered_ratio_s2)
     }
 
-    /// First time at which the delivered-`S2` ratio reaches `threshold`
-    /// (`None` if it never does).
-    pub fn time_to_delivered(&self, threshold: f64) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.delivered_ratio_s2 >= threshold)
-            .map(|r| r.secs)
-    }
-
-    /// First time at which the undelivered-`S1` ratio drops to `threshold`.
-    pub fn time_to_undelivered(&self, threshold: f64) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.undelivered_ratio_s1 <= threshold)
-            .map(|r| r.secs)
-    }
-
     fn interpolate(&self, secs: f64, value: impl Fn(&RatioSample) -> f64) -> f64 {
         if self.rows.is_empty() {
             return 0.0;
@@ -127,20 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn threshold_crossings() {
-        let t = track();
-        assert_eq!(t.time_to_delivered(1.0), Some(4.0));
-        assert_eq!(t.time_to_delivered(0.35), Some(2.0));
-        assert_eq!(t.time_to_delivered(1.5), None);
-        assert_eq!(t.time_to_undelivered(0.0), Some(4.0));
-        assert_eq!(t.time_to_undelivered(0.65), Some(2.0));
-    }
-
-    #[test]
     fn empty_track() {
         let t = RatioTrack::from_samples(&[]);
         assert!(t.is_empty());
         assert_eq!(t.undelivered_s1_at(1.0), 0.0);
-        assert_eq!(t.time_to_delivered(0.5), None);
     }
 }

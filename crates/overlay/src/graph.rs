@@ -96,6 +96,7 @@ impl OverlayGraph {
     }
 
     /// True when an edge between `a` and `b` exists (both active).
+    #[cfg(test)]
     pub fn has_edge(&self, a: PeerId, b: PeerId) -> bool {
         self.is_active(a) && self.is_active(b) && self.adjacency[a as usize].contains(&b)
     }

@@ -62,15 +62,6 @@ impl LatencyModel {
     pub fn max_access_ms(&self) -> f64 {
         self.access_ms.iter().copied().fold(0.0, f64::max)
     }
-
-    /// Mean one-way access delay over all peers (milliseconds).
-    pub fn mean_access_ms(&self) -> f64 {
-        if self.access_ms.is_empty() {
-            0.0
-        } else {
-            self.access_ms.iter().sum::<f64>() / self.access_ms.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -114,12 +105,10 @@ mod tests {
         let idx = m.push_peer(30.0);
         assert_eq!(idx, 1);
         assert_eq!(m.access_delay_ms(1), 15.0);
-        assert!((m.mean_access_ms() - 10.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_model_mean_is_zero() {
-        assert_eq!(LatencyModel::default().mean_access_ms(), 0.0);
         assert!(LatencyModel::default().is_empty());
     }
 

@@ -52,7 +52,7 @@ use crate::pool::WorkerPool;
 use crate::zap::{ZapBatch, ZapSchedule, ZapWorkload};
 use fss_gossip::directory::{sample_neighbours, select_movers};
 use fss_gossip::{
-    AdmissionScratch, GossipConfig, SegmentScheduler, StreamingSystem, TrafficCounters, ViewConfig,
+    AdmissionScratch, GossipConfig, SegmentScheduler, StreamingSystem, TrafficCounters,
 };
 use fss_metrics::{
     AdmissionSummary, DepthWindow, MemSummary, QoeWindow, QuantileSketch, Scorecard, Timeline,
@@ -87,9 +87,9 @@ pub struct SessionConfig {
     pub seed: u64,
     /// Protocol parameters shared by all channels.
     pub gossip: GossipConfig,
-    /// Membership-directory admission control (rate-limited join queue and
-    /// bounded candidate views).  The default reproduces the legacy
-    /// admit-everything-at-the-boundary behaviour exactly.
+    /// Membership-directory admission control (the rate-limited join
+    /// queue).  The default reproduces the legacy admit-everything-at-the-
+    /// boundary behaviour exactly.
     pub admission: AdmissionControl,
     /// Optional message-level network model (latency / loss / jitter).
     /// `None` (the default) keeps the channels in period-lockstep stepping;
@@ -109,18 +109,13 @@ pub struct AdmissionControl {
     /// `Some(k)` routes arrivals through a FIFO join queue drained at up to
     /// `k` per boundary, so flash crowds admit over several boundaries.
     pub max_admits_per_period: Option<usize>,
-    /// Bound on each channel's sampled candidate list (a CliqueStream-style
-    /// partial view).  `None` (the default) hands newcomers the full
-    /// membership.
-    pub view_bound: Option<usize>,
 }
 
 impl AdmissionControl {
-    /// The legacy behaviour: unlimited admissions, exact views.
+    /// The legacy behaviour: unlimited admissions.
     pub fn unlimited() -> Self {
         AdmissionControl {
             max_admits_per_period: None,
-            view_bound: None,
         }
     }
 
@@ -128,7 +123,6 @@ impl AdmissionControl {
     pub fn rate_limited(k: usize) -> Self {
         AdmissionControl {
             max_admits_per_period: Some(k),
-            view_bound: None,
         }
     }
 }
@@ -160,6 +154,9 @@ impl SessionConfig {
         if self.channels < 2 {
             return Err("a zapping session needs at least 2 channels".into());
         }
+        if self.min_degree == 0 {
+            return Err("min_degree must be at least 1".into());
+        }
         if self.viewers_per_channel <= self.min_degree {
             return Err(format!(
                 "{} viewers cannot sustain a minimum degree of {}",
@@ -177,14 +174,6 @@ impl SessionConfig {
         }
         if self.admission.max_admits_per_period == Some(0) {
             return Err("max_admits_per_period must be positive (use None to disable)".into());
-        }
-        if let Some(bound) = self.admission.view_bound {
-            if bound < self.zap_degree {
-                return Err(format!(
-                    "view_bound {bound} cannot hand out {} neighbours per arrival",
-                    self.zap_degree
-                ));
-            }
         }
         if let Some(network) = self.network {
             network.validate()?;
@@ -314,7 +303,7 @@ fn draw_zap_attrs(bandwidth: BandwidthConfig, rng: &mut SmallRng) -> PeerAttrs {
 
 /// The admission tail shared by the immediate zap path and the queue drain:
 /// for each of `count` arrivals, samples a neighbour set from `system`'s
-/// live candidate view and obtains the arrival's `(attrs, request period)`
+/// live member view and obtains the arrival's `(attrs, request period)`
 /// from `next` — in that order, so the immediate path's per-arrival RNG
 /// stream (neighbours, then attributes) is preserved — then admits the
 /// whole group through one batched membership repair and registers its
@@ -329,7 +318,7 @@ fn admit_arrivals(
     rng: &mut SmallRng,
     mut next: impl FnMut(&mut SmallRng) -> (PeerAttrs, u64),
 ) {
-    let degree = zap_degree.min(system.membership_view().candidates().len());
+    let degree = zap_degree.min(system.membership_view().len());
     for _ in 0..count {
         sample_neighbours(system.membership_view(), degree, rng, scratch);
         let (attrs, requested_period) = next(rng);
@@ -496,8 +485,8 @@ pub struct RuntimeReport {
     /// peers' protocol state — a pure function of the simulated history,
     /// so it cannot break mode/pool-size report equivalence).
     pub mem: MemSummary,
-    /// Membership-directory admission metrics: queue depth, admission-delay
-    /// distribution and candidate-view staleness.  Structurally zero when
+    /// Membership-directory admission metrics: queue depth and the
+    /// admission-delay distribution.  Structurally zero when
     /// admission control is off (the default).
     pub admission: AdmissionSummary,
     /// Bounded QoE timeline folded across all channels in channel order:
@@ -588,12 +577,6 @@ impl SessionManager {
                         .set_network(network.with_seed(network.seed ^ channel_seed ^ 0x00FA_0175));
                 }
                 system.start_initial_source(source);
-                if let Some(bound) = config.admission.view_bound {
-                    system.configure_view(ViewConfig {
-                        candidate_bound: Some(bound),
-                        seed: channel_seed ^ 0x0B0D_B0D0,
-                    });
-                }
                 Channel {
                     system,
                     source,
@@ -806,11 +789,6 @@ impl SessionManager {
             .iter()
             .map(|c| c.system.memory_usage())
             .collect();
-        let staleness: Vec<f64> = self
-            .channels
-            .iter()
-            .map(|c| c.system.membership_view().staleness())
-            .collect();
         let (admission, admission_p95_delay_secs) =
             if self.config.admission.max_admits_per_period.is_some() {
                 let mut delays = QuantileSketch::new(tau);
@@ -835,13 +813,12 @@ impl SessionManager {
                         deferred,
                         still_queued,
                         max_queue_depth,
-                        &staleness,
                     ),
                     p95,
                 )
             } else {
                 let admitted: usize = self.channels.iter().map(|c| c.zaps_in).sum();
-                (AdmissionSummary::pass_through(admitted, &staleness), 0.0)
+                (AdmissionSummary::pass_through(admitted), 0.0)
             };
         // Telemetry fold: every channel runs the same periods, so the
         // per-channel timelines share one shape and fold window-by-window
@@ -1355,9 +1332,8 @@ mod tests {
         assert_eq!(report.periods, 25);
     }
 
-    /// Satellite determinism sweep: with the rate-limited admission queue
-    /// *and* bounded candidate views active, under churn and a flash-crowd
-    /// storm, reports (queue-depth timeline included) stay byte-identical across
+    /// Determinism sweep: with the rate-limited admission queue active,
+    /// under churn and a flash-crowd storm, reports (queue-depth timeline included) stay byte-identical across
     /// pool sizes and stepping modes — directory updates are the only
     /// cross-channel synchronisation points, and they happen at the same
     /// boundaries regardless of execution strategy.
@@ -1366,10 +1342,7 @@ mod tests {
         let run = |workers: usize, mode: SteppingMode| {
             let config = SessionConfig {
                 seed: 29,
-                admission: AdmissionControl {
-                    max_admits_per_period: Some(6),
-                    view_bound: Some(16),
-                },
+                admission: AdmissionControl::rate_limited(6),
                 ..SessionConfig::paper_default(4, 40)
             };
             let mut m = SessionManager::new(config, Arc::new(WorkerPool::new(workers)), || {
@@ -1413,7 +1386,6 @@ mod tests {
                 seed: 33,
                 admission: AdmissionControl {
                     max_admits_per_period: limit,
-                    view_bound: None,
                 },
                 ..SessionConfig::paper_default(3, 50)
             };
@@ -1575,20 +1547,16 @@ mod tests {
         }
         .validate()
         .is_err());
+        // A zero minimum degree is rejected here, not by a panic inside
+        // `SessionManager::new`'s overlay construction.
         assert!(SessionConfig {
-            admission: AdmissionControl {
-                max_admits_per_period: None,
-                view_bound: Some(2), // < zap_degree 5
-            },
+            min_degree: 0,
             ..good
         }
         .validate()
         .is_err());
         SessionConfig {
-            admission: AdmissionControl {
-                max_admits_per_period: Some(4),
-                view_bound: Some(8),
-            },
+            admission: AdmissionControl::rate_limited(4),
             ..good
         }
         .validate()

@@ -310,8 +310,9 @@ impl CrowdZap {
         }
     }
 
-    /// The schedule's modelled per-channel populations (for tests and
-    /// reports; the live populations track these up to clamping).
+    /// The schedule's modelled per-channel populations (the live
+    /// populations track these up to clamping).
+    #[cfg(test)]
     pub fn modelled_populations(&self) -> &[usize] {
         &self.pops
     }

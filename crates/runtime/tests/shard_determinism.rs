@@ -4,9 +4,9 @@
 //! byte of any result.
 //!
 //! The sweep below drives the nastiest configuration the runtime offers —
-//! per-channel churn, a Zipf zap workload with a flash-crowd storm, the
-//! rate-limited admission queue and bounded candidate views — across shard
-//! counts {1, 2, 4, 8} × pool sizes {1, 2, 4, 7} × both stepping modes, and
+//! per-channel churn, a Zipf zap workload with a flash-crowd storm and the
+//! rate-limited admission queue — across shard counts {1, 2, 4, 8} × pool
+//! sizes {1, 2, 4, 7} × both stepping modes, and
 //! additionally pins the report digest so a shard-dependent result cannot
 //! sneak in together with a compensating test update.  Since the period's
 //! grant step and fused walk both run per chunk on the pool, the same sweep
@@ -88,10 +88,7 @@ fn depth_by_boundary(report: &RuntimeReport) -> Vec<(u64, usize)> {
 fn run(shards: usize, workers: usize, mode: SteppingMode) -> RuntimeReport {
     let config = SessionConfig {
         seed: 47,
-        admission: AdmissionControl {
-            max_admits_per_period: Some(6),
-            view_bound: Some(16),
-        },
+        admission: AdmissionControl::rate_limited(6),
         ..SessionConfig::paper_default(4, 40)
     };
     let mut m = SessionManager::new(config, Arc::new(WorkerPool::new(workers)), || {
@@ -114,12 +111,12 @@ fn run(shards: usize, workers: usize, mode: SteppingMode) -> RuntimeReport {
 
 /// The digest of the single-shard, single-worker barrier run.  Every other
 /// (shards, workers, mode) combination must reproduce it byte for byte.
-const PINNED_DIGEST: u64 = 17188237993819082087;
+const PINNED_DIGEST: u64 = 11512891525223852588;
 
 /// Digest of the same reference run's streaming-QoE telemetry surface
 /// (bounded timelines + scorecard), pinned separately so the legacy pin
 /// above keeps its pre-telemetry value.
-const QOE_PINNED_DIGEST: u64 = 17697973354510269892;
+const QOE_PINNED_DIGEST: u64 = 14642074705797875759;
 
 /// The telemetry surface of one report: the folded QoE / queue-depth
 /// timelines and the scorecard's exact text form.

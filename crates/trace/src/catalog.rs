@@ -100,12 +100,6 @@ impl TraceCatalog {
     pub fn by_size(&self, nodes: usize) -> Vec<&TraceSpec> {
         self.specs.iter().filter(|s| s.nodes == nodes).collect()
     }
-
-    /// The first (replica "a") entry of the given size, used as the default
-    /// topology for that scale in the figure harness.
-    pub fn primary_for_size(&self, nodes: usize) -> Option<&TraceSpec> {
-        self.by_size(nodes).into_iter().next()
-    }
 }
 
 impl Default for TraceCatalog {
@@ -152,11 +146,6 @@ mod tests {
         assert_eq!(spec.nodes, 1_000);
         assert_eq!(cat.by_size(1_000).len(), 5);
         assert_eq!(cat.by_size(7_777).len(), 0);
-        assert_eq!(
-            cat.primary_for_size(4_000).unwrap().name,
-            "clip2-synth-4000-a"
-        );
-        assert!(cat.primary_for_size(1).is_none());
     }
 
     #[test]

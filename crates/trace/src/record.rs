@@ -1,8 +1,11 @@
 //! Trace records and the in-memory trace representation.
 
 use crate::error::TraceError;
+#[cfg(test)]
 use crate::speed::AccessSpeed;
-use fss_sim::hasher::{FxHashMap, FxHashSet};
+#[cfg(test)]
+use fss_sim::hasher::FxHashMap;
+use fss_sim::hasher::FxHashSet;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -29,6 +32,7 @@ pub struct TraceRecord {
     pub speed_kbps: u32,
 }
 
+#[cfg(test)]
 impl TraceRecord {
     /// The access-speed class closest to the advertised speed.
     pub fn speed_class(&self) -> AccessSpeed {
@@ -124,6 +128,7 @@ impl Trace {
     }
 
     /// Per-node degree histogram (index = node id position in `nodes`).
+    #[cfg(test)]
     pub fn degrees(&self) -> Vec<usize> {
         let index_of: FxHashMap<NodeId, usize> = self
             .nodes
