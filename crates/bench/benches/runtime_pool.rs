@@ -10,12 +10,13 @@
 //! * `session/*` — end-to-end: one period of a 4-channel zapping
 //!   [`SessionManager`] sharded over pools of 1 and 4 workers (identical
 //!   reports either way; on a 1-vCPU container the sizes should tie).
-//! * `pipeline/*` — many-channel stepping, barrier versus pipelined mode:
-//!   10 measured periods of an 8-channel Zipf-zapping session.  The
-//!   pipelined lane pays one pool dispatch per *round* (potentially many
-//!   periods) instead of one per period, and fast channels never wait for
-//!   slow ones at a global barrier — reports are byte-identical either
-//!   way, so the delta is pure wall-clock.
+//! * `pipeline/*` — many-channel stepping, lockstep (run-ahead 1) versus
+//!   the default run-ahead bound: 10 measured periods of an 8-channel
+//!   Zipf-zapping session.  The run-ahead lane pays one pool dispatch per
+//!   *round* (potentially many periods) instead of one per period, and
+//!   fast channels never wait for slow ones at a global lockstep —
+//!   reports are byte-identical either way, so the delta is pure
+//!   wall-clock.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fss_core::FastSwitchScheduler;
@@ -101,9 +102,9 @@ fn bench_pipeline(c: &mut Criterion) {
     group.sample_size(10);
 
     for workers in [1, 4] {
-        let mut barrier = many_channel_session(workers, SteppingMode::Barrier);
-        group.bench_function(format!("many_channel_barrier_pool{workers}"), |b| {
-            b.iter(|| barrier.run_periods(10))
+        let mut lockstep = many_channel_session(workers, SteppingMode::Pipelined { run_ahead: 1 });
+        group.bench_function(format!("many_channel_lockstep_pool{workers}"), |b| {
+            b.iter(|| lockstep.run_periods(10))
         });
 
         let mut pipelined = many_channel_session(workers, SteppingMode::pipelined());
@@ -115,19 +116,23 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 
     // The structural (noise-free) comparison: pool dispatches per measured
-    // period.  Barrier stepping pays one dispatch per period; pipelined
-    // stepping pays one per round, where a round covers up to `run_ahead`
-    // periods of every channel not parked at a sync point.
-    for (label, mode) in [
-        ("barrier", SteppingMode::Barrier),
-        ("pipelined", SteppingMode::pipelined()),
-    ] {
+    // period.  Lockstep pays one dispatch per period; the default bound
+    // pays one per round, where a round covers up to `run_ahead` periods
+    // of every channel not parked at a sync point — never more.
+    let dispatches = |mode: SteppingMode| {
         let mut manager = many_channel_session(1, mode);
         let before = manager.pool().dispatches();
         manager.run_periods(40);
-        let dispatches = manager.pool().dispatches() - before;
-        println!("note: pipeline/dispatches_per_40_periods_{label}: {dispatches}");
-    }
+        manager.pool().dispatches() - before
+    };
+    let lockstep = dispatches(SteppingMode::Pipelined { run_ahead: 1 });
+    let pipelined = dispatches(SteppingMode::pipelined());
+    println!("note: pipeline/dispatches_per_40_periods_lockstep: {lockstep}");
+    println!("note: pipeline/dispatches_per_40_periods_pipelined: {pipelined}");
+    assert!(
+        pipelined <= lockstep,
+        "running ahead dispatched more than lockstep: {pipelined} > {lockstep}"
+    );
 }
 
 criterion_group!(benches, bench_dispatch, bench_session, bench_pipeline);

@@ -3,11 +3,11 @@
 //! as a metric-by-metric [`ScorecardDelta`] against the baseline.
 //!
 //! This is the "did my knob help?" workflow the streaming-QoE telemetry
-//! layer exists for: a scorecard is a few hundred bytes of exact text
-//! (`Scorecard::to_text` round-trips bit-for-bit), so baselines can be
-//! stored next to a scenario and diffed against any later run — across
-//! commits, stepping modes or pool sizes, all of which are proven
-//! byte-deterministic by the `fss-runtime` test-suite.
+//! layer exists for: a scorecard is a handful of scalars with an exact
+//! text form (`Scorecard::to_text`, printed bit-for-bit), and a run's
+//! scorecard is byte-deterministic across run-ahead bounds and pool sizes
+//! (proven by the `fss-runtime` test-suite), so any two runs diff
+//! cleanly.
 
 use crate::zapping::{run_channel_zapping, ZappingScenario};
 use fss_metrics::{Scorecard, ScorecardDelta};
@@ -94,15 +94,8 @@ mod tests {
         // The run produced real telemetry...
         assert!(point.scorecard.periods > 0);
         assert!(point.scorecard.startups > 0);
-        // ...the stored-text form round-trips exactly...
-        let text = point.scorecard.to_text();
-        assert_eq!(Scorecard::from_text(&text).unwrap(), point.scorecard);
         // ...and the delta pairs the two runs as given.
         assert_eq!(point.delta.after, point.scorecard);
-        assert_eq!(
-            Scorecard::from_text(&point.delta.before.to_text()).unwrap(),
-            point.delta.before
-        );
         let rendered = render_comparison(&point.delta.before, &points);
         assert!(rendered.contains("admits=2"));
         assert!(rendered.contains("continuity_mean"));

@@ -18,15 +18,14 @@
 //!   sweep of `max_admits_per_period` rate limits: the zap-latency versus
 //!   admission-delay tradeoff of the membership directory's join queue.
 //!
-//! All runs use the pipelined stepping mode (channels synchronise pairwise
-//! at zap batches only), whose reports are byte-identical to barrier
-//! stepping — the `fss-runtime` test-suite proves it, so the sweeps get the
-//! pipeline's wall-clock without any results caveat.
+//! All runs use the session's pipeline (channels synchronise pairwise at
+//! zap batches only) with its default run-ahead bound; reports are
+//! byte-identical for every bound — the `fss-runtime` test-suite checks
+//! them against a lockstep oracle.
 
 use crate::scenario::Algorithm;
 use fss_runtime::{
-    AdmissionControl, RuntimeReport, SessionConfig, SessionManager, SteppingMode, WorkerPool,
-    ZapWorkload,
+    AdmissionControl, RuntimeReport, SessionConfig, SessionManager, WorkerPool, ZapWorkload,
 };
 use std::sync::Arc;
 
@@ -80,7 +79,6 @@ pub fn run_channel_zapping(scenario: &ZappingScenario, pool: &Arc<WorkerPool>) -
         scenario.algorithm.scheduler()
     });
     manager.set_workload(scenario.workload);
-    manager.set_mode(SteppingMode::pipelined());
     manager.warmup(scenario.warmup_periods);
     manager.run_periods(scenario.measure_periods);
     manager.report()

@@ -73,11 +73,6 @@ impl AdmissionSummary {
             max_delay_secs: 0.0,
         }
     }
-
-    /// Total arrivals the pipeline saw (admitted + still queued).
-    pub fn requested(&self) -> usize {
-        self.admitted + self.still_queued
-    }
 }
 
 #[cfg(test)]
@@ -117,7 +112,7 @@ mod tests {
         assert_eq!(s.deferred, 3);
         assert_eq!(s.still_queued, 3);
         assert_eq!(s.max_queue_depth, 17);
-        assert_eq!(s.requested(), 8);
+        assert_eq!(s.admitted + s.still_queued, 8);
         assert!((s.avg_delay_secs - 1.4).abs() < 1e-12);
         assert_eq!(s.max_delay_secs, 4.0);
         assert!(s.p95_delay_secs <= s.max_delay_secs + 1e-12);
@@ -130,7 +125,7 @@ mod tests {
         assert_eq!(s.admitted, 42);
         assert_eq!(s.deferred, 0);
         assert_eq!(s.still_queued, 0);
-        assert_eq!(s.requested(), 42);
+        assert_eq!(s.admitted + s.still_queued, 42);
         assert_eq!(s.avg_delay_secs, 0.0);
     }
 
@@ -151,7 +146,7 @@ mod tests {
     #[test]
     fn empty_pipeline() {
         let s = from_parts(true, &[], 0, 0);
-        assert_eq!(s.requested(), 0);
+        assert_eq!(s.admitted + s.still_queued, 0);
         assert_eq!(s.avg_delay_secs, 0.0);
     }
 }

@@ -48,10 +48,7 @@ pub mod zapload;
 pub use admission::AdmissionSummary;
 pub use mem::MemSummary;
 pub use overhead::OverheadSummary;
-pub use qoe::{
-    DepthWindow, QoeWindow, Scorecard, ScorecardDelta, ScorecardParseError, Timeline,
-    TimelineWindow,
-};
+pub use qoe::{DepthWindow, QoeWindow, Scorecard, ScorecardDelta, Timeline, TimelineWindow};
 pub use report::Table;
 pub use sketch::QuantileSketch;
 pub use summary::{SortedSample, Summary};

@@ -16,7 +16,7 @@ use fss_gossip::MemUsage;
 ///
 /// Deterministic: built by summing the systems' integer [`MemUsage`]
 /// counters in order, so reports containing it stay byte-comparable across
-/// worker counts and stepping modes.
+/// worker counts and run-ahead bounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemSummary {
     /// Number of systems (channels) aggregated.

@@ -10,7 +10,7 @@
 //!   decimation, the stride of every slot doubling), so a 100-period run
 //!   and a 100-million-period run occupy the same memory and the structure
 //!   is a pure function of the sample sequence — byte-identical across
-//!   worker counts, shard counts and stepping modes.
+//!   worker counts, shard counts and run-ahead bounds.
 //! * [`QoeWindow`] / [`DepthWindow`] — the concrete window types: playback
 //!   QoE counters and admission-queue depth gauges.  Windows merge two
 //!   ways: *in time* (adjacent periods, when the ring decimates) and
@@ -18,8 +18,8 @@
 //!   report folds per-channel timelines in channel order).
 //! * [`Scorecard`] — the scalar summary of one run (startup percentiles,
 //!   stall rate and duration, continuity floor, switch-completion drain,
-//!   admission peaks) with an exact text round-trip
-//!   ([`Scorecard::to_text`] / [`Scorecard::from_text`]) and a
+//!   admission peaks) with an exact `key = value` text form
+//!   ([`Scorecard::to_text`], the input of the golden digests) and a
 //!   [`Scorecard::diff`] the experiment harness prints across configs.
 //!
 //! See `docs/observability.md` for the event taxonomy and the memory model.
@@ -332,8 +332,8 @@ impl TimelineWindow for DepthWindow {
 
 /// The scalar QoE summary of one run: what two configurations are compared
 /// on.  Serialises to an exact text form (`{:?}` prints the shortest f64
-/// representation that round-trips) so scorecards can be stored next to a
-/// run and diffed later.
+/// representation that round-trips), so hashing the text pins every field
+/// bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scorecard {
     /// Periods the run executed.
@@ -480,8 +480,8 @@ impl Scorecard {
 
     /// Serialises the scorecard as `key = value` lines.  f64 values print
     /// through `{:?}` (the shortest representation that parses back to the
-    /// identical bits), so [`from_text`](Self::from_text) round-trips
-    /// exactly.
+    /// identical bits), so the text is exact and hashing it pins every
+    /// field.
     pub fn to_text(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
@@ -490,30 +490,6 @@ impl Scorecard {
             let _ = writeln!(s, "{key} = {value}");
         }
         s
-    }
-
-    /// Parses the output of [`to_text`](Self::to_text).
-    pub fn from_text(text: &str) -> Result<Scorecard, ScorecardParseError> {
-        let mut card = Scorecard::default();
-        let mut seen = 0usize;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| ScorecardParseError(format!("malformed line {line:?}")))?;
-            card.set_field(key.trim(), value.trim())?;
-            seen += 1;
-        }
-        let expected = Scorecard::default().fields().len();
-        if seen != expected {
-            return Err(ScorecardParseError(format!(
-                "expected {expected} fields, found {seen}"
-            )));
-        }
-        Ok(card)
     }
 
     /// Every metric as a `(name, printed value)` pair, in display order.
@@ -550,46 +526,6 @@ impl Scorecard {
             ),
         ]
     }
-
-    fn set_field(&mut self, key: &str, value: &str) -> Result<(), ScorecardParseError> {
-        fn int(v: &str) -> Result<u64, ScorecardParseError> {
-            v.parse()
-                .map_err(|_| ScorecardParseError(format!("bad integer {v:?}")))
-        }
-        fn real(v: &str) -> Result<f64, ScorecardParseError> {
-            v.parse()
-                .map_err(|_| ScorecardParseError(format!("bad float {v:?}")))
-        }
-        match key {
-            "periods" => self.periods = int(value)?,
-            "viewers" => self.viewers = int(value)?,
-            "startups" => self.startups = int(value)?,
-            "startup_p50_secs" => self.startup_p50_secs = real(value)?,
-            "startup_p95_secs" => self.startup_p95_secs = real(value)?,
-            "startup_mean_secs" => self.startup_mean_secs = real(value)?,
-            "stall_events" => self.stall_events = int(value)?,
-            "stalls_per_viewer_hour" => self.stalls_per_viewer_hour = real(value)?,
-            "stall_mean_secs" => self.stall_mean_secs = real(value)?,
-            "stall_p95_secs" => self.stall_p95_secs = real(value)?,
-            "continuity_mean" => self.continuity_mean = real(value)?,
-            "continuity_floor" => self.continuity_floor = real(value)?,
-            "switch_waiting_peak" => self.switch_waiting_peak = int(value)?,
-            "switch_drained_secs" => {
-                self.switch_drained_secs = if value == "none" {
-                    None
-                } else {
-                    Some(real(value)?)
-                }
-            }
-            "zap_p95_secs" => self.zap_p95_secs = real(value)?,
-            "admission_peak_queue" => self.admission_peak_queue = int(value)?,
-            "admission_p95_delay_secs" => self.admission_p95_delay_secs = real(value)?,
-            other => {
-                return Err(ScorecardParseError(format!("unknown field {other:?}")));
-            }
-        }
-        Ok(())
-    }
 }
 
 impl Default for Scorecard {
@@ -624,18 +560,6 @@ impl fmt::Display for Scorecard {
         Ok(())
     }
 }
-
-/// Parse error of [`Scorecard::from_text`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScorecardParseError(String);
-
-impl fmt::Display for ScorecardParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "scorecard parse error: {}", self.0)
-    }
-}
-
-impl std::error::Error for ScorecardParseError {}
 
 /// The comparison of two scorecards (baseline → variant), printable as a
 /// metric-by-metric delta table.
@@ -794,47 +718,6 @@ mod tests {
         let total: u64 = t.windows().map(|w| w.sum).sum();
         assert_eq!(total, 75);
         assert_eq!(t.windows().last().unwrap().last, 0);
-    }
-
-    #[test]
-    fn scorecard_text_round_trips_exactly() {
-        let card = Scorecard {
-            periods: 55,
-            viewers: 412,
-            startups: 399,
-            startup_p50_secs: 3.5,
-            startup_p95_secs: 10.500000000000002,
-            startup_mean_secs: 4.033_333_333_333_333,
-            stall_events: 17,
-            stalls_per_viewer_hour: 0.123_456_789,
-            stall_mean_secs: 7.0,
-            stall_p95_secs: 14.0,
-            continuity_mean: 0.987_654_321,
-            continuity_floor: 0.75,
-            switch_waiting_peak: 31,
-            switch_drained_secs: Some(38.5),
-            zap_p95_secs: 12.25,
-            admission_peak_queue: 44,
-            admission_p95_delay_secs: 3.5,
-        };
-        let parsed = Scorecard::from_text(&card.to_text()).unwrap();
-        assert_eq!(parsed, card);
-        let none_case = Scorecard {
-            switch_drained_secs: None,
-            ..card
-        };
-        assert_eq!(
-            Scorecard::from_text(&none_case.to_text()).unwrap(),
-            none_case
-        );
-    }
-
-    #[test]
-    fn scorecard_parse_rejects_garbage() {
-        assert!(Scorecard::from_text("nonsense").is_err());
-        assert!(Scorecard::from_text("periods = twelve").is_err());
-        // A truncated scorecard (missing fields) is rejected too.
-        assert!(Scorecard::from_text("periods = 5").is_err());
     }
 
     #[test]

@@ -207,7 +207,7 @@ impl QuantileSketch {
 
     /// The `q`-quantile (0 ≤ q ≤ 1, clamped) by nearest rank — the same
     /// `rank = round((n − 1) · q)` rule as
-    /// [`Summary::quantile`](crate::summary::Summary::quantile) — walked
+    /// [`SortedSample::quantile`](crate::summary::SortedSample::quantile) — walked
     /// over the cumulative bucket counts.  0 when empty.  Never allocates.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {

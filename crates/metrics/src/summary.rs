@@ -62,12 +62,11 @@ impl Summary {
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) of `values` using nearest-rank on the
-    /// sorted finite sample; 0 for an empty sample.
-    ///
-    /// Sorts a copy of the sample per call; callers that need more than one
-    /// quantile of the same sample should build a [`SortedSample`] once (or
-    /// stream into a [`QuantileSketch`](crate::sketch::QuantileSketch)) —
-    /// both answer repeated quantile queries without allocating.
+    /// sorted finite sample; 0 for an empty sample.  Sorts a copy of the
+    /// sample per call: the oracle of the sketch, zap and admission tests.
+    /// Production code builds a [`SortedSample`] once or streams into a
+    /// [`QuantileSketch`](crate::sketch::QuantileSketch).
+    #[cfg(test)]
     pub fn quantile(values: &[f64], q: f64) -> f64 {
         SortedSample::from_values(values).quantile(q)
     }

@@ -1,8 +1,11 @@
 //! Switch-time metrics (§5.2 metrics 1 and 2 plus the supplementary ones).
 
 use crate::sketch::QuantileSketch;
+#[cfg(test)]
 use crate::summary::Summary;
-use fss_gossip::{SwitchRecord, SwitchStats};
+#[cfg(test)]
+use fss_gossip::SwitchRecord;
+use fss_gossip::SwitchStats;
 
 /// Aggregated switch metrics over all countable nodes of one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,8 +31,10 @@ pub struct SwitchSummary {
 }
 
 impl SwitchSummary {
-    /// Builds the summary from per-node records.  Nodes that never completed
-    /// a milestone simply do not contribute to that milestone's average.
+    /// Builds the summary from per-node records: the exact-vector oracle
+    /// of [`from_stats`](Self::from_stats).  Nodes that never completed a
+    /// milestone simply do not contribute to that milestone's average.
+    #[cfg(test)]
     pub fn from_records(records: &[SwitchRecord]) -> SwitchSummary {
         let countable: Vec<&SwitchRecord> = records.iter().filter(|r| r.countable()).collect();
         let finish: Vec<f64> = countable
@@ -56,9 +61,9 @@ impl SwitchSummary {
 
     /// Builds the summary from the O(1)-memory streaming aggregate a
     /// [`SystemReport`](fss_gossip::SystemReport) carries.  Numerically
-    /// identical (bit for bit) to [`from_records`](Self::from_records) over
-    /// the full per-peer record vector: the stats fold values in the same
-    /// ascending peer-id order the record path collected them in.
+    /// identical (bit for bit) to the per-record oracle in this module's
+    /// tests over the full per-peer record vector: the stats fold values in
+    /// the same ascending peer-id order the record path collected them in.
     pub fn from_stats(stats: &SwitchStats) -> SwitchSummary {
         SwitchSummary {
             countable_nodes: stats.countable_nodes,

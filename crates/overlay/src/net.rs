@@ -11,7 +11,8 @@
 //! `(seed, src, dst, message kind, period, discriminator)`, so the outcome
 //! of any message is independent of the order the simulator evaluates it in.
 //! That is what keeps event-driven runs byte-identical across worker pools,
-//! shard layouts and stepping modes — there is no RNG cursor to perturb.
+//! shard layouts and session run-ahead bounds — there is no RNG cursor to
+//! perturb.
 
 use crate::graph::PeerId;
 

@@ -19,11 +19,11 @@
 //!   concurrent channels (independent streaming systems) on the pool and
 //!   drives a viewer *channel-zapping* workload; each arrival's time-to-
 //!   playback is its zap latency ([`fss_metrics::ZapSummary`]).  Channels
-//!   advance either in lockstep ([`SteppingMode::Barrier`]) or as a
-//!   **dependency-tracked pipeline** ([`SteppingMode::Pipelined`]) in which
-//!   a zap batch synchronises only its two endpoint channels and everyone
-//!   else runs ahead (bounded by `run_ahead`) — with byte-identical
-//!   [`RuntimeReport`]s either way, for any pool size.
+//!   advance as one **dependency-tracked pipeline** in which a zap batch
+//!   synchronises only its two endpoint channels and everyone else runs
+//!   ahead, bounded by [`SteppingMode::Pipelined`]'s `run_ahead` (at 1, the
+//!   lockstep schedule) — with byte-identical [`RuntimeReport`]s for every
+//!   bound and any pool size.
 //!
 //! * [`zap`] — **pluggable zap workloads** ([`ZapSchedule`]): uniform
 //!   targets, Zipf(α) popularity skew ([`zap::ZipfSampler`]) and

@@ -163,10 +163,11 @@ impl WorkerPool {
     }
 
     /// Number of non-empty jobs dispatched through this pool so far
-    /// (in-line fast-path jobs included).  Purely observational: barrier
-    /// session stepping pays one dispatch per period, pipelined stepping
-    /// one per *round* — this counter is how benchmarks report that
-    /// difference without wall-clock noise.
+    /// (in-line fast-path jobs included).  Purely observational: session
+    /// stepping pays one dispatch per pipeline *round* — one per period at
+    /// run-ahead 1 (lockstep), fewer when channels run ahead — and this
+    /// counter is how tests and benchmarks report that without wall-clock
+    /// noise.
     pub fn dispatches(&self) -> u64 {
         self.dispatches.load(Ordering::Relaxed)
     }

@@ -10,21 +10,23 @@
 //! described by a [`ZapSchedule`] (uniform, Zipf-skewed or flash-crowd —
 //! see [`crate::zap`]).
 //!
-//! # Stepping modes
+//! # Stepping
 //!
-//! * [`SteppingMode::Barrier`] — the classic lockstep: every period, zap
-//!   batches are applied, then **all** channels step one period together on
-//!   the pool.  One global barrier per period.
-//! * [`SteppingMode::Pipelined`] — channels advance independently: each
-//!   channel runs ahead as a pool job until it hits either its next *sync
-//!   point* (a period boundary where a zap batch names it) or the
-//!   `run_ahead` bound (at most `K` periods ahead of the slowest channel).
-//!   A zap batch synchronises **only its two endpoint channels**; channels
-//!   not named by any nearby batch never wait.
+//! Channels advance as one **dependency-tracked pipeline**, the only way a
+//! session steps.  Each round first applies every zap batch whose two
+//! endpoint channels are parked at its boundary (to fixpoint), then
+//! advances every channel as a pool job to the nearest of its next batch
+//! boundary, the run-ahead bound (`run_ahead` periods past the slowest
+//! channel) and the horizon.  A zap batch synchronises **only its two
+//! endpoint channels**; channels not named by any nearby batch never wait.
+//! With `run_ahead: 1` the rounds are exactly the lockstep schedule (apply
+//! the boundary's batches, step every channel one period); warm-up is the
+//! same loop over an empty plan with no run-ahead bound (one dispatch).
 //!
-//! Both modes produce **byte-identical** [`RuntimeReport`]s, for every pool
-//! size — the test-suite asserts it at 1/2/4/7 workers under churn and
-//! flash-crowd storms.  The equivalence rests on three invariants:
+//! Reports are **byte-identical** for every run-ahead bound and every pool
+//! size — the test-suite compares them against a lockstep oracle at
+//! 1/2/4/7 workers under churn and flash-crowd storms.  The equivalence
+//! rests on three invariants:
 //!
 //! 1. **state-independent planning** — the schedule decides *when* and
 //!    *between which channels* viewers move from its own seed and
@@ -182,14 +184,17 @@ impl SessionConfig {
     }
 }
 
-/// How the manager advances its channels through the measured periods.
+/// The run-ahead bound of the session's pipeline.
+///
+/// The pipeline is the only way a session steps, so this enum has one
+/// variant; it stays an enum (rather than a bare `u64`) because callers
+/// outside this workspace, such as the benchmark harness, name
+/// `SteppingMode::Pipelined { run_ahead }`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SteppingMode {
-    /// Lockstep: one global barrier per period (all channels step period
-    /// `P` before any channel starts period `P + 1`).
-    Barrier,
     /// Channels advance independently, pausing only at their own zap-batch
-    /// boundaries and at the run-ahead bound.
+    /// boundaries and at the run-ahead bound.  `run_ahead: 1` is the
+    /// lockstep schedule.
     Pipelined {
         /// Maximum periods any channel may run ahead of the slowest one
         /// (clamped to at least 1).  Bounds the live state divergence
@@ -255,7 +260,7 @@ struct Channel {
     queue: VecDeque<QueuedArrival>,
     /// Channel-local RNG stream of queue-drain neighbour sampling — drains
     /// happen at deterministic channel-local boundaries, so the stream is
-    /// identical in barrier and pipelined mode.
+    /// identical for every run-ahead bound.
     admission_rng: SmallRng,
     /// Admission delays of every arrival admitted via the queue, including
     /// zero-delay same-boundary admissions, folded into a streaming sketch
@@ -465,9 +470,9 @@ pub struct ChannelReport {
 
 /// Aggregated outcome of a multi-channel zapping run.
 ///
-/// Deterministic: identical bytes for every worker-pool size **and** for
-/// barrier versus pipelined stepping (asserted by the test-suite), so
-/// reports can be diffed across hardware and execution strategies.
+/// Deterministic: identical bytes for every worker-pool size **and** every
+/// run-ahead bound (asserted by the test-suite), so reports can be diffed
+/// across hardware and execution strategies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeReport {
     /// Periods driven through every channel.
@@ -483,7 +488,7 @@ pub struct RuntimeReport {
     pub zap_load: ZapLoadSummary,
     /// Per-peer memory footprint aggregated across all channels (active
     /// peers' protocol state — a pure function of the simulated history,
-    /// so it cannot break mode/pool-size report equivalence).
+    /// so it cannot break run-ahead/pool-size report equivalence).
     pub mem: MemSummary,
     /// Membership-directory admission metrics: queue depth and the
     /// admission-delay distribution.  Structurally zero when
@@ -509,8 +514,8 @@ impl RuntimeReport {
 }
 
 /// Hosts `N` concurrent channels on a persistent [`WorkerPool`] and drives
-/// a schedule-defined viewer-zapping workload, in barrier or pipelined
-/// stepping mode.  See the module docs.
+/// a schedule-defined viewer-zapping workload through the pairwise
+/// pipeline.  See the module docs.
 pub struct SessionManager {
     config: SessionConfig,
     pool: Arc<WorkerPool>,
@@ -533,7 +538,8 @@ pub struct SessionManager {
 
 impl SessionManager {
     /// Builds the channels and starts each channel's initial source, with
-    /// the uniform zap workload and barrier stepping installed by default
+    /// the uniform zap workload and [`SteppingMode::pipelined`] installed
+    /// by default
     /// (see [`set_workload`](Self::set_workload) /
     /// [`set_mode`](Self::set_mode)).
     ///
@@ -609,7 +615,7 @@ impl SessionManager {
                 config.seed,
             ),
             schedule_consulted: false,
-            mode: SteppingMode::Barrier,
+            mode: SteppingMode::pipelined(),
             bandwidth: BandwidthConfig::default(),
             config,
             pool,
@@ -645,13 +651,8 @@ impl SessionManager {
         self.period
     }
 
-    /// The current stepping mode.
-    pub fn mode(&self) -> SteppingMode {
-        self.mode
-    }
-
-    /// Selects barrier or pipelined stepping.  May be changed at any time;
-    /// the mode cannot influence any result (asserted by the test-suite),
+    /// Sets the pipeline's run-ahead bound.  May be changed at any time;
+    /// the bound cannot influence any result (asserted by the test-suite),
     /// only the execution schedule.
     pub fn set_mode(&mut self, mode: SteppingMode) {
         self.mode = mode;
@@ -684,7 +685,7 @@ impl SessionManager {
 
     /// Enables per-channel churn (paper-default rates), each channel with
     /// its own deterministic stream derived from `salt`.  Churn is
-    /// channel-local, so it cannot affect barrier/pipelined equivalence.
+    /// channel-local, so it cannot affect run-ahead equivalence.
     pub fn enable_channel_churn(&mut self, salt: u64) {
         let seed = self.config.seed;
         for (index, channel) in self.channels.iter_mut().enumerate() {
@@ -711,22 +712,11 @@ impl SessionManager {
     }
 
     /// Runs `n` warm-up periods with the zapping workload disabled, letting
-    /// every channel reach steady playback first.  Channels are fully
-    /// independent here, so they advance in one unsynchronised pool job.
+    /// every channel reach steady playback first.  This is the pipeline
+    /// over an empty plan with no run-ahead bound, so every channel
+    /// advances in one pool job; the zap schedule is never consulted.
     pub fn warmup(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let tau = self.config.gossip.tau_secs;
-        let target = self.period + n;
-        let slots = DisjointSlots::new(&mut self.channels[..]);
-        self.pool.execute(slots.len(), &|chunk: usize| {
-            // SAFETY: chunk indices are unique per execute() run, so each
-            // channel is advanced by exactly one worker.
-            let channel = unsafe { slots.slot(chunk) };
-            channel.advance_to(target, tau);
-        });
-        self.period = target;
+        self.run_pipeline(self.period + n, u64::MAX, &[]);
     }
 
     /// Runs one measured period (zap batches, stepping, harvesting).
@@ -734,18 +724,15 @@ impl SessionManager {
         self.run_periods(1);
     }
 
-    /// Runs `n` measured periods in the configured stepping mode.
+    /// Runs `n` measured periods through the pipeline.
     pub fn run_periods(&mut self, n: u64) {
         if n == 0 {
             return;
         }
         let horizon = self.period + n;
         let plan = self.plan_batches(horizon);
-        match self.mode {
-            SteppingMode::Barrier => self.run_barrier(horizon, &plan),
-            SteppingMode::Pipelined { run_ahead } => self.run_pipelined(horizon, run_ahead, &plan),
-        }
-        self.period = horizon;
+        let SteppingMode::Pipelined { run_ahead } = self.mode;
+        self.run_pipeline(horizon, run_ahead, &plan);
     }
 
     /// Builds the aggregated report.
@@ -823,7 +810,7 @@ impl SessionManager {
         // Telemetry fold: every channel runs the same periods, so the
         // per-channel timelines share one shape and fold window-by-window
         // in channel order — an elementwise counter sum, exactly
-        // associative, hence byte-identical for every stepping mode, pool
+        // associative, hence byte-identical for every run-ahead bound, pool
         // size and shard count (asserted by the test-suite).
         let mut qoe_timeline = Timeline::new(TIMELINE_WINDOWS);
         let mut queue_depth = Timeline::new(TIMELINE_WINDOWS);
@@ -899,64 +886,59 @@ impl SessionManager {
         plan
     }
 
-    /// Lockstep execution: apply boundary batches, then step every channel
-    /// one period on the pool; repeat.
-    fn run_barrier(&mut self, horizon: u64, plan: &[PlannedBatch]) {
-        let tau = self.config.gossip.tau_secs;
-        let mut cursor = 0;
-        for period in self.period..horizon {
-            while cursor < plan.len() && plan[cursor].batch.period == period {
-                self.apply_batch(plan[cursor]);
-                cursor += 1;
-            }
-            let slots = DisjointSlots::new(&mut self.channels[..]);
-            self.pool.execute(slots.len(), &|chunk: usize| {
-                // SAFETY: chunk indices are unique per execute() run.
-                let channel = unsafe { slots.slot(chunk) };
-                let target = channel.period + 1;
-                channel.advance_to(target, tau);
-            });
-        }
-    }
-
-    /// Dependency-tracked pipeline: each round, every channel advances on
-    /// the pool to the nearest of (its next batch boundary, the run-ahead
-    /// bound, the horizon); then every batch whose two endpoints are parked
-    /// at its boundary is applied.  No global barrier — a batch
-    /// synchronises exactly its two channels.
-    fn run_pipelined(&mut self, horizon: u64, run_ahead: u64, plan: &[PlannedBatch]) {
+    /// Dependency-tracked pipeline up to `horizon`.  Each round first
+    /// applies every batch whose two endpoints are parked at its boundary
+    /// with it as their next batch, to fixpoint (one application can
+    /// unblock the next at the same boundary); then every channel advances
+    /// on the pool to the nearest of (its next batch boundary, the
+    /// run-ahead bound, the horizon).  No global barrier — a batch
+    /// synchronises exactly its two channels.  `run_ahead: 1` is the
+    /// lockstep schedule: one dispatch per period.
+    fn run_pipeline(&mut self, horizon: u64, run_ahead: u64, plan: &[PlannedBatch]) {
         let run_ahead = run_ahead.max(1);
         let tau = self.config.gossip.tau_secs;
         let n = self.channels.len();
 
-        // Per-channel ordered involvement lists over the plan.
+        // Per-channel ordered involvement lists over the plan.  A batch is
+        // applied only while it is the next batch of both endpoints, so a
+        // channel's applied batches are always a prefix of its list and
+        // `cursor[c]` indexes its next batch.
         let mut involvement: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, planned) in plan.iter().enumerate() {
             involvement[planned.batch.from].push(i);
             involvement[planned.batch.to].push(i);
         }
         let mut cursor = vec![0usize; n];
-        let mut applied = vec![false; plan.len()];
-
-        /// First unapplied batch involving channel `c`, advancing the
-        /// channel's cursor past batches its partner already applied.
-        fn next_unapplied(
-            involvement: &[Vec<usize>],
-            applied: &[bool],
-            cursor: &mut [usize],
-            c: usize,
-        ) -> Option<usize> {
-            while let Some(&i) = involvement[c].get(cursor[c]) {
-                if applied[i] {
-                    cursor[c] += 1;
-                } else {
-                    return Some(i);
-                }
-            }
-            None
-        }
+        let next = |cursor: &[usize], c: usize| involvement[c].get(cursor[c]).copied();
 
         loop {
+            // 1. Apply every ready batch, to fixpoint.
+            let mut applied_any = false;
+            loop {
+                let mut progressed = false;
+                for c in 0..n {
+                    while let Some(i) = next(&cursor, c) {
+                        let planned = plan[i];
+                        let (from, to) = (planned.batch.from, planned.batch.to);
+                        let ready = [from, to].iter().all(|&e| {
+                            self.channels[e].period == planned.batch.period
+                                && next(&cursor, e) == Some(i)
+                        });
+                        if !ready {
+                            break;
+                        }
+                        self.apply_batch(planned);
+                        cursor[from] += 1;
+                        cursor[to] += 1;
+                        progressed = true;
+                        applied_any = true;
+                    }
+                }
+                if !progressed {
+                    break;
+                }
+            }
+
             let min_period = self
                 .channels
                 .iter()
@@ -967,26 +949,29 @@ impl SessionManager {
                 break;
             }
 
-            // 1. Per-channel advance limits: next sync point, run-ahead
+            // 2. Per-channel advance limits: next sync point, run-ahead
             //    bound, horizon — whichever is nearest.
             let cap = min_period.saturating_add(run_ahead).min(horizon);
             let limits: Vec<u64> = (0..n)
                 .map(|c| {
-                    let sync = next_unapplied(&involvement, &applied, &mut cursor, c)
-                        .map_or(horizon, |i| plan[i].batch.period);
+                    let sync = next(&cursor, c).map_or(horizon, |i| plan[i].batch.period);
                     sync.min(cap).max(self.channels[c].period)
                 })
                 .collect();
 
-            // 2. Advance the channels that can move, concurrently.  The
+            // 3. Advance the channels that can move, concurrently.  The
             //    dispatch is compacted to those channels only, so a round
             //    that unblocks a single straggler runs it in-line instead
             //    of waking the whole pool.
             let advancing: Vec<usize> = (0..n)
                 .filter(|&c| limits[c] > self.channels[c].period)
                 .collect();
-            let advanced = !advancing.is_empty();
-            if advanced {
+            assert!(
+                !advancing.is_empty() || applied_any,
+                "pipelined scheduler stalled before the horizon (min period \
+                 {min_period} of {horizon})"
+            );
+            if !advancing.is_empty() {
                 let limits = &limits[..];
                 let advancing = &advancing[..];
                 let slots = DisjointSlots::new(&mut self.channels[..]);
@@ -999,41 +984,8 @@ impl SessionManager {
                     channel.advance_to(limits[c], tau);
                 });
             }
-
-            // 3. Apply every batch whose endpoints are both parked at its
-            //    boundary with it as their next batch, to fixpoint (one
-            //    application can unblock the next at the same boundary).
-            let mut applied_any = false;
-            loop {
-                let mut progressed = false;
-                for c in 0..n {
-                    while let Some(i) = next_unapplied(&involvement, &applied, &mut cursor, c) {
-                        let planned = plan[i];
-                        let (from, to) = (planned.batch.from, planned.batch.to);
-                        let parked = self.channels[from].period == planned.batch.period
-                            && self.channels[to].period == planned.batch.period;
-                        if !parked
-                            || next_unapplied(&involvement, &applied, &mut cursor, from) != Some(i)
-                            || next_unapplied(&involvement, &applied, &mut cursor, to) != Some(i)
-                        {
-                            break;
-                        }
-                        self.apply_batch(planned);
-                        applied[i] = true;
-                        progressed = true;
-                        applied_any = true;
-                    }
-                }
-                if !progressed {
-                    break;
-                }
-            }
-            assert!(
-                advanced || applied_any,
-                "pipelined scheduler stalled before the horizon (min period \
-                 {min_period} of {horizon})"
-            );
         }
+        self.period = horizon;
     }
 
     /// Resolves and applies one zap batch through the membership directory:
@@ -1153,6 +1105,34 @@ mod tests {
     use crate::zap::{CrowdZap, Storm};
     use fss_core::FastSwitchScheduler;
 
+    /// The lockstep oracle the pipeline is compared against: at every
+    /// boundary up to `horizon`, apply the boundary's batches in plan
+    /// order, then step every channel one period, serially on the calling
+    /// thread.
+    fn lockstep_to(m: &mut SessionManager, horizon: u64, plan: &[PlannedBatch]) {
+        let tau = m.config.gossip.tau_secs;
+        let mut cursor = 0;
+        for period in m.period..horizon {
+            while cursor < plan.len() && plan[cursor].batch.period == period {
+                m.apply_batch(plan[cursor]);
+                cursor += 1;
+            }
+            for channel in &mut m.channels {
+                channel.advance_to(period + 1, tau);
+            }
+        }
+        m.period = horizon;
+    }
+
+    /// `warmup` periods without zaps, then `measured` periods of the
+    /// schedule, all through the lockstep oracle.
+    fn run_lockstep(m: &mut SessionManager, warmup: u64, measured: u64) {
+        lockstep_to(m, m.period + warmup, &[]);
+        let horizon = m.period + measured;
+        let plan = m.plan_batches(horizon);
+        lockstep_to(m, horizon, &plan);
+    }
+
     fn manager(workers: usize, channels: usize, seed: u64) -> SessionManager {
         let config = SessionConfig {
             seed,
@@ -1217,12 +1197,12 @@ mod tests {
         }
     }
 
-    /// The tentpole invariant: pipelined stepping (any run-ahead bound, any
-    /// pool size) produces a byte-identical report to barrier stepping,
-    /// under per-channel churn AND a Zipf workload with flash-crowd storms.
+    /// The pipeline's invariant: any run-ahead bound on any pool size
+    /// produces a byte-identical report to the lockstep oracle, under
+    /// per-channel churn AND a Zipf workload with flash-crowd storms.
     #[test]
     fn pipelined_matches_barrier_under_churn_and_storms() {
-        let run = |workers: usize, mode: SteppingMode| {
+        let run = |workers: usize, run_ahead: Option<u64>| {
             let mut m = manager(workers, 5, 13);
             m.set_zap_schedule(Box::new(CrowdZap::zipf(5, 40, 0.03, 1.2, 13).with_storms(
                 vec![
@@ -1239,28 +1219,70 @@ mod tests {
                 ],
             )));
             m.enable_channel_churn(5);
-            m.set_mode(mode);
-            m.warmup(25);
-            m.run_periods(35);
+            match run_ahead {
+                Some(run_ahead) => {
+                    m.set_mode(SteppingMode::Pipelined { run_ahead });
+                    m.warmup(25);
+                    m.run_periods(35);
+                }
+                None => run_lockstep(&mut m, 25, 35),
+            }
             m.report()
         };
-        let reference = run(1, SteppingMode::Barrier);
+        let reference = run(1, None);
         assert!(reference.total_zaps() > 0);
         assert!(reference.cross_channel_zaps.completed > 0);
         for workers in [1, 2, 4, 7] {
             for run_ahead in [1, 4, 8] {
                 assert_eq!(
-                    run(workers, SteppingMode::Pipelined { run_ahead }),
+                    run(workers, Some(run_ahead)),
                     reference,
                     "workers = {workers}, run_ahead = {run_ahead}"
                 );
             }
-            assert_eq!(
-                run(workers, SteppingMode::Barrier),
-                reference,
-                "barrier, workers = {workers}"
-            );
         }
+    }
+
+    /// Apply-first rounds never dispatch more than lockstep: with the
+    /// batches applied before the channels advance, a measured period costs
+    /// at most one pool dispatch for every run-ahead bound, and a longer
+    /// run lets sparse-zap channels run ahead in fewer dispatches.
+    #[test]
+    fn apply_first_rounds_never_dispatch_more_than_lockstep() {
+        // Pool dispatches of `run` on a warmed-up 8 x 50 Zipf(1.0) session.
+        let dispatches = |zap_fraction: f64, run_ahead: u64, run: &dyn Fn(&mut SessionManager)| {
+            let config = SessionConfig {
+                zap_fraction,
+                ..SessionConfig::paper_default(8, 50)
+            };
+            let mut m = SessionManager::new(config, Arc::new(WorkerPool::new(2)), || {
+                Box::new(FastSwitchScheduler::new())
+            });
+            m.set_workload(ZapWorkload::Zipf { alpha: 1.0 });
+            m.set_mode(SteppingMode::Pipelined { run_ahead });
+            m.warmup(40);
+            let before = m.pool().dispatches();
+            run(&mut m);
+            m.pool().dispatches() - before
+        };
+        let steps = |m: &mut SessionManager| (0..40).for_each(|_| m.step());
+        let periods = |m: &mut SessionManager| m.run_periods(40);
+        for zap_fraction in [0.005, 0.02] {
+            for run_ahead in [1, 8] {
+                let stepped = dispatches(zap_fraction, run_ahead, &steps);
+                let run = dispatches(zap_fraction, run_ahead, &periods);
+                assert!(
+                    stepped <= 40 && run <= 40,
+                    "zap rate {zap_fraction}, run_ahead {run_ahead}: 40 steps cost \
+                     {stepped} dispatches, run_periods(40) {run}"
+                );
+            }
+        }
+        let sparse = dispatches(0.005, 8, &periods);
+        assert!(
+            sparse <= 25,
+            "sparse zaps, run_ahead 8: {sparse} dispatches"
+        );
     }
 
     /// A storm shows up as arrival skew: the target channel dominates.
@@ -1333,13 +1355,14 @@ mod tests {
     }
 
     /// Determinism sweep: with the rate-limited admission queue active,
-    /// under churn and a flash-crowd storm, reports (queue-depth timeline included) stay byte-identical across
-    /// pool sizes and stepping modes — directory updates are the only
+    /// under churn and a flash-crowd storm, reports (queue-depth timeline
+    /// included) stay byte-identical to the lockstep oracle across pool
+    /// sizes and run-ahead bounds — directory updates are the only
     /// cross-channel synchronisation points, and they happen at the same
     /// boundaries regardless of execution strategy.
     #[test]
     fn rate_limited_admission_is_deterministic_across_modes_and_pools() {
-        let run = |workers: usize, mode: SteppingMode| {
+        let run = |workers: usize, run_ahead: Option<u64>| {
             let config = SessionConfig {
                 seed: 29,
                 admission: AdmissionControl::rate_limited(6),
@@ -1356,22 +1379,25 @@ mod tests {
                 }],
             )));
             m.enable_channel_churn(3);
-            m.set_mode(mode);
-            m.warmup(25);
-            m.run_periods(30);
+            match run_ahead {
+                Some(run_ahead) => {
+                    m.set_mode(SteppingMode::Pipelined { run_ahead });
+                    m.warmup(25);
+                    m.run_periods(30);
+                }
+                None => run_lockstep(&mut m, 25, 30),
+            }
             m.report()
         };
-        let reference = run(1, SteppingMode::Barrier);
+        let reference = run(1, None);
         assert!(reference.admission.rate_limited);
         assert!(reference.total_zaps() > 0);
         assert!(reference.queue_depth.windows().any(|w| w.peak > 0));
         for workers in [1, 2, 4, 7] {
             for run_ahead in [1, 4, 8] {
-                let report = run(workers, SteppingMode::Pipelined { run_ahead });
+                let report = run(workers, Some(run_ahead));
                 assert_eq!(report, reference, "workers={workers} run_ahead={run_ahead}");
             }
-            let report = run(workers, SteppingMode::Barrier);
-            assert_eq!(report, reference, "barrier workers={workers}");
         }
     }
 
@@ -1469,7 +1495,7 @@ mod tests {
         let report = m.report();
         assert!(report.admission.still_queued > 0);
         assert_eq!(
-            report.admission.requested(),
+            report.admission.admitted + report.admission.still_queued,
             report.total_zaps(),
             "every requested arrival is a zap"
         );
@@ -1491,7 +1517,6 @@ mod tests {
             let mut m = SessionManager::new(config, Arc::clone(pool), || {
                 Box::new(FastSwitchScheduler::new())
             });
-            m.set_mode(SteppingMode::pipelined());
             m.warmup(20);
             m.run_periods(25);
             m.report()

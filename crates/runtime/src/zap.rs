@@ -26,8 +26,8 @@
 //! without waiting for any other channel to reach them.  Which *specific*
 //! viewers move, and where they attach, is resolved later against live
 //! channel state using a per-batch RNG stream, so resolution depends only
-//! on the two endpoint channels — the key to byte-identical reports in
-//! barrier and pipelined mode alike.
+//! on the two endpoint channels — the key to byte-identical reports for
+//! every run-ahead bound.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

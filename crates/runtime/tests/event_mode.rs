@@ -11,7 +11,7 @@
 //!
 //! 2. **Faulty-run determinism** — a lossy, delayed, jittered run is itself
 //!    digest-pinned and byte-identical across pool sizes {1, 2, 4, 7} ×
-//!    shard counts {1, 2, 4, 8} × barrier/pipelined stepping.  Loss and
+//!    shard counts {1, 2, 4, 8} × run-ahead bounds {1, 4}.  Loss and
 //!    jitter draws are stateless hashes (no RNG cursor), so no execution
 //!    interleaving can perturb them.
 //!
@@ -26,6 +26,9 @@ use fss_runtime::{RuntimeReport, SessionConfig, SessionManager, SteppingMode, Wo
 use fss_trace::{GeneratorConfig, TraceGenerator};
 use std::hash::Hasher;
 use std::sync::Arc;
+
+/// Run-ahead 1: the pipeline's lockstep schedule.
+const LOCKSTEP: SteppingMode = SteppingMode::Pipelined { run_ahead: 1 };
 
 /// FxHash-style digest (deterministic across processes, unlike the std
 /// `RandomState`).  Mirrors `fss_gossip::hasher::FxHasher64`.
@@ -122,14 +125,7 @@ const QOE_CHURN_STORM_PIPELINED: u64 = 12569093327864263347;
 
 #[test]
 fn ideal_event_mode_reproduces_the_uniform_barrier_pins() {
-    let report = run_golden(
-        4,
-        11,
-        SteppingMode::Barrier,
-        false,
-        false,
-        NetworkConfig::ideal(),
-    );
+    let report = run_golden(4, 11, LOCKSTEP, false, false, NetworkConfig::ideal());
     let surface = legacy_surface(&report);
     assert_eq!(
         fx_digest(&surface),
@@ -179,7 +175,7 @@ fn faulty_network() -> NetworkConfig {
 }
 
 /// One lossy run of the full nasty configuration (churn + Zipf storms) at
-/// the given pool size / shard count / stepping mode.
+/// the given pool size / shard count / run-ahead bound.
 fn run_faulty(workers: usize, shards: usize, mode: SteppingMode) -> RuntimeReport {
     let config = SessionConfig {
         seed: 29,
@@ -203,13 +199,13 @@ fn run_faulty(workers: usize, shards: usize, mode: SteppingMode) -> RuntimeRepor
     m.report()
 }
 
-/// Digest of the (workers=1, shards=1, barrier) faulty reference run.
+/// Digest of the (workers=1, shards=1, run-ahead 1) faulty reference run.
 /// Every other combination must reproduce its surfaces byte for byte.
 const FAULTY_PINNED_DIGEST: u64 = 13441145006459968134;
 
 #[test]
 fn faulty_runs_are_pinned_and_identical_across_pools_shards_and_modes() {
-    let reference = run_faulty(1, 1, SteppingMode::Barrier);
+    let reference = run_faulty(1, 1, LOCKSTEP);
     let reference_surface = format!(
         "{}\n{}",
         legacy_surface(&reference),
@@ -223,10 +219,7 @@ fn faulty_runs_are_pinned_and_identical_across_pools_shards_and_modes() {
 
     for &workers in &[2usize, 4, 7] {
         for &shards in &[2usize, 4, 8] {
-            for mode in [
-                SteppingMode::Barrier,
-                SteppingMode::Pipelined { run_ahead: 4 },
-            ] {
+            for mode in [LOCKSTEP, SteppingMode::Pipelined { run_ahead: 4 }] {
                 let report = run_faulty(workers, shards, mode);
                 let surface = format!("{}\n{}", legacy_surface(&report), qoe_surface(&report));
                 assert_eq!(
@@ -269,22 +262,8 @@ fn faulty_event_period_takes_two_pool_dispatches() {
 
 #[test]
 fn loss_shows_up_as_reduced_data_traffic() {
-    let ideal = run_golden(
-        4,
-        11,
-        SteppingMode::Barrier,
-        false,
-        false,
-        NetworkConfig::ideal(),
-    );
-    let lossy = run_golden(
-        4,
-        11,
-        SteppingMode::Barrier,
-        false,
-        false,
-        NetworkConfig::lossy(0.2, 7),
-    );
+    let ideal = run_golden(4, 11, LOCKSTEP, false, false, NetworkConfig::ideal());
+    let lossy = run_golden(4, 11, LOCKSTEP, false, false, NetworkConfig::lossy(0.2, 7));
     let data = |r: &RuntimeReport| r.channels.iter().map(|c| c.traffic.data_bits).sum::<u64>();
     assert!(
         data(&lossy) < data(&ideal),

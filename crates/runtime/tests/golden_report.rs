@@ -19,6 +19,9 @@ use fss_runtime::{RuntimeReport, SessionConfig, SessionManager, SteppingMode, Wo
 use std::hash::Hasher;
 use std::sync::Arc;
 
+/// Run-ahead 1: the pipeline's lockstep schedule.
+const LOCKSTEP: SteppingMode = SteppingMode::Pipelined { run_ahead: 1 };
+
 /// FxHash-style digest (deterministic across processes, unlike the std
 /// `RandomState`).  Mirrors `fss_gossip::hasher::FxHasher64`.
 fn fx_digest(text: &str) -> u64 {
@@ -101,7 +104,7 @@ fn run(channels: usize, seed: u64, mode: SteppingMode, churn: bool, storms: bool
 
 #[test]
 fn uniform_barrier_report_matches_the_pre_directory_pin() {
-    let report = run(4, 11, SteppingMode::Barrier, false, false);
+    let report = run(4, 11, LOCKSTEP, false, false);
     let surface = legacy_surface(&report);
     assert_eq!(
         fx_digest(&surface),
@@ -123,7 +126,7 @@ fn churn_storm_pipelined_report_matches_the_pre_directory_pin() {
 
 #[test]
 fn qoe_telemetry_is_pinned_for_the_uniform_barrier_run() {
-    let report = run(4, 11, SteppingMode::Barrier, false, false);
+    let report = run(4, 11, LOCKSTEP, false, false);
     let surface = qoe_surface(&report);
     assert!(report.scorecard.startups > 0, "warmup must start playback");
     assert_eq!(

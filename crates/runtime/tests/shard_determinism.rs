@@ -6,7 +6,7 @@
 //! The sweep below drives the nastiest configuration the runtime offers —
 //! per-channel churn, a Zipf zap workload with a flash-crowd storm and the
 //! rate-limited admission queue — across shard counts {1, 2, 4, 8} × pool
-//! sizes {1, 2, 4, 7} × both stepping modes, and
+//! sizes {1, 2, 4, 7} × run-ahead bounds {1, 4}, and
 //! additionally pins the report digest so a shard-dependent result cannot
 //! sneak in together with a compensating test update.  Since the period's
 //! grant step and fused walk both run per chunk on the pool, the same sweep
@@ -109,8 +109,9 @@ fn run(shards: usize, workers: usize, mode: SteppingMode) -> RuntimeReport {
     m.report()
 }
 
-/// The digest of the single-shard, single-worker barrier run.  Every other
-/// (shards, workers, mode) combination must reproduce it byte for byte.
+/// The digest of the single-shard, single-worker, run-ahead 1 run.  Every
+/// other (shards, workers, mode) combination must reproduce it byte for
+/// byte.
 const PINNED_DIGEST: u64 = 11512891525223852588;
 
 /// Digest of the same reference run's streaming-QoE telemetry surface
@@ -131,7 +132,7 @@ fn qoe_surface(report: &RuntimeReport) -> String {
 
 #[test]
 fn reports_are_byte_identical_across_shard_counts_and_pool_sizes() {
-    let reference = run(1, 1, SteppingMode::Barrier);
+    let reference = run(1, 1, SteppingMode::Pipelined { run_ahead: 1 });
     assert!(reference.total_zaps() > 0);
     assert!(reference.cross_channel_zaps.completed > 0);
     assert!(reference.admission.rate_limited);
@@ -156,10 +157,10 @@ fn reports_are_byte_identical_across_shard_counts_and_pool_sizes() {
 
     for &shards in &[1usize, 2, 4, 8] {
         for &workers in &[1usize, 2, 4, 7] {
-            let report = run(shards, workers, SteppingMode::Barrier);
+            let report = run(shards, workers, SteppingMode::Pipelined { run_ahead: 1 });
             assert_eq!(report, reference, "shards={shards} workers={workers}");
         }
-        // Pipelined stepping composes with sharding too.
+        // Running ahead composes with sharding too.
         let report = run(shards, 4, SteppingMode::Pipelined { run_ahead: 4 });
         assert_eq!(report, reference, "pipelined shards={shards}");
     }

@@ -62,7 +62,7 @@ fn main() {
         report.zap_load.gini
     );
     println!(
-        "(deterministic: rerunning on any pool size — or in barrier instead of pipelined \
-         stepping — reproduces this report byte for byte)"
+        "(deterministic: rerunning on any pool size — or with any run-ahead bound, \
+         lockstep included — reproduces this report byte for byte)"
     );
 }

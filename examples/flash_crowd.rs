@@ -6,8 +6,9 @@
 //! of 120 viewers converges on channel 0 within a single period — the
 //! hardest case for the join path.  Channels advance as a dependency-
 //! tracked pipeline (a zap batch synchronises only its two endpoint
-//! channels), which is byte-identical to barrier stepping; the example
-//! runs both modes and reports the wall-clock for each.
+//! channels); the example runs it with the default run-ahead bound and
+//! with run-ahead 1 (lockstep), asserts the two reports are byte-identical
+//! and prints the wall-clock of each.
 //!
 //! The example then re-runs the same workload with the membership
 //! directory's storm-time admission control enabled
@@ -86,10 +87,10 @@ fn main() {
     );
 
     let (report, pipelined_secs) = run(&pool, SteppingMode::pipelined());
-    let (barrier_report, barrier_secs) = run(&pool, SteppingMode::Barrier);
+    let (lockstep_report, lockstep_secs) = run(&pool, SteppingMode::Pipelined { run_ahead: 1 });
     assert_eq!(
-        report, barrier_report,
-        "pipelined and barrier stepping must agree bit for bit"
+        report, lockstep_report,
+        "running ahead and lockstep must agree bit for bit"
     );
 
     println!();
@@ -124,8 +125,8 @@ fn main() {
         report.zap_load.gini
     );
     println!(
-        "wall-clock: pipelined {:.2?} vs barrier {:.2?} (identical reports)",
-        pipelined_secs, barrier_secs
+        "wall-clock: run-ahead 8 {:.2?} vs lockstep {:.2?} (identical reports)",
+        pipelined_secs, lockstep_secs
     );
 
     // --- storm-time admission control ---------------------------------

@@ -17,7 +17,7 @@
 //! * [`metrics`] — metric aggregation (switch times, reduction ratio,
 //!   communication overhead, ratio tracks, zap latencies),
 //! * [`runtime`] — the persistent deterministic worker pool and the
-//!   multi-channel session manager: barrier or pipelined stepping with
+//!   multi-channel session manager: pairwise-pipelined stepping with
 //!   pluggable zap workloads (uniform / Zipf-skewed / flash-crowd), and
 //! * [`experiments`] — the scenario runner and the per-figure harness.
 //!
