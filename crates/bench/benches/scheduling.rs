@@ -58,24 +58,23 @@ fn context(old: u64, new: u64, suppliers: u32) -> SchedulingContext {
     ctx
 }
 
-/// A call shaped like `steady_100k`'s: 10 candidates near the stream head,
-/// each held by 2 of 7 neighbours, no switch.
+/// A call shaped like `steady_100k`'s, built the way the system's context
+/// builder builds it: 10 candidates near the stream head, each held by 2
+/// of 7 neighbours, no switch.  A neighbour gets its row at its first
+/// supplier hit, and each candidate lists its suppliers in neighbour order.
 fn steady_context() -> SchedulingContext {
     let mut ctx = base(150, 12, false);
-    for i in 0..7u32 {
-        ctx.push_neighbour(100 + i, 15.0 + f64::from(i), 600);
-    }
+    let mut slot_of = [None; 7];
     for k in 0..10u32 {
         let id = SegmentId(160 + u64::from(k) * 3);
         let (a, b) = (k % 7, (k + 3) % 7);
         let held = [(a.min(b), 1 + k), (a.max(b), 4 + 2 * k)];
-        ctx.push_candidate(
-            id,
-            held.map(|(slot, buffer_position)| SupplierInfo {
-                slot,
-                buffer_position,
-            }),
-        );
+        let suppliers = held.map(|(n, buffer_position)| SupplierInfo {
+            slot: *slot_of[n as usize]
+                .get_or_insert_with(|| ctx.push_neighbour(100 + n, 15.0 + f64::from(n), 600)),
+            buffer_position,
+        });
+        ctx.push_candidate(id, suppliers);
     }
     ctx
 }

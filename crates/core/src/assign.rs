@@ -13,10 +13,11 @@
 //! paper — and this module — uses the greedy heuristic; `crate::optimal`
 //! provides an exact solver for tiny instances to measure the gap.
 //!
-//! The pass is linear apart from one sort: each candidate is scored once
-//! and sorted on an integer key (class, descending priority bits, then id;
-//! see [`greedy_assign_into`]), and the per-supplier queue is a column
-//! indexed by neighbour slot that also holds `1/R(j)`, taken once per slot.
+//! The pass is linear apart from one sort: each candidate is scored once,
+//! from the eq. 6 and eq. 8 folds the context carries, and sorted on an
+//! integer key (class, descending priority bits, then id; see
+//! [`greedy_assign_into`]); the per-supplier queue is a column indexed by
+//! neighbour-table slot that also holds `1/R(j)`, taken once per row.
 
 use crate::priority::{priority, SegmentPriority};
 use fss_gossip::{SchedulingContext, SegmentId, StreamClass};
@@ -100,6 +101,13 @@ pub fn greedy_assign(ctx: &SchedulingContext, order: AssignmentOrder) -> Assignm
 // fss-lint: hot-path
 /// Allocation-free variant of [`greedy_assign`]: results land in
 /// `scratch.outcome`, whose buffers are reused across calls.
+///
+/// Scoring reads only each candidate's id and folds
+/// ([`CandidateSegment::max_rate`](fss_gossip::CandidateSegment::max_rate),
+/// [`rarity`](fss_gossip::CandidateSegment::rarity)); the suppliers are
+/// walked once, in the greedy pass.  There a supplier wins only by a
+/// strictly earlier finish, so ties go to the first in the candidate's
+/// supplier order; the row order of the neighbour table never matters.
 ///
 /// The greedy order is ascending `(key, id)`.  The key's low 63 bits are
 /// `i64::MAX − bits(priority)`: priorities are non-negative (urgency is
@@ -681,7 +689,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
         /// Soak of [`prop_kernel_matches_the_oracle`].
         #[test]
-        #[ignore = "soak: 20k kernel cases (run with --release -- --ignored)"]
+        #[ignore = "soak: 20k kernel cases (run with -- --ignored)"]
         fn prop_kernel_soak(seed in 0u64..u64::MAX) {
             check_kernel(seed)?;
         }

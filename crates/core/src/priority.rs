@@ -9,7 +9,13 @@
 //!   replaced in **all** its suppliers' FIFO buffers (eq. 8, the paper's
 //!   refinement of the traditional `1/n_i`),
 //! * `priority_i = max(urgency_i, rarity_i)` (eq. 9).
+//!
+//! Eqs. 6 and 8 fold over a candidate's suppliers, so the context carries
+//! them ([`CandidateSegment::max_rate`], [`CandidateSegment::rarity`]),
+//! folded where the suppliers are appended; [`priority`] computes eqs. 7
+//! and 9 from them.
 
+use fss_gossip::scheduler::replacement_fraction;
 use fss_gossip::{CandidateSegment, SchedulingContext};
 
 /// A very large urgency standing in for "the deadline has already passed"
@@ -56,16 +62,6 @@ pub fn rarity_of(positions: impl Iterator<Item = (usize, usize)>) -> f64 {
         .product()
 }
 
-/// One supplier's factor of eq. 8, `p_ij / B` clamped to `[0, 1]` (1 for a
-/// zero capacity).
-fn replacement_fraction(position: usize, capacity: usize) -> f64 {
-    if capacity == 0 {
-        1.0
-    } else {
-        (position as f64 / capacity as f64).clamp(0.0, 1.0)
-    }
-}
-
 /// The traditional rarity the paper compares against (`1/n_i`); kept for the
 /// ablation benchmarks.
 pub fn traditional_rarity(supplier_count: usize) -> f64 {
@@ -79,25 +75,15 @@ pub fn traditional_rarity(supplier_count: usize) -> f64 {
 /// Full priority of a candidate segment within a scheduling context (eq. 9).
 ///
 /// Runs once per candidate per node per period, so it must not allocate:
-/// one pass over the candidate's suppliers takes `R_i` and multiplies the
-/// rarity product in supplier order.
+/// `R_i` and the rarity product come folded with the candidate, so only
+/// eqs. 7 and 9 are computed here.
 pub fn priority(ctx: &SchedulingContext, candidate: &CandidateSegment) -> SegmentPriority {
     let deadline_secs = (candidate.id.value() as f64 - ctx.id_play.value() as f64) / ctx.play_rate;
-    let mut max_rate = 0.0;
-    let mut rarity = 1.0;
-    for supplier in ctx.suppliers_of(candidate) {
-        let neighbour = ctx.neighbour(supplier);
-        max_rate = f64::max(max_rate, neighbour.rate);
-        rarity *= replacement_fraction(
-            supplier.buffer_position as usize,
-            neighbour.buffer_capacity as usize,
-        );
-    }
-    let urgency = urgency(deadline_secs, max_rate);
+    let urgency = urgency(deadline_secs, candidate.max_rate);
     SegmentPriority {
         urgency,
-        rarity,
-        priority: urgency.max(rarity),
+        rarity: candidate.rarity,
+        priority: urgency.max(candidate.rarity),
     }
 }
 
@@ -163,10 +149,7 @@ mod tests {
         assert_eq!(p.priority, p.rarity);
         assert_eq!(p.rarity, rarity(&[(590, 600), (595, 600)]));
         let deadline = (900.0 - 100.0) / 10.0;
-        assert_eq!(
-            p.urgency,
-            urgency(deadline, ctx.max_rate(&ctx.candidates[1]))
-        );
+        assert_eq!(p.urgency, urgency(deadline, 20.0));
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub(crate) fn advance_playback(
 mod tests {
     use super::*;
     use crate::scheduler::SchedulingContext;
-    use crate::scratch::WorkerScratch;
+    use crate::scratch::{Outbound, WorkerScratch};
     use crate::store::PeerStore;
     use fss_overlay::PeerId;
 
@@ -155,9 +155,9 @@ mod tests {
             *store.buffer_mut(id) = buffer.clone();
             ids.push(id);
         }
-        let mut rates = vec![0.0; store.len()];
+        let mut outbound = vec![Outbound::default(); store.len()];
         for (&id, (rate, _)) in ids.iter().zip(neighbors) {
-            rates[id as usize] = *rate;
+            outbound[id as usize].rate = *rate;
         }
         let max_advertised = neighbors
             .iter()
@@ -174,7 +174,7 @@ mod tests {
                 inbound,
                 &ids,
                 store,
-                &rates,
+                &outbound,
                 store.peer(node).known_sessions(),
                 max_advertised,
             )
@@ -265,7 +265,7 @@ mod tests {
             .find(|c| c.id == SegmentId(97))
             .unwrap();
         assert_eq!(c97.suppliers.len(), 2);
-        assert_eq!(ctx.max_rate(c97), 20.0);
+        assert_eq!(c97.max_rate, 20.0);
     }
 
     #[test]

@@ -17,7 +17,11 @@
 //! | distance | prefetched |
 //! |---|---|
 //! | `2·WALK_AHEAD` | the peer's header, its buffer struct and its adjacency list |
-//! | `WALK_AHEAD` | both lines of every neighbour's buffer struct |
+//! | `WALK_AHEAD` | both lines of every neighbour's buffer struct, and the line of its outbound entry (rate and budget) |
+//!
+//! The outbound entry is what a neighbour's first supplier hit (its rate,
+//! for the context's neighbour table) and the grant step (its budget)
+//! read, so both reads land on the one prefetched line.
 //!
 //! The delivery walk does the same in two stages: the requester's buffer
 //! struct at `4·DELIVERY_AHEAD` grants ahead, then the heap lines its

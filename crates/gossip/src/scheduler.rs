@@ -9,14 +9,18 @@
 //!
 //! The context is flat: a per-call neighbour table ([`NeighbourInfo`]: peer,
 //! rate `R(j)`, capacity `B`), one array of 8-byte [`SupplierInfo`] entries
-//! (neighbour slot and buffer position `p_ij`) and a [`SupplierSpan`] into
-//! it per candidate.  Builders fill it with
-//! [`push_neighbour`](SchedulingContext::push_neighbour) for each
-//! neighbour, then [`push_candidate`](SchedulingContext::push_candidate)
-//! for each candidate; the system's own builder appends each candidate's
-//! suppliers directly and closes the span in-crate.  A peer therefore has
-//! one rate per context, and a scheduler can keep per-neighbour state in a
-//! column indexed by slot.
+//! (neighbour slot and buffer position `p_ij`) and, per candidate, a
+//! [`SupplierSpan`] into it plus the two folds of its suppliers that the
+//! priorities need: `R_i = max_j R_ij` (eq. 6) and the rarity product
+//! `Π_j p_ij/B` (eq. 8).  Builders fill it with
+//! [`push_neighbour`](SchedulingContext::push_neighbour), then
+//! [`push_candidate`](SchedulingContext::push_candidate) for each
+//! candidate, which folds eqs. 6 and 8 over the suppliers in the order
+//! given.  The system's own builder gives a neighbour a row only at its
+//! first supplier hit (a neighbour that supplies nothing has none),
+//! appends each candidate's suppliers in neighbour order and folds as it
+//! appends.  A peer therefore has one rate per context, and a scheduler
+//! can keep per-neighbour state in a column indexed by slot.
 
 use crate::cast::narrow;
 use crate::segment::{SegmentId, SourceId};
@@ -34,8 +38,9 @@ pub enum StreamClass {
 }
 
 /// One neighbour of the scheduling node: a row of the context's per-call
-/// neighbour table.  Every neighbour gets a row, whether or not it holds a
-/// candidate.
+/// neighbour table.  The system's builder lists only neighbours that supply
+/// at least one candidate, in the order of their first supplier hit; the
+/// row order is a label, never a tie-break.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeighbourInfo {
     /// The neighbour.
@@ -70,6 +75,7 @@ pub struct SupplierSpan {
 
 impl SupplierSpan {
     /// The number of suppliers (`n_i` of Table 2).
+    #[inline]
     pub fn len(&self) -> usize {
         self.len as usize
     }
@@ -81,13 +87,55 @@ impl SupplierSpan {
 }
 
 /// One segment the node needs and could obtain this period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateSegment {
     /// The segment id.
     pub id: SegmentId,
     /// Neighbours currently holding the segment (never empty in contexts
     /// the system builds); see [`SchedulingContext::suppliers_of`].
     pub suppliers: SupplierSpan,
+    /// The maximum receiving rate `R_i = max_j R_ij` over the suppliers
+    /// (eq. 6), folded from 0 in supplier order.
+    pub max_rate: f64,
+    /// The rarity `Π_j p_ij/B` over the suppliers (eq. 8), multiplied from
+    /// 1 in supplier order (1 for no supplier).
+    pub rarity: f64,
+}
+
+/// One supplier's factor of eq. 8, `p_ij / B` clamped to `[0, 1]` (1 for a
+/// zero capacity): the probability that the segment is the next one the
+/// supplier's FIFO buffer replaces.
+#[inline]
+pub fn replacement_fraction(position: usize, capacity: usize) -> f64 {
+    if capacity == 0 {
+        1.0
+    } else {
+        (position as f64 / capacity as f64).clamp(0.0, 1.0)
+    }
+}
+
+/// The running folds of eqs. 6 and 8 over one candidate's suppliers, in
+/// the order they are appended.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SupplierFold {
+    max_rate: f64,
+    rarity: f64,
+}
+
+impl SupplierFold {
+    /// The folds of an empty supplier set.
+    pub(crate) const EMPTY: SupplierFold = SupplierFold {
+        max_rate: 0.0,
+        rarity: 1.0,
+    };
+
+    /// Folds in one supplier with rate `R(j)`, position `p_ij` and
+    /// capacity `B`.
+    #[inline]
+    pub(crate) fn add(&mut self, rate: f64, position: u32, capacity: u32) {
+        self.max_rate = f64::max(self.max_rate, rate);
+        self.rarity *= replacement_fraction(position as usize, capacity as usize);
+    }
 }
 
 /// A view of one source session as known to the scheduling node.
@@ -127,8 +175,8 @@ pub struct SchedulingContext {
     pub q1: usize,
     /// `Q2`: undelivered segments among the first `Qs` of the new source.
     pub q2: usize,
-    /// The node's neighbours, one row per neighbour in neighbour order;
-    /// [`SupplierInfo::slot`] indexes it.
+    /// The node's neighbour table; [`SupplierInfo::slot`] indexes it.  A
+    /// peer has at most one row.
     pub neighbours: Vec<NeighbourInfo>,
     /// Every candidate's suppliers, back to back; each candidate owns the
     /// [`SupplierSpan`] it names, in neighbour order.
@@ -139,6 +187,7 @@ pub struct SchedulingContext {
 
 impl SchedulingContext {
     /// Whole segments the node can receive this period (`⌊I·τ⌋`).
+    #[inline]
     pub fn inbound_budget(&self) -> usize {
         (self.inbound_rate * self.tau_secs).floor() as usize
     }
@@ -146,6 +195,7 @@ impl SchedulingContext {
     /// True when the node is aware of an in-progress source switch (it knows
     /// the new session and still needs old-source segments or has not
     /// finished the old playback).
+    #[inline]
     pub fn switch_in_progress(&self) -> bool {
         self.new_session.is_some() && self.old_session.is_some()
     }
@@ -154,6 +204,7 @@ impl SchedulingContext {
     ///
     /// Ids at or beyond the new session's first segment are [`StreamClass::New`];
     /// everything else is [`StreamClass::Old`].
+    #[inline]
     pub fn class_of(&self, id: SegmentId) -> StreamClass {
         match self.new_session {
             Some(new) if id >= new.first_segment => StreamClass::New,
@@ -162,28 +213,23 @@ impl SchedulingContext {
     }
 
     /// The suppliers of `candidate`.
+    #[inline]
     pub fn suppliers_of(&self, candidate: &CandidateSegment) -> &[SupplierInfo] {
         let span = candidate.suppliers;
         &self.suppliers[span.start as usize..][..span.len()]
     }
 
     /// The neighbour-table row of `supplier`.
+    #[inline]
     pub fn neighbour(&self, supplier: &SupplierInfo) -> &NeighbourInfo {
         &self.neighbours[supplier.slot as usize]
-    }
-
-    /// The maximum receiving rate `R_i = max_j R_ij` of `candidate` (eq. 6).
-    pub fn max_rate(&self, candidate: &CandidateSegment) -> f64 {
-        self.suppliers_of(candidate)
-            .iter()
-            .map(|s| self.neighbour(s).rate)
-            .fold(0.0, f64::max)
     }
 
     /// Appends a row to the neighbour table and returns its slot.
     ///
     /// # Panics
     /// Panics if `buffer_capacity` does not fit a `u32`.
+    #[inline]
     pub fn push_neighbour(&mut self, peer: PeerId, rate: f64, buffer_capacity: usize) -> u32 {
         let slot = narrow(self.neighbours.len(), "neighbour slots fit u32");
         self.neighbours.push(NeighbourInfo {
@@ -194,8 +240,11 @@ impl SchedulingContext {
         slot
     }
 
-    /// Appends candidate `id` held by `suppliers`, whose slots must already
-    /// be in the neighbour table.
+    /// Appends candidate `id` held by `suppliers`, folding eqs. 6 and 8
+    /// over them in the order given.
+    ///
+    /// # Panics
+    /// Panics if a supplier's slot is not in the neighbour table.
     pub fn push_candidate(
         &mut self,
         id: SegmentId,
@@ -203,12 +252,19 @@ impl SchedulingContext {
     ) {
         let start = self.suppliers.len();
         self.suppliers.extend(suppliers);
-        self.close_candidate(id, start);
+        let mut fold = SupplierFold::EMPTY;
+        for s in &self.suppliers[start..] {
+            let row = &self.neighbours[s.slot as usize];
+            fold.add(row.rate, s.buffer_position, row.buffer_capacity);
+        }
+        self.close_candidate(id, start, fold);
     }
 
     /// Appends candidate `id` held by the suppliers pushed onto
-    /// [`suppliers`](Self::suppliers) since index `start`.
-    pub(crate) fn close_candidate(&mut self, id: SegmentId, start: usize) {
+    /// [`suppliers`](Self::suppliers) since index `start`, whose folds are
+    /// `fold`.
+    #[inline]
+    pub(crate) fn close_candidate(&mut self, id: SegmentId, start: usize, fold: SupplierFold) {
         debug_assert!(
             self.suppliers[start..]
                 .iter()
@@ -224,6 +280,8 @@ impl SchedulingContext {
                     "suppliers per candidate fit u32",
                 ),
             },
+            max_rate: fold.max_rate,
+            rarity: fold.rarity,
         });
     }
 
@@ -387,17 +445,86 @@ mod tests {
         assert_eq!(c.suppliers.len(), 2);
         assert_eq!(ctx.suppliers_of(&c)[1], supplier(two, 500));
         assert_eq!(ctx.neighbour(&ctx.suppliers_of(&c)[1]).peer, 2);
-        assert_eq!(
-            ctx.max_rate(&c),
-            20.0,
-            "the idle neighbour is not a supplier"
-        );
-        assert_eq!(ctx.max_rate(&ctx.candidates[0]), 12.0);
+        assert_eq!(c.max_rate, 20.0, "the idle neighbour is not a supplier");
+        assert_eq!(ctx.candidates[0].max_rate, 12.0);
 
         ctx.clear_tables();
         assert!(ctx.neighbours.is_empty() && ctx.suppliers.is_empty());
         assert!(ctx.candidates.is_empty());
         assert_eq!(std::mem::size_of::<SupplierInfo>(), 8);
+    }
+
+    /// `push_candidate` folds eq. 6 as an explicit max from 0 and eq. 8 as
+    /// the product of [`replacement_fraction`]s (the definition of
+    /// `fss_core::priority::rarity`), both in the order the suppliers are
+    /// given, bit for bit: idle rows, zero capacities, rates `≤ 0` and `+∞`
+    /// included.
+    #[test]
+    fn push_candidate_folds_eqs_6_and_8() {
+        let mut ctx = context();
+        let rows = [
+            (1, 12.0, 600),
+            (2, 0.0, 600),
+            (3, -4.5, 8),
+            (4, f64::INFINITY, 600),
+            (5, 7.25, 0),
+            (6, 99.0, 600),
+            (7, 3.0, 1),
+        ];
+        for &(peer, rate, capacity) in &rows {
+            ctx.push_neighbour(peer, rate, capacity);
+        }
+        let supplier = |slot, buffer_position| SupplierInfo {
+            slot,
+            buffer_position,
+        };
+        // Slot 5 (rate 99) is idle: no candidate names it.
+        let held: [&[SupplierInfo]; 8] = [
+            &[],
+            &[supplier(0, 1)],
+            &[supplier(1, 600), supplier(2, 3)],
+            &[supplier(2, 9), supplier(1, 17)],
+            &[supplier(4, 5), supplier(0, 599)],
+            &[supplier(3, 300), supplier(0, 150), supplier(6, 1)],
+            &[supplier(6, 2), supplier(4, 0), supplier(2, 8)],
+            &[
+                supplier(0, 7),
+                supplier(1, 11),
+                supplier(2, 13),
+                supplier(3, 17),
+            ],
+        ];
+        for (id, suppliers) in (0..).zip(held) {
+            ctx.push_candidate(SegmentId(id), suppliers.iter().copied());
+        }
+        for (c, suppliers) in ctx.candidates.iter().zip(held) {
+            assert_eq!(ctx.suppliers_of(c), suppliers);
+            let mut max_rate = 0.0;
+            for s in suppliers {
+                let rate = rows[s.slot as usize].1;
+                if rate > max_rate {
+                    max_rate = rate;
+                }
+            }
+            assert_eq!(c.max_rate.to_bits(), max_rate.to_bits(), "{c:?}");
+            let factors: Vec<f64> = suppliers
+                .iter()
+                .map(|s| replacement_fraction(s.buffer_position as usize, rows[s.slot as usize].2))
+                .collect();
+            let rarity = factors.iter().product::<f64>();
+            assert_eq!(c.rarity.to_bits(), rarity.to_bits(), "{c:?}");
+        }
+        let folds: Vec<(f64, f64)> = ctx
+            .candidates
+            .iter()
+            .map(|c| (c.max_rate, c.rarity))
+            .collect();
+        assert_eq!(folds[0], (0.0, 1.0), "no supplier");
+        assert_eq!(folds[2], (0.0, 0.375), "rates ≤ 0 give R_i = 0");
+        assert_eq!(folds[4], (12.0, 599.0 / 600.0), "a zero capacity gives 1");
+        assert_eq!(folds[5], (f64::INFINITY, 0.125));
+        assert_eq!(folds[6], (7.25, 1.0), "positions past B clamp to 1");
+        assert!(folds.iter().all(|&(rate, _)| rate != 99.0), "idle row");
     }
 
     #[test]

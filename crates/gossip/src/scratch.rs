@@ -8,14 +8,15 @@
 //! buffer the hot path needs, all owned by the system and reused across
 //! periods, so a steady-state period performs **zero heap allocations**:
 //!
-//! * [`PeriodScratch`] — dense (indexed by [`PeerId`]) rate/budget tables,
-//!   the active list, the chunk plan and the ratio-track column,
+//! * [`PeriodScratch`] — dense (indexed by [`PeerId`]) rate and
+//!   [`Outbound`] tables, the active list, the chunk plan and the
+//!   ratio-track column,
 //! * [`WorkerScratch`] — the per-chunk state of the two pool dispatches of
 //!   a period: a reusable [`SchedulingContext`] (a neighbour table, one
 //!   flat supplier array and a span per candidate), the need/availability
 //!   bitset words and each neighbour's cached window words, the
-//!   scheduler's own [`SchedulerScratch`], the chunk's grants and its QoE
-//!   lane.
+//!   neighbour-to-row map, the scheduler's own [`SchedulerScratch`], the
+//!   chunk's grants and its QoE lane.
 //!
 //! Candidate segments are enumerated by word-level bitset intersection of
 //! the peers' availability windows, which every
@@ -25,10 +26,14 @@
 //! suppliers are filled **candidate-major** from those cached words: the
 //! candidate's bit of each neighbour's word forms a holder mask, whose set
 //! bits (neighbour order) are appended straight to the flat supplier array.
-//! A neighbour's position is read only at the candidates it actually holds.
-//! Words and positions both come from the buffers' advert lines, so a
-//! neighbour whose head covers the range costs its two struct lines and no
-//! heap read.
+//! A neighbour's position is read only at the candidates it actually holds,
+//! and it gets a neighbour-table row (its rate from the [`Outbound`]
+//! column, its capacity from its buffer) only at its first supplier hit.
+//! Each candidate's eq. 6 maximum and eq. 8 product are folded as its
+//! suppliers are appended, so the scheduler never walks the suppliers to
+//! score.  Words and positions both come from the buffers' advert lines,
+//! so a neighbour whose head covers the range costs its two struct lines
+//! and no heap read.
 //!
 //! The structures only ever grow (to a steady-state high-water mark); the
 //! differential tests assert the resulting [`SystemReport`]s are identical
@@ -38,12 +43,11 @@
 //!
 //! [`SystemReport`]: crate::system::SystemReport
 
-use crate::cast::narrow;
 use crate::config::GossipConfig;
 use crate::mem::{vec_bytes, MemoryFootprint};
 use crate::qoe::QoeLane;
 use crate::scheduler::SegmentRequest;
-use crate::scheduler::{SchedulerScratch, SchedulingContext, SupplierInfo};
+use crate::scheduler::{SchedulerScratch, SchedulingContext, SupplierFold, SupplierInfo};
 use crate::segment::{SegmentId, SessionDirectory};
 use crate::store::{PeerRef, PeerStore};
 use crate::transfer::{DeliveredSegment, GrantScratch};
@@ -62,6 +66,9 @@ pub struct WorkerScratch {
     /// Each neighbour's availability words over the same window,
     /// neighbours × words (zero for an empty neighbour).
     neighbour_words: Vec<u64>,
+    /// Per neighbour index: its row in `ctx.neighbours`, or [`NO_ROW`]
+    /// before its first supplier hit.  Reset once per peer.
+    slot_of: Vec<u32>,
     /// The scheduler's own reusable state.
     pub sched: SchedulerScratch,
     /// One peer's scheduled requests (the scheduler's output buffer).
@@ -111,6 +118,9 @@ impl Default for SchedulingContext {
     }
 }
 
+/// [`WorkerScratch::slot_of`] of a neighbour that has no row yet.
+const NO_ROW: u32 = u32::MAX;
+
 impl WorkerScratch {
     /// Opens the slot for a scheduling chunk over `chunk`: clears the
     /// per-period outputs and, when the chunk plan moved, sizes the grant
@@ -140,14 +150,14 @@ impl WorkerScratch {
     /// The OR pass keeps each neighbour's words in `neighbour_words`.
     /// Candidates are then pushed in ascending id order, each with its
     /// suppliers **candidate-major**: the candidate's bit of each
-    /// neighbour's cached word goes into a holder mask (64 slots at a
-    /// time), whose set bits are the suppliers in `neighbors` order (slot
-    /// order), so only actual suppliers' positions are probed.  Words and
-    /// positions are advert reads, which fall back to the heap window
+    /// neighbour's cached word goes into a holder mask (64 neighbours at a
+    /// time), whose set bits are the suppliers in `neighbors` order, so
+    /// only actual suppliers' positions are probed.  A supplier's first
+    /// hit appends its row (rate from `outbound`) and records it in
+    /// `slot_of`; each append folds the candidate's eqs. 6 and 8.  Words
+    /// and positions are advert reads, which fall back to the heap window
     /// outside a buffer's head (debug builds check every read against the
-    /// heap).  The
-    /// neighbour table must already list `neighbors`, slot `k` for
-    /// `neighbors[k]`.
+    /// heap).  `slot_of` must cover `neighbors`.
     fn candidates_in_range(
         &mut self,
         start: SegmentId,
@@ -155,6 +165,7 @@ impl WorkerScratch {
         own: PeerRef<'_>,
         neighbors: &[PeerId],
         store: &PeerStore,
+        outbound: &[Outbound],
     ) {
         if end < start {
             return;
@@ -203,40 +214,53 @@ impl WorkerScratch {
         }
 
         let first = self.ctx.candidates.len();
-        let slots: u32 = narrow(neighbors.len(), "neighbour slots fit u32");
+        let count = neighbors.len();
         for (i, (&need, &avail)) in self.need_words.iter().zip(&self.avail_words).enumerate() {
             let mut bits = need & avail;
             while bits != 0 {
                 let bit = bits.trailing_zeros();
                 bits &= bits - 1;
                 let id = SegmentId(base + (i as u64) * 64 + u64::from(bit));
-                // Bit `k` of `held`: slot `group + k` holds the candidate.
-                // The suppliers go straight onto the flat array (an
-                // iterator through `push_candidate` measured slower here).
+                // Bit `k` of `held`: neighbour `group + k` holds the
+                // candidate.  The suppliers go straight onto the flat array
+                // (an iterator through `push_candidate` measured slower
+                // here).
                 let start = self.ctx.suppliers.len();
-                for group in (0..slots).step_by(64) {
+                let mut fold = SupplierFold::EMPTY;
+                for group in (0..count).step_by(64) {
                     let mut held = 0u64;
-                    for k in 0..(slots - group).min(64) {
-                        let word = self.neighbour_words[(group + k) as usize * words + i];
+                    for k in 0..(count - group).min(64) {
+                        let word = self.neighbour_words[(group + k) * words + i];
                         held |= (word >> bit & 1) << k;
                     }
                     while held != 0 {
-                        let slot = group + held.trailing_zeros();
+                        let k = group + held.trailing_zeros() as usize;
                         held &= held - 1;
-                        let buffer = store.buffer(neighbors[slot as usize]);
+                        let n = neighbors[k];
+                        let buffer = store.buffer(n);
                         let buffer_position = buffer.advert_position(id);
                         debug_assert_eq!(
                             buffer_position,
                             buffer.held_position(id),
                             "advert position of {id}"
                         );
+                        if self.slot_of[k] == NO_ROW {
+                            self.slot_of[k] = self.ctx.push_neighbour(
+                                n,
+                                outbound[n as usize].rate,
+                                buffer.capacity(),
+                            );
+                        }
+                        let slot = self.slot_of[k];
+                        let row = &self.ctx.neighbours[slot as usize];
+                        fold.add(row.rate, buffer_position, row.buffer_capacity);
                         self.ctx.suppliers.push(SupplierInfo {
                             slot,
                             buffer_position,
                         });
                     }
                 }
-                self.ctx.close_candidate(id, start);
+                self.ctx.close_candidate(id, start, fold);
             }
         }
         debug_assert!(
@@ -250,12 +274,14 @@ impl WorkerScratch {
     /// Rebuilds `self.ctx` for `node` without allocating.  Returns `false`
     /// when the node has nothing it could request this period.
     ///
-    /// The neighbour table lists every neighbour in `neighbors` order.  The
-    /// candidates are the node's missing ids of the stream it is playing
-    /// (capped to a trailing `2·B` window below the highest id its
+    /// The candidates are the node's missing ids of the stream it is
+    /// playing (capped to a trailing `2·B` window below the highest id its
     /// neighbours advertise) followed by those of the next discovered
     /// session, in ascending id order; each candidate lists the neighbours
-    /// holding it, in `neighbors` order.
+    /// holding it, in `neighbors` order, and carries its eq. 6 and eq. 8
+    /// folds.  The neighbour table lists only the neighbours that supply a
+    /// candidate, in the order of their first supplier hit, with their
+    /// rate from `outbound`.
     ///
     /// The discovery inputs arrive precomputed: `known_sessions` is the
     /// node's *post-discovery* session count for this period (the fused
@@ -272,7 +298,7 @@ impl WorkerScratch {
         inbound_rate: f64,
         neighbors: &[PeerId],
         store: &PeerStore,
-        outbound_rate: &[f64],
+        outbound: &[Outbound],
         known_sessions: usize,
         max_advertised: SegmentId,
     ) -> bool {
@@ -284,11 +310,8 @@ impl WorkerScratch {
         if known.is_empty() {
             return false;
         }
-        for &n in neighbors {
-            let capacity = store.buffer(n).capacity();
-            self.ctx
-                .push_neighbour(n, outbound_rate[n as usize], capacity);
-        }
+        self.slot_of.clear();
+        self.slot_of.resize(neighbors.len(), NO_ROW);
 
         let id_play = node.id_play();
         let current_idx = known
@@ -310,7 +333,7 @@ impl WorkerScratch {
             .max(current.first_segment)
             .max(SegmentId(current_end.value().saturating_sub(window_cap)));
         if current_end >= current_start {
-            self.candidates_in_range(current_start, current_end, node, neighbors, store);
+            self.candidates_in_range(current_start, current_end, node, neighbors, store, outbound);
         }
         if let Some(next) = next {
             let next_end = next
@@ -318,7 +341,14 @@ impl WorkerScratch {
                 .unwrap_or(max_advertised)
                 .min(max_advertised);
             if next_end >= next.first_segment {
-                self.candidates_in_range(next.first_segment, next_end, node, neighbors, store);
+                self.candidates_in_range(
+                    next.first_segment,
+                    next_end,
+                    node,
+                    neighbors,
+                    store,
+                    outbound,
+                );
             }
         }
         if self.ctx.candidates.is_empty() {
@@ -357,7 +387,8 @@ impl WorkerScratch {
 
 impl MemoryFootprint for WorkerScratch {
     /// The context's neighbour table, supplier array and candidates, the
-    /// bitset word buffers, the grant and request buffers and the QoE lane.
+    /// bitset word buffers, the neighbour-to-row map, the grant and request
+    /// buffers and the QoE lane.
     /// The type-erased scheduler scratch counts as its slot only (its
     /// contents are policy-private).
     fn heap_bytes(&self) -> usize {
@@ -367,6 +398,7 @@ impl MemoryFootprint for WorkerScratch {
             + vec_bytes(&self.need_words)
             + vec_bytes(&self.avail_words)
             + vec_bytes(&self.neighbour_words)
+            + vec_bytes(&self.slot_of)
             + vec_bytes(&self.requests)
             + self.grant.heap_bytes()
             + vec_bytes(&self.grants)
@@ -382,9 +414,8 @@ impl MemoryFootprint for PeriodScratch {
             vec_bytes(&self.workers) + self.workers.iter().map(|w| w.heap_bytes()).sum::<usize>();
         vec_bytes(&self.active)
             + vec_bytes(&self.observed_max)
-            + vec_bytes(&self.outbound_rate)
+            + vec_bytes(&self.outbound)
             + vec_bytes(&self.inbound_rate)
-            + vec_bytes(&self.outbound_budget)
             + vec_bytes(&self.chunks)
             + vec_bytes(&self.ratio_terms)
             + workers
@@ -399,6 +430,18 @@ fn session_view(session: &crate::segment::Session) -> crate::scheduler::SessionV
     }
 }
 
+/// One peer's outbound side for a period, one dense column entry: the rate
+/// the context builder reads at the peer's first supplier hit and the
+/// budget the grant step reads share a cache line.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Outbound {
+    /// Outbound rate `R(j)` in segments/s.
+    pub rate: f64,
+    /// Whole-segment outbound budget for the period (0 for an inactive
+    /// peer: a departed supplier grants nothing).
+    pub budget: usize,
+}
+
 /// All reusable buffers of the period loop, owned by the system.
 #[derive(Debug, Default)]
 pub struct PeriodScratch {
@@ -407,12 +450,10 @@ pub struct PeriodScratch {
     /// Discovery pass: max observed id per active peer (aligned with
     /// `active`).
     pub observed_max: Vec<SegmentId>,
-    /// Dense per-peer outbound rate (segments/s).
-    pub outbound_rate: Vec<f64>,
+    /// Dense per-peer outbound rate and budget.
+    pub outbound: Vec<Outbound>,
     /// Dense per-peer inbound rate (segments/s).
     pub inbound_rate: Vec<f64>,
-    /// Dense per-peer whole-segment outbound budget for the period.
-    pub outbound_budget: Vec<usize>,
     /// Chunk plan of both pool dispatches of a period (scheduling pass and
     /// fused walk): `(start, end)` index ranges into `active`, one per
     /// chunk.  The chunks follow the shard boundaries, with any shard run
@@ -431,10 +472,9 @@ impl PeriodScratch {
     /// Grows the dense tables to cover `peer_capacity` ids and ensures
     /// `workers` worker slots exist.
     pub fn ensure_capacity(&mut self, peer_capacity: usize, workers: usize) {
-        if self.outbound_rate.len() < peer_capacity {
-            self.outbound_rate.resize(peer_capacity, 0.0);
+        if self.outbound.len() < peer_capacity {
+            self.outbound.resize(peer_capacity, Outbound::default());
             self.inbound_rate.resize(peer_capacity, 0.0);
-            self.outbound_budget.resize(peer_capacity, 0);
         }
         while self.workers.len() < workers {
             self.workers.push(WorkerScratch::default());
@@ -447,7 +487,7 @@ mod tests {
     use super::*;
     use crate::buffer::FifoBuffer;
     use crate::peer::known_slice;
-    use crate::scheduler::SessionView;
+    use crate::scheduler::{replacement_fraction, SessionView};
     use crate::segment::Session;
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
@@ -479,21 +519,50 @@ mod tests {
     }
 
     /// A context with every supplier expanded to `(peer, rate, position,
-    /// capacity)`: the builder's neighbour table lists every neighbour, so
-    /// contexts are compared through this view rather than slot by slot.
+    /// capacity)` and each candidate's eq. 6 and eq. 8 folds as bits: the
+    /// builder's rows are labels (first-hit order), so contexts are
+    /// compared through this view rather than slot by slot.
     #[derive(Debug, PartialEq)]
     struct Expanded {
         scalars: (f64, f64, f64, SegmentId, usize, usize),
         sessions: (Option<SessionView>, Option<SessionView>),
         q1: usize,
         q2: usize,
-        candidates: Vec<(SegmentId, Vec<Supplier>)>,
+        candidates: Vec<(SegmentId, Vec<Supplier>, Folds)>,
     }
 
     /// `(peer, rate, position, capacity)` of one supplier.
     type Supplier = (PeerId, f64, usize, usize);
 
+    /// `(max_rate, rarity)` of one candidate, as `f64::to_bits`.
+    type Folds = (u64, u64);
+
+    /// The straight folds of eqs. 6 and 8 over `suppliers`, in order.
+    fn folds_of(suppliers: &[Supplier]) -> Folds {
+        let max_rate = suppliers.iter().map(|s| s.1).fold(0.0, f64::max);
+        let rarity: f64 = suppliers
+            .iter()
+            .map(|&(_, _, position, capacity)| replacement_fraction(position, capacity))
+            .product();
+        (max_rate.to_bits(), rarity.to_bits())
+    }
+
+    /// Expands `ctx` after checking its neighbour table: rows name distinct
+    /// peers and each supplies at least one candidate.
     fn expand(ctx: &SchedulingContext) -> Expanded {
+        let mut supplies = vec![false; ctx.neighbours.len()];
+        for s in &ctx.suppliers {
+            supplies[s.slot as usize] = true;
+        }
+        assert!(
+            supplies.iter().all(|&s| s),
+            "idle row in {:?}",
+            ctx.neighbours
+        );
+        let mut peers: Vec<PeerId> = ctx.neighbours.iter().map(|n| n.peer).collect();
+        peers.sort_unstable();
+        peers.dedup();
+        assert_eq!(peers.len(), ctx.neighbours.len(), "a peer with two rows");
         Expanded {
             scalars: (
                 ctx.tau_secs,
@@ -515,7 +584,8 @@ mod tests {
                         let (position, capacity) = (s.buffer_position, n.buffer_capacity);
                         (n.peer, n.rate, position as usize, capacity as usize)
                     });
-                    (c.id, suppliers.collect())
+                    let folds = (c.max_rate.to_bits(), c.rarity.to_bits());
+                    (c.id, suppliers.collect(), folds)
                 })
                 .collect(),
         }
@@ -565,7 +635,8 @@ mod tests {
                 })
                 .collect();
             if !node.buffer().contains(id) && !suppliers.is_empty() {
-                candidates.push((id, suppliers));
+                let folds = folds_of(&suppliers);
+                candidates.push((id, suppliers, folds));
             }
         }
         if candidates.is_empty() {
@@ -600,7 +671,7 @@ mod tests {
 
     impl Coverage {
         fn record(&mut self, ctx: &Expanded, store: &PeerStore) {
-            for (id, suppliers) in &ctx.candidates {
+            for (id, suppliers, _) in &ctx.candidates {
                 for &(peer, ..) in suppliers {
                     let max = store.buffer(peer).max_id().map_or(0, SegmentId::value);
                     self.behind_advert += usize::from(max - id.value() >= 24);
@@ -609,7 +680,7 @@ mod tests {
             let (current, next): (Vec<_>, Vec<_>) = ctx
                 .candidates
                 .iter()
-                .partition(|(id, _)| ctx.sessions.1.is_none_or(|next| *id < next.first_segment));
+                .partition(|(id, ..)| ctx.sessions.1.is_none_or(|next| *id < next.first_segment));
             if let (Some(first), Some(last)) = (current.first(), current.last()) {
                 self.wide_windows += usize::from(last.0.value() / 64 - first.0.value() / 64 >= 2);
             }
@@ -684,7 +755,12 @@ mod tests {
         }
         let mut neighbors: Vec<PeerId> = (1..=count).collect();
         neighbors.shuffle(&mut rng);
-        let outbound_rate: Vec<f64> = (0..=count).map(|_| rng.gen_range(0.0..20.0)).collect();
+        let outbound: Vec<Outbound> = (0..=count)
+            .map(|_| Outbound {
+                rate: rng.gen_range(0.0..20.0),
+                budget: 0,
+            })
+            .collect();
         let inbound = if rng.gen_range(0..8) == 0 {
             0.0
         } else {
@@ -693,7 +769,7 @@ mod tests {
 
         let infos: Vec<(PeerId, f64, &FifoBuffer)> = neighbors
             .iter()
-            .map(|&n| (n, outbound_rate[n as usize], store.buffer(n)))
+            .map(|&n| (n, outbound[n as usize].rate, store.buffer(n)))
             .collect();
         let reference = reference_context(store.peer(0), &config, &directory, inbound, &infos);
 
@@ -710,7 +786,7 @@ mod tests {
                 inbound,
                 &neighbors,
                 &store,
-                &outbound_rate,
+                &outbound,
                 store.peer(0).known_sessions(),
                 max_advertised,
             )
@@ -736,8 +812,10 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
         /// The allocation-free context builder equals the straight-line
         /// [`reference_context`]: same candidates, same suppliers (peer,
-        /// rate, position, capacity) in the same order, same sessions and
-        /// `q1`/`q2` — or both find nothing to request.
+        /// rate, position, capacity) in the same order, bit-identical eq. 6
+        /// and eq. 8 folds, same sessions and `q1`/`q2` — or both find
+        /// nothing to request.  Its neighbour table has one row per
+        /// supplying peer and no other.
         #[test]
         fn prop_build_context_matches_reference(seed in 0u64..u64::MAX) {
             check_seed(seed)?;
@@ -748,7 +826,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
         /// Soak of [`prop_build_context_matches_reference`].
         #[test]
-        #[ignore = "soak: 20k context-builder cases (run with --release -- --ignored)"]
+        #[ignore = "soak: 20k context-builder cases (run with -- --ignored)"]
         fn prop_build_context_soak(seed in 0u64..u64::MAX) {
             check_seed(seed)?;
         }
@@ -773,13 +851,13 @@ mod tests {
     fn ensure_capacity_grows_monotonically() {
         let mut scratch = PeriodScratch::default();
         scratch.ensure_capacity(100, 2);
-        assert_eq!(scratch.outbound_rate.len(), 100);
+        assert_eq!(scratch.outbound.len(), 100);
         assert_eq!(scratch.workers.len(), 2);
         scratch.ensure_capacity(50, 1);
-        assert_eq!(scratch.outbound_rate.len(), 100, "tables never shrink");
+        assert_eq!(scratch.outbound.len(), 100, "tables never shrink");
         assert_eq!(scratch.workers.len(), 2);
         scratch.ensure_capacity(150, 4);
-        assert_eq!(scratch.outbound_rate.len(), 150);
+        assert_eq!(scratch.outbound.len(), 150);
         assert_eq!(scratch.workers.len(), 4);
     }
 }

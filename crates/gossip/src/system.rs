@@ -42,7 +42,7 @@ use crate::peer;
 use crate::prefetch::{prefetch_lines, prefetch_read, DELIVERY_AHEAD, WALK_AHEAD};
 use crate::qoe::{PeerQoe, QoeRecorder, QoeTotals};
 use crate::scheduler::SegmentScheduler;
-use crate::scratch::{PeriodScratch, WorkerScratch};
+use crate::scratch::{Outbound, PeriodScratch, WorkerScratch};
 use crate::segment::{SegmentId, Session, SessionDirectory, SourceId};
 use crate::stats::{RatioSample, SwitchRecord, SwitchStats, TrafficCounters};
 use crate::store::{PeerHeader, PeerRef, PeerStore, PEER_INLINE_BYTES};
@@ -1002,7 +1002,7 @@ impl StreamingSystem {
         // Only active peers get an outbound budget: a departed supplier
         // grants nothing.
         let tau = self.config.tau_secs;
-        self.scratch.outbound_budget.fill(0);
+        self.scratch.outbound.fill(Outbound::default());
         for i in 0..active_len {
             let p = self.scratch.active[i] as usize;
             let (inbound, outbound) = self
@@ -1011,8 +1011,10 @@ impl StreamingSystem {
                 .map(|a| (a.bandwidth.inbound, a.bandwidth.outbound))
                 .unwrap_or((0.0, 0.0));
             self.scratch.inbound_rate[p] = inbound;
-            self.scratch.outbound_rate[p] = outbound;
-            self.scratch.outbound_budget[p] = (outbound * tau).floor() as usize;
+            self.scratch.outbound[p] = Outbound {
+                rate: outbound,
+                budget: (outbound * tau).floor() as usize,
+            };
         }
 
         // Scheduling pass (read-only over peers/overlay/directory; writes
@@ -1085,9 +1087,8 @@ impl StreamingSystem {
             observed_max,
             chunks,
             workers: worker_slots,
-            outbound_rate,
+            outbound,
             inbound_rate,
-            outbound_budget,
             ..
         } = &mut self.scratch;
         // Buffer-map and request-leg loss of a lossy event-mode network are
@@ -1103,9 +1104,8 @@ impl StreamingSystem {
             directory: &self.directory,
             config: &self.config,
             scheduler: &*self.scheduler,
-            outbound_rate,
+            outbound,
             inbound_rate,
-            outbound_budget,
             faults,
             period: self.period_index,
         };
@@ -1362,10 +1362,10 @@ struct ChunkInputs<'a> {
     directory: &'a SessionDirectory,
     config: &'a GossipConfig,
     scheduler: &'a dyn SegmentScheduler,
-    outbound_rate: &'a [f64],
+    /// Outbound rate and whole-segment budget per peer (0 for inactive
+    /// peers).
+    outbound: &'a [Outbound],
     inbound_rate: &'a [f64],
-    /// Whole-segment outbound budget per peer (0 for inactive peers).
-    outbound_budget: &'a [usize],
     /// Buffer-map / request-leg fault draws of a lossy event-mode network.
     faults: Option<&'a LinkFaults>,
     /// The period being scheduled (keys the fault draws).
@@ -1400,9 +1400,8 @@ fn schedule_chunk(
         directory,
         config,
         scheduler,
-        outbound_rate,
+        outbound,
         inbound_rate,
-        outbound_budget,
         faults,
         period,
     } = *inputs;
@@ -1415,7 +1414,8 @@ fn schedule_chunk(
     for (i, &p) in chunk.iter().enumerate() {
         // Staged prefetch (see `crate::prefetch`): the second stage reads
         // only lines the first fetched.  A neighbour's buffer map is its
-        // buffer struct, advert line included.
+        // buffer struct, advert line included; its outbound entry is what
+        // its first supplier hit and its grants read.
         if let Some(&far) = chunk.get(i + 2 * WALK_AHEAD) {
             store.prefetch_peer(far);
             if let Some(first) = overlay.neighbors(far).first() {
@@ -1425,6 +1425,9 @@ fn schedule_chunk(
         if let Some(&ahead) = chunk.get(i + WALK_AHEAD) {
             for &n in overlay.neighbors(ahead) {
                 store.prefetch_buffer(n);
+                if let Some(entry) = outbound.get(n as usize) {
+                    prefetch_read(entry);
+                }
             }
         }
         let neighbors = overlay.neighbors(p);
@@ -1465,7 +1468,7 @@ fn schedule_chunk(
             inbound,
             neighbors,
             store,
-            outbound_rate,
+            outbound,
             known_sessions,
             neighbour_max.unwrap_or(SegmentId(0)),
         ) {
@@ -1500,7 +1503,7 @@ fn schedule_chunk(
             p,
             worker.ctx.inbound_budget(),
             &worker.requests,
-            |s| outbound_budget.get(s as usize).copied().unwrap_or(0),
+            |s| outbound.get(s as usize).map_or(0, |o| o.budget),
             &mut worker.grant,
             &mut worker.grants,
         );
