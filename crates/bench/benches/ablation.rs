@@ -8,9 +8,10 @@
 //!   exact exponential solver on micro instances.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use fss_core::{greedy_assign, optimal_assign, rarity, traditional_rarity, AssignmentOrder};
+use fss_core::{greedy_assign, rarity, traditional_rarity, AssignmentOrder};
 use fss_experiments::{run_scenario, Algorithm, Environment, ScenarioConfig};
 use fss_gossip::{SchedulingContext, SegmentId, SessionView, SourceId, SupplierInfo};
+use fss_spec::optimal_assign;
 
 fn bench_bandwidth_model(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_bandwidth_model");

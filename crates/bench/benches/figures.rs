@@ -4,7 +4,7 @@
 //! (`figures` binary / `fss_experiments::figures`), on a small overlay so the
 //! whole suite stays in the minutes range.  Use
 //! `cargo run --release -p fss-experiments --bin figures` for the full-size
-//! tables recorded in EXPERIMENTS.md.
+//! tables.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fss_experiments::figures::{sweeps, tracks};

@@ -101,7 +101,7 @@ fn bench_scheduling(c: &mut Criterion) {
     }
     // The hot path's form: reused scratch and output buffer.
     let ctx = steady_context();
-    let (mut scratch, mut out) = (SchedulerScratch::new(), Vec::new());
+    let (mut scratch, mut out) = (SchedulerScratch::default(), Vec::new());
     group.bench_function("steady_call/fast_scheduler_into", |b| {
         b.iter(|| {
             FastSwitchScheduler::new().schedule_into(black_box(&ctx), &mut scratch, &mut out);

@@ -38,6 +38,7 @@ pub struct RateAllocation {
     pub case: AllocationCase,
 }
 
+#[cfg(test)]
 impl RateAllocation {
     /// Total segments retrieved this period.
     pub fn total(&self) -> usize {

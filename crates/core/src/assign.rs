@@ -10,8 +10,9 @@
 //!
 //! Choosing a supplier for every segment so that the fewest segments miss
 //! their deadlines is NP-hard (parallel machine scheduling), which is why the
-//! paper — and this module — uses the greedy heuristic; `crate::optimal`
-//! provides an exact solver for tiny instances to measure the gap.
+//! paper — and this module — uses the greedy heuristic; the test-only
+//! `fss-spec` crate keeps an exact solver for tiny instances to measure the
+//! gap.
 //!
 //! The pass is linear apart from one sort: each candidate is scored once,
 //! from the eq. 6 and eq. 8 folds the context carries, and sorted on an
@@ -20,7 +21,7 @@
 //! neighbour-table slot that also holds `1/R(j)`, taken once per row.
 
 use crate::priority::{priority, SegmentPriority};
-use fss_gossip::{SchedulingContext, SegmentId, StreamClass};
+use crate::scheduler::{SchedulingContext, SegmentId, StreamClass};
 use fss_overlay::PeerId;
 
 /// How candidates are ordered before the greedy pass.
@@ -73,13 +74,14 @@ impl AssignmentOutcome {
     }
 }
 
-/// Reusable working state of the greedy pass.
+/// Reusable working state of the greedy pass: the scratch of every
+/// [`SegmentScheduler::schedule_into`](crate::SegmentScheduler::schedule_into).
 ///
 /// The period hot path runs `greedy_assign` for every node every period;
 /// keeping the sort buffer, the score and queue columns and the outcome
 /// vectors alive across calls makes the pass allocation-free after warm-up.
 #[derive(Debug, Default)]
-pub struct AssignScratch {
+pub struct SchedulerScratch {
     /// `(sort key, id, candidate index)`, sorted into the greedy order.
     order: Vec<(u64, u64, usize)>,
     /// Priority and class per candidate index.
@@ -93,7 +95,7 @@ pub struct AssignScratch {
 
 /// Runs the greedy supplier assignment over a scheduling context.
 pub fn greedy_assign(ctx: &SchedulingContext, order: AssignmentOrder) -> AssignmentOutcome {
-    let mut scratch = AssignScratch::default();
+    let mut scratch = SchedulerScratch::default();
     greedy_assign_into(ctx, order, &mut scratch);
     scratch.outcome
 }
@@ -103,8 +105,8 @@ pub fn greedy_assign(ctx: &SchedulingContext, order: AssignmentOrder) -> Assignm
 /// `scratch.outcome`, whose buffers are reused across calls.
 ///
 /// Scoring reads only each candidate's id and folds
-/// ([`CandidateSegment::max_rate`](fss_gossip::CandidateSegment::max_rate),
-/// [`rarity`](fss_gossip::CandidateSegment::rarity)); the suppliers are
+/// ([`CandidateSegment::max_rate`](crate::CandidateSegment::max_rate),
+/// [`rarity`](crate::CandidateSegment::rarity)); the suppliers are
 /// walked once, in the greedy pass.  There a supplier wins only by a
 /// strictly earlier finish, so ties go to the first in the candidate's
 /// supplier order; the row order of the neighbour table never matters.
@@ -121,7 +123,7 @@ pub fn greedy_assign(ctx: &SchedulingContext, order: AssignmentOrder) -> Assignm
 pub fn greedy_assign_into(
     ctx: &SchedulingContext,
     order: AssignmentOrder,
-    scratch: &mut AssignScratch,
+    scratch: &mut SchedulerScratch,
 ) {
     scratch.order.clear();
     scratch.scores.clear();
@@ -191,9 +193,9 @@ pub fn greedy_assign_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::{SegmentScheduler, SupplierInfo};
     use crate::testing::{context, push, Supplier};
     use crate::{FastSwitchScheduler, NormalSwitchScheduler};
-    use fss_gossip::{SchedulerScratch, SegmentScheduler, SupplierInfo};
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -401,9 +403,9 @@ mod tests {
         use crate::allocation::allocate_rates;
         use crate::model::SwitchModel;
         use crate::priority::{rarity_of, urgency, SegmentPriority};
-        use fss_gossip::hasher::FxHashMap;
-        use fss_gossip::{CandidateSegment, SchedulingContext, SegmentRequest, StreamClass};
+        use crate::scheduler::{CandidateSegment, SchedulingContext, SegmentRequest, StreamClass};
         use fss_overlay::PeerId;
+        use fss_sim::hasher::FxHashMap;
 
         fn suppliers<'a>(
             ctx: &'a SchedulingContext,
@@ -655,9 +657,9 @@ mod tests {
     /// derived seed (on one reused scratch each) and compares them with the
     /// oracle exactly.
     fn check_kernel(seed: u64) -> Result<(), proptest::TestCaseError> {
-        let mut assign = AssignScratch::default();
+        let mut assign = SchedulerScratch::default();
         let (mut fast_scratch, mut normal_scratch) =
-            (SchedulerScratch::new(), SchedulerScratch::new());
+            (SchedulerScratch::default(), SchedulerScratch::default());
         let mut out = Vec::new();
         for seed in [seed, seed ^ 0x9e37_79b9_7f4a_7c15] {
             let ctx = random_context(seed);

@@ -21,9 +21,9 @@
 //! (priority desc, id asc) order, so their prefixes merge without a sort.
 
 use crate::allocation::allocate_rates;
-use crate::assign::{greedy_assign_into, AssignScratch, AssignedSegment, AssignmentOrder};
+use crate::assign::{greedy_assign_into, AssignedSegment, AssignmentOrder, SchedulerScratch};
 use crate::model::SwitchModel;
-use fss_gossip::{SchedulerScratch, SchedulingContext, SegmentRequest, SegmentScheduler};
+use crate::scheduler::{SchedulingContext, SegmentRequest, SegmentScheduler};
 
 /// The paper's proposed scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -76,13 +76,6 @@ impl SegmentScheduler for FastSwitchScheduler {
         "fast-switch"
     }
 
-    fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest> {
-        let mut scratch = SchedulerScratch::new();
-        let mut out = Vec::new();
-        self.schedule_into(ctx, &mut scratch, &mut out);
-        out
-    }
-
     fn schedule_into(
         &self,
         ctx: &SchedulingContext,
@@ -94,7 +87,6 @@ impl SegmentScheduler for FastSwitchScheduler {
         if budget == 0 || ctx.candidates.is_empty() {
             return;
         }
-        let scratch: &mut AssignScratch = scratch.get_or_default();
         greedy_assign_into(ctx, AssignmentOrder::ByPriority, scratch);
         let outcome = &scratch.outcome;
 
@@ -133,8 +125,8 @@ impl SegmentScheduler for FastSwitchScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::{SegmentId, StreamClass};
     use crate::testing::{context, push};
-    use fss_gossip::{SegmentId, StreamClass};
 
     /// A node 60 segments behind the old stream's end, with the whole old
     /// tail and the first new segments available from ample suppliers.

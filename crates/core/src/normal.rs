@@ -10,8 +10,8 @@
 //! differs only in the allocation rule: the old source always gets absolute
 //! priority, i.e. `I1 = min(O1, I)` and `I2 = min(O2, I − I1)`.
 
-use crate::assign::{greedy_assign_into, AssignScratch, AssignmentOrder};
-use fss_gossip::{SchedulerScratch, SchedulingContext, SegmentRequest, SegmentScheduler};
+use crate::assign::{greedy_assign_into, AssignmentOrder, SchedulerScratch};
+use crate::scheduler::{SchedulingContext, SegmentRequest, SegmentScheduler};
 
 /// The baseline scheduler the paper compares against.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,13 +29,6 @@ impl SegmentScheduler for NormalSwitchScheduler {
         "normal-switch"
     }
 
-    fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest> {
-        let mut scratch = SchedulerScratch::new();
-        let mut out = Vec::new();
-        self.schedule_into(ctx, &mut scratch, &mut out);
-        out
-    }
-
     fn schedule_into(
         &self,
         ctx: &SchedulingContext,
@@ -47,7 +40,6 @@ impl SegmentScheduler for NormalSwitchScheduler {
         if budget == 0 || ctx.candidates.is_empty() {
             return;
         }
-        let scratch: &mut AssignScratch = scratch.get_or_default();
         greedy_assign_into(ctx, AssignmentOrder::OldSourceFirst, scratch);
         let outcome = &scratch.outcome;
         let old_take = outcome.available_old().min(budget);
@@ -70,8 +62,8 @@ impl SegmentScheduler for NormalSwitchScheduler {
 mod tests {
     use super::*;
     use crate::fast::FastSwitchScheduler;
+    use crate::scheduler::StreamClass;
     use crate::testing::{context, push};
-    use fss_gossip::StreamClass;
 
     fn switch_ctx(old_missing: u64, new_available: u64, inbound: f64) -> SchedulingContext {
         let mut ctx = context(200 - old_missing, inbound, true);

@@ -15,8 +15,7 @@
 //! folded where the suppliers are appended; [`priority`] computes eqs. 7
 //! and 9 from them.
 
-use fss_gossip::scheduler::replacement_fraction;
-use fss_gossip::{CandidateSegment, SchedulingContext};
+use crate::scheduler::{replacement_fraction, CandidateSegment, SchedulingContext};
 
 /// A very large urgency standing in for "the deadline has already passed"
 /// (the paper's `1/t_i` with `t_i → 0⁺`).
@@ -56,7 +55,7 @@ pub fn rarity(positions: &[(usize, usize)]) -> f64 {
 
 /// Iterator form of [`rarity`].  An empty iterator yields 1.0 (an
 /// unsupplied segment is maximally rare).
-pub fn rarity_of(positions: impl Iterator<Item = (usize, usize)>) -> f64 {
+pub(crate) fn rarity_of(positions: impl Iterator<Item = (usize, usize)>) -> f64 {
     positions
         .map(|(position, capacity)| replacement_fraction(position, capacity))
         .product()

@@ -1,11 +1,11 @@
-//! Scheduling interface.
+//! The scheduling contract.
 //!
 //! Once per scheduling period every node assembles a [`SchedulingContext`]
 //! describing what it needs, what its neighbours can supply and where its
 //! playback stands, then hands it to a [`SegmentScheduler`] — the paper's
 //! Fast Switch Algorithm, the Normal Switch baseline, or any other policy —
-//! which returns the ordered list of [`SegmentRequest`]s to issue this
-//! period.
+//! which writes the ordered list of [`SegmentRequest`]s to issue this
+//! period.  The gossip substrate (`fss-gossip`) builds the contexts.
 //!
 //! The context is flat: a per-call neighbour table ([`NeighbourInfo`]: peer,
 //! rate `R(j)`, capacity `B`), one array of 8-byte [`SupplierInfo`] entries
@@ -16,15 +16,60 @@
 //! [`push_neighbour`](SchedulingContext::push_neighbour), then
 //! [`push_candidate`](SchedulingContext::push_candidate) for each
 //! candidate, which folds eqs. 6 and 8 over the suppliers in the order
-//! given.  The system's own builder gives a neighbour a row only at its
-//! first supplier hit (a neighbour that supplies nothing has none),
-//! appends each candidate's suppliers in neighbour order and folds as it
-//! appends.  A peer therefore has one rate per context, and a scheduler
-//! can keep per-neighbour state in a column indexed by slot.
+//! given; a one-pass builder appends the suppliers itself, folding them
+//! into a [`SupplierFold`], and ends with
+//! [`close_candidate`](SchedulingContext::close_candidate).  The system's
+//! builder does that: a neighbour gets a row only at its first supplier hit
+//! (a neighbour that supplies nothing has none), and each candidate's
+//! suppliers follow neighbour order.  A peer therefore has one rate per
+//! context, and a scheduler can keep per-neighbour state in a column
+//! indexed by slot.
 
-use crate::cast::narrow;
-use crate::segment::{SegmentId, SourceId};
+use crate::assign::SchedulerScratch;
 use fss_overlay::PeerId;
+use fss_sim::cast::narrow;
+use std::fmt;
+
+/// Identifier of one data segment, global across serial sources: the paper
+/// sets `id_begin(S2) = id_end(S1) + 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct SegmentId(pub u64);
+
+impl SegmentId {
+    /// The numeric id.
+    #[inline]
+    pub fn value(self) -> u64 {
+        self.0
+    }
+
+    /// The id `n` positions later in the stream.
+    #[inline]
+    pub fn offset(self, n: u64) -> SegmentId {
+        SegmentId(self.0 + n)
+    }
+
+    /// The next segment id.
+    #[inline]
+    pub fn next(self) -> SegmentId {
+        SegmentId(self.0 + 1)
+    }
+}
+
+impl fmt::Display for SegmentId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "#{}", self.0)
+    }
+}
+
+/// Identifier of a streaming source session (0 = the first source).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct SourceId(pub u32);
+
+impl fmt::Display for SourceId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "S{}", self.0 + 1)
+    }
+}
 
 /// Which stream a candidate segment belongs to, relative to an in-progress
 /// source switch.
@@ -47,9 +92,8 @@ pub struct NeighbourInfo {
     pub peer: PeerId,
     /// The neighbour's advertised sending rate `R(j)` in segments/second.
     pub rate: f64,
-    /// The neighbour's buffer capacity `B` (`< 2¹⁶`, as
-    /// [`GossipConfig::validate`](crate::GossipConfig::validate) and
-    /// [`FifoBuffer::new`](crate::FifoBuffer::new) require).
+    /// The neighbour's buffer capacity `B` (`< 2¹⁶`, as the gossip
+    /// layer's config validation and FIFO buffer require).
     pub buffer_capacity: u32,
 }
 
@@ -81,6 +125,7 @@ impl SupplierSpan {
     }
 
     /// True when the span names no supplier.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -115,16 +160,17 @@ pub fn replacement_fraction(position: usize, capacity: usize) -> f64 {
 }
 
 /// The running folds of eqs. 6 and 8 over one candidate's suppliers, in
-/// the order they are appended.
+/// the order they are appended: the one-pass builder's accumulator, handed
+/// to [`SchedulingContext::close_candidate`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SupplierFold {
+pub struct SupplierFold {
     max_rate: f64,
     rarity: f64,
 }
 
 impl SupplierFold {
     /// The folds of an empty supplier set.
-    pub(crate) const EMPTY: SupplierFold = SupplierFold {
+    pub const EMPTY: SupplierFold = SupplierFold {
         max_rate: 0.0,
         rarity: 1.0,
     };
@@ -132,7 +178,7 @@ impl SupplierFold {
     /// Folds in one supplier with rate `R(j)`, position `p_ij` and
     /// capacity `B`.
     #[inline]
-    pub(crate) fn add(&mut self, rate: f64, position: u32, capacity: u32) {
+    pub fn add(&mut self, rate: f64, position: u32, capacity: u32) {
         self.max_rate = f64::max(self.max_rate, rate);
         self.rarity *= replacement_fraction(position as usize, capacity as usize);
     }
@@ -150,7 +196,7 @@ pub struct SessionView {
 }
 
 /// Everything a scheduler needs to decide this period's requests.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedulingContext {
     /// Scheduling period `τ` in seconds.
     pub tau_secs: f64,
@@ -260,11 +306,16 @@ impl SchedulingContext {
         self.close_candidate(id, start, fold);
     }
 
-    /// Appends candidate `id` held by the suppliers pushed onto
-    /// [`suppliers`](Self::suppliers) since index `start`, whose folds are
-    /// `fold`.
+    /// The one-pass builder's append: closes candidate `id` over the
+    /// suppliers pushed onto [`suppliers`](Self::suppliers) since index
+    /// `start`, whose folds are `fold` (each supplier added to
+    /// [`SupplierFold::EMPTY`] in the order pushed, as
+    /// [`push_candidate`](Self::push_candidate) does).
+    ///
+    /// # Panics
+    /// Panics if `start` or the span's length does not fit a `u32`.
     #[inline]
-    pub(crate) fn close_candidate(&mut self, id: SegmentId, start: usize, fold: SupplierFold) {
+    pub fn close_candidate(&mut self, id: SegmentId, start: usize, fold: SupplierFold) {
         debug_assert!(
             self.suppliers[start..]
                 .iter()
@@ -287,6 +338,7 @@ impl SchedulingContext {
 
     /// Empties the neighbour table, the supplier array and the candidates,
     /// keeping their buffers.
+    #[inline]
     pub fn clear_tables(&mut self) {
         self.neighbours.clear();
         self.suppliers.clear();
@@ -303,67 +355,37 @@ pub struct SegmentRequest {
     pub supplier: PeerId,
 }
 
-/// Reusable, type-erased working memory handed to
-/// [`SegmentScheduler::schedule_into`].
-///
-/// The system owns one scratch per worker and passes it to every scheduling
-/// call, so a scheduler can keep sort buffers, hash maps and outcome vectors
-/// alive across nodes and periods: after warm-up the scheduling pass performs
-/// no heap allocation.  The slot is type-erased because each scheduler
-/// implementation has its own scratch layout; the first call allocates it,
-/// subsequent calls reuse it.
-#[derive(Debug, Default)]
-pub struct SchedulerScratch {
-    slot: Option<Box<dyn std::any::Any + Send>>,
-}
-
-impl SchedulerScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The scheduler-specific scratch value, created on first use.
-    pub fn get_or_default<T: Default + Send + 'static>(&mut self) -> &mut T {
-        if !self.slot.as_ref().is_some_and(|s| s.is::<T>()) {
-            self.slot = Some(Box::<T>::default());
-        }
-        self.slot
-            .as_mut()
-            .expect("slot populated above")
-            .downcast_mut::<T>()
-            .expect("type checked above")
-    }
-}
-
 /// A pluggable segment-scheduling policy.
+///
+/// The system owns one [`SchedulerScratch`] per worker and passes it to
+/// every [`schedule_into`](Self::schedule_into) call, so a policy keeps its
+/// sort buffers and outcome vectors alive across nodes and periods: after
+/// warm-up the scheduling pass performs no heap allocation.
 pub trait SegmentScheduler: Send + Sync {
     /// Short policy name used in reports (e.g. `"fast-switch"`).
     fn name(&self) -> &'static str;
 
-    /// Decides which segments to request from which suppliers this period.
+    /// Decides which segments to request from which suppliers this period,
+    /// writing the requests into `out` (cleared first) and reusing
+    /// `scratch` for any intermediate state.
     ///
-    /// Implementations should return at most [`SchedulingContext::inbound_budget`]
-    /// requests; the transfer layer enforces the budget regardless.
-    fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest>;
-
-    /// Allocation-free variant used by the period hot path: writes the
-    /// requests into `out` (cleared first), reusing `scratch` for any
-    /// intermediate state.
-    ///
-    /// The default implementation simply delegates to
-    /// [`schedule`](Self::schedule); performance-sensitive schedulers
-    /// override it to reuse buffers.  Both variants must produce identical
-    /// requests for identical contexts.
+    /// Implementations should write at most
+    /// [`SchedulingContext::inbound_budget`] requests; the transfer layer
+    /// enforces the budget regardless.
     fn schedule_into(
         &self,
         ctx: &SchedulingContext,
         scratch: &mut SchedulerScratch,
         out: &mut Vec<SegmentRequest>,
-    ) {
-        let _ = scratch;
-        out.clear();
-        out.extend(self.schedule(ctx));
+    );
+
+    /// [`schedule_into`](Self::schedule_into) on a fresh scratch.  No policy
+    /// overrides it; it goes once the repository benchmark's timing wrapper
+    /// stops overriding it (ROADMAP item 1).
+    fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest> {
+        let mut out = Vec::new();
+        self.schedule_into(ctx, &mut SchedulerScratch::default(), &mut out);
+        out
     }
 }
 
@@ -395,6 +417,16 @@ mod tests {
             suppliers: vec![],
             candidates: vec![],
         }
+    }
+
+    #[test]
+    fn segment_id_arithmetic() {
+        let s = SegmentId(10);
+        assert_eq!(s.next(), SegmentId(11));
+        assert_eq!(s.offset(5), SegmentId(15));
+        assert_eq!(s.value(), 10);
+        assert_eq!(format!("{s}"), "#10");
+        assert_eq!(format!("{}", SourceId(0)), "S1");
     }
 
     #[test]
@@ -456,7 +488,7 @@ mod tests {
 
     /// `push_candidate` folds eq. 6 as an explicit max from 0 and eq. 8 as
     /// the product of [`replacement_fraction`]s (the definition of
-    /// `fss_core::priority::rarity`), both in the order the suppliers are
+    /// `crate::priority::rarity`), both in the order the suppliers are
     /// given, bit for bit: idle rows, zero capacities, rates `≤ 0` and `+∞`
     /// included.
     #[test]
@@ -534,8 +566,13 @@ mod tests {
             fn name(&self) -> &'static str {
                 "nothing"
             }
-            fn schedule(&self, _ctx: &SchedulingContext) -> Vec<SegmentRequest> {
-                Vec::new()
+            fn schedule_into(
+                &self,
+                _ctx: &SchedulingContext,
+                _scratch: &mut SchedulerScratch,
+                out: &mut Vec<SegmentRequest>,
+            ) {
+                out.clear();
             }
         }
         let b: Box<dyn SegmentScheduler> = Box::new(Nothing);

@@ -1,8 +1,8 @@
 //! Context builders shared by the unit tests.
 
-use fss_gossip::cast::narrow;
-use fss_gossip::{SchedulingContext, SegmentId, SessionView, SourceId, SupplierInfo};
+use crate::scheduler::{SchedulingContext, SegmentId, SessionView, SourceId, SupplierInfo};
 use fss_overlay::PeerId;
+use fss_sim::cast::narrow;
 
 /// `(peer, rate, position)` of one test supplier.
 pub(crate) type Supplier = (PeerId, f64, u32);

@@ -87,7 +87,7 @@
 
 use crate::mem::{BufferMemBreakdown, MemoryFootprint};
 use crate::prefetch::prefetch_read;
-use crate::segment::SegmentId;
+use fss_core::SegmentId;
 
 /// Extra zero words appended on growth so the compaction/extension cycle
 /// amortises instead of running every few inserts.

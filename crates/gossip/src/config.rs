@@ -132,6 +132,16 @@ impl GossipConfig {
         if self.segment_bits == 0 {
             return err("segment_bits must be positive".into());
         }
+        let per_period = self.play_rate * self.tau_secs;
+        if per_period > self.buffer_capacity as f64 {
+            // The source would evict ids it emitted this period before any
+            // buffer-map exchange: no peer could ever receive them.
+            return err(format!(
+                "play_rate·tau_secs {per_period} (ids emitted per period) cannot exceed \
+                 buffer_capacity {}",
+                self.buffer_capacity
+            ));
+        }
         Ok(())
     }
 }
@@ -191,6 +201,24 @@ mod tests {
         let startup = bad(|c| c.startup_q = 601).message;
         assert!(startup.contains("startup_q 601 cannot exceed buffer_capacity 600"));
         assert!(bad(|c| c.segment_bits = 0).message.contains("bits"));
+        // More ids a period than the buffer holds.
+        for overfull in [
+            bad(|c| c.tau_secs = 1e300),
+            bad(|c| c.play_rate = 1e12),
+            bad(|c| c.tau_secs = 60.1),
+            bad(|c| (c.buffer_capacity, c.startup_q, c.new_source_qs) = (9, 9, 9)),
+        ] {
+            assert!(
+                overfull.message.contains("ids emitted per period"),
+                "{overfull}"
+            );
+        }
+        // Exactly B ids a period is allowed.
+        let full = GossipConfig {
+            tau_secs: 60.0,
+            ..GossipConfig::default()
+        };
+        full.validate().unwrap();
     }
 
     #[test]

@@ -7,22 +7,24 @@
 //! segments it needs from a subset of them.
 //!
 //! The crate provides every protocol ingredient *except* the scheduling
-//! policy, which is pluggable through the [`scheduler::SegmentScheduler`]
-//! trait — the paper's Fast Switch Algorithm and the Normal Switch baseline
-//! live in `fss-core` and implement that trait.
+//! policy.  The policy is pluggable through the scheduling contract that
+//! `fss-core` owns and this crate re-exports at its root
+//! ([`SchedulingContext`], [`SegmentRequest`], [`SchedulerScratch`] and the
+//! [`SegmentScheduler`] trait, with the [`SegmentId`]/[`SourceId`]
+//! newtypes); the paper's Fast Switch Algorithm and the Normal Switch
+//! baseline live in `fss-core` too.  This crate builds the contexts and
+//! carries the requests out.
 //!
 //! Module map:
 //!
 //! * [`config`] — protocol constants (`τ`, `p`, `B`, `Q`, `Qs`, segment
 //!   size) and the 620-bit buffer-map size they imply, defaulting to the
 //!   paper's §5.1 values,
-//! * [`segment`] — global segment identifiers, sources and serial sessions,
+//! * [`segment`] — serial source sessions and their directory,
 //! * [`buffer`] — the per-node FIFO segment buffer (`B = 600` segments),
 //! * [`playback`] — the per-node playback state machine (startup after `Q`
 //!   consecutive segments, new-source startup after `Qs` segments *and* the
 //!   old stream finishing),
-//! * [`scheduler`] — the scheduling context handed to switch algorithms and
-//!   the request type they return,
 //! * [`transfer`] — the per-link grant rule (each supplier serves each
 //!   requesting neighbour up to its outbound budget; each requester takes
 //!   at most its inbound budget),
@@ -59,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod buffer;
-pub mod cast;
 pub mod config;
 pub mod directory;
 pub mod hasher;
@@ -71,7 +72,6 @@ pub mod playback;
 pub(crate) mod prefetch;
 pub mod qoe;
 pub(crate) mod queue;
-pub mod scheduler;
 pub mod scratch;
 pub mod segment;
 pub mod stats;
@@ -82,15 +82,18 @@ pub mod transfer;
 pub use buffer::FifoBuffer;
 pub use config::GossipConfig;
 pub use directory::{AdmissionScratch, MembershipView};
+pub use fss_core::{
+    CandidateSegment, NeighbourInfo, SchedulerScratch, SchedulingContext, SegmentId,
+    SegmentRequest, SegmentScheduler, SessionView, SourceId, StreamClass, SupplierInfo,
+    SupplierSpan,
+};
+/// Checked narrowing conversions, re-exported from [`fss_sim::cast`].
+pub use fss_sim::cast;
 pub use mem::{BufferMemBreakdown, MemUsage, MemoryFootprint};
 pub use net::{NetStats, NetworkModel};
 pub use playback::PlaybackState;
 pub use qoe::{PeriodSample, QoeRecorder, QoeTotals};
-pub use scheduler::{
-    CandidateSegment, NeighbourInfo, SchedulerScratch, SchedulingContext, SegmentRequest,
-    SegmentScheduler, SessionView, StreamClass, SupplierInfo, SupplierSpan,
-};
-pub use segment::{SegmentId, Session, SessionDirectory, SourceId};
+pub use segment::{Session, SessionDirectory};
 pub use stats::{MilestoneStat, RatioSample, SwitchRecord, SwitchStats, TrafficCounters};
 pub use store::{PeerHeader, PeerMut, PeerRef, PeerShard, PeerStore, PEER_INLINE_BYTES};
 pub use system::{StreamingSystem, SystemReport};

@@ -34,8 +34,9 @@
 /// `heap_bytes` counts the bytes *reserved* on the heap (vector and ring
 /// capacities, not lengths); [`footprint_bytes`](Self::footprint_bytes) adds
 /// the value's own inline size.  Implementations cover the collections that
-/// dominate the footprint; type-erased slots (e.g. the scheduler's
-/// `dyn Any` scratch) count as their pointer size only.
+/// dominate the footprint; a scheduling policy's
+/// [`SchedulerScratch`](crate::SchedulerScratch), whose buffers are private
+/// to `fss-core`, counts as its inline size only.
 pub trait MemoryFootprint {
     /// Heap bytes currently reserved by this value.
     fn heap_bytes(&self) -> usize;

@@ -14,7 +14,8 @@
 use crate::buffer::FifoBuffer;
 use crate::config::GossipConfig;
 use crate::playback::PlaybackState;
-use crate::segment::{SegmentId, Session, SessionDirectory};
+use crate::segment::{Session, SessionDirectory};
+use fss_core::SegmentId;
 
 /// Discovers sessions: a peer learns every session whose first segment is
 /// at or below `observed_max`, in serial order.  Sources call this with
@@ -107,9 +108,9 @@ pub(crate) fn advance_playback(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::SchedulingContext;
     use crate::scratch::{Outbound, WorkerScratch};
     use crate::store::PeerStore;
+    use fss_core::SchedulingContext;
     use fss_overlay::PeerId;
 
     fn config() -> GossipConfig {
@@ -255,7 +256,7 @@ mod tests {
         let old_count = ctx
             .candidates
             .iter()
-            .filter(|c| ctx.class_of(c.id) == crate::scheduler::StreamClass::Old)
+            .filter(|c| ctx.class_of(c.id) == fss_core::StreamClass::Old)
             .count();
         assert_eq!(old_count, 10);
         // Segment 97 is held by both neighbours.

@@ -9,7 +9,7 @@
 //! gate through the `limit` argument of [`PlaybackState::advance`].
 
 use crate::buffer::FifoBuffer;
-use crate::segment::SegmentId;
+use fss_core::SegmentId;
 
 /// Statistics and position of one node's playback.
 #[derive(Debug, Clone, PartialEq)]

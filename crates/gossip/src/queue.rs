@@ -251,7 +251,7 @@ impl MemoryFootprint for ArrivalCalendar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::SegmentId;
+    use fss_core::SegmentId;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 

@@ -46,11 +46,12 @@
 use crate::config::GossipConfig;
 use crate::mem::{vec_bytes, MemoryFootprint};
 use crate::qoe::QoeLane;
-use crate::scheduler::SegmentRequest;
-use crate::scheduler::{SchedulerScratch, SchedulingContext, SupplierFold, SupplierInfo};
-use crate::segment::{SegmentId, SessionDirectory};
+use crate::segment::SessionDirectory;
 use crate::store::{PeerRef, PeerStore};
 use crate::transfer::{DeliveredSegment, GrantScratch};
+use fss_core::{
+    SchedulerScratch, SchedulingContext, SegmentId, SegmentRequest, SupplierFold, SupplierInfo,
+};
 use fss_overlay::PeerId;
 
 /// Per-chunk state of a period: everything one chunk of the scheduling
@@ -96,26 +97,6 @@ pub struct WorkerScratch {
     /// `(first peer, peer count)` of the chunk the buffers were last sized
     /// for — see [`plan`](Self::plan).
     planned: (PeerId, usize),
-}
-
-impl Default for SchedulingContext {
-    fn default() -> Self {
-        SchedulingContext {
-            tau_secs: 0.0,
-            play_rate: 0.0,
-            inbound_rate: 0.0,
-            id_play: SegmentId(0),
-            startup_q: 0,
-            new_source_qs: 0,
-            old_session: None,
-            new_session: None,
-            q1: 0,
-            q2: 0,
-            neighbours: Vec::new(),
-            suppliers: Vec::new(),
-            candidates: Vec::new(),
-        }
-    }
 }
 
 /// [`WorkerScratch::slot_of`] of a neighbour that has no row yet.
@@ -389,8 +370,8 @@ impl MemoryFootprint for WorkerScratch {
     /// The context's neighbour table, supplier array and candidates, the
     /// bitset word buffers, the neighbour-to-row map, the grant and request
     /// buffers and the QoE lane.
-    /// The type-erased scheduler scratch counts as its slot only (its
-    /// contents are policy-private).
+    /// The scheduler's [`SchedulerScratch`] counts as its inline size only
+    /// (its buffers are private to the policy's crate).
     fn heap_bytes(&self) -> usize {
         vec_bytes(&self.ctx.neighbours)
             + vec_bytes(&self.ctx.suppliers)
@@ -422,8 +403,8 @@ impl MemoryFootprint for PeriodScratch {
     }
 }
 
-fn session_view(session: &crate::segment::Session) -> crate::scheduler::SessionView {
-    crate::scheduler::SessionView {
+fn session_view(session: &crate::segment::Session) -> fss_core::SessionView {
+    fss_core::SessionView {
         id: session.id,
         first_segment: session.first_segment,
         last_segment: session.last_segment,
@@ -487,8 +468,8 @@ mod tests {
     use super::*;
     use crate::buffer::FifoBuffer;
     use crate::peer::known_slice;
-    use crate::scheduler::{replacement_fraction, SessionView};
     use crate::segment::Session;
+    use fss_core::{replacement_fraction, SessionView};
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};

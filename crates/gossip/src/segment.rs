@@ -1,50 +1,13 @@
-//! Segments, sources and serial sessions.
+//! Serial source sessions.
 //!
-//! Segment identifiers are **global**: the paper sets
-//! `id_begin(S2) = id_end(S1) + 1`, i.e. the new source continues the id
-//! space of the old one, which is also what makes a single 620-bit buffer map
-//! able to describe availability across a source switch.
+//! Segment and source identifiers belong to the scheduling contract
+//! ([`fss_core::SegmentId`], [`fss_core::SourceId`]).  They are **global**:
+//! the paper sets `id_begin(S2) = id_end(S1) + 1`, i.e. the new source
+//! continues the id space of the old one, which is also what makes a single
+//! 620-bit buffer map able to describe availability across a source switch.
 
+use fss_core::{SegmentId, SourceId};
 use fss_overlay::PeerId;
-use std::fmt;
-
-/// Identifier of one data segment (global, monotonically increasing across
-/// serial sources).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SegmentId(pub u64);
-
-impl SegmentId {
-    /// The numeric id.
-    pub fn value(self) -> u64 {
-        self.0
-    }
-
-    /// The id `n` positions later in the stream.
-    pub fn offset(self, n: u64) -> SegmentId {
-        SegmentId(self.0 + n)
-    }
-
-    /// The next segment id.
-    pub fn next(self) -> SegmentId {
-        SegmentId(self.0 + 1)
-    }
-}
-
-impl fmt::Display for SegmentId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "#{}", self.0)
-    }
-}
-
-/// Identifier of a streaming source session (0 = the first source).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SourceId(pub u32);
-
-impl fmt::Display for SourceId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "S{}", self.0 + 1)
-    }
-}
 
 /// One serial streaming session: a source peer emitting a contiguous range of
 /// global segment ids.
@@ -174,16 +137,6 @@ impl SessionDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn segment_id_arithmetic() {
-        let s = SegmentId(10);
-        assert_eq!(s.next(), SegmentId(11));
-        assert_eq!(s.offset(5), SegmentId(15));
-        assert_eq!(s.value(), 10);
-        assert_eq!(format!("{s}"), "#10");
-        assert_eq!(format!("{}", SourceId(0)), "S1");
-    }
 
     #[test]
     fn session_containment() {

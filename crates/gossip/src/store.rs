@@ -29,7 +29,8 @@ use crate::config::GossipConfig;
 use crate::mem::{vec_bytes, MemoryFootprint};
 use crate::peer;
 use crate::playback::PlaybackState;
-use crate::segment::{SegmentId, Session, SessionDirectory};
+use crate::segment::{Session, SessionDirectory};
+use fss_core::SegmentId;
 use fss_overlay::PeerId;
 use std::marker::PhantomData;
 

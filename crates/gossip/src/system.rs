@@ -41,12 +41,12 @@ use crate::net::{NetStats, NetworkModel};
 use crate::peer;
 use crate::prefetch::{prefetch_lines, prefetch_read, DELIVERY_AHEAD, WALK_AHEAD};
 use crate::qoe::{PeerQoe, QoeRecorder, QoeTotals};
-use crate::scheduler::SegmentScheduler;
 use crate::scratch::{Outbound, PeriodScratch, WorkerScratch};
-use crate::segment::{SegmentId, Session, SessionDirectory, SourceId};
+use crate::segment::{Session, SessionDirectory};
 use crate::stats::{RatioSample, SwitchRecord, SwitchStats, TrafficCounters};
 use crate::store::{PeerHeader, PeerRef, PeerStore, PEER_INLINE_BYTES};
 use crate::transfer::grant_per_link;
+use fss_core::{SegmentId, SegmentScheduler, SourceId};
 use fss_overlay::net::{LinkFaults, MessageKind, NetworkConfig};
 use fss_overlay::{ChurnModel, Overlay, OverlayError, PeerAttrs, PeerId};
 use fss_sim::exec::{DisjointRanges, DisjointSlots, JobExecutor, SerialExecutor};
@@ -1646,7 +1646,7 @@ fn walk_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{SchedulingContext, SegmentRequest};
+    use fss_core::{SchedulerScratch, SchedulingContext, SegmentRequest};
     use fss_overlay::OverlayBuilder;
     use fss_trace::{GeneratorConfig, TraceGenerator};
 
@@ -1658,12 +1658,17 @@ mod tests {
         fn name(&self) -> &'static str {
             "greedy-oldest"
         }
-        fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest> {
+        fn schedule_into(
+            &self,
+            ctx: &SchedulingContext,
+            _scratch: &mut SchedulerScratch,
+            requests: &mut Vec<SegmentRequest>,
+        ) {
+            requests.clear();
             let mut candidates = ctx.candidates.clone();
             candidates.sort_unstable_by_key(|c| c.id);
             let mut load: std::collections::HashMap<fss_overlay::PeerId, usize> =
                 std::collections::HashMap::new();
-            let mut requests = Vec::new();
             for c in candidates {
                 if requests.len() >= ctx.inbound_budget() {
                     break;
@@ -1689,7 +1694,6 @@ mod tests {
                     });
                 }
             }
-            requests
         }
     }
 
@@ -1729,18 +1733,22 @@ mod tests {
     #[test]
     fn huge_validated_tau_reserves_a_bounded_calendar() {
         // ⌈p·τ⌉ + 1 grows with τ; the calendar reserves at most B grants per
-        // requester and period, so a longer period reserves no more.
-        let with_tau = |tau_secs| {
+        // requester and period, so a longer period reserves no more.  Both
+        // configs emit the most a valid one may, p·τ = B, where
+        // ⌈p·τ⌉ + 1 = B + 1 and the cap binds.
+        let with_tau = |tau_secs, play_rate| {
             let config = GossipConfig {
                 tau_secs,
+                play_rate,
                 ..GossipConfig::paper_default()
             };
+            assert_eq!(play_rate * tau_secs, config.buffer_capacity as f64);
             let mut sys = build_system_with(200, 1, config);
             sys.set_network(NetworkConfig::ideal());
             sys
         };
-        let minute = with_tau(60.0).network().unwrap().heap_bytes();
-        let mut sys = with_tau(1_000.0);
+        let minute = with_tau(60.0, 10.0).network().unwrap().heap_bytes();
+        let mut sys = with_tau(1_000.0, 0.6);
         assert!(sys.network().unwrap().heap_bytes() <= minute);
         let (source, _) = first_two(&sys);
         sys.start_initial_source(source);
@@ -2250,11 +2258,16 @@ mod tests {
         fn name(&self) -> &'static str {
             "faucet"
         }
-        fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest> {
+        fn schedule_into(
+            &self,
+            ctx: &SchedulingContext,
+            scratch: &mut SchedulerScratch,
+            out: &mut Vec<SegmentRequest>,
+        ) {
             if self.open.load(std::sync::atomic::Ordering::Relaxed) {
-                GreedyOldest.schedule(ctx)
+                GreedyOldest.schedule_into(ctx, scratch, out);
             } else {
-                Vec::new()
+                out.clear();
             }
         }
     }

@@ -19,8 +19,7 @@
 //! requester's buffer sees.
 
 use crate::mem::{vec_bytes, MemoryFootprint};
-use crate::scheduler::SegmentRequest;
-use crate::segment::SegmentId;
+use fss_core::{SegmentId, SegmentRequest};
 use fss_overlay::PeerId;
 
 /// One granted segment transfer: a delivery in lockstep, an in-flight

@@ -504,7 +504,7 @@ fn fss003_hot_path_allocations(
 
 /// FSS004: narrowing `as` casts in protocol-state modules.  A silently
 /// truncating `as u16` caused the PR 4 sequence-wraparound bug; narrowing
-/// must go through the checked helpers in `fss_gossip::cast` or carry a
+/// must go through the checked helpers in `fss_sim::cast` or carry a
 /// waiver citing the bounding invariant.
 fn fss004_narrowing_casts(
     masked: &[u8],
@@ -530,7 +530,7 @@ fn fss004_narrowing_casts(
             format!(
                 "narrowing `as {target}` in protocol state silently truncates out-of-range \
                  values (the PR 4 seq-wraparound bug class); use the checked helpers in \
-                 `fss_gossip::cast`, a lossless `::from`, or waive citing the bounding \
+                 `fss_sim::cast`, a lossless `::from`, or waive citing the bounding \
                  invariant"
             ),
         );

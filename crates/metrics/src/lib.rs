@@ -29,8 +29,8 @@
 //!   tracks of Figures 5 and 9,
 //! * [`overhead::OverheadSummary`] — the communication overhead of Figures 8
 //!   and 12, and
-//! * [`report::Table`] — fixed-width text tables / CSV used by the `figures`
-//!   binary and EXPERIMENTS.md.
+//! * [`report::Table`] — fixed-width text tables / CSV printed by the
+//!   `figures` binary.
 
 #![warn(missing_docs)]
 

@@ -2,8 +2,8 @@
 //!
 //! A bare `as u16`/`as u32` silently truncates: the PR 4 sequence-wraparound
 //! bug was exactly an `as`-cast whose implicit bound stopped holding.  The
-//! `fss-lint` rule FSS004 bans bare narrowing casts in the protocol crates;
-//! narrowing goes through [`narrow`], which panics with the violated
+//! `fss-lint` rule FSS004 bans bare narrowing casts in the protocol crates
+//! (`fss-core`, `fss-gossip`); narrowing goes through [`narrow`], which panics with the violated
 //! invariant's name instead of corrupting state — on cold paths the branch is
 //! free, and the panic message turns a multi-day digest bisect into a one-line
 //! diagnostic.  (Provably-bounded hot-path casts instead carry a `lint.toml`
@@ -16,7 +16,7 @@ use std::fmt::Display;
 /// does not fit.
 ///
 /// ```
-/// use fss_gossip::cast::narrow;
+/// use fss_sim::cast::narrow;
 /// let offsets: u32 = narrow(4096usize * 64, "ring offsets fit the window span");
 /// assert_eq!(offsets, 262_144);
 /// ```

@@ -5,6 +5,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a fixed-point virtual clock (millisecond
 //!   resolution) so that event ordering is exact and platform independent,
+//! * [`cast`] — checked narrowing conversions ([`cast::narrow`]) for
+//!   protocol state, shared by the scheduling contract in `fss-core` and
+//!   the gossip substrate,
 //! * [`hasher`] — the deterministic `FxHashMap`/`FxHashSet` aliases every
 //!   workspace crate uses instead of default-`RandomState` collections
 //!   (statically enforced by `fss-lint` rule FSS001), and
@@ -18,6 +21,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cast;
 pub mod exec;
 pub mod hasher;
 pub mod time;

@@ -1,24 +1,30 @@
-//! Executable specification of one **lockstep** gossip period.
+//! Executable specification of one **lockstep** gossip period, and the
+//! exact supplier-assignment solver ([`optimal`]) the greedy heuristic is
+//! measured against.
 //!
 //! [`Spec`] restates the paper's pull protocol as plain, allocating
 //! `BTreeMap`/`Vec` code over the public API of `fss-gossip`: buffer-map
 //! exchange and discovery, a per-id-probing context builder, scheduling
-//! through [`SegmentScheduler::schedule`], a per-link grant rule written as
-//! a map of supplier → requester → queue, delivery, playback, switch
-//! milestones, ratio tracks, traffic and QoE.  Its [`SystemReport`] must
-//! equal `StreamingSystem::advance`'s in lockstep, period by period.  It
-//! owns its protocol state and reads from the system only what churn
-//! decides.  `README.md` next to this crate lays the period out as state,
-//! messages and transitions.
+//! through [`SegmentScheduler::schedule_into`] on a fresh scratch, a
+//! per-link grant rule written as a map of supplier → requester → queue,
+//! delivery, playback, switch milestones, ratio tracks, traffic and QoE.
+//! Its [`SystemReport`] must equal `StreamingSystem::advance`'s in
+//! lockstep, period by period.  It owns its protocol state and reads from
+//! the system only what churn decides.  `README.md` next to this crate lays
+//! the period out as state, messages and transitions.
 
 use fss_gossip::{
     DeliveredSegment, FifoBuffer, GossipConfig, MemUsage, PlaybackState, QoeRecorder, RatioSample,
-    SchedulingContext, SegmentId, SegmentRequest, SegmentScheduler, Session, SessionDirectory,
-    SessionView, StreamingSystem, SupplierInfo, SwitchRecord, SwitchStats, SystemReport,
-    TrafficCounters, PEER_INLINE_BYTES,
+    SchedulerScratch, SchedulingContext, SegmentId, SegmentRequest, SegmentScheduler, Session,
+    SessionDirectory, SessionView, StreamingSystem, SupplierInfo, SwitchRecord, SwitchStats,
+    SystemReport, TrafficCounters, PEER_INLINE_BYTES,
 };
 use fss_overlay::{Overlay, PeerId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+pub mod optimal;
+
+pub use optimal::{optimal_assign, OptimalAssignment, MAX_EXACT_CANDIDATES};
 
 /// One peer's protocol state.
 struct Peer {
@@ -357,7 +363,9 @@ impl Spec {
             let Some(ctx) = self.context(p, inbound, overlay) else {
                 continue;
             };
-            let requests = self.scheduler.schedule(&ctx);
+            let mut requests = Vec::new();
+            self.scheduler
+                .schedule_into(&ctx, &mut SchedulerScratch::default(), &mut requests);
             if !requests.is_empty() {
                 batches.push((p, ctx.inbound_budget(), requests));
             }

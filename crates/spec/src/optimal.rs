@@ -6,9 +6,10 @@
 //! the paper points at parallel machine scheduling.  For instances with a
 //! handful of segments an exhaustive search is feasible; this module provides
 //! one so the test-suite and the ablation bench can measure how far the
-//! greedy heuristic is from optimal.
+//! greedy heuristic ([`fss_core::greedy_assign`]) is from optimal.  It is a
+//! test oracle and lives in this test-only crate.
 
-use fss_gossip::{SchedulingContext, SegmentId};
+use fss_core::{SchedulingContext, SegmentId};
 use fss_overlay::PeerId;
 
 /// The best assignment found by exhaustive search.
@@ -42,7 +43,7 @@ pub fn optimal_assign(ctx: &SchedulingContext) -> OptimalAssignment {
     let priorities: Vec<f64> = ctx
         .candidates
         .iter()
-        .map(|c| crate::priority::priority(ctx, c).priority.min(1.0e6))
+        .map(|c| fss_core::priority(ctx, c).priority.min(1.0e6))
         .collect();
 
     let mut best = OptimalAssignment {
@@ -119,18 +120,50 @@ fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assign::{greedy_assign, AssignmentOrder};
-    use crate::testing::{context, push};
+    use fss_core::{greedy_assign, AssignmentOrder, SessionView, SourceId, SupplierInfo};
 
-    /// A switch context over `(id, [(peer, rate)])` candidates, every
-    /// supplier at position 100.
+    /// A switch context over `(id, [(peer, rate)])` candidates: `τ = 1 s`,
+    /// `p = 10`, `I = 15`, `Q = 10`, `Qs = 50`, playback at 100, the old
+    /// session `0..=199`, the new one from 200, `Q1 = 10`, `Q2 = 50`, every
+    /// neighbour's `B = 600` and every supplier at position 100.  A peer
+    /// has one row, at its first appearance.
     fn ctx(candidates: &[(u64, &[(PeerId, f64)])]) -> SchedulingContext {
-        let mut ctx = context(100, 15.0, true);
-        ctx.q1 = 10;
-        ctx.q2 = 50;
+        let mut ctx = SchedulingContext {
+            tau_secs: 1.0,
+            play_rate: 10.0,
+            inbound_rate: 15.0,
+            id_play: SegmentId(100),
+            startup_q: 10,
+            new_source_qs: 50,
+            old_session: Some(SessionView {
+                id: SourceId(0),
+                first_segment: SegmentId(0),
+                last_segment: Some(SegmentId(199)),
+            }),
+            new_session: Some(SessionView {
+                id: SourceId(1),
+                first_segment: SegmentId(200),
+                last_segment: None,
+            }),
+            q1: 10,
+            q2: 50,
+            ..SchedulingContext::default()
+        };
         for &(id, suppliers) in candidates {
-            let suppliers: Vec<_> = suppliers.iter().map(|&(p, r)| (p, r, 100)).collect();
-            push(&mut ctx, id, &suppliers);
+            let suppliers: Vec<SupplierInfo> = suppliers
+                .iter()
+                .map(|&(peer, rate)| {
+                    let slot = match ctx.neighbours.iter().position(|n| n.peer == peer) {
+                        Some(slot) => slot as u32,
+                        None => ctx.push_neighbour(peer, rate, 600),
+                    };
+                    SupplierInfo {
+                        slot,
+                        buffer_position: 100,
+                    }
+                })
+                .collect();
+            ctx.push_candidate(SegmentId(id), suppliers);
         }
         ctx
     }

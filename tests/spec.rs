@@ -9,7 +9,8 @@
 
 use fast_source_switching::core::{FastSwitchScheduler, NormalSwitchScheduler};
 use fast_source_switching::gossip::{
-    GossipConfig, SchedulingContext, SegmentRequest, SegmentScheduler, StreamingSystem,
+    GossipConfig, SchedulerScratch, SchedulingContext, SegmentRequest, SegmentScheduler,
+    StreamingSystem,
 };
 use fast_source_switching::overlay::{
     ChurnModel, NetworkConfig, OverlayBuilder, OverlayConfig, PeerId,
@@ -32,11 +33,16 @@ impl SegmentScheduler for GreedyOldest {
         "greedy-oldest"
     }
 
-    fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest> {
+    fn schedule_into(
+        &self,
+        ctx: &SchedulingContext,
+        _scratch: &mut SchedulerScratch,
+        requests: &mut Vec<SegmentRequest>,
+    ) {
+        requests.clear();
         let mut candidates = ctx.candidates.clone();
         candidates.sort_unstable_by_key(|c| c.id);
         let mut load: HashMap<PeerId, usize> = HashMap::new();
-        let mut requests = Vec::new();
         for c in candidates {
             if requests.len() >= ctx.inbound_budget() {
                 break;
@@ -62,7 +68,6 @@ impl SegmentScheduler for GreedyOldest {
                 });
             }
         }
-        requests
     }
 }
 
@@ -76,17 +81,19 @@ impl SegmentScheduler for AskEverything {
         "ask-everything"
     }
 
-    fn schedule(&self, ctx: &SchedulingContext) -> Vec<SegmentRequest> {
-        ctx.candidates
-            .iter()
-            .rev()
-            .flat_map(|c| {
-                ctx.suppliers_of(c).iter().map(|s| SegmentRequest {
-                    segment: c.id,
-                    supplier: ctx.neighbour(s).peer,
-                })
+    fn schedule_into(
+        &self,
+        ctx: &SchedulingContext,
+        _scratch: &mut SchedulerScratch,
+        out: &mut Vec<SegmentRequest>,
+    ) {
+        out.clear();
+        out.extend(ctx.candidates.iter().rev().flat_map(|c| {
+            ctx.suppliers_of(c).iter().map(|s| SegmentRequest {
+                segment: c.id,
+                supplier: ctx.neighbour(s).peer,
             })
-            .collect()
+        }));
     }
 }
 
