@@ -408,32 +408,6 @@ fn telemetry_enabled_stepping_and_harvest_do_not_allocate() {
     assert!(sys.qoe().totals().startups > 0);
 }
 
-/// The percentile regression fix: `Summary::quantile` used to clone and
-/// sort the sample on **every** call.  [`fss_metrics::SortedSample`] sorts
-/// once at construction; repeated quantile queries must not allocate.
-#[test]
-fn sorted_sample_quantile_does_not_allocate_per_call() {
-    use fss_metrics::{SortedSample, Summary};
-
-    let values: Vec<f64> = (0..5_000).rev().map(|v| (v % 311) as f64).collect();
-    let sorted = SortedSample::from_values(&values);
-
-    let (during, acc) = counted(|| {
-        let mut acc = 0.0;
-        for i in 0..1_000 {
-            acc += sorted.quantile(i as f64 / 1_000.0);
-            acc += Summary::of(&values).mean;
-        }
-        acc
-    });
-    assert_eq!(
-        during, 0,
-        "quantile/summary queries allocated {during} times; \
-         sort-once means query-many for free"
-    );
-    assert!(acc > 0.0);
-}
-
 /// The same guarantee for the pool-backed parallel path: both dispatches
 /// of a period — the scheduling pass with its in-chunk grants, and the
 /// fused walk with its per-chunk QoE lanes and ratio terms — fan out over

@@ -139,4 +139,29 @@ mod tests {
         assert!(t7.title().contains("Figure 7"));
         assert!(t8.title().contains("Figure 8"));
     }
+
+    /// Digest of what `figures --quick` prints for both environments.
+    const QUICK_FIGURES_DIGEST: u64 = 12839476650087069679;
+
+    /// The paper reproduction's printed output is pinned: every table of
+    /// both environments at the quick scale, rendered as the `figures`
+    /// binary prints it (each table's text followed by a newline).
+    #[test]
+    fn quick_figures_print_the_pinned_text() {
+        use std::hash::Hasher;
+        let mut text = String::new();
+        for environment in [Environment::Static, Environment::Dynamic] {
+            for table in &generate(environment, FigureScale::Quick).tables {
+                text.push_str(&table.to_text());
+                text.push('\n');
+            }
+        }
+        let mut digest = fss_sim::hasher::FxHasher64::default();
+        digest.write(text.as_bytes());
+        assert_eq!(
+            digest.finish(),
+            QUICK_FIGURES_DIGEST,
+            "the quick figures drifted from the pinned text:\n{text}"
+        );
+    }
 }

@@ -85,7 +85,7 @@
 //! [`mem_breakdown`](FifoBuffer::mem_breakdown) reports the reserved bytes
 //! per component; see `docs/performance.md` for the per-peer budget.
 
-use crate::mem::{BufferMemBreakdown, MemoryFootprint};
+use crate::mem::BufferMemBreakdown;
 use crate::prefetch::prefetch_read;
 use fss_core::SegmentId;
 
@@ -741,12 +741,6 @@ impl FifoBuffer {
     }
 }
 
-impl MemoryFootprint for FifoBuffer {
-    fn heap_bytes(&self) -> usize {
-        self.mem_breakdown().heap_total()
-    }
-}
-
 /// Iterator over the set bits of one availability word.
 #[cfg(test)]
 struct BitIter {
@@ -1152,8 +1146,6 @@ mod tests {
         assert!(b.words().len() <= b.reserved_words());
         assert_eq!(mem.window_bytes, b.reserved_words() * 8);
         assert_eq!(mem.seq_bytes, b.reserved_words() * 64 * 2);
-        assert_eq!(mem.heap_total(), b.heap_bytes());
-        assert!(b.footprint_bytes() > b.heap_bytes());
         // The compact layout halves the ring and seq components, so the
         // legacy baseline must cost strictly more.
         assert!(mem.legacy_heap_total() > mem.heap_total());

@@ -41,7 +41,6 @@
 //! synchronisation points.
 
 use crate::hasher::FxHashMap;
-use crate::mem::{vec_bytes, MemoryFootprint};
 use fss_overlay::{PeerAttrs, PeerId};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -120,24 +119,12 @@ impl MembershipView {
     }
 }
 
-impl MemoryFootprint for MembershipView {
-    fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.members)
-    }
-}
-
 /// Pooled working memory of [`sample_distinct`]: the sparse displacement
 /// table of the partial Fisher–Yates.  Reused across calls; zero heap once
 /// it reaches its high-water capacity.
 #[derive(Debug, Default)]
 pub struct SampleScratch {
     displaced: FxHashMap<usize, usize>,
-}
-
-impl MemoryFootprint for SampleScratch {
-    fn heap_bytes(&self) -> usize {
-        self.displaced.capacity() * std::mem::size_of::<(usize, usize)>()
-    }
 }
 
 /// Appends `amount` distinct elements of `slice`, in random order, to `out`
@@ -201,18 +188,6 @@ impl AdmissionScratch {
         self.attrs.clear();
         self.requested.clear();
         self.admitted.clear();
-    }
-}
-
-impl MemoryFootprint for AdmissionScratch {
-    fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.eligible)
-            + vec_bytes(&self.movers)
-            + vec_bytes(&self.neighbours)
-            + vec_bytes(&self.attrs)
-            + vec_bytes(&self.requested)
-            + vec_bytes(&self.admitted)
-            + self.sampler.heap_bytes()
     }
 }
 
@@ -339,7 +314,6 @@ mod tests {
             MembershipView::from_members([9u32, 1, 3]).members(),
             view.members()
         );
-        assert!(view.heap_bytes() > 0);
     }
 
     #[test]

@@ -51,8 +51,8 @@
 //! * [`qoe`] — counter-only QoE event recording on the playback path
 //!   (startups, stall episodes, continuity, switch progress), one
 //!   [`qoe::PeriodSample`] row per period (see `docs/observability.md`),
-//! * [`mem`] — the [`mem::MemoryFootprint`] accounting trait and the
-//!   per-peer byte meter surfaced in reports (see `docs/performance.md`),
+//! * [`mem`] — the per-peer byte meter ([`MemUsage`]) surfaced in
+//!   reports, the library's only memory meter (see `docs/performance.md`),
 //! * [`scratch`] — the reusable per-period working memory (zero-allocation
 //!   hot path; see `docs/performance.md`),
 //! * [`hasher`] — deterministic hashing for hot-path maps, and
@@ -89,7 +89,7 @@ pub use fss_core::{
 };
 /// Checked narrowing conversions, re-exported from [`fss_sim::cast`].
 pub use fss_sim::cast;
-pub use mem::{BufferMemBreakdown, MemUsage, MemoryFootprint};
+pub use mem::{BufferMemBreakdown, MemUsage};
 pub use net::{NetStats, NetworkModel};
 pub use playback::PlaybackState;
 pub use qoe::{PeriodSample, QoeRecorder, QoeTotals};

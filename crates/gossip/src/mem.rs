@@ -1,51 +1,36 @@
-//! Memory-footprint accounting (the per-peer byte meter).
+//! The per-peer byte meter.
 //!
 //! The ROADMAP's million-user north star is bounded by **bytes per peer**:
 //! every viewer the system hosts carries a [`FifoBuffer`] (arrival ring,
 //! availability window, arrival-sequence array) plus a handful of scalar
-//! protocol fields.  This module defines the [`MemoryFootprint`] trait that
-//! every stateful gossip type implements — buffer, peer store, scratch
-//! arena, network model, whole system — and the [`MemUsage`] aggregate that
-//! [`SystemReport`](crate::system::SystemReport) surfaces so experiments and
-//! benches can record bytes/peer next to throughput.
+//! protocol fields.  This module defines the [`MemUsage`] aggregate that
+//! [`StreamingSystem::memory_usage`] builds from each active peer's
+//! [`FifoBuffer::mem_breakdown`] and that
+//! [`SystemReport`](crate::system::SystemReport) surfaces, so experiments
+//! and benches can record bytes/peer next to throughput.  It is the
+//! library's only memory meter; the process as a whole (scratch arenas,
+//! calendars, the allocator's own overhead) is measured from outside, as
+//! the benchmark's peak resident set.
 //!
-//! # What the report-surfaced numbers cover
+//! # What the meter covers
 //!
 //! [`MemUsage`] (and therefore `SystemReport::mem`) accounts the **per-peer
 //! protocol state of active peers only**: it is a pure function of the
 //! simulated protocol history, so it is byte-identical between the period
 //! and its executable spec (`fss-spec`), across worker counts and stepping
 //! modes — the equivalence suites assert reports equal, and this field must
-//! never break them.  Execution-dependent memory (the [`PeriodScratch`]
-//! arena, whose worker-slot count follows the configured parallelism) is
-//! deliberately excluded from reports; it remains measurable through the
-//! [`MemoryFootprint`] impls on the scratch types and
-//! [`StreamingSystem`](crate::system::StreamingSystem) itself.
+//! never break them.  Execution-dependent memory (the
+//! [`PeriodScratch`](crate::scratch::PeriodScratch) arena, whose
+//! worker-slot count follows the configured parallelism) is deliberately
+//! left out.
 //!
 //! All numbers count **reserved capacity**, not live length: capacity is
 //! what the allocator actually holds, and the zero-allocation hot path keeps
 //! capacities at their steady-state high-water marks.
 //!
 //! [`FifoBuffer`]: crate::buffer::FifoBuffer
-//! [`PeriodScratch`]: crate::scratch::PeriodScratch
-
-/// Types that can report how much memory they are holding.
-///
-/// `heap_bytes` counts the bytes *reserved* on the heap (vector and ring
-/// capacities, not lengths); [`footprint_bytes`](Self::footprint_bytes) adds
-/// the value's own inline size.  Implementations cover the collections that
-/// dominate the footprint; a scheduling policy's
-/// [`SchedulerScratch`](crate::SchedulerScratch), whose buffers are private
-/// to `fss-core`, counts as its inline size only.
-pub trait MemoryFootprint {
-    /// Heap bytes currently reserved by this value.
-    fn heap_bytes(&self) -> usize;
-
-    /// Total bytes: the value's inline size plus its reserved heap.
-    fn footprint_bytes(&self) -> usize {
-        std::mem::size_of_val(self) + self.heap_bytes()
-    }
-}
+//! [`FifoBuffer::mem_breakdown`]: crate::buffer::FifoBuffer::mem_breakdown
+//! [`StreamingSystem::memory_usage`]: crate::system::StreamingSystem::memory_usage
 
 /// Heap bytes of one peer's [`FifoBuffer`](crate::buffer::FifoBuffer),
 /// split by component (the three allocations the compact layout shrinks).
@@ -139,11 +124,6 @@ impl MemUsage {
             1.0 - self.peer_bytes as f64 / self.legacy_peer_bytes as f64
         }
     }
-}
-
-/// Heap capacity of a vector in bytes.
-pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
-    v.capacity() * std::mem::size_of::<T>()
 }
 
 #[cfg(test)]

@@ -89,6 +89,7 @@ impl MembershipMaintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directory::{sample_distinct, SampleScratch};
     use fss_overlay::{ChurnModel, OverlayBuilder};
     use fss_trace::{GeneratorConfig, TraceGenerator};
 
@@ -107,8 +108,23 @@ mod tests {
         let mut o = overlay(300, 1);
         let mut churn = ChurnModel::paper_default(5);
         let mut maintainer = MembershipMaintainer::new(5, 9);
+        let (mut eligible, mut left, mut neighbours) = (Vec::new(), Vec::new(), Vec::new());
+        let mut sampler = SampleScratch::default();
         for _ in 0..20 {
-            churn.step(&mut o, &[]).unwrap();
+            // One churn period through the halves the system drives.
+            let before = members(&o);
+            churn
+                .step_departures(&mut o, &before, &[], &mut eligible, &mut left)
+                .unwrap();
+            for _ in 0..churn.join_count(before.len()) {
+                let candidates = members(&o);
+                let degree = churn.join_degree.min(candidates.len());
+                neighbours.clear();
+                let attrs = churn.draw_arrival(|rng| {
+                    sample_distinct(&candidates, rng, degree, &mut sampler, &mut neighbours)
+                });
+                o.add_peer(attrs, &neighbours).unwrap();
+            }
             let active = members(&o);
             maintainer.repair(&mut o, &active).unwrap();
             assert!(o.graph().min_degree().unwrap() >= 5);

@@ -28,7 +28,6 @@
 //! and drained buckets keep their capacity, so steady-state event stepping
 //! stays allocation-free (enforced by `zero_alloc.rs`).
 
-use crate::mem::MemoryFootprint;
 use crate::queue::ArrivalCalendar;
 use fss_overlay::net::{LinkFaults, NetworkConfig};
 use fss_sim::SimTime;
@@ -116,12 +115,6 @@ impl NetworkModel {
     }
 }
 
-impl MemoryFootprint for NetworkModel {
-    fn heap_bytes(&self) -> usize {
-        self.calendar.heap_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,8 +123,7 @@ mod tests {
     #[test]
     fn new_validates_and_presizes() {
         let m = NetworkModel::new(NetworkConfig::ideal(), 1_000, 3, 64);
-        let per_bucket = 64 * std::mem::size_of::<(u64, DeliveredSegment)>();
-        assert!(m.calendar.heap_bytes() >= 3 * per_bucket);
+        assert!(m.calendar.reserved_entries() >= 3 * 64);
         assert_eq!(m.in_flight(), 0);
         assert_eq!(m.stats(), NetStats::default());
         assert_eq!(m.boundary(3), SimTime::from_millis(3_000));

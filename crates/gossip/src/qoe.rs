@@ -31,8 +31,6 @@
 //! mid-stall simply stops being observed: its open episode never produces a
 //! stall-end event (mirroring how a real player's session trace ends).
 
-use crate::mem::{vec_bytes, MemoryFootprint};
-
 /// Per-peer QoE observation state, indexed by `PeerId` like the switch
 /// records (one entry per ever-allocated peer slot; ids are never reused).
 /// Opaque: the fused period walk borrows disjoint id ranges of these slots
@@ -174,12 +172,6 @@ impl QoeLane {
         if state.stalled {
             row.stalled += 1;
         }
-    }
-}
-
-impl MemoryFootprint for QoeLane {
-    fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.startup_delays) + vec_bytes(&self.stall_durations)
     }
 }
 
@@ -360,12 +352,6 @@ impl QoeRecorder {
     /// last observed period.
     pub fn stall_durations_periods(&self) -> &[u64] {
         &self.current.stall_durations
-    }
-}
-
-impl MemoryFootprint for QoeRecorder {
-    fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.peers) + self.current.heap_bytes()
     }
 }
 

@@ -6,7 +6,6 @@
 //! message is sent at a period boundary, the calendar only ever orders the
 //! arrivals of one period at a time (see `docs/network.md`).
 
-use crate::mem::{vec_bytes, MemoryFootprint};
 use crate::transfer::DeliveredSegment;
 use fss_sim::SimTime;
 use std::collections::VecDeque;
@@ -100,6 +99,15 @@ impl ArrivalCalendar {
     /// Messages in flight.
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// Entries reserved across the ring's buckets (both lists of each).
+    #[cfg(test)]
+    pub(crate) fn reserved_entries(&self) -> usize {
+        self.ring
+            .iter()
+            .map(|b| b.at_boundary.capacity() + b.inside.capacity())
+            .sum()
     }
 
     /// Schedules `msg` to arrive at `time`.
@@ -233,21 +241,6 @@ fn sort_into(
     }
 }
 
-impl MemoryFootprint for ArrivalCalendar {
-    fn heap_bytes(&self) -> usize {
-        let slot = std::mem::size_of::<Bucket>();
-        self.ring.capacity() * slot
-            + self
-                .ring
-                .iter()
-                .map(|b| vec_bytes(&b.at_boundary) + vec_bytes(&b.inside))
-                .sum::<usize>()
-            + vec_bytes(&self.beyond)
-            + vec_bytes(&self.drained)
-            + vec_bytes(&self.counts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,14 +324,14 @@ mod tests {
     #[test]
     fn idle_periods_do_not_grow_the_ring() {
         let mut c = ArrivalCalendar::new(1_000, 4, 8);
-        let before = c.heap_bytes();
+        let before = c.reserved_entries();
         for period in 0..1_000 {
             assert!(c.drain(period, true).is_empty());
             assert!(c.drain(period + 1, false).is_empty());
         }
         assert_eq!(c.ring.len(), 4);
         assert_eq!(c.base, 1_000);
-        assert_eq!(c.heap_bytes(), before);
+        assert_eq!(c.reserved_entries(), before);
     }
 
     #[test]

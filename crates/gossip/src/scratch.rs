@@ -44,7 +44,6 @@
 //! [`SystemReport`]: crate::system::SystemReport
 
 use crate::config::GossipConfig;
-use crate::mem::{vec_bytes, MemoryFootprint};
 use crate::qoe::QoeLane;
 use crate::segment::SessionDirectory;
 use crate::store::{PeerRef, PeerStore};
@@ -364,43 +363,6 @@ impl WorkerScratch {
         true
     }
     // fss-lint: end
-}
-
-impl MemoryFootprint for WorkerScratch {
-    /// The context's neighbour table, supplier array and candidates, the
-    /// bitset word buffers, the neighbour-to-row map, the grant and request
-    /// buffers and the QoE lane.
-    /// The scheduler's [`SchedulerScratch`] counts as its inline size only
-    /// (its buffers are private to the policy's crate).
-    fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.ctx.neighbours)
-            + vec_bytes(&self.ctx.suppliers)
-            + vec_bytes(&self.ctx.candidates)
-            + vec_bytes(&self.need_words)
-            + vec_bytes(&self.avail_words)
-            + vec_bytes(&self.neighbour_words)
-            + vec_bytes(&self.slot_of)
-            + vec_bytes(&self.requests)
-            + self.grant.heap_bytes()
-            + vec_bytes(&self.grants)
-            + self.qoe.heap_bytes()
-    }
-}
-
-impl MemoryFootprint for PeriodScratch {
-    /// The dense per-peer tables, the active/observed lists, the ratio
-    /// column and every worker slot.
-    fn heap_bytes(&self) -> usize {
-        let workers: usize =
-            vec_bytes(&self.workers) + self.workers.iter().map(|w| w.heap_bytes()).sum::<usize>();
-        vec_bytes(&self.active)
-            + vec_bytes(&self.observed_max)
-            + vec_bytes(&self.outbound)
-            + vec_bytes(&self.inbound_rate)
-            + vec_bytes(&self.chunks)
-            + vec_bytes(&self.ratio_terms)
-            + workers
-    }
 }
 
 fn session_view(session: &crate::segment::Session) -> fss_core::SessionView {

@@ -26,7 +26,6 @@
 
 use crate::buffer::FifoBuffer;
 use crate::config::GossipConfig;
-use crate::mem::{vec_bytes, MemoryFootprint};
 use crate::peer;
 use crate::playback::PlaybackState;
 use crate::segment::{Session, SessionDirectory};
@@ -107,14 +106,6 @@ impl PeerShard {
     fn push_parts(&mut self, buffer: FifoBuffer, header: PeerHeader) {
         self.buffers.push(buffer);
         self.headers.push(header);
-    }
-}
-
-impl MemoryFootprint for PeerShard {
-    fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.buffers)
-            + vec_bytes(&self.headers)
-            + self.buffers.iter().map(|b| b.heap_bytes()).sum::<usize>()
     }
 }
 
@@ -355,14 +346,6 @@ impl PeerStore {
         }
     }
     // fss-lint: end
-}
-
-impl MemoryFootprint for PeerStore {
-    fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.shards)
-            + vec_bytes(&self.lent)
-            + self.shards.iter().map(|s| s.heap_bytes()).sum::<usize>()
-    }
 }
 
 /// One shard's column base pointers, captured by

@@ -35,7 +35,7 @@
 use crate::buffer::FifoBuffer;
 use crate::config::GossipConfig;
 use crate::directory::{sample_distinct, MembershipView, SampleScratch};
-use crate::mem::{vec_bytes, MemUsage, MemoryFootprint};
+use crate::mem::MemUsage;
 use crate::membership::MembershipMaintainer;
 use crate::net::{NetStats, NetworkModel};
 use crate::peer;
@@ -643,11 +643,15 @@ impl StreamingSystem {
         // 5. Fused walk: delivery, discovery write, playback, QoE and
         //    milestones per chunk.
         self.period_index += 1;
-        self.apply_and_play_fused();
+        let (counted, waiting) = self.apply_and_play_fused();
 
-        // 6. Switch-window traffic accounting.
+        // 6. Switch-window traffic accounting.  The switch completes in the
+        //    first period whose walk finds every countable peer done; that
+        //    period's traffic still belongs to the window.
         self.account_switch_window(period_traffic_before);
-        self.update_switch_completion();
+        if counted > 0 && waiting == 0 && self.switch_completed_secs.is_none() {
+            self.switch_completed_secs = Some(self.secs_since_switch());
+        }
     }
 
     /// Event mode: applies the in-flight messages due exactly at the current
@@ -808,8 +812,7 @@ impl StreamingSystem {
     /// Deterministic across implementations and execution strategies (it
     /// reads protocol state only — never the scratch arena, whose size
     /// follows the chunk plan), so it is safe to surface in
-    /// [`SystemReport`].  For the full process picture including scratch,
-    /// use the [`MemoryFootprint`] impl on the system itself.
+    /// [`SystemReport`].
     pub fn memory_usage(&self) -> MemUsage {
         let mut usage = MemUsage {
             peer_slots: self.peers.len(),
@@ -863,7 +866,7 @@ impl StreamingSystem {
     /// later joiners can attach to earlier ones, and the joiners settle
     /// through the tail [`admit_batch`](Self::admit_batch) shares.
     ///
-    /// RNG-compatible with the standalone `ChurnModel::step`: the view's
+    /// RNG-compatible with `ChurnModel`'s test-only reference `step`: the view's
     /// ascending-id member order is exactly the `active_peers()` collection
     /// order the legacy path sampled from (asserted by the churn and
     /// golden-report test-suites).
@@ -943,21 +946,6 @@ impl StreamingSystem {
         for _ in 0..count {
             buffer.insert(self.next_emit);
             self.next_emit = self.next_emit.next();
-        }
-    }
-
-    fn update_switch_completion(&mut self) {
-        if self.switch_secs.is_none() || self.switch_completed_secs.is_some() {
-            return;
-        }
-        let all_done = self
-            .switch_records
-            .iter()
-            .filter(|r| r.countable())
-            .all(|r| r.completed());
-        let any = self.switch_records.iter().any(|r| r.countable());
-        if any && all_done {
-            self.switch_completed_secs = Some(self.secs_since_switch());
         }
     }
 
@@ -1164,7 +1152,13 @@ impl StreamingSystem {
     ///   and are summed serially in ascending order; peers that do not
     ///   count contribute `+0.0`, which leaves a non-negative sum
     ///   bit-for-bit unchanged.
-    fn apply_and_play_fused(&mut self) {
+    ///
+    /// Returns `(counted, waiting)`: the countable peers the walk met and
+    /// those of them that have not completed the switch (both 0 outside a
+    /// switch).  These cover every countable record, because a departure
+    /// marks its record departed and a peer joining after the switch was
+    /// not present at it.
+    fn apply_and_play_fused(&mut self) -> (usize, u64) {
         let qoe_on = self.qoe.is_enabled();
         if qoe_on {
             self.qoe.begin_period(self.period_index);
@@ -1290,25 +1284,7 @@ impl StreamingSystem {
         if qoe_on {
             self.qoe.finish_period(waiting);
         }
-    }
-}
-
-impl MemoryFootprint for StreamingSystem {
-    /// The whole simulated process: every peer slot (including departed
-    /// peers, whose inline state stays), the scratch arena, the
-    /// membership view, the switch records and ratio samples.  Unlike
-    /// [`SystemReport::mem`] this depends on the chunk plan (worker slots)
-    /// and is *not* surfaced in reports.
-    fn heap_bytes(&self) -> usize {
-        self.peers.heap_bytes()
-            + self.scratch.heap_bytes()
-            + self.view.heap_bytes()
-            + self.churn_scratch.heap_bytes()
-            + vec_bytes(&self.switch_records)
-            + vec_bytes(&self.ratio_samples)
-            + vec_bytes(&self.sources)
-            + self.qoe.heap_bytes()
-            + self.net.as_ref().map_or(0, |n| n.heap_bytes())
+        (counted, waiting)
     }
 }
 
@@ -1337,16 +1313,6 @@ struct ChurnScratch {
     joined: Vec<PeerId>,
     neighbours: Vec<PeerId>,
     sampler: SampleScratch,
-}
-
-impl MemoryFootprint for ChurnScratch {
-    fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.eligible)
-            + vec_bytes(&self.left)
-            + vec_bytes(&self.joined)
-            + vec_bytes(&self.neighbours)
-            + self.sampler.heap_bytes()
-    }
 }
 
 /// The chunk holding active peer `peer`: `chunks` partitions the ascending
@@ -1733,23 +1699,29 @@ mod tests {
     #[test]
     fn huge_validated_tau_reserves_a_bounded_calendar() {
         // ⌈p·τ⌉ + 1 grows with τ; the calendar reserves at most B grants per
-        // requester and period, so a longer period reserves no more.  Both
-        // configs emit the most a valid one may, p·τ = B, where
-        // ⌈p·τ⌉ + 1 = B + 1 and the cap binds.
+        // requester and period, so a longer period reserves no more.  At
+        // p·τ = B, the most a valid config may emit, ⌈p·τ⌉ + 1 = B + 1 and
+        // the cap binds: such a config reserves exactly what p·τ = B − 1
+        // (⌈p·τ⌉ + 1 = B) reserves at the same τ.
         let with_tau = |tau_secs, play_rate| {
             let config = GossipConfig {
                 tau_secs,
                 play_rate,
                 ..GossipConfig::paper_default()
             };
-            assert_eq!(play_rate * tau_secs, config.buffer_capacity as f64);
             let mut sys = build_system_with(200, 1, config);
             sys.set_network(NetworkConfig::ideal());
             sys
         };
-        let minute = with_tau(60.0, 10.0).network().unwrap().heap_bytes();
+        let reserved = |sys: &StreamingSystem| sys.network().unwrap().calendar.reserved_entries();
+        // τ = 64 s keeps p·τ = 600 = B and 599 exact in binary.
+        assert_eq!(
+            reserved(&with_tau(64.0, 9.375)),
+            reserved(&with_tau(64.0, 9.359375))
+        );
+        let minute = reserved(&with_tau(60.0, 10.0));
         let mut sys = with_tau(1_000.0, 0.6);
-        assert!(sys.network().unwrap().heap_bytes() <= minute);
+        assert!(reserved(&sys) <= minute);
         let (source, _) = first_two(&sys);
         sys.start_initial_source(source);
         sys.run_periods(2);
@@ -2167,10 +2139,7 @@ mod tests {
             "compact layout must save ≥ 40% vs the legacy layout, got {:.1}%",
             100.0 * mem.reduction_vs_legacy()
         );
-        // The full-system footprint covers at least the peer state, and the
-        // breakdown components sum into the per-peer bytes.
-        use crate::mem::MemoryFootprint;
-        assert!(sys.heap_bytes() as u64 >= mem.peer_bytes);
+        // The breakdown components sum into the per-peer bytes.
         assert!(mem.ring_bytes + mem.window_bytes + mem.seq_bytes <= mem.peer_bytes);
     }
 
@@ -2473,9 +2442,8 @@ mod tests {
 
     /// Ids are never reused, so every departure leaves its slot behind.
     /// Over a lossy, delayed event-mode run with churn and a zap batch
-    /// every period, the bytes the peer store holds beyond the active
-    /// peers' buffers may grow by at most the inline stride per departed
-    /// slot — a departed peer's ~4 KB of segment storage is released.
+    /// every period, every departed slot keeps only its inline state: the
+    /// buffer storage of a departed peer (~4 KB of segments) is released.
     #[test]
     fn departed_slots_keep_only_inline_state() {
         let mut sys = build_system(80, 0xDE9A);
@@ -2490,20 +2458,9 @@ mod tests {
         sys.start_initial_source(source);
         sys.run_periods(10);
         let attrs = *sys.overlay().attrs(source).unwrap();
-        let stride = std::mem::size_of::<FifoBuffer>() + std::mem::size_of::<PeerHeader>();
         let departed =
             |sys: &StreamingSystem| sys.switch_records().iter().filter(|r| r.departed).count();
-        // Store bytes not owned by an active peer's buffer.
-        let retained = |sys: &StreamingSystem| {
-            let store = sys.peer_store();
-            let live: usize = sys
-                .overlay()
-                .active_peers()
-                .map(|p| store.buffer(p).heap_bytes())
-                .sum();
-            store.heap_bytes() - live
-        };
-        let (departed_before, retained_before) = (departed(&sys), retained(&sys));
+        let departed_before = departed(&sys);
         let mut ids = Vec::new();
         for period in 0..300 {
             // A zap batch: two viewers leave, two arrive.
@@ -2521,13 +2478,17 @@ mod tests {
                 .unwrap();
             sys.advance();
 
-            let growth = retained(&sys) - retained_before;
-            let bound = (departed(&sys) - departed_before) * stride;
-            assert!(
-                growth <= bound,
-                "period {period}: departed slots grew the store by {growth} B, \
-                 inline bound {bound} B"
-            );
+            let store = sys.peer_store();
+            for peer in 0..store.len() as PeerId {
+                if sys.overlay().graph().is_active(peer) {
+                    continue;
+                }
+                let held = store.buffer(peer).mem_breakdown().heap_total();
+                assert_eq!(
+                    held, 0,
+                    "period {period}: departed peer {peer} still holds {held} B of buffer"
+                );
+            }
         }
         assert!(departed(&sys) - departed_before >= 600);
         assert!(sys.network_stats().data_stale > 0);

@@ -18,7 +18,6 @@
 //! (supplier, submission order), which is the insert sequence the
 //! requester's buffer sees.
 
-use crate::mem::{vec_bytes, MemoryFootprint};
 use fss_core::{SegmentId, SegmentRequest};
 use fss_overlay::PeerId;
 
@@ -52,12 +51,6 @@ struct Entry {
 #[derive(Debug, Clone, Default)]
 pub struct GrantScratch {
     entries: Vec<Entry>,
-}
-
-impl MemoryFootprint for GrantScratch {
-    fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.entries)
-    }
 }
 
 /// Grants one requester's requests under the per-link rule:

@@ -4,8 +4,6 @@
 //! ratio samples, traffic counters); this crate turns them into the metrics
 //! the paper reports:
 //!
-//! * [`summary::Summary`] — generic descriptive statistics (plus
-//!   [`summary::SortedSample`], a sort-once quantile lookup),
 //! * [`sketch::QuantileSketch`] — fixed-size, order-independently
 //!   mergeable percentile sketches: the O(1)-memory streaming replacement
 //!   for per-event metric vectors at million-peer scale,
@@ -31,6 +29,10 @@
 //!   and 12, and
 //! * [`report::Table`] — fixed-width text tables / CSV printed by the
 //!   `figures` binary.
+//!
+//! Every summary folds streaming aggregates; none keeps a sample vector.
+//! The exact-vector statistics they reproduce (`Summary`, in the
+//! `summary` module) are compiled for tests only, as their reference.
 
 #![warn(missing_docs)]
 
@@ -40,7 +42,8 @@ pub mod overhead;
 pub mod qoe;
 pub mod report;
 pub mod sketch;
-pub mod summary;
+#[cfg(test)]
+mod summary;
 pub mod switch;
 pub mod timeseries;
 pub mod zapload;
@@ -51,7 +54,6 @@ pub use overhead::OverheadSummary;
 pub use qoe::{DepthWindow, QoeWindow, Scorecard, ScorecardDelta, Timeline, TimelineWindow};
 pub use report::Table;
 pub use sketch::QuantileSketch;
-pub use summary::{SortedSample, Summary};
 pub use switch::{reduction_ratio, SwitchSummary, ZapSummary};
 pub use timeseries::RatioTrack;
 pub use zapload::ZapLoadSummary;

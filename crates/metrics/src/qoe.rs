@@ -25,7 +25,7 @@
 //! See `docs/observability.md` for the event taxonomy and the memory model.
 
 use crate::sketch::QuantileSketch;
-use fss_gossip::{MemoryFootprint, PeriodSample};
+use fss_gossip::PeriodSample;
 use std::fmt;
 
 /// A per-period aggregation window a [`Timeline`] can decimate in time and
@@ -171,12 +171,6 @@ impl<W: TimelineWindow> Timeline<W> {
     /// True when nothing has been pushed.
     pub fn is_empty(&self) -> bool {
         self.samples == 0
-    }
-}
-
-impl<W> MemoryFootprint for Timeline<W> {
-    fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<W>()
     }
 }
 

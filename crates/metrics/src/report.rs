@@ -103,12 +103,6 @@ impl Table {
     }
 }
 
-/// Formats a float with a fixed number of decimals (helper used by the figure
-/// harness so tables stay aligned).
-pub fn fmt_f64(value: f64, decimals: usize) -> String {
-    format!("{value:.decimals$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,11 +156,5 @@ mod tests {
         assert!(!t.is_empty());
         assert_eq!(t.title(), "t");
         assert!(t.to_text().contains("2.5"));
-    }
-
-    #[test]
-    fn float_formatting_helper() {
-        assert_eq!(fmt_f64(1.23456, 2), "1.23");
-        assert_eq!(fmt_f64(0.5, 3), "0.500");
     }
 }

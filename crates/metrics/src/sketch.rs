@@ -30,8 +30,6 @@
 //! buckets with relative error ≤ 2^(1/8) − 1 ≈ 9 % (mean/quantile
 //! contributions; `min`/`max` stay exact always).
 
-use fss_gossip::MemoryFootprint;
-
 /// Number of linear buckets: tick `k` (0 ≤ k < `LINEAR_BUCKETS`) represents
 /// the value `k · unit` exactly.
 pub const LINEAR_BUCKETS: usize = 1024;
@@ -94,8 +92,8 @@ impl QuantileSketch {
         self.count == 0
     }
 
-    /// Smallest recorded sample (exact; 0 when empty, matching
-    /// [`Summary::of`](crate::summary::Summary::of) on an empty sample).
+    /// Smallest recorded sample (exact; 0 when empty, matching the
+    /// test-only exact `Summary::of` on an empty sample).
     pub fn min(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -114,8 +112,7 @@ impl QuantileSketch {
     }
 
     /// Records one sample.  Non-finite samples are ignored, mirroring the
-    /// filtering of [`Summary::of`](crate::summary::Summary::of).  Never
-    /// allocates.
+    /// filtering of the test-only exact `Summary::of`.  Never allocates.
     #[inline]
     pub fn record(&mut self, value: f64) {
         if !value.is_finite() {
@@ -205,10 +202,10 @@ impl QuantileSketch {
         }
     }
 
-    /// The `q`-quantile (0 ≤ q ≤ 1, clamped) by nearest rank — the same
-    /// `rank = round((n − 1) · q)` rule as
-    /// [`SortedSample::quantile`](crate::summary::SortedSample::quantile) — walked
-    /// over the cumulative bucket counts.  0 when empty.  Never allocates.
+    /// The `q`-quantile (0 ≤ q ≤ 1, clamped) by nearest rank — the
+    /// `rank = round((n − 1) · q)` rule of the test-only exact
+    /// `Summary::quantile` — walked over the cumulative bucket counts.  0
+    /// when empty.  Never allocates.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -250,13 +247,6 @@ impl std::fmt::Debug for QuantileSketch {
             .field("max", &self.max())
             .field("mean", &self.mean())
             .finish()
-    }
-}
-
-impl MemoryFootprint for QuantileSketch {
-    fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val::<[u64]>(&self.linear)
-            + std::mem::size_of_val::<[u64]>(&self.overflow)
     }
 }
 
@@ -432,8 +422,9 @@ mod tests {
         for k in 0..10_000 {
             b.record((k % 700) as f64);
         }
-        assert_eq!(a.heap_bytes(), b.heap_bytes(), "size is sample-independent");
-        assert_eq!(a.heap_bytes(), (LINEAR_BUCKETS + OVERFLOW_BUCKETS) * 8);
+        let lens = |s: &QuantileSketch| (s.linear.len(), s.overflow.len());
+        assert_eq!(lens(&a), lens(&b), "size is sample-independent");
+        assert_eq!(lens(&a), (LINEAR_BUCKETS, OVERFLOW_BUCKETS));
     }
 
     proptest::proptest! {

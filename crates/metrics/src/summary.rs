@@ -1,4 +1,11 @@
-//! Descriptive statistics over a sample of `f64` values.
+//! Descriptive statistics over a sample of `f64` values: the exact-vector
+//! reference the streaming aggregates are tested against.
+//!
+//! Compiled for tests only.  Production code streams samples into a
+//! [`QuantileSketch`](crate::sketch::QuantileSketch) or a
+//! `fss_gossip::stats` accumulator; the sketch, switch and admission tests
+//! check those against [`Summary::of`] and [`Summary::quantile`] over the
+//! same sample.
 
 /// Summary statistics of a (possibly empty) sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,10 +25,8 @@ pub struct Summary {
 impl Summary {
     /// Computes the summary of `values`, ignoring non-finite entries.
     ///
-    /// Two streaming passes (moments, then central moments) — no
-    /// intermediate sample copy, zero heap allocation.  The accumulation
-    /// order matches the historical collect-then-fold implementation
-    /// operation for operation, so results are bitwise identical.
+    /// Two passes (moments, then central moments) in sample order: the
+    /// accumulation order the streaming aggregates reproduce bit for bit.
     pub fn of(values: &[f64]) -> Summary {
         let mut count = 0usize;
         let mut sum = 0.0f64;
@@ -61,55 +66,17 @@ impl Summary {
         }
     }
 
-    /// The `q`-quantile (0 ≤ q ≤ 1) of `values` using nearest-rank on the
-    /// sorted finite sample; 0 for an empty sample.  Sorts a copy of the
-    /// sample per call: the oracle of the sketch, zap and admission tests.
-    /// Production code builds a [`SortedSample`] once or streams into a
-    /// [`QuantileSketch`](crate::sketch::QuantileSketch).
-    #[cfg(test)]
+    /// The `q`-quantile (0 ≤ q ≤ 1, clamped) of the finite entries of
+    /// `values` by nearest rank; 0 for an empty sample.  Sorts a copy of
+    /// the sample per call.
     pub fn quantile(values: &[f64], q: f64) -> f64 {
-        SortedSample::from_values(values).quantile(q)
-    }
-}
-
-/// A sample sorted **once** at construction; every subsequent
-/// [`quantile`](SortedSample::quantile) call is an O(1) lookup with zero
-/// heap allocation (the fix for the clone-and-sort-per-call percentile
-/// path, asserted by the counting-allocator regression test in
-/// `fss-bench`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SortedSample {
-    values: Vec<f64>,
-}
-
-impl SortedSample {
-    /// Filters the finite entries of `values` and sorts them ascending —
-    /// the only allocation and the only sort this sample will ever do.
-    pub fn from_values(values: &[f64]) -> SortedSample {
         let mut finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-        finite.sort_by(f64::total_cmp);
-        SortedSample { values: finite }
-    }
-
-    /// Number of (finite) samples.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when the sample is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1, clamped) by nearest rank; 0 for an
-    /// empty sample.  Never allocates.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.values.is_empty() {
+        if finite.is_empty() {
             return 0.0;
         }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((self.values.len() as f64 - 1.0) * q).round() as usize;
-        self.values[rank]
+        finite.sort_by(f64::total_cmp);
+        let rank = ((finite.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
+        finite[rank]
     }
 }
 
@@ -149,20 +116,6 @@ mod tests {
         // Out-of-range quantiles clamp.
         assert_eq!(Summary::quantile(&values, 2.0), 100.0);
         assert_eq!(Summary::quantile(&values, -1.0), 1.0);
-    }
-
-    #[test]
-    fn sorted_sample_answers_repeated_quantiles() {
-        let values: Vec<f64> = (1..=100).rev().map(|v| v as f64).collect();
-        let sorted = SortedSample::from_values(&values);
-        assert_eq!(sorted.len(), 100);
-        assert!(!sorted.is_empty());
-        for q in [0.0, 0.25, 0.5, 0.95, 1.0] {
-            assert_eq!(sorted.quantile(q), Summary::quantile(&values, q));
-        }
-        let empty = SortedSample::from_values(&[f64::NAN]);
-        assert!(empty.is_empty());
-        assert_eq!(empty.quantile(0.5), 0.0);
     }
 
     proptest::proptest! {

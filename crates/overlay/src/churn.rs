@@ -14,22 +14,6 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// What happened during one churn step.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChurnEvent {
-    /// Peers that left the overlay this period.
-    pub left: Vec<PeerId>,
-    /// Peers that joined the overlay this period.
-    pub joined: Vec<PeerId>,
-}
-
-impl ChurnEvent {
-    /// True when nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.left.is_empty() && self.joined.is_empty()
-    }
-}
-
 /// Applies per-period join/leave churn to an overlay.
 #[derive(Debug, Clone)]
 pub struct ChurnModel {
@@ -82,53 +66,13 @@ impl ChurnModel {
         }
     }
 
-    /// Applies one period of churn.  `protected` peers (the sources) never
-    /// leave.  Returns the ids that left and joined.
-    ///
-    /// Standalone variant: collects the candidate sets from the overlay
-    /// itself.  Callers that maintain an incremental membership view (the
-    /// gossip layer's directory) drive the decomposed halves —
-    /// [`step_departures`](Self::step_departures), [`join_count`](Self::join_count)
-    /// and [`draw_arrival`](Self::draw_arrival) — with the same RNG
-    /// consumption, so both paths produce identical churn.
-    pub fn step(
-        &mut self,
-        overlay: &mut Overlay,
-        protected: &[PeerId],
-    ) -> Result<ChurnEvent, OverlayError> {
-        let active: Vec<PeerId> = overlay.active_peers().collect();
-        let population = active.len();
-
-        let mut eligible = Vec::new();
-        let mut left = Vec::new();
-        self.step_departures(overlay, &active, protected, &mut eligible, &mut left)?;
-
-        let join_count = self.join_count(population);
-        let mut joined = Vec::with_capacity(join_count);
-        for _ in 0..join_count {
-            let candidates: Vec<PeerId> = overlay.active_peers().collect();
-            if candidates.is_empty() {
-                break;
-            }
-            let degree = self.join_degree.min(candidates.len());
-            let mut neighbours = Vec::with_capacity(degree);
-            let attrs = self.draw_arrival(|rng| {
-                neighbours.extend(candidates.choose_multiple(rng, degree).copied())
-            });
-            let id = overlay.add_peer(attrs, &neighbours)?;
-            joined.push(id);
-        }
-
-        Ok(ChurnEvent { left, joined })
-    }
-
     /// The departure half of one churn period: shuffles the eligible peers
     /// (all of `members` except `protected`) and removes the leave-fraction
     /// share of the population, appending the removed ids to `left`.
     ///
     /// `members` must list every active peer (callers with a membership
-    /// view pass its member list; [`step`](Self::step) collects it).  The
-    /// scratch vectors are cleared first and may be reused across calls.
+    /// view pass its member list).  The scratch vectors are cleared first
+    /// and may be reused across calls.
     pub fn step_departures(
         &mut self,
         overlay: &mut Overlay,
@@ -173,6 +117,62 @@ mod tests {
     use super::*;
     use crate::builder::OverlayBuilder;
     use fss_trace::{GeneratorConfig, TraceGenerator};
+
+    /// What happened during one churn step.
+    #[derive(Debug)]
+    struct ChurnEvent {
+        /// Peers that left the overlay this period.
+        left: Vec<PeerId>,
+        /// Peers that joined the overlay this period.
+        joined: Vec<PeerId>,
+    }
+
+    impl ChurnEvent {
+        /// True when nothing changed.
+        fn is_empty(&self) -> bool {
+            self.left.is_empty() && self.joined.is_empty()
+        }
+    }
+
+    impl ChurnModel {
+        /// Applies one period of churn.  `protected` peers (the sources) never
+        /// leave.  Returns the ids that left and joined.
+        ///
+        /// The reference of the decomposed halves: collects the candidate sets
+        /// from the overlay itself, where the gossip layer drives
+        /// `step_departures`, `join_count` and `draw_arrival` over its
+        /// incremental membership view with the same RNG consumption.
+        fn step(
+            &mut self,
+            overlay: &mut Overlay,
+            protected: &[PeerId],
+        ) -> Result<ChurnEvent, OverlayError> {
+            let active: Vec<PeerId> = overlay.active_peers().collect();
+            let population = active.len();
+
+            let mut eligible = Vec::new();
+            let mut left = Vec::new();
+            self.step_departures(overlay, &active, protected, &mut eligible, &mut left)?;
+
+            let join_count = self.join_count(population);
+            let mut joined = Vec::with_capacity(join_count);
+            for _ in 0..join_count {
+                let candidates: Vec<PeerId> = overlay.active_peers().collect();
+                if candidates.is_empty() {
+                    break;
+                }
+                let degree = self.join_degree.min(candidates.len());
+                let mut neighbours = Vec::with_capacity(degree);
+                let attrs = self.draw_arrival(|rng| {
+                    neighbours.extend(candidates.choose_multiple(rng, degree).copied())
+                });
+                let id = overlay.add_peer(attrs, &neighbours)?;
+                joined.push(id);
+            }
+
+            Ok(ChurnEvent { left, joined })
+        }
+    }
 
     fn overlay(n: usize, seed: u64) -> Overlay {
         let trace = TraceGenerator::new(GeneratorConfig::sized(n, seed)).generate("churn-test");

@@ -31,7 +31,7 @@ pub mod net;
 
 pub use bandwidth::{BandwidthConfig, PeerBandwidth};
 pub use builder::{Overlay, OverlayBuilder, OverlayConfig, PeerAttrs};
-pub use churn::{ChurnEvent, ChurnModel};
+pub use churn::ChurnModel;
 pub use error::OverlayError;
 pub use graph::{OverlayGraph, PeerId};
 pub use latency::LatencyModel;

@@ -12,8 +12,8 @@
 //! 3. **Per-node latency** — ping times follow a log-normal distribution, the
 //!    standard model of measured Internet RTTs.
 //!
-//! Everything is driven by an explicit seed so the 30-topology catalog is
-//! fully reproducible.
+//! Everything is driven by an explicit seed, so every topology the
+//! experiments build is fully reproducible.
 
 use crate::record::{NodeId, Trace, TraceRecord};
 use crate::speed::AccessSpeed;

@@ -15,9 +15,11 @@
 //!   attachment power-law degree distribution, log-normal ping times,
 //!   era-accurate access-speed mix),
 //! * [`parser`] — a plain-text serialisation so traces can be stored,
-//!   inspected and re-loaded like the original crawl files, and
-//! * [`catalog::TraceCatalog`] — the 30 named topologies (100–10 000 nodes)
-//!   the experiment harness sweeps over.
+//!   inspected and re-loaded like the original crawl files.
+//!
+//! Each experiment generates its own topology from a `(size, seed)` pair
+//! (`GeneratorConfig::sized`), so the paper's 30 crawls are stood in for by
+//! the sizes and seeds the harness sweeps, not by a fixed named list.
 //!
 //! What the experiments actually need from the trace is only the node count,
 //! a sparse skewed base topology and per-node latency; the overlay builder in
@@ -26,14 +28,12 @@
 
 #![warn(missing_docs)]
 
-pub mod catalog;
 pub mod error;
 pub mod generator;
 pub mod parser;
 pub mod record;
 pub mod speed;
 
-pub use catalog::{TraceCatalog, TraceSpec};
 pub use error::TraceError;
 pub use generator::{GeneratorConfig, TraceGenerator};
 pub use record::{NodeId, Trace, TraceRecord};

@@ -58,15 +58,14 @@ pub mod prelude {
         ScenarioConfig, LARGE_POPULATION_NODES,
     };
     pub use fss_gossip::{
-        GossipConfig, MemUsage, MemoryFootprint, SchedulingContext, SegmentId, SegmentScheduler,
-        StreamingSystem,
+        GossipConfig, MemUsage, SchedulingContext, SegmentId, SegmentScheduler, StreamingSystem,
     };
     pub use fss_metrics::{reduction_ratio, MemSummary, SwitchSummary, Table, ZapSummary};
     pub use fss_overlay::{ChurnModel, Overlay, OverlayBuilder, OverlayConfig, PeerId};
     pub use fss_runtime::{
         RuntimeReport, SessionConfig, SessionManager, SteppingMode, WorkerPool, ZapWorkload,
     };
-    pub use fss_trace::{GeneratorConfig, TraceCatalog, TraceGenerator};
+    pub use fss_trace::{GeneratorConfig, TraceGenerator};
 }
 
 #[cfg(test)]
@@ -76,6 +75,8 @@ mod tests {
         let model = crate::core::SwitchModel::new(100.0, 50.0, 10.0, 10.0, 15.0);
         let split = model.optimal_split();
         assert!(split.r1 > 0.0 && split.r2 > 0.0);
-        assert_eq!(crate::trace::TraceCatalog::standard().len(), 30);
+        let trace = crate::trace::TraceGenerator::new(crate::trace::GeneratorConfig::sized(30, 1))
+            .generate("facade");
+        assert_eq!(trace.node_count(), 30);
     }
 }

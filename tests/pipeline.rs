@@ -64,13 +64,3 @@ fn identical_seeds_reproduce_identical_results() {
     assert_eq!(a.overhead, b.overhead);
     assert_eq!(a.ratio_track, b.ratio_track);
 }
-
-#[test]
-fn catalog_topologies_feed_the_simulator() {
-    let catalog = TraceCatalog::standard();
-    let spec = catalog.by_name("clip2-synth-100-a").expect("catalog entry");
-    let trace = spec.generate();
-    let overlay = OverlayBuilder::paper_default().build(&trace).unwrap();
-    assert_eq!(overlay.active_count(), 100);
-    assert_eq!(overlay.name, "clip2-synth-100-a");
-}
