@@ -16,6 +16,17 @@ use fss_experiments::Environment;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: figures [--quick] [--sizes N,N,...] [--track-nodes N] \
+                     [--out DIR] [--csv] [static|dynamic|all]";
+
+/// What the command line asks for.
+enum Command {
+    /// Print the usage line and exit successfully.
+    Help,
+    /// Generate the figures.
+    Run(Options),
+}
+
 struct Options {
     scale: FigureScale,
     sizes: Option<Vec<usize>>,
@@ -25,7 +36,7 @@ struct Options {
     environments: Vec<Environment>,
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut options = Options {
         scale: FigureScale::Paper,
         sizes: None,
@@ -64,15 +75,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "all" => {
                 options.environments = vec![Environment::Static, Environment::Dynamic];
             }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: figures [--quick] [--out DIR] [--csv] [static|dynamic|all]".to_string(),
-                )
-            }
-            other => return Err(format!("unknown argument '{other}'")),
+            "--help" | "-h" => return Ok(Command::Help),
+            other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
         }
     }
-    Ok(options)
+    Ok(Command::Run(options))
 }
 
 fn emit(set: &FigureSet, options: &Options) -> std::io::Result<()> {
@@ -103,7 +110,11 @@ fn emit(set: &FigureSet, options: &Options) -> std::io::Result<()> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = match parse_args(&args) {
-        Ok(options) => options,
+        Ok(Command::Run(options)) => options,
+        Ok(Command::Help) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::FAILURE;
@@ -134,4 +145,41 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Command, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn help_lists_every_flag_and_unknown_arguments_fail() {
+        for help in ["--help", "-h"] {
+            assert!(matches!(parse(&[help]), Ok(Command::Help)), "{help}");
+        }
+        // Every argument the parser accepts is named in the usage line.
+        let accepted: [&[&str]; 8] = [
+            &["--quick"],
+            &["--sizes", "60,100"],
+            &["--track-nodes", "70"],
+            &["--out", "figures-out"],
+            &["--csv"],
+            &["static"],
+            &["dynamic"],
+            &["all"],
+        ];
+        for args in accepted {
+            assert!(matches!(parse(args), Ok(Command::Run(_))), "{args:?}");
+            assert!(USAGE.contains(args[0]), "usage omits {}", args[0]);
+        }
+        let error = parse(&["--bogus"]).err().expect("unknown argument fails");
+        assert!(
+            error.contains("--bogus") && error.contains(USAGE),
+            "{error}"
+        );
+    }
 }

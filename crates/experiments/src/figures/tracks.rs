@@ -20,7 +20,7 @@ pub fn ratio_track_table(environment: Environment, comparison: &ComparisonResult
         format!(
             "{figure}: ratio tracks in a {} network with {} nodes",
             environment.name(),
-            comparison.nodes()
+            comparison.fast.nodes
         ),
         &[
             "secs",

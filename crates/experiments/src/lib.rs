@@ -7,19 +7,11 @@
 //!   *same* workload,
 //! * [`sweep`] — parallel sweeps over network sizes (chunks on the
 //!   persistent `fss-runtime` worker pool, one simulation per chunk),
-//! * [`network`] — loss-rate and latency-scale fault sweeps on the
-//!   event-driven network core: how switch latency and playback continuity
-//!   degrade when the paper's ideal-network assumption is relaxed,
-//! * [`memory`] — steady-state bytes/peer measurements, the 50k-peer
-//!   large-population scenario the compact per-peer layout enables, and the
-//!   million-viewer multi-channel capstone on the sharded peer store,
-//! * [`scorecards`] — the QoE scorecard diff runner: run a baseline and
-//!   labelled variants, diff every variant's [`fss_metrics::Scorecard`]
-//!   against the baseline (see `docs/observability.md`),
+//! * [`memory`] — steady-state bytes/peer measurements and the 50k-peer
+//!   large-population scenario the compact per-peer layout enables,
 //! * [`zapping`] — the multi-channel channel-zapping workload (viewers
-//!   hopping between concurrent streams) and its sweeps: channel count,
-//!   Zipf popularity skew, flash-crowd storm size, and the membership
-//!   directory's admission rate limit (zap latency vs admission delay),
+//!   hopping between concurrent streams), run by
+//!   `examples/channel_zapping.rs`,
 //! * [`figures`] — one module per evaluation figure (5–12) producing the
 //!   table/series the paper plots.
 //!
@@ -30,27 +22,16 @@
 
 pub mod figures;
 pub mod memory;
-pub mod network;
 pub mod runner;
 pub mod scenario;
-pub mod scorecards;
 pub mod sweep;
 pub mod zapping;
 
 pub use memory::{
-    measure_memory, run_large_population, run_million_viewers, sweep_memory, LargePopulationReport,
-    MemoryPoint, MemoryScenario, MillionReport, MillionScenario, LARGE_POPULATION_NODES,
-    MILLION_VIEWERS,
-};
-pub use network::{
-    render_fault_table, sweep_faults_on, sweep_latency_scales, sweep_loss_rates, FaultSweepPoint,
+    run_large_population, sweep_memory, LargePopulationReport, MemoryPoint, MemoryScenario,
+    LARGE_POPULATION_NODES,
 };
 pub use runner::{run_comparison, run_scenario, ComparisonResult, RunResult};
 pub use scenario::{Algorithm, Environment, ScenarioConfig};
-pub use scorecards::{diff_scenarios, render_comparison, scenario_scorecard, ScorecardPoint};
 pub use sweep::{sweep_sizes, sweep_sizes_on, SweepPoint};
-pub use zapping::{
-    run_channel_zapping, sweep_admission_rates, sweep_channel_counts, sweep_storm_sizes,
-    sweep_zipf_alphas, AdmissionSweepPoint, AlphaSweepPoint, StormSweepPoint, ZappingScenario,
-    ZappingSweepPoint,
-};
+pub use zapping::{run_channel_zapping, ZappingScenario};

@@ -15,20 +15,18 @@
 //!   [`LARGE_POPULATION_NODES`] (50 000) peers streamed to steady playback:
 //!   an order of magnitude beyond the paper's evaluation sizes, feasible on
 //!   one machine precisely because per-peer state is small and the period
-//!   loop allocates nothing;
-//! * [`run_million_viewers`] — the capstone: [`MILLION_VIEWERS`] viewers
-//!   across several concurrent channels in **one process**, on the sharded
-//!   struct-of-arrays peer store and the O(1)-memory metric sketches.  The
-//!   full-scale configuration is exercised by the `--ignored` test and the
-//!   `FSS_BENCH_1M=1` bench lane; its figures land in `BENCH_period.json`.
+//!   loop allocates nothing.
+//!
+//! The million-viewer capstone (4 channels × 250 000 viewers on sharded
+//! peer stores in one process) is the `--ignored` test
+//! `million_viewer_full_scale` in this module's tests, with a 3 × 2 000
+//! viewer stand-in, `million_scenario_smoke`, in the default suite.
 
 use crate::scenario::Algorithm;
 use fss_gossip::{GossipConfig, StreamingSystem};
 use fss_metrics::MemSummary;
 use fss_overlay::{OverlayBuilder, OverlayConfig, PeerId};
-use fss_runtime::{RuntimeReport, SessionConfig, SessionManager, WorkerPool};
 use fss_trace::{GeneratorConfig, TraceGenerator};
-use std::sync::Arc;
 
 /// Population of the large-population scenario: 50× the paper's common
 /// 1 000-node configuration, single channel.
@@ -47,32 +45,17 @@ pub struct MemoryScenario {
     /// Periods streamed before measuring, enough for every buffer to reach
     /// its steady-state high-water capacities (evictions running).
     pub warmup_periods: u64,
-    /// Struct-of-arrays shard count of the peer store (≤ 1 keeps the
-    /// store's default single-shard layout).  Sharding is unobservable in
-    /// every result — it only changes column placement and how the
-    /// scheduling sweep chunks over workers — so memory figures measured
-    /// sharded and unsharded agree.
-    pub shards: usize,
 }
 
 impl MemoryScenario {
     /// Defaults: fast-switch policy, 80 warm-up periods (buffers of
-    /// `B = 600` fill within ~60 periods at `p·τ = 10`), unsharded store.
+    /// `B = 600` fill within ~60 periods at `p·τ = 10`).
     pub fn sized(nodes: usize) -> Self {
         MemoryScenario {
             nodes,
             algorithm: Algorithm::Fast,
             seed: 0x3E3A_0001 ^ nodes as u64,
             warmup_periods: 80,
-            shards: 1,
-        }
-    }
-
-    /// The same scenario on a sharded store.
-    pub fn sharded(nodes: usize, shards: usize) -> Self {
-        MemoryScenario {
-            shards,
-            ..Self::sized(nodes)
         }
     }
 }
@@ -104,17 +87,9 @@ fn steady_system(scenario: &MemoryScenario) -> StreamingSystem {
         GossipConfig::paper_default(),
         scenario.algorithm.scheduler(),
     );
-    if scenario.shards > 1 {
-        system.set_shards(scenario.shards);
-    }
     system.start_initial_source(source);
     system.run_periods(scenario.warmup_periods);
     system
-}
-
-/// Measures one scenario's steady-state per-peer footprint.
-pub fn measure_memory(scenario: &MemoryScenario) -> MemSummary {
-    MemSummary::from_usage(steady_system(scenario).memory_usage())
 }
 
 /// Sweeps the steady-state footprint over population sizes: bytes/peer
@@ -125,7 +100,9 @@ pub fn sweep_memory(sizes: &[usize]) -> Vec<MemoryPoint> {
         .iter()
         .map(|&nodes| MemoryPoint {
             nodes,
-            mem: measure_memory(&MemoryScenario::sized(nodes)),
+            mem: MemSummary::from_usage(
+                steady_system(&MemoryScenario::sized(nodes)).memory_usage(),
+            ),
         })
         .collect()
 }
@@ -176,124 +153,40 @@ pub fn run_large_population(scenario: &MemoryScenario) -> LargePopulationReport 
     }
 }
 
-/// Total viewers of the full-scale million-viewer scenario.
-pub const MILLION_VIEWERS: usize = 1_000_000;
-
-/// Configuration of the multi-channel million-viewer scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MillionScenario {
-    /// Number of concurrent channels hosted in the one process.
-    pub channels: usize,
-    /// Viewers per channel at start-up.
-    pub viewers_per_channel: usize,
-    /// Struct-of-arrays shard count per channel (the chunk unit of each
-    /// channel's scheduling sweep).
-    pub shards: usize,
-    /// Worker-pool size the channels are stepped on.
-    pub workers: usize,
-    /// Warm-up periods with zapping disabled (buffers fill to capacity).
-    pub warmup_periods: u64,
-    /// Measured periods with the uniform zap workload running.
-    pub measured_periods: u64,
-    /// Fraction of each channel's viewers zapping away per period.  The
-    /// full-scale default keeps this small: 0.1 % of 250 000 viewers is
-    /// still 250 cross-channel moves per channel per period.
-    pub zap_fraction: f64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl MillionScenario {
-    /// The full-scale configuration: 4 channels × 250 000 viewers
-    /// (= [`MILLION_VIEWERS`]), 16 shards per channel.  Runs in minutes on
-    /// one vCPU and holds the whole population's protocol state in < 5 GB.
-    pub fn full() -> Self {
-        MillionScenario {
-            channels: 4,
-            viewers_per_channel: MILLION_VIEWERS / 4,
-            shards: 16,
-            workers: 1,
-            warmup_periods: 70,
-            measured_periods: 5,
-            zap_fraction: 0.001,
-            seed: 0x03E3_A1E6,
-        }
-    }
-
-    /// A scaled-down stand-in (same code path, 3 × 2 000 viewers) for the
-    /// default test suite.
-    pub fn smoke() -> Self {
-        MillionScenario {
-            channels: 3,
-            viewers_per_channel: 2_000,
-            shards: 4,
-            workers: 2,
-            warmup_periods: 40,
-            measured_periods: 5,
-            zap_fraction: 0.002,
-            seed: 0x03E3_A1E6,
-        }
-    }
-
-    /// Total viewers across all channels.
-    pub fn viewers(&self) -> usize {
-        self.channels * self.viewers_per_channel
-    }
-}
-
-/// Outcome of the million-viewer run: the session's full report plus the
-/// headline numbers the capstone is judged on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MillionReport {
-    /// Viewers at start-up (channels × viewers per channel).
-    pub viewers: usize,
-    /// Periods driven through every channel.
-    pub periods: u64,
-    /// Cross-channel zap arrivals observed in the measured window.
-    pub zaps: usize,
-    /// Fraction of observed zaps whose playback started within the window.
-    pub zap_completion: f64,
-    /// The full multi-channel report (per-channel breakdown, streaming
-    /// sketch summaries, memory meter).
-    pub report: RuntimeReport,
-}
-
-impl MillionReport {
-    /// Total protocol-state bytes across every channel's peers.
-    pub fn peer_state_bytes(&self) -> u64 {
-        self.report.mem.peer_state_bytes
-    }
-}
-
-/// Runs the multi-channel scenario to steady state and through its measured
-/// zapping window.  One process, one worker pool, `channels` sharded peer
-/// stores; per-event metric state is O(1) per channel (the streaming
-/// sketches), so the footprint is the peers' protocol state alone.
-pub fn run_million_viewers(scenario: &MillionScenario) -> MillionReport {
-    let config = SessionConfig {
-        zap_fraction: scenario.zap_fraction,
-        seed: scenario.seed,
-        ..SessionConfig::paper_default(scenario.channels, scenario.viewers_per_channel)
-    };
-    let pool = Arc::new(WorkerPool::new(scenario.workers));
-    let algorithm = Algorithm::Fast;
-    let mut session = SessionManager::new(config, pool, || algorithm.scheduler());
-    session.set_shards(scenario.shards);
-    session.warmup(scenario.warmup_periods);
-    session.run_periods(scenario.measured_periods);
-    let report = session.report();
-    MillionReport {
-        viewers: scenario.viewers(),
-        periods: report.periods,
-        zaps: report.total_zaps(),
-        zap_completion: report.cross_channel_zaps.completion_rate(),
-        report,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fss_runtime::{RuntimeReport, SessionConfig, SessionManager, WorkerPool};
+    use std::sync::Arc;
+
+    /// The million-viewer capstone's session: `channels` channels of
+    /// `viewers_per_channel` on `shards`-shard peer stores, stepped on one
+    /// pool of `workers`; `warmup_periods` with zapping off, then 5
+    /// measured periods of the uniform workload at `zap_fraction`.
+    fn run_sharded_channels(
+        channels: usize,
+        viewers_per_channel: usize,
+        shards: usize,
+        workers: usize,
+        warmup_periods: u64,
+        zap_fraction: f64,
+    ) -> RuntimeReport {
+        let config = SessionConfig {
+            zap_fraction,
+            seed: 0x03E3_A1E6,
+            ..SessionConfig::paper_default(channels, viewers_per_channel)
+        };
+        let pool = Arc::new(WorkerPool::new(workers));
+        let mut session = SessionManager::new(config, pool, || Algorithm::Fast.scheduler());
+        session.set_shards(shards);
+        session.warmup(warmup_periods);
+        session.run_periods(5);
+        session.report()
+    }
+
+    fn total_viewers(report: &RuntimeReport) -> usize {
+        report.channels.iter().map(|c| c.viewers).sum()
+    }
 
     #[test]
     fn sweep_reports_flat_bytes_per_peer() {
@@ -352,39 +245,26 @@ mod tests {
         assert!(report.mem.peer_state_bytes < 1 << 30);
     }
 
-    /// Sharding is unobservable in the memory meter: the sharded and the
-    /// unsharded run of the same scenario report identical footprints.
-    #[test]
-    fn sharded_memory_matches_unsharded() {
-        let base = MemoryScenario {
-            warmup_periods: 40,
-            ..MemoryScenario::sized(500)
-        };
-        let sharded = MemoryScenario { shards: 4, ..base };
-        assert_eq!(measure_memory(&base), measure_memory(&sharded));
-    }
-
     /// The capstone's code path in miniature: several sharded channels on
     /// one pool, zapping viewers, streaming-sketch summaries, bounded
     /// footprint.
     #[test]
     fn million_scenario_smoke() {
-        let scenario = MillionScenario::smoke();
-        let result = run_million_viewers(&scenario);
-        assert_eq!(result.viewers, 6_000);
-        assert_eq!(result.periods, 45);
-        assert!(result.zaps > 0, "the zap workload must run");
+        let report = run_sharded_channels(3, 2_000, 4, 2, 40, 0.002);
+        assert_eq!(total_viewers(&report), 6_000);
+        assert_eq!(report.periods, 45);
+        assert!(report.total_zaps() > 0, "the zap workload must run");
+        let zap_completion = report.cross_channel_zaps.completion_rate();
         assert!(
-            result.zap_completion > 0.5,
-            "most zaps reach playback: {:.2}",
-            result.zap_completion
+            zap_completion > 0.5,
+            "most zaps reach playback: {zap_completion:.2}"
         );
-        assert_eq!(result.report.channels.len(), 3);
-        for channel in &result.report.channels {
+        assert_eq!(report.channels.len(), 3);
+        for channel in &report.channels {
             assert!(channel.traffic.data_bits > 0);
         }
-        assert!(result.peer_state_bytes() > 0);
-        assert!(result.report.mem.reduction_vs_legacy >= 0.40);
+        assert!(report.mem.peer_state_bytes > 0);
+        assert!(report.mem.reduction_vs_legacy >= 0.40);
     }
 
     /// The capstone itself: one million viewers across 4 channels in one
@@ -393,15 +273,17 @@ mod tests {
     #[test]
     #[ignore = "full-scale run: 1M viewers, minutes of wall clock, ~5 GB"]
     fn million_viewer_full_scale() {
-        let scenario = MillionScenario::full();
-        let result = run_million_viewers(&scenario);
-        assert_eq!(result.viewers, MILLION_VIEWERS);
-        assert!(result.zaps > 0);
+        // 4 channels × 250 000 viewers, 16 shards per channel, one worker;
+        // 0.1 % of 250 000 viewers is still 250 cross-channel moves per
+        // channel per period.
+        let report = run_sharded_channels(4, 250_000, 16, 1, 70, 0.001);
+        assert_eq!(total_viewers(&report), 1_000_000);
+        assert!(report.total_zaps() > 0);
+        let peer_state_bytes = report.mem.peer_state_bytes;
         assert!(
-            result.peer_state_bytes() as f64 <= 5.0 * 1e9,
-            "peer state {} B exceeds the 5 GB acceptance bound",
-            result.peer_state_bytes()
+            peer_state_bytes as f64 <= 5.0 * 1e9,
+            "peer state {peer_state_bytes} B exceeds the 5 GB acceptance bound"
         );
-        assert!(result.report.mem.reduction_vs_legacy >= 0.40);
+        assert!(report.mem.reduction_vs_legacy >= 0.40);
     }
 }

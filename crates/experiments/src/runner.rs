@@ -27,7 +27,7 @@ pub struct RunResult {
     /// Periods simulated after the switch.
     pub periods_after_switch: u64,
     /// Cumulative QoE event counters (startups, stalls, continuity) of the
-    /// whole run — the playback-quality side of the fault sweeps.
+    /// whole run — playback quality under the network model's faults.
     pub qoe: fss_gossip::QoeTotals,
 }
 
@@ -54,11 +54,6 @@ impl ComparisonResult {
             self.fast.avg_switch_time_secs(),
             self.normal.avg_switch_time_secs(),
         )
-    }
-
-    /// Number of overlay nodes of the compared runs.
-    pub fn nodes(&self) -> usize {
-        self.fast.nodes
     }
 }
 
@@ -144,6 +139,7 @@ pub fn run_comparison(base: &ScenarioConfig) -> ComparisonResult {
 mod tests {
     use super::*;
     use crate::scenario::{Algorithm, Environment, ScenarioConfig};
+    use fss_overlay::NetworkConfig;
 
     #[test]
     fn small_static_run_completes_and_reports() {
@@ -166,7 +162,7 @@ mod tests {
     fn comparison_runs_share_the_workload_and_fast_wins() {
         let base = ScenarioConfig::quick(120, Algorithm::Fast, Environment::Static);
         let cmp = run_comparison(&base);
-        assert_eq!(cmp.nodes(), 120);
+        assert_eq!(cmp.fast.nodes, 120);
         assert!(cmp.fast.completed && cmp.normal.completed);
         // Identical workload: the backlog at switch time matches.
         assert!((cmp.fast.switch.avg_q0 - cmp.normal.switch.avg_q0).abs() < 1e-9);
@@ -193,6 +189,79 @@ mod tests {
         assert!(result.completed, "dynamic switch did not complete");
         assert!(result.switch.completion_rate() > 0.99);
         assert!(result.switch.countable_nodes < 100, "some nodes departed");
+    }
+
+    /// The switch scenario at each `(loss, latency scale)` point of the
+    /// event-driven network, in input order; every point shares one
+    /// fault-stream seed.
+    fn run_faulted(points: &[(f64, f64)]) -> Vec<RunResult> {
+        points
+            .iter()
+            .map(|&(loss_rate, latency_scale)| {
+                run_scenario(&ScenarioConfig {
+                    network: Some(NetworkConfig {
+                        loss_rate,
+                        latency_scale,
+                        ..NetworkConfig::ideal().with_seed(0xFA17)
+                    }),
+                    ..ScenarioConfig::quick(120, Algorithm::Fast, Environment::Static)
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn continuity_and_switch_latency_degrade_monotonically_with_loss() {
+        let losses = [0.0, 0.1, 0.25];
+        let points = run_faulted(&losses.map(|loss| (loss, 0.0)));
+        assert_eq!(points.len(), 3);
+        assert!(points[0].completed, "the lossless run must complete");
+        for (i, pair) in points.windows(2).enumerate() {
+            let (a, b) = (&pair[0], &pair[1]);
+            assert!(
+                b.avg_switch_time_secs() >= a.avg_switch_time_secs(),
+                "switch latency must not improve under loss: {} -> {} at loss {}",
+                a.avg_switch_time_secs(),
+                b.avg_switch_time_secs(),
+                losses[i + 1]
+            );
+            let (ca, cb) = (a.qoe.continuity().unwrap(), b.qoe.continuity().unwrap());
+            assert!(
+                cb <= ca + 1e-9,
+                "continuity must not improve under loss: {ca} -> {cb} at loss {}",
+                losses[i + 1]
+            );
+        }
+        assert!(
+            points[2].avg_switch_time_secs() > points[0].avg_switch_time_secs(),
+            "25% loss must measurably slow the switch"
+        );
+        assert!(points[2].qoe.continuity().unwrap() < points[0].qoe.continuity().unwrap());
+    }
+
+    #[test]
+    fn switch_latency_degrades_monotonically_with_latency_scale() {
+        // Trace RTTs sit well under τ = 1 s, so meaningful degradation
+        // needs scales that push transfers across period boundaries.
+        // Past ~10x the run stops completing within its period budget and
+        // the switch average becomes a partial (misleadingly low) figure,
+        // so the points stop at 8x.
+        let scales = [0.0, 3.0, 8.0];
+        let points = run_faulted(&scales.map(|scale| (0.0, scale)));
+        assert!(points[0].completed && points[1].completed);
+        for (i, pair) in points.windows(2).enumerate() {
+            assert!(
+                pair[1].avg_switch_time_secs() >= pair[0].avg_switch_time_secs(),
+                "switch latency must not improve with slower links: {} -> {} at scale {}",
+                pair[0].avg_switch_time_secs(),
+                pair[1].avg_switch_time_secs(),
+                scales[i + 1]
+            );
+        }
+        assert!(
+            points[2].avg_switch_time_secs() > points[0].avg_switch_time_secs(),
+            "8x latency must measurably slow the switch"
+        );
     }
 
     #[test]

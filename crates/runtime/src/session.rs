@@ -1175,6 +1175,10 @@ mod tests {
         }
         assert_eq!(report.total_zaps(), zaps_in);
         assert_eq!(report.zap_load.total_arrivals, zaps_in);
+        // Zapping moves viewers between channels and never creates or
+        // drops one: the population is the 4 × 40 it was built with.
+        let viewers: usize = report.channels.iter().map(|c| c.viewers).sum();
+        assert_eq!(viewers, 4 * 40, "population must be conserved");
         // Every channel keeps streaming throughout.
         for c in &report.channels {
             assert_eq!(c.periods, 70);
@@ -1471,6 +1475,16 @@ mod tests {
             limited.cross_channel_zaps.avg_startup_secs
                 >= unlimited.cross_channel_zaps.avg_startup_secs - 1e-9
         );
+        // A tighter cap drains the same storm more slowly: queued viewers
+        // wait longer on average, and the longest wait cannot shrink.
+        let tight = run(Some(2));
+        assert!(
+            tight.admission.avg_delay_secs > limited.admission.avg_delay_secs,
+            "tight {:?} vs limited {:?}",
+            tight.admission,
+            limited.admission
+        );
+        assert!(tight.admission.max_delay_secs >= limited.admission.max_delay_secs);
     }
 
     /// A still-loaded queue at the horizon shows up as `still_queued` and
