@@ -11,8 +11,8 @@
 //! * `--csv`    — write CSV instead of aligned text files
 //! * `static` / `dynamic` / `all` — which environments to run (default `all`)
 
-use fss_experiments::figures::{generate, generate_custom, FigureScale, FigureSet};
-use fss_experiments::Environment;
+use fss_experiments::figures::{generate, FigureScale, FigureSet};
+use fss_experiments::{Environment, ScenarioConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -29,38 +29,38 @@ enum Command {
 
 struct Options {
     scale: FigureScale,
-    sizes: Option<Vec<usize>>,
-    track_nodes: Option<usize>,
+    /// The sweep sizes, the scale's own unless `--sizes` names them.
+    sizes: Vec<usize>,
+    /// The ratio-track size, the scale's own unless `--track-nodes` names it.
+    track_nodes: usize,
     out_dir: Option<PathBuf>,
     csv: bool,
     environments: Vec<Environment>,
 }
 
 fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut options = Options {
-        scale: FigureScale::Paper,
-        sizes: None,
-        track_nodes: None,
-        out_dir: None,
-        csv: false,
-        environments: vec![Environment::Static, Environment::Dynamic],
-    };
+    let mut scale = FigureScale::Paper;
+    let mut sizes = None;
+    let mut track_nodes = None;
+    let mut out_dir = None;
+    let mut csv = false;
+    let mut environments = vec![Environment::Static, Environment::Dynamic];
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--quick" => options.scale = FigureScale::Quick,
-            "--csv" => options.csv = true,
+            "--quick" => scale = FigureScale::Quick,
+            "--csv" => csv = true,
             "--sizes" => {
                 let list = iter
                     .next()
                     .ok_or("--sizes requires a comma-separated list")?;
-                let sizes: Result<Vec<usize>, _> =
+                let list: Result<Vec<usize>, _> =
                     list.split(',').map(|s| s.trim().parse::<usize>()).collect();
-                options.sizes = Some(sizes.map_err(|e| format!("bad --sizes value: {e}"))?);
+                sizes = Some(list.map_err(|e| format!("bad --sizes value: {e}"))?);
             }
             "--track-nodes" => {
                 let value = iter.next().ok_or("--track-nodes requires a number")?;
-                options.track_nodes = Some(
+                track_nodes = Some(
                     value
                         .parse()
                         .map_err(|e| format!("bad --track-nodes: {e}"))?,
@@ -68,18 +68,37 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             "--out" => {
                 let dir = iter.next().ok_or("--out requires a directory")?;
-                options.out_dir = Some(PathBuf::from(dir));
+                out_dir = Some(PathBuf::from(dir));
             }
-            "static" => options.environments = vec![Environment::Static],
-            "dynamic" => options.environments = vec![Environment::Dynamic],
-            "all" => {
-                options.environments = vec![Environment::Static, Environment::Dynamic];
-            }
+            "static" => environments = vec![Environment::Static],
+            "dynamic" => environments = vec![Environment::Dynamic],
+            "all" => environments = vec![Environment::Static, Environment::Dynamic],
             "--help" | "-h" => return Ok(Command::Help),
             other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
         }
     }
-    Ok(Command::Run(options))
+    let sizes = sizes.unwrap_or_else(|| scale.sizes());
+    let track_nodes = track_nodes.unwrap_or(scale.track_nodes());
+    // Every size must make a valid scenario before any run starts.
+    let requested = sizes.iter().map(|&n| ("--sizes", n));
+    for (flag, nodes) in requested.chain([("--track-nodes", track_nodes)]) {
+        for &environment in &environments {
+            ScenarioConfig {
+                nodes,
+                ..scale.base_config(environment)
+            }
+            .validate()
+            .map_err(|e| format!("bad {flag} value {nodes}: {e}\n{USAGE}"))?;
+        }
+    }
+    Ok(Command::Run(Options {
+        scale,
+        sizes,
+        track_nodes,
+        out_dir,
+        csv,
+        environments,
+    }))
 }
 
 fn emit(set: &FigureSet, options: &Options) -> std::io::Result<()> {
@@ -130,15 +149,12 @@ fn main() -> ExitCode {
                 FigureScale::Paper => "paper",
             }
         );
-        let set = match &options.sizes {
-            Some(sizes) => generate_custom(
-                environment,
-                options.scale,
-                sizes,
-                options.track_nodes.unwrap_or(options.scale.track_nodes()),
-            ),
-            None => generate(environment, options.scale),
-        };
+        let set = generate(
+            environment,
+            options.scale,
+            &options.sizes,
+            options.track_nodes,
+        );
         if let Err(error) = emit(&set, &options) {
             eprintln!("failed to write figures: {error}");
             return ExitCode::FAILURE;
@@ -181,5 +197,37 @@ mod tests {
             error.contains("--bogus") && error.contains(USAGE),
             "{error}"
         );
+    }
+
+    fn run_options(args: &[&str]) -> Options {
+        match parse(args) {
+            Ok(Command::Run(options)) => options,
+            _ => panic!("{args:?} should parse to a run"),
+        }
+    }
+
+    #[test]
+    fn unset_sizes_and_track_size_take_the_scale_defaults() {
+        let options = run_options(&["--quick", "--track-nodes", "120"]);
+        assert_eq!(options.track_nodes, 120);
+        assert_eq!(options.sizes, FigureScale::Quick.sizes());
+        let options = run_options(&["--sizes", "60,100"]);
+        assert_eq!(options.sizes, vec![60, 100]);
+        assert_eq!(options.track_nodes, FigureScale::Paper.track_nodes());
+    }
+
+    #[test]
+    fn sizes_that_make_no_valid_scenario_are_rejected() {
+        for args in [
+            &["--quick", "--sizes", "3", "static"][..],
+            &["--sizes", "60,5"],
+            &["--quick", "--track-nodes", "3"],
+        ] {
+            let error = parse(args).err().expect("an invalid size fails");
+            assert!(
+                error.contains("minimum degree") && error.contains(USAGE),
+                "{args:?}: {error}"
+            );
+        }
     }
 }

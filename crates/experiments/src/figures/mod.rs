@@ -72,14 +72,10 @@ pub struct FigureSet {
 }
 
 /// Regenerates every figure of one environment (Figures 5–8 for static,
-/// 9–12 for dynamic).
-pub fn generate(environment: Environment, scale: FigureScale) -> FigureSet {
-    generate_custom(environment, scale, &scale.sizes(), scale.track_nodes())
-}
-
-/// Like [`generate`], with explicit sweep sizes and ratio-track size
-/// (used by the `figures --sizes` flag).
-pub fn generate_custom(
+/// 9–12 for dynamic) at `scale`, sweeping `sizes` and tracking ratios at
+/// `track_nodes` (the scale's own values are [`FigureScale::sizes`] and
+/// [`FigureScale::track_nodes`]).
+pub fn generate(
     environment: Environment,
     scale: FigureScale,
     sizes: &[usize],
@@ -151,7 +147,9 @@ mod tests {
         use std::hash::Hasher;
         let mut text = String::new();
         for environment in [Environment::Static, Environment::Dynamic] {
-            for table in &generate(environment, FigureScale::Quick).tables {
+            let scale = FigureScale::Quick;
+            let set = generate(environment, scale, &scale.sizes(), scale.track_nodes());
+            for table in &set.tables {
                 text.push_str(&table.to_text());
                 text.push('\n');
             }

@@ -9,7 +9,6 @@ use crate::bandwidth::{BandwidthConfig, PeerBandwidth};
 use crate::error::OverlayError;
 use crate::graph::{OverlayGraph, PeerId};
 use crate::latency::LatencyModel;
-use fss_sim::hasher::FxHashMap;
 use fss_trace::Trace;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -179,30 +178,24 @@ impl OverlayBuilder {
         let mut rng = SmallRng::seed_from_u64(self.config.seed);
         let mut graph = OverlayGraph::with_peers(n);
 
-        // Trace node ids may be arbitrary; map them onto dense peer ids in
-        // the order they appear (the generator already emits them densely).
-        let index_of: FxHashMap<u32, PeerId> = trace
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.id, i as PeerId))
-            .collect();
+        // A trace node's id is its index, so it names its peer directly; an
+        // edge to a missing node is `UnknownPeer`, and `add_edge` ignores
+        // self loops and duplicates.
         for &(a, b) in &trace.edges {
-            graph.add_edge(index_of[&a], index_of[&b])?;
+            graph.add_edge(a, b)?;
         }
 
         augment_to_min_degree(&mut graph, self.config.min_degree, &mut rng)?;
 
         let attrs: Vec<PeerAttrs> = trace
-            .nodes
+            .ping_ms
             .iter()
-            .map(|r| PeerAttrs {
-                ping_ms: r.ping_ms,
+            .map(|&ping_ms| PeerAttrs {
+                ping_ms,
                 bandwidth: self.config.bandwidth.sample_peer(&mut rng),
             })
             .collect();
-        let latency =
-            LatencyModel::from_pings(&trace.nodes.iter().map(|r| r.ping_ms).collect::<Vec<_>>());
+        let latency = LatencyModel::from_pings(&trace.ping_ms);
 
         Ok(Overlay {
             name: trace.name.clone(),
@@ -378,6 +371,42 @@ mod tests {
         }
         // The next valid arrival takes the id the rejected ones did not.
         assert_eq!(overlay.add_peer(attrs, &hosts).unwrap() as usize, capacity);
+    }
+
+    /// `Trace`'s fields are public, so a hand-built trace reaches the
+    /// builder unchecked: the builder itself rejects it or builds a sound
+    /// graph, and never panics.
+    #[test]
+    fn hand_built_traces_are_checked_by_the_builder() {
+        let builder = OverlayBuilder::paper_default();
+        let hand_built = |nodes: usize, edges: Vec<(u32, u32)>| Trace {
+            name: "hand".into(),
+            ping_ms: vec![80.0; nodes],
+            edges,
+        };
+
+        let err = builder.build(&hand_built(8, vec![(0, 9)])).unwrap_err();
+        assert_eq!(err, OverlayError::UnknownPeer { peer: 9 });
+
+        let overlay = builder
+            .build(&hand_built(8, vec![(3, 3), (1, 2), (2, 1), (1, 2)]))
+            .unwrap();
+        let graph = overlay.graph();
+        assert_eq!(overlay.active_count(), 8);
+        assert!(graph.min_degree().unwrap() >= 5);
+        for p in overlay.active_peers() {
+            let mut row = graph.neighbors(p).to_vec();
+            assert!(!row.contains(&p), "peer {p} holds a self loop");
+            row.sort_unstable();
+            row.dedup();
+            assert_eq!(row.len(), graph.degree(p), "peer {p} holds a duplicate");
+        }
+
+        let err = builder.build(&hand_built(0, vec![])).unwrap_err();
+        assert!(matches!(
+            err,
+            OverlayError::DegreeUnachievable { peers: 0, .. }
+        ));
     }
 
     proptest::proptest! {

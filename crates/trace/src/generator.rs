@@ -15,51 +15,33 @@
 //! Everything is driven by an explicit seed, so every topology the
 //! experiments build is fully reproducible.
 
-use crate::record::{NodeId, Trace, TraceRecord};
-use crate::speed::AccessSpeed;
+use crate::record::{NodeId, Trace};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::net::Ipv4Addr;
+
+/// Edges added per arriving node (preferential attachment parameter).  The
+/// resulting average degree is ≈ `2 * EDGES_PER_NODE`: Gnutella crawls of
+/// the era showed an average degree well below the `M = 5` the paper needs,
+/// hence the overlay's augmentation step.
+const EDGES_PER_NODE: usize = 2;
+/// Median ping time in milliseconds (log-normal location).
+const PING_MEDIAN_MS: f64 = 80.0;
+/// Log-normal shape parameter (sigma of ln(ping)).
+const PING_SIGMA: f64 = 0.6;
 
 /// Configuration for [`TraceGenerator`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorConfig {
     /// Number of peers to generate.
     pub nodes: usize,
-    /// Edges added per arriving node (preferential attachment parameter).
-    /// The resulting average degree is ≈ `2 * edges_per_node`.
-    pub edges_per_node: usize,
-    /// Median ping time in milliseconds (log-normal location).
-    pub ping_median_ms: f64,
-    /// Log-normal shape parameter (sigma of ln(ping)).
-    pub ping_sigma: f64,
     /// RNG seed.
     pub seed: u64,
 }
 
-impl Default for GeneratorConfig {
-    fn default() -> Self {
-        GeneratorConfig {
-            nodes: 1_000,
-            // Gnutella crawls of the era showed an average degree well below
-            // the M=5 the paper needs, hence the augmentation step; 1.7 keeps
-            // the base graph sparse like the originals.
-            edges_per_node: 2,
-            ping_median_ms: 80.0,
-            ping_sigma: 0.6,
-            seed: 0xC11_222_001,
-        }
-    }
-}
-
 impl GeneratorConfig {
-    /// Convenience constructor for a given size and seed with era defaults.
+    /// A trace of `nodes` peers drawn from `seed`.
     pub fn sized(nodes: usize, seed: u64) -> Self {
-        GeneratorConfig {
-            nodes,
-            seed,
-            ..GeneratorConfig::default()
-        }
+        GeneratorConfig { nodes, seed }
     }
 }
 
@@ -73,65 +55,46 @@ impl TraceGenerator {
     /// Creates a generator for the given configuration.
     ///
     /// # Panics
-    /// Panics if `nodes == 0` or `edges_per_node == 0`; both would produce a
-    /// degenerate trace that the rest of the pipeline rejects anyway.
+    /// Panics if `nodes == 0`: an empty trace is degenerate, and the rest
+    /// of the pipeline rejects it anyway.
     pub fn new(config: GeneratorConfig) -> Self {
         assert!(config.nodes > 0, "trace must contain at least one node");
-        assert!(config.edges_per_node > 0, "edges_per_node must be positive");
         TraceGenerator { config }
-    }
-
-    /// The configuration this generator was built with.
-    pub fn config(&self) -> &GeneratorConfig {
-        &self.config
     }
 
     /// Generates the trace.
     pub fn generate(&self, name: impl Into<String>) -> Trace {
-        let cfg = &self.config;
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-
-        let nodes: Vec<TraceRecord> = (0..cfg.nodes as NodeId)
-            .map(|id| self.generate_record(id, &mut rng))
+        let mut rng = SmallRng::seed_from_u64(self.config.seed);
+        let ping_ms: Vec<f64> = (0..self.config.nodes)
+            .map(|_| {
+                // Log-normal ping time: exp(N(ln median, sigma)).
+                let z = standard_normal(&mut rng);
+                let ping_ms = (PING_MEDIAN_MS.ln() + PING_SIGMA * z).exp();
+                // The crawls' access-speed class was drawn here.  Nothing
+                // reads it, but the draw stays so every generated topology
+                // keeps its RNG stream, and with it every pinned digest.
+                let _speed: f64 = rng.gen();
+                ping_ms.clamp(1.0, 3_000.0)
+            })
             .collect();
         let edges = self.generate_edges(&mut rng);
-
-        Trace::new(name, nodes, edges).expect("generator produces structurally valid traces")
-    }
-
-    fn generate_record(&self, id: NodeId, rng: &mut SmallRng) -> TraceRecord {
-        let cfg = &self.config;
-        // Log-normal ping time: exp(N(ln median, sigma)).
-        let z = standard_normal(rng);
-        let ping_ms = (cfg.ping_median_ms.ln() + cfg.ping_sigma * z).exp();
-        let speed = sample_speed(rng);
-        // Deterministic pseudo-IP derived from the id: 10.x.y.z private space.
-        let ip = Ipv4Addr::new(
-            10,
-            ((id >> 16) & 0xff) as u8,
-            ((id >> 8) & 0xff) as u8,
-            (id & 0xff) as u8,
-        );
-        TraceRecord {
-            id,
-            ip,
-            host: format!("node-{id}.gnutella.invalid"),
-            port: 6346,
-            ping_ms: ping_ms.clamp(1.0, 3_000.0),
-            speed_kbps: speed.kbps(),
+        Trace {
+            name: name.into(),
+            ping_ms,
+            edges,
         }
     }
 
-    /// Preferential-attachment edge construction (Barabási–Albert style).
+    /// Preferential-attachment edge construction (Barabási–Albert style),
+    /// returned as sorted `(smaller, larger)` pairs.
     fn generate_edges(&self, rng: &mut SmallRng) -> Vec<(NodeId, NodeId)> {
         let n = self.config.nodes;
-        let m = self.config.edges_per_node;
+        let m = EDGES_PER_NODE;
         if n == 1 {
             return Vec::new();
         }
-
         let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(n * m);
-        // `targets` holds one entry per edge endpoint, so sampling uniformly
+        // `endpoint_pool` holds one entry per edge endpoint, so sampling uniformly
         // from it is sampling proportionally to degree.
         let mut endpoint_pool: Vec<NodeId> = Vec::with_capacity(2 * n * m);
 
@@ -167,21 +130,12 @@ impl TraceGenerator {
                 endpoint_pool.push(new_id);
             }
         }
+        // Each pair is unique by construction: the seed clique's pairs are
+        // distinct, and every later pair holds its arriving node as `max`
+        // with distinct targets.  Sorting fixes the overlay's adjacency order.
+        edges.sort_unstable();
         edges
     }
-}
-
-/// Samples an access-speed class according to the era population shares.
-fn sample_speed(rng: &mut SmallRng) -> AccessSpeed {
-    let x: f64 = rng.gen();
-    let mut acc = 0.0;
-    for class in AccessSpeed::ALL {
-        acc += class.population_share();
-        if x < acc {
-            return class;
-        }
-    }
-    AccessSpeed::T3
 }
 
 /// Box–Muller standard normal sample.
@@ -219,7 +173,7 @@ mod tests {
     #[test]
     fn average_degree_is_sparse_but_positive() {
         let t = gen(2_000, 3);
-        let avg = t.average_degree();
+        let avg = 2.0 * t.edges.len() as f64 / t.node_count() as f64;
         assert!(avg > 1.0, "average degree {avg} too small");
         assert!(avg < 6.0, "average degree {avg} not sparse like the crawls");
     }
@@ -241,7 +195,7 @@ mod tests {
     #[test]
     fn ping_times_are_positive_and_spread() {
         let t = gen(1_000, 5);
-        let pings: Vec<f64> = t.nodes.iter().map(|n| n.ping_ms).collect();
+        let pings = &t.ping_ms;
         assert!(pings.iter().all(|&p| (1.0..=3_000.0).contains(&p)));
         let mean = pings.iter().sum::<f64>() / pings.len() as f64;
         assert!(
@@ -251,24 +205,28 @@ mod tests {
     }
 
     #[test]
-    fn speed_mix_matches_population_shares_roughly() {
-        let t = gen(5_000, 9);
-        let modems = t
-            .nodes
-            .iter()
-            .filter(|n| n.speed_class() == AccessSpeed::Modem56k)
-            .count() as f64
-            / t.node_count() as f64;
-        assert!(
-            (modems - 0.35).abs() < 0.05,
-            "modem share {modems} far from configured 0.35"
-        );
-    }
-
-    #[test]
     fn single_node_trace_has_no_edges() {
         let t = gen(1, 1);
-        assert_eq!(t.edge_count(), 0);
+        assert!(t.edges.is_empty());
+    }
+
+    /// The generator's RNG stream is pinned: an FxHash over every ping's
+    /// bits, then every edge's endpoints.  Every downstream digest (the
+    /// golden reports, the figures text, perfbench) starts from this stream.
+    #[test]
+    fn generated_stream_is_pinned() {
+        use std::hash::Hasher;
+        let t = gen(1_000, 7);
+        let mut digest = fss_sim::hasher::FxHasher64::default();
+        for ping in &t.ping_ms {
+            digest.write_u64(ping.to_bits());
+        }
+        for &(a, b) in &t.edges {
+            digest.write_u32(a);
+            digest.write_u32(b);
+        }
+        assert_eq!(t.edges.len(), 1_997);
+        assert_eq!(digest.finish(), 23_087_918_819_099_262);
     }
 
     #[test]
@@ -279,8 +237,8 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
-        /// Generated traces always validate and never contain self loops or
-        /// duplicate edges, whatever the size/seed.
+        /// Generated edges are always sorted, duplicate-free, in range and
+        /// free of self loops, whatever the size/seed.
         #[test]
         fn prop_generated_traces_are_valid(n in 1usize..400, seed in 0u64..1_000) {
             let t = gen(n, seed);
@@ -288,8 +246,8 @@ mod tests {
             let mut edges = t.edges.clone();
             edges.sort_unstable();
             edges.dedup();
-            proptest::prop_assert_eq!(edges.len(), t.edge_count());
-            proptest::prop_assert!(t.edges.iter().all(|(a, b)| a != b));
+            proptest::prop_assert_eq!(&edges, &t.edges);
+            proptest::prop_assert!(t.edges.iter().all(|&(a, b)| a < b && (b as usize) < n));
         }
     }
 }

@@ -2,39 +2,35 @@
 //!
 //! The ICPP 2008 paper evaluates on "30 real-trace P2P overlay topologies
 //! whose data was collected from Dec. 2000 to Jun. 2001 on dss.clip2.com".
-//! That crawl archive has been offline for two decades, so this crate provides
+//! Each crawl lists "each node's ID, IP, host name, port, ping time, speed
+//! and so on, but we just use the ID, IP and ping time information".  That
+//! crawl archive has been offline for two decades, so this crate provides
 //! the closest synthetic equivalent:
 //!
-//! * [`TraceRecord`] — one crawled peer (ID, IP, host name, port, ping time,
-//!   access speed), the exact fields the paper lists (it only *uses* ID, IP
-//!   and ping time),
-//! * [`Trace`] — a set of records plus the overlay edges observed between
-//!   them,
+//! * [`Trace`] — what the overlay builder reads: one ping time per node (a
+//!   node's id is its index) and the overlay edges observed between them,
 //! * [`generator::TraceGenerator`] — a deterministic generator reproducing the
 //!   statistical shape of the 2000/2001 Gnutella crawls (preferential-
-//!   attachment power-law degree distribution, log-normal ping times,
-//!   era-accurate access-speed mix),
-//! * [`parser`] — a plain-text serialisation so traces can be stored,
-//!   inspected and re-loaded like the original crawl files.
+//!   attachment power-law degree distribution, log-normal ping times).
+//!
+//! The generator still draws one value per node for the access speed the
+//! crawls recorded and then discards it: every generated topology keeps the
+//! RNG stream it had when the speed was stored, and with it every pinned
+//! digest downstream (`generator::tests::generated_stream_is_pinned`).
 //!
 //! Each experiment generates its own topology from a `(size, seed)` pair
 //! (`GeneratorConfig::sized`), so the paper's 30 crawls are stood in for by
 //! the sizes and seeds the harness sweeps, not by a fixed named list.
 //!
-//! What the experiments actually need from the trace is only the node count,
-//! a sparse skewed base topology and per-node latency; the overlay builder in
-//! `fss-overlay` then adds random edges until every node has at least `M`
+//! The overlay builder in `fss-overlay` checks a trace as it builds (an edge
+//! naming a missing node is an error; self loops and duplicate edges are
+//! ignored) and then adds random edges until every node has at least `M`
 //! neighbours, exactly as the paper does.
 
 #![warn(missing_docs)]
 
-pub mod error;
 pub mod generator;
-pub mod parser;
 pub mod record;
-pub mod speed;
 
-pub use error::TraceError;
 pub use generator::{GeneratorConfig, TraceGenerator};
-pub use record::{NodeId, Trace, TraceRecord};
-pub use speed::AccessSpeed;
+pub use record::{NodeId, Trace};
