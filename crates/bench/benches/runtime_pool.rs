@@ -20,7 +20,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fss_core::FastSwitchScheduler;
-use fss_runtime::{SessionConfig, SessionManager, SteppingMode, WorkerPool, ZapWorkload};
+use fss_runtime::zap::CrowdZap;
+use fss_runtime::{SessionConfig, SessionManager, SteppingMode, WorkerPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -91,7 +92,13 @@ fn many_channel_session(workers: usize, mode: SteppingMode) -> SessionManager {
     let mut manager = SessionManager::new(config, Arc::new(WorkerPool::new(workers)), || {
         Box::new(FastSwitchScheduler::new())
     });
-    manager.set_workload(ZapWorkload::Zipf { alpha: 1.0 });
+    manager.set_zap_schedule(Box::new(CrowdZap::zipf(
+        config.channels,
+        config.viewers_per_channel,
+        config.zap_fraction,
+        1.0,
+        config.seed,
+    )));
     manager.set_mode(mode);
     manager.warmup(40);
     manager

@@ -30,12 +30,16 @@ pub fn finishing_preparing_table(environment: Environment, points: &[SweepPoint]
         ],
     );
     for p in points {
+        let (fast, normal) = (
+            &p.comparison.fast.report.switch,
+            &p.comparison.normal.report.switch,
+        );
         table.push_row(vec![
             p.nodes.to_string(),
-            format!("{:.2}", p.comparison.normal.switch.avg_finish_old_secs),
-            format!("{:.2}", p.comparison.fast.switch.avg_finish_old_secs),
-            format!("{:.2}", p.comparison.fast.switch.avg_prepare_new_secs),
-            format!("{:.2}", p.comparison.normal.switch.avg_prepare_new_secs),
+            format!("{:.2}", normal.finish_old_secs.mean()),
+            format!("{:.2}", fast.finish_old_secs.mean()),
+            format!("{:.2}", fast.prepare_new_secs.mean()),
+            format!("{:.2}", normal.prepare_new_secs.mean()),
         ]);
     }
     table
@@ -53,11 +57,15 @@ pub fn switch_time_table(environment: Environment, points: &[SweepPoint]) -> Tab
         &["nodes", "switch_normal", "switch_fast", "reduction_ratio"],
     );
     for p in points {
+        let (fast, normal) = (
+            &p.comparison.fast.report.switch,
+            &p.comparison.normal.report.switch,
+        );
         table.push_row(vec![
             p.nodes.to_string(),
-            format!("{:.2}", p.comparison.normal.avg_switch_time_secs()),
-            format!("{:.2}", p.comparison.fast.avg_switch_time_secs()),
-            format!("{:.3}", p.reduction_ratio()),
+            format!("{:.2}", normal.prepare_new_secs.mean()),
+            format!("{:.2}", fast.prepare_new_secs.mean()),
+            format!("{:.3}", p.comparison.reduction_ratio()),
         ]);
     }
     table
@@ -74,10 +82,11 @@ pub fn overhead_table(environment: Environment, points: &[SweepPoint]) -> Table 
         &["nodes", "overhead_fast", "overhead_normal"],
     );
     for p in points {
+        let (fast, normal) = (&p.comparison.fast.report, &p.comparison.normal.report);
         table.push_row(vec![
             p.nodes.to_string(),
-            format!("{:.4}", p.comparison.fast.overhead.overhead),
-            format!("{:.4}", p.comparison.normal.overhead.overhead),
+            format!("{:.4}", fast.traffic_switch_window.overhead()),
+            format!("{:.4}", normal.traffic_switch_window.overhead()),
         ]);
     }
     table
@@ -121,20 +130,20 @@ mod tests {
         // finishes S1 no earlier than the normal algorithm but prepares S2 no
         // later — it "splits the difference".
         for p in points() {
-            let normal = &p.comparison.normal.switch;
-            let fast = &p.comparison.fast.switch;
+            let normal = &p.comparison.normal.report.switch;
+            let fast = &p.comparison.fast.report.switch;
             // Small tolerances: at these tiny sizes the backlog at switch
             // time is only a couple of hops' worth of segments.
-            assert!(fast.avg_finish_old_secs + 0.5 >= normal.avg_finish_old_secs);
-            assert!(fast.avg_prepare_new_secs <= normal.avg_prepare_new_secs + 0.5);
+            assert!(fast.finish_old_secs.mean() + 0.5 >= normal.finish_old_secs.mean());
+            assert!(fast.prepare_new_secs.mean() <= normal.prepare_new_secs.mean() + 0.5);
         }
     }
 
     #[test]
     fn figure8_overhead_is_about_a_percent_and_fast_is_not_worse() {
         for p in points() {
-            let fast = p.comparison.fast.overhead.overhead;
-            let normal = p.comparison.normal.overhead.overhead;
+            let fast = p.comparison.fast.report.traffic_switch_window.overhead();
+            let normal = p.comparison.normal.report.traffic_switch_window.overhead();
             assert!(fast > 0.002 && fast < 0.08, "fast overhead {fast}");
             assert!(normal > 0.002 && normal < 0.08, "normal overhead {normal}");
             assert!(fast <= normal * 1.05);

@@ -6,6 +6,7 @@
 
 use crate::runner::ComparisonResult;
 use crate::scenario::Environment;
+use fss_gossip::RatioSample;
 use fss_metrics::Table;
 
 /// Builds the Figure 5 (static) or Figure 9 (dynamic) series: one row per
@@ -31,35 +32,50 @@ pub fn ratio_track_table(environment: Environment, comparison: &ComparisonResult
         ],
     );
 
-    let horizon = comparison
-        .fast
-        .ratio_track
-        .rows()
-        .last()
-        .map(|r| r.secs)
-        .unwrap_or(0.0)
-        .max(
-            comparison
-                .normal
-                .ratio_track
-                .rows()
-                .last()
-                .map(|r| r.secs)
-                .unwrap_or(0.0),
-        )
-        .ceil() as u64;
+    let (fast, normal) = (
+        &comparison.fast.report.ratio_samples,
+        &comparison.normal.report.ratio_samples,
+    );
+    let last_secs = |samples: &[RatioSample]| samples.last().map_or(0.0, |r| r.secs);
+    let horizon = last_secs(fast).max(last_secs(normal)).ceil() as u64;
 
+    let undelivered_s1 = |r: &RatioSample| r.undelivered_ratio_s1;
+    let delivered_s2 = |r: &RatioSample| r.delivered_ratio_s2;
     for secs in 0..=horizon {
         let t = secs as f64;
         table.push_row(vec![
             format!("{secs}"),
-            format!("{:.3}", comparison.normal.ratio_track.undelivered_s1_at(t)),
-            format!("{:.3}", comparison.fast.ratio_track.undelivered_s1_at(t)),
-            format!("{:.3}", comparison.normal.ratio_track.delivered_s2_at(t)),
-            format!("{:.3}", comparison.fast.ratio_track.delivered_s2_at(t)),
+            format!("{:.3}", interpolate(normal, t, undelivered_s1)),
+            format!("{:.3}", interpolate(fast, t, undelivered_s1)),
+            format!("{:.3}", interpolate(normal, t, delivered_s2)),
+            format!("{:.3}", interpolate(fast, t, delivered_s2)),
         ]);
     }
     table
+}
+
+/// Linear interpolation of one ratio at `secs` over `samples`, clamped to
+/// the first and last sample (0 for an empty track).  The samples must be
+/// in ascending time order, as `SystemReport::ratio_samples` records them.
+fn interpolate(samples: &[RatioSample], secs: f64, value: impl Fn(&RatioSample) -> f64) -> f64 {
+    let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
+        return 0.0;
+    };
+    if secs <= first.secs {
+        return value(first);
+    }
+    if secs >= last.secs {
+        return value(last);
+    }
+    // The bound checks above put `after` in 1..samples.len().
+    let after = samples.partition_point(|r| r.secs < secs);
+    let (a, b) = (&samples[after - 1], &samples[after]);
+    let span = b.secs - a.secs;
+    if span <= 0.0 {
+        return value(b);
+    }
+    let w = (secs - a.secs) / span;
+    value(a) * (1.0 - w) + value(b) * w
 }
 
 #[cfg(test)]
@@ -67,6 +83,38 @@ mod tests {
     use super::*;
     use crate::runner::run_comparison;
     use crate::scenario::{Algorithm, ScenarioConfig};
+
+    fn sample(secs: f64, undelivered: f64, delivered: f64) -> RatioSample {
+        RatioSample {
+            secs,
+            undelivered_ratio_s1: undelivered,
+            delivered_ratio_s2: delivered,
+        }
+    }
+
+    #[test]
+    fn interpolation_between_and_outside_samples() {
+        let track = [
+            sample(1.0, 0.8, 0.2),
+            sample(2.0, 0.6, 0.4),
+            sample(3.0, 0.4, 0.6),
+            sample(4.0, 0.0, 1.0),
+        ];
+        let undelivered_s1 = |r: &RatioSample| r.undelivered_ratio_s1;
+        let delivered_s2 = |r: &RatioSample| r.delivered_ratio_s2;
+        assert!((interpolate(&track, 1.5, undelivered_s1) - 0.7).abs() < 1e-12);
+        assert!((interpolate(&track, 2.5, delivered_s2) - 0.5).abs() < 1e-12);
+        // Clamped at the ends.
+        assert_eq!(interpolate(&track, 0.0, undelivered_s1), 0.8);
+        assert_eq!(interpolate(&track, 100.0, delivered_s2), 1.0);
+        // Exactly on a sample.
+        assert_eq!(interpolate(&track, 3.0, delivered_s2), 0.6);
+    }
+
+    #[test]
+    fn empty_track() {
+        assert_eq!(interpolate(&[], 1.0, |r| r.undelivered_ratio_s1), 0.0);
+    }
 
     #[test]
     fn track_table_has_one_row_per_second_and_monotone_series() {

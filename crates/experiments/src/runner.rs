@@ -1,12 +1,19 @@
 //! Runs one scenario end to end.
 
 use crate::scenario::{Algorithm, Environment, ScenarioConfig};
-use fss_gossip::StreamingSystem;
-use fss_metrics::{reduction_ratio, OverheadSummary, RatioTrack, SwitchSummary};
+use fss_gossip::{StreamingSystem, SystemReport};
 use fss_overlay::{ChurnModel, OverlayBuilder, OverlayConfig, PeerId};
 use fss_trace::{GeneratorConfig, TraceGenerator};
 
-/// The aggregated outcome of one simulation run.
+/// The outcome of one simulation run: the system's own report plus the
+/// scenario it ran.
+///
+/// The report carries every metric the paper reports per run:
+/// `report.switch` the average finishing and preparing (= switch) times,
+/// `report.traffic_switch_window.overhead()` the communication overhead,
+/// `report.ratio_samples` the ratio tracks of Figures 5 and 9, and
+/// `report.switch_completed_secs` whether every countable node completed
+/// the switch within the period budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Number of overlay nodes at the start of the run.
@@ -15,27 +22,10 @@ pub struct RunResult {
     pub algorithm: Algorithm,
     /// Static or dynamic environment.
     pub environment: Environment,
-    /// Switch-time metrics.
-    pub switch: SwitchSummary,
-    /// Communication overhead measured over the switch window.
-    pub overhead: OverheadSummary,
-    /// The per-second ratio tracks (Figures 5 and 9).
-    pub ratio_track: RatioTrack,
-    /// Whether every countable node completed the switch within the period
-    /// budget.
-    pub completed: bool,
     /// Periods simulated after the switch.
     pub periods_after_switch: u64,
-    /// Cumulative QoE event counters (startups, stalls, continuity) of the
-    /// whole run — playback quality under the network model's faults.
-    pub qoe: fss_gossip::QoeTotals,
-}
-
-impl RunResult {
-    /// The paper's average switch time for this run.
-    pub fn avg_switch_time_secs(&self) -> f64 {
-        self.switch.avg_switch_time_secs()
-    }
+    /// The system's report at the end of the run.
+    pub report: SystemReport,
 }
 
 /// The fast and normal algorithms run on the identical workload.
@@ -48,12 +38,17 @@ pub struct ComparisonResult {
 }
 
 impl ComparisonResult {
-    /// Metric 2: reduction ratio of the average switch time.
+    /// Metric 2: the reduction ratio of the average switch time achieved by
+    /// the fast algorithm relative to the normal one, `1 − fast / normal`
+    /// (0 when the normal run has no switch time).
     pub fn reduction_ratio(&self) -> f64 {
-        reduction_ratio(
-            self.fast.avg_switch_time_secs(),
-            self.normal.avg_switch_time_secs(),
-        )
+        let fast = self.fast.report.switch.prepare_new_secs.mean();
+        let normal = self.normal.report.switch.prepare_new_secs.mean();
+        if normal <= 0.0 {
+            0.0
+        } else {
+            1.0 - fast / normal
+        }
     }
 }
 
@@ -111,18 +106,12 @@ pub fn run_scenario(config: &ScenarioConfig) -> RunResult {
     system.switch_source(s2);
     let periods_after_switch = system.run_until_switched(config.max_switch_periods);
 
-    // 5. Aggregate.
-    let report = system.report();
     RunResult {
         nodes: config.nodes,
         algorithm: config.algorithm,
         environment: config.environment,
-        switch: SwitchSummary::from_stats(&report.switch),
-        overhead: OverheadSummary::from_traffic(&report.traffic_switch_window),
-        ratio_track: RatioTrack::from_samples(&report.ratio_samples),
-        completed: report.switch_completed_secs.is_some(),
         periods_after_switch,
-        qoe: report.qoe,
+        report: system.report(),
     }
 }
 
@@ -139,22 +128,34 @@ pub fn run_comparison(base: &ScenarioConfig) -> ComparisonResult {
 mod tests {
     use super::*;
     use crate::scenario::{Algorithm, Environment, ScenarioConfig};
+    use fss_gossip::{MemUsage, QoeTotals, SwitchStats, TrafficCounters};
     use fss_overlay::NetworkConfig;
+
+    /// The paper's average switch time of a run: its average preparing
+    /// time of the new source.
+    fn switch_secs(result: &RunResult) -> f64 {
+        result.report.switch.prepare_new_secs.mean()
+    }
+
+    fn completed(result: &RunResult) -> bool {
+        result.report.switch_completed_secs.is_some()
+    }
 
     #[test]
     fn small_static_run_completes_and_reports() {
         let config = ScenarioConfig::quick(80, Algorithm::Fast, Environment::Static);
         let result = run_scenario(&config);
-        assert!(result.completed, "switch did not complete");
+        assert!(completed(&result), "switch did not complete");
         assert_eq!(result.nodes, 80);
-        assert!(result.switch.countable_nodes > 70);
-        assert_eq!(result.switch.completion_rate(), 1.0);
-        assert!(result.avg_switch_time_secs() > 0.0);
-        assert!(result.switch.avg_finish_old_secs > 0.0);
-        assert!(result.overhead.overhead > 0.0 && result.overhead.overhead < 0.1);
-        assert!(!result.ratio_track.is_empty());
+        let switch = &result.report.switch;
+        assert!(switch.countable_nodes > 70);
+        assert_eq!(switch.completion_rate(), 1.0);
+        assert!(switch_secs(&result) > 0.0);
+        assert!(switch.finish_old_secs.mean() > 0.0);
+        let overhead = result.report.traffic_switch_window.overhead();
+        assert!(overhead > 0.0 && overhead < 0.1);
         // The delivered ratio of S2 ends at 1.
-        let last = result.ratio_track.rows().last().unwrap();
+        let last = result.report.ratio_samples.last().unwrap();
         assert!((last.delivered_ratio_s2 - 1.0).abs() < 1e-9);
     }
 
@@ -163,32 +164,38 @@ mod tests {
         let base = ScenarioConfig::quick(120, Algorithm::Fast, Environment::Static);
         let cmp = run_comparison(&base);
         assert_eq!(cmp.fast.nodes, 120);
-        assert!(cmp.fast.completed && cmp.normal.completed);
+        assert!(completed(&cmp.fast) && completed(&cmp.normal));
         // Identical workload: the backlog at switch time matches.
-        assert!((cmp.fast.switch.avg_q0 - cmp.normal.switch.avg_q0).abs() < 1e-9);
+        let (fast, normal) = (&cmp.fast.report, &cmp.normal.report);
+        assert!((fast.switch.q0.mean() - normal.switch.q0.mean()).abs() < 1e-9);
         // The headline claim.  At this small scale the old-source backlog is
         // only a couple of hops' worth of segments, so we allow a small
         // tolerance.  At paper scale the `figures` binary prints reduction
         // ratios of 0.003–0.043 (static, Figure 7) and 0.012–0.054
         // (dynamic, Figure 11) over 100–8,000 nodes.
         assert!(
-            cmp.fast.avg_switch_time_secs() <= cmp.normal.avg_switch_time_secs() + 0.5,
+            switch_secs(&cmp.fast) <= switch_secs(&cmp.normal) + 0.5,
             "fast {} vs normal {}",
-            cmp.fast.avg_switch_time_secs(),
-            cmp.normal.avg_switch_time_secs()
+            switch_secs(&cmp.fast),
+            switch_secs(&cmp.normal)
         );
         assert!(cmp.reduction_ratio() >= -0.1);
         // And it does not cost extra communication overhead.
-        assert!(cmp.fast.overhead.overhead <= cmp.normal.overhead.overhead * 1.05);
+        assert!(
+            fast.traffic_switch_window.overhead() <= normal.traffic_switch_window.overhead() * 1.05
+        );
     }
 
     #[test]
     fn dynamic_environment_run_completes() {
         let config = ScenarioConfig::quick(100, Algorithm::Normal, Environment::Dynamic);
         let result = run_scenario(&config);
-        assert!(result.completed, "dynamic switch did not complete");
-        assert!(result.switch.completion_rate() > 0.99);
-        assert!(result.switch.countable_nodes < 100, "some nodes departed");
+        assert!(completed(&result), "dynamic switch did not complete");
+        assert!(result.report.switch.completion_rate() > 0.99);
+        assert!(
+            result.report.switch.countable_nodes < 100,
+            "some nodes departed"
+        );
     }
 
     /// The switch scenario at each `(loss, latency scale)` point of the
@@ -215,17 +222,20 @@ mod tests {
         let losses = [0.0, 0.1, 0.25];
         let points = run_faulted(&losses.map(|loss| (loss, 0.0)));
         assert_eq!(points.len(), 3);
-        assert!(points[0].completed, "the lossless run must complete");
+        assert!(completed(&points[0]), "the lossless run must complete");
         for (i, pair) in points.windows(2).enumerate() {
             let (a, b) = (&pair[0], &pair[1]);
             assert!(
-                b.avg_switch_time_secs() >= a.avg_switch_time_secs(),
+                switch_secs(b) >= switch_secs(a),
                 "switch latency must not improve under loss: {} -> {} at loss {}",
-                a.avg_switch_time_secs(),
-                b.avg_switch_time_secs(),
+                switch_secs(a),
+                switch_secs(b),
                 losses[i + 1]
             );
-            let (ca, cb) = (a.qoe.continuity().unwrap(), b.qoe.continuity().unwrap());
+            let (ca, cb) = (
+                a.report.qoe.continuity().unwrap(),
+                b.report.qoe.continuity().unwrap(),
+            );
             assert!(
                 cb <= ca + 1e-9,
                 "continuity must not improve under loss: {ca} -> {cb} at loss {}",
@@ -233,10 +243,12 @@ mod tests {
             );
         }
         assert!(
-            points[2].avg_switch_time_secs() > points[0].avg_switch_time_secs(),
+            switch_secs(&points[2]) > switch_secs(&points[0]),
             "25% loss must measurably slow the switch"
         );
-        assert!(points[2].qoe.continuity().unwrap() < points[0].qoe.continuity().unwrap());
+        assert!(
+            points[2].report.qoe.continuity().unwrap() < points[0].report.qoe.continuity().unwrap()
+        );
     }
 
     #[test]
@@ -248,20 +260,59 @@ mod tests {
         // so the points stop at 8x.
         let scales = [0.0, 3.0, 8.0];
         let points = run_faulted(&scales.map(|scale| (0.0, scale)));
-        assert!(points[0].completed && points[1].completed);
+        assert!(completed(&points[0]) && completed(&points[1]));
         for (i, pair) in points.windows(2).enumerate() {
             assert!(
-                pair[1].avg_switch_time_secs() >= pair[0].avg_switch_time_secs(),
+                switch_secs(&pair[1]) >= switch_secs(&pair[0]),
                 "switch latency must not improve with slower links: {} -> {} at scale {}",
-                pair[0].avg_switch_time_secs(),
-                pair[1].avg_switch_time_secs(),
+                switch_secs(&pair[0]),
+                switch_secs(&pair[1]),
                 scales[i + 1]
             );
         }
         assert!(
-            points[2].avg_switch_time_secs() > points[0].avg_switch_time_secs(),
+            switch_secs(&points[2]) > switch_secs(&points[0]),
             "8x latency must measurably slow the switch"
         );
+    }
+
+    /// A run whose only content is an average switch time of `secs`.
+    fn run_with_switch_secs(secs: f64) -> RunResult {
+        let mut switch = SwitchStats::default();
+        switch.prepare_new_secs.record(secs);
+        RunResult {
+            nodes: 1,
+            algorithm: Algorithm::Fast,
+            environment: Environment::Static,
+            periods_after_switch: 0,
+            report: SystemReport {
+                scheduler: "",
+                switch,
+                ratio_samples: Vec::new(),
+                traffic_total: TrafficCounters::default(),
+                traffic_switch_window: TrafficCounters::default(),
+                periods: 0,
+                switch_completed_secs: None,
+                mem: MemUsage::default(),
+                qoe: QoeTotals::default(),
+            },
+        }
+    }
+
+    #[test]
+    fn reduction_ratio_matches_the_paper_definition() {
+        let ratio = |fast: f64, normal: f64| {
+            ComparisonResult {
+                fast: run_with_switch_secs(fast),
+                normal: run_with_switch_secs(normal),
+            }
+            .reduction_ratio()
+        };
+        assert!((ratio(16.0, 20.0) - 0.2).abs() < 1e-12);
+        assert!((ratio(14.0, 20.0) - 0.3).abs() < 1e-12);
+        assert_eq!(ratio(10.0, 0.0), 0.0);
+        // A slower "fast" algorithm produces a negative reduction.
+        assert!(ratio(25.0, 20.0) < 0.0);
     }
 
     #[test]

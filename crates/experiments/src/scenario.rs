@@ -134,7 +134,7 @@ impl ScenarioConfig {
             ));
         }
         if let Some(network) = self.network {
-            network.validate()?;
+            network.validate(self.gossip.tau_secs)?;
         }
         self.gossip.validate().map_err(|e| e.to_string())
     }
@@ -187,6 +187,19 @@ mod tests {
         c = ScenarioConfig::paper(100, Algorithm::Fast, Environment::Static);
         c.gossip.buffer_capacity = 0;
         assert!(c.validate().is_err());
+    }
+
+    /// A period that rounds below the event network's 1 ms clock is a
+    /// validation error once a network is installed, not a panic inside
+    /// `run_scenario`; lockstep keeps accepting it.
+    #[test]
+    fn sub_millisecond_period_is_rejected_once_a_network_is_installed() {
+        let mut c = ScenarioConfig::quick(100, Algorithm::Fast, Environment::Static);
+        c.gossip.tau_secs = 0.0004;
+        c.validate().unwrap();
+        c.network = Some(NetworkConfig::lossy(0.01, 1));
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("at least 1 ms"), "{err}");
     }
 
     #[test]

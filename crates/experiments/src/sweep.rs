@@ -24,13 +24,6 @@ pub struct SweepPoint {
     pub comparison: ComparisonResult,
 }
 
-impl SweepPoint {
-    /// Reduction ratio at this size.
-    pub fn reduction_ratio(&self) -> f64 {
-        self.comparison.reduction_ratio()
-    }
-}
-
 /// Runs the fast and normal algorithms at every size in `sizes`, in parallel
 /// on a machine-sized throwaway pool, and returns the results ordered by
 /// size.
@@ -74,8 +67,8 @@ pub fn sweep_sizes_on(
         });
     }
     // Assemble by moving each result out of its slot — run results carry
-    // whole switch-record tables, so cloning them per size point would
-    // double the sweep's peak memory for nothing.
+    // their ratio samples, so cloning them per size point would double the
+    // sweep's peak memory for nothing.
     let mut results = results.into_iter();
     let mut points = Vec::with_capacity(sizes.len());
     for &nodes in sizes {
@@ -125,9 +118,9 @@ mod tests {
             assert_eq!(p.comparison.fast.algorithm, Algorithm::Fast);
             assert_eq!(p.comparison.normal.algorithm, Algorithm::Normal);
             assert_eq!(p.comparison.fast.nodes, p.nodes);
-            assert!(p.comparison.fast.completed);
-            assert!(p.comparison.normal.completed);
-            assert!(p.reduction_ratio().is_finite());
+            assert!(p.comparison.fast.report.switch_completed_secs.is_some());
+            assert!(p.comparison.normal.report.switch_completed_secs.is_some());
+            assert!(p.comparison.reduction_ratio().is_finite());
         }
     }
 

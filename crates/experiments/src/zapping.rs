@@ -16,16 +16,15 @@
 //! them against a lockstep oracle.
 
 use crate::scenario::Algorithm;
-use fss_runtime::{RuntimeReport, SessionConfig, SessionManager, WorkerPool, ZapWorkload};
+use fss_runtime::{RuntimeReport, SessionConfig, SessionManager, WorkerPool};
 use std::sync::Arc;
 
 /// Configuration of one channel-zapping experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZappingScenario {
-    /// The multi-channel session layout (channels, viewers, zap rate).
+    /// The multi-channel session layout (channels, viewers, zap rate); the
+    /// session zaps uniformly between its channels.
     pub session: SessionConfig,
-    /// The zap workload shape (uniform / Zipf / flash crowd).
-    pub workload: ZapWorkload,
     /// The scheduling policy every channel runs.
     pub algorithm: Algorithm,
     /// Zap-free periods to reach steady playback before measuring.
@@ -36,11 +35,10 @@ pub struct ZappingScenario {
 
 impl ZappingScenario {
     /// Paper-flavoured defaults at a given channel count and per-channel
-    /// audience, with the uniform workload.
+    /// audience.
     pub fn paper(channels: usize, viewers_per_channel: usize) -> Self {
         ZappingScenario {
             session: SessionConfig::paper_default(channels, viewers_per_channel),
-            workload: ZapWorkload::Uniform,
             algorithm: Algorithm::Fast,
             warmup_periods: 40,
             measure_periods: 120,
@@ -63,7 +61,6 @@ pub fn run_channel_zapping(scenario: &ZappingScenario, pool: &Arc<WorkerPool>) -
     let mut manager = SessionManager::new(scenario.session, Arc::clone(pool), || {
         scenario.algorithm.scheduler()
     });
-    manager.set_workload(scenario.workload);
     manager.warmup(scenario.warmup_periods);
     manager.run_periods(scenario.measure_periods);
     manager.report()

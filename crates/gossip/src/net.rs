@@ -77,10 +77,12 @@ impl NetworkModel {
     /// pre-reserved for `per_period` arrivals.
     ///
     /// # Panics
-    /// Panics if `config` fails validation or `tau_ms` is zero.
+    /// Panics if `config` fails validation for a `tau_ms` period (so also
+    /// if `tau_ms` is zero).
     pub fn new(config: NetworkConfig, tau_ms: u64, horizon: usize, per_period: usize) -> Self {
-        config.validate().expect("valid network configuration");
-        assert!(tau_ms > 0, "the scheduling period must be at least 1 ms");
+        config
+            .validate(tau_ms as f64 / 1_000.0)
+            .expect("valid network configuration");
         NetworkModel {
             config,
             faults: LinkFaults::new(&config),

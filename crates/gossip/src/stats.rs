@@ -1,8 +1,9 @@
 //! Raw observations recorded while the system runs.
 //!
-//! This module only *records*; aggregation into the paper's metrics (average
-//! switch time, reduction ratio, communication overhead, ratio tracks) lives
-//! in `fss-metrics` and the experiment harness.
+//! The aggregates here are what `SystemReport` carries and the experiment
+//! harness reads directly: [`SwitchStats`] (average finishing and preparing
+//! times), [`TrafficCounters::overhead`] (communication overhead) and the
+//! [`RatioSample`]s of the ratio tracks.
 
 /// Running totals of control and data traffic, in bits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -290,6 +291,125 @@ mod tests {
         assert_eq!(stats.q0.count, 3);
         assert!((stats.q0.mean() - (10.0 + 20.0 + 40.0) / 3.0).abs() < 1e-12);
         assert!((stats.completion_rate() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    fn record(q0: usize, finish: Option<f64>, prepare: Option<f64>) -> SwitchRecord {
+        SwitchRecord {
+            present_at_switch: true,
+            departed: false,
+            q0,
+            s1_finished_secs: finish,
+            s2_prepared_secs: prepare,
+            s2_started_secs: match (finish, prepare) {
+                (Some(f), Some(p)) => Some(f.max(p)),
+                _ => None,
+            },
+        }
+    }
+
+    #[test]
+    fn aggregates_only_countable_nodes() {
+        let mut records = vec![
+            record(100, Some(10.0), Some(20.0)),
+            record(120, Some(14.0), Some(24.0)),
+            record(80, Some(12.0), Some(22.0)),
+        ];
+        // A departed node and a late joiner must be excluded.
+        records.push(SwitchRecord {
+            departed: true,
+            ..record(999, Some(1.0), Some(1.0))
+        });
+        records.push(SwitchRecord::default());
+
+        let s = SwitchStats::from_records(&records);
+        assert_eq!(s.countable_nodes, 3);
+        assert_eq!(s.completed_nodes, 3);
+        assert!((s.finish_old_secs.mean() - 12.0).abs() < 1e-12);
+        assert!((s.prepare_new_secs.mean() - 22.0).abs() < 1e-12);
+        assert!((s.start_new_secs.mean() - 22.0).abs() < 1e-12);
+        assert_eq!(s.prepare_new_secs.max_or_zero(), 24.0);
+        assert_eq!(s.finish_old_secs.max_or_zero(), 14.0);
+        assert!((s.q0.mean() - 100.0).abs() < 1e-12);
+        assert_eq!(s.completion_rate(), 1.0);
+    }
+
+    #[test]
+    fn incomplete_nodes_lower_the_completion_rate_only() {
+        let records = vec![
+            record(10, Some(5.0), Some(8.0)),
+            record(10, Some(6.0), None),
+        ];
+        let s = SwitchStats::from_records(&records);
+        assert_eq!(s.countable_nodes, 2);
+        assert_eq!(s.completed_nodes, 1);
+        assert_eq!(s.completion_rate(), 0.5);
+        // The prepare average uses only the node that has a value.
+        assert!((s.prepare_new_secs.mean() - 8.0).abs() < 1e-12);
+        assert!((s.finish_old_secs.mean() - 5.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_records() {
+        let s = SwitchStats::from_records(&[]);
+        assert_eq!(s.countable_nodes, 0);
+        assert_eq!(s.completion_rate(), 0.0);
+        assert_eq!(s.prepare_new_secs.mean(), 0.0);
+    }
+
+    /// The exact-vector fold the streaming stats reproduce: a milestone's
+    /// values collected in record order, then their mean and maximum
+    /// (both 0 for an empty sample).
+    fn vector_fold(values: &[f64]) -> (f64, f64) {
+        if values.is_empty() {
+            return (0.0, 0.0);
+        }
+        let sum = values.iter().fold(0.0, |sum, v| sum + v);
+        let max = values.iter().fold(f64::NEG_INFINITY, |max, &v| max.max(v));
+        (sum / values.len() as f64, max)
+    }
+
+    #[test]
+    fn from_records_matches_the_vector_fold_bitwise() {
+        let mut records = vec![
+            record(100, Some(10.0), Some(20.0)),
+            record(120, Some(14.0), Some(24.0)),
+            record(80, Some(12.0), None),
+        ];
+        records.push(SwitchRecord {
+            departed: true,
+            ..record(999, Some(1.0), Some(1.0))
+        });
+        records.push(SwitchRecord::default());
+
+        for records in [&records[..], &[]] {
+            let stats = SwitchStats::from_records(records);
+            let countable: Vec<&SwitchRecord> = records.iter().filter(|r| r.countable()).collect();
+            assert_eq!(stats.countable_nodes, countable.len());
+            assert_eq!(
+                stats.completed_nodes,
+                countable.iter().filter(|r| r.completed()).count()
+            );
+            let finish: Vec<f64> = countable
+                .iter()
+                .filter_map(|r| r.s1_finished_secs)
+                .collect();
+            let prepare: Vec<f64> = countable
+                .iter()
+                .filter_map(|r| r.s2_prepared_secs)
+                .collect();
+            let start: Vec<f64> = countable.iter().filter_map(|r| r.s2_started_secs).collect();
+            let q0: Vec<f64> = countable.iter().map(|r| r.q0 as f64).collect();
+            for (stat, values) in [
+                (stats.finish_old_secs, finish),
+                (stats.prepare_new_secs, prepare),
+                (stats.start_new_secs, start),
+                (stats.q0, q0),
+            ] {
+                let (mean, max) = vector_fold(&values);
+                assert_eq!(stat.mean().to_bits(), mean.to_bits());
+                assert_eq!(stat.max_or_zero().to_bits(), max.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! reference the streaming aggregates are tested against.
 //!
 //! Compiled for tests only.  Production code streams samples into a
-//! [`QuantileSketch`](crate::sketch::QuantileSketch) or a
-//! `fss_gossip::stats` accumulator; the sketch, switch and admission tests
-//! check those against [`Summary::of`] and [`Summary::quantile`] over the
-//! same sample.
+//! [`QuantileSketch`](crate::sketch::QuantileSketch); the sketch, zap and
+//! admission tests check those against [`Summary::of`] and
+//! [`Summary::quantile`] over the same sample.
 
 /// Summary statistics of a (possibly empty) sample.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -79,8 +79,17 @@ impl NetworkConfig {
         self.latency_scale == 0.0 && self.loss_rate == 0.0 && self.jitter_ms == 0
     }
 
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Validates the configuration for a run whose scheduling period is
+    /// `tau_secs`.  The event network keeps time in whole milliseconds, so
+    /// the period must round to at least 1 ms.
+    pub fn validate(&self, tau_secs: f64) -> Result<(), String> {
+        let tau_ms = (tau_secs * 1_000.0).round();
+        if tau_ms.is_nan() || tau_ms < 1.0 {
+            return Err(format!(
+                "tau_secs {tau_secs} rounds below the event network's 1 ms resolution: \
+                 the scheduling period must be at least 1 ms"
+            ));
+        }
         if !self.latency_scale.is_finite() || self.latency_scale < 0.0 {
             return Err(format!(
                 "latency_scale {} must be finite and non-negative",
@@ -216,7 +225,7 @@ mod tests {
     #[test]
     fn ideal_config_validates_and_is_ideal() {
         let c = NetworkConfig::ideal();
-        assert!(c.validate().is_ok());
+        assert!(c.validate(1.0).is_ok());
         assert!(c.is_ideal());
         assert_eq!(NetworkConfig::default(), c);
     }
@@ -234,11 +243,19 @@ mod tests {
 
     #[test]
     fn validation_rejects_nonsense() {
-        assert!(NetworkConfig::lossy(1.0, 0).validate().is_err());
-        assert!(NetworkConfig::lossy(-0.1, 0).validate().is_err());
-        assert!(NetworkConfig::lossy(f64::NAN, 0).validate().is_err());
-        assert!(NetworkConfig::delayed(-1.0, 0).validate().is_err());
-        assert!(NetworkConfig::delayed(f64::INFINITY, 0).validate().is_err());
+        assert!(NetworkConfig::lossy(1.0, 0).validate(1.0).is_err());
+        assert!(NetworkConfig::lossy(-0.1, 0).validate(1.0).is_err());
+        assert!(NetworkConfig::lossy(f64::NAN, 0).validate(1.0).is_err());
+        assert!(NetworkConfig::delayed(-1.0, 0).validate(1.0).is_err());
+        assert!(NetworkConfig::delayed(f64::INFINITY, 0)
+            .validate(1.0)
+            .is_err());
+        // The period must round to at least one millisecond.
+        let ideal = NetworkConfig::ideal();
+        assert!(ideal.validate(0.0005).is_ok());
+        assert!(ideal.validate(0.0004).is_err());
+        assert!(ideal.validate(0.0).is_err());
+        assert!(ideal.validate(f64::NAN).is_err());
     }
 
     #[test]

@@ -46,4 +46,4 @@ pub use pool::WorkerPool;
 pub use session::{
     AdmissionControl, ChannelReport, RuntimeReport, SessionConfig, SessionManager, SteppingMode,
 };
-pub use zap::{ZapSchedule, ZapWorkload};
+pub use zap::ZapSchedule;

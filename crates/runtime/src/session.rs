@@ -51,7 +51,7 @@
 //! [`StreamingSystem`]: fss_gossip::StreamingSystem
 
 use crate::pool::WorkerPool;
-use crate::zap::{ZapBatch, ZapSchedule, ZapWorkload};
+use crate::zap::{CrowdZap, ZapBatch, ZapSchedule};
 use fss_gossip::directory::{sample_neighbours, select_movers};
 use fss_gossip::{
     AdmissionScratch, GossipConfig, SegmentScheduler, StreamingSystem, TrafficCounters,
@@ -178,7 +178,7 @@ impl SessionConfig {
             return Err("max_admits_per_period must be positive (use None to disable)".into());
         }
         if let Some(network) = self.network {
-            network.validate()?;
+            network.validate(self.gossip.tau_secs)?;
         }
         self.gossip.validate().map_err(|e| e.to_string())
     }
@@ -538,9 +538,9 @@ pub struct SessionManager {
 
 impl SessionManager {
     /// Builds the channels and starts each channel's initial source, with
-    /// the uniform zap workload and [`SteppingMode::pipelined`] installed
-    /// by default
-    /// (see [`set_workload`](Self::set_workload) /
+    /// the uniform zap workload ([`CrowdZap::uniform`]) and
+    /// [`SteppingMode::pipelined`] installed by default (see
+    /// [`set_zap_schedule`](Self::set_zap_schedule) /
     /// [`set_mode`](Self::set_mode)).
     ///
     /// `scheduler` instantiates one scheduling policy per channel (e.g.
@@ -608,12 +608,12 @@ impl SessionManager {
             })
             .collect();
         SessionManager {
-            schedule: ZapWorkload::Uniform.build(
+            schedule: Box::new(CrowdZap::uniform(
                 config.channels,
                 config.viewers_per_channel,
                 config.zap_fraction,
                 config.seed,
-            ),
+            )),
             schedule_consulted: false,
             mode: SteppingMode::pipelined(),
             bandwidth: BandwidthConfig::default(),
@@ -656,19 +656,6 @@ impl SessionManager {
     /// only the execution schedule.
     pub fn set_mode(&mut self, mode: SteppingMode) {
         self.mode = mode;
-    }
-
-    /// Replaces the zap workload with one of the built-in shapes.
-    ///
-    /// # Panics
-    /// Panics if measured periods have already consulted the old schedule.
-    pub fn set_workload(&mut self, workload: ZapWorkload) {
-        self.set_zap_schedule(workload.build(
-            self.config.channels,
-            self.config.viewers_per_channel,
-            self.config.zap_fraction,
-            self.config.seed,
-        ));
     }
 
     /// Replaces the zap schedule with an arbitrary implementation.
@@ -1262,7 +1249,13 @@ mod tests {
             let mut m = SessionManager::new(config, Arc::new(WorkerPool::new(2)), || {
                 Box::new(FastSwitchScheduler::new())
             });
-            m.set_workload(ZapWorkload::Zipf { alpha: 1.0 });
+            m.set_zap_schedule(Box::new(CrowdZap::zipf(
+                config.channels,
+                config.viewers_per_channel,
+                config.zap_fraction,
+                1.0,
+                config.seed,
+            )));
             m.set_mode(SteppingMode::Pipelined { run_ahead });
             m.warmup(40);
             let before = m.pool().dispatches();
@@ -1293,11 +1286,15 @@ mod tests {
     #[test]
     fn flash_crowd_concentrates_arrivals() {
         let mut m = manager(2, 4, 17);
-        m.set_workload(ZapWorkload::FlashCrowd {
-            target: 1,
-            at: 40,
-            size: 50,
-        });
+        let c = *m.config();
+        m.set_zap_schedule(Box::new(
+            CrowdZap::uniform(c.channels, c.viewers_per_channel, c.zap_fraction, c.seed)
+                .with_storms(vec![Storm {
+                    at: 40,
+                    target: 1,
+                    size: 50,
+                }]),
+        ));
         m.warmup(30);
         m.run_periods(30);
         let report = m.report();
@@ -1422,11 +1419,19 @@ mod tests {
             let mut m = SessionManager::new(config, Arc::new(WorkerPool::new(2)), || {
                 Box::new(FastSwitchScheduler::new())
             });
-            m.set_workload(ZapWorkload::FlashCrowd {
-                target: 1,
-                at: 25,
-                size: 60,
-            });
+            m.set_zap_schedule(Box::new(
+                CrowdZap::uniform(
+                    config.channels,
+                    config.viewers_per_channel,
+                    config.zap_fraction,
+                    config.seed,
+                )
+                .with_storms(vec![Storm {
+                    at: 25,
+                    target: 1,
+                    size: 60,
+                }]),
+            ));
             m.warmup(20);
             m.run_periods(30);
             m.report()
@@ -1499,11 +1504,19 @@ mod tests {
         let mut m = SessionManager::new(config, Arc::new(WorkerPool::new(2)), || {
             Box::new(FastSwitchScheduler::new())
         });
-        m.set_workload(ZapWorkload::FlashCrowd {
-            target: 0,
-            at: 21,
-            size: 50,
-        });
+        m.set_zap_schedule(Box::new(
+            CrowdZap::uniform(
+                config.channels,
+                config.viewers_per_channel,
+                config.zap_fraction,
+                config.seed,
+            )
+            .with_storms(vec![Storm {
+                at: 21,
+                target: 0,
+                size: 50,
+            }]),
+        ));
         m.warmup(20);
         m.run_periods(5);
         let report = m.report();
@@ -1555,7 +1568,14 @@ mod tests {
     fn workload_swap_after_measuring_panics() {
         let mut m = manager(1, 2, 3);
         m.run_periods(1);
-        m.set_workload(ZapWorkload::Zipf { alpha: 1.0 });
+        let c = *m.config();
+        m.set_zap_schedule(Box::new(CrowdZap::zipf(
+            c.channels,
+            c.viewers_per_channel,
+            c.zap_fraction,
+            1.0,
+            c.seed,
+        )));
     }
 
     #[test]
@@ -1600,5 +1620,18 @@ mod tests {
         }
         .validate()
         .unwrap();
+    }
+
+    /// A period that rounds below the event network's 1 ms clock is a
+    /// validation error once a network is installed, not a panic inside
+    /// `SessionManager::new`; lockstep keeps accepting it.
+    #[test]
+    fn sub_millisecond_period_is_rejected_once_a_network_is_installed() {
+        let mut config = SessionConfig::paper_default(4, 50);
+        config.gossip.tau_secs = 0.0004;
+        config.validate().unwrap();
+        config.network = Some(NetworkConfig::lossy(0.01, 1));
+        let err = config.validate().unwrap_err();
+        assert!(err.contains("at least 1 ms"), "{err}");
     }
 }

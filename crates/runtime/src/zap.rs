@@ -11,9 +11,7 @@
 //!   `(from, to, viewers)` movement at one period boundary;
 //! * [`CrowdZap`] — the built-in schedule family: uniform targets, Zipf(α)
 //!   popularity-skewed targets ([`ZipfSampler`]), and optional
-//!   [`Storm`]s layered on top of either;
-//! * [`ZapWorkload`] — a serialisable, copyable description of a workload,
-//!   used by `fss-experiments` sweeps to label their points.
+//!   [`Storm`]s layered on top of either.
 //!
 //! # The state-independence contract
 //!
@@ -66,21 +64,6 @@ pub trait ZapSchedule: Send {
     /// Appends this boundary's batches to `out`, in a deterministic order
     /// with `from != to` and `viewers > 0` for every batch.
     fn batches_at(&mut self, period: u64, out: &mut Vec<ZapBatch>);
-}
-
-/// No zapping at all — every channel streams in isolation.
-///
-/// Useful as a baseline and for pipelining benchmarks where channels never
-/// synchronise.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoZap;
-
-impl ZapSchedule for NoZap {
-    fn name(&self) -> String {
-        "none".to_string()
-    }
-
-    fn batches_at(&mut self, _period: u64, _out: &mut Vec<ZapBatch>) {}
 }
 
 /// Deterministic sampler of a Zipf(α) distribution over ranks `0..n`.
@@ -458,68 +441,6 @@ impl ZapSchedule for CrowdZap {
     }
 }
 
-/// A serialisable description of a zap workload, used to parameterise
-/// experiment sweeps and label their points.
-///
-/// [`build`](Self::build) turns the description into the concrete
-/// [`ZapSchedule`] for a given session shape.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ZapWorkload {
-    /// No zapping at all.
-    None,
-    /// Uniform target channels at the session's background zap rate.
-    Uniform,
-    /// Zipf(α)-skewed target channels (channel 0 the most popular).
-    Zipf {
-        /// The Zipf exponent; 0 degenerates to uniform.
-        alpha: f64,
-    },
-    /// Uniform background zapping plus one flash-crowd storm.
-    FlashCrowd {
-        /// Channel the crowd converges on.
-        target: usize,
-        /// Period boundary of the burst (must land in a measured period,
-        /// after the warm-up — see [`Storm::at`]).
-        at: u64,
-        /// Viewers converging in that one period.
-        size: usize,
-    },
-}
-
-impl ZapWorkload {
-    /// Builds the schedule for a session of `channels` channels with
-    /// `viewers_per_channel` starting viewers, a background `fraction` zap
-    /// rate and the given `seed`.
-    pub fn build(
-        &self,
-        channels: usize,
-        viewers_per_channel: usize,
-        fraction: f64,
-        seed: u64,
-    ) -> Box<dyn ZapSchedule> {
-        match *self {
-            ZapWorkload::None => Box::new(NoZap),
-            ZapWorkload::Uniform => Box::new(CrowdZap::uniform(
-                channels,
-                viewers_per_channel,
-                fraction,
-                seed,
-            )),
-            ZapWorkload::Zipf { alpha } => Box::new(CrowdZap::zipf(
-                channels,
-                viewers_per_channel,
-                fraction,
-                alpha,
-                seed,
-            )),
-            ZapWorkload::FlashCrowd { target, at, size } => Box::new(
-                CrowdZap::uniform(channels, viewers_per_channel, fraction, seed)
-                    .with_storms(vec![Storm { at, target, size }]),
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,22 +622,21 @@ mod tests {
 
     #[test]
     fn workload_descriptions_build_matching_schedules() {
-        let mut uniform = ZapWorkload::Uniform.build(4, 50, 0.02, 7);
+        let mut uniform = CrowdZap::uniform(4, 50, 0.02, 7);
         assert_eq!(uniform.name(), "uniform");
-        let batches = drain(uniform.as_mut(), 0..30);
+        let batches = drain(&mut uniform, 0..30);
         assert!(!batches.is_empty());
 
-        let zipf = ZapWorkload::Zipf { alpha: 0.9 }.build(4, 50, 0.02, 7);
+        let zipf = CrowdZap::zipf(4, 50, 0.02, 0.9, 7);
         assert_eq!(zipf.name(), "zipf(0.9)");
 
-        let mut storm = ZapWorkload::FlashCrowd {
-            target: 1,
+        let mut storm = CrowdZap::uniform(4, 50, 0.02, 7).with_storms(vec![Storm {
             at: 5,
+            target: 1,
             size: 40,
-        }
-        .build(4, 50, 0.02, 7);
+        }]);
         assert_eq!(storm.name(), "uniform+storms");
-        let batches = drain(storm.as_mut(), 0..6);
+        let batches = drain(&mut storm, 0..6);
         let into_target: usize = batches
             .iter()
             .filter(|b| b.period == 5 && b.to == 1)
@@ -724,9 +644,13 @@ mod tests {
             .sum();
         assert!(into_target >= 40, "storm arrivals missing: {into_target}");
 
-        let mut none = ZapWorkload::None.build(4, 50, 0.02, 7);
-        assert_eq!(none.name(), "none");
-        assert!(drain(none.as_mut(), 0..30).is_empty());
+        // A storm-free schedule keeps its background label.
+        assert_eq!(
+            CrowdZap::uniform(4, 50, 0.02, 7)
+                .with_storms(Vec::new())
+                .name(),
+            "uniform"
+        );
     }
 
     #[test]

@@ -21,10 +21,11 @@ fn main() {
         config.churn_fraction * 100.0
     );
     let comparison = run_comparison(&config);
+    let (fast, normal) = (&comparison.fast.report, &comparison.normal.report);
 
     println!();
     println!("secs  undelivered(lecturer)  delivered(guest)   [fast algorithm]");
-    for row in comparison.fast.ratio_track.rows() {
+    for row in &fast.ratio_samples {
         if row.secs.fract() == 0.0 {
             println!(
                 "{:>4}  {:>20.3}  {:>16.3}",
@@ -36,18 +37,18 @@ fn main() {
     println!();
     println!(
         "avg switch time: fast {:.2}s vs normal {:.2}s (reduction {:.1}%)",
-        comparison.fast.avg_switch_time_secs(),
-        comparison.normal.avg_switch_time_secs(),
+        fast.switch.prepare_new_secs.mean(),
+        normal.switch.prepare_new_secs.mean(),
         comparison.reduction_ratio() * 100.0
     );
     println!(
         "attendees counted in the averages: {} (joiners during the switch follow their \
          neighbours' playback and are excluded, as in the paper)",
-        comparison.fast.switch.countable_nodes
+        fast.switch.countable_nodes
     );
     println!(
         "communication overhead: fast {:.2}% vs normal {:.2}%",
-        comparison.fast.overhead.overhead * 100.0,
-        comparison.normal.overhead.overhead * 100.0
+        fast.traffic_switch_window.overhead() * 100.0,
+        normal.traffic_switch_window.overhead() * 100.0
     );
 }

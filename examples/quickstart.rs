@@ -18,21 +18,23 @@ fn main() {
     );
     let comparison = run_comparison(&config);
 
-    let fast = &comparison.fast;
-    let normal = &comparison.normal;
+    let (fast, normal) = (&comparison.fast.report, &comparison.normal.report);
     println!();
     println!("                         normal      fast");
     println!(
         "avg finishing time of S1 {:>7.2}s  {:>7.2}s",
-        normal.switch.avg_finish_old_secs, fast.switch.avg_finish_old_secs
+        normal.switch.finish_old_secs.mean(),
+        fast.switch.finish_old_secs.mean()
     );
     println!(
         "avg preparing time of S2 {:>7.2}s  {:>7.2}s   (= average switch time)",
-        normal.switch.avg_prepare_new_secs, fast.switch.avg_prepare_new_secs
+        normal.switch.prepare_new_secs.mean(),
+        fast.switch.prepare_new_secs.mean()
     );
     println!(
         "communication overhead   {:>7.4}   {:>7.4}",
-        normal.overhead.overhead, fast.overhead.overhead
+        normal.traffic_switch_window.overhead(),
+        fast.traffic_switch_window.overhead()
     );
     println!(
         "\nreduction ratio of the average switch time: {:.1}%",
@@ -40,6 +42,7 @@ fn main() {
     );
     println!(
         "every node completed the switch: fast={} normal={}",
-        fast.completed, normal.completed
+        fast.switch_completed_secs.is_some(),
+        normal.switch_completed_secs.is_some()
     );
 }

@@ -44,14 +44,14 @@ fn main() {
         };
         system.switch_source(next);
         let periods = system.run_until_switched(300);
-        let summary = SwitchSummary::from_stats(&system.report().switch);
+        let switch = system.report().switch;
 
         println!(
             "handover {round}: peer {speaker} -> peer {next}: avg switch time {:.2}s, \
              last listener ready after {:.1}s ({} listeners, {periods} periods simulated)",
-            summary.avg_switch_time_secs(),
-            summary.max_prepare_new_secs,
-            summary.countable_nodes,
+            switch.prepare_new_secs.mean(),
+            switch.prepare_new_secs.max_or_zero(),
+            switch.countable_nodes,
         );
         speaker = next;
 

@@ -14,8 +14,10 @@
 //! * [`core`] — the paper's contribution: the switch-process model, segment
 //!   priorities, the greedy supplier assignment, and the Fast/Normal switch
 //!   schedulers,
-//! * [`metrics`] — metric aggregation (switch times, reduction ratio,
-//!   communication overhead, ratio tracks, zap latencies),
+//! * [`metrics`] — aggregation across runs, channels and events (zap
+//!   latencies, admission delays, memory, QoE timelines, report tables;
+//!   a run's own switch times, overhead and ratio tracks are in the
+//!   gossip system's report),
 //! * [`runtime`] — the persistent deterministic worker pool and the
 //!   multi-channel session manager: pairwise-pipelined stepping with
 //!   pluggable zap workloads (uniform / Zipf-skewed / flash-crowd), and
@@ -29,11 +31,12 @@
 //! // Compare the fast and normal switch algorithms on a small static overlay.
 //! let config = ScenarioConfig::quick(80, Algorithm::Fast, Environment::Static);
 //! let comparison = run_comparison(&config);
-//! assert!(comparison.fast.completed && comparison.normal.completed);
+//! let (fast, normal) = (&comparison.fast.report, &comparison.normal.report);
+//! assert!(fast.switch_completed_secs.is_some() && normal.switch_completed_secs.is_some());
 //! println!(
 //!     "switch time: fast {:.1}s vs normal {:.1}s (reduction {:.0}%)",
-//!     comparison.fast.avg_switch_time_secs(),
-//!     comparison.normal.avg_switch_time_secs(),
+//!     fast.switch.prepare_new_secs.mean(),
+//!     normal.switch.prepare_new_secs.mean(),
 //!     comparison.reduction_ratio() * 100.0
 //! );
 //! ```
@@ -60,11 +63,9 @@ pub mod prelude {
     pub use fss_gossip::{
         GossipConfig, MemUsage, SchedulingContext, SegmentId, SegmentScheduler, StreamingSystem,
     };
-    pub use fss_metrics::{reduction_ratio, MemSummary, SwitchSummary, Table, ZapSummary};
+    pub use fss_metrics::{MemSummary, Table, ZapSummary};
     pub use fss_overlay::{ChurnModel, Overlay, OverlayBuilder, OverlayConfig, PeerId};
-    pub use fss_runtime::{
-        RuntimeReport, SessionConfig, SessionManager, SteppingMode, WorkerPool, ZapWorkload,
-    };
+    pub use fss_runtime::{RuntimeReport, SessionConfig, SessionManager, SteppingMode, WorkerPool};
     pub use fss_trace::{GeneratorConfig, TraceGenerator};
 }
 
