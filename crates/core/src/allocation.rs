@@ -57,6 +57,10 @@ impl RateAllocation {
 /// Any budget left over by rounding is given to the new source first (that is
 /// the quantity being minimised) and then to the old source, never exceeding
 /// the available counts.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "i1 and i2 are clamped to >= 0 before the floor, float-to-int `as` saturates, and `min` caps each count at its availability"
+)]
 pub fn allocate_rates(
     split: SwitchSplit,
     available_old: usize,

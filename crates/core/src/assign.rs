@@ -199,7 +199,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// A switch context: old session ends at 199, new session starts at 200,
     /// playback is at 190; `candidates` are `(id, [(peer, rate, position)])`.
@@ -358,7 +358,7 @@ mod tests {
             let mut ctx = switch_ctx(&[]);
             for (i, (id, suppliers)) in specs.iter().enumerate() {
                 // Each peer has one rate; keep one entry per peer.
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = BTreeSet::new();
                 let suppliers: Vec<Supplier> = suppliers
                     .iter()
                     .filter(|(p, _)| seen.insert(*p))
@@ -372,7 +372,7 @@ mod tests {
                 proptest::prop_assert_eq!(out.old.len() + out.new.len() + out.skipped, total);
 
                 // Per-supplier load fits in a period.
-                let mut load: HashMap<PeerId, f64> = HashMap::new();
+                let mut load: BTreeMap<PeerId, f64> = BTreeMap::new();
                 for a in out.old.iter().chain(out.new.iter()) {
                     *load.entry(a.supplier).or_default() += 1.0 / rates[a.supplier as usize - 1];
                 }

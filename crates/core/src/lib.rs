@@ -20,6 +20,8 @@
 //!   strictly first).
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 pub mod allocation;
 pub mod assign;

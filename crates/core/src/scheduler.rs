@@ -234,6 +234,10 @@ pub struct SchedulingContext {
 impl SchedulingContext {
     /// Whole segments the node can receive this period (`⌊I·τ⌋`).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "I and tau are validated non-negative, and float-to-int `as` saturates instead of wrapping"
+    )]
     pub fn inbound_budget(&self) -> usize {
         (self.inbound_rate * self.tau_secs).floor() as usize
     }

@@ -11,6 +11,8 @@
 //! * `--csv`    — write CSV instead of aligned text files
 //! * `static` / `dynamic` / `all` — which environments to run (default `all`)
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use fss_experiments::figures::{generate, FigureScale, FigureSet};
 use fss_experiments::{Environment, ScenarioConfig};
 use std::path::PathBuf;

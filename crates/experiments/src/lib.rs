@@ -19,6 +19,7 @@
 //! regenerates every figure and writes the tables to stdout and/or files.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod figures;
 pub mod memory;

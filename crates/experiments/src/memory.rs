@@ -22,6 +22,11 @@
 //! `million_viewer_full_scale` in this module's tests, with a 3 × 2 000
 //! viewer stand-in, `million_scenario_smoke`, in the default suite.
 
+#![expect(
+    clippy::expect_used,
+    reason = "fail-fast experiment drivers behind the CLI: aborting with the expect message on a malformed scenario is the intended operator experience"
+)]
+
 use crate::scenario::Algorithm;
 use fss_gossip::{GossipConfig, StreamingSystem};
 use fss_metrics::MemSummary;

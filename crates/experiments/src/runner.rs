@@ -1,5 +1,10 @@
 //! Runs one scenario end to end.
 
+#![expect(
+    clippy::expect_used,
+    reason = "fail-fast experiment drivers behind the CLI: aborting with the expect message on a malformed scenario is the intended operator experience"
+)]
+
 use crate::scenario::{Algorithm, Environment, ScenarioConfig};
 use fss_gossip::{StreamingSystem, SystemReport};
 use fss_overlay::{ChurnModel, OverlayBuilder, OverlayConfig, PeerId};

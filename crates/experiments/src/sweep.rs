@@ -10,6 +10,11 @@
 //!
 //! [`ScopedJob`]: fss_sim::ScopedJob
 
+#![expect(
+    clippy::expect_used,
+    reason = "fail-fast experiment drivers behind the CLI: aborting with the expect message on a malformed scenario is the intended operator experience"
+)]
+
 use crate::runner::{run_scenario, ComparisonResult, RunResult};
 use crate::scenario::{Algorithm, ScenarioConfig};
 use fss_runtime::WorkerPool;

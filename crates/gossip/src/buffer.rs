@@ -85,6 +85,11 @@
 //! [`mem_breakdown`](FifoBuffer::mem_breakdown) reports the reserved bytes
 //! per component; see `docs/performance.md` for the per-peer budget.
 
+#![expect(
+    clippy::expect_used,
+    reason = "evict_oldest is only reached when len == capacity > 0 (checked by insert); an empty arrivals ring there is a broken FIFO invariant"
+)]
+
 use crate::mem::BufferMemBreakdown;
 use crate::prefetch::prefetch_read;
 use fss_core::SegmentId;
@@ -138,6 +143,7 @@ struct Advert {
     words: [u64; 2],
     /// Sequence numbers of the held ids in `(max − ADVERT_IDS, max]`, slot
     /// `id % ADVERT_IDS` (meaningful only where the id is held).
+    #[expect(clippy::cast_possible_truncation, reason = "ADVERT_IDS is 24")]
     seqs: [u16; ADVERT_IDS as usize],
 }
 
@@ -245,6 +251,10 @@ impl FifoBuffer {
 
     /// The sequence number stored for window offset `offset`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the packed sequence read keeps one 16-bit lane by design"
+    )]
     fn seq(&self, offset: usize) -> u16 {
         let packed = self.window[self.reserved_words() + offset / 4];
         (packed >> (offset % 4 * 16)) as u16
@@ -267,6 +277,10 @@ impl FifoBuffer {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u64 to usize narrows only with 32-bit pointers; the check below bounds the offset by the window, at most MAX_SPAN_IDS (2^22) ids"
+    )]
     fn offset_of(&self, id: u64) -> Option<usize> {
         if id < self.base {
             return None;
@@ -471,6 +485,10 @@ impl FifoBuffer {
     // fss-lint: hot-path
     /// Removes and returns the oldest arrival (the FIFO victim).
     #[inline(always)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "ring slots are < capacity < 2^16, asserted by FifoBuffer::new"
+    )]
     fn evict_oldest(&mut self) -> SegmentId {
         let offset = (self.len > 0)
             .then(|| self.ring[usize::from(self.head)])
@@ -526,6 +544,10 @@ impl FifoBuffer {
 
     /// Inserts a segment.  Returns the evicted segment if the buffer was full,
     /// or `None`.  Re-inserting an already-held segment is a no-op.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "hot insert path: next_seq < EPOCH_LIMIT (2^16) is asserted immediately above the u16 store, and ring offsets are < MAX_SPAN_IDS (2^22) by the ensure_covered span asserts"
+    )]
     pub fn insert(&mut self, segment: SegmentId) -> Option<SegmentId> {
         if self.contains(segment) {
             return None;
@@ -615,6 +637,10 @@ impl FifoBuffer {
     /// the membership test is skipped (checked in debug builds only).
     /// Reads the heap window.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a held segment lies in the window, less than MAX_SPAN_IDS (2^22) past base"
+    )]
     pub(crate) fn held_position(&self, segment: SegmentId) -> u32 {
         debug_assert!(self.contains(segment), "{segment} is not held");
         let offset = (segment.value() - self.base) as usize;

@@ -40,6 +40,11 @@
 //! synchronised anyway — directory reads are the *only* cross-channel
 //! synchronisation points.
 
+#![expect(
+    clippy::expect_used,
+    reason = "departure of a non-member is a membership-bookkeeping bug; the expect turns it into an immediate diagnostic instead of a corrupted member list"
+)]
+
 use crate::hasher::FxHashMap;
 use fss_overlay::{PeerAttrs, PeerId};
 use rand::rngs::SmallRng;

@@ -59,6 +59,8 @@
 //! * [`system`] — the complete period-synchronous streaming system.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 pub mod buffer;
 pub mod config;

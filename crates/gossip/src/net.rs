@@ -28,6 +28,11 @@
 //! and drained buckets keep their capacity, so steady-state event stepping
 //! stays allocation-free (enforced by `zero_alloc.rs`).
 
+#![expect(
+    clippy::expect_used,
+    reason = "constructor documents '# Panics' for invalid configs; config validation errors are programmer errors, not runtime conditions"
+)]
+
 use crate::queue::ArrivalCalendar;
 use fss_overlay::net::{LinkFaults, NetworkConfig};
 use fss_sim::SimTime;

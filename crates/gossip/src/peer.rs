@@ -41,6 +41,10 @@ pub(crate) fn known_slice(known_sessions: usize, directory: &SessionDirectory) -
 /// Undelivered segments of `session` that a peer still needs, i.e. ids in
 /// `[max(id_play, first), end]` missing from its buffer.  `end` falls back
 /// to `fallback_end` for a live session.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "u64 to usize narrows only with 32-bit pointers, and the span is bounded by the ids emitted so far"
+)]
 pub(crate) fn undelivered_in_session(
     buffer: &FifoBuffer,
     id_play: SegmentId,
@@ -83,6 +87,10 @@ pub(crate) fn advance_playback(
         return 0;
     }
     *play_credit += config.play_per_period();
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "play_credit is non-negative, and float-to-int `as` saturates instead of wrapping"
+    )]
     let budget = play_credit.floor() as u64;
     if budget == 0 {
         return 0;

@@ -68,6 +68,10 @@ pub(crate) struct ArrivalCalendar {
 impl ArrivalCalendar {
     /// A calendar of `horizon` (at least one) period buckets, each
     /// pre-reserved for `per_period` arrivals.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the counting-sort table is built only for tau_ms <= COUNTING_SORT_MAX_TAU_MS (2^16)"
+    )]
     pub(crate) fn new(tau_ms: u64, horizon: usize, per_period: usize) -> Self {
         let ring = (0..horizon.max(1))
             .map(|_| Bucket {
@@ -210,6 +214,10 @@ fn bucket_index(ahead: u64) -> usize {
 /// Appends `inside`'s messages to `out` ordered by offset, ties in send
 /// order: a counting sort over `counts` (one slot per offset), or a stable
 /// comparison sort when `counts` is empty.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "counts is non-empty only for tau_ms <= COUNTING_SORT_MAX_TAU_MS (2^16), and every offset is below tau_ms"
+)]
 fn sort_into(
     inside: &mut [(u64, DeliveredSegment)],
     counts: &mut [usize],

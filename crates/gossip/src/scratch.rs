@@ -152,6 +152,10 @@ impl WorkerScratch {
         }
         let (start, end) = (start.value(), end.value());
         let base = start & !63;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "u64 to usize narrows only with 32-bit pointers; the current range is capped at 2B ids and the next at the advertised maximum"
+        )]
         let words = ((end - base) / 64 + 1) as usize;
         self.need_words.clear();
         self.need_words.resize(words, 0);

@@ -24,6 +24,11 @@
 //! [`PeerMut`] (exclusive), both forwarding to the protocol rules in
 //! [`crate::peer`].
 
+#![expect(
+    clippy::expect_used,
+    reason = "last_mut follows an unconditional push of a fresh shard on the line above"
+)]
+
 use crate::buffer::FifoBuffer;
 use crate::config::GossipConfig;
 use crate::peer;
@@ -239,7 +244,7 @@ impl PeerStore {
     /// playback credit.  Returns its id, the store's previous length (ids
     /// are dense).
     pub fn push_peer(&mut self, buffer_capacity: usize) -> PeerId {
-        let id = self.len as PeerId;
+        let id = crate::cast::narrow(self.len, "peer ids fit u32");
         self.push_parts(
             FifoBuffer::new(buffer_capacity),
             PeerHeader {

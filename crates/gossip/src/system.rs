@@ -32,6 +32,11 @@
 //! specification it is checked against (a straight-line lockstep period
 //! written from the public API) lives in the test-only `fss-spec` crate.
 
+#![expect(
+    clippy::expect_used,
+    reason = "period-loop invariant expects (peer attrs exist for active peers, scratch tables sized by ensure_capacity); continuing with corrupted simulator state would silently skew results, aborting is correct"
+)]
+
 use crate::buffer::FifoBuffer;
 use crate::config::GossipConfig;
 use crate::directory::{sample_distinct, MembershipView, SampleScratch};
@@ -203,6 +208,10 @@ impl StreamingSystem {
     ///
     /// # Panics
     /// Panics if the configuration is invalid or `τ` rounds below 1 ms.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "tau passed NetworkConfig::validate (finite, at least 1 ms), float-to-int `as` saturates, and `min` caps the reservation and the horizon"
+    )]
     pub fn set_network(&mut self, config: NetworkConfig) {
         let tau_ms = (self.config.tau_secs * 1_000.0).round() as u64;
         // A requester is granted at most B segments a period (the grant
@@ -519,10 +528,11 @@ impl StreamingSystem {
         if attrs.is_empty() {
             return Ok(());
         }
-        let first = self.overlay.graph().capacity() as PeerId;
+        let capacity = self.overlay.graph().capacity();
+        let first: PeerId = crate::cast::narrow(capacity, "peer ids fit u32");
         let group = |i: usize| &neighbours[i * degree..(i + 1) * degree];
         for i in 0..attrs.len() {
-            let earlier = first..first + i as PeerId;
+            let earlier = first..crate::cast::narrow(capacity + i, "peer ids fit u32");
             let unknown = group(i)
                 .iter()
                 .find(|&&n| !self.overlay.graph().is_active(n) && !earlier.contains(&n));
@@ -759,6 +769,10 @@ impl StreamingSystem {
                     period,
                     d.segment.value(),
                 );
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "round trips are clamped to >= 0, and float-to-int `as` saturates instead of wrapping"
+                )]
                 let arrival = now.saturating_add(SimDuration::from_millis(
                     rtt_ms.round().max(0.0) as u64 + jitter,
                 ));
@@ -935,6 +949,10 @@ impl StreamingSystem {
         *self.peers.buffer_mut(peer) = FifoBuffer::default();
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "emit_credit is non-negative, and float-to-int `as` saturates instead of wrapping"
+    )]
     fn emit_segments(&mut self) {
         let Some(live) = self.directory.live().copied() else {
             return;
@@ -992,16 +1010,22 @@ impl StreamingSystem {
         let tau = self.config.tau_secs;
         self.scratch.outbound.fill(Outbound::default());
         for i in 0..active_len {
-            let p = self.scratch.active[i] as usize;
+            let peer = self.scratch.active[i];
+            let p = peer as usize;
             let (inbound, outbound) = self
                 .overlay
-                .attrs(p as PeerId)
+                .attrs(peer)
                 .map(|a| (a.bandwidth.inbound, a.bandwidth.outbound))
                 .unwrap_or((0.0, 0.0));
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "O and tau are validated non-negative, and float-to-int `as` saturates instead of wrapping"
+            )]
+            let budget = (outbound * tau).floor() as usize;
             self.scratch.inbound_rate[p] = inbound;
             self.scratch.outbound[p] = Outbound {
                 rate: outbound,
-                budget: (outbound * tau).floor() as usize,
+                budget,
             };
         }
 
@@ -1374,6 +1398,10 @@ fn schedule_chunk(
     // A peer is granted at most ⌊I·τ⌋ segments a period; past its buffer
     // capacity the reservation stops being a useful hint (a huge validated
     // τ would otherwise reserve gigabytes).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "I and tau are validated non-negative, float-to-int `as` saturates, and `min` caps the reservation at B"
+    )]
     worker.plan(chunk, |p| {
         ((inbound_rate[p as usize] * config.tau_secs).floor() as usize).min(config.buffer_capacity)
     });
@@ -1633,8 +1661,8 @@ mod tests {
             requests.clear();
             let mut candidates = ctx.candidates.clone();
             candidates.sort_unstable_by_key(|c| c.id);
-            let mut load: std::collections::HashMap<fss_overlay::PeerId, usize> =
-                std::collections::HashMap::new();
+            let mut load: std::collections::BTreeMap<fss_overlay::PeerId, usize> =
+                std::collections::BTreeMap::new();
             for c in candidates {
                 if requests.len() >= ctx.inbound_budget() {
                     break;

@@ -1,26 +1,26 @@
 //! A purpose-built Rust surface lexer.
 //!
-//! `fss-lint` rules are textual (identifier and call-pattern matches), so the
-//! one thing the lexer must get right is *where text stops being code*: line
-//! comments, nested block comments, string / byte-string / raw-string / char
-//! literals.  A rule that fires on `"Instant::now"` inside a doc comment or a
-//! panic message would make the whole tool unusable.
+//! The source guards are textual (identifier and call-pattern matches), so
+//! the one thing the lexer must get right is *where text stops being code*:
+//! line comments, nested block comments, string / byte-string / raw-string /
+//! char literals.  A guard that fires on `"vec!"` inside a doc comment or a
+//! panic message would be unusable.
 //!
 //! The lexer partitions a source file into contiguous [`Region`]s covering
 //! every byte exactly once, and derives a **masked** copy of the source in
-//! which every non-code byte (except newlines) is replaced by a space.  Rules
+//! which every non-code byte (except newlines) is replaced by a space.  Guards
 //! scan the masked text, so their matches can never land inside literals or
 //! comments, while byte offsets — and therefore line/column numbers — remain
 //! valid in the original source.
 //!
 //! The lexer never fails: unterminated literals and comments extend to end of
-//! file (the compiler will reject such a file anyway; the linter just has to
+//! file (the compiler will reject such a file anyway; a guard just has to
 //! not panic on it).
 
 /// Classification of one source region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegionKind {
-    /// Plain code (everything rules may look at).
+    /// Plain code (everything guards may look at).
     Code,
     /// `// ...` including doc comments `///` and `//!` (newline excluded).
     LineComment,
@@ -69,7 +69,7 @@ impl Lexed {
 
     /// The comment regions, with their original text extracted from `source`.
     ///
-    /// Rules use this for the `// fss-lint: hot-path` region markers.
+    /// `tests/hot_path.rs` uses this for the `// fss-lint: hot-path` region markers.
     pub fn comments<'a>(&self, source: &'a str) -> Vec<(Region, &'a str)> {
         self.regions
             .iter()

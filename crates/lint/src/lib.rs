@@ -1,38 +1,18 @@
-//! `fss-lint` — the workspace invariant checker.
+//! `fss-lint` — the lexer behind the workspace's source guards.
 //!
-//! The reproduction's headline claims are *invariants*: byte-identical
-//! [`RuntimeReport`]s across worker/shard/stepping configurations, zero
-//! steady-state heap allocation on the period hot path, and exact protocol
-//! state arithmetic.  The test suite enforces them dynamically (golden
-//! digests, counting allocators); this crate enforces them **statically**, at
-//! the source level, where a single stray `HashMap` iteration or silently
-//! truncating `as u16` would otherwise surface days later as a failed digest
-//! bisect.
+//! Clippy enforces most source rules (see `docs/lint.md`): the root
+//! `clippy.toml` bans the default-`RandomState` hash collections and
+//! wall-clock reads, and crate-root lint levels ban `unwrap`/`expect` in
+//! shipping code and unchecked narrowing casts in the protocol crates.
+//! Three rules have no clippy lint.  They run as this crate's integration
+//! tests, over the [`lexer`]'s masked text, so a match never lands inside a
+//! string or a comment:
 //!
-//! The pipeline: a purpose-built Rust surface [`lexer`] masks out comments
-//! and string/char literals so textual [`rules`] can never misfire inside
-//! them; the [`engine`] walks the workspace, applies the rules, and resolves
-//! findings against the checked-in `lint.toml` baseline ([`config`]), where
-//! every waiver carries a rule code, a file-scoped pattern and a mandatory
-//! reason.  Unwaived findings *and* stale waivers fail the run.
-//!
-//! Rule catalogue (details in `docs/lint.md`):
-//!
-//! | code   | enforces                                                        |
-//! |--------|-----------------------------------------------------------------|
-//! | FSS001 | no default-`RandomState` hash collections in library code       |
-//! | FSS002 | no wall-clock / OS-entropy reads outside `crates/bench`         |
-//! | FSS003 | no allocating calls inside annotated `hot-path` regions         |
-//! | FSS004 | no unchecked narrowing `as` casts in protocol-state crates      |
-//! | FSS005 | no `unwrap()` / `expect()` in non-test library code             |
-//!
-//! [`RuntimeReport`]: ../fss_metrics/report/struct.RuntimeReport.html
+//! * `tests/hot_path.rs` — FSS003: no allocating call inside a
+//!   `// fss-lint: hot-path` … `// fss-lint: end` region;
+//! * `tests/experiment_callers.rs` — every public experiment has a caller;
+//! * `tests/manifest_deps.rs` — every declared dependency is used.
 
-pub mod config;
-pub mod engine;
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod lexer;
-pub mod rules;
-pub mod walk;
-
-pub use engine::{lint_workspace, LintError, Outcome};
-pub use rules::{check_file, Finding, RuleCode};

@@ -1,6 +1,5 @@
 //! FSS003 fixture: allocating calls flagged only between the hot-path
 //! markers, and never inside strings or comments.
-//! Checked as `crates/demo/src/hot.rs`.
 pub fn cold(xs: &[u32]) {
     let _v: Vec<u32> = Vec::new();
     let _c: Vec<u32> = xs.iter().copied().collect();

@@ -29,6 +29,7 @@
 //! `summary` module) are compiled for tests only, as their reference.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod admission;
 pub mod mem;

@@ -24,6 +24,11 @@
 //!
 //! See `docs/observability.md` for the event taxonomy and the memory model.
 
+#![expect(
+    clippy::expect_used,
+    reason = "pending window is re-seeded every stride boundary; take() failing means the stride accounting itself broke"
+)]
+
 use crate::sketch::QuantileSketch;
 use fss_gossip::PeriodSample;
 use std::fmt;

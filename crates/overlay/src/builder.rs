@@ -5,6 +5,11 @@
 //! M = 5 connected neighbors", and assign every peer its inbound/outbound
 //! segment rates.
 
+#![expect(
+    clippy::expect_used,
+    reason = "paper_default() builds from the compile-time default config, which the unit tests prove valid"
+)]
+
 use crate::bandwidth::{BandwidthConfig, PeerBandwidth};
 use crate::error::OverlayError;
 use crate::graph::{OverlayGraph, PeerId};

@@ -20,6 +20,7 @@
 //!   leave and 5 % join per scheduling period).
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod bandwidth;
 pub mod builder;

@@ -37,6 +37,7 @@
 //! [`StreamingSystem`]: fss_gossip::StreamingSystem
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod pool;
 pub mod session;

@@ -38,6 +38,11 @@
 //! worker, the job is still driven to completion, and the payload is
 //! re-thrown on the submitting thread.
 
+#![expect(
+    clippy::expect_used,
+    reason = "lock-poisoning expects: a panicked worker has already lost the deterministic run, so propagating the panic is the only sound continuation"
+)]
+
 use fss_sim::exec::{JobExecutor, ScopedJob};
 use std::any::Any;
 use std::cell::Cell;

@@ -50,6 +50,11 @@
 //!
 //! [`StreamingSystem`]: fss_gossip::StreamingSystem
 
+#![expect(
+    clippy::expect_used,
+    reason = "session-driver invariants (source installed before streaming, directory entries for live sessions); these are setup bugs, not recoverable runtime states"
+)]
+
 use crate::pool::WorkerPool;
 use crate::zap::{CrowdZap, ZapBatch, ZapSchedule};
 use fss_gossip::directory::{sample_neighbours, select_movers};

@@ -27,6 +27,11 @@
 //! on the two endpoint channels — the key to byte-identical reports for
 //! every run-ahead bound.
 
+#![expect(
+    clippy::expect_used,
+    reason = "zapping schedule expects document non-empty channel sets validated at construction"
+)]
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

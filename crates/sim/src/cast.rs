@@ -1,13 +1,15 @@
 //! Checked narrowing conversions for protocol state.
 //!
-//! A bare `as u16`/`as u32` silently truncates: the PR 4 sequence-wraparound
-//! bug was exactly an `as`-cast whose implicit bound stopped holding.  The
-//! `fss-lint` rule FSS004 bans bare narrowing casts in the protocol crates
-//! (`fss-core`, `fss-gossip`); narrowing goes through [`narrow`], which panics with the violated
+//! A bare `as u16`/`as u32` silently truncates: a past sequence-wraparound
+//! bug was exactly an `as`-cast whose implicit bound stopped holding.  Rule
+//! FSS004 (`clippy::cast_possible_truncation`, on for the non-test code of
+//! `fss-core` and `fss-gossip`) bans bare narrowing casts in the protocol
+//! crates; narrowing goes through [`narrow`], which panics with the violated
 //! invariant's name instead of corrupting state — on cold paths the branch is
 //! free, and the panic message turns a multi-day digest bisect into a one-line
-//! diagnostic.  (Provably-bounded hot-path casts instead carry a `lint.toml`
-//! waiver citing the bounding invariant.)
+//! diagnostic.  (Provably-bounded hot-path casts keep their `as` under an
+//! `#[expect(clippy::cast_possible_truncation, reason = "…")]` citing the
+//! bounding invariant.)
 
 use std::fmt::Display;
 

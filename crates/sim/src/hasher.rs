@@ -10,8 +10,9 @@
 //! This lives in `fss-sim` — below every other workspace crate — so that the
 //! whole stack (trace parsing included) can use the same deterministic
 //! collections; `fss_gossip::hasher` re-exports it for the historical path.
-//! The `fss-lint` rule FSS001 enforces that library code reaches for these
-//! aliases instead of the default-`RandomState` types.
+//! The root `clippy.toml` lists `HashMap` and `HashSet` as
+//! `disallowed-types` (rule FSS001), so workspace code reaches for these
+//! aliases; their two definitions are the only waived uses.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -51,9 +52,17 @@ impl Hasher for FxHasher64 {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher64>;
 
 /// A `HashMap` keyed with the deterministic hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned `HashMap`: its hasher is the fixed `FxBuildHasher`"
+)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with the deterministic hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned `HashSet`: its hasher is the fixed `FxBuildHasher`"
+)]
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //!   the gossip substrate,
 //! * [`hasher`] — the deterministic `FxHashMap`/`FxHashSet` aliases every
 //!   workspace crate uses instead of default-`RandomState` collections
-//!   (statically enforced by `fss-lint` rule FSS001), and
+//!   (clippy's `disallowed-types` in the root `clippy.toml` bans the
+//!   others), and
 //! * [`JobExecutor`] / [`ScopedJob`] — the scoped fan-out contract shared by
 //!   the gossip scheduling sweep, the `fss-runtime` worker pool and the
 //!   experiment sweeps (per-chunk slots make results executor-independent).
@@ -20,6 +21,7 @@
 //! in-flight messages in a per-period arrival calendar, `fss_gossip::queue`).
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cast;
 pub mod exec;

@@ -13,6 +13,8 @@
 //! the system only what churn decides.  `README.md` next to this crate lays
 //! the period out as state, messages and transitions.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use fss_gossip::{
     DeliveredSegment, FifoBuffer, GossipConfig, MemUsage, PlaybackState, QoeRecorder, RatioSample,
     SchedulerScratch, SchedulingContext, SegmentId, SegmentRequest, SegmentScheduler, Session,

@@ -28,6 +28,7 @@
 //! neighbours, exactly as the paper does.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod generator;
 pub mod record;

@@ -70,6 +70,10 @@ fn run_with(
         }]),
     ));
     manager.set_mode(mode);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "examples print wall-clock progress for humans; the simulation results they show are still pure functions of the configured seeds"
+    )]
     let start = Instant::now();
     manager.warmup(WARMUP);
     manager.run_periods(MEASURE);

@@ -31,6 +31,10 @@ fn main() {
     let nodes = if full { LARGE_POPULATION_NODES } else { 10_000 };
     println!();
     println!("large-population scenario ({nodes} viewers, single channel)...");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "examples print wall-clock progress for humans; the simulation results they show are still pure functions of the configured seeds"
+    )]
     let start = std::time::Instant::now();
     let report = run_large_population(&MemoryScenario::sized(nodes));
     let elapsed = start.elapsed();

@@ -42,6 +42,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub use fss_core as core;
 pub use fss_experiments as experiments;

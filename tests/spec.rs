@@ -20,7 +20,7 @@ use fast_source_switching::trace::{GeneratorConfig, TraceGenerator};
 use fss_spec::Spec;
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A priority-free scheduler: request candidates oldest-first, spreading
@@ -42,7 +42,7 @@ impl SegmentScheduler for GreedyOldest {
         requests.clear();
         let mut candidates = ctx.candidates.clone();
         candidates.sort_unstable_by_key(|c| c.id);
-        let mut load: HashMap<PeerId, usize> = HashMap::new();
+        let mut load: BTreeMap<PeerId, usize> = BTreeMap::new();
         for c in candidates {
             if requests.len() >= ctx.inbound_budget() {
                 break;
