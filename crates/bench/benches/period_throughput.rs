@@ -14,7 +14,7 @@
 //!   with both dispatches of the period fanned out over the persistent
 //!   `fss-runtime` worker pool (no thread spawns per period);
 //! * `mem/*` — the per-peer footprint meter on the same steady system:
-//!   prints steady-state bytes/peer (compact vs legacy layout) and times
+//!   prints steady-state bytes/peer and its components, and times
 //!   one full meter sweep;
 //! * `zap_admission/*` — the per-batch cost of resolving one zap batch
 //!   (mover selection + per-arrival neighbour/attribute sampling) through
@@ -107,14 +107,11 @@ fn bench_memory_footprint(c: &mut Criterion) {
     let sys = steady_system(1);
     let mem = sys.report().mem;
     println!(
-        "mem/bytes_per_peer_1k: {:.0} B/peer (ring {:.0} + window {:.0} + seqs {:.0} + inline); \
-         legacy layout {:.0} B/peer; reduction {:.1}%",
+        "mem/bytes_per_peer_1k: {:.0} B/peer (ring {:.0} + window {:.0} + seqs {:.0} + inline)",
         mem.bytes_per_peer(),
         mem.ring_bytes as f64 / mem.active_peers as f64,
         mem.window_bytes as f64 / mem.active_peers as f64,
         mem.seq_bytes as f64 / mem.active_peers as f64,
-        mem.legacy_peer_bytes as f64 / mem.active_peers as f64,
-        100.0 * mem.reduction_vs_legacy()
     );
 
     let mut group = c.benchmark_group("mem");
@@ -127,7 +124,7 @@ fn bench_memory_footprint(c: &mut Criterion) {
 
 /// The `period/1m` + `mem/1m` lanes: one full scheduling period and the
 /// footprint meter on a **million-peer** sharded system.  Gated behind
-/// `FSS_BENCH_1M=1` — the warm-up alone streams 70 periods over a ~4.6 GB
+/// `FSS_BENCH_1M=1` — the warm-up alone streams 70 periods over a ~3.4 GB
 /// working set, which is minutes of wall clock; the default bench run
 /// skips it.  The recorded figures live in `BENCH_period.json`
 /// (`period/1m`, `mem/1m`).
@@ -150,13 +147,10 @@ fn bench_million_peers(c: &mut Criterion) {
 
     let mem = sys.report().mem;
     println!(
-        "mem/1m: {:.0} B/peer, {:.2} GB of peer state over {} shards \
-         (legacy layout {:.2} GB; reduction {:.1}%)",
+        "mem/1m: {:.0} B/peer, {:.2} GB of peer state over {} shards",
         mem.bytes_per_peer(),
         mem.peer_bytes as f64 / 1e9,
         sys.shard_count(),
-        mem.legacy_peer_bytes as f64 / 1e9,
-        100.0 * mem.reduction_vs_legacy()
     );
 
     let mut group = c.benchmark_group("period");

@@ -17,11 +17,10 @@
 //!
 //! * the **core line** holds every field a reader or an insert needs:
 //!   * the arrival ring: `capacity` slots allocated once, with a `u16` head
-//!     and length, each slot a **`u32` offset from the window base** rather
-//!     than a full 8-byte `SegmentId` — offsets are bounded by
-//!     [`MAX_SPAN_IDS`], and the rare events that move the base (window
-//!     compaction, out-of-order rebases) re-anchor the ring in the same
-//!     O(span) pass;
+//!     and length, each slot a **2-byte tag**, the id's low 16 bits, rather
+//!     than a full 8-byte `SegmentId`.  Tags are absolute, so the events
+//!     that move the window base (compaction, out-of-order rebases) leave
+//!     the ring alone; see *Resolving a tag* below;
 //!   * the **windowed bitmap** (`base` + availability words), maintained
 //!     incrementally on insert/evict.  The window slides with the stream:
 //!     when the head outgrows the words, dead all-zero leading words are
@@ -53,6 +52,21 @@
 //! the supplier's maximum, so a neighbour's buffer map costs the two lines
 //! of its struct.
 //!
+//! # Resolving a tag
+//!
+//! The live sequence numbers are distinct and contiguous, and the ring is
+//! in arrival order, so the slot `age` places after the head holds the id
+//! whose sequence number is `next_seq − len + age`.  A tag therefore only
+//! has to choose among the held ids that share its low 16 bits, and the
+//! sequence array settles the choice:
+//!
+//! * while the window covers at most 2¹⁶ ids (every steady-state buffer:
+//!   its window is about a thousand ids), no two covered ids share a tag and
+//!   the offset from the base is `tag − base` modulo 2¹⁶;
+//! * a wider window (at most [`MAX_SPAN_IDS`], so at most 64 candidates
+//!   spaced 2¹⁶ apart) takes the cold path: the held candidate whose
+//!   sequence number is `next_seq − len + age`.
+//!
 //! # Epoch wrapping
 //!
 //! A `u16` arrival counter overflows after 65 536 inserts — a *real* event
@@ -76,7 +90,7 @@
 //!
 //! The window costs O(span) bytes, where span = `max held id − min held id`
 //! (not O(capacity) like a tree/map index): 1 availability bit plus a
-//! 2-byte sequence entry per id of span, and 4 ring bytes per held segment.
+//! 2-byte sequence entry per id of span, and 2 ring bytes per held segment.
 //! This is the right trade for streaming workloads, where FIFO eviction
 //! keeps the span within a few multiples of the buffer capacity.  Ids are
 //! **not** required to be contiguous, but they must be stream-local:
@@ -87,7 +101,7 @@
 
 #![expect(
     clippy::expect_used,
-    reason = "evict_oldest is only reached when len == capacity > 0 (checked by insert); an empty arrivals ring there is a broken FIFO invariant"
+    reason = "every ring slot names exactly one held id by its sequence number; a slot that names none is a broken FIFO invariant"
 )]
 
 use crate::mem::BufferMemBreakdown;
@@ -103,9 +117,12 @@ const GROWTH_SLACK_WORDS: usize = 4;
 /// The availability window costs O(span) memory (see the module docs); a
 /// span beyond this bound (4M ids ≈ 10 MB of window) almost certainly means
 /// the buffer is being fed non-stream ids, so we fail fast with a clear
-/// message rather than letting the allocator abort.  The bound also keeps
-/// ring offsets well inside `u32`.
+/// message rather than letting the allocator abort.
 pub const MAX_SPAN_IDS: u64 = 1 << 22;
+
+/// Ids a ring tag tells apart: window offsets below this resolve from the
+/// tag alone.
+const TAG_SPAN: usize = 1 << 16;
 
 /// One past the largest sequence number an epoch can hold.
 const EPOCH_LIMIT: u32 = 1 << 16;
@@ -152,9 +169,9 @@ struct Advert {
 #[derive(Debug, Default, Clone)]
 #[repr(C, align(64))]
 pub struct FifoBuffer {
-    /// Arrival ring, `capacity` slots: offsets from `base`, oldest at
-    /// `head`.
-    ring: Box<[u32]>,
+    /// Arrival ring, `capacity` slots: each id's low 16 bits, oldest at
+    /// `head` (see *Resolving a tag* in the module docs).
+    ring: Box<[u16]>,
     /// The window block: `cap` availability words over
     /// `[base, base + 64·cap)`, then `64·cap` epoch-relative arrival sequence
     /// numbers packed four to a `u64` (valid only where the availability bit
@@ -185,8 +202,7 @@ impl PartialEq for FifoBuffer {
         // Two buffers are equal when they would behave identically: same
         // capacity and same segments in the same arrival order.  The bitmap
         // window placement and the epoch anchoring are implementation
-        // details (the ring stores base-relative offsets, so raw entries
-        // are not comparable across different window histories).
+        // details (so are free ring slots and where the head sits).
         self.capacity() == other.capacity()
             && self.len == other.len
             && self.arrivals().eq(other.arrivals())
@@ -279,7 +295,7 @@ impl FifoBuffer {
 
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "u64 to usize narrows only with 32-bit pointers; the check below bounds the offset by the window, at most MAX_SPAN_IDS (2^22) ids"
+        reason = "u64 to usize never narrows: the crate root asserts 64-bit usize"
     )]
     fn offset_of(&self, id: u64) -> Option<usize> {
         if id < self.base {
@@ -338,8 +354,41 @@ impl FifoBuffer {
         self.availability_word(aligned)
     }
 
-    /// Drops dead (all-zero) leading words, sliding the window base up and
-    /// re-anchoring the ring offsets.
+    /// True when the id at window offset `offset` is held.
+    #[inline]
+    fn held_at(&self, offset: usize) -> bool {
+        (self.window[offset / 64] >> (offset % 64)) & 1 == 1
+    }
+
+    /// Window offset of the held id `age` places after the ring's head.
+    #[inline(always)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a tag is an id's low 16 bits by design"
+    )]
+    fn resolve(&self, age: usize) -> usize {
+        let offset = usize::from(self.ring[self.ring_slot(age)].wrapping_sub(self.base as u16));
+        if self.words().len() * 64 <= TAG_SPAN {
+            offset
+        } else {
+            self.resolve_wide(offset, age)
+        }
+    }
+
+    /// [`resolve`](Self::resolve) for a window wider than [`TAG_SPAN`]: of
+    /// the held candidates `low + k·2¹⁶`, the one whose sequence number
+    /// is `next_seq − len + age`.
+    #[cold]
+    #[inline(never)]
+    fn resolve_wide(&self, low: usize, age: usize) -> usize {
+        let seq = self.next_seq as usize - self.len() + age;
+        (low..self.words().len() * 64)
+            .step_by(TAG_SPAN)
+            .find(|&offset| self.held_at(offset) && usize::from(self.seq(offset)) == seq)
+            .expect("every ring slot names a held id by its sequence number")
+    }
+
+    /// Drops dead (all-zero) leading words, sliding the window base up.
     fn compact_leading_zeros(&mut self) {
         let zeros = self.words().iter().take_while(|&&w| w == 0).count();
         let len = self.words().len();
@@ -352,13 +401,6 @@ impl FifoBuffer {
             .copy_within(seqs + zeros * SEQ_WORDS..seqs + len * SEQ_WORDS, seqs);
         self.words = crate::cast::narrow(len - zeros, "window words within MAX_SPAN_IDS");
         self.base += (zeros as u64) * 64;
-        // Every held id sits at or above the new base, so every live ring
-        // offset is at least `zeros·64`; the whole ring is shifted, free
-        // slots included, because their contents are never read.
-        let delta: u32 = crate::cast::narrow(zeros * 64, "compacted span within MAX_SPAN_IDS");
-        for offset in self.ring.iter_mut() {
-            *offset = offset.wrapping_sub(delta);
-        }
     }
 
     /// Grows the window to `new_len` words, the new words and their
@@ -416,12 +458,6 @@ impl FifoBuffer {
                 .copy_within(seqs..seqs + old_len * SEQ_WORDS, seqs + shift * SEQ_WORDS);
             self.window[seqs..seqs + shift * SEQ_WORDS].fill(0);
             self.base = new_base;
-            // Held ids kept their absolute positions, so their offsets from
-            // the lowered base all grew by the prepended span.
-            let delta: u32 = crate::cast::narrow(shift * 64, "prepended span within MAX_SPAN_IDS");
-            for offset in self.ring.iter_mut() {
-                *offset = offset.wrapping_add(delta);
-            }
             return;
         }
         let needed = ((id - self.base) / 64) as usize + 1;
@@ -475,7 +511,7 @@ impl FifoBuffer {
             .map_or(0, |below| self.availability_word(below));
         for id in self.max.saturating_sub(ADVERT_IDS - 1)..=self.max {
             if let Some(offset) = self.offset_of(id) {
-                if (self.words()[offset / 64] >> (offset % 64)) & 1 == 1 {
+                if self.held_at(offset) {
                     self.advert.seqs[seq_slot(id)] = self.seq(offset);
                 }
             }
@@ -490,9 +526,8 @@ impl FifoBuffer {
         reason = "ring slots are < capacity < 2^16, asserted by FifoBuffer::new"
     )]
     fn evict_oldest(&mut self) -> SegmentId {
-        let offset = (self.len > 0)
-            .then(|| self.ring[usize::from(self.head)])
-            .expect("non-empty when evicting") as usize;
+        assert!(self.len > 0, "non-empty when evicting");
+        let offset = self.resolve(0);
         self.head = self.ring_slot(1) as u16;
         self.len -= 1;
         let id = self.base + offset as u64;
@@ -546,7 +581,7 @@ impl FifoBuffer {
     /// or `None`.  Re-inserting an already-held segment is a no-op.
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "hot insert path: next_seq < EPOCH_LIMIT (2^16) is asserted immediately above the u16 store, and ring offsets are < MAX_SPAN_IDS (2^22) by the ensure_covered span asserts"
+        reason = "hot insert path: next_seq < EPOCH_LIMIT (2^16) is asserted immediately above the u16 store, and a ring tag is the id's low 16 bits by design"
     )]
     pub fn insert(&mut self, segment: SegmentId) -> Option<SegmentId> {
         if self.contains(segment) {
@@ -572,7 +607,7 @@ impl FifoBuffer {
         self.set_seq(offset, seq);
         self.next_seq += 1;
         let tail = self.ring_slot(self.len());
-        self.ring[tail] = offset as u32;
+        self.ring[tail] = id as u16;
 
         // The advert: a rising maximum first clears the word slots it
         // moves onto (nothing below the old maximum's line changes, and the
@@ -623,7 +658,7 @@ impl FifoBuffer {
     /// that the segment will soon be replaced in this buffer.
     pub fn position_from_tail(&self, segment: SegmentId) -> Option<usize> {
         let offset = self.offset_of(segment.value())?;
-        if (self.words()[offset / 64] >> (offset % 64)) & 1 == 0 {
+        if !self.held_at(offset) {
             return None;
         }
         // Exact: live seqs lie in [next_seq − len, next_seq), so the
@@ -698,7 +733,7 @@ impl FifoBuffer {
 
     /// Iterator over held segments in arrival order (oldest first).
     pub fn arrivals(&self) -> impl Iterator<Item = SegmentId> + '_ {
-        (0..self.len()).map(move |i| SegmentId(self.base + u64::from(self.ring[self.ring_slot(i)])))
+        (0..self.len()).map(move |age| SegmentId(self.base + self.resolve(age) as u64))
     }
 
     /// Number of held segments with ids in `[from, to]` (inclusive):
@@ -760,7 +795,7 @@ impl FifoBuffer {
     pub fn mem_breakdown(&self) -> BufferMemBreakdown {
         let reserved = self.reserved_words();
         BufferMemBreakdown {
-            ring_bytes: self.capacity() * std::mem::size_of::<u32>(),
+            ring_bytes: self.capacity() * std::mem::size_of::<u16>(),
             window_bytes: reserved * std::mem::size_of::<u64>(),
             seq_bytes: reserved * 64 * std::mem::size_of::<u16>(),
         }
@@ -1164,7 +1199,7 @@ mod tests {
             b.insert(SegmentId(i));
         }
         let mem = b.mem_breakdown();
-        assert_eq!(mem.ring_bytes, b.ring.len() * 4);
+        assert_eq!(mem.ring_bytes, b.ring.len() * 2);
         assert_eq!(b.ring.len(), b.capacity());
         // One block holds the reserved words and 64 `u16` sequence numbers
         // per reserved word; the meter splits it into the two components.
@@ -1172,9 +1207,61 @@ mod tests {
         assert!(b.words().len() <= b.reserved_words());
         assert_eq!(mem.window_bytes, b.reserved_words() * 8);
         assert_eq!(mem.seq_bytes, b.reserved_words() * 64 * 2);
-        // The compact layout halves the ring and seq components, so the
-        // legacy baseline must cost strictly more.
-        assert!(mem.legacy_heap_total() > mem.heap_total());
+    }
+
+    /// Ring tags are ids' low 16 bits, so ids 2¹⁶ apart share one.  With a
+    /// window wider than 2¹⁶ ids and colliding tags held together, every
+    /// eviction and every arrival read resolves through the sequence
+    /// array, across an epoch renormalisation; a `VecDeque` is the model.
+    #[test]
+    fn tag_ring_is_fifo_across_wide_spans() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::VecDeque;
+        const CAPACITY: usize = 8;
+        let mut rng = SmallRng::seed_from_u64(0x7a6);
+        let mut b = FifoBuffer::new(CAPACITY);
+        let mut model: VecDeque<u64> = VecDeque::new();
+        let mut head = 4 * TAG_SPAN as u64;
+        let (mut wide_steps, mut collision_steps) = (0u32, 0u32);
+        for _ in 0..3 * EPOCH_LIMIT / 2 {
+            let id = match rng.gen_range(0..8) {
+                0..=3 => {
+                    head += 1;
+                    head
+                }
+                // A tag twin of a recent id, below the window or inside it.
+                4..=6 => head - rng.gen_range(0..4u64) - TAG_SPAN as u64 * rng.gen_range(1..=3u64),
+                // A held id again: a no-op.
+                _ => model.back().copied().unwrap_or(head),
+            };
+            let mut expected = None;
+            if !model.contains(&id) {
+                model.push_back(id);
+                if model.len() > CAPACITY {
+                    expected = model.pop_front();
+                }
+            }
+            assert_eq!(
+                b.insert(SegmentId(id)),
+                expected.map(SegmentId),
+                "inserting {id}"
+            );
+            assert!(b.arrivals().map(SegmentId::value).eq(model.iter().copied()));
+            if b.words().len() * 64 > TAG_SPAN {
+                wide_steps += 1;
+                let mut tags: Vec<u16> = model.iter().map(|&id| id as u16).collect();
+                tags.sort_unstable();
+                tags.dedup();
+                collision_steps += u32::from(tags.len() < model.len());
+            }
+        }
+        assert!(b.epochs() >= 1, "the run must cross an epoch");
+        assert!(wide_steps > 10_000, "the wide path ran {wide_steps} times");
+        assert!(
+            collision_steps > 10_000,
+            "colliding tags held {collision_steps} times"
+        );
     }
 
     #[test]
@@ -1434,7 +1521,7 @@ mod tests {
             );
         }
 
-        /// The compact layout (u32 ring offsets, u16 epoch seqs, sliding
+        /// The compact layout (2-byte ring tags, u16 epoch seqs, sliding
         /// window) is observationally identical to the naive model under
         /// random insert / slide / shrink_front / regrow sequences.
         #[test]

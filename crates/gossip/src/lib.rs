@@ -62,6 +62,10 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
+// Window offsets, id spans and ranges are `u64`s narrowed to `usize` for
+// indexing; that never truncates on the 64-bit targets this crate supports.
+const _: () = assert!(usize::BITS == 64, "fss-gossip assumes a 64-bit usize");
+
 pub mod buffer;
 pub mod config;
 pub mod directory;

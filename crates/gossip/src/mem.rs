@@ -33,16 +33,16 @@
 //! [`StreamingSystem::memory_usage`]: crate::system::StreamingSystem::memory_usage
 
 /// Heap bytes of one peer's [`FifoBuffer`](crate::buffer::FifoBuffer),
-/// split by component (the three allocations the compact layout shrinks).
+/// split by component.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferMemBreakdown {
-    /// The arrival ring: `u32` offsets from the window base (was full
-    /// 8-byte `SegmentId`s before the compact layout).
+    /// The arrival ring: one 2-byte tag (the id's low 16 bits) per slot,
+    /// `capacity` slots.
     pub ring_bytes: usize,
     /// The availability bitmap words.
     pub window_bytes: usize,
     /// The per-covered-id arrival-sequence array: `u16` epoch-relative
-    /// sequence numbers (was `u32`).
+    /// sequence numbers.
     pub seq_bytes: usize,
 }
 
@@ -50,13 +50,6 @@ impl BufferMemBreakdown {
     /// Total heap bytes across the three components.
     pub fn heap_total(&self) -> usize {
         self.ring_bytes + self.window_bytes + self.seq_bytes
-    }
-
-    /// What the same capacities would cost in the pre-compaction layout
-    /// (8-byte ring entries, 4-byte sequence numbers): the baseline the
-    /// memory-budget guard measures the compact layout against.
-    pub fn legacy_heap_total(&self) -> usize {
-        2 * self.ring_bytes + self.window_bytes + 2 * self.seq_bytes
     }
 }
 
@@ -88,9 +81,6 @@ pub struct MemUsage {
     pub seq_bytes: u64,
     /// The single largest active peer's footprint.
     pub max_peer_bytes: u64,
-    /// What the same state would cost in the pre-compaction layout
-    /// (u64 ring entries, u32 seqs).
-    pub legacy_peer_bytes: u64,
 }
 
 impl MemUsage {
@@ -103,7 +93,6 @@ impl MemUsage {
         self.window_bytes += buffer.window_bytes as u64;
         self.seq_bytes += buffer.seq_bytes as u64;
         self.max_peer_bytes = self.max_peer_bytes.max(total);
-        self.legacy_peer_bytes += (inline_bytes + buffer.legacy_heap_total()) as u64;
     }
 
     /// Average protocol-state bytes per active peer (0 when empty).
@@ -112,16 +101,6 @@ impl MemUsage {
             0.0
         } else {
             self.peer_bytes as f64 / self.active_peers as f64
-        }
-    }
-
-    /// Fractional saving of the compact layout versus the pre-compaction
-    /// layout on the same state: `1 − compact/legacy` (0 when empty).
-    pub fn reduction_vs_legacy(&self) -> f64 {
-        if self.legacy_peer_bytes == 0 {
-            0.0
-        } else {
-            1.0 - self.peer_bytes as f64 / self.legacy_peer_bytes as f64
         }
     }
 }
@@ -134,7 +113,6 @@ mod tests {
     fn usage_accumulates_and_averages() {
         let mut usage = MemUsage::default();
         assert_eq!(usage.bytes_per_peer(), 0.0);
-        assert_eq!(usage.reduction_vs_legacy(), 0.0);
         usage.peer_slots = 3;
         usage.add_peer(
             100,
@@ -158,13 +136,7 @@ mod tests {
         assert_eq!(usage.ring_bytes, 600);
         assert_eq!(usage.window_bytes, 120);
         assert_eq!(usage.seq_bytes, 300);
-        // Legacy: doubled ring + doubled seqs.
-        assert_eq!(
-            usage.legacy_peer_bytes,
-            (100 + 800 + 80 + 400) + (100 + 400 + 40 + 200)
-        );
         assert!((usage.bytes_per_peer() - 610.0).abs() < 1e-9);
-        assert!(usage.reduction_vs_legacy() > 0.3);
     }
 
     #[test]
@@ -175,6 +147,5 @@ mod tests {
             seq_bytes: 30,
         };
         assert_eq!(b.heap_total(), 60);
-        assert_eq!(b.legacy_heap_total(), 20 + 20 + 60);
     }
 }

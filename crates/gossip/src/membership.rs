@@ -12,8 +12,11 @@
 //! The maintainer is a **directory client**: it never enumerates the
 //! overlay itself — the caller hands it the channel's live member list
 //! (the [`crate::directory::MembershipView`] the streaming system keeps in
-//! sync on every join/depart), so a repair pass allocates nothing and costs
-//! O(under-connected peers), not O(channel).
+//! sync on every join/depart), so a repair pass allocates nothing.  It still
+//! costs O(channel): it reads the degree of every member, in member order,
+//! on each `depart_batch`/`admit_batch`.  That order fixes the repair RNG
+//! stream, so skipping healthy members would need a list of the
+//! under-connected ones kept in the same order.
 
 use fss_overlay::{Overlay, OverlayError, PeerId};
 use rand::rngs::SmallRng;

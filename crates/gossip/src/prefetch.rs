@@ -1,6 +1,6 @@
 //! Best-effort software prefetch for the period hot path.
 //!
-//! The million-peer sweep is DRAM-bound: the working set (≈ 4.6 GB at
+//! The million-peer sweep is DRAM-bound: the working set (≈ 3.4 GB at
 //! `B = 600`) is out of every cache level, so every first touch of a peer's
 //! header or buffer struct pays full memory latency.  The chunk walks are
 //! index-predictable, though — the fused period pass knows which peer it

@@ -154,7 +154,7 @@ impl WorkerScratch {
         let base = start & !63;
         #[expect(
             clippy::cast_possible_truncation,
-            reason = "u64 to usize narrows only with 32-bit pointers; the current range is capped at 2B ids and the next at the advertised maximum"
+            reason = "u64 to usize never narrows: the crate root asserts 64-bit usize"
         )]
         let words = ((end - base) / 64 + 1) as usize;
         self.need_words.clear();

@@ -48,7 +48,7 @@ pub const DEFAULT_SHARD_SIZE: usize = 1 << 16;
 /// one cache-line fill serves the whole playback/QoE/discovery pass.
 ///
 /// The cold counterpart is the [`FifoBuffer`] column: its ring/window/seqs
-/// heap blocks (≈ 4.4 KB/peer at the paper's `B = 600`) are touched only on
+/// heap blocks (≈ 3.2 KB/peer at the paper's `B = 600`) are touched only on
 /// actual buffer reads and mutations, never dragged in by header-only
 /// passes.
 #[derive(Debug, Clone)]

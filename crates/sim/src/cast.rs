@@ -19,7 +19,7 @@ use std::fmt::Display;
 ///
 /// ```
 /// use fss_sim::cast::narrow;
-/// let offsets: u32 = narrow(4096usize * 64, "ring offsets fit the window span");
+/// let offsets: u32 = narrow(4096usize * 64, "window offsets fit the span");
 /// assert_eq!(offsets, 262_144);
 /// ```
 #[track_caller]

@@ -10,14 +10,11 @@ use fast_source_switching::prelude::*;
 
 fn print_summary(label: &str, mem: &MemSummary) {
     println!(
-        "  {label:>12}: {:>6.0} B/peer  (ring {:>5.0}  window {:>4.0}  seqs {:>5.0})  \
-         legacy {:>6.0} B/peer  → saving {:>4.1}%",
+        "  {label:>12}: {:>6.0} B/peer  (ring {:>5.0}  window {:>4.0}  seqs {:>5.0})",
         mem.avg_bytes_per_peer,
         mem.ring_bytes as f64 / mem.active_peers.max(1) as f64,
         mem.window_bytes as f64 / mem.active_peers.max(1) as f64,
         mem.seq_bytes as f64 / mem.active_peers.max(1) as f64,
-        mem.legacy_peer_state_bytes as f64 / mem.active_peers.max(1) as f64,
-        100.0 * mem.reduction_vs_legacy
     );
 }
 
