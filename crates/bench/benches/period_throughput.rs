@@ -1,43 +1,11 @@
 //! End-to-end period throughput on a 1000-node overlay in steady state.
 //!
-//! Benchmarks one full scheduling period (buffer-map exchange, discovery,
-//! context building, scheduling, transfer resolution, delivery, playback)
-//! through:
-//!
-//! * `reference_period` — one period of the executable specification
-//!   (`fss_spec::Spec::step`) on the same steady system: fresh
-//!   allocations, per-id neighbour probing, map-based grants;
-//! * `optimized_period` — the scratch-arena hot path (`advance`): zero
-//!   steady-state allocation, dense PeerId indexing, word-level bitset
-//!   candidate intersection;
-//! * `optimized_period_1k_pool*` — the same hot path on a sharded store,
-//!   with both dispatches of the period fanned out over the persistent
-//!   `fss-runtime` worker pool (no thread spawns per period);
-//! * `mem/*` — the per-peer footprint meter on the same steady system:
-//!   prints steady-state bytes/peer and its components, and times
-//!   one full meter sweep;
-//! * `zap_admission/*` — the per-batch cost of resolving one zap batch
-//!   (mover selection + per-arrival neighbour/attribute sampling) through
-//!   the legacy collect-then-`choose_multiple` path versus the membership
-//!   directory's pooled admission samplers;
-//! * `qoe_overhead/*` — one steady period with QoE event recording on
-//!   (the default) versus off: the cost of the streaming telemetry layer
-//!   on the playback pass;
-//! * `locality/*` — the fused period pipeline, unsharded and on an
-//!   8-shard store (grants made in the scheduling chunks, the walk run per
-//!   chunk);
-//! * `net/*` — the event-driven network core against plain period
-//!   stepping: `period_mode_1k` is the lockstep baseline, `event_ideal_1k`
-//!   routes the same period through `advance()` with the ideal (zero
-//!   latency, zero loss) model installed — byte-identical results, so the
-//!   difference is pure event-core bookkeeping (budget ≤ 10 %) — and
-//!   `event_faulty_1k` prices a lossy, delayed, jittered period.
-//!
-//! The measured periods/second ratio, the `mem/*` bytes/peer figures, the
-//! `zap_admission/*` per-batch costs and the `qoe_overhead/*` telemetry
-//! tax are recorded in `BENCH_period.json` (acceptance targets: ≥ 2×
-//! period speedup, ≥ 40 % bytes/peer reduction, directory admission ≤
-//! legacy admission, QoE overhead ≤ 5 % of a period).
+//! Each lane times one full scheduling period (buffer-map exchange,
+//! discovery, context building, scheduling, transfer resolution, delivery,
+//! playback) of `StreamingSystem::advance`, or one piece of the system
+//! around it; the function that registers a lane group documents it.
+//! Numbers print to stdout.  `BENCH_period.json` keeps earlier runs as
+//! history; `perfbench/` is the repository's recorded benchmark.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fss_core::FastSwitchScheduler;
@@ -46,7 +14,6 @@ use fss_gossip::{AdmissionScratch, GossipConfig, MembershipView, StreamingSystem
 use fss_overlay::{BandwidthConfig, OverlayBuilder, PeerAttrs, PeerId};
 use fss_trace::{GeneratorConfig, TraceGenerator};
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 const NODES: usize = 1_000;
@@ -78,10 +45,6 @@ fn bench_period_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("period_throughput");
     group.sample_size(10);
 
-    let sys = steady_system(1);
-    let mut spec = fss_spec::Spec::from_system(&sys, Box::new(FastSwitchScheduler::new()));
-    group.bench_function("reference_period_1k", |b| b.iter(|| spec.step(&sys)));
-
     let mut sys = steady_system(1);
     group.bench_function("optimized_period_1k", |b| b.iter(|| sys.advance()));
 
@@ -98,27 +61,6 @@ fn bench_period_throughput(c: &mut Criterion) {
     sys.set_executor(pool.as_executor());
     group.bench_function("optimized_period_1k_pool4", |b| b.iter(|| sys.advance()));
 
-    group.finish();
-}
-
-/// The `mem/*` lane: steady-state bytes/peer (the numbers recorded in
-/// `BENCH_period.json`) and the cost of one meter sweep over all peers.
-fn bench_memory_footprint(c: &mut Criterion) {
-    let sys = steady_system(1);
-    let mem = sys.report().mem;
-    println!(
-        "mem/bytes_per_peer_1k: {:.0} B/peer (ring {:.0} + window {:.0} + seqs {:.0} + inline)",
-        mem.bytes_per_peer(),
-        mem.ring_bytes as f64 / mem.active_peers as f64,
-        mem.window_bytes as f64 / mem.active_peers as f64,
-        mem.seq_bytes as f64 / mem.active_peers as f64,
-    );
-
-    let mut group = c.benchmark_group("mem");
-    group.sample_size(10);
-    group.bench_function("usage_sweep_1k", |b| {
-        b.iter(|| criterion::black_box(sys.memory_usage()))
-    });
     group.finish();
 }
 
@@ -186,15 +128,8 @@ fn bench_locality(c: &mut Criterion) {
 
 /// The `zap_admission/*` lane: what one zap batch (12 movers out, 12
 /// arrivals in, `M = 5` neighbours each) costs to *resolve* on a steady
-/// 1k-node channel pair.
-///
-/// * `legacy_batch_1k` — the pre-directory path (the PR 4 baseline):
-///   collect the origin's eligible peers and the target's full candidate
-///   list into fresh `Vec`s, then `choose_multiple` (which itself builds an
-///   O(channel) index table per call) and per-arrival neighbour `Vec`s.
-/// * `directory_batch_1k` — the membership directory: incremental views,
-///   pooled scratch, sparse-Fisher–Yates sampling.  Identical RNG stream,
-///   identical output, zero allocation.
+/// 1k-node channel pair through the membership directory: incremental
+/// views, pooled scratch, sparse-Fisher–Yates sampling, zero allocation.
 fn bench_zap_admission(c: &mut Criterion) {
     const BATCH: usize = 12;
     const DEGREE: usize = 5;
@@ -204,47 +139,9 @@ fn bench_zap_admission(c: &mut Criterion) {
     let origin_source = origin.overlay().active_peers().next().unwrap();
     let bandwidth = BandwidthConfig::default();
 
-    // Sanity: the two paths must agree before we time them.
-    let legacy = legacy_resolve(
-        &origin,
-        &target,
-        origin_source,
-        BATCH,
-        DEGREE,
-        bandwidth,
-        &mut SmallRng::seed_from_u64(77),
-    );
     let mut scratch = AdmissionScratch::default();
-    directory_resolve(
-        origin.membership_view(),
-        target.membership_view(),
-        origin_source,
-        BATCH,
-        DEGREE,
-        bandwidth,
-        &mut SmallRng::seed_from_u64(77),
-        &mut scratch,
-    );
-    assert_eq!(scratch.movers, legacy.0, "mover selection must agree");
-    assert_eq!(scratch.neighbours, legacy.1, "neighbour sets must agree");
-
     let mut group = c.benchmark_group("zap_admission");
     group.sample_size(20);
-
-    let mut rng = SmallRng::seed_from_u64(5);
-    group.bench_function("legacy_batch_1k", |b| {
-        b.iter(|| {
-            black_box(legacy_resolve(
-                &origin,
-                &target,
-                origin_source,
-                BATCH,
-                DEGREE,
-                bandwidth,
-                &mut rng,
-            ))
-        })
-    });
 
     let mut rng = SmallRng::seed_from_u64(5);
     group.bench_function("directory_batch_1k", |b| {
@@ -341,50 +238,7 @@ fn bench_net_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The pre-directory zap-batch resolution, verbatim from the PR 4
-/// `SessionManager::apply_batch`: fresh collections and per-arrival `Vec`s.
-#[allow(clippy::type_complexity)]
-fn legacy_resolve(
-    origin: &StreamingSystem,
-    target: &StreamingSystem,
-    origin_source: PeerId,
-    batch: usize,
-    degree: usize,
-    bandwidth: BandwidthConfig,
-    rng: &mut SmallRng,
-) -> (Vec<PeerId>, Vec<PeerId>, Vec<(PeerAttrs, Vec<PeerId>)>) {
-    let eligible: Vec<PeerId> = origin
-        .overlay()
-        .active_peers()
-        .filter(|&p| p != origin_source)
-        .collect();
-    let non_source_present = origin.overlay().active_count() - 1;
-    let floor_reserve = usize::from(non_source_present == eligible.len());
-    let quota = eligible.len().saturating_sub(floor_reserve);
-    let movers: Vec<PeerId> = eligible
-        .choose_multiple(rng, batch.min(quota))
-        .copied()
-        .collect();
-    let candidates: Vec<PeerId> = target.overlay().active_peers().collect();
-    let degree = degree.min(candidates.len());
-    let mut flat = Vec::new();
-    let arrivals: Vec<(PeerAttrs, Vec<PeerId>)> = movers
-        .iter()
-        .map(|_| {
-            let neighbours: Vec<PeerId> =
-                candidates.choose_multiple(rng, degree).copied().collect();
-            flat.extend_from_slice(&neighbours);
-            let attrs = PeerAttrs {
-                ping_ms: 80.0 * rng.gen_range(0.5..2.0),
-                bandwidth: bandwidth.sample_peer(rng),
-            };
-            (attrs, neighbours)
-        })
-        .collect();
-    (movers, flat, arrivals)
-}
-
-/// The directory path: the same resolution out of pooled scratch.
+/// One zap batch resolved out of pooled scratch.
 #[allow(clippy::too_many_arguments)]
 fn directory_resolve(
     origin: &MembershipView,
@@ -411,7 +265,6 @@ fn directory_resolve(
 criterion_group!(
     benches,
     bench_period_throughput,
-    bench_memory_footprint,
     bench_million_peers,
     bench_locality,
     bench_zap_admission,

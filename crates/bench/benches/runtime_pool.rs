@@ -1,12 +1,10 @@
-//! Persistent pool vs per-period scoped spawn.
+//! The persistent worker pool and the session stepping built on it, on
+//! whatever hardware runs this:
 //!
-//! Two questions, answered on whatever hardware runs this:
-//!
-//! * `dispatch/*` — what does *fanning out one period's worth of work* cost
-//!   through (a) the persistent [`WorkerPool`] (park/unpark, zero spawns)
-//!   versus (b) a fresh `std::thread::scope` spawn per call — the
-//!   pre-refactor design of the parallel scheduling sweep?  The workload
-//!   per chunk is a small fixed spin so the numbers isolate dispatch cost.
+//! * `dispatch/*` — what fanning out one period's worth of work costs
+//!   through the persistent [`WorkerPool`] (park/unpark, zero spawns).  The
+//!   workload per chunk is a small fixed spin, so the number isolates
+//!   dispatch cost.
 //! * `session/*` — end-to-end: one period of a 4-channel zapping
 //!   [`SessionManager`] sharded over pools of 1 and 4 workers (identical
 //!   reports either way; on a 1-vCPU container the sizes should tie).
@@ -16,7 +14,9 @@
 //!   *round* (potentially many periods) instead of one per period, and
 //!   fast channels never wait for slow ones at a global lockstep —
 //!   reports are byte-identical either way, so the delta is pure
-//!   wall-clock.
+//!   wall-clock.  After timing, the lane prints the pool dispatches of 40
+//!   periods in each mode and asserts that running ahead never dispatches
+//!   more often than lockstep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fss_core::FastSwitchScheduler;
@@ -44,17 +44,6 @@ fn bench_dispatch(c: &mut Criterion) {
     let pool = WorkerPool::with_available_parallelism();
     group.bench_function("persistent_pool", |b| {
         b.iter(|| pool.execute(CHUNKS, &|i: usize| spin(&sink, i)))
-    });
-
-    group.bench_function("scoped_spawn", |b| {
-        b.iter(|| {
-            std::thread::scope(|scope| {
-                for i in 0..CHUNKS {
-                    let sink = &sink;
-                    scope.spawn(move || spin(sink, i));
-                }
-            })
-        })
     });
 
     group.finish();

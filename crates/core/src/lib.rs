@@ -41,7 +41,7 @@ pub use assign::{
 pub use fast::FastSwitchScheduler;
 pub use model::{optimal_split, SwitchModel, SwitchSplit};
 pub use normal::NormalSwitchScheduler;
-pub use priority::{priority, rarity, traditional_rarity, urgency, SegmentPriority};
+pub use priority::{priority, rarity, urgency, SegmentPriority};
 pub use scheduler::{
     replacement_fraction, CandidateSegment, NeighbourInfo, SchedulingContext, SegmentId,
     SegmentRequest, SegmentScheduler, SessionView, SourceId, StreamClass, SupplierFold,

@@ -110,26 +110,6 @@ impl SwitchModel {
         let r1 = r1.clamp(0.0, i);
         SwitchSplit { r1, r2: i - r1 }
     }
-
-    /// Numerically minimizes the startup delay over `I1 ∈ (0, I)` by grid
-    /// search.  Used by tests and the model bench to confirm the closed form.
-    pub fn numeric_best_split(&self, steps: usize) -> SwitchSplit {
-        let mut best = SwitchSplit {
-            r1: 0.0,
-            r2: self.inbound,
-        };
-        let mut best_delay = self.startup_delay_secs(best.r1, best.r2);
-        for k in 1..steps {
-            let r1 = self.inbound * k as f64 / steps as f64;
-            let r2 = self.inbound - r1;
-            let delay = self.startup_delay_secs(r1, r2);
-            if delay < best_delay {
-                best_delay = delay;
-                best = SwitchSplit { r1, r2 };
-            }
-        }
-        best
-    }
 }
 
 /// Convenience wrapper around [`SwitchModel::optimal_split`].
@@ -144,6 +124,26 @@ mod tests {
     fn paper_model(q1: f64, q2: f64) -> SwitchModel {
         // Paper defaults: Q = 10, p = 10, average I = 15.
         SwitchModel::new(q1, q2, 10.0, 10.0, 15.0)
+    }
+
+    /// Minimizes the startup delay over `I1 ∈ [0, I)` by a grid search of
+    /// `steps` points: the oracle the closed form is checked against.
+    fn numeric_best_split(m: &SwitchModel, steps: usize) -> SwitchSplit {
+        let mut best = SwitchSplit {
+            r1: 0.0,
+            r2: m.inbound,
+        };
+        let mut best_delay = m.startup_delay_secs(best.r1, best.r2);
+        for k in 1..steps {
+            let r1 = m.inbound * k as f64 / steps as f64;
+            let r2 = m.inbound - r1;
+            let delay = m.startup_delay_secs(r1, r2);
+            if delay < best_delay {
+                best_delay = delay;
+                best = SwitchSplit { r1, r2 };
+            }
+        }
+        best
     }
 
     #[test]
@@ -174,7 +174,7 @@ mod tests {
         for (q1, q2) in [(100.0, 50.0), (40.0, 50.0), (150.0, 20.0), (5.0, 50.0)] {
             let m = paper_model(q1, q2);
             let closed = m.optimal_split();
-            let numeric = m.numeric_best_split(20_000);
+            let numeric = numeric_best_split(&m, 20_000);
             let d_closed = m.startup_delay_secs(closed.r1, closed.r2);
             let d_numeric = m.startup_delay_secs(numeric.r1, numeric.r2);
             assert!(

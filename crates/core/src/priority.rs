@@ -61,16 +61,6 @@ pub(crate) fn rarity_of(positions: impl Iterator<Item = (usize, usize)>) -> f64 
         .product()
 }
 
-/// The traditional rarity the paper compares against (`1/n_i`); kept for the
-/// ablation benchmarks.
-pub fn traditional_rarity(supplier_count: usize) -> f64 {
-    if supplier_count == 0 {
-        1.0
-    } else {
-        1.0 / supplier_count as f64
-    }
-}
-
 /// Full priority of a candidate segment within a scheduling context (eq. 9).
 ///
 /// Runs once per candidate per node per period, so it must not allocate:
@@ -120,8 +110,6 @@ mod tests {
         // Degenerate inputs.
         assert_eq!(rarity(&[]), 1.0);
         assert_eq!(rarity(&[(5, 0)]), 1.0);
-        assert_eq!(traditional_rarity(4), 0.25);
-        assert_eq!(traditional_rarity(0), 1.0);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! million viewers fit in a few GB.  This module measures it:
 //!
 //! * [`sweep_memory`] — steady-state [`MemSummary`] (bytes/peer and its
-//!   component breakdown) across population sizes; the
-//!   numbers land in `BENCH_period.json` and `docs/performance.md`, and the
-//!   1k-node point is guarded by `crates/bench/tests/mem_budget.rs`;
+//!   component breakdown) across population sizes, printed by
+//!   `examples/memory_footprint.rs`; the 1k-node point is guarded by
+//!   `crates/bench/tests/mem_budget.rs`;
 //! * [`run_large_population`] — a single channel at
 //!   [`LARGE_POPULATION_NODES`] (50 000) peers streamed to steady playback:
 //!   an order of magnitude beyond the paper's evaluation sizes, feasible on

@@ -361,6 +361,28 @@ mod tests {
         assert_eq!(scratch.eligible.len(), 4);
         assert_eq!(scratch.movers.len(), 4, "the blocked peer is the floor");
         assert!(!scratch.movers.contains(&3));
+
+        // The same movers as the legacy path, which collected the eligible
+        // peers and ran `choose_multiple` over them with the floor reserve:
+        // below the quota, at it, just above it and far above it.
+        let view = MembershipView::from_members(0..1_000u32);
+        for requested in [12, 998, 999, 5_000] {
+            let mut rng = SmallRng::seed_from_u64(77);
+            select_movers(&view, 0, |_| false, requested, &mut rng, &mut scratch);
+
+            let mut legacy_rng = SmallRng::seed_from_u64(77);
+            let eligible: Vec<PeerId> = (1..1_000).collect();
+            let quota = eligible.len() - 1;
+            let legacy: Vec<PeerId> = eligible
+                .choose_multiple(&mut legacy_rng, requested.min(quota))
+                .copied()
+                .collect();
+            assert_eq!(scratch.movers, legacy, "requested={requested}");
+            assert_eq!(
+                rng.gen_range(0..1_000_000u64),
+                legacy_rng.gen_range(0..1_000_000u64)
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   `// fss-lint: hot-path` … `// fss-lint: end` region;
 //! * `tests/experiment_callers.rs` — every public experiment has a caller;
 //! * `tests/manifest_deps.rs` — every declared dependency is used.
+//!
+//! `tests/bench_targets.rs` reads manifests, not code: every benchmark
+//! target is declared and has a CI step.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 

@@ -6,8 +6,8 @@
 //! multi-channel session — into the numbers experiments and benches record:
 //! total active peers, average/maximum bytes per peer and the ring /
 //! window / sequence-array breakdown.  The ROADMAP's million-user north star budgets memory *per
-//! viewer*, so bytes/peer is reported alongside throughput in
-//! `BENCH_period.json` and guarded by `crates/bench/tests/mem_budget.rs`.
+//! viewer*, so perfbench reports bytes/peer alongside throughput, and
+//! `crates/bench/tests/mem_budget.rs` guards it.
 
 use fss_gossip::MemUsage;
 

@@ -989,10 +989,10 @@ impl SessionManager {
     /// channels' states at the shared boundary.
     ///
     /// Allocation-free in steady state: every buffer lives in the pooled
-    /// [`AdmissionScratch`] (enforced by the `zap_admission` counting-
-    /// allocator test in `fss-bench`), and the directory's incremental
-    /// views replace the per-batch `active_peers()` collections of the
-    /// pre-directory runtime.
+    /// [`AdmissionScratch`] (enforced by `fss-bench`'s counting-allocator
+    /// test `steady_state_zap_batch_resolution_does_not_allocate`), and the
+    /// directory's incremental views replace the per-batch `active_peers()`
+    /// collections of the pre-directory runtime.
     fn apply_batch(&mut self, planned: PlannedBatch) {
         let ZapBatch {
             period,

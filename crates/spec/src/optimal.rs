@@ -5,9 +5,9 @@
 //! deadlines or being replaced can be the minimal") is NP-hard in general —
 //! the paper points at parallel machine scheduling.  For instances with a
 //! handful of segments an exhaustive search is feasible; this module provides
-//! one so the test-suite and the ablation bench can measure how far the
-//! greedy heuristic ([`fss_core::greedy_assign`]) is from optimal.  It is a
-//! test oracle and lives in this test-only crate.
+//! one so the test-suite can measure how far the greedy heuristic
+//! ([`fss_core::greedy_assign`]) is from optimal.  It is a test oracle and
+//! lives in this test-only crate.
 
 use fss_core::{SchedulingContext, SegmentId};
 use fss_overlay::PeerId;
