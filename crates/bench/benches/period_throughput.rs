@@ -251,7 +251,7 @@ fn directory_resolve(
     scratch: &mut AdmissionScratch,
 ) {
     scratch.clear();
-    select_movers(origin, origin_source, |_| false, batch, rng, scratch);
+    select_movers(origin, origin_source, &[], batch, rng, scratch);
     let degree = degree.min(target.len());
     for _ in 0..scratch.movers.len() {
         sample_neighbours(target, degree, rng, scratch);

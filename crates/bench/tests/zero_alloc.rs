@@ -144,30 +144,37 @@ fn steady_state_period_loop_does_not_allocate() {
     );
 }
 
-/// The membership-directory guarantee: resolving a zap batch — mover
-/// selection from the origin channel's view, per-arrival neighbour and
+/// The membership-directory guarantee: resolving a zap batch — the
+/// origin channel's same-boundary arrivals collected into a pooled list,
+/// mover selection from the origin channel's view, the movers' departure
+/// with its touched-only membership repair, and per-arrival neighbour and
 /// attribute sampling from the target channel's view — allocates **zero**
-/// heap in steady state.  Before the directory existed this path collected
+/// heap in steady state.  This is the sequence `SessionManager`'s
+/// `apply_batch` runs.  Before the directory existed this path collected
 /// the target channel's entire `active_peers()` into a fresh `Vec` per
 /// batch and cloned a neighbour `Vec` per arrival (and the vendored
 /// `choose_multiple` allocates an O(channel) index table per call); the
 /// pooled [`fss_gossip::AdmissionScratch`] plus the sparse-Fisher–Yates
-/// sampler absorb all of it.
+/// sampler absorb all of it, and the repair's touched and leftover lists
+/// keep their capacity between batches (their capacities are bounded by
+/// `system::tests::membership_lists_stay_bounded`).
 ///
-/// The admission *mutation* (actually adding the peers) is deliberately
-/// outside the guarantee: a brand-new peer's protocol state (buffer,
-/// window, ring) is genuine growth, not per-batch working memory — ids are
-/// never reused.
+/// Two mutations are deliberately outside the guarantee, because they are
+/// topology growth, not per-batch working memory: the admission of the
+/// arrivals (a brand-new peer's protocol state — ids are never reused),
+/// and an edge the repair adds to a peer whose neighbour list is full.
+/// The departure is held to at most two allocations per edge its repair
+/// added (one per endpoint list).
 #[test]
 fn steady_state_zap_batch_resolution_does_not_allocate() {
     use fss_gossip::directory::{sample_neighbours, select_movers};
-    use fss_overlay::BandwidthConfig;
+    use fss_overlay::{BandwidthConfig, PeerId};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    let build = |seed: u64| {
+    let build = |nodes: usize, seed: u64| {
         let trace =
-            TraceGenerator::new(GeneratorConfig::sized(250, seed)).generate("zero-alloc-zap");
+            TraceGenerator::new(GeneratorConfig::sized(nodes, seed)).generate("zero-alloc-zap");
         let overlay = OverlayBuilder::paper_default().build(&trace).unwrap();
         let source = overlay.active_peers().next().unwrap();
         let mut sys = StreamingSystem::new(
@@ -179,52 +186,89 @@ fn steady_state_zap_batch_resolution_does_not_allocate() {
         sys.run_periods(40);
         (sys, source)
     };
-    let (origin, origin_source) = build(31);
-    let (target, _) = build(32);
+    let (mut origin, origin_source) = build(600, 31);
+    let (target, _) = build(250, 32);
+    // The viewers that arrived at this boundary and may not zap again; the
+    // production path reads them off its pending-zap list.
+    let pending: Vec<PeerId> = origin.membership_view().members()[1..]
+        .iter()
+        .copied()
+        .step_by(7)
+        .collect();
 
     let mut scratch = fss_gossip::AdmissionScratch::default();
+    let mut arrived: Vec<PeerId> = Vec::new();
     let mut rng = SmallRng::seed_from_u64(9);
     let bandwidth = BandwidthConfig::default();
-    let resolve_batch = |scratch: &mut fss_gossip::AdmissionScratch, rng: &mut SmallRng| -> usize {
-        scratch.clear();
-        select_movers(
-            origin.membership_view(),
-            origin_source,
-            |_| false,
-            12,
-            rng,
-            scratch,
-        );
-        let view = target.membership_view();
-        let degree = 5.min(view.len());
-        for _ in 0..scratch.movers.len() {
-            sample_neighbours(view, degree, rng, scratch);
-            scratch.attrs.push(fss_overlay::PeerAttrs {
-                ping_ms: 80.0 * rng.gen_range(0.5..2.0),
-                bandwidth: bandwidth.sample_peer(rng),
-            });
-        }
-        scratch.movers.len() + scratch.neighbours.len()
+    // One batch; returns (allocations outside the departure, allocations
+    // of the departure, edges its repair added, work produced).
+    let mut resolve_batch = |scratch: &mut fss_gossip::AdmissionScratch,
+                             arrived: &mut Vec<PeerId>,
+                             rng: &mut SmallRng| {
+        let (select, ()) = counted(|| {
+            scratch.clear();
+            arrived.clear();
+            arrived.extend(
+                pending
+                    .iter()
+                    .copied()
+                    .filter(|&p| origin.membership_view().contains(p)),
+            );
+            arrived.sort_unstable();
+            select_movers(
+                origin.membership_view(),
+                origin_source,
+                arrived,
+                3,
+                rng,
+                scratch,
+            );
+        });
+        let graph = origin.overlay().graph();
+        let removed: usize = scratch.movers.iter().map(|&p| graph.degree(p)).sum();
+        let edges_before = graph.edge_count();
+        let (depart, ()) = counted(|| origin.depart_batch(&scratch.movers).unwrap());
+        let added = origin.overlay().graph().edge_count() + removed - edges_before;
+        let (sample, ()) = counted(|| {
+            let view = target.membership_view();
+            let degree = 5.min(view.len());
+            for _ in 0..scratch.movers.len() {
+                sample_neighbours(view, degree, rng, scratch);
+                scratch.attrs.push(fss_overlay::PeerAttrs {
+                    ping_ms: 80.0 * rng.gen_range(0.5..2.0),
+                    bandwidth: bandwidth.sample_peer(rng),
+                });
+            }
+        });
+        let produced = scratch.movers.len() + scratch.neighbours.len();
+        (select + sample, depart, added, produced)
     };
 
-    // Warm-up: the pooled buffers and the sampler's displacement table
-    // reach their high-water capacities.
-    let mut produced = 0;
-    for _ in 0..50 {
-        produced += resolve_batch(&mut scratch, &mut rng);
+    // Warm-up: the pooled buffers, the repair's lists and the sampler's
+    // displacement table reach their high-water capacities.
+    for _ in 0..40 {
+        resolve_batch(&mut scratch, &mut arrived, &mut rng);
     }
 
-    let (during, ()) = counted(|| {
-        for _ in 0..50 {
-            produced += resolve_batch(&mut scratch, &mut rng);
-        }
-    });
-    assert_eq!(
-        during, 0,
-        "steady-state zap-batch resolution allocated {during} times; \
-         the admission scratch must absorb all working memory"
-    );
+    let (mut produced, mut added) = (0, 0);
+    for batch in 0..40 {
+        let (resolve, depart, edges, work) = resolve_batch(&mut scratch, &mut arrived, &mut rng);
+        assert_eq!(
+            resolve, 0,
+            "batch {batch}: steady-state zap-batch resolution allocated {resolve} times; \
+             the admission scratch and the arrival list must absorb all working memory"
+        );
+        assert!(
+            depart as usize <= 2 * edges,
+            "batch {batch}: the departure allocated {depart} times for {edges} repair edges"
+        );
+        produced += work;
+        added += edges;
+    }
     assert!(produced > 0, "the batches actually resolved work");
+    assert!(added > 0, "the departures needed repairs");
+    assert!(!arrived.is_empty(), "the arrival list excluded viewers");
+    assert_eq!(origin.membership_view().len(), 600 - 80 * 3);
 }
 
 /// The sharded struct-of-arrays store keeps the guarantee: with the peer

@@ -197,10 +197,12 @@ impl AdmissionScratch {
 }
 
 /// Selects up to `requested` movers out of `view`, excluding `source`
-/// and any peer `blocked` (same-boundary arrivals), respecting the live
-/// survival floor (at least one non-source member stays behind).
+/// and the same-boundary arrivals `arrived` (ascending; a viewer cannot zap
+/// twice at one boundary), respecting the live survival floor (at least
+/// one non-source member stays behind).
 ///
-/// Fills `scratch.eligible` and `scratch.movers`; consumes the same RNG
+/// Fills `scratch.eligible` and `scratch.movers` in one merge pass over the
+/// two ascending lists, O(members + arrivals); consumes the same RNG
 /// stream as the legacy filter-collect-`choose_multiple` path.
 ///
 /// This and [`sample_neighbours`] are the admission side of zap batches
@@ -216,19 +218,24 @@ impl AdmissionScratch {
 pub fn select_movers(
     view: &MembershipView,
     source: PeerId,
-    mut blocked: impl FnMut(PeerId) -> bool,
+    arrived: &[PeerId],
     requested: usize,
     rng: &mut SmallRng,
     scratch: &mut AdmissionScratch,
 ) {
+    debug_assert!(
+        arrived.windows(2).all(|pair| pair[0] <= pair[1]),
+        "same-boundary arrivals must be ascending"
+    );
     scratch.eligible.clear();
     scratch.movers.clear();
-    scratch.eligible.extend(
-        view.members()
-            .iter()
-            .copied()
-            .filter(|&p| p != source && !blocked(p)),
-    );
+    let mut arrived = arrived.iter().copied().peekable();
+    scratch
+        .eligible
+        .extend(view.members().iter().copied().filter(|&p| {
+            while arrived.next_if(|&a| a < p).is_some() {}
+            p != source && arrived.peek() != Some(&p)
+        }));
     // Live survival floor: when every non-source member is eligible, one
     // must stay behind so the channel never drains to source-only
     // membership (same-boundary arrivals count as staying — present,
@@ -349,7 +356,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         // Ask for far more movers than the channel can give up: everyone but
         // the source is eligible, so the floor holds one back.
-        select_movers(&view, 0, |_| false, 100, &mut rng, &mut scratch);
+        select_movers(&view, 0, &[], 100, &mut rng, &mut scratch);
         assert_eq!(scratch.eligible.len(), 5);
         assert_eq!(scratch.movers.len(), 4, "one non-source member must stay");
         assert!(!scratch.movers.contains(&0), "the source never moves");
@@ -357,7 +364,7 @@ mod tests {
         // A blocked peer (same-boundary arrival) counts as staying, so the
         // floor reserve is not double-charged.
         let mut rng = SmallRng::seed_from_u64(2);
-        select_movers(&view, 0, |p| p == 3, 100, &mut rng, &mut scratch);
+        select_movers(&view, 0, &[3], 100, &mut rng, &mut scratch);
         assert_eq!(scratch.eligible.len(), 4);
         assert_eq!(scratch.movers.len(), 4, "the blocked peer is the floor");
         assert!(!scratch.movers.contains(&3));
@@ -368,7 +375,7 @@ mod tests {
         let view = MembershipView::from_members(0..1_000u32);
         for requested in [12, 998, 999, 5_000] {
             let mut rng = SmallRng::seed_from_u64(77);
-            select_movers(&view, 0, |_| false, requested, &mut rng, &mut scratch);
+            select_movers(&view, 0, &[], requested, &mut rng, &mut scratch);
 
             let mut legacy_rng = SmallRng::seed_from_u64(77);
             let eligible: Vec<PeerId> = (1..1_000).collect();
@@ -382,6 +389,31 @@ mod tests {
                 rng.gen_range(0..1_000_000u64),
                 legacy_rng.gen_range(0..1_000_000u64)
             );
+        }
+    }
+
+    /// The merge over the ascending arrivals excludes exactly the members
+    /// a per-member probe of the arrival list excluded, with arrivals that
+    /// are not members (they left again) or lie past the last member.
+    #[test]
+    fn arrival_merge_matches_a_membership_probe() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut scratch = AdmissionScratch::default();
+        for _ in 0..200 {
+            let n: PeerId = rng.gen_range(1..60);
+            let members: Vec<PeerId> = (0..n).filter(|_| rng.gen_range(0..3) != 0).collect();
+            let Some(&source) = members.first() else {
+                continue;
+            };
+            let view = MembershipView::from_members(members.iter().copied());
+            let arrived: Vec<PeerId> = (0..n + 10).filter(|_| rng.gen_range(0..4) == 0).collect();
+            select_movers(&view, source, &arrived, 3, &mut rng, &mut scratch);
+            let probed: Vec<PeerId> = members
+                .iter()
+                .copied()
+                .filter(|&p| p != source && !arrived.contains(&p))
+                .collect();
+            assert_eq!(scratch.eligible, probed);
         }
     }
 

@@ -12,11 +12,18 @@
 //! The maintainer is a **directory client**: it never enumerates the
 //! overlay itself — the caller hands it the channel's live member list
 //! (the [`crate::directory::MembershipView`] the streaming system keeps in
-//! sync on every join/depart), so a repair pass allocates nothing.  It still
-//! costs O(channel): it reads the degree of every member, in member order,
-//! on each `depart_batch`/`admit_batch`.  That order fixes the repair RNG
-//! stream, so skipping healthy members would need a list of the
-//! under-connected ones kept in the same order.
+//! sync on every join/depart), so a repair pass allocates nothing once its
+//! lists are warm.  A repair costs what changed, not O(channel): the first
+//! one visits every member, and each later one visits, in ascending id
+//! order, only the members whose degree fell since the previous repair
+//! (the neighbours of departed peers, noted by
+//! [`remove_peer`](MembershipMaintainer::remove_peer)), the members that
+//! joined since then ([`note_joined`](MembershipMaintainer::note_joined))
+//! and the members the previous repair left below `min_degree`.  Degrees
+//! only grow inside a repair, so every other member is at `min_degree` or
+//! above and the full scan would draw nothing for it: the visit order, the
+//! RNG stream and the edges added are exactly the full scan's (a
+//! differential test keeps the full scan as its oracle).
 
 use fss_overlay::{Overlay, OverlayError, PeerId};
 use rand::rngs::SmallRng;
@@ -28,7 +35,17 @@ use rand::SeedableRng;
 pub struct MembershipMaintainer {
     /// Target minimum neighbour count (the paper's `M`).
     min_degree: usize,
+    /// Candidate draws per visited member before it is given up on.
+    max_attempts: usize,
     rng: SmallRng,
+    /// Whether a repair has visited every member yet; until then nothing
+    /// is noted, so a system that never repairs keeps empty lists.
+    scanned: bool,
+    /// Members whose degree fell, and members that joined, since the last
+    /// repair (unsorted, may repeat or name departed peers).
+    touched: Vec<PeerId>,
+    /// Members the last repair left below `min_degree`, ascending.
+    leftover: Vec<PeerId>,
 }
 
 impl MembershipMaintainer {
@@ -36,7 +53,11 @@ impl MembershipMaintainer {
     pub fn new(min_degree: usize, seed: u64) -> Self {
         MembershipMaintainer {
             min_degree,
+            max_attempts: 20 * min_degree.max(1) * 4,
             rng: SmallRng::seed_from_u64(seed),
+            scanned: false,
+            touched: Vec::new(),
+            leftover: Vec::new(),
         }
     }
 
@@ -45,14 +66,43 @@ impl MembershipMaintainer {
         self.min_degree
     }
 
+    /// Removes `peer` from `overlay`, noting its neighbours (whose degree
+    /// falls) for the next repair.
+    pub fn remove_peer(&mut self, overlay: &mut Overlay, peer: PeerId) -> Result<(), OverlayError> {
+        if self.scanned {
+            self.touched.extend_from_slice(overlay.neighbors(peer));
+        }
+        overlay.remove_peer(peer)
+    }
+
+    /// Notes peers that joined the overlay since the last repair.
+    pub fn note_joined(&mut self, joined: &[PeerId]) {
+        if self.scanned {
+            self.touched.extend_from_slice(joined);
+        }
+    }
+
+    /// The touched list's length and capacity and the leftover list's
+    /// capacity.
+    #[cfg(test)]
+    pub(crate) fn list_sizes(&self) -> (usize, usize, usize) {
+        (
+            self.touched.len(),
+            self.touched.capacity(),
+            self.leftover.capacity(),
+        )
+    }
+
     /// Reconnects every under-connected active peer to randomly chosen active
     /// peers until it has at least `min_degree` neighbours (or no more
     /// distinct peers exist).  Returns the number of edges added.
     ///
-    /// `active` must list every active peer of the overlay — callers pass
-    /// their membership view's member list (ascending id, the same order a
-    /// fresh `active_peers()` collection would yield, so the repair RNG
-    /// stream is unchanged from the pre-directory implementation).
+    /// `active` must list every active peer of the overlay in ascending id
+    /// order — callers pass their membership view's member list — and every
+    /// departure and join since the previous repair must have gone through
+    /// [`remove_peer`](Self::remove_peer) and
+    /// [`note_joined`](Self::note_joined).  Only the members those could
+    /// have left under-connected are visited (see the module doc).
     pub fn repair(
         &mut self,
         overlay: &mut Overlay,
@@ -63,29 +113,74 @@ impl MembershipMaintainer {
             overlay.active_count(),
             "the membership view is out of sync with the overlay"
         );
+        let mut visit = std::mem::take(&mut self.touched);
+        let members: &[PeerId] = if self.scanned {
+            visit.extend_from_slice(&self.leftover);
+            visit.sort_unstable();
+            visit.dedup();
+            &visit
+        } else {
+            active
+        };
+        self.scanned = true;
+        self.leftover.clear();
+        let mut added = 0;
+        for &peer in members {
+            if !overlay.graph().is_active(peer) {
+                continue;
+            }
+            added += self.connect(overlay, active, peer)?;
+            if overlay.graph().degree(peer) < self.min_degree {
+                self.leftover.push(peer);
+            }
+        }
+        visit.clear();
+        self.touched = visit;
+        #[cfg(debug_assertions)]
+        self.check_leftover(overlay, active);
+        Ok(added)
+    }
+
+    /// Draws candidates for one member until it reaches
+    /// `min(min_degree, |active| − 1)` neighbours or runs out of attempts.
+    fn connect(
+        &mut self,
+        overlay: &mut Overlay,
+        active: &[PeerId],
+        peer: PeerId,
+    ) -> Result<usize, OverlayError> {
         if active.len() < 2 {
             return Ok(0);
         }
+        let target = self.min_degree.min(active.len() - 1);
         let mut added = 0;
-        for &peer in active {
-            let mut attempts = 0;
-            let max_attempts = 20 * self.min_degree.max(1) * 4;
-            while overlay.graph().degree(peer) < self.min_degree.min(active.len() - 1)
-                && attempts < max_attempts
-            {
-                attempts += 1;
-                let Some(&candidate) = active.choose(&mut self.rng) else {
-                    break;
-                };
-                if candidate == peer {
-                    continue;
-                }
-                if overlay.graph_mut().add_edge(peer, candidate)? {
-                    added += 1;
-                }
+        let mut attempts = 0;
+        while overlay.graph().degree(peer) < target && attempts < self.max_attempts {
+            attempts += 1;
+            let Some(&candidate) = active.choose(&mut self.rng) else {
+                break;
+            };
+            if candidate == peer {
+                continue;
+            }
+            if overlay.graph_mut().add_edge(peer, candidate)? {
+                added += 1;
             }
         }
         Ok(added)
+    }
+
+    /// Every active member below `min_degree` is on the leftover list, so
+    /// the next repair visits it.
+    #[cfg(debug_assertions)]
+    fn check_leftover(&self, overlay: &Overlay, active: &[PeerId]) {
+        for &peer in active {
+            debug_assert!(
+                overlay.graph().degree(peer) >= self.min_degree
+                    || self.leftover.binary_search(&peer).is_ok(),
+                "peer {peer} is below min_degree but off the leftover list"
+            );
+        }
     }
 }
 
@@ -93,7 +188,7 @@ impl MembershipMaintainer {
 mod tests {
     use super::*;
     use crate::directory::{sample_distinct, SampleScratch};
-    use fss_overlay::{ChurnModel, OverlayBuilder};
+    use fss_overlay::{ChurnModel, OverlayBuilder, PeerAttrs};
     use fss_trace::{GeneratorConfig, TraceGenerator};
 
     fn overlay(n: usize, seed: u64) -> Overlay {
@@ -116,9 +211,11 @@ mod tests {
         for _ in 0..20 {
             // One churn period through the halves the system drives.
             let before = members(&o);
-            churn
-                .step_departures(&mut o, &before, &[], &mut eligible, &mut left)
-                .unwrap();
+            churn.choose_departures(&before, &[], &mut eligible, &mut left);
+            for &p in &left {
+                maintainer.remove_peer(&mut o, p).unwrap();
+            }
+            let mut joined = Vec::new();
             for _ in 0..churn.join_count(before.len()) {
                 let candidates = members(&o);
                 let degree = churn.join_degree.min(candidates.len());
@@ -126,8 +223,9 @@ mod tests {
                 let attrs = churn.draw_arrival(|rng| {
                     sample_distinct(&candidates, rng, degree, &mut sampler, &mut neighbours)
                 });
-                o.add_peer(attrs, &neighbours).unwrap();
+                joined.push(o.add_peer(attrs, &neighbours).unwrap());
             }
+            maintainer.note_joined(&joined);
             let active = members(&o);
             maintainer.repair(&mut o, &active).unwrap();
             assert!(o.graph().min_degree().unwrap() >= 5);
@@ -177,5 +275,157 @@ mod tests {
         for p in o.active_peers().collect::<Vec<_>>() {
             assert!(o.graph().degree(p) <= 2);
         }
+    }
+
+    /// The repair as it stood before touched-only visiting: every member,
+    /// in member order.  The oracle of the differential tests.
+    fn full_scan(
+        min_degree: usize,
+        max_attempts: usize,
+        rng: &mut SmallRng,
+        overlay: &mut Overlay,
+        active: &[PeerId],
+    ) -> usize {
+        if active.len() < 2 {
+            return 0;
+        }
+        let mut added = 0;
+        for &peer in active {
+            let mut attempts = 0;
+            while overlay.graph().degree(peer) < min_degree.min(active.len() - 1)
+                && attempts < max_attempts
+            {
+                attempts += 1;
+                let Some(&candidate) = active.choose(rng) else {
+                    break;
+                };
+                if candidate == peer {
+                    continue;
+                }
+                if overlay.graph_mut().add_edge(peer, candidate).unwrap() {
+                    added += 1;
+                }
+            }
+        }
+        added
+    }
+
+    /// One random history of departure batches, admission batches, churn
+    /// periods and channel shrinks, each followed by a repair, applied to
+    /// two copies of one overlay: one repaired touched-only, the other by
+    /// the full scan with its own copy of the RNG.  After every repair the
+    /// two overlays (edge lists in insertion order) and the counts of added
+    /// edges are equal, and so is the next draw of both RNGs.
+    fn differential_case(case: u64) {
+        use fss_overlay::PeerBandwidth;
+        use rand::Rng;
+
+        let mut dice = SmallRng::seed_from_u64(case);
+        let mut fast = overlay(dice.gen_range(8..100), case);
+        let mut slow = fast.clone();
+        let min_degree = dice.gen_range(1..8);
+        let seed = dice.gen::<u64>();
+        let mut maintainer = MembershipMaintainer::new(min_degree, seed);
+        // A third of the cases give up after one or two draws, so members
+        // are left below `min_degree` on a channel large enough to host them.
+        if case.is_multiple_of(3) {
+            maintainer.max_attempts = dice.gen_range(1..3);
+        }
+        let max_attempts = maintainer.max_attempts;
+        let mut oracle = SmallRng::seed_from_u64(seed);
+
+        for _ in 0..dice.gen_range(1..32) {
+            let active = members(&fast);
+            let mut departing: Vec<PeerId> = Vec::new();
+            let mut arrivals = 0;
+            match dice.gen_range(0..8) {
+                // A departure batch.
+                0 | 1 => {
+                    let count = dice.gen_range(1..8);
+                    departing = active.choose_multiple(&mut dice, count).copied().collect();
+                }
+                // An admission batch.
+                2 | 3 => arrivals = dice.gen_range(1..10),
+                // A churn period: departures, then arrivals.
+                4 | 5 => {
+                    let count = dice.gen_range(0..5);
+                    departing = active.choose_multiple(&mut dice, count).copied().collect();
+                    arrivals = dice.gen_range(0..5);
+                }
+                // Shrink the channel to at most `min_degree` members.
+                6 => {
+                    let keep = dice.gen_range(1..=min_degree);
+                    departing = active.iter().skip(keep).copied().collect();
+                    departing.shuffle(&mut dice);
+                }
+                // A repair with nothing changed.
+                _ => {}
+            }
+            for &p in &departing {
+                maintainer.remove_peer(&mut fast, p).unwrap();
+                slow.remove_peer(p).unwrap();
+            }
+            let mut joined = Vec::new();
+            for _ in 0..arrivals {
+                let candidates = members(&fast);
+                let degree = dice.gen_range(0..=4usize).min(candidates.len());
+                let neighbours: Vec<PeerId> = candidates
+                    .choose_multiple(&mut dice, degree)
+                    .copied()
+                    .collect();
+                let attrs = PeerAttrs {
+                    ping_ms: 80.0,
+                    bandwidth: PeerBandwidth {
+                        inbound: 15.0,
+                        outbound: 15.0,
+                    },
+                };
+                joined.push(fast.add_peer(attrs, &neighbours).unwrap());
+                slow.add_peer(attrs, &neighbours).unwrap();
+            }
+            maintainer.note_joined(&joined);
+
+            let active = members(&fast);
+            let added = maintainer.repair(&mut fast, &active).unwrap();
+            let expected = full_scan(min_degree, max_attempts, &mut oracle, &mut slow, &active);
+            assert_eq!(added, expected, "case {case}: edges added");
+            assert_eq!(fast, slow, "case {case}: overlays differ");
+            assert_eq!(
+                maintainer.rng.clone().gen::<u64>(),
+                oracle.clone().gen::<u64>(),
+                "case {case}: the RNG streams diverged"
+            );
+            assert!(maintainer.touched.is_empty());
+        }
+    }
+
+    #[test]
+    fn touched_only_repair_matches_the_full_scan() {
+        for case in 0..32 {
+            differential_case(case);
+        }
+    }
+
+    /// The 1,000-case soak of the differential test.
+    #[test]
+    #[ignore = "soak: cargo test -p fss-gossip -- --ignored touched_only_repair"]
+    fn touched_only_repair_matches_the_full_scan_soak() {
+        for case in 0..1_000 {
+            differential_case(case);
+        }
+    }
+
+    #[test]
+    fn nothing_is_noted_before_the_first_repair() {
+        let mut o = overlay(60, 7);
+        let mut maintainer = MembershipMaintainer::new(5, 1);
+        for p in members(&o).into_iter().take(10) {
+            maintainer.remove_peer(&mut o, p).unwrap();
+        }
+        maintainer.note_joined(&[3, 4]);
+        assert!(maintainer.touched.is_empty() && maintainer.leftover.is_empty());
+        let active = members(&o);
+        maintainer.repair(&mut o, &active).unwrap();
+        assert!(o.graph().min_degree().unwrap() >= 5);
     }
 }

@@ -115,11 +115,6 @@ impl NetworkModel {
     pub fn next_arrival(&self) -> Option<SimTime> {
         self.calendar.next_arrival()
     }
-
-    /// The virtual instant of period boundary `period_index`.
-    pub fn boundary(&self, period_index: u64) -> SimTime {
-        SimTime::from_millis(period_index.saturating_mul(self.calendar.tau_ms()))
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +128,6 @@ mod tests {
         assert!(m.calendar.reserved_entries() >= 3 * 64);
         assert_eq!(m.in_flight(), 0);
         assert_eq!(m.stats(), NetStats::default());
-        assert_eq!(m.boundary(3), SimTime::from_millis(3_000));
         assert_eq!(m.next_arrival(), None);
     }
 

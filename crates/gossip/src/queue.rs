@@ -7,7 +7,7 @@
 //! arrivals of one period at a time (see `docs/network.md`).
 
 use crate::transfer::DeliveredSegment;
-use fss_sim::SimTime;
+use fss_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// `τ` up to this many milliseconds orders a bucket by counting sort; a
@@ -95,11 +95,6 @@ impl ArrivalCalendar {
         }
     }
 
-    /// The scheduling period `τ` in milliseconds.
-    pub(crate) fn tau_ms(&self) -> u64 {
-        self.tau_ms
-    }
-
     /// Messages in flight.
     pub(crate) fn len(&self) -> usize {
         self.len
@@ -129,6 +124,33 @@ impl ArrivalCalendar {
         match self.ring.get_mut(bucket_index(period - self.base)) {
             Some(bucket) => bucket.add(time.as_millis() % self.tau_ms, msg),
             None => self.beyond.push((time, msg)),
+        }
+    }
+
+    /// Schedules `msg`, sent at the boundary of `period`, to arrive
+    /// `delay_ms` later: [`push`](Self::push) at `period · τ + delay_ms`.
+    /// An arrival inside the sending period goes straight to its bucket at
+    /// offset `delay_ms`, with no division; a later one takes `push`.
+    ///
+    /// # Panics
+    /// Panics if the arrival lies in a period that was already drained.
+    #[inline]
+    pub(crate) fn push_after(&mut self, period: u64, delay_ms: u64, msg: DeliveredSegment) {
+        let time = period
+            .checked_mul(self.tau_ms)
+            .and_then(|sent| sent.checked_add(delay_ms));
+        match time {
+            Some(time) if delay_ms < self.tau_ms && period >= self.base => {
+                self.len += 1;
+                match self.ring.get_mut(bucket_index(period - self.base)) {
+                    Some(bucket) => bucket.add(delay_ms, msg),
+                    None => self.beyond.push((SimTime::from_millis(time), msg)),
+                }
+            }
+            _ => {
+                let sent = SimTime::from_millis(period.saturating_mul(self.tau_ms));
+                self.push(sent.saturating_add(SimDuration::from_millis(delay_ms)), msg);
+            }
         }
     }
 
@@ -481,8 +503,11 @@ mod tests {
         /// Differential test against a binary heap: pushes at offset 0 of
         /// the current boundary, latencies spanning several periods and
         /// 50 τ (past the ring, into the overflow list), idle periods and
-        /// inclusive/exclusive drains interleaved with the pushes.  After
-        /// every step the drain order, `len` and `next_arrival` match.
+        /// inclusive/exclusive drains interleaved with the pushes.  Every
+        /// push goes through `push` (an absolute time) or `push_after`
+        /// (the current period and a delay), by the parity of its value.
+        /// After every step the drain order, `len` and `next_arrival`
+        /// match.
         #[test]
         fn prop_calendar_matches_a_binary_heap(
             tau_ms in 1u64..40,
@@ -495,27 +520,22 @@ mod tests {
             for (i, &(tag, value)) in ops.iter().enumerate() {
                 let now = period * tau_ms;
                 let id = i as u64;
+                let mut send = |delay: u64| {
+                    if value % 2 == 0 {
+                        cal.push(SimTime::from_millis(now + delay), msg(id));
+                    } else {
+                        cal.push_after(period, delay, msg(id));
+                    }
+                    spec.push(now + delay, id);
+                    None
+                };
                 let drained = match tag {
                     // At the boundary itself.
-                    0..=1 => {
-                        cal.push(SimTime::from_millis(now), msg(id));
-                        spec.push(now, id);
-                        None
-                    }
+                    0..=1 => send(0),
                     // Inside this period or the next few.
-                    2..=7 => {
-                        let t = now + value % (tau_ms * 4);
-                        cal.push(SimTime::from_millis(t), msg(id));
-                        spec.push(t, id);
-                        None
-                    }
+                    2..=7 => send(value / 2 % (tau_ms * 4)),
                     // Fifty periods out, give or take a period.
-                    8 => {
-                        let t = now + 50 * tau_ms + value % (2 * tau_ms);
-                        cal.push(SimTime::from_millis(t), msg(id));
-                        spec.push(t, id);
-                        None
-                    }
+                    8 => send(50 * tau_ms + value / 2 % (2 * tau_ms)),
                     9..=10 => Some((period, true)),
                     // Close this period and open the next.
                     11..=13 => {

@@ -51,6 +51,7 @@ use crate::transfer::{DeliveredSegment, GrantScratch};
 use fss_core::{
     SchedulerScratch, SchedulingContext, SegmentId, SegmentRequest, SupplierFold, SupplierInfo,
 };
+use fss_overlay::net::LinkPrefix;
 use fss_overlay::PeerId;
 
 /// Per-chunk state of a period: everything one chunk of the scheduling
@@ -82,6 +83,9 @@ pub struct WorkerScratch {
     pub grants: Vec<DeliveredSegment>,
     /// Control traffic observed by this chunk.
     pub control_bits: u64,
+    /// Event mode: one peer's suppliers with their request-link draw
+    /// prefix, `None` when the supplier's buffer map was lost.
+    pub links: Vec<(PeerId, Option<LinkPrefix>)>,
     /// Event mode: requests suppressed by a lost buffer-map advertisement.
     pub requests_blinded: u64,
     /// Event mode: requests lost on the request leg.

@@ -52,10 +52,9 @@ use crate::stats::{RatioSample, SwitchRecord, SwitchStats, TrafficCounters};
 use crate::store::{PeerHeader, PeerRef, PeerStore, PEER_INLINE_BYTES};
 use crate::transfer::grant_per_link;
 use fss_core::{SegmentId, SegmentScheduler, SourceId};
-use fss_overlay::net::{LinkFaults, MessageKind, NetworkConfig};
+use fss_overlay::net::{LinkFaults, LinkPrefix, MessageKind, NetworkConfig};
 use fss_overlay::{ChurnModel, Overlay, OverlayError, PeerAttrs, PeerId};
 use fss_sim::exec::{DisjointRanges, DisjointSlots, JobExecutor, SerialExecutor};
-use fss_sim::SimDuration;
 use std::sync::Arc;
 
 /// Snapshot of everything an experiment needs after (or while) running the
@@ -486,9 +485,7 @@ impl StreamingSystem {
             }
         }
         for &peer in peers {
-            self.overlay.remove_peer(peer).expect("validated departure");
-            self.view.on_depart(peer);
-            self.release_departed(peer);
+            self.depart(peer);
         }
         self.repair_membership();
         Ok(())
@@ -571,6 +568,7 @@ impl StreamingSystem {
                 .unwrap_or(SegmentId(0));
             self.peers.peer_mut(id).rejoin_at(join_point);
         }
+        self.membership.note_joined(joined);
         self.repair_membership();
     }
 
@@ -744,42 +742,46 @@ impl StreamingSystem {
             return;
         }
 
-        let now = net.boundary(period);
+        // A requester's grants are grouped by supplier, so each link's
+        // draw prefix and rounded round trip are computed once, for its
+        // first grant, and reused by the rest of its run.
         let latency = self.overlay.latency();
+        let faults = net.faults;
+        let mut link: Option<(PeerId, PeerId, LinkPrefix, u64)> = None;
         for worker in workers.iter_mut() {
             for d in worker.grants.drain(..) {
-                if net.config.loss_rate > 0.0
-                    && net.faults.lost(
-                        d.supplier,
-                        d.requester,
-                        MessageKind::Data,
-                        period,
-                        d.segment.value(),
-                    )
-                {
+                let (prefix, rtt_ms) = match link {
+                    Some((requester, supplier, prefix, rtt_ms))
+                        if requester == d.requester && supplier == d.supplier =>
+                    {
+                        (prefix, rtt_ms)
+                    }
+                    _ => {
+                        let prefix = faults.link(
+                            faults.source(d.supplier, MessageKind::Data),
+                            d.requester,
+                            period,
+                        );
+                        let rtt = net.config.latency_scale
+                            * latency.round_trip_ms(d.requester, d.supplier);
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "round trips are clamped to >= 0, and float-to-int `as` saturates instead of wrapping"
+                        )]
+                        let rtt_ms = rtt.round().max(0.0) as u64;
+                        link = Some((d.requester, d.supplier, prefix, rtt_ms));
+                        (prefix, rtt_ms)
+                    }
+                };
+                if faults.lost_on(prefix, d.segment.value()) {
                     net.stats.data_lost += 1;
                     continue;
                 }
-                let rtt_ms =
-                    net.config.latency_scale * latency.round_trip_ms(d.requester, d.supplier);
-                let jitter = net.faults.jitter_ms(
-                    d.supplier,
-                    d.requester,
-                    MessageKind::Data,
-                    period,
-                    d.segment.value(),
-                );
-                #[expect(
-                    clippy::cast_possible_truncation,
-                    reason = "round trips are clamped to >= 0, and float-to-int `as` saturates instead of wrapping"
-                )]
-                let arrival = now.saturating_add(SimDuration::from_millis(
-                    rtt_ms.round().max(0.0) as u64 + jitter,
-                ));
-                net.calendar.push(arrival, d);
-                net.stats.max_in_flight = net.stats.max_in_flight.max(net.calendar.len() as u64);
+                let jitter = faults.jitter_on(prefix, d.segment.value());
+                net.calendar.push_after(period, rtt_ms + jitter, d);
             }
         }
+        net.stats.max_in_flight = net.stats.max_in_flight.max(net.calendar.len() as u64);
 
         let arrivals = net.calendar.drain(period + 1, false);
         let mut stale = 0;
@@ -843,7 +845,7 @@ impl StreamingSystem {
         // fss-lint: hot-path
         let mut shard_idx = usize::MAX;
         let mut buffers: &[FifoBuffer] = &[];
-        for p in self.overlay.active_peers() {
+        for &p in self.view.members() {
             let shard = (p as usize) >> shift;
             if shard != shard_idx {
                 shard_idx = shard;
@@ -874,63 +876,55 @@ impl StreamingSystem {
     }
 
     /// Per-period churn, routed through the membership directory: the
-    /// departure shuffle reads the view's member list, every joiner's
-    /// neighbour set is sampled from the view's member list (the same
-    /// sampler zap batches use), the view is kept in sync event by event so
-    /// later joiners can attach to earlier ones, and the joiners settle
-    /// through the tail [`admit_batch`](Self::admit_batch) shares.
+    /// departure shuffle reads the view's member list, the leavers depart
+    /// through the routine [`depart_batch`](Self::depart_batch) uses, every
+    /// joiner's neighbour set is sampled from the view's member list (the
+    /// same sampler zap batches use), the view is kept in sync event by
+    /// event so later joiners can attach to earlier ones, and the joiners
+    /// settle through the tail [`admit_batch`](Self::admit_batch) shares.
     ///
     /// RNG-compatible with `ChurnModel`'s test-only reference `step`: the view's
     /// ascending-id member order is exactly the `active_peers()` collection
     /// order the legacy path sampled from (asserted by the churn and
     /// golden-report test-suites).
     fn apply_churn(&mut self) {
-        {
-            let Some(churn) = self.churn.as_mut() else {
-                return;
-            };
-            let scratch = &mut self.churn_scratch;
-            let view = &mut self.view;
-            let overlay = &mut self.overlay;
-            debug_assert_eq!(view.len(), overlay.active_count());
-
-            let population = view.len();
-            churn
-                .step_departures(
-                    overlay,
-                    view.members(),
-                    &self.sources,
-                    &mut scratch.eligible,
-                    &mut scratch.left,
-                )
-                .expect("churn departures over valid overlay");
-            for &left in &scratch.left {
-                view.on_depart(left);
-            }
-
-            scratch.joined.clear();
-            let join_count = churn.join_count(population);
-            for _ in 0..join_count {
-                if view.is_empty() {
-                    break;
-                }
-                scratch.neighbours.clear();
-                let degree = churn.join_degree.min(view.len());
-                let neighbours = &mut scratch.neighbours;
-                let sampler = &mut scratch.sampler;
-                let attrs = churn.draw_arrival(|rng| {
-                    sample_distinct(view.members(), rng, degree, sampler, neighbours)
-                });
-                scratch
-                    .joined
-                    .push(join_overlay(overlay, view, attrs, neighbours));
-            }
-        }
-
+        let Some(churn) = self.churn.as_mut() else {
+            return;
+        };
+        debug_assert_eq!(self.view.len(), self.overlay.active_count());
+        let population = self.view.len();
+        let scratch = &mut self.churn_scratch;
+        churn.choose_departures(
+            self.view.members(),
+            &self.sources,
+            &mut scratch.eligible,
+            &mut scratch.left,
+        );
         for i in 0..self.churn_scratch.left.len() {
             let left = self.churn_scratch.left[i];
-            self.release_departed(left);
+            self.depart(left);
         }
+
+        let churn = self.churn.as_mut().expect("churn is installed");
+        let scratch = &mut self.churn_scratch;
+        let view = &mut self.view;
+        scratch.joined.clear();
+        for _ in 0..churn.join_count(population) {
+            if view.is_empty() {
+                break;
+            }
+            scratch.neighbours.clear();
+            let degree = churn.join_degree.min(view.len());
+            let neighbours = &mut scratch.neighbours;
+            let sampler = &mut scratch.sampler;
+            let attrs = churn.draw_arrival(|rng| {
+                sample_distinct(view.members(), rng, degree, sampler, neighbours)
+            });
+            scratch
+                .joined
+                .push(join_overlay(&mut self.overlay, view, attrs, neighbours));
+        }
+
         // Moved out and back (no allocation): the shared tail takes
         // `&mut self`, which cannot overlap a borrow of the scratch.
         let joined = std::mem::take(&mut self.churn_scratch.joined);
@@ -938,15 +932,32 @@ impl StreamingSystem {
         self.churn_scratch.joined = joined;
     }
 
-    /// Marks a departed peer's switch record and releases its buffer
-    /// storage.  Gathers read only active neighbours, arrivals for inactive
-    /// requesters are counted as stale and the memory meter walks active
-    /// peers, so no report can observe the released buffer.
+    /// Removes one active peer: the membership maintainer notes its
+    /// neighbours for the next repair, the overlay and the view drop it and
+    /// its state is released.
+    fn depart(&mut self, peer: PeerId) {
+        self.membership
+            .remove_peer(&mut self.overlay, peer)
+            .expect("departing peer is active");
+        self.view.on_depart(peer);
+        self.release_departed(peer);
+    }
+
+    /// Marks a departed peer's switch record, releases its buffer storage
+    /// and zeroes its rate and budget entries.  Gathers read only active
+    /// neighbours, arrivals for inactive requesters are counted as stale
+    /// and the memory meter walks active peers, so no report can observe
+    /// the released buffer.
     fn release_departed(&mut self, peer: PeerId) {
         if let Some(record) = self.switch_records.get_mut(peer as usize) {
             record.departed = true;
         }
         *self.peers.buffer_mut(peer) = FifoBuffer::default();
+        // The period prologue refreshes active peers' rate entries only.
+        if let Some(outbound) = self.scratch.outbound.get_mut(peer as usize) {
+            *outbound = Outbound::default();
+            self.scratch.inbound_rate[peer as usize] = 0.0;
+        }
     }
 
     #[expect(
@@ -988,10 +999,7 @@ impl StreamingSystem {
     /// so the deferral is byte-identical.
     fn schedule_and_grant(&mut self) {
         self.scratch.active.clear();
-        {
-            let overlay = &self.overlay;
-            self.scratch.active.extend(overlay.active_peers());
-        }
+        self.scratch.active.extend_from_slice(self.view.members());
         let active_len = self.scratch.active.len();
 
         // Chunk plan: the shard-local runs of the active list, one scratch
@@ -1004,11 +1012,11 @@ impl StreamingSystem {
         self.scratch.observed_max.clear();
         self.scratch.observed_max.resize(active_len, SegmentId(0));
 
-        // Dense per-peer rate and budget tables, refreshed once per period.
-        // Only active peers get an outbound budget: a departed supplier
-        // grants nothing.
+        // Dense per-peer rate and budget tables, refreshed once per period
+        // for the active peers.  A departed peer's entries were zeroed when
+        // it left (`release_departed`), so a departed supplier grants
+        // nothing.
         let tau = self.config.tau_secs;
-        self.scratch.outbound.fill(Outbound::default());
         for i in 0..active_len {
             let peer = self.scratch.active[i];
             let p = peer as usize;
@@ -1474,19 +1482,29 @@ fn schedule_chunk(
             continue;
         }
         if let Some(faults) = faults {
+            // One buffer-map draw per supplier, and for an advertised
+            // supplier one request-link prefix, shared by its requests.
+            let requests_from = faults.source(p, MessageKind::Request);
+            let links = &mut worker.links;
+            links.clear();
             let (blinded, lost) = (&mut worker.requests_blinded, &mut worker.requests_lost);
             worker.requests.retain(|req| {
-                if faults.lost(req.supplier, p, MessageKind::BufferMap, period, 0) {
+                let link = match links.iter().find(|&&(s, _)| s == req.supplier) {
+                    Some(&(_, link)) => link,
+                    None => {
+                        let advertised =
+                            !faults.lost(req.supplier, p, MessageKind::BufferMap, period, 0);
+                        let link =
+                            advertised.then(|| faults.link(requests_from, req.supplier, period));
+                        links.push((req.supplier, link));
+                        link
+                    }
+                };
+                let Some(link) = link else {
                     *blinded += 1;
                     return false;
-                }
-                if faults.lost(
-                    p,
-                    req.supplier,
-                    MessageKind::Request,
-                    period,
-                    req.segment.value(),
-                ) {
+                };
+                if faults.lost_on(link, req.segment.value()) {
                     *lost += 1;
                     return false;
                 }
@@ -2205,6 +2223,45 @@ mod tests {
         check(&sys);
         sys.run_periods(5);
         check(&sys);
+    }
+
+    /// The repair's touched list is empty after every membership change
+    /// and its capacity is bounded by the channel, not by the run length
+    /// (one period's notes are at most the leavers' degrees plus the
+    /// joiners, and a vector at most doubles past its length).  A system
+    /// that never repairs, like a steady lockstep run, notes nothing.  The
+    /// period tables hold zeros for every departed peer.
+    #[test]
+    fn membership_lists_stay_bounded() {
+        let mut steady = build_system(120, 5);
+        let (source, _) = first_two(&steady);
+        steady.start_initial_source(source);
+        steady.run_periods(30);
+        assert_eq!(steady.membership.list_sizes(), (0, 0, 0));
+
+        let mut sys = build_system(120, 6);
+        let (source, _) = first_two(&sys);
+        sys.start_initial_source(source);
+        sys.set_churn(ChurnModel::paper_default(4));
+        for _ in 0..200 {
+            sys.advance();
+            let (len, touched, leftover) = sys.membership.list_sizes();
+            let graph = sys.overlay().graph();
+            assert_eq!(len, 0, "the repair consumed every note");
+            assert!(touched <= 2 * (2 * graph.edge_count() + graph.active_count()));
+            assert!(leftover <= 2 * graph.active_count());
+            for p in 0..sys.scratch.outbound.len() {
+                if !graph.is_active(p as PeerId) {
+                    assert_eq!(sys.scratch.outbound[p].budget, 0);
+                    assert_eq!(sys.scratch.outbound[p].rate, 0.0);
+                    assert_eq!(sys.scratch.inbound_rate[p], 0.0);
+                }
+            }
+        }
+        assert!(
+            sys.overlay().graph().capacity() > 600,
+            "churn replaced peers"
+        );
     }
 
     #[test]

@@ -97,6 +97,7 @@ impl Overlay {
     }
 
     /// Active neighbours of a peer.
+    #[inline]
     pub fn neighbors(&self, peer: PeerId) -> &[PeerId] {
         self.graph.neighbors(peer)
     }

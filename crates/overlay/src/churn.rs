@@ -4,17 +4,17 @@
 //! let 5% old nodes leave and 5% new nodes join per scheduling period."
 //! Joining peers connect to `M` random existing peers and "start media
 //! playback by following their neighbors' current steps"; that playback rule
-//! lives in the gossip layer — this module only mutates the overlay.
+//! lives in the gossip layer — this module only chooses who leaves and
+//! draws the arrivals.
 
 use crate::bandwidth::BandwidthConfig;
-use crate::builder::{Overlay, PeerAttrs};
-use crate::error::OverlayError;
+use crate::builder::PeerAttrs;
 use crate::graph::PeerId;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// Applies per-period join/leave churn to an overlay.
+/// Draws per-period join/leave churn for an overlay.
 #[derive(Debug, Clone)]
 pub struct ChurnModel {
     /// Fraction of eligible peers leaving per period (paper: 0.05).
@@ -67,31 +67,27 @@ impl ChurnModel {
     }
 
     /// The departure half of one churn period: shuffles the eligible peers
-    /// (all of `members` except `protected`) and removes the leave-fraction
-    /// share of the population, appending the removed ids to `left`.
+    /// (all of `members` except `protected`) and chooses the leave-fraction
+    /// share of the population, appending the chosen ids to `left`.  The
+    /// caller removes them from the overlay, in `left` order.
     ///
     /// `members` must list every active peer (callers with a membership
     /// view pass its member list).  The scratch vectors are cleared first
     /// and may be reused across calls.
-    pub fn step_departures(
+    pub fn choose_departures(
         &mut self,
-        overlay: &mut Overlay,
         members: &[PeerId],
         protected: &[PeerId],
         eligible: &mut Vec<PeerId>,
         left: &mut Vec<PeerId>,
-    ) -> Result<(), OverlayError> {
+    ) {
         eligible.clear();
         left.clear();
         eligible.extend(members.iter().copied().filter(|p| !protected.contains(p)));
         eligible.shuffle(&mut self.rng);
         let leave_count = ((members.len() as f64) * self.leave_fraction).round() as usize;
         let leave_count = leave_count.min(eligible.len());
-        for &p in eligible.iter().take(leave_count) {
-            overlay.remove_peer(p)?;
-            left.push(p);
-        }
-        Ok(())
+        left.extend_from_slice(&eligible[..leave_count]);
     }
 
     /// How many peers join this period, given the pre-churn population.
@@ -115,7 +111,8 @@ impl ChurnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::OverlayBuilder;
+    use crate::builder::{Overlay, OverlayBuilder};
+    use crate::error::OverlayError;
     use fss_trace::{GeneratorConfig, TraceGenerator};
 
     /// What happened during one churn step.
@@ -140,7 +137,7 @@ mod tests {
         ///
         /// The reference of the decomposed halves: collects the candidate sets
         /// from the overlay itself, where the gossip layer drives
-        /// `step_departures`, `join_count` and `draw_arrival` over its
+        /// `choose_departures`, `join_count` and `draw_arrival` over its
         /// incremental membership view with the same RNG consumption.
         fn step(
             &mut self,
@@ -152,7 +149,10 @@ mod tests {
 
             let mut eligible = Vec::new();
             let mut left = Vec::new();
-            self.step_departures(overlay, &active, protected, &mut eligible, &mut left)?;
+            self.choose_departures(&active, protected, &mut eligible, &mut left);
+            for &p in &left {
+                overlay.remove_peer(p)?;
+            }
 
             let join_count = self.join_count(population);
             let mut joined = Vec::with_capacity(join_count);
@@ -268,16 +268,11 @@ mod tests {
                 .unwrap();
 
             let members: Vec<PeerId> = decomposed_overlay.active_peers().collect();
-            decomposed_churn
-                .step_departures(
-                    &mut decomposed_overlay,
-                    &members,
-                    &protected,
-                    &mut eligible,
-                    &mut left,
-                )
-                .unwrap();
+            decomposed_churn.choose_departures(&members, &protected, &mut eligible, &mut left);
             assert_eq!(left, reference_event.left);
+            for &p in &left {
+                decomposed_overlay.remove_peer(p).unwrap();
+            }
 
             let join_count = decomposed_churn.join_count(members.len());
             let mut joined = Vec::new();

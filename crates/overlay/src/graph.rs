@@ -54,6 +54,7 @@ impl OverlayGraph {
     }
 
     /// True when `peer` exists and is active.
+    #[inline]
     pub fn is_active(&self, peer: PeerId) -> bool {
         self.active.get(peer as usize).copied().unwrap_or(false)
     }
@@ -102,6 +103,7 @@ impl OverlayGraph {
     }
 
     /// The active neighbours of `peer`.
+    #[inline]
     pub fn neighbors(&self, peer: PeerId) -> &[PeerId] {
         if self.is_active(peer) {
             &self.adjacency[peer as usize]
@@ -111,6 +113,7 @@ impl OverlayGraph {
     }
 
     /// Degree of an active peer (0 for inactive/unknown peers).
+    #[inline]
     pub fn degree(&self, peer: PeerId) -> usize {
         self.neighbors(peer).len()
     }

@@ -43,16 +43,19 @@ impl LatencyModel {
     }
 
     /// One-way access delay of a peer in milliseconds (0 for unknown peers).
+    #[inline]
     pub fn access_delay_ms(&self, peer: PeerId) -> f64 {
         self.access_ms.get(peer as usize).copied().unwrap_or(0.0)
     }
 
     /// One-way latency between two peers in milliseconds.
+    #[inline]
     pub fn one_way_ms(&self, a: PeerId, b: PeerId) -> f64 {
         self.access_delay_ms(a) + self.access_delay_ms(b)
     }
 
     /// Round-trip latency between two peers in milliseconds.
+    #[inline]
     pub fn round_trip_ms(&self, a: PeerId, b: PeerId) -> f64 {
         2.0 * self.one_way_ms(a, b)
     }

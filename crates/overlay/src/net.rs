@@ -127,6 +127,7 @@ pub enum MessageKind {
 
 impl MessageKind {
     /// Stream-separation salt mixed into every draw for this leg.
+    #[inline]
     fn salt(self) -> u64 {
         match self {
             MessageKind::BufferMap => 0x4D41_5053,
@@ -142,6 +143,14 @@ impl MessageKind {
 /// Because no draw advances any cursor, evaluation order cannot change an
 /// outcome — the property the cross-pool/cross-shard byte-determinism of the
 /// event-driven mode rests on.  Memory cost is O(1) regardless of link count.
+///
+/// A draw is four splitmix64 rounds, one per input: the sender (with the
+/// seed and the leg's salt), the receiver, the period and the
+/// discriminator.  The first round is a [`SourcePrefix`] and the first
+/// three a [`LinkPrefix`]; a caller drawing many messages of one sender or
+/// one link computes the prefix once and finishes each message with
+/// [`lost_on`](Self::lost_on) / [`jitter_on`](Self::jitter_on).  The
+/// one-shot [`lost`](Self::lost) is the same loss draw.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFaults {
     seed: u64,
@@ -150,6 +159,20 @@ pub struct LinkFaults {
     /// mapped to `[0, 1)`, fall below `loss_rate`.
     loss_rate: f64,
 }
+
+/// Round 1 of a draw: the seed, the message leg and the sender.  Shared by
+/// every message one sender sends on one leg.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SourcePrefix(u64);
+
+/// Rounds 1–3 of a draw: the seed, the leg, the sender, the receiver and
+/// the period.  Shared by every message of one link, leg and period; loss
+/// and jitter of a message finish the same prefix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkPrefix(u64);
+
+/// Separates a message's jitter draw from its loss draw.
+const JITTER_SALT: u64 = 0x4A49_5454;
 
 impl LinkFaults {
     /// Builds the fault streams for `config`.
@@ -161,20 +184,45 @@ impl LinkFaults {
         }
     }
 
-    /// The raw 64-bit draw for one message — the deterministic core both
-    /// [`lost`](Self::lost) and [`jitter_ms`](Self::jitter_ms) sample from
-    /// (with different salts, so they are independent).
-    fn draw(&self, src: PeerId, dst: PeerId, kind: MessageKind, period: u64, disc: u64) -> u64 {
-        let mut h = self.seed ^ kind.salt();
-        h = splitmix64(h ^ (src as u64));
-        h = splitmix64(h ^ (dst as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        h = splitmix64(h ^ period.wrapping_mul(0xbf58_476d_1ce4_e5b9));
-        splitmix64(h ^ disc.wrapping_mul(0x94d0_49bb_1331_11eb))
+    /// The draw prefix of every `kind` message `src` sends.
+    #[inline]
+    pub fn source(&self, src: PeerId, kind: MessageKind) -> SourcePrefix {
+        SourcePrefix(splitmix64(self.seed ^ kind.salt() ^ (src as u64)))
+    }
+
+    /// The draw prefix of every message on the link from `source`'s sender
+    /// to `dst` in `period`.
+    #[inline]
+    pub fn link(&self, source: SourcePrefix, dst: PeerId, period: u64) -> LinkPrefix {
+        let h = splitmix64(source.0 ^ (dst as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        LinkPrefix(splitmix64(h ^ period.wrapping_mul(0xbf58_476d_1ce4_e5b9)))
+    }
+
+    /// Whether the message `disc` on `link` is dropped.
+    #[inline]
+    pub fn lost_on(&self, link: LinkPrefix, disc: u64) -> bool {
+        if self.loss_rate <= 0.0 {
+            return false;
+        }
+        let x = finish(link, disc);
+        // Top 53 bits → uniform f64 in [0, 1).
+        ((x >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < self.loss_rate
+    }
+
+    /// The extra delay in `[0, jitter_ms]` of the message `disc` on `link`
+    /// (0 when jitter is disabled).  Independent of its loss draw.
+    #[inline]
+    pub fn jitter_on(&self, link: LinkPrefix, disc: u64) -> u64 {
+        if self.jitter_ms == 0 {
+            return 0;
+        }
+        finish(link, disc ^ JITTER_SALT) % (self.jitter_ms + 1)
     }
 
     /// Whether the message identified by `(src, dst, kind, period, disc)`
     /// is dropped.  `disc` disambiguates messages sharing a link, kind and
     /// period (the system passes the segment id).
+    #[inline]
     pub fn lost(
         &self,
         src: PeerId,
@@ -183,33 +231,18 @@ impl LinkFaults {
         period: u64,
         disc: u64,
     ) -> bool {
-        if self.loss_rate <= 0.0 {
-            return false;
-        }
-        let x = self.draw(src, dst, kind, period, disc);
-        // Top 53 bits → uniform f64 in [0, 1).
-        ((x >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < self.loss_rate
-    }
-
-    /// The uniform extra delay in `[0, jitter_ms]` for one message (0 when
-    /// jitter is disabled).  Independent of the loss draw.
-    pub fn jitter_ms(
-        &self,
-        src: PeerId,
-        dst: PeerId,
-        kind: MessageKind,
-        period: u64,
-        disc: u64,
-    ) -> u64 {
-        if self.jitter_ms == 0 {
-            return 0;
-        }
-        let x = self.draw(src, dst, kind, period, disc ^ 0x4A49_5454);
-        x % (self.jitter_ms + 1)
+        self.loss_rate > 0.0 && self.lost_on(self.link(self.source(src, kind), dst, period), disc)
     }
 }
 
+/// Round 4 of a draw: the message's discriminator.
+#[inline]
+fn finish(link: LinkPrefix, disc: u64) -> u64 {
+    splitmix64(link.0 ^ disc.wrapping_mul(0x94d0_49bb_1331_11eb))
+}
+
 /// The splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
+#[inline]
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;
@@ -270,11 +303,9 @@ mod tests {
                 f.lost(3, 9, MessageKind::Data, 17, disc),
                 f.lost(3, 9, MessageKind::Data, 17, disc)
             );
-            assert_eq!(
-                f.jitter_ms(3, 9, MessageKind::Data, 17, disc),
-                f.jitter_ms(3, 9, MessageKind::Data, 17, disc)
-            );
-            assert!(f.jitter_ms(3, 9, MessageKind::Data, 17, disc) <= 40);
+            let link = f.link(f.source(3, MessageKind::Data), 9, 17);
+            assert_eq!(f.jitter_on(link, disc), f.jitter_on(link, disc));
+            assert!(f.jitter_on(link, disc) <= 40);
         }
     }
 
@@ -307,12 +338,83 @@ mod tests {
         assert!((rate - 0.25).abs() < 0.02, "observed loss rate {rate}");
     }
 
+    /// The one-shot draw as it was written before the prefixes existed:
+    /// all four rounds in one go.
+    fn oracle_draw(
+        seed: u64,
+        src: PeerId,
+        dst: PeerId,
+        kind: MessageKind,
+        period: u64,
+        disc: u64,
+    ) -> u64 {
+        let mut h = seed ^ kind.salt();
+        h = splitmix64(h ^ (src as u64));
+        h = splitmix64(h ^ (dst as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        h = splitmix64(h ^ period.wrapping_mul(0xbf58_476d_1ce4_e5b9));
+        splitmix64(h ^ disc.wrapping_mul(0x94d0_49bb_1331_11eb))
+    }
+
+    fn oracle_lost(config: &NetworkConfig, draw: impl Fn(u64) -> u64, disc: u64) -> bool {
+        config.loss_rate > 0.0
+            && ((draw(disc) >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < config.loss_rate
+    }
+
+    fn oracle_jitter(config: &NetworkConfig, draw: impl Fn(u64) -> u64, disc: u64) -> u64 {
+        if config.jitter_ms == 0 {
+            0
+        } else {
+            draw(disc ^ 0x4A49_5454) % (config.jitter_ms + 1)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// The per-source and per-link prefixes finish to the one-shot
+        /// loss draw's value and to the four-round oracle's loss and
+        /// jitter, for every leg, with loss and jitter disabled or not.
+        #[test]
+        fn prop_prefixes_match_one_shot_draws(
+            seed in 0u64..u64::MAX,
+            loss_pick in 0u8..4,
+            jitter_ms in 0u64..3,
+            src in 0u32..u32::MAX,
+            dsts in proptest::collection::vec(0u32..u32::MAX, 1..4),
+            period in 0u64..u64::MAX,
+            discs in proptest::collection::vec(0u64..u64::MAX, 1..8),
+        ) {
+            let config = NetworkConfig {
+                latency_scale: 0.0,
+                loss_rate: [0.0, 0.01, 0.5, 0.999][loss_pick as usize],
+                // 0 (off), 1 and 2 ms, and a wide bound.
+                jitter_ms: if jitter_ms == 2 { 1_000 } else { jitter_ms },
+                seed,
+            };
+            let f = LinkFaults::new(&config);
+            for kind in [MessageKind::BufferMap, MessageKind::Request, MessageKind::Data] {
+                let source = f.source(src, kind);
+                for &dst in &dsts {
+                    let link = f.link(source, dst, period);
+                    let draw = |disc| oracle_draw(seed, src, dst, kind, period, disc);
+                    for &disc in &discs {
+                        let lost = f.lost_on(link, disc);
+                        let jitter = f.jitter_on(link, disc);
+                        proptest::prop_assert_eq!(lost, f.lost(src, dst, kind, period, disc));
+                        proptest::prop_assert_eq!(lost, oracle_lost(&config, draw, disc));
+                        proptest::prop_assert_eq!(jitter, oracle_jitter(&config, draw, disc));
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn zero_rates_never_drop_or_delay() {
         let f = LinkFaults::new(&NetworkConfig::ideal());
         for d in 0..100 {
             assert!(!f.lost(0, 1, MessageKind::Request, d, d));
-            assert_eq!(f.jitter_ms(0, 1, MessageKind::Request, d, d), 0);
+            let link = f.link(f.source(0, MessageKind::Request), 1, d);
+            assert_eq!(f.jitter_on(link, d), 0);
         }
     }
 }

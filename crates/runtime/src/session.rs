@@ -539,6 +539,9 @@ pub struct SessionManager {
     /// Pooled zap-batch resolution buffers — batches are applied serially
     /// on the manager thread, so one scratch serves every channel pair.
     zap_scratch: AdmissionScratch,
+    /// Pooled list of a batch's same-boundary arrivals into its origin
+    /// channel, ascending: the viewers that cannot zap away again yet.
+    zap_arrived: Vec<PeerId>,
 }
 
 impl SessionManager {
@@ -628,6 +631,7 @@ impl SessionManager {
             period: 0,
             batch_counter: 0,
             zap_scratch: AdmissionScratch::default(),
+            zap_arrived: Vec::new(),
         }
     }
 
@@ -1020,21 +1024,24 @@ impl SessionManager {
         // churn, clamped earlier batches or a custom `ZapSchedule` can
         // leave the live channel smaller than modelled — and a plan-sized
         // take would then drain it to source-only membership.
-        {
-            let pending = &origin.pending;
-            select_movers(
-                origin.system.membership_view(),
-                origin.source,
-                |p| {
-                    pending
-                        .iter()
-                        .any(|zap| zap.viewer == p && zap.joined_period == period)
-                },
-                viewers,
-                &mut rng,
-                scratch,
-            );
-        }
+        let arrived = &mut self.zap_arrived;
+        arrived.clear();
+        arrived.extend(
+            origin
+                .pending
+                .iter()
+                .filter(|zap| zap.joined_period == period)
+                .map(|zap| zap.viewer),
+        );
+        arrived.sort_unstable();
+        select_movers(
+            origin.system.membership_view(),
+            origin.source,
+            arrived,
+            viewers,
+            &mut rng,
+            scratch,
+        );
         if scratch.movers.is_empty() {
             return;
         }
