@@ -101,6 +101,6 @@ pub use playback::PlaybackState;
 pub use qoe::{PeriodSample, QoeRecorder, QoeTotals};
 pub use segment::{Session, SessionDirectory};
 pub use stats::{MilestoneStat, RatioSample, SwitchRecord, SwitchStats, TrafficCounters};
-pub use store::{PeerHeader, PeerMut, PeerRef, PeerShard, PeerStore, PEER_INLINE_BYTES};
+pub use store::{PeerHeader, PeerMut, PeerRef, PeerStore, PAGE_IDS, PEER_INLINE_BYTES};
 pub use system::{StreamingSystem, SystemReport};
 pub use transfer::DeliveredSegment;

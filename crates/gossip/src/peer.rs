@@ -142,7 +142,7 @@ mod tests {
     fn store_with(node: PeerId, cfg: &GossipConfig, join_point: SegmentId) -> PeerStore {
         let mut store = PeerStore::new(64);
         for _ in 0..=node {
-            store.push_peer(cfg.buffer_capacity);
+            store.push_peer(cfg.buffer_capacity, true, 0);
         }
         store.peer_mut(node).rejoin_at(join_point);
         store
@@ -160,7 +160,7 @@ mod tests {
     ) -> Option<SchedulingContext> {
         let mut ids = Vec::new();
         for (_, buffer) in neighbors {
-            let id = store.push_peer(cfg.buffer_capacity);
+            let id = store.push_peer(cfg.buffer_capacity, true, 0);
             *store.buffer_mut(id) = buffer.clone();
             ids.push(id);
         }

@@ -19,7 +19,7 @@
 //!
 //! Events accumulate into one [`PeriodSample`] row per period plus
 //! cumulative [`QoeTotals`]; the recorder keeps **only the latest row**
-//! (memory O(peers), independent of run length) — bounded timelines over
+//! (memory O(active peers), independent of run length) — bounded timelines over
 //! the rows live in `fss-metrics`, which higher layers feed once per period.
 //! The event path consumes no RNG and allocates nothing in steady state
 //! (event buffers are pre-reserved; enforced by the counting-allocator
@@ -31,11 +31,11 @@
 //! mid-stall simply stops being observed: its open episode never produces a
 //! stall-end event (mirroring how a real player's session trace ends).
 
-/// Per-peer QoE observation state, indexed by `PeerId` like the switch
-/// records (one entry per ever-allocated peer slot; ids are never reused).
-/// Opaque: the fused period walk borrows disjoint id ranges of these slots
-/// per chunk (see [`QoeRecorder::peer_states_mut`]) and only ever touches
-/// them through [`QoeLane::observe`].
+/// Per-peer QoE observation state: one column of the peer store's pages,
+/// next to the switch records (ids are never reused; a released page
+/// takes its slots with it).  Opaque: the fused period walk lends each
+/// chunk its peers' slots and only ever touches them through
+/// [`QoeLane::observe`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PeerQoe {
     /// Period at which the peer joined (0 for the initial population).
@@ -49,6 +49,17 @@ pub struct PeerQoe {
     started: bool,
     /// Whether the peer is currently inside a stall episode.
     stalled: bool,
+}
+
+impl PeerQoe {
+    /// The slot of a peer joining at `period` (0 for the initial
+    /// population): its startup delay counts from there.
+    pub fn joining_at(period: u64) -> PeerQoe {
+        PeerQoe {
+            birth_period: period,
+            ..PeerQoe::default()
+        }
+    }
 }
 
 /// One period's QoE counters for one channel — the row a bounded timeline
@@ -208,7 +219,10 @@ impl QoeTotals {
 /// Counter-only QoE event recorder driven from the playback pass of
 /// `StreamingSystem::advance`.
 ///
-/// The recorder owns no aggregation beyond the current period: callers read
+/// The per-peer observation slots ([`PeerQoe`]) live with the peers, in
+/// the peer store; the recorder holds only the period's row, its event
+/// buffers and the totals.  It owns no aggregation beyond the current
+/// period: callers read
 /// [`latest`](Self::latest) plus the per-period event buffers
 /// ([`startup_delays_periods`](Self::startup_delays_periods),
 /// [`stall_durations_periods`](Self::stall_durations_periods)) after each
@@ -216,7 +230,6 @@ impl QoeTotals {
 #[derive(Debug, Clone)]
 pub struct QoeRecorder {
     enabled: bool,
-    peers: Vec<PeerQoe>,
     /// The row (and event buffers) being accumulated during the current
     /// playback pass.
     current: QoeLane,
@@ -226,15 +239,13 @@ pub struct QoeRecorder {
 }
 
 impl QoeRecorder {
-    /// Creates an enabled recorder with room for `capacity` peer slots.
-    /// Event buffers are pre-reserved to the same capacity so the steady
-    /// state never allocates.
-    pub fn with_capacity(capacity: usize) -> Self {
+    /// Creates an enabled recorder whose event buffers are pre-reserved for
+    /// `active` observed peers, so the steady state never allocates.
+    pub fn with_capacity(active: usize) -> Self {
         let mut current = QoeLane::default();
-        current.reserve(capacity);
+        current.reserve(active);
         QoeRecorder {
             enabled: true,
-            peers: vec![PeerQoe::default(); capacity],
             current,
             latest: None,
             totals: QoeTotals::default(),
@@ -252,16 +263,12 @@ impl QoeRecorder {
         self.enabled = on;
     }
 
-    /// Allocates the observation slot of a peer joining at `period`.  Also
-    /// keeps the event buffers large enough that per-period pushes never
-    /// allocate (joins already allocate protocol state, so growing here is
-    /// free of steady-state cost).
-    pub fn register_peer(&mut self, period: u64) {
-        self.peers.push(PeerQoe {
-            birth_period: period,
-            ..PeerQoe::default()
-        });
-        self.current.reserve(self.peers.len());
+    /// Keeps the event buffers large enough for `active` observed peers —
+    /// each emits at most one event of each kind a period — so per-period
+    /// pushes never allocate.  Called on joins, which already allocate
+    /// protocol state, so growing here is free of steady-state cost.
+    pub fn reserve(&mut self, active: usize) {
+        self.current.reserve(active);
     }
 
     /// Opens the row of `period`, clearing the per-period event buffers.
@@ -269,7 +276,8 @@ impl QoeRecorder {
         self.current.begin(period);
     }
 
-    /// Observes one peer after its playback advanced this period.
+    /// Observes one peer, through its observation slot `state`, after its
+    /// playback advanced this period.
     ///
     /// `started` / `stalls` are the peer's post-advance
     /// `PlaybackState::has_started()` / `stalls()`; `played` is the number
@@ -281,15 +289,8 @@ impl QoeRecorder {
     /// [`merge`](Self::merge) those in run order, which is what the fused
     /// period walk does per chunk.
     #[inline]
-    pub fn observe(&mut self, peer: usize, started: bool, stalls: u64, played: u64) {
-        self.current
-            .observe(&mut self.peers[peer], started, stalls, played);
-    }
-
-    /// Every peer's observation slot, indexed by `PeerId`: the fused walk
-    /// lends each chunk the id range of its own peers.
-    pub fn peer_states_mut(&mut self) -> &mut [PeerQoe] {
-        &mut self.peers
+    pub fn observe(&mut self, state: &mut PeerQoe, started: bool, stalls: u64, played: u64) {
+        self.current.observe(state, started, stalls, played);
     }
 
     /// Folds one chunk's lane into the current row: counters add, event
@@ -359,14 +360,43 @@ impl QoeRecorder {
 mod tests {
     use super::*;
 
+    /// A recorder with its peers' observation slots, indexed by peer (in a
+    /// running system the slots live in the peer store).
+    struct Recorder {
+        rec: QoeRecorder,
+        slots: Vec<PeerQoe>,
+    }
+
+    impl std::ops::Deref for Recorder {
+        type Target = QoeRecorder;
+        fn deref(&self) -> &QoeRecorder {
+            &self.rec
+        }
+    }
+
+    impl std::ops::DerefMut for Recorder {
+        fn deref_mut(&mut self) -> &mut QoeRecorder {
+            &mut self.rec
+        }
+    }
+
+    /// A recorder over `n` initial peers.
+    fn recorder(n: usize) -> Recorder {
+        Recorder {
+            rec: QoeRecorder::with_capacity(n),
+            slots: vec![PeerQoe::joining_at(0); n],
+        }
+    }
+
     fn observe_period(
-        rec: &mut QoeRecorder,
+        recorder: &mut Recorder,
         period: u64,
         obs: &[(usize, bool, u64, u64)],
     ) -> PeriodSample {
+        let Recorder { rec, slots } = recorder;
         rec.begin_period(period);
         for &(peer, started, stalls, played) in obs {
-            rec.observe(peer, started, stalls, played);
+            rec.observe(&mut slots[peer], started, stalls, played);
         }
         rec.finish_period(0);
         *rec.latest().unwrap()
@@ -374,7 +404,7 @@ mod tests {
 
     #[test]
     fn startup_is_reported_once_with_its_delay() {
-        let mut rec = QoeRecorder::with_capacity(2);
+        let mut rec = recorder(2);
         let row = observe_period(&mut rec, 1, &[(0, false, 0, 0), (1, false, 0, 0)]);
         assert_eq!((row.startups, row.started), (0, 0));
         let row = observe_period(&mut rec, 2, &[(0, true, 0, 2), (1, false, 0, 0)]);
@@ -390,7 +420,7 @@ mod tests {
 
     #[test]
     fn one_stall_episode_yields_one_begin_one_end_and_the_exact_duration() {
-        let mut rec = QoeRecorder::with_capacity(1);
+        let mut rec = recorder(1);
         observe_period(&mut rec, 1, &[(0, true, 0, 2)]);
         // Misses opportunities over periods 2..=4 (cumulative stalls 1,3,4).
         let row = observe_period(&mut rec, 2, &[(0, true, 1, 1)]);
@@ -422,7 +452,7 @@ mod tests {
 
     #[test]
     fn continuity_counts_played_against_missed_opportunities() {
-        let mut rec = QoeRecorder::with_capacity(2);
+        let mut rec = recorder(2);
         let row = observe_period(&mut rec, 1, &[(0, true, 1, 3), (1, true, 0, 4)]);
         assert_eq!(row.played, 7);
         assert_eq!(row.stalled_segments, 1);
@@ -434,7 +464,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_keeps_existing_totals() {
-        let mut rec = QoeRecorder::with_capacity(1);
+        let mut rec = recorder(1);
         observe_period(&mut rec, 1, &[(0, true, 0, 2)]);
         let before = rec.totals();
         rec.set_enabled(false);
@@ -467,15 +497,15 @@ mod tests {
                 (3, true, 3, 1),
             ],
         ];
-        let mut serial = QoeRecorder::with_capacity(4);
-        let mut merged = QoeRecorder::with_capacity(4);
+        let mut serial = recorder(4);
+        let mut merged = recorder(4);
         let mut lanes = [QoeLane::default(), QoeLane::default()];
         for (i, obs) in periods.iter().enumerate() {
             let period = i as u64 + 1;
             let row = observe_period(&mut serial, period, obs);
 
             merged.begin_period(period);
-            let (low, high) = merged.peer_states_mut().split_at_mut(2);
+            let (low, high) = merged.slots.split_at_mut(2);
             for (lane, states, run) in [(0, low, &obs[..2]), (1, high, &obs[2..])] {
                 lanes[lane].begin(period);
                 for (state, &(_, started, stalls, played)) in states.iter_mut().zip(run) {
@@ -502,9 +532,11 @@ mod tests {
 
     #[test]
     fn joiners_measure_startup_delay_from_their_birth_period() {
-        let mut rec = QoeRecorder::with_capacity(1);
+        let mut rec = recorder(1);
         observe_period(&mut rec, 1, &[(0, true, 0, 2)]);
-        rec.register_peer(5);
+        rec.slots.push(PeerQoe::joining_at(5));
+        let active = rec.slots.len();
+        rec.reserve(active);
         let row = observe_period(&mut rec, 7, &[(0, true, 0, 2), (1, true, 0, 1)]);
         assert_eq!(row.startups, 1);
         assert_eq!(rec.startup_delays_periods(), &[2]);

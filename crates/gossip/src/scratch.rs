@@ -664,7 +664,7 @@ mod tests {
         let head = first + rng.gen_range(0..200u64);
 
         let mut store = PeerStore::new(4);
-        store.push_peer(config.buffer_capacity);
+        store.push_peer(config.buffer_capacity, true, 0);
         let mut node = store.peer_mut(0);
         node.rejoin_at(SegmentId(rng.gen_range(0..=head)));
         if rng.gen_range(0..4) != 0 {
@@ -682,7 +682,7 @@ mod tests {
             rng.gen_range(0..=12u32)
         };
         for n in 1..=count {
-            store.push_peer(config.buffer_capacity);
+            store.push_peer(config.buffer_capacity, true, 0);
             *store.buffer_mut(n) = match rng.gen_range(0..7) {
                 0 => FifoBuffer::default(),
                 1 => FifoBuffer::new(config.buffer_capacity),

@@ -172,8 +172,9 @@ pub struct SwitchStats {
 }
 
 impl SwitchStats {
-    /// Aggregates per-node records in slice (= ascending peer-id) order.
-    pub fn from_records(records: &[SwitchRecord]) -> SwitchStats {
+    /// Aggregates per-node records in iteration (= ascending peer-id)
+    /// order; only countable records contribute.
+    pub fn from_records<'a>(records: impl IntoIterator<Item = &'a SwitchRecord>) -> SwitchStats {
         let mut stats = SwitchStats::default();
         for record in records {
             if !record.countable() {

@@ -1,4 +1,4 @@
-//! Struct-of-arrays sharded peer storage: the one per-peer record.
+//! Struct-of-arrays paged peer storage: the one per-peer record.
 //!
 //! An array of per-peer structs has two costs at million-peer scale: every
 //! protocol pass (scheduling, delivery, playback) strides over 192-byte
@@ -6,34 +6,43 @@
 //! chunks out of a single array whose ownership the borrow checker cannot
 //! split by field.
 //!
-//! [`PeerStore`] keeps peers in **shards** of dense, contiguous [`PeerId`]
-//! ranges instead (ids are assigned sequentially and never reused, so
-//! `id → (shard, slot)` is a shift and a mask).  Each [`PeerShard`] owns its
-//! peers' state as two parallel *columns*: the bulk [`FifoBuffer`]s and the
-//! hot [`PeerHeader`]s (playback, credit, discovery).  A pass that only
-//! needs buffers walks a dense `Vec<FifoBuffer>`, and the scheduling pass
-//! hands whole shards to the worker pool as its chunk unit (see
-//! `StreamingSystem::plan_chunks`).
+//! [`PeerStore`] keeps peers in **pages** of [`PAGE_IDS`] consecutive
+//! [`PeerId`]s instead (ids are assigned sequentially and never reused, so
+//! `id → (page, slot)` is a shift and a mask).  Each page owns its peers'
+//! state as parallel *columns*: the bulk [`FifoBuffer`]s, the hot
+//! [`PeerHeader`]s (playback, credit, discovery), the [`PeerQoe`]
+//! observation slots and the [`SwitchRecord`]s.  A pass that only needs
+//! buffers walks a dense `&[FifoBuffer]`.
+//!
+//! Pages are the memory unit; **shards** are the chunk unit.  A shard is a
+//! power-of-two id range ([`shard_size`](PeerStore::shard_size)) that the
+//! scheduling pass hands to the worker pool (see
+//! `StreamingSystem::plan_chunks`); [`set_shards`](PeerStore::set_shards)
+//! changes only that geometry and never moves a column.
 //!
 //! Peers enter through [`PeerStore::push_peer`], which appends an empty
-//! buffer and a fresh header.  The logical per-peer record is the id, the
-//! buffer and the header; the memory meter reports its size,
-//! [`PEER_INLINE_BYTES`], as the per-peer inline stride.
+//! buffer, a fresh header, QoE slot and switch record, and counts the peer
+//! towards its page's live count when it is active.  A departure
+//! ([`PeerStore::depart`]) releases the peer's buffer storage and drops the
+//! count; once a page is full and its count reaches zero, the whole page
+//! goes back to the allocator.  A departed id in a page that still holds a
+//! live peer costs its four column entries (280 B); a departed id in a
+//! released page costs nothing here.  Reading a released id's state panics
+//! (only [`switch_record`](PeerStore::switch_record) answers `None`): every
+//! pass reads active peers only.  The memory meter reports the logical
+//! record's size, [`PEER_INLINE_BYTES`], as the per-peer inline stride.
 //!
 //! Borrowed access comes as views: [`PeerRef`] (shared, `Copy`) and
 //! [`PeerMut`] (exclusive), both forwarding to the protocol rules in
 //! [`crate::peer`].
 
-#![expect(
-    clippy::expect_used,
-    reason = "last_mut follows an unconditional push of a fresh shard on the line above"
-)]
-
 use crate::buffer::FifoBuffer;
 use crate::config::GossipConfig;
 use crate::peer;
 use crate::playback::PlaybackState;
+use crate::qoe::PeerQoe;
 use crate::segment::{Session, SessionDirectory};
+use crate::stats::SwitchRecord;
 use fss_core::SegmentId;
 use fss_overlay::PeerId;
 use std::marker::PhantomData;
@@ -41,6 +50,21 @@ use std::marker::PhantomData;
 /// Default shard capacity: 64 Ki peers per shard keeps a million-peer store
 /// at 16 shards while leaving small systems in a single shard.
 pub const DEFAULT_SHARD_SIZE: usize = 1 << 16;
+
+/// Ids per page, the store's memory unit: a page's columns are allocated
+/// together and released together, once every id in the full page has
+/// departed.
+pub const PAGE_IDS: usize = 1 << PAGE_SHIFT;
+
+/// `log2(PAGE_IDS)`: `id >> PAGE_SHIFT` is a peer's page index.
+pub(crate) const PAGE_SHIFT: u32 = 10;
+
+/// `id → (page, slot)`.
+#[inline]
+pub(crate) fn page_slot(id: PeerId) -> (usize, usize) {
+    let id = id as usize;
+    (id >> PAGE_SHIFT, id & (PAGE_IDS - 1))
+}
 
 /// The **hot** per-peer column: everything the period sweep reads or writes
 /// per peer *except* the bulk buffer storage — playback cursor, fractional
@@ -70,66 +94,48 @@ const _: () = assert!(std::mem::size_of::<PeerHeader>() <= 64);
 /// active peer on top of the buffer's heap blocks.
 pub const PEER_INLINE_BYTES: usize = std::mem::size_of::<(PeerId, FifoBuffer, PeerHeader)>();
 
-/// One shard: the peer state of a contiguous [`PeerId`] range, stored as
-/// parallel columns (struct of arrays), split hot/cold: the dense
-/// [`PeerHeader`] column carries the per-period scalar state, the
-/// [`FifoBuffer`] column carries the bulk segment storage.
+/// One page: the columns of up to [`PAGE_IDS`] consecutive ids, slot-
+/// indexed, and how many of its ids are active.  A released page is the
+/// empty default (no heap).
 #[derive(Debug, Default)]
-pub struct PeerShard {
+struct Page {
     buffers: Vec<FifoBuffer>,
     headers: Vec<PeerHeader>,
+    qoe: Vec<PeerQoe>,
+    records: Vec<SwitchRecord>,
+    live: usize,
 }
 
-impl PeerShard {
-    fn with_capacity(capacity: usize) -> PeerShard {
-        let mut shard = PeerShard::default();
-        shard.buffers.reserve_exact(capacity);
-        shard.headers.reserve_exact(capacity);
-        shard
-    }
-
-    /// Peers stored in this shard.
-    pub fn len(&self) -> usize {
-        self.buffers.len()
-    }
-
-    /// True when the shard holds no peers.
-    pub fn is_empty(&self) -> bool {
-        self.buffers.is_empty()
-    }
-
-    /// The shard's buffer column (dense, slot-indexed).
-    pub fn buffers(&self) -> &[FifoBuffer] {
-        &self.buffers
-    }
-
-    /// The shard's hot header column (dense, slot-indexed).
-    pub fn headers(&self) -> &[PeerHeader] {
-        &self.headers
-    }
-
-    fn push_parts(&mut self, buffer: FifoBuffer, header: PeerHeader) {
-        self.buffers.push(buffer);
-        self.headers.push(header);
+impl Page {
+    /// An empty page with room for all [`PAGE_IDS`] ids: its columns are
+    /// allocated once and never move while the page fills.
+    fn reserved() -> Page {
+        Page {
+            buffers: Vec::with_capacity(PAGE_IDS),
+            headers: Vec::with_capacity(PAGE_IDS),
+            qoe: Vec::with_capacity(PAGE_IDS),
+            records: Vec::with_capacity(PAGE_IDS),
+            live: 0,
+        }
     }
 }
 
-/// Sharded struct-of-arrays storage for every peer the system has ever
-/// admitted (slots are never reused; departed peers keep their slot, but
-/// the system releases their buffer storage, so a departed slot costs only
-/// its inline stride).
+/// Paged struct-of-arrays storage for every peer the system has ever
+/// admitted (ids are never reused; a departed peer's buffer storage is
+/// released at once, its page once the page is full and holds no active
+/// peer).
 #[derive(Debug)]
 pub struct PeerStore {
-    /// Power-of-two shard capacity.
+    /// Power-of-two shard capacity: the chunk unit of the period.
     shard_size: usize,
     /// `log2(shard_size)` — `id >> shift` is the shard index.
     shift: u32,
-    /// Total peers across all shards.
+    /// Ids assigned so far, released pages included.
     len: usize,
-    shards: Vec<PeerShard>,
+    pages: Vec<Page>,
     /// Column base pointers captured by [`lend_columns`](Self::lend_columns)
     /// (reused across periods; meaningless outside a live lender).
-    lent: Vec<ShardBase>,
+    lent: Vec<PageBase>,
 }
 
 impl PeerStore {
@@ -143,7 +149,7 @@ impl PeerStore {
             shard_size,
             shift: shard_size.trailing_zeros(),
             len: 0,
-            shards: Vec::new(),
+            pages: Vec::new(),
             lent: Vec::new(),
         }
     }
@@ -152,13 +158,11 @@ impl PeerStore {
     /// shard size.
     pub fn with_capacity(capacity: usize) -> PeerStore {
         let mut store = PeerStore::new(DEFAULT_SHARD_SIZE);
-        store
-            .shards
-            .reserve_exact(capacity.div_ceil(DEFAULT_SHARD_SIZE));
+        store.pages.reserve_exact(capacity.div_ceil(PAGE_IDS));
         store
     }
 
-    /// Total peers stored (including departed peers — slots are permanent).
+    /// Ids assigned so far (departed peers included — ids are permanent).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -178,163 +182,272 @@ impl PeerStore {
         self.shift
     }
 
-    /// Number of shards currently backing the store.
+    /// Number of shards the assigned ids span.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.len.div_ceil(self.shard_size)
     }
 
-    /// The shards themselves (scheduling hands these to the worker pool).
-    pub fn shards(&self) -> &[PeerShard] {
-        &self.shards
+    /// Number of pages the assigned ids span, released ones included.
+    pub fn page_count(&self) -> usize {
+        self.pages.len()
     }
 
-    /// Lends the buffer and header columns out by disjoint peer runs, so
-    /// the chunks of a parallel pass can each mutate their own peers — even
-    /// when several chunks share one shard (see [`ColumnLender`]).  The
-    /// store stays exclusively borrowed while the lender lives.
+    /// Whether page `page` still holds its columns: false once it was
+    /// released (and for a page past the store).
+    pub fn is_page_resident(&self, page: usize) -> bool {
+        self.pages.get(page).is_some_and(|p| !p.buffers.is_empty())
+    }
+
+    /// Pages that still hold their columns.
+    pub fn resident_pages(&self) -> usize {
+        self.pages.iter().filter(|p| !p.buffers.is_empty()).count()
+    }
+
+    /// True when `id` was assigned and its page has been released.
+    pub fn is_released(&self, id: PeerId) -> bool {
+        (id as usize) < self.len && !self.is_page_resident(page_slot(id).0)
+    }
+
+    /// The buffer column of page `page` (empty for a released page).
+    pub(crate) fn page_buffers(&self, page: usize) -> &[FifoBuffer] {
+        &self.pages[page].buffers
+    }
+
+    /// Lends the columns out by disjoint peer runs, so the chunks of a
+    /// parallel pass can each mutate their own peers — even when several
+    /// chunks share one page (see [`ColumnLender`]).  The store stays
+    /// exclusively borrowed while the lender lives.
     pub(crate) fn lend_columns(&mut self) -> ColumnLender<'_> {
         self.lent.clear();
-        for shard in &mut self.shards {
-            self.lent.push(ShardBase {
-                buffers: shard.buffers.as_mut_ptr(),
-                headers: shard.headers.as_mut_ptr(),
-                len: shard.len(),
+        for page in &mut self.pages {
+            self.lent.push(PageBase {
+                buffers: page.buffers.as_mut_ptr(),
+                headers: page.headers.as_mut_ptr(),
+                qoe: page.qoe.as_mut_ptr(),
+                records: page.records.as_mut_ptr(),
+                len: page.buffers.len(),
             });
         }
         ColumnLender {
             bases: &self.lent,
-            shift: self.shift,
-            mask: self.shard_size - 1,
             _store: PhantomData,
         }
     }
 
-    /// Re-partitions the store into (at least) `shards` shards by shrinking
-    /// the shard size to the smallest power of two that covers the current
-    /// population in that many shards.  Stored state is moved column-wise;
-    /// results are byte-identical across shard counts (sharding only changes
-    /// the chunk boundaries of the scheduling pass, whose outputs concatenate
-    /// in peer order either way).
+    /// Sets the chunk geometry to (at least) `shards` shards: the smallest
+    /// power-of-two shard size that covers the current population in that
+    /// many shards.  Nothing moves — pages are the memory unit — and
+    /// results are byte-identical across shard counts (sharding only
+    /// changes the chunk boundaries of the period, whose outputs
+    /// concatenate in peer order either way).
     pub fn set_shards(&mut self, shards: usize) {
         let shards = shards.max(1);
-        let shard_size = self.len.div_ceil(shards).max(1).next_power_of_two();
-        if shard_size == self.shard_size {
-            return;
-        }
-        let old = std::mem::take(&mut self.shards);
-        self.shard_size = shard_size;
-        self.shift = shard_size.trailing_zeros();
-        self.len = 0;
-        self.shards.reserve_exact(
-            old.iter()
-                .map(PeerShard::len)
-                .sum::<usize>()
-                .div_ceil(shard_size),
-        );
-        for shard in old {
-            let PeerShard { buffers, headers } = shard;
-            for (buffer, header) in buffers.into_iter().zip(headers) {
-                self.push_parts(buffer, header);
-            }
-        }
+        self.shard_size = self.len.div_ceil(shards).max(1).next_power_of_two();
+        self.shift = self.shard_size.trailing_zeros();
     }
 
-    /// Appends a fresh peer: an empty buffer of `buffer_capacity` segments
-    /// and a header joining at segment 0, with nothing discovered and no
-    /// playback credit.  Returns its id, the store's previous length (ids
-    /// are dense).
-    pub fn push_peer(&mut self, buffer_capacity: usize) -> PeerId {
+    /// Appends a fresh peer: an empty buffer of `buffer_capacity` segments,
+    /// a header joining at segment 0 with nothing discovered and no
+    /// playback credit, a QoE slot born at `birth_period` and an empty
+    /// switch record.  `live` says whether the peer is active, seeding its
+    /// page's live count.  Returns its id, the store's previous length
+    /// (ids are dense).
+    pub fn push_peer(&mut self, buffer_capacity: usize, live: bool, birth_period: u64) -> PeerId {
         let id = crate::cast::narrow(self.len, "peer ids fit u32");
-        self.push_parts(
-            FifoBuffer::new(buffer_capacity),
-            PeerHeader {
-                playback: PlaybackState::new(SegmentId(0)),
-                play_credit: 0.0,
-                known_sessions: 0,
-            },
-        );
+        let (index, _) = page_slot(id);
+        if index == self.pages.len() {
+            self.pages.push(Page::reserved());
+        }
+        let page = &mut self.pages[index];
+        page.buffers.push(FifoBuffer::new(buffer_capacity));
+        page.headers.push(PeerHeader {
+            playback: PlaybackState::new(SegmentId(0)),
+            play_credit: 0.0,
+            known_sessions: 0,
+        });
+        page.qoe.push(PeerQoe::joining_at(birth_period));
+        page.records.push(SwitchRecord::default());
+        page.live += usize::from(live);
+        self.len += 1;
+        self.release_if_idle(index);
         id
     }
 
-    fn push_parts(&mut self, buffer: FifoBuffer, header: PeerHeader) {
-        if self.len == self.shards.len() * self.shard_size {
-            self.shards.push(PeerShard::with_capacity(self.shard_size));
-        }
-        let shard = self.shards.last_mut().expect("shard just ensured");
-        shard.push_parts(buffer, header);
-        self.len += 1;
+    /// Marks an active peer departed: its switch record says so, its
+    /// buffer storage goes back to the allocator and its page's live count
+    /// drops.  The page itself goes back once it is full and its last
+    /// active peer has left.
+    pub fn depart(&mut self, id: PeerId) {
+        self.switch_record_mut(id).departed = true;
+        *self.buffer_mut(id) = FifoBuffer::default();
+        let index = page_slot(id).0;
+        let page = &mut self.pages[index];
+        debug_assert!(
+            page.live > 0,
+            "peer {id} departs from a page with no live peer"
+        );
+        page.live -= 1;
+        self.release_if_idle(index);
     }
 
-    /// `id → (shard, slot)`.
+    /// Releases page `index` if it is full and none of its ids is active.
+    fn release_if_idle(&mut self, index: usize) {
+        if index < self.len >> PAGE_SHIFT && self.pages[index].live == 0 {
+            self.pages[index] = Page::default();
+        }
+    }
+
+    /// The panic of a read past the store or of a released id.
+    #[cold]
+    #[inline(never)]
+    fn missing(&self, id: PeerId) -> ! {
+        if (id as usize) < self.len {
+            panic!("peer {id} departed: its page was released");
+        }
+        panic!("peer {id} is not in the store ({} ids)", self.len);
+    }
+
+    /// The resident page holding `id`, and its slot there.
     #[inline]
-    fn loc(&self, id: PeerId) -> (usize, usize) {
-        let id = id as usize;
-        (id >> self.shift, id & (self.shard_size - 1))
+    fn page(&self, id: PeerId) -> (&Page, usize) {
+        let (page, slot) = page_slot(id);
+        match self.pages.get(page) {
+            Some(page) if slot < page.buffers.len() => (page, slot),
+            _ => self.missing(id),
+        }
+    }
+
+    /// [`page`](Self::page), exclusively.
+    #[inline]
+    fn page_mut(&mut self, id: PeerId) -> (&mut Page, usize) {
+        let (page, slot) = page_slot(id);
+        if self.pages.get(page).is_none_or(|p| slot >= p.buffers.len()) {
+            self.missing(id);
+        }
+        (&mut self.pages[page], slot)
     }
 
     /// A peer's buffer column entry.
+    ///
+    /// # Panics
+    /// Panics if the id's page was released (or the id was never assigned).
     #[inline]
     pub fn buffer(&self, id: PeerId) -> &FifoBuffer {
-        let (shard, slot) = self.loc(id);
-        &self.shards[shard].buffers[slot]
+        let (page, slot) = self.page(id);
+        &page.buffers[slot]
     }
 
     /// Mutable access to a peer's buffer (deliveries, source emission).
+    ///
+    /// # Panics
+    /// Panics if the id's page was released (or the id was never assigned).
     #[inline]
     pub fn buffer_mut(&mut self, id: PeerId) -> &mut FifoBuffer {
-        let (shard, slot) = self.loc(id);
-        &mut self.shards[shard].buffers[slot]
+        let (page, slot) = self.page_mut(id);
+        &mut page.buffers[slot]
     }
 
     /// A peer's hot header column entry.
+    ///
+    /// # Panics
+    /// Panics if the id's page was released (or the id was never assigned).
     #[inline]
     pub fn header(&self, id: PeerId) -> &PeerHeader {
-        let (shard, slot) = self.loc(id);
-        &self.shards[shard].headers[slot]
+        let (page, slot) = self.page(id);
+        &page.headers[slot]
+    }
+
+    /// A peer's QoE observation slot.
+    ///
+    /// # Panics
+    /// Panics if the id's page was released (or the id was never assigned).
+    pub fn qoe(&self, id: PeerId) -> &PeerQoe {
+        let (page, slot) = self.page(id);
+        &page.qoe[slot]
+    }
+
+    /// A peer's switch record, or `None` once its page was released (its
+    /// record then was a departed one, which no switch metric counts).
+    ///
+    /// # Panics
+    /// Panics if the id was never assigned.
+    pub fn switch_record(&self, id: PeerId) -> Option<&SwitchRecord> {
+        if self.is_released(id) {
+            return None;
+        }
+        let (page, slot) = self.page(id);
+        Some(&page.records[slot])
+    }
+
+    /// Exclusive access to a peer's switch record.
+    ///
+    /// # Panics
+    /// Panics if the id's page was released (or the id was never assigned).
+    pub(crate) fn switch_record_mut(&mut self, id: PeerId) -> &mut SwitchRecord {
+        let (page, slot) = self.page_mut(id);
+        &mut page.records[slot]
+    }
+
+    /// The switch records of the resident pages, in id order: every record
+    /// a switch metric can count.
+    pub fn switch_records(&self) -> impl Iterator<Item = &SwitchRecord> + '_ {
+        self.pages.iter().flat_map(|page| &page.records)
+    }
+
+    /// Resets the switch record of every id in a resident page (a released
+    /// page's ids departed, so no switch counts them).
+    pub(crate) fn reset_switch_records(&mut self) {
+        for page in &mut self.pages {
+            page.records.fill(SwitchRecord::default());
+        }
     }
 
     /// A shared view of one peer.
+    ///
+    /// # Panics
+    /// Panics if the id's page was released (or the id was never assigned).
     #[inline]
     pub fn peer(&self, id: PeerId) -> PeerRef<'_> {
-        let (shard, slot) = self.loc(id);
-        let shard = &self.shards[shard];
-        let header = &shard.headers[slot];
+        let (page, slot) = self.page(id);
+        let header = &page.headers[slot];
         PeerRef {
             id,
-            buffer: &shard.buffers[slot],
+            buffer: &page.buffers[slot],
             playback: &header.playback,
             known_sessions: header.known_sessions,
         }
     }
 
     /// An exclusive view of one peer.
+    ///
+    /// # Panics
+    /// Panics if the id's page was released (or the id was never assigned).
     #[inline]
     pub fn peer_mut(&mut self, id: PeerId) -> PeerMut<'_> {
-        let (shard, slot) = self.loc(id);
-        let shard = &mut self.shards[shard];
+        let (page, slot) = self.page_mut(id);
         PeerMut {
             id,
-            buffer: &mut shard.buffers[slot],
-            header: &mut shard.headers[slot],
+            buffer: &mut page.buffers[slot],
+            header: &mut page.headers[slot],
         }
     }
 
     // fss-lint: hot-path
-    /// A peer's buffer, or `None` for an id past the store (the prefetch
-    /// helpers' bounds-checked lookup).
+    /// A peer's buffer, or `None` for an id past the store or in a released
+    /// page (the prefetch helpers' lookup).
     #[inline]
     fn buffer_get(&self, id: PeerId) -> Option<&FifoBuffer> {
-        let (shard, slot) = self.loc(id);
-        self.shards.get(shard)?.buffers.get(slot)
+        let (page, slot) = page_slot(id);
+        self.pages.get(page)?.buffers.get(slot)
     }
 
     /// Issues a software prefetch for a peer's header (one or two lines:
     /// the 56-byte headers straddle lines) and both lines of its buffer
-    /// struct.  Advisory only: out-of-range ids are ignored.
+    /// struct.  Advisory only: out-of-range and released ids are ignored.
     #[inline]
     pub(crate) fn prefetch_peer(&self, id: PeerId) {
-        let (shard, slot) = self.loc(id);
-        if let Some(header) = self.shards.get(shard).and_then(|s| s.headers.get(slot)) {
+        let (page, slot) = page_slot(id);
+        if let Some(header) = self.pages.get(page).and_then(|p| p.headers.get(slot)) {
             crate::prefetch::prefetch_lines(header);
         }
         self.prefetch_buffer(id);
@@ -343,7 +456,7 @@ impl PeerStore {
     /// Issues a software prefetch for both lines of a peer's buffer struct:
     /// the core line and the advert line, which together answer the
     /// neighbour gather's `max_id` and head reads.  Advisory only:
-    /// out-of-range ids are ignored.
+    /// out-of-range and released ids are ignored.
     #[inline]
     pub(crate) fn prefetch_buffer(&self, id: PeerId) {
         if let Some(buffer) = self.buffer_get(id) {
@@ -353,79 +466,147 @@ impl PeerStore {
     // fss-lint: end
 }
 
-/// One shard's column base pointers, captured by
+/// One page's column base pointers, captured by
 /// [`PeerStore::lend_columns`].
 #[derive(Debug, Clone, Copy)]
-struct ShardBase {
+struct PageBase {
     buffers: *mut FifoBuffer,
     headers: *mut PeerHeader,
+    qoe: *mut PeerQoe,
+    records: *mut SwitchRecord,
     len: usize,
 }
 
 // SAFETY: the pointers are only dereferenced through a live
 // `ColumnLender`, which holds the store's exclusive borrow and hands out
-// disjoint runs under its documented contract — exactly as safe as sending
-// each sub-slice to one thread.
-unsafe impl Send for ShardBase {}
-// SAFETY: see `Send` above; a shared `ShardBase` is only ever read.
-unsafe impl Sync for ShardBase {}
+// disjoint chunks under its documented contract — exactly as safe as
+// sending each sub-slice to one thread.
+unsafe impl Send for PageBase {}
+// SAFETY: see `Send` above; a shared `PageBase` is only ever read.
+unsafe impl Sync for PageBase {}
 
 /// The peer columns lent out by disjoint id runs: the store-shaped twin of
 /// `fss_sim::exec::DisjointRanges`.  The fused period walk gives every
-/// chunk the buffer and header slots of its own peers; chunks partition
-/// the ascending active list, so their id runs never overlap.
+/// chunk the column entries of its own peers; chunks partition the
+/// ascending active list, so their id runs never overlap.
 ///
 /// # Safety contract
 ///
-/// [`ColumnLender::run`] is `unsafe`: within one `execute` run, concurrently
-/// live runs must not share a peer.
+/// [`ColumnLender::chunk`] is `unsafe`: within one `execute` run,
+/// concurrently live chunks must not share a peer.
 pub(crate) struct ColumnLender<'a> {
-    bases: &'a [ShardBase],
-    shift: u32,
-    mask: usize,
+    bases: &'a [PageBase],
     _store: PhantomData<&'a mut PeerStore>,
 }
 
-// SAFETY: the lender only hands out disjoint runs under its contract.
+// SAFETY: the lender only hands out disjoint chunks under its contract.
 unsafe impl Sync for ColumnLender<'_> {}
 
 impl ColumnLender<'_> {
-    /// Exclusive access to the buffer and header columns of peers
-    /// `first..=last`; index `i` of both slices is peer `first + i`.
+    /// Exclusive access to the columns of peers `first..=last`.
     ///
     /// # Safety
-    /// Concurrently live runs must not overlap.
+    /// Concurrently live chunks must not overlap.
+    pub(crate) unsafe fn chunk(&self, first: PeerId, last: PeerId) -> ChunkColumns<'_> {
+        assert!(first <= last, "an empty chunk {first}..={last}");
+        ChunkColumns {
+            bases: self.bases,
+            first,
+            last,
+            _columns: PhantomData,
+        }
+    }
+}
+
+/// The columns of one chunk's peers `first..=last`, which may span pages.
+/// Every access goes through `&self`/`&mut self`, so the borrow checker
+/// keeps a chunk's own borrows apart.
+pub(crate) struct ChunkColumns<'a> {
+    bases: &'a [PageBase],
+    first: PeerId,
+    last: PeerId,
+    _columns: PhantomData<&'a mut PageBase>,
+}
+
+/// The column entries of a run of peers inside one page; index `i` of
+/// every slice is the run's `i`-th peer.
+pub(crate) struct PageRun<'a> {
+    pub(crate) buffers: &'a mut [FifoBuffer],
+    pub(crate) headers: &'a mut [PeerHeader],
+    pub(crate) qoe: &'a mut [PeerQoe],
+    pub(crate) records: &'a mut [SwitchRecord],
+}
+
+impl ChunkColumns<'_> {
+    /// The page base and slot of a chunk peer, or `None` for an id outside
+    /// the chunk or in a released page.
+    #[inline]
+    fn locate(&self, id: PeerId) -> Option<(PageBase, usize)> {
+        if id.wrapping_sub(self.first) > self.last - self.first {
+            return None;
+        }
+        let (page, slot) = page_slot(id);
+        let base = *self.bases.get(page)?;
+        (slot < base.len).then_some((base, slot))
+    }
+
+    /// A chunk peer's buffer, or `None` for an id outside the chunk or in
+    /// a released page (the delivery prefetch's lookup).
+    #[inline]
+    pub(crate) fn buffer(&self, id: PeerId) -> Option<&FifoBuffer> {
+        let (base, slot) = self.locate(id)?;
+        // SAFETY: `slot` is inside the page's column; the chunk owns the id
+        // (the lender's contract), and `&self` excludes a live `&mut`
+        // handed out by this view.
+        Some(unsafe { &*base.buffers.add(slot) })
+    }
+
+    /// Exclusive access to a chunk peer's buffer.
     ///
     /// # Panics
-    /// Panics if the run is empty, straddles a shard boundary or reaches
-    /// past the stored peers.
-    #[allow(clippy::mut_from_ref)] // the whole point; contract documented above
-    pub(crate) unsafe fn run(
-        &self,
-        first: PeerId,
-        last: PeerId,
-    ) -> (&mut [FifoBuffer], &mut [PeerHeader]) {
-        let shard = (first as usize) >> self.shift;
-        assert_eq!(
-            shard,
-            (last as usize) >> self.shift,
-            "a lent run must lie in one shard"
-        );
-        let base = self.bases[shard];
-        let start = first as usize & self.mask;
-        let end = (last as usize & self.mask) + 1;
+    /// Panics for an id outside the chunk or in a released page.
+    #[inline]
+    pub(crate) fn buffer_mut(&mut self, id: PeerId) -> &mut FifoBuffer {
+        let Some((base, slot)) = self.locate(id) else {
+            panic!(
+                "peer {id} is not a resident peer of chunk {}..={}",
+                self.first, self.last
+            );
+        };
+        // SAFETY: as in `buffer`; `&mut self` makes this the only borrow
+        // this view has out.
+        unsafe { &mut *base.buffers.add(slot) }
+    }
+
+    /// Exclusive access to the columns of peers `first..=last`.
+    ///
+    /// # Panics
+    /// Panics if the run is empty, leaves the chunk, straddles a page
+    /// boundary or reaches past the page's resident entries.
+    #[inline]
+    pub(crate) fn run(&mut self, first: PeerId, last: PeerId) -> PageRun<'_> {
         assert!(
-            start < end && end <= base.len,
-            "run {first}..={last} outside its shard"
+            self.first <= first && first <= last && last <= self.last,
+            "run {first}..={last} outside chunk {}..={}",
+            self.first,
+            self.last
         );
+        let (page, start) = page_slot(first);
+        let (last_page, end) = page_slot(last);
+        assert_eq!(page, last_page, "a lent run must lie in one page");
+        let base = self.bases[page];
+        let (end, len) = (end + 1, end + 1 - start);
+        assert!(end <= base.len, "run {first}..={last} outside its page");
         // SAFETY: bounds checked above; the pointers come from the columns
-        // of the exclusively borrowed store; disjointness is the caller's
-        // contract.
+        // of the exclusively borrowed store; the chunk owns its ids (the
+        // lender's contract) and `&mut self` makes this its only borrow.
         unsafe {
-            (
-                std::slice::from_raw_parts_mut(base.buffers.add(start), end - start),
-                std::slice::from_raw_parts_mut(base.headers.add(start), end - start),
-            )
+            PageRun {
+                buffers: std::slice::from_raw_parts_mut(base.buffers.add(start), len),
+                headers: std::slice::from_raw_parts_mut(base.headers.add(start), len),
+                qoe: std::slice::from_raw_parts_mut(base.qoe.add(start), len),
+                records: std::slice::from_raw_parts_mut(base.records.add(start), len),
+            }
         }
     }
 }
@@ -539,21 +720,19 @@ mod tests {
     fn store_of(n: usize, shard_size: usize) -> PeerStore {
         let mut store = PeerStore::new(shard_size);
         for id in 0..n {
-            assert_eq!(store.push_peer(600), id as PeerId);
+            assert_eq!(store.push_peer(600, true, 0), id as PeerId);
         }
         store
     }
 
     #[test]
     fn push_assigns_dense_shard_slots() {
-        let store = store_of(10, 4);
+        let mut store = store_of(10, 4);
         assert_eq!(store.len(), 10);
         assert_eq!(store.shard_count(), 3);
-        assert_eq!(store.shards()[0].len(), 4);
-        assert_eq!(store.shards()[1].len(), 4);
-        assert_eq!(store.shards()[2].len(), 2);
-        assert_eq!(store.loc(3), (0, 3));
-        assert_eq!(store.loc(4), (1, 0));
+        assert_eq!(store.page_count(), 1);
+        assert_eq!(page_slot(3), (0, 3));
+        assert_eq!(page_slot(PAGE_IDS as PeerId + 4), (1, 4));
         assert_eq!(store.peer(7).id(), 7);
         // A pushed peer starts empty, joining at segment 0.
         let peer = store.peer(7);
@@ -563,6 +742,17 @@ mod tests {
         assert!(!peer.playback().has_started());
         assert_eq!(peer.known_sessions(), 0);
         assert_eq!(store.header(7).play_credit, 0.0);
+        assert_eq!(store.switch_record(7), Some(&SwitchRecord::default()));
+        // Pages fill past the first one without moving a peer.
+        for id in 10..PAGE_IDS + 3 {
+            assert_eq!(store.push_peer(600, true, 0), id as PeerId);
+        }
+        assert_eq!(store.page_count(), 2);
+        assert_eq!(store.resident_pages(), 2);
+        assert_eq!(
+            store.peer(PAGE_IDS as PeerId + 2).id(),
+            PAGE_IDS as PeerId + 2
+        );
     }
 
     /// The metered inline stride is the id + buffer + header record, and
@@ -573,16 +763,13 @@ mod tests {
         assert_eq!(PEER_INLINE_BYTES, 192);
     }
 
-    /// Every shard's buffer column starts on a cache line, so each
-    /// two-line buffer struct occupies exactly its two lines.
+    /// Every page's buffer column starts on a cache line, so each two-line
+    /// buffer struct occupies exactly its two lines.
     #[test]
     fn buffer_columns_are_cache_line_aligned() {
-        let mut store = store_of(11, 4);
-        for shards in [1, 2, 3] {
-            store.set_shards(shards);
-            for shard in store.shards() {
-                assert_eq!(shard.buffers().as_ptr().addr() % 64, 0);
-            }
+        let store = store_of(2 * PAGE_IDS + 11, 4);
+        for page in 0..store.page_count() {
+            assert_eq!(store.page_buffers(page).as_ptr().addr() % 64, 0);
         }
     }
 
@@ -620,5 +807,52 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_shard_size_is_rejected() {
         PeerStore::new(12);
+    }
+
+    /// A page goes back once it is full and its last live id departs; a
+    /// page that still holds a live id, and the partial last page, stay.
+    #[test]
+    fn a_full_page_is_released_when_its_last_live_id_departs() {
+        let mut store = store_of(2 * PAGE_IDS + 5, DEFAULT_SHARD_SIZE);
+        for id in 0..PAGE_IDS as PeerId - 1 {
+            store.depart(id);
+        }
+        assert!(store.is_page_resident(0), "one live id keeps the page");
+        assert_eq!(store.switch_record(3).map(|r| r.departed), Some(true));
+        assert_eq!(store.buffer(3).mem_breakdown().heap_total(), 0);
+        store.depart(PAGE_IDS as PeerId - 1);
+        assert!(!store.is_page_resident(0));
+        assert!(store.is_released(0) && store.is_released(PAGE_IDS as PeerId - 1));
+        assert_eq!(store.switch_record(5), None);
+        assert_eq!(store.resident_pages(), 2);
+        // The records left to fold are the resident pages'.
+        assert_eq!(store.switch_records().count(), PAGE_IDS + 5);
+
+        // The partial last page stays until it fills.
+        let tail = 2 * PAGE_IDS as PeerId;
+        for id in tail..tail + 5 {
+            store.depart(id);
+        }
+        assert!(store.is_page_resident(2));
+        for _ in 5..PAGE_IDS - 1 {
+            store.push_peer(600, false, 9);
+        }
+        assert!(store.is_page_resident(2));
+        store.push_peer(600, false, 9);
+        assert!(!store.is_page_resident(2), "a full page with no live id");
+        assert_eq!(store.len(), 3 * PAGE_IDS);
+    }
+
+    /// Reading a released id's state is a bug the store names.
+    #[test]
+    #[should_panic(expected = "peer 7 departed")]
+    fn reading_a_released_page_panics() {
+        let mut store = store_of(PAGE_IDS + 1, DEFAULT_SHARD_SIZE);
+        for id in 0..PAGE_IDS as PeerId {
+            store.depart(id);
+        }
+        // Prefetches are advisory: a released id is skipped.
+        store.prefetch_peer(7);
+        let _ = store.header(7);
     }
 }

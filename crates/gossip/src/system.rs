@@ -45,11 +45,11 @@ use crate::membership::MembershipMaintainer;
 use crate::net::{NetStats, NetworkModel};
 use crate::peer;
 use crate::prefetch::{prefetch_lines, prefetch_read, DELIVERY_AHEAD, WALK_AHEAD};
-use crate::qoe::{PeerQoe, QoeRecorder, QoeTotals};
+use crate::qoe::{QoeRecorder, QoeTotals};
 use crate::scratch::{Outbound, PeriodScratch, WorkerScratch};
 use crate::segment::{Session, SessionDirectory};
 use crate::stats::{RatioSample, SwitchRecord, SwitchStats, TrafficCounters};
-use crate::store::{PeerHeader, PeerRef, PeerStore, PEER_INLINE_BYTES};
+use crate::store::{page_slot, ChunkColumns, PeerRef, PeerStore, PAGE_SHIFT, PEER_INLINE_BYTES};
 use crate::transfer::grant_per_link;
 use fss_core::{SegmentId, SegmentScheduler, SourceId};
 use fss_overlay::net::{LinkFaults, LinkPrefix, MessageKind, NetworkConfig};
@@ -65,7 +65,7 @@ pub struct SystemReport {
     pub scheduler: &'static str,
     /// Aggregated switch statistics, folded over the per-peer switch
     /// records in peer order at report time.  The raw per-peer records stay
-    /// readable through [`StreamingSystem::switch_records`]; the report
+    /// readable through [`StreamingSystem::switch_record`]; the report
     /// itself is O(1) in the peer count.
     pub switch: SwitchStats,
     /// Per-period ratio samples recorded since the switch.
@@ -94,9 +94,10 @@ pub struct SystemReport {
 pub struct StreamingSystem {
     config: GossipConfig,
     overlay: Overlay,
-    /// Sharded struct-of-arrays peer storage: dense contiguous id shards,
-    /// each owning its peers' buffer/playback/discovery/credit columns.
-    /// The shards are the chunk unit of both pool dispatches of a period.
+    /// Paged struct-of-arrays peer storage: every per-peer column (buffer,
+    /// header, QoE slot, switch record) in 1,024-id pages that go back to
+    /// the allocator once all their ids have departed.  Its shards are the
+    /// chunk unit of both pool dispatches of a period.
     peers: PeerStore,
     directory: SessionDirectory,
     scheduler: Box<dyn SegmentScheduler>,
@@ -123,7 +124,6 @@ pub struct StreamingSystem {
     switch_secs: Option<f64>,
     /// The session pair involved in the switch (old, new).
     switch_sessions: Option<(SourceId, SourceId)>,
-    switch_records: Vec<SwitchRecord>,
     ratio_samples: Vec<RatioSample>,
     switch_completed_secs: Option<f64>,
 
@@ -157,12 +157,16 @@ impl StreamingSystem {
         config.validate().expect("valid gossip configuration");
         let capacity = overlay.graph().capacity();
         let mut peers = PeerStore::with_capacity(capacity);
-        for _ in 0..capacity {
-            peers.push_peer(config.buffer_capacity);
+        for id in 0..capacity {
+            let live = overlay
+                .graph()
+                .is_active(crate::cast::narrow(id, "peer ids fit u32"));
+            peers.push_peer(config.buffer_capacity, live, 0);
         }
         let min_degree = overlay.config().min_degree;
         let membership_seed = overlay.config().seed ^ 0x4d45_4d42;
         let view = MembershipView::from_members(overlay.active_peers());
+        let overlay_active = overlay.active_count();
         StreamingSystem {
             config,
             overlay,
@@ -181,10 +185,9 @@ impl StreamingSystem {
             traffic_switch_window: TrafficCounters::new(),
             switch_secs: None,
             switch_sessions: None,
-            switch_records: vec![SwitchRecord::default(); capacity],
             ratio_samples: Vec::new(),
             switch_completed_secs: None,
-            qoe: QoeRecorder::with_capacity(capacity),
+            qoe: QoeRecorder::with_capacity(overlay_active),
             scratch: PeriodScratch::default(),
             executor: None,
             net: None,
@@ -243,21 +246,22 @@ impl StreamingSystem {
         self.net.as_ref().map(|n| n.stats()).unwrap_or_default()
     }
 
-    /// Re-partitions the peer store into (at least) `shards` shards.  The
-    /// shards are the chunk unit of the period, so the worker pool steps
-    /// shards independently; a single-shard store runs the period as one
-    /// chunk.  Results are byte-identical across shard counts: chunk
-    /// outputs concatenate in peer order either way.
+    /// Sets the peer store's chunk geometry to (at least) `shards` shards.
+    /// The shards are the chunk unit of the period, so the worker pool
+    /// steps shards independently; a single-shard store runs the period as
+    /// one chunk.  No peer state moves, and results are byte-identical
+    /// across shard counts: chunk outputs concatenate in peer order either
+    /// way.
     pub fn set_shards(&mut self, shards: usize) {
         self.peers.set_shards(shards);
     }
 
-    /// Number of shards currently backing the peer store.
+    /// Number of shards the peer store's ids span.
     pub fn shard_count(&self) -> usize {
         self.peers.shard_count()
     }
 
-    /// The peer store itself (sharded struct-of-arrays columns).
+    /// The peer store itself (paged struct-of-arrays columns).
     pub fn peer_store(&self) -> &PeerStore {
         &self.peers
     }
@@ -324,16 +328,30 @@ impl StreamingSystem {
         self.traffic_total
     }
 
-    /// Read access to one peer (panics on unknown ids).
+    /// Read access to one peer.
+    ///
+    /// # Panics
+    /// Panics on an unknown id and on a departed peer whose page the store
+    /// released.
     pub fn peer(&self, id: PeerId) -> PeerRef<'_> {
         self.peers.peer(id)
     }
 
-    /// The raw per-peer switch records (indexed by [`PeerId`]).  Reports
-    /// carry only their [`SwitchStats`] aggregate; tests and diagnostics
-    /// that need per-peer milestones read them here.
-    pub fn switch_records(&self) -> &[SwitchRecord] {
-        &self.switch_records
+    /// One peer's raw switch record, or `None` once the store released its
+    /// page (every id there departed, so no switch metric counts it).
+    /// Reports carry only their [`SwitchStats`] aggregate; tests and
+    /// diagnostics that need per-peer milestones read them here.
+    ///
+    /// # Panics
+    /// Panics on an id the system never assigned.
+    pub fn switch_record(&self, id: PeerId) -> Option<&SwitchRecord> {
+        self.peers.switch_record(id)
+    }
+
+    /// The switch records of every id whose page is resident, in id order
+    /// (what the report's [`SwitchStats`] folds).
+    pub fn switch_records(&self) -> impl Iterator<Item = &SwitchRecord> + '_ {
+        self.peers.switch_records()
     }
 
     /// The streaming QoE recorder: the latest per-period event row and the
@@ -435,19 +453,18 @@ impl StreamingSystem {
         self.traffic_switch_window = TrafficCounters::new();
         self.ratio_samples.clear();
         let old_session = *self.directory.get(old_id).expect("old session exists");
-        for record in self.switch_records.iter_mut() {
-            *record = SwitchRecord::default();
-        }
-        for peer_id in self.overlay.active_peers().collect::<Vec<_>>() {
-            let record = &mut self.switch_records[peer_id as usize];
-            record.present_at_switch = true;
-            record.q0 = self
+        self.peers.reset_switch_records();
+        for &peer_id in self.view.members() {
+            let q0 = self
                 .peers
                 .peer(peer_id)
                 .undelivered_in_session(&old_session, last_emitted);
+            let record = self.peers.switch_record_mut(peer_id);
+            record.present_at_switch = true;
+            record.q0 = q0;
         }
         // Sources are not "switching" nodes: exclude them from the averages.
-        self.switch_records[new_source as usize].present_at_switch = false;
+        self.peers.switch_record_mut(new_source).present_at_switch = false;
         new_id
     }
 
@@ -455,8 +472,9 @@ impl StreamingSystem {
     /// externally driven departure, e.g. the viewers of a *zap batch*
     /// leaving this channel for another one at the same period boundary.
     ///
-    /// Each peer's slot stays (ids are never reused) but its buffer storage
-    /// is released: nothing reads a departed peer's buffer again.  Its
+    /// Each peer's id stays assigned (ids are never reused) but its buffer
+    /// storage is released, and its whole store page once every id there
+    /// has departed: nothing reads a departed peer's state again.  Its
     /// switch record is marked departed so it stops counting towards switch
     /// metrics.  Batching the repair is what keeps a multi-viewer zap batch
     /// a single pairwise synchronisation point between two channels.  An
@@ -554,10 +572,11 @@ impl StreamingSystem {
     fn settle_joiners(&mut self, joined: &[PeerId]) {
         for &id in joined {
             debug_assert_eq!(id as usize, self.peers.len());
-            self.peers.push_peer(self.config.buffer_capacity);
-            self.switch_records.push(SwitchRecord::default());
-            self.qoe.register_peer(self.period_index);
+            let live = self.overlay.graph().is_active(id);
+            self.peers
+                .push_peer(self.config.buffer_capacity, live, self.period_index);
         }
+        self.qoe.reserve(self.view.len());
         for &id in joined {
             let join_point = self
                 .overlay
@@ -810,7 +829,7 @@ impl StreamingSystem {
     pub fn report(&self) -> SystemReport {
         SystemReport {
             scheduler: self.scheduler.name(),
-            switch: SwitchStats::from_records(&self.switch_records),
+            switch: SwitchStats::from_records(self.peers.switch_records()),
             ratio_samples: self.ratio_samples.clone(),
             traffic_total: self.traffic_total,
             traffic_switch_window: self.traffic_switch_window,
@@ -834,24 +853,20 @@ impl StreamingSystem {
             peer_slots: self.peers.len(),
             ..MemUsage::default()
         };
-        // Shard-major sweep: resolve each shard's buffer column once and
-        // index slots directly (the active list is ascending, so each shard
+        // Page-major sweep: resolve each page's buffer column once and
+        // index slots directly (the active list is ascending, so each page
         // is one contiguous run), prefetching the next buffer struct ahead
         // of its `mem_breakdown` reads.  Sums in active order, so the
         // metered totals are byte-identical to the per-id walk.
-        let shift = self.peers.shard_shift();
-        let mask = self.peers.shard_size() - 1;
-        let shards = self.peers.shards();
         // fss-lint: hot-path
-        let mut shard_idx = usize::MAX;
+        let mut page_idx = usize::MAX;
         let mut buffers: &[FifoBuffer] = &[];
         for &p in self.view.members() {
-            let shard = (p as usize) >> shift;
-            if shard != shard_idx {
-                shard_idx = shard;
-                buffers = shards[shard].buffers();
+            let (page, slot) = page_slot(p);
+            if page != page_idx {
+                page_idx = page;
+                buffers = self.peers.page_buffers(page);
             }
-            let slot = (p as usize) & mask;
             if let Some(ahead) = buffers.get(slot + WALK_AHEAD) {
                 prefetch_read(ahead);
             }
@@ -944,15 +959,13 @@ impl StreamingSystem {
     }
 
     /// Marks a departed peer's switch record, releases its buffer storage
-    /// and zeroes its rate and budget entries.  Gathers read only active
-    /// neighbours, arrivals for inactive requesters are counted as stale
-    /// and the memory meter walks active peers, so no report can observe
-    /// the released buffer.
+    /// (and its store page, once every id there has departed) and zeroes
+    /// its rate and budget entries.  Gathers read only active neighbours,
+    /// arrivals for inactive requesters are counted as stale and the memory
+    /// meter walks active peers, so no report can observe the released
+    /// state.
     fn release_departed(&mut self, peer: PeerId) {
-        if let Some(record) = self.switch_records.get_mut(peer as usize) {
-            record.departed = true;
-        }
-        *self.peers.buffer_mut(peer) = FifoBuffer::default();
+        self.peers.depart(peer);
         // The period prologue refreshes active peers' rate entries only.
         if let Some(outbound) = self.scratch.outbound.get_mut(peer as usize) {
             *outbound = Outbound::default();
@@ -1233,8 +1246,6 @@ impl StreamingSystem {
             let chunks = &chunks[..];
             let used = chunks.len();
             let columns = self.peers.lend_columns();
-            let qoe_states = DisjointRanges::new(self.qoe.peer_states_mut());
-            let records = DisjointRanges::new(&mut self.switch_records[..]);
             let ratios = DisjointRanges::new(&mut ratio_terms[..]);
             let slots = DisjointSlots::new(&mut workers[..used]);
             let inputs = &inputs;
@@ -1250,26 +1261,20 @@ impl StreamingSystem {
                 let (Some(&first), Some(&last)) = (ids.first(), ids.last()) else {
                     return;
                 };
-                let (lo, hi) = (first as usize, last as usize + 1);
                 // SAFETY: the chunk plan partitions the ascending active
                 // list, so the chunks' id runs `first..=last` and index
                 // ranges `start..end` are pairwise disjoint.
-                let (buffers, headers) = unsafe { columns.run(first, last) };
-                let lanes = ChunkLanes {
-                    qoe: inputs.qoe_on.then(|| unsafe { qoe_states.range(lo, hi) }),
-                    records: unsafe { records.range(lo, hi) },
-                    ratios: if inputs.switch.is_some() {
-                        unsafe { ratios.range(start, end) }
-                    } else {
-                        &mut []
-                    },
+                let columns = unsafe { columns.chunk(first, last) };
+                let ratios = if inputs.switch.is_some() {
+                    unsafe { ratios.range(start, end) }
+                } else {
+                    &mut []
                 };
                 walk_chunk(
                     ids,
                     &observed_max[start..end],
-                    buffers,
-                    headers,
-                    lanes,
+                    columns,
+                    ratios,
                     worker,
                     inputs,
                 );
@@ -1535,37 +1540,22 @@ struct WalkInputs<'a> {
     period: u64,
 }
 
-/// The id- and index-ranged tables one walk chunk writes: its peers' QoE
-/// slots (when recording) and switch records (both indexed from the
-/// chunk's first peer id), and its range of the ratio-term column (empty
-/// outside a switch window).
-struct ChunkLanes<'a> {
-    qoe: Option<&'a mut [PeerQoe]>,
-    records: &'a mut [SwitchRecord],
-    ratios: &'a mut [(f64, f64)],
-}
-
 /// The fused walk of one chunk: applies the chunk's delivery slice, then
 /// runs the discovery write, playback advance, QoE observation and switch
 /// milestones per peer while its header line and buffer struct are hot.
-/// `buffers`/`headers` (and the id-ranged lanes) start at the chunk's first
-/// peer id.
+/// The chunk's peers may span store pages: the walk takes one page run of
+/// columns (buffer, header, QoE slot, switch record) per page.  `ratios`
+/// is the chunk's range of the ratio-term column (empty outside a switch
+/// window).
 // fss-lint: hot-path
 fn walk_chunk(
     chunk: &[PeerId],
     observed_max: &[SegmentId],
-    buffers: &mut [FifoBuffer],
-    headers: &mut [PeerHeader],
-    lanes: ChunkLanes<'_>,
+    mut columns: ChunkColumns<'_>,
+    ratios: &mut [(f64, f64)],
     worker: &mut WorkerScratch,
     inputs: &WalkInputs<'_>,
 ) {
-    let base = chunk[0] as usize;
-    let ChunkLanes {
-        mut qoe,
-        records,
-        ratios,
-    } = lanes;
     let qs = inputs.config.new_source_qs;
 
     // Delivery: per requester in grant order (lockstep) or arrival order
@@ -1573,84 +1563,94 @@ fn walk_chunk(
     let grants = &worker.grants;
     for (i, g) in grants.iter().enumerate() {
         if let Some(far) = grants.get(i + 4 * DELIVERY_AHEAD) {
-            if let Some(buffer) = buffers.get((far.requester as usize).wrapping_sub(base)) {
+            if let Some(buffer) = columns.buffer(far.requester) {
                 prefetch_lines(buffer);
             }
         }
         if let Some(ahead) = grants.get(i + DELIVERY_AHEAD) {
-            if let Some(buffer) = buffers.get((ahead.requester as usize).wrapping_sub(base)) {
+            if let Some(buffer) = columns.buffer(ahead.requester) {
                 buffer.prefetch_insert(ahead.segment);
             }
         }
-        buffers[g.requester as usize - base].insert(g.segment);
+        columns.buffer_mut(g.requester).insert(g.segment);
     }
 
-    for (i, &p) in chunk.iter().enumerate() {
-        let slot = p as usize - base;
-        if let Some(&ahead) = chunk.get(i + WALK_AHEAD) {
-            let ahead_slot = ahead as usize - base;
-            prefetch_lines(&headers[ahead_slot]);
-            prefetch_lines(&buffers[ahead_slot]);
-        }
-        let header = &mut headers[slot];
-        peer::discover_sessions(
-            &mut header.known_sessions,
-            inputs.directory,
-            observed_max[i],
-        );
-        let known = peer::known_slice(header.known_sessions, inputs.directory);
-        let buffer = &buffers[slot];
-        let played = peer::advance_playback(
-            buffer,
-            &mut header.playback,
-            &mut header.play_credit,
-            known,
-            inputs.config,
-        );
-        if let Some(states) = qoe.as_deref_mut() {
-            let playback = &header.playback;
-            worker.qoe.observe(
-                &mut states[slot],
-                playback.has_started(),
-                playback.stalls(),
-                played,
+    let mut run_start = 0;
+    while run_start < chunk.len() {
+        let page_end = ((u64::from(chunk[run_start]) >> PAGE_SHIFT) + 1) << PAGE_SHIFT;
+        let run_end = run_start + chunk[run_start..].partition_point(|&p| u64::from(p) < page_end);
+        let ids = &chunk[run_start..run_end];
+        let base = ids[0] as usize;
+        let run = columns.run(ids[0], ids[ids.len() - 1]);
+        for (j, &p) in ids.iter().enumerate() {
+            let i = run_start + j;
+            let slot = p as usize - base;
+            if let Some(&ahead) = ids.get(j + WALK_AHEAD) {
+                let ahead_slot = ahead as usize - base;
+                prefetch_lines(&run.headers[ahead_slot]);
+                prefetch_lines(&run.buffers[ahead_slot]);
+            }
+            let header = &mut run.headers[slot];
+            peer::discover_sessions(
+                &mut header.known_sessions,
+                inputs.directory,
+                observed_max[i],
             );
-        }
-        let Some((old, new, old_end)) = &inputs.switch else {
-            continue;
-        };
-        let record = &mut records[slot];
-        if !record.countable() {
-            ratios[i] = (0.0, 0.0);
-            continue;
-        }
-        let since_switch = inputs.since_switch;
-        let id_play = header.playback.next_play();
-        if record.s1_finished_secs.is_none() && id_play > *old_end {
-            record.s1_finished_secs = Some(since_switch);
-        }
-        let q2 = peer::q2_for(buffer, new, qs);
-        if record.s2_prepared_secs.is_none() && q2 == 0 {
-            record.s2_prepared_secs = Some(since_switch);
-        }
-        if record.s2_started_secs.is_none() && id_play > new.first_segment {
-            record.s2_started_secs = Some(since_switch);
-        }
-        if !record.completed() {
-            worker.waiting += 1;
-        }
+            let known = peer::known_slice(header.known_sessions, inputs.directory);
+            let buffer = &run.buffers[slot];
+            let played = peer::advance_playback(
+                buffer,
+                &mut header.playback,
+                &mut header.play_credit,
+                known,
+                inputs.config,
+            );
+            if inputs.qoe_on {
+                let playback = &header.playback;
+                worker.qoe.observe(
+                    &mut run.qoe[slot],
+                    playback.has_started(),
+                    playback.stalls(),
+                    played,
+                );
+            }
+            let Some((old, new, old_end)) = &inputs.switch else {
+                continue;
+            };
+            let record = &mut run.records[slot];
+            if !record.countable() {
+                ratios[i] = (0.0, 0.0);
+                continue;
+            }
+            let since_switch = inputs.since_switch;
+            let id_play = header.playback.next_play();
+            if record.s1_finished_secs.is_none() && id_play > *old_end {
+                record.s1_finished_secs = Some(since_switch);
+            }
+            let q2 = peer::q2_for(buffer, new, qs);
+            if record.s2_prepared_secs.is_none() && q2 == 0 {
+                record.s2_prepared_secs = Some(since_switch);
+            }
+            if record.s2_started_secs.is_none() && id_play > new.first_segment {
+                record.s2_started_secs = Some(since_switch);
+            }
+            if !record.completed() {
+                worker.waiting += 1;
+            }
 
-        // Ratio tracks (Figures 5 and 9): this peer's terms, summed later
-        // in ascending order.
-        let q1 = peer::undelivered_in_session(buffer, id_play, old, *old_end);
-        let undelivered_ratio = if record.q0 == 0 {
-            0.0
-        } else {
-            q1 as f64 / record.q0 as f64
-        };
-        let delivered_ratio = (qs - q2) as f64 / qs as f64;
-        ratios[i] = (undelivered_ratio, delivered_ratio);
-        worker.counted += 1;
+            // Ratio tracks (Figures 5 and 9): this peer's terms, summed
+            // later in ascending order.
+            let q1 = peer::undelivered_in_session(buffer, id_play, old, *old_end);
+            let undelivered_ratio = if record.q0 == 0 {
+                0.0
+            } else {
+                q1 as f64 / record.q0 as f64
+            };
+            let delivered_ratio = (qs - q2) as f64 / qs as f64;
+            ratios[i] = (undelivered_ratio, delivered_ratio);
+            worker.counted += 1;
+        }
+        run_start = run_end;
     }
 }
 // fss-lint: end
@@ -1658,6 +1658,7 @@ fn walk_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::PAGE_IDS;
     use fss_core::{SchedulerScratch, SchedulingContext, SegmentRequest};
     use fss_overlay::OverlayBuilder;
     use fss_trace::{GeneratorConfig, TraceGenerator};
@@ -1822,11 +1823,8 @@ mod tests {
         let report = sys.report();
         assert_eq!(report.scheduler, "greedy-oldest");
         assert!(report.switch_completed_secs.is_some());
-        let countable: Vec<&SwitchRecord> = sys
-            .switch_records()
-            .iter()
-            .filter(|r| r.countable())
-            .collect();
+        let countable: Vec<&SwitchRecord> =
+            sys.switch_records().filter(|r| r.countable()).collect();
         assert!(!countable.is_empty());
         for r in &countable {
             assert!(r.completed());
@@ -1845,7 +1843,7 @@ mod tests {
         assert_eq!(report.switch.countable_nodes, countable.len());
         assert_eq!(report.switch.completed_nodes, countable.len());
         // The new source is excluded from the averages.
-        assert!(!sys.switch_records()[s2 as usize].countable());
+        assert!(!sys.switch_record(s2).unwrap().countable());
 
         // Ratio samples move in the right directions.
         assert!(!report.ratio_samples.is_empty());
@@ -1872,9 +1870,12 @@ mod tests {
         assert!(executed < 300, "switch never completed under churn");
 
         // Some nodes left, some joined; joiners are not countable.
-        assert!(sys.switch_records().len() > 80);
-        assert!(sys.switch_records().iter().any(|r| r.departed));
-        assert!(sys.switch_records().iter().skip(80).all(|r| !r.countable()));
+        let ids = sys.peer_store().len() as PeerId;
+        assert!(ids > 80);
+        assert!(sys.switch_records().any(|r| r.departed));
+        assert!((80..ids)
+            .filter_map(|id| sys.switch_record(id))
+            .all(|r| !r.countable()));
     }
 
     #[test]
@@ -2026,7 +2027,7 @@ mod tests {
 
         sys.depart_batch(&[viewer]).unwrap();
         assert!(!sys.overlay().graph().is_active(viewer));
-        assert!(sys.switch_records()[viewer as usize].departed);
+        assert!(sys.switch_record(viewer).unwrap().departed);
 
         let neighbours: Vec<PeerId> = sys.overlay().active_peers().take(5).collect();
         let attrs = *sys.overlay().attrs(source).unwrap();
@@ -2065,7 +2066,7 @@ mod tests {
         sys.depart_batch(&leavers).unwrap();
         for &p in &leavers {
             assert!(!sys.overlay().graph().is_active(p));
-            assert!(sys.switch_records()[p as usize].departed);
+            assert!(sys.switch_record(p).unwrap().departed);
         }
         // Membership was repaired: every active node keeps its min degree.
         let min_degree = sys.overlay().config().min_degree;
@@ -2127,7 +2128,7 @@ mod tests {
                 sys.overlay().active_count(),
                 sys.peer_store().len(),
                 sys.membership_view().len(),
-                sys.switch_records().len(),
+                sys.switch_records().count(),
             )
         };
         let before = shape(&sys);
@@ -2158,7 +2159,7 @@ mod tests {
         for batch in [[stay, gone], [stay, stay]] {
             assert!(sys.depart_batch(&batch).is_err());
             assert!(sys.overlay().graph().is_active(stay));
-            assert!(!sys.switch_records()[stay as usize].departed);
+            assert!(!sys.switch_record(stay).unwrap().departed);
             assert_eq!(shape(&sys), before);
         }
 
@@ -2519,10 +2520,11 @@ mod tests {
         );
     }
 
-    /// Ids are never reused, so every departure leaves its slot behind.
+    /// Ids are never reused, so every departure leaves its id behind.
     /// Over a lossy, delayed event-mode run with churn and a zap batch
-    /// every period, every departed slot keeps only its inline state: the
-    /// buffer storage of a departed peer (~4 KB of segments) is released.
+    /// every period, every departed id whose page is still resident keeps
+    /// only its column entries: the buffer storage of a departed peer
+    /// (~4 KB of segments) is released.
     #[test]
     fn departed_slots_keep_only_inline_state() {
         let mut sys = build_system(80, 0xDE9A);
@@ -2537,8 +2539,7 @@ mod tests {
         sys.start_initial_source(source);
         sys.run_periods(10);
         let attrs = *sys.overlay().attrs(source).unwrap();
-        let departed =
-            |sys: &StreamingSystem| sys.switch_records().iter().filter(|r| r.departed).count();
+        let departed = |sys: &StreamingSystem| sys.switch_records().filter(|r| r.departed).count();
         let departed_before = departed(&sys);
         let mut ids = Vec::new();
         for period in 0..300 {
@@ -2559,7 +2560,7 @@ mod tests {
 
             let store = sys.peer_store();
             for peer in 0..store.len() as PeerId {
-                if sys.overlay().graph().is_active(peer) {
+                if sys.overlay().graph().is_active(peer) || store.is_released(peer) {
                     continue;
                 }
                 let held = store.buffer(peer).mem_breakdown().heap_total();
@@ -2571,6 +2572,78 @@ mod tests {
         }
         assert!(departed(&sys) - departed_before >= 600);
         assert!(sys.network_stats().data_stale > 0);
+    }
+
+    /// Departed peers give their pages back.  A lossy event-mode run moves
+    /// zap batches of 40 viewers through a 100-viewer channel for 120
+    /// periods, the longest-staying viewers leaving first, so the 4,900
+    /// ids it assigns fill four pages and start a fifth.  After every
+    /// period, checked against the overlay's active flags:
+    /// * a released page holds no active id,
+    /// * a full page with no active id is released, and
+    /// * at most four pages are resident: the source's, the at most two
+    ///   that the ~100 staying viewers span, and the partial last page.
+    #[test]
+    fn departed_pages_are_released() {
+        let mut sys = build_system(100, 0x9A9E);
+        let source = sys.overlay().active_peers().next().unwrap();
+        sys.set_network(NetworkConfig {
+            latency_scale: 5.0,
+            loss_rate: 0.05,
+            jitter_ms: 10,
+            seed: 0x9A,
+        });
+        sys.start_initial_source(source);
+        sys.run_periods(5);
+        let attrs = *sys.overlay().attrs(source).unwrap();
+        let mut ids = Vec::new();
+        let mut released_ever = 0;
+        for period in 0..120 {
+            let leavers: Vec<PeerId> = sys
+                .overlay()
+                .active_peers()
+                .filter(|&p| p != source)
+                .take(40)
+                .collect();
+            sys.depart_batch(&leavers).unwrap();
+            let hosts: Vec<PeerId> = sys.overlay().active_peers().take(4).collect();
+            let flat = hosts.repeat(40);
+            sys.admit_batch(&[attrs; 40], &flat, hosts.len(), &mut ids)
+                .unwrap();
+            sys.advance();
+
+            let store = sys.peer_store();
+            let graph = sys.overlay().graph();
+            let full = store.len() / PAGE_IDS;
+            for page in 0..store.page_count() {
+                let first = page * PAGE_IDS;
+                let page_ids = first..(first + PAGE_IDS).min(store.len());
+                let live = page_ids.clone().any(|id| graph.is_active(id as PeerId));
+                if store.is_page_resident(page) {
+                    assert!(
+                        live || page >= full,
+                        "period {period}: full page {page} has no active id but stays"
+                    );
+                } else {
+                    assert!(
+                        !live,
+                        "period {period}: released page {page} holds an active id"
+                    );
+                    assert!(page_ids.clone().all(|id| store.is_released(id as PeerId)));
+                }
+            }
+            let resident = store.resident_pages();
+            assert!(resident <= 4, "period {period}: {resident} pages resident");
+            released_ever = store.page_count() - resident;
+        }
+        assert!(
+            sys.peer_store().len() > 4 * PAGE_IDS,
+            "the run fills 4 pages"
+        );
+        assert!(released_ever >= 2, "only {released_ever} pages released");
+        // The report reads only active peers and resident records.
+        assert_eq!(sys.report().mem.active_peers, sys.overlay().active_count());
+        assert!(sys.network_stats().data_lost > 0);
     }
 
     /// The event-mode delivery exchange runs only with a network model;

@@ -15,6 +15,7 @@
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
+use fss_gossip::qoe::PeerQoe;
 use fss_gossip::{
     DeliveredSegment, FifoBuffer, GossipConfig, MemUsage, PlaybackState, QoeRecorder, RatioSample,
     SchedulerScratch, SchedulingContext, SegmentId, SegmentRequest, SegmentScheduler, Session,
@@ -36,9 +37,23 @@ struct Peer {
     known_sessions: usize,
     /// Fractional playback credit carried across periods.
     play_credit: f64,
+    /// QoE observation state.
+    qoe: PeerQoe,
 }
 
 impl Peer {
+    /// The state the spec keeps for a peer the system released: empty, and
+    /// never read again.
+    fn departed() -> Peer {
+        Peer {
+            buffer: FifoBuffer::default(),
+            playback: PlaybackState::new(SegmentId(0)),
+            known_sessions: 0,
+            play_credit: 0.0,
+            qoe: PeerQoe::default(),
+        }
+    }
+
     /// Segments of `session` in `[max(id_play, first), end]` the peer does
     /// not hold; `end` falls back to `fallback_end` for a live session.
     fn undelivered_in(&self, session: &Session, fallback_end: SegmentId) -> usize {
@@ -104,28 +119,44 @@ impl Spec {
     /// Snapshots `sys` — protocol state, directory, emission cursor,
     /// counters, switch state and QoE — so stepping the spec continues the
     /// run exactly where the system stands.  `scheduler` must be the
-    /// policy the system runs.
+    /// policy the system runs.  An id whose store page the system released
+    /// becomes a departed peer with empty state: nothing reads it again.
     ///
     /// # Panics
     /// Panics if a network model is installed: the spec models lockstep
-    /// only.
+    /// only.  Panics if a released id is active.
     pub fn from_system(sys: &StreamingSystem, scheduler: Box<dyn SegmentScheduler>) -> Spec {
         assert!(
             sys.network().is_none(),
             "the spec models lockstep only; uninstall the network model"
         );
         let store = sys.peer_store();
-        let peers = (0..store.len() as PeerId)
-            .map(|id| {
-                let header = store.header(id);
-                Peer {
-                    buffer: store.buffer(id).clone(),
-                    playback: header.playback.clone(),
-                    known_sessions: header.known_sessions,
-                    play_credit: header.play_credit,
+        let (peers, switch_records) = (0..store.len() as PeerId)
+            .map(|id| match store.switch_record(id) {
+                None => {
+                    assert!(
+                        !sys.overlay().graph().is_active(id),
+                        "peer {id} is active but its page was released"
+                    );
+                    let departed = SwitchRecord {
+                        departed: true,
+                        ..SwitchRecord::default()
+                    };
+                    (Peer::departed(), departed)
+                }
+                Some(&record) => {
+                    let header = store.header(id);
+                    let peer = Peer {
+                        buffer: store.buffer(id).clone(),
+                        playback: header.playback.clone(),
+                        known_sessions: header.known_sessions,
+                        play_credit: header.play_credit,
+                        qoe: *store.qoe(id),
+                    };
+                    (peer, record)
                 }
             })
-            .collect();
+            .unzip();
         let directory = sys.directory().clone();
         // Sessions are serial: the latest switch went from the
         // second-to-last session to the last one, at the last one's start.
@@ -152,7 +183,7 @@ impl Spec {
             traffic_total: report.traffic_total,
             traffic_switch_window: report.traffic_switch_window,
             switch,
-            switch_records: sys.switch_records().to_vec(),
+            switch_records,
             ratio_samples: report.ratio_samples,
             switch_completed_secs: report.switch_completed_secs,
             qoe: sys.qoe().clone(),
@@ -255,9 +286,34 @@ impl Spec {
         }
     }
 
-    /// The raw per-peer switch records, indexed by peer id.
-    pub fn switch_records(&self) -> &[SwitchRecord] {
-        &self.switch_records
+    /// Compares the system's switch records with the spec's, id by id over
+    /// every id assigned: where the system still holds a record it must
+    /// equal the spec's, and where the system released the id's page the
+    /// peer must be departed in the spec.  The error names the first id
+    /// that disagrees.
+    pub fn check_switch_records(&self, sys: &StreamingSystem) -> Result<(), String> {
+        let ids = sys.peer_store().len();
+        if ids != self.switch_records.len() {
+            return Err(format!(
+                "the system assigned {ids} ids, the spec {}",
+                self.switch_records.len()
+            ));
+        }
+        for (id, spec) in (0..).zip(&self.switch_records) {
+            match sys.switch_record(id) {
+                Some(record) if record == spec => {}
+                Some(record) => {
+                    return Err(format!("peer {id}: system {record:?}, spec {spec:?}"));
+                }
+                None if self.active.contains(&id) => {
+                    return Err(format!(
+                        "peer {id}: released by the system, active in the spec"
+                    ));
+                }
+                None => {}
+            }
+        }
+        Ok(())
     }
 
     /// The last period's deliveries, supplier-major (supplier ascending,
@@ -290,7 +346,7 @@ impl Spec {
     }
 
     /// Adopts the membership churn and external zaps decided: newcomers get
-    /// a slot, a switch record, a QoE slot and the system's join point;
+    /// a slot with a QoE slot, a switch record and the system's join point;
     /// peers that left are marked departed and their buffers released.
     fn sync_membership(&mut self, sys: &StreamingSystem) {
         let overlay = sys.overlay();
@@ -303,9 +359,9 @@ impl Spec {
                 playback,
                 known_sessions: 0,
                 play_credit: 0.0,
+                qoe: PeerQoe::joining_at(self.periods),
             });
             self.switch_records.push(SwitchRecord::default());
-            self.qoe.register_peer(self.periods);
         }
         let now: BTreeSet<PeerId> = overlay.active_peers().collect();
         let left = self.active.iter().copied().filter(|p| !now.contains(p));
@@ -532,7 +588,7 @@ impl Spec {
             if qoe_on {
                 let playback = &peer.playback;
                 let (started, stalls) = (playback.has_started(), playback.stalls());
-                self.qoe.observe(p as usize, started, stalls, played);
+                self.qoe.observe(&mut peer.qoe, started, stalls, played);
             }
         }
         let waiting = self.record_milestones();
